@@ -66,12 +66,19 @@ def diagonal_basis(d):
     return arr
 
 
+def _flat(basis):
+    return basis.reshape(len(basis), -1)
+
+
 def to_coords(matrix, basis):
-    """Real coordinates of a Hermitian matrix in an orthonormal basis."""
-    c = np.einsum("aij,ji->a", basis, matrix)
-    return np.real_if_close(c, tol=1000).real
+    """Real coordinates Tr[B_a M] of a Hermitian matrix in an orthonormal
+    basis; a stack of matrices (..., n, n) gives a stack of coordinate
+    vectors."""
+    m = np.swapaxes(np.asarray(matrix), -1, -2)
+    return np.ascontiguousarray((m.reshape(*m.shape[:-2], -1) @ _flat(basis).T).real)
 
 
 def from_coords(coords, basis):
     """Matrix with the given real coordinates."""
-    return np.einsum("a,aij->ij", np.asarray(coords, dtype=float), basis)
+    out = np.asarray(coords, dtype=float) @ _flat(basis)
+    return out.reshape(basis.shape[1:])

@@ -11,6 +11,8 @@ Conventions (row-major / C-order vec throughout):
   the unit effect is ``T^*(I) = Tr_out C``.
 """
 
+import math
+
 import numpy as np
 
 
@@ -44,14 +46,22 @@ def kraus_to_super(kraus):
     return s
 
 
+def _reindex(m, perm):
+    """Permute the four d-indices of a d^2 x d^2 matrix, or of each
+    matrix in a stack (..., d^2, d^2)."""
+    *lead, n, _ = m.shape
+    d = math.isqrt(n)
+    k = len(lead)
+    axes = (*range(k), *(k + p for p in perm))
+    return m.reshape(*lead, d, d, d, d).transpose(axes).reshape(*lead, n, n)
+
+
 def choi_to_super(choi):
-    d = round(np.sqrt(choi.shape[0]))
-    return choi.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    return _reindex(choi, (1, 3, 0, 2))
 
 
 def super_to_choi(sup):
-    d = round(np.sqrt(sup.shape[0]))
-    return sup.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    return _reindex(sup, (2, 0, 3, 1))
 
 
 def apply_super(sup, matrix):
@@ -85,10 +95,6 @@ def identity_choi(d):
     return kraus_to_choi_matrix([np.eye(d)])
 
 
-def is_hermitian(m, tol=1e-12):
-    return np.max(np.abs(m - m.conj().T)) <= tol
-
-
 def min_eig(m):
     return float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
 
@@ -101,13 +107,14 @@ def partial_trace(matrix, dims, keep):
     """Partial trace of a matrix on a tensor product of subsystems.
 
     dims: tuple of subsystem dimensions; keep: index of the subsystem
-    that survives.
+    that survives.  A stack of matrices gives a stack of partial traces.
     """
     d1, d2 = dims
-    t = np.asarray(matrix).reshape(d1, d2, d1, d2)
+    t = np.asarray(matrix)
+    t = t.reshape(*t.shape[:-2], d1, d2, d1, d2)
     if keep == 0:
-        return np.trace(t, axis1=1, axis2=3)
-    return np.trace(t, axis1=0, axis2=2)
+        return np.trace(t, axis1=-3, axis2=-1)
+    return np.trace(t, axis1=-4, axis2=-2)
 
 
 def swap_matrix(d):
@@ -120,17 +127,19 @@ def swap_matrix(d):
 
 
 def apply_local_super(sup, joint, slot, d):
-    """Apply a single-system superoperator to one slot of a joint
-    d^2 x d^2 matrix (the other slot untouched)."""
+    """Apply a single-system superoperator, or each of a stack
+    (..., d^2, d^2) of them, to one slot of a joint d^2 x d^2 matrix
+    (the other slot untouched)."""
     t = np.asarray(joint).reshape(d, d, d, d)  # [i1, i2, j1, j2]
-    s4 = sup.reshape(d, d, d, d)  # [a, b, i, j]
+    lead = sup.shape[:-2]
+    s4 = sup.reshape(*lead, d, d, d, d)  # [..., a, b, i, j]
     if slot == 1:
-        out = np.einsum("abij,ixjy->axby", s4, t)
+        out = np.einsum("...abij,ixjy->...axby", s4, t)
     elif slot == 2:
-        out = np.einsum("abij,xiyj->xayb", s4, t)
+        out = np.einsum("...abij,xiyj->...xayb", s4, t)
     else:
         raise ValueError("slot must be 1 or 2")
-    return out.reshape(d * d, d * d)
+    return out.reshape(*lead, d * d, d * d)
 
 
 def trace_distance(a, b):

@@ -15,6 +15,7 @@ import hashlib
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -276,10 +277,53 @@ def check_seed(master, name):
     return int.from_bytes(digest[:8], "big")
 
 
-def _run_check(spec, name, detail, tolerance, fn):
-    rng = np.random.default_rng(check_seed(spec.seed, name))
+class RunContext:
+    """The objects that the checks of one run share: phi, its local
+    action matrix and rank, the spectral split, the transpose solver,
+    the GNS space and the dimension table of each backend.  Each is
+    built on first use, from the spec alone, so sharing them changes no
+    result; a build that raises is not stored and raises again on the
+    next use.  run_suite makes one per call and drops it on return."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self._dims = {}
+
+    @cached_property
+    def phi(self):
+        return self.spec.phi()
+
+    @cached_property
+    def action(self):
+        """Matrix of the local action A -> (A, I) Phi on slot 1."""
+        return faithful.local_action_matrix(self.phi)
+
+    @cached_property
+    def action_rank(self):
+        return faithful._matrix_rank(self.action)
+
+    @cached_property
+    def split(self):
+        return faithful.spectral_split(self.phi)
+
+    @cached_property
+    def solver(self):
+        return gns.TransposeSolver(self.phi, l1=self.action)
+
+    @cached_property
+    def space(self):
+        return gns.gns_space(self.phi, split=self.split, solver=self.solver)
+
+    def dims(self, backend):
+        if backend not in self._dims:
+            self._dims[backend] = infodim.dim_identities(self.spec.d, backend=backend)
+        return self._dims[backend]
+
+
+def _run_check(ctx, name, detail, tolerance, fn):
+    rng = np.random.default_rng(check_seed(ctx.spec.seed, name))
     try:
-        ok, values = fn(spec, rng, tolerance)
+        ok, values = fn(ctx, rng, tolerance)
         status = "pass" if ok else "fail"
     except OpcalError:
         status, values = "error", {}
@@ -309,7 +353,8 @@ def _sample_effect(spec, rng):
 # -- core
 
 
-def _check_conditioning(spec, rng, tol):
+def _check_conditioning(ctx, rng, tol):
+    spec = ctx.spec
     d = spec.d
     th = spec.theory()
     if spec.backend == "classical":
@@ -330,7 +375,8 @@ def _check_conditioning(spec, rng, tol):
     return ok, {"probability": p, "state_residual": resid}
 
 
-def _check_equivalence(spec, rng, tol):
+def _check_equivalence(ctx, rng, tol):
+    spec = ctx.spec
     th = spec.theory()
     d = spec.d
     if spec.backend == "classical":
@@ -345,7 +391,8 @@ def _check_equivalence(spec, rng, tol):
     return ok, {"same_effect": float(same_effect), "same_dynamics": float(same_dynamics)}
 
 
-def _check_completeness(spec, rng, tol):
+def _check_completeness(ctx, rng, tol):
+    spec = ctx.spec
     d = spec.d
     th = spec.theory()
     if spec.backend == "classical":
@@ -363,7 +410,8 @@ def _check_completeness(spec, rng, tol):
     return resid <= tol, {"unit_residual": resid, "branches": float(len(obs))}
 
 
-def _check_zero_probability(spec, rng, tol):
+def _check_zero_probability(ctx, rng, tol):
+    spec = ctx.spec
     d = spec.d
     th = spec.theory()
     if spec.backend == "classical":
@@ -388,7 +436,8 @@ def _check_zero_probability(spec, rng, tol):
 # -- norms
 
 
-def _check_effect_norm(spec, rng, tol):
+def _check_effect_norm(ctx, rng, tol):
+    spec = ctx.spec
     worst = 0.0
     for _ in range(SAMPLES):
         w = _sample_state(spec, rng)
@@ -398,7 +447,8 @@ def _check_effect_norm(spec, rng, tol):
     return worst <= tol, {"max_violation": worst}
 
 
-def _check_weight_norm(spec, rng, tol):
+def _check_weight_norm(ctx, rng, tol):
+    spec = ctx.spec
     worst = 0.0
     for _ in range(SAMPLES):
         w = core.act(_sample_map(spec, rng), _sample_state(spec, rng))
@@ -408,7 +458,8 @@ def _check_weight_norm(spec, rng, tol):
     return worst <= tol, {"max_violation": worst}
 
 
-def _check_submultiplicative(spec, rng, tol):
+def _check_submultiplicative(ctx, rng, tol):
+    spec = ctx.spec
     worst = -np.inf
     for _ in range(SAMPLES):
         a = _sample_map(spec, rng)
@@ -419,14 +470,16 @@ def _check_submultiplicative(spec, rng, tol):
     return worst <= tol, {"max_violation": float(worst)}
 
 
-def _check_contraction(spec, rng, tol):
+def _check_contraction(ctx, rng, tol):
+    spec = ctx.spec
     worst = -np.inf
     for _ in range(SAMPLES):
         worst = max(worst, core.trans_norm(_sample_map(spec, rng)) - 1.0)
     return worst <= tol, {"max_violation": float(worst)}
 
 
-def _check_coexistence(spec, rng, tol):
+def _check_coexistence(ctx, rng, tol):
+    spec = ctx.spec
     th = spec.theory()
     if spec.backend == "classical":
         half = qm.classical_map(np.eye(spec.d) * 0.5)
@@ -442,7 +495,8 @@ def _check_coexistence(spec, rng, tol):
 # -- infodim
 
 
-def _check_minimal_ic(spec, rng, tol):
+def _check_minimal_ic(ctx, rng, tol):
+    spec = ctx.spec
     if spec.backend == "classical":
         obs = infodim.classical_observable(spec.d)
     else:
@@ -452,7 +506,8 @@ def _check_minimal_ic(spec, rng, tol):
     return ok, {"rank": float(rank), "outcomes": float(len(obs))}
 
 
-def _check_ic_expand(spec, rng, tol):
+def _check_ic_expand(ctx, rng, tol):
+    spec = ctx.spec
     if spec.backend == "classical":
         obs = infodim.classical_observable(spec.d)
     else:
@@ -464,7 +519,8 @@ def _check_ic_expand(spec, rng, tol):
     return resid <= tol, {"residual": resid}
 
 
-def _check_idim(spec, rng, tol):
+def _check_idim(ctx, rng, tol):
+    spec = ctx.spec
     th = spec.theory()
     idim = infodim.informational_dimension(th, tol)
     _, _, cert = infodim.discrimination_witness(th)
@@ -472,7 +528,8 @@ def _check_idim(spec, rng, tol):
     return ok, {"idim": float(idim), "pairing_residual": cert["pairing_residual"]}
 
 
-def _check_local_observability(spec, rng, tol):
+def _check_local_observability(ctx, rng, tol):
+    spec = ctx.spec
     if spec.backend == "classical":
         obs = infodim.classical_observable
         e1 = [e.matrix for e in obs(spec.d).effects]
@@ -488,7 +545,8 @@ def _check_local_observability(spec, rng, tol):
     return ok, {"rank": float(rank)}
 
 
-def _check_bell_ic(spec, rng, tol):
+def _check_bell_ic(ctx, rng, tol):
+    spec = ctx.spec
     if spec.backend == "classical":
         # classical analogue: copying onto an ancilla and reading both
         # never exceeds the simplex dimension, so idim(S x S) = d^2
@@ -502,8 +560,8 @@ def _check_bell_ic(spec, rng, tol):
 
 
 def _table_check(row):
-    def fn(spec, rng, tol):
-        report = infodim.dim_identities(spec.d, backend=spec.backend)
+    def fn(ctx, rng, tol):
+        report = ctx.dims(ctx.spec.backend)
         for name, lhs, rhs, ok in report.rows:
             if name == row:
                 return ok, {"lhs": float(lhs), "rhs": float(rhs)}
@@ -512,8 +570,8 @@ def _table_check(row):
     return fn
 
 
-def _check_classical_violation(spec, rng, tol):
-    report = infodim.dim_identities(spec.d, backend="classical")
+def _check_classical_violation(ctx, rng, tol):
+    report = ctx.dims("classical")
     ok = not report.passes("D34'")
     for name, lhs, rhs, _ in report.rows:
         if name == "D34'":
@@ -524,20 +582,19 @@ def _check_classical_violation(spec, rng, tol):
 # -- faithful
 
 
-def _check_symmetric(spec, rng, tol):
-    return faithful.is_symmetric(spec.phi()), {}
+def _check_symmetric(ctx, rng, tol):
+    return faithful.is_symmetric(ctx.phi), {}
 
 
-def _check_dynamical(spec, rng, tol):
-    phi = spec.phi()
-    rank = faithful._matrix_rank(faithful.local_action_matrix(phi))
-    ok = faithful.is_dynamically_faithful(phi)
-    return ok, {"rank": float(rank), "full_rank": float(spec.d**4)}
+def _check_dynamical(ctx, rng, tol):
+    rank, full = ctx.action_rank, ctx.spec.d**4
+    return rank == full, {"rank": float(rank), "full_rank": float(full)}
 
 
-def _check_preparational(spec, rng, tol):
-    phi = spec.phi()
-    if not faithful.is_preparationally_faithful(phi):
+def _check_preparational(ctx, rng, tol):
+    spec = ctx.spec
+    phi = ctx.phi
+    if ctx.action_rank != spec.d**4:
         return False, {}
     worst, pmin = 0.0, np.inf
     for _ in range(5):
@@ -550,17 +607,17 @@ def _check_preparational(spec, rng, tol):
     return worst <= tol and pmin > 0, {"max_residual": worst, "min_probability": pmin}
 
 
-def _check_signature(spec, rng, tol):
-    split = faithful.spectral_split(spec.phi())
-    d = spec.d
+def _check_signature(ctx, rng, tol):
+    split = ctx.split
+    d = ctx.spec.d
     want = (d * d - d * (d - 1) // 2, d * (d - 1) // 2)
     ok = split.signature == want
     return ok, {"plus": float(split.signature[0]), "minus": float(split.signature[1])}
 
 
-def _check_abs_gram(spec, rng, tol):
-    split = faithful.spectral_split(spec.phi())
-    low = float(np.linalg.eigvalsh(split.gram_abs)[0])
+def _check_abs_gram(ctx, rng, tol):
+    spec = ctx.spec
+    low = float(np.linalg.eigvalsh(ctx.split.gram_abs)[0])
     if spec.phi_override is None:
         ok = abs(low - 1.0 / spec.d) <= 1e-12
     else:
@@ -568,9 +625,8 @@ def _check_abs_gram(spec, rng, tol):
     return ok, {"min_eig": low, "expected": 1.0 / spec.d}
 
 
-def _check_involution(spec, rng, tol):
-    split = faithful.spectral_split(spec.phi())
-    s = split.sigma_matrix
+def _check_involution(ctx, rng, tol):
+    s = ctx.split.sigma_matrix
     resid = float(np.max(np.abs(s @ s - np.eye(s.shape[0]))))
     return resid <= 1e-12, {"square_residual": resid}
 
@@ -578,9 +634,9 @@ def _check_involution(spec, rng, tol):
 # -- gns
 
 
-def _check_transpose_residual(spec, rng, tol):
-    phi = spec.phi()
-    solver = gns.TransposeSolver(phi)
+def _check_transpose_residual(ctx, rng, tol):
+    spec = ctx.spec
+    phi, solver = ctx.phi, ctx.solver
     worst = 0.0
     for _ in range(SAMPLES):
         t = qm.random_cp(spec.d, rng)
@@ -591,9 +647,9 @@ def _check_transpose_residual(spec, rng, tol):
     return worst <= tol, {"max_residual": worst}
 
 
-def _check_transpose_axioms(spec, rng, tol):
-    phi = spec.phi()
-    solver = gns.TransposeSolver(phi)
+def _check_transpose_axioms(ctx, rng, tol):
+    spec = ctx.spec
+    phi, solver = ctx.phi, ctx.solver
     worst = 0.0
     th = core.quantum(spec.d)
     for _ in range(5):
@@ -617,11 +673,11 @@ def _check_transpose_axioms(spec, rng, tol):
     return worst <= 1e-12, {"max_residual": worst}
 
 
-def _check_kraus_transpose(spec, rng, tol):
+def _check_kraus_transpose(ctx, rng, tol):
+    spec = ctx.spec
     if spec.phi_override is not None:
         return True, {}  # closed form is specific to the canonical state
-    phi = spec.phi()
-    solver = gns.TransposeSolver(phi)
+    solver = ctx.solver
     th = core.quantum(spec.d)
     worst = 0.0
     for _ in range(5):
@@ -636,9 +692,9 @@ def _check_kraus_transpose(spec, rng, tol):
     return worst <= tol, {"max_residual": worst}
 
 
-def _check_adjoint_pairing(spec, rng, tol):
-    phi = spec.phi()
-    space = gns.gns_space(phi)
+def _check_adjoint_pairing(ctx, rng, tol):
+    spec = ctx.spec
+    phi, space = ctx.phi, ctx.space
     worst = 0.0
     for _ in range(SAMPLES):
         a = qm.random_cp(spec.d, rng)
@@ -651,8 +707,9 @@ def _check_adjoint_pairing(spec, rng, tol):
     return worst <= tol, {"max_residual": worst}
 
 
-def _check_homomorphism(spec, rng, tol):
-    space = gns.gns_space(spec.phi())
+def _check_homomorphism(ctx, rng, tol):
+    spec = ctx.spec
+    space = ctx.space
     worst = 0.0
     for _ in range(5):
         a = qm.random_cp(spec.d, rng)
@@ -665,8 +722,9 @@ def _check_homomorphism(spec, rng, tol):
     return worst <= 1e-12, {"max_residual": worst}
 
 
-def _check_adjoint_rep(spec, rng, tol):
-    space = gns.gns_space(spec.phi())
+def _check_adjoint_rep(ctx, rng, tol):
+    spec = ctx.spec
+    space = ctx.space
     worst = 0.0
     for _ in range(5):
         a = qm.random_cp(spec.d, rng)
@@ -679,8 +737,9 @@ def _check_adjoint_rep(spec, rng, tol):
     return worst <= 1e-12, {"max_residual": worst}
 
 
-def _check_cstar(spec, rng, tol):
-    space = gns.gns_space(spec.phi())
+def _check_cstar(ctx, rng, tol):
+    spec = ctx.spec
+    space = ctx.space
     worst = 0.0
     for _ in range(SAMPLES):
         a = qm.random_cp(spec.d, rng)
@@ -692,19 +751,23 @@ def _check_cstar(spec, rng, tol):
 # -- born
 
 
-def _check_born_pair(spec, rng, tol):
-    space = gns.gns_space(spec.phi())
-    th = core.quantum(spec.d)
-    worst = 0.0
-    effects = list(infodim.minimal_ic_povm(spec.d).effects)
-    for w in core.spanning_states(th):
-        for e in effects:
-            worst = max(worst, abs(gns.born_pair(space, w, e) - core.pair(w, e)))
+def _check_born_pair(ctx, rng, tol):
+    spec = ctx.spec
+    space = ctx.space
+    states = core.spanning_states(core.quantum(spec.d))
+    effects = infodim.minimal_ic_povm(spec.d).effects
+    vec_w = np.array([gns.state_rep(space, w) for w in states])
+    vec_e = np.array([gns.effect_rep(space, e) for e in effects])
+    # the pairing of gns.born_pair, for every (effect, state) at once
+    born = np.real(vec_e.conj() @ space.gram @ vec_w.T)
+    want = np.array([[core.pair(w, e) for w in states] for e in effects])
+    worst = float(np.max(np.abs(born - want)))
     return worst <= tol, {"max_residual": worst}
 
 
-def _check_born_triple(spec, rng, tol):
-    space = gns.gns_space(spec.phi())
+def _check_born_triple(ctx, rng, tol):
+    spec = ctx.spec
+    space = ctx.space
     worst = 0.0
     for _ in range(SAMPLES):
         w = qm.random_state(spec.d, rng)
@@ -716,7 +779,8 @@ def _check_born_triple(spec, rng, tol):
     return worst <= tol, {"max_residual": worst}
 
 
-def _check_no_signaling(spec, rng, tol):
+def _check_no_signaling(ctx, rng, tol):
+    spec = ctx.spec
     worst = 0.0
     for _ in range(SAMPLES):
         joint = qm.random_joint_state(spec.d, rng)
@@ -837,9 +901,10 @@ def run_suite(spec, suite):
     report = Report(
         suite=suite, backend=spec.backend, d=spec.d, seed=spec.seed, version=__version__
     )
+    ctx = RunContext(spec)
     for name in names:
         for check_name, detail, tolerance, fn in _suite_checks(spec, name):
-            report.checks.append(_run_check(spec, check_name, detail, tolerance, fn))
+            report.checks.append(_run_check(ctx, check_name, detail, tolerance, fn))
     return report
 
 

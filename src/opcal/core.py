@@ -23,7 +23,6 @@ from .errors import (
 )
 
 PROB_TOL = 1e-9
-EIG_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -165,10 +164,6 @@ def identity(theory):
 def zero_map(theory):
     d = theory.d
     return Transformation(theory, np.zeros((d * d, d * d), dtype=complex))
-
-
-def from_kraus(theory, kraus, generalized=False):
-    return Transformation(theory, ch.kraus_to_choi_matrix(kraus), generalized)
 
 
 @dataclass(frozen=True)

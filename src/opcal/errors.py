@@ -34,6 +34,10 @@ class DegenerateSplit(OpcalError):
     is ill-defined (strict positivity fails)."""
 
 
+class WitnessFailed(OpcalError):
+    """A constructive witness failed the certificate it must meet."""
+
+
 class ConeViolation(OpcalError):
     """Involution mapped a physical input outside the physical cone."""
 

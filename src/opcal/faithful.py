@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import channels as ch
-from .basis import hermitian_basis, to_coords
+from .basis import from_coords, hermitian_basis, to_coords
 from .core import Effect, State, Transformation, quantum
 from .errors import ConeViolation, DegenerateSplit, NotFaithful
 from .quantum import (
@@ -53,14 +53,9 @@ def local_action_matrix(phi, slot=1):
     transformations (Choi coordinates) to generalized joint weights
     (canonical-basis coordinates)."""
     d = phi.d
-    cb = _choi_basis(d)
-    jb = hermitian_basis(d * d)
-    cols = []
-    for h in cb:
-        t = Transformation(quantum(d), h, generalized=True)
-        out = ch.apply_local_super(t.super, phi.matrix, slot, d)
-        cols.append(to_coords(out, jb))
-    return np.array(cols).T
+    cb = _choi_basis(d)  # also the canonical basis of joint weights
+    out = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, slot, d)
+    return to_coords(out, cb).T
 
 
 def _matrix_rank(m):
@@ -105,19 +100,14 @@ def prepare_witness(phi, target, tol=1e-9):
         return kraus_to_choi(quantum(d), [x]), p
     # generic path: match the slot-2 marginal of the conditioned weight
     cb = _choi_basis(d)
-    cols = []
-    for h in cb:
-        t = Transformation(quantum(d), h, generalized=True)
-        out = apply_local(phi, t, 1).matrix
-        marg = ch.partial_trace(out, (d, d), 1)
-        cols.append(to_coords(marg, hermitian_basis(d)))
-    m = np.array(cols).T
+    outs = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, 1, d)
+    m = to_coords(ch.partial_trace(outs, (d, d), 1), hermitian_basis(d)).T
     target_coords = to_coords(rho, hermitian_basis(d))
     x, *_ = np.linalg.lstsq(m, target_coords, rcond=None)
     resid = float(np.linalg.norm(m @ x - target_coords))
     if resid > tol:
         raise NotFaithful(f"no local witness at residual {resid}")
-    choi = np.einsum("a,aij->ij", x, cb)
+    choi = from_coords(x, cb)
     t = Transformation(quantum(d), choi, generalized=True)
     prob = apply_local(phi, t, 1).total
     if prob <= tol:
@@ -158,12 +148,9 @@ def spectral_split(phi, cutoff=ZERO_CUTOFF):
         raise NotFaithful("spectral split needs a symmetric joint state")
     d = phi.d
     basis = hermitian_basis(d)
-    th = quantum(d)
-    effs = [Effect(th, b, generalized=True) for b in basis]
-    n = d * d
-    gram = np.array(
-        [[bilinear_form(phi, effs[i], effs[j]) for j in range(n)] for i in range(n)]
-    )
+    # gram[a, b] = Tr[Phi (B_a kron B_b)], the bilinear form on the basis
+    phi4 = phi.matrix.reshape(d, d, d, d)  # [x1, x2, y1, y2]
+    gram = np.einsum("xuyv,ayx,bvu->ab", phi4, basis, basis, optimize=True).real
     gram = (gram + gram.T) / 2.0
     w, v = np.linalg.eigh(gram)
     if np.min(np.abs(w)) <= cutoff:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels as ch
-from .basis import hermitian_basis, to_coords
+from .basis import from_coords, hermitian_basis, to_coords
 from .core import Effect, Transformation, compose, pair, quantum
 from .errors import NotFaithful
 from .faithful import (
@@ -37,8 +37,7 @@ def _choi_coords(t):
 
 
 def _from_choi_coords(d, coords, generalized=True):
-    choi = np.einsum("a,aij->ij", np.asarray(coords, dtype=float), _choi_basis(d))
-    return Transformation(quantum(d), choi, generalized)
+    return Transformation(quantum(d), from_coords(coords, _choi_basis(d)), generalized)
 
 
 class TransposeSolver:
@@ -46,10 +45,12 @@ class TransposeSolver:
     to be dynamically faithful, and every solve certifies its residual
     instead of silently accepting a rank-deficient system."""
 
-    def __init__(self, phi):
+    def __init__(self, phi, l1=None):
+        """`l1`, if given, is local_action_matrix(phi, slot=1) already
+        computed by the caller."""
         self.phi = phi
         self.d = phi.d
-        self.l1 = local_action_matrix(phi, slot=1)
+        self.l1 = local_action_matrix(phi, slot=1) if l1 is None else l1
         self.l2 = local_action_matrix(phi, slot=2)
         self._pinv2 = np.linalg.pinv(self.l2, rcond=1e-12)
 
@@ -92,31 +93,29 @@ def jordan_lift(e):
     return Transformation(e.theory, ch.super_to_choi(sup), generalized=True)
 
 
-def _inner_with_adjoint(phi, adj, t):
-    """Phi|_2(adj after t) for a precomputed adjoint of the left entry."""
-    a = compose(adj, t)
-    rho2 = local_state(phi, 2)
-    return pair(rho2, Effect(rho2.theory, a.effect().matrix, generalized=True))
-
-
 def _inner_tt(phi, solver, t1, t2):
     """Scalar product between transformations: Phi|_2(t1^dag after t2)."""
-    return _inner_with_adjoint(phi, adjoint_map(phi, t1, solver), t2)
+    a = compose(adjoint_map(phi, t1, solver), t2)
+    rho2 = local_state(phi, 2)
+    return pair(rho2, Effect(rho2.theory, a.effect().matrix, generalized=True))
 
 
 @dataclass(frozen=True)
 class GnsSpace:
     """The effect Hilbert space carried by a faithful state: spectral
     split, transpose solver, the Gram matrix of the scalar product in
-    the canonical Hermitian basis, and the pairing matrix taking Choi
-    coordinates of a transformation to its pairings with the lifted
-    basis (the scalar product is linear in its right entry, so all
-    downstream vectors come from one matrix-vector product)."""
+    the canonical Hermitian basis with its square root and inverse
+    square root, and the pairing matrix taking Choi coordinates of a
+    transformation to its pairings with the lifted basis (the scalar
+    product is linear in its right entry, so all downstream vectors
+    come from one matrix-vector product)."""
 
     phi: BipartiteState
     split: SpectralSplit
     solver: TransposeSolver
     gram: np.ndarray
+    gram_sqrt: np.ndarray
+    gram_isqrt: np.ndarray
     pairing: np.ndarray
     lifts: tuple
 
@@ -129,32 +128,40 @@ class GnsSpace:
         return self.d * self.d
 
 
-def gns_space(phi):
+def gns_space(phi, split=None, solver=None):
     """Build the GNS data; requires a symmetric faithful state with a
-    strictly positive scalar product (positive definite Gram)."""
+    strictly positive scalar product (positive definite Gram).  `split`
+    and `solver`, if given, are the spectral split and transpose solver
+    of the same phi, already built by the caller."""
     if not is_symmetric(phi):
         raise NotFaithful("GNS construction needs a symmetric joint state")
-    split = spectral_split(phi)
-    solver = TransposeSolver(phi)
+    split = spectral_split(phi) if split is None else split
+    solver = TransposeSolver(phi) if solver is None else solver
     d = phi.d
     basis = hermitian_basis(d)
     th = quantum(d)
     lifts = tuple(jordan_lift(Effect(th, b, generalized=True)) for b in basis)
     cb = _choi_basis(d)
-    pairing = np.empty((d * d, d**4))
-    for k, lift in enumerate(lifts):
-        adj = adjoint_map(phi, lift, solver)
-        pairing[k] = [
-            _inner_with_adjoint(phi, adj, Transformation(th, c, generalized=True))
-            for c in cb
-        ]
-    lift_coords = np.array([_choi_coords(l) for l in lifts])
-    gram = pairing @ lift_coords.T
+    # Pairing of lift k with the map T_C of Choi basis element C:
+    # Phi|_2(adj_k after T_C) = Tr[rho2 T_C^*(E_k)] = Tr[C (rho2^T kron E_k)],
+    # E_k the effect of adj_k, so row k is the coordinate vector of the kron.
+    rho2 = local_state(phi, 2).matrix
+    effects = [adjoint_map(phi, lift, solver).effect().matrix for lift in lifts]
+    pairing = to_coords(np.array([np.kron(rho2.T, e) for e in effects]), cb)
+    gram = pairing @ to_coords(np.array([lift.choi for lift in lifts]), cb).T
     gram = (gram + gram.T) / 2.0
-    if np.linalg.eigvalsh(gram)[0] <= 1e-12:
+    w, v = np.linalg.eigh(gram)
+    if w[0] <= 1e-12:
         raise NotFaithful("scalar product is not strictly positive")
     return GnsSpace(
-        phi=phi, split=split, solver=solver, gram=gram, pairing=pairing, lifts=lifts
+        phi=phi,
+        split=split,
+        solver=solver,
+        gram=gram,
+        gram_sqrt=(v * np.sqrt(w)) @ v.T,
+        gram_isqrt=(v / np.sqrt(w)) @ v.T,
+        pairing=pairing,
+        lifts=lifts,
     )
 
 
@@ -167,11 +174,6 @@ def scalar_product(space, b, a):
     return complex(np.conj(cb) @ space.gram @ ca)
 
 
-def effect_coords(space, e):
-    """Coordinates of an effect's GNS vector in the canonical basis."""
-    return to_coords(e.matrix, hermitian_basis(space.d))
-
-
 def transformation_coords(space, t):
     """GNS-vector coordinates of a transformation, from its pairings
     with the canonical lifted basis (two transformations share a vector
@@ -182,16 +184,18 @@ def transformation_coords(space, t):
 def gns_rep(space, t):
     """Matrix of left composition pi(A)|B> = |A after B| in canonical
     coordinates; a homomorphism with pi(identity) = identity."""
-    cols = np.array(
-        [space.pairing @ _choi_coords(compose(t, lift)) for lift in space.lifts]
-    ).T
+    lift_supers = ch.choi_to_super(np.array([lift.choi for lift in space.lifts]))
+    composites = ch.super_to_choi(t.super @ lift_supers)  # t after each lift
+    cols = space.pairing @ to_coords(composites, _choi_basis(space.d)).T
     return np.linalg.solve(space.gram, cols)
 
 
 def gns_norm(space, t):
-    """Operator norm of the GNS matrix (the C*-algebra norm; distinct
+    """Operator norm of the GNS matrix with respect to the scalar
+    product, ||G^1/2 pi(t) G^-1/2||_2 (the C*-algebra norm; distinct
     from the Banach transformation norm of the statistical calculus)."""
-    return float(np.linalg.svd(gns_rep(space, t), compute_uv=False)[0])
+    rep = space.gram_sqrt @ gns_rep(space, t) @ space.gram_isqrt
+    return float(np.linalg.svd(rep, compute_uv=False)[0])
 
 
 def cstar_check(space, t):
@@ -221,17 +225,22 @@ def state_rep(space, omega):
     return transformation_coords(space, adj) / p
 
 
+def effect_rep(space, e):
+    """GNS vector representing an effect: its lift's transpose."""
+    return transformation_coords(space, space.solver.transpose(jordan_lift(e)))
+
+
 def born_pair(space, omega, a):
     """Probability of effect a in state omega, computed purely from the
     scalar-product representation."""
-    vec_a = transformation_coords(space, space.solver.transpose(jordan_lift(a)))
+    vec_a = effect_rep(space, a)
     vec_w = state_rep(space, omega)
     return float(np.real(np.conj(vec_a) @ space.gram @ vec_w))
 
 
 def born_triple(space, omega, b, t):
     """omega(B after A) via <B'| pi(A^sigma) |pi(omega)>."""
-    vec_b = transformation_coords(space, space.solver.transpose(jordan_lift(b)))
+    vec_b = effect_rep(space, b)
     op = gns_rep(space, conjugate_map(t))
     vec_w = state_rep(space, omega)
     return float(np.real(np.conj(vec_b) @ space.gram @ (op @ vec_w)))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channels as ch
-from .basis import hermitian_basis
+from .basis import hermitian_basis, to_coords
 from .core import (
     Effect,
     Observable,
@@ -20,7 +20,7 @@ from .core import (
     quantum,
     spanning_states,
 )
-from .errors import DimensionMismatch, NotIC
+from .errors import DimensionMismatch, NotIC, WitnessFailed
 from .quantum import classical_effect, classical_state, projective_experiment
 
 RANK_RCOND = 1e-10
@@ -186,8 +186,9 @@ def informational_dimension(theory, tol=1e-9):
     verified constructively by the witness above."""
     states, obs, cert = discrimination_witness(theory)
     if cert["pairing_residual"] > tol:
-        raise AssertionError("discrimination witness failed the delta check")
-    assert all(is_predictable(l) and is_resolved(l) for l in obs.effects)
+        raise WitnessFailed("discrimination witness failed the delta check")
+    if not all(is_predictable(l) and is_resolved(l) for l in obs.effects):
+        raise WitnessFailed("discriminating effects are not predictable and resolved")
     return len(states)
 
 
@@ -195,8 +196,8 @@ def affine_state_dimension(theory):
     """Affine dimension of the state set, measured as the rank of the
     differences of a spanning family."""
     states = spanning_states(theory)
-    rows = [w.coords - states[0].coords for w in states[1:]]
-    return _rank(rows)
+    coords = to_coords(np.array([w.matrix for w in states]), theory.basis())
+    return _rank(coords[1:] - coords[0])
 
 
 def effect_space_dimension(theory):
@@ -218,10 +219,7 @@ def transformation_affine_dimension(d):
     chois = [np.zeros((d * d, d * d), dtype=complex)]
     for w in spanning_states(th):
         chois.append(w.matrix)  # rank-one PSD with unit trace: K^dag K <= I
-    basis = hermitian_basis(d * d)
-    rows = [
-        np.einsum("aij,ji->a", basis, c - chois[0]).real for c in chois[1:]
-    ]
+    rows = to_coords(np.array(chois[1:]) - chois[0], hermitian_basis(d * d))
     return _rank(rows)
 
 

@@ -228,13 +228,6 @@ def random_cp(d, seed, trace_preserving=False, rank=None):
     return Transformation(quantum(d), c)
 
 
-def random_generalized_map(d, seed):
-    """Hermiticity-preserving map with a Gaussian Hermitian Choi matrix."""
-    rng = _rng(seed)
-    g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-    return Transformation(quantum(d), (g + g.conj().T) / 2.0, generalized=True)
-
-
 def random_experiment(d, seed, branches=3):
     """Random instrument: Kraus pieces of a trace-preserving CP map."""
     rng = _rng(seed)

@@ -1,10 +1,24 @@
 """Theory files, suite execution, report formats, and exit codes."""
 
+import os
+import pathlib
+import subprocess
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from opcal import cli
-from opcal.errors import ParseError, UnknownSuite, ValidationError
+import opcal
+from opcal import cli, core, faithful, gns, infodim
+from opcal import quantum as qm
+from opcal.errors import (
+    NotFaithful,
+    ParseError,
+    UnknownSuite,
+    ValidationError,
+    WitnessFailed,
+)
 
 
 def _write(tmp_path, text, name="t.theory"):
@@ -195,3 +209,91 @@ def test_main_theory_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "backend = classical" in out
     assert "seed = 5" in out
+
+
+# ---------------------------------------------------------------------------
+# the per-run context
+
+
+def _counting(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_run_builds_shared_objects_once(monkeypatch):
+    counts = Counter()
+    monkeypatch.setattr(gns, "gns_space", _counting(counts, "gns_space", gns.gns_space))
+    for mod in (faithful, gns):
+        split = _counting(counts, "spectral_split", faithful.spectral_split)
+        monkeypatch.setattr(mod, "spectral_split", split)
+    init = _counting(counts, "TransposeSolver", gns.TransposeSolver.__init__)
+    monkeypatch.setattr(gns.TransposeSolver, "__init__", init)
+    report = cli.run_suite(cli.TheorySpec(d=2), "all")
+    assert report.all_pass()
+    assert counts == {"gns_space": 1, "spectral_split": 1, "TransposeSolver": 1}
+
+
+def test_context_does_not_store_a_failed_build(monkeypatch):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        raise NotFaithful("no space")
+
+    ctx = cli.RunContext(cli.TheorySpec(d=2))
+    with monkeypatch.context() as m:
+        m.setattr(gns, "gns_space", failing)
+        for _ in range(2):
+            with pytest.raises(NotFaithful):
+                ctx.space
+    assert len(calls) == 2
+    assert isinstance(ctx.space, gns.GnsSpace)
+
+
+def test_runs_share_nothing(tmp_path):
+    # each report of a sequence in one process equals the report of the
+    # same theory file run alone in a fresh interpreter
+    omega = qm.max_entangled(2).matrix
+    phis = {
+        "canonical": None,
+        "isotropic": 0.4 * omega + 0.6 * np.eye(4) / 4,
+        "product": np.eye(4) / 4,
+    }
+    paths = {}
+    for name, phi in phis.items():
+        text = "backend = quantum\nd = 2\nseed = 3\n"
+        if phi is not None:
+            text += "phi = " + " ".join(f"{x!r}+0j" for x in phi.real.reshape(-1).tolist())
+        paths[name] = _write(tmp_path, text + "\n", f"{name}.theory")
+    src = str(pathlib.Path(opcal.__file__).parent.parent)
+    alone = {}
+    for name, path in paths.items():
+        done = subprocess.run(
+            [sys.executable, "-m", "opcal.cli", "--theory", path, "--format", "structured"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        alone[name] = done.stdout
+    for name in ("canonical", "isotropic", "product", "canonical"):
+        report = cli.run_suite(cli.load_theory(paths[name]), "all")
+        assert cli.emit_report(report, "structured") == alone[name], name
+        if name == "product":
+            status = {c.name: c.status for c in report.checks}
+            # every gns/born check that uses phi errors on its own; the
+            # Kraus closed form and no-signaling do not use the override
+            broken = [n for n in status if n.startswith(("gns.", "born."))]
+            broken = set(broken) - {"gns.kraus_transpose", "born.no_signaling"}
+            assert broken and all(status[n] == "error" for n in broken)
+
+
+def test_failed_witness_is_a_check_error(monkeypatch):
+    monkeypatch.setattr(infodim, "is_resolved", lambda e, tol=1e-9: False)
+    with pytest.raises(WitnessFailed):
+        infodim.informational_dimension(core.quantum(2))
+    report = cli.run_suite(cli.TheorySpec(d=2), "infodim")
+    assert {c.name: c.status for c in report.checks}["infodim.idim"] == "error"

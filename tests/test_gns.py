@@ -151,6 +151,19 @@ def test_cstar_identity_random(space2, rng):
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+@pytest.mark.parametrize("d, p", [(2, 0.6), (3, 0.2)])
+def test_cstar_identity_isotropic(d, p, rng):
+    # (1 - p)|Omega><Omega| + p I/d^2 has a Gram matrix that is not a
+    # multiple of the identity, so the norm must use the Gram metric
+    omega = qm.max_entangled(d).matrix
+    phi = qm.BipartiteState(d, (1.0 - p) * omega + p * np.eye(d * d) / d**2)
+    space = gns.gns_space(phi)
+    for _ in range(20):
+        t = qm.random_cp(d, rng)
+        lhs, rhs = gns.cstar_check(space, t)
+        assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
 def test_zero_norm_ideal(space2):
     # the commutator map rho -> i[Z, rho] has zero dual unit, hence a
     # null GNS vector, yet a nonzero representation
