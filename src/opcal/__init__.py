@@ -33,7 +33,6 @@ from .quantum import (
     BipartiteState,
     BipartiteWeight,
     apply_local,
-    cp_check,
     kraus_to_choi,
     local_state,
     max_entangled,

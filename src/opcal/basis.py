@@ -82,3 +82,17 @@ def from_coords(coords, basis):
     """Matrix with the given real coordinates."""
     out = np.asarray(coords, dtype=float) @ _flat(basis)
     return out.reshape(basis.shape[1:])
+
+
+RANK_RCOND = 1e-10
+
+
+def matrix_rank(m):
+    """Rank by singular values with a relative cutoff of RANK_RCOND *
+    sigma_max, so the decision is scale-free (0 for an empty or zero
+    matrix)."""
+    m = np.asarray(m)
+    if m.size == 0:
+        return 0
+    sv = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(sv > RANK_RCOND * sv[0]))

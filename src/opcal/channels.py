@@ -85,12 +85,6 @@ def effect_of_choi(choi):
     return np.trace(choi.reshape(d, d, d, d), axis1=1, axis2=3).T
 
 
-def conjugate_choi(choi):
-    """Entrywise complex conjugation in the computational basis;
-    sends Kraus {K} to {conj(K)}."""
-    return choi.conj()
-
-
 def identity_choi(d):
     return kraus_to_choi_matrix([np.eye(d)])
 

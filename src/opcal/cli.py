@@ -23,6 +23,7 @@ from . import __version__
 from . import channels as ch
 from . import core, faithful, gns, infodim
 from . import quantum as qm
+from .basis import matrix_rank
 from .errors import (
     OpcalError,
     ParseError,
@@ -280,10 +281,11 @@ def check_seed(master, name):
 class RunContext:
     """The objects that the checks of one run share: phi, its local
     action matrix and rank, the spectral split, the transpose solver,
-    the GNS space and the dimension table of each backend.  Each is
-    built on first use, from the spec alone, so sharing them changes no
-    result; a build that raises is not stored and raises again on the
-    next use.  run_suite makes one per call and drops it on return."""
+    the GNS space built on that solver and the dimension table of each
+    backend.  Each is built on first use, from the spec alone, so
+    sharing them changes no result; a build that raises is not stored
+    and raises again on the next use.  run_suite makes one per call and
+    drops it on return."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -300,7 +302,7 @@ class RunContext:
 
     @cached_property
     def action_rank(self):
-        return faithful._matrix_rank(self.action)
+        return matrix_rank(self.action)
 
     @cached_property
     def split(self):
@@ -312,7 +314,7 @@ class RunContext:
 
     @cached_property
     def space(self):
-        return gns.gns_space(self.phi, split=self.split, solver=self.solver)
+        return gns.gns_space(self.solver)
 
     def dims(self, backend):
         if backend not in self._dims:
@@ -384,7 +386,7 @@ def _check_equivalence(ctx, rng, tol):
         t = qm.classical_map(perm)
     else:
         u = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-        t = qm.unitary_map(th, u)
+        t = qm.kraus_to_choi(th, [u])
     same_effect = core.informational_equiv(t, core.identity(th), tol)
     same_dynamics = core.dynamical_equiv(t, core.identity(th), tol)
     ok = same_effect and not same_dynamics
@@ -529,19 +531,9 @@ def _check_idim(ctx, rng, tol):
 
 
 def _check_local_observability(ctx, rng, tol):
-    spec = ctx.spec
-    if spec.backend == "classical":
-        obs = infodim.classical_observable
-        e1 = [e.matrix for e in obs(spec.d).effects]
-        prods = [
-            core.Effect(core.classical(spec.d * spec.d), np.kron(a, b))
-            for a in e1
-            for b in e1
-        ]
-        rank = infodim._rank(np.array([e.coords for e in prods]))
-        ok = rank == spec.d * spec.d
-        return ok, {"rank": float(rank)}
-    ok, rank = infodim.check_local_observability(spec.d, spec.d)
+    d = ctx.spec.d
+    obs = infodim.classical_observable(d) if ctx.spec.backend == "classical" else None
+    ok, rank = infodim.check_local_observability(d, d, obs, obs)
     return ok, {"rank": float(rank)}
 
 
@@ -559,24 +551,21 @@ def _check_bell_ic(ctx, rng, tol):
 # -- table1
 
 
-def _table_check(row):
-    def fn(ctx, rng, tol):
-        report = ctx.dims(ctx.spec.backend)
-        for name, lhs, rhs, ok in report.rows:
-            if name == row:
-                return ok, {"lhs": float(lhs), "rhs": float(rhs)}
-        raise UnknownSuite(row)
+def _table_row(report, row):
+    """(holds, values) of one row of a dimension table."""
+    for name, lhs, rhs, ok in report.rows:
+        if name == row:
+            return ok, {"lhs": float(lhs), "rhs": float(rhs)}
+    raise UnknownSuite(row)
 
-    return fn
+
+def _table_check(row):
+    return lambda ctx, rng, tol: _table_row(ctx.dims(ctx.spec.backend), row)
 
 
 def _check_classical_violation(ctx, rng, tol):
-    report = ctx.dims("classical")
-    ok = not report.passes("D34'")
-    for name, lhs, rhs, _ in report.rows:
-        if name == "D34'":
-            return ok, {"lhs": float(lhs), "rhs": float(rhs)}
-    return False, {}
+    holds, values = _table_row(ctx.dims("classical"), "D34'")
+    return not holds, values
 
 
 # -- faithful
@@ -694,15 +683,15 @@ def _check_kraus_transpose(ctx, rng, tol):
 
 def _check_adjoint_pairing(ctx, rng, tol):
     spec = ctx.spec
-    phi, space = ctx.phi, ctx.space
+    solver = ctx.space.solver
     worst = 0.0
     for _ in range(SAMPLES):
         a = qm.random_cp(spec.d, rng)
         b = gns.jordan_lift(qm.random_generalized_effect(spec.d, rng))
         c = gns.jordan_lift(qm.random_generalized_effect(spec.d, rng))
-        lhs = gns._inner_tt(phi, space.solver, b, core.compose(a, c))
-        adj = gns.adjoint_map(phi, a, space.solver)
-        rhs = gns._inner_tt(phi, space.solver, core.compose(adj, b), c)
+        lhs = gns._inner_tt(solver, b, core.compose(a, c))
+        adj = gns.adjoint_map(solver, a)
+        rhs = gns._inner_tt(solver, core.compose(adj, b), c)
         worst = max(worst, abs(lhs - rhs))
     return worst <= tol, {"max_residual": worst}
 
@@ -732,7 +721,7 @@ def _check_adjoint_rep(ctx, rng, tol):
         # Gram-adjoint; equals the conjugate transpose when the Gram
         # matrix is proportional to the identity
         expected = np.linalg.solve(space.gram, rep.conj().T @ space.gram)
-        got = gns.gns_rep(space, gns.adjoint_map(space.phi, a, space.solver))
+        got = gns.gns_rep(space, gns.adjoint_map(space.solver, a))
         worst = max(worst, float(np.max(np.abs(got - expected))))
     return worst <= 1e-12, {"max_residual": worst}
 

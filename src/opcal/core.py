@@ -8,7 +8,7 @@ conditioning, and three supremum norms (effect, weight, transformation)
 give the spaces their Banach structure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

@@ -14,19 +14,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import channels as ch
-from .basis import from_coords, hermitian_basis, to_coords
+from .basis import from_coords, hermitian_basis, matrix_rank, to_coords
 from .core import Effect, State, Transformation, quantum
 from .errors import ConeViolation, DegenerateSplit, NotFaithful
-from .quantum import (
-    BipartiteState,
-    apply_local,
-    kraus_to_choi,
-    local_state,
-    max_entangled,
-)
+from .quantum import apply_local, kraus_to_choi, max_entangled
 
 ZERO_CUTOFF = 1e-12
-RANK_RCOND = 1e-10
 
 
 def is_symmetric(phi, tol=1e-12):
@@ -58,15 +51,10 @@ def local_action_matrix(phi, slot=1):
     return to_coords(out, cb).T
 
 
-def _matrix_rank(m):
-    sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(sv > RANK_RCOND * sv[0])) if sv[0] > 0 else 0
-
-
 def is_dynamically_faithful(phi):
     """The local action A -> (A, I) Phi has trivial kernel on
     generalized transformations (full rank d^4)."""
-    return _matrix_rank(local_action_matrix(phi)) == phi.d**4
+    return matrix_rank(local_action_matrix(phi)) == phi.d**4
 
 
 def is_preparationally_faithful(phi):
@@ -74,7 +62,7 @@ def is_preparationally_faithful(phi):
     transformation acting on Phi with nonzero probability: the local
     action map is surjective onto the joint weight space."""
     m = local_action_matrix(phi)
-    return _matrix_rank(m) == phi.d**4
+    return matrix_rank(m) == phi.d**4
 
 
 def _is_max_entangled(phi, tol=1e-12):
@@ -204,5 +192,6 @@ def state_sigma(split, omega, tol=1e-9):
 
 def conjugate_transformation(t):
     """Extension of the involution to transformations: entrywise Choi
-    conjugation (composition-preserving, squares to the identity)."""
-    return Transformation(t.theory, ch.conjugate_choi(t.choi), t.generalized)
+    conjugation in the computational basis, sending Kraus {K} to
+    {conj(K)} (composition-preserving, squares to the identity)."""
+    return Transformation(t.theory, t.choi.conj(), t.generalized)

@@ -18,15 +18,13 @@ from .basis import from_coords, hermitian_basis, to_coords
 from .core import Effect, Transformation, compose, pair, quantum
 from .errors import NotFaithful
 from .faithful import (
-    SpectralSplit,
     _choi_basis,
     conjugate_transformation,
     is_symmetric,
     local_action_matrix,
     prepare_witness,
-    spectral_split,
 )
-from .quantum import BipartiteState, local_state
+from .quantum import local_state
 
 TRANSPOSE_RESID = 1e-10
 
@@ -66,21 +64,10 @@ class TransposeSolver:
         return _from_choi_coords(self.d, x, generalized=True)
 
 
-def transpose_map(phi, t, tol=TRANSPOSE_RESID):
-    return TransposeSolver(phi).transpose(t, tol)
-
-
-def conjugate_map(t):
-    """Complex conjugation: Choi conjugation in the computational
-    basis; an exact involution that preserves composition."""
-    return conjugate_transformation(t)
-
-
-def adjoint_map(phi, t, solver=None):
+def adjoint_map(solver, t):
     """A-dagger = conjugate of the transpose; for quantum Kraus {K} on
     the maximally entangled state this is the Heisenberg dual {K^dag}."""
-    solver = solver or TransposeSolver(phi)
-    return conjugate_map(solver.transpose(t))
+    return conjugate_transformation(solver.transpose(t))
 
 
 def jordan_lift(e):
@@ -93,25 +80,23 @@ def jordan_lift(e):
     return Transformation(e.theory, ch.super_to_choi(sup), generalized=True)
 
 
-def _inner_tt(phi, solver, t1, t2):
+def _inner_tt(solver, t1, t2):
     """Scalar product between transformations: Phi|_2(t1^dag after t2)."""
-    a = compose(adjoint_map(phi, t1, solver), t2)
-    rho2 = local_state(phi, 2)
+    a = compose(adjoint_map(solver, t1), t2)
+    rho2 = local_state(solver.phi, 2)
     return pair(rho2, Effect(rho2.theory, a.effect().matrix, generalized=True))
 
 
 @dataclass(frozen=True)
 class GnsSpace:
-    """The effect Hilbert space carried by a faithful state: spectral
-    split, transpose solver, the Gram matrix of the scalar product in
-    the canonical Hermitian basis with its square root and inverse
-    square root, and the pairing matrix taking Choi coordinates of a
+    """The effect Hilbert space carried by a faithful state: its
+    transpose solver, the Gram matrix of the scalar product in the
+    canonical Hermitian basis with its square root and inverse square
+    root, and the pairing matrix taking Choi coordinates of a
     transformation to its pairings with the lifted basis (the scalar
     product is linear in its right entry, so all downstream vectors
     come from one matrix-vector product)."""
 
-    phi: BipartiteState
-    split: SpectralSplit
     solver: TransposeSolver
     gram: np.ndarray
     gram_sqrt: np.ndarray
@@ -120,23 +105,25 @@ class GnsSpace:
     lifts: tuple
 
     @property
+    def phi(self):
+        return self.solver.phi
+
+    @property
     def d(self):
-        return self.phi.d
+        return self.solver.d
 
     @property
     def dim(self):
         return self.d * self.d
 
 
-def gns_space(phi, split=None, solver=None):
-    """Build the GNS data; requires a symmetric faithful state with a
-    strictly positive scalar product (positive definite Gram).  `split`
-    and `solver`, if given, are the spectral split and transpose solver
-    of the same phi, already built by the caller."""
+def gns_space(solver):
+    """Build the GNS data of the solver's state; requires a symmetric
+    faithful state with a strictly positive scalar product (positive
+    definite Gram)."""
+    phi = solver.phi
     if not is_symmetric(phi):
         raise NotFaithful("GNS construction needs a symmetric joint state")
-    split = spectral_split(phi) if split is None else split
-    solver = TransposeSolver(phi) if solver is None else solver
     d = phi.d
     basis = hermitian_basis(d)
     th = quantum(d)
@@ -146,7 +133,7 @@ def gns_space(phi, split=None, solver=None):
     # Phi|_2(adj_k after T_C) = Tr[rho2 T_C^*(E_k)] = Tr[C (rho2^T kron E_k)],
     # E_k the effect of adj_k, so row k is the coordinate vector of the kron.
     rho2 = local_state(phi, 2).matrix
-    effects = [adjoint_map(phi, lift, solver).effect().matrix for lift in lifts]
+    effects = [adjoint_map(solver, lift).effect().matrix for lift in lifts]
     pairing = to_coords(np.array([np.kron(rho2.T, e) for e in effects]), cb)
     gram = pairing @ to_coords(np.array([lift.choi for lift in lifts]), cb).T
     gram = (gram + gram.T) / 2.0
@@ -154,8 +141,6 @@ def gns_space(phi, split=None, solver=None):
     if w[0] <= 1e-12:
         raise NotFaithful("scalar product is not strictly positive")
     return GnsSpace(
-        phi=phi,
-        split=split,
         solver=solver,
         gram=gram,
         gram_sqrt=(v * np.sqrt(w)) @ v.T,
@@ -201,7 +186,7 @@ def gns_norm(space, t):
 def cstar_check(space, t):
     """(||A-dagger after A||, ||A||^2) in the GNS norm; the C*-identity
     asserts they coincide."""
-    adj = adjoint_map(space.phi, t, space.solver)
+    adj = adjoint_map(space.solver, t)
     lhs = gns_norm(space, compose(adj, t))
     rhs = gns_norm(space, t) ** 2
     return lhs, rhs
@@ -221,7 +206,7 @@ def state_rep(space, omega):
     in the transformation representation below.
     """
     witness, p = prepare_witness(space.phi, omega)
-    adj = adjoint_map(space.phi, witness, space.solver)
+    adj = adjoint_map(space.solver, witness)
     return transformation_coords(space, adj) / p
 
 
@@ -241,6 +226,6 @@ def born_pair(space, omega, a):
 def born_triple(space, omega, b, t):
     """omega(B after A) via <B'| pi(A^sigma) |pi(omega)>."""
     vec_b = effect_rep(space, b)
-    op = gns_rep(space, conjugate_map(t))
+    op = gns_rep(space, conjugate_transformation(t))
     vec_w = state_rep(space, omega)
     return float(np.real(np.conj(vec_b) @ space.gram @ (op @ vec_w)))

@@ -1,8 +1,8 @@
 """Informational completeness, discriminability, and the dimension
 identities relating affine, informational and effect-space dimensions.
 
-Ranks are decided by singular values with a relative cutoff of
-1e-10 * sigma_max, so the decisions are scale-free.
+Ranks are decided by basis.matrix_rank: singular values with a
+relative cutoff of 1e-10 * sigma_max, so the decisions are scale-free.
 """
 
 from dataclasses import dataclass, field
@@ -10,28 +10,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channels as ch
-from .basis import hermitian_basis, to_coords
-from .core import (
-    Effect,
-    Observable,
-    Theory,
-    classical,
-    pair,
-    quantum,
-    spanning_states,
-)
+from .basis import diagonal_basis, hermitian_basis, matrix_rank, to_coords
+from .core import Effect, Observable, Theory, pair, quantum, spanning_states
 from .errors import DimensionMismatch, NotIC, WitnessFailed
-from .quantum import classical_effect, classical_state, projective_experiment
-
-RANK_RCOND = 1e-10
-
-
-def _rank(rows):
-    m = np.asarray(rows)
-    if m.size == 0:
-        return 0
-    sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(sv > RANK_RCOND * sv[0]))
+from .quantum import classical_effect
 
 
 def _coord_rows(effects):
@@ -40,7 +22,7 @@ def _coord_rows(effects):
 
 def ic_rank(obs):
     """Dimension of the span of the observable's effects."""
-    return _rank(_coord_rows(obs.effects))
+    return matrix_rank(_coord_rows(obs.effects))
 
 
 def is_informationally_complete(obs):
@@ -159,14 +141,9 @@ def discrimination_witness(theory):
     trace at least, and the traces must sum to the trace of the unit
     effect)."""
     d = theory.d
-    if theory.backend == "classical":
-        states = [classical_state(np.eye(d)[i]) for i in range(d)]
-        obs = classical_observable(d)
-    else:
-        states = [
-            spanning_states(theory)[i] for i in range(d)
-        ]  # computational basis projectors come first
-        obs = projective_experiment(theory).observable()
+    # on both backends the basis projectors |i><i| come first
+    states = spanning_states(theory)[:d]
+    obs = Observable(tuple(Effect(theory, p) for p in diagonal_basis(d)))
     gram = np.array([[pair(w, l) for l in obs.effects] for w in states])
     cert = {
         "pairing_residual": float(np.max(np.abs(gram - np.eye(d)))),
@@ -197,7 +174,7 @@ def affine_state_dimension(theory):
     differences of a spanning family."""
     states = spanning_states(theory)
     coords = to_coords(np.array([w.matrix for w in states]), theory.basis())
-    return _rank(coords[1:] - coords[0])
+    return matrix_rank(coords[1:] - coords[0])
 
 
 def effect_space_dimension(theory):
@@ -207,7 +184,7 @@ def effect_space_dimension(theory):
     basis = theory.basis()
     rows = [e.reshape(-1) for e in basis]
     mats = np.array([np.concatenate([r.real, r.imag]) for r in rows])
-    return _rank(mats)
+    return matrix_rank(mats)
 
 
 def transformation_affine_dimension(d):
@@ -220,7 +197,7 @@ def transformation_affine_dimension(d):
     for w in spanning_states(th):
         chois.append(w.matrix)  # rank-one PSD with unit trace: K^dag K <= I
     rows = to_coords(np.array(chois[1:]) - chois[0], hermitian_basis(d * d))
-    return _rank(rows)
+    return matrix_rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +205,19 @@ def transformation_affine_dimension(d):
 
 
 def check_local_observability(d1, d2, local_obs1=None, local_obs2=None):
-    """Pairwise products of local minimal IC observables span the
-    bipartite effect space (rank (d1 d2)^2)."""
+    """Pairwise products of local minimal IC observables (quantum ones
+    by default) span the bipartite effect space of their backend (rank
+    (d1 d2)^2 for quantum, d1 d2 for classical)."""
     obs1 = local_obs1 or minimal_ic_povm(d1)
     obs2 = local_obs2 or minimal_ic_povm(d2)
-    th12 = quantum(d1 * d2)
+    th12 = Theory(obs1.theory.backend, d1 * d2)
     prods = [
         Effect(th12, np.kron(e1.matrix, e2.matrix))
         for e1 in obs1.effects
         for e2 in obs2.effects
     ]
-    rank = _rank(_coord_rows(prods))
-    return rank == (d1 * d2) ** 2, rank
+    rank = matrix_rank(_coord_rows(prods))
+    return rank == th12.effect_dim, rank
 
 
 def _weyl(d, m, n):

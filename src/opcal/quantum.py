@@ -18,9 +18,7 @@ from .core import (
     Effect,
     Experiment,
     State,
-    Theory,
     Transformation,
-    Weight,
     classical,
     quantum,
 )
@@ -138,18 +136,9 @@ def kraus_to_choi(theory, kraus, generalized=False):
     return Transformation(theory, ch.kraus_to_choi_matrix(ks), generalized)
 
 
-def cp_check(t, tol=1e-9):
-    """Completely positive and trace-nonincreasing within cutoffs."""
-    return t.is_physical(tol)
-
-
 def projector_map(theory, p):
     """rho -> P rho P for a projector (or any single Kraus operator) P."""
-    return kraus_to_choi(theory, [np.asarray(p, dtype=complex)])
-
-
-def unitary_map(theory, u):
-    return kraus_to_choi(theory, [np.asarray(u, dtype=complex)])
+    return kraus_to_choi(theory, [p])
 
 
 def projective_experiment(theory, vectors=None):

@@ -17,12 +17,12 @@ def phi3():
 
 @pytest.fixture(scope="session")
 def space2(phi2):
-    return gns.gns_space(phi2)
+    return gns.gns_space(gns.TransposeSolver(phi2))
 
 
 @pytest.fixture(scope="session")
 def space3(phi3):
-    return gns.gns_space(phi3)
+    return gns.gns_space(gns.TransposeSolver(phi3))
 
 
 @pytest.fixture

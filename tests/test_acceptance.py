@@ -4,6 +4,7 @@ pass/fail line.  Tolerances are pinned here and must not be loosened."""
 import numpy as np
 import pytest
 
+from opcal import basis
 from opcal import channels as ch
 from opcal import cli, core, faithful, gns, infodim
 from opcal import quantum as qm
@@ -52,7 +53,7 @@ def test_criterion_3_faithfulness(capsys):
     for d in (2, 3):
         phi = qm.max_entangled(d)
         ok = ok and faithful.is_symmetric(phi)
-        ok = ok and faithful._matrix_rank(faithful.local_action_matrix(phi)) == d**4
+        ok = ok and basis.matrix_rank(faithful.local_action_matrix(phi)) == d**4
         ok = ok and faithful.is_dynamically_faithful(phi)
         ok = ok and faithful.is_preparationally_faithful(phi)
         rng = np.random.default_rng(300 + d)
@@ -135,7 +136,7 @@ def test_criterion_5_transpose(capsys):
 
 
 def test_criterion_6_adjoint_gns(capsys, space2):
-    phi = space2.phi
+    solver = space2.solver
     rng = np.random.default_rng(600)
     # adjoint pairing identity on 100 random triples
     worst = 0.0
@@ -143,9 +144,9 @@ def test_criterion_6_adjoint_gns(capsys, space2):
         a = qm.random_cp(2, rng)
         b = gns.jordan_lift(qm.random_generalized_effect(2, rng))
         c = gns.jordan_lift(qm.random_generalized_effect(2, rng))
-        lhs = gns._inner_tt(phi, space2.solver, b, core.compose(a, c))
-        adj = gns.adjoint_map(phi, a, space2.solver)
-        rhs = gns._inner_tt(phi, space2.solver, core.compose(adj, b), c)
+        lhs = gns._inner_tt(solver, b, core.compose(a, c))
+        adj = gns.adjoint_map(solver, a)
+        rhs = gns._inner_tt(solver, core.compose(adj, b), c)
         worst = max(worst, abs(lhs - rhs))
     ok = worst < 1e-9
     # homomorphism and adjoint representation
@@ -162,7 +163,7 @@ def test_criterion_6_adjoint_gns(capsys, space2):
                 )
             ),
         )
-        adj = gns.adjoint_map(phi, a, space2.solver)
+        adj = gns.adjoint_map(solver, a)
         hom = max(
             hom,
             np.max(np.abs(gns.gns_rep(space2, adj) - gns.gns_rep(space2, a).conj().T)),

@@ -226,14 +226,17 @@ def _counting(counts, name, fn):
 def test_run_builds_shared_objects_once(monkeypatch):
     counts = Counter()
     monkeypatch.setattr(gns, "gns_space", _counting(counts, "gns_space", gns.gns_space))
-    for mod in (faithful, gns):
-        split = _counting(counts, "spectral_split", faithful.spectral_split)
-        monkeypatch.setattr(mod, "spectral_split", split)
+    split = _counting(counts, "spectral_split", faithful.spectral_split)
+    monkeypatch.setattr(faithful, "spectral_split", split)
     init = _counting(counts, "TransposeSolver", gns.TransposeSolver.__init__)
     monkeypatch.setattr(gns.TransposeSolver, "__init__", init)
     report = cli.run_suite(cli.TheorySpec(d=2), "all")
     assert report.all_pass()
     assert counts == {"gns_space": 1, "spectral_split": 1, "TransposeSolver": 1}
+    # the GNS space is built on the solver alone, with no spectral split
+    counts.clear()
+    assert cli.run_suite(cli.TheorySpec(d=2), "gns").all_pass()
+    assert counts == {"gns_space": 1, "TransposeSolver": 1}
 
 
 def test_context_does_not_store_a_failed_build(monkeypatch):

@@ -58,7 +58,7 @@ def test_backend_mismatch():
 
 def test_unitary_informationally_but_not_dynamically_trivial():
     th = core.quantum(2)
-    t = qm.unitary_map(th, SZ)
+    t = qm.kraus_to_choi(th, [SZ])
     assert core.informational_equiv(t, core.identity(th))
     assert not core.dynamical_equiv(t, core.identity(th))
     assert core.dynamical_equiv(t, t)
@@ -89,7 +89,7 @@ def test_evolve_effect_is_heisenberg():
 def test_compose_order():
     th = core.quantum(2)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    flip = qm.unitary_map(th, sx)
+    flip = qm.kraus_to_choi(th, [sx])
     keep0 = qm.projector_map(th, P0)
     # keep0 after flip: |0> -> |1> -> annihilated
     t = core.compose(keep0, flip)
@@ -135,7 +135,7 @@ def test_trans_norm_cp_exact():
 def test_trans_norm_generalized_oracle():
     # t(rho) = Z rho Z - rho has induced norm 2 (witnessed by |+>)
     th = core.quantum(2)
-    tz = qm.unitary_map(th, SZ)
+    tz = qm.kraus_to_choi(th, [SZ])
     t = core.Transformation(
         th, tz.choi - core.identity(th).choi, generalized=True
     )

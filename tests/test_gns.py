@@ -16,7 +16,7 @@ def test_transpose_is_kraus_transpose(phi2, rng):
         k = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         k /= np.linalg.norm(k, 2) * 1.1
         t = qm.kraus_to_choi(th, [k])
-        got = gns.transpose_map(phi2, t)
+        got = gns.TransposeSolver(phi2).transpose(t)
         want = qm.kraus_to_choi(th, [k.T])
         assert_allclose(got.choi, want.choi, atol=1e-12)
 
@@ -55,7 +55,7 @@ def test_transpose_requires_faithful():
     mixed = core.State(core.quantum(2), np.eye(2) / 2)
     phi = qm.product_state(mixed, mixed)
     with pytest.raises(NotFaithful):
-        gns.transpose_map(phi, qm.random_cp(2, 0))
+        gns.TransposeSolver(phi).transpose(qm.random_cp(2, 0))
 
 
 def test_adjoint_is_heisenberg_dual(phi2, rng):
@@ -65,7 +65,7 @@ def test_adjoint_is_heisenberg_dual(phi2, rng):
         k = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         k /= np.linalg.norm(k, 2) * 1.1
         t = qm.kraus_to_choi(th, [k])
-        got = gns.adjoint_map(phi2, t)
+        got = gns.adjoint_map(gns.TransposeSolver(phi2), t)
         want = qm.kraus_to_choi(th, [k.conj().T])
         assert_allclose(got.choi, want.choi, atol=1e-12)
 
@@ -118,21 +118,21 @@ def test_gns_rep_homomorphism(space2, rng):
 def test_gns_rep_of_adjoint(space2, rng):
     for _ in range(10):
         a = qm.random_cp(2, rng)
-        adj = gns.adjoint_map(space2.phi, a, space2.solver)
+        adj = gns.adjoint_map(space2.solver, a)
         assert np.max(
             np.abs(gns.gns_rep(space2, adj) - gns.gns_rep(space2, a).conj().T)
         ) < 1e-12
 
 
 def test_adjoint_moves_across_scalar_product(space2, rng):
-    phi = space2.phi
+    solver = space2.solver
     for _ in range(10):
         a = qm.random_cp(2, rng)
         b = gns.jordan_lift(qm.random_generalized_effect(2, rng))
         c = gns.jordan_lift(qm.random_generalized_effect(2, rng))
-        lhs = gns._inner_tt(phi, space2.solver, b, core.compose(a, c))
-        adj = gns.adjoint_map(phi, a, space2.solver)
-        rhs = gns._inner_tt(phi, space2.solver, core.compose(adj, b), c)
+        lhs = gns._inner_tt(solver, b, core.compose(a, c))
+        adj = gns.adjoint_map(solver, a)
+        rhs = gns._inner_tt(solver, core.compose(adj, b), c)
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -157,7 +157,7 @@ def test_cstar_identity_isotropic(d, p, rng):
     # multiple of the identity, so the norm must use the Gram metric
     omega = qm.max_entangled(d).matrix
     phi = qm.BipartiteState(d, (1.0 - p) * omega + p * np.eye(d * d) / d**2)
-    space = gns.gns_space(phi)
+    space = gns.gns_space(gns.TransposeSolver(phi))
     for _ in range(20):
         t = qm.random_cp(d, rng)
         lhs, rhs = gns.cstar_check(space, t)
@@ -230,4 +230,4 @@ def test_state_rep_normalization(space2, rng):
 def test_gns_space_rejects_unfaithful():
     mixed = core.State(core.quantum(2), np.eye(2) / 2)
     with pytest.raises(Exception):
-        gns.gns_space(qm.product_state(mixed, mixed))
+        gns.gns_space(gns.TransposeSolver(qm.product_state(mixed, mixed)))

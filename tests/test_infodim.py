@@ -1,6 +1,8 @@
 """Informational completeness, discriminability, and the dimension
 identity table."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -83,6 +85,18 @@ def test_discrimination_witness_certificate():
     assert cert["min_effect_trace"] >= 1.0 - 1e-12
 
 
+def test_informational_dimension_memory():
+    # the witness needs d basis states and the d diagonal projector
+    # effects, not d Choi matrices of size d^2 x d^2 (18 MB at d = 16)
+    tracemalloc.start()
+    try:
+        assert infodim.informational_dimension(core.quantum(16)) == 16
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_affine_dimensions(d):
     assert infodim.affine_state_dimension(core.quantum(d)) == d * d - 1
@@ -100,6 +114,12 @@ def test_local_observability():
     assert ok and rank == 16
     ok, rank = infodim.check_local_observability(2, 3)
     assert ok and rank == 36
+
+
+def test_local_observability_classical():
+    # the backend comes from the observables: rank d1 d2 on the simplex
+    obs = infodim.classical_observable(3)
+    assert infodim.check_local_observability(3, 3, obs, obs) == (True, 9)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -92,7 +92,7 @@ def test_sampled_effects_physical(seed, d):
 @settings(max_examples=30, deadline=None)
 def test_sampled_maps_physical(seed, d):
     t = qm.random_cp(d, seed)
-    assert qm.cp_check(t, 1e-9)
+    assert t.is_physical(1e-9)
     tp = qm.random_cp(d, seed, trace_preserving=True)
     assert_allclose(tp.effect().matrix, np.eye(d), atol=1e-9)
 
