@@ -25,7 +25,6 @@ from . import core, faithful, gns, infodim
 from . import quantum as qm
 from .basis import matrix_rank
 from .errors import (
-    OpcalError,
     ParseError,
     UnknownSuite,
     ValidationError,
@@ -34,6 +33,9 @@ from .errors import (
 
 SUITES = ("core", "norms", "infodim", "table1", "faithful", "gns", "born")
 SAMPLES = 25  # per sampled check; the test suite runs the 100-sample versions
+# Largest accepted dimension: memory grows as d^8 (a d=5 `all` report
+# peaks near 210 MB; the Choi basis alone is 1.6 GB at d=10).
+MAX_D = 5
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +105,8 @@ def validate_spec(spec):
         errors.append(f"backend must be quantum or classical, got {spec.backend!r}")
     if spec.d < 2:
         errors.append(f"d must be >= 2, got {spec.d}")
+    elif spec.d > MAX_D:
+        errors.append(f"d must be <= {MAX_D}, got {spec.d} (memory grows as d^8)")
     if not 0 <= spec.seed < 2**64:
         errors.append("seed must fit in 64 bits")
     if spec.tol <= 0:
@@ -169,6 +173,7 @@ class CheckResult:
     status: str  # pass | fail | error
     tolerance: float
     values: dict = field(default_factory=dict)
+    error: str = ""  # "<exception class>: <message>" of an error status
 
 
 @dataclass
@@ -216,6 +221,8 @@ def emit_report(report, fmt="text"):
                 f"{k}:{_fmt_float(v)}" for k, v in sorted(c.values.items())
             )
             lines.append(f"check.{i}.values = {values}")
+            if c.status == "error":
+                lines.append(f"check.{i}.error = {c.error}")
         return "\n".join(lines) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
@@ -231,6 +238,8 @@ def emit_report(report, fmt="text"):
             + (f" {values}" if values else "")
         )
         lines.append(f"      {'':{width}s} {c.detail}")
+        if c.status == "error":
+            lines.append(f"      {'':{width}s} error: {c.error}")
     npass = sum(c.status == "pass" for c in report.checks)
     lines.append(f"result: {npass}/{len(report.checks)} checks pass")
     return "\n".join(lines) + "\n"
@@ -256,6 +265,7 @@ def parse_report(text):
                 status=kv[f"check.{i}.status"],
                 tolerance=float(kv[f"check.{i}.tolerance"]),
                 values=values,
+                error=kv.get(f"check.{i}.error", ""),
             )
         )
     return Report(
@@ -280,12 +290,12 @@ def check_seed(master, name):
 
 class RunContext:
     """The objects that the checks of one run share: phi, its local
-    action matrix and rank, the spectral split, the transpose solver,
-    the GNS space built on that solver and the dimension table of each
-    backend.  Each is built on first use, from the spec alone, so
-    sharing them changes no result; a build that raises is not stored
-    and raises again on the next use.  run_suite makes one per call and
-    drops it on return."""
+    action matrix and rank, the spectral split, the transpose solver
+    (which holds the preparation-witness system of phi), the GNS space
+    built on that solver and the dimension table of each backend.  Each
+    is built on first use, from the spec alone, so sharing them changes
+    no result; a build that raises is not stored and raises again on
+    the next use.  run_suite makes one per call and drops it on return."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -322,15 +332,30 @@ class RunContext:
         return self._dims[backend]
 
 
+def _error_text(exc):
+    """One report line naming an exception: its class and its message,
+    whitespace collapsed and `#` (the comment marker) dropped."""
+    message = " ".join(str(exc).replace("#", " ").split())
+    return f"{type(exc).__name__}: {message}" if message else type(exc).__name__
+
+
 def _run_check(ctx, name, detail, tolerance, fn):
+    """Run one check; any exception it raises becomes an `error` status
+    that names the exception, so one check cannot abort the run."""
     rng = np.random.default_rng(check_seed(ctx.spec.seed, name))
+    values, error = {}, ""
     try:
         ok, values = fn(ctx, rng, tolerance)
         status = "pass" if ok else "fail"
-    except OpcalError:
-        status, values = "error", {}
+    except Exception as exc:
+        status, error = "error", _error_text(exc)
     return CheckResult(
-        name=name, detail=detail, status=status, tolerance=tolerance, values=values
+        name=name,
+        detail=detail,
+        status=status,
+        tolerance=tolerance,
+        values=values,
+        error=error,
     )
 
 
@@ -585,10 +610,11 @@ def _check_preparational(ctx, rng, tol):
     phi = ctx.phi
     if ctx.action_rank != spec.d**4:
         return False, {}
+    system = ctx.solver.witness
     worst, pmin = 0.0, np.inf
     for _ in range(5):
         target = qm.random_state(spec.d, rng)
-        witness, p = faithful.prepare_witness(phi, target, tol)
+        witness, p = faithful.prepare_witness(system, target, tol)
         _, cond = qm.condition_local(phi, witness, 1)
         out = qm.local_state(cond, 2).matrix
         worst = max(worst, float(np.max(np.abs(out - target.matrix))))
@@ -943,6 +969,12 @@ def main(argv=None):
         start = time.monotonic()
         report = run_suite(spec, args.suite)
         elapsed = time.monotonic() - start
+        if not report.checks:
+            sys.stderr.write(
+                f"error: suite {args.suite} has no check for the "
+                f"{spec.backend} backend\n"
+            )
+            return 2
         sys.stdout.write(emit_report(report, args.fmt))
         # wall-clock goes to stderr so report bytes stay reproducible
         sys.stderr.write(f"elapsed: {elapsed:.3f}s\n")

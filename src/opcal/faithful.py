@@ -17,7 +17,7 @@ from . import channels as ch
 from .basis import from_coords, hermitian_basis, matrix_rank, to_coords
 from .core import Effect, State, Transformation, quantum
 from .errors import ConeViolation, DegenerateSplit, NotFaithful
-from .quantum import apply_local, kraus_to_choi, max_entangled
+from .quantum import BipartiteState, apply_local, kraus_to_choi, max_entangled
 
 ZERO_CUTOFF = 1e-12
 
@@ -69,33 +69,64 @@ def _is_max_entangled(phi, tol=1e-12):
     return bool(np.max(np.abs(phi.matrix - max_entangled(phi.d).matrix)) <= tol)
 
 
-def prepare_witness(phi, target, tol=1e-9):
+@dataclass(frozen=True)
+class WitnessSystem:
+    """The preparation-witness system of one joint state, built once.
+
+    For the maximally entangled state the witness has a closed form and
+    `m` and `pinv` are None.  Otherwise `m` takes the Choi coordinates of
+    a local transformation on slot 1 to the canonical-basis coordinates
+    of the slot-2 marginal of its conditioned weight, and `pinv` is its
+    pseudo-inverse at the cutoff of `np.linalg.lstsq`, so `pinv @ t` is
+    the minimum-norm least-squares solution."""
+
+    phi: BipartiteState
+    canonical: bool
+    m: np.ndarray
+    pinv: np.ndarray
+
+
+def witness_system(phi):
+    """Build the witness system of phi.  The slot-2 marginal of (T, I)
+    Phi depends on T only through r[i, j] = Tr T(|i><j|), the raw output
+    trace of its Choi matrix, so the system is one contraction of the
+    Choi basis's output traces with Phi."""
+    if _is_max_entangled(phi):
+        return WitnessSystem(phi, canonical=True, m=None, pinv=None)
+    d = phi.d
+    cb = _choi_basis(d)
+    r = np.trace(cb.reshape(-1, d, d, d, d), axis1=2, axis2=4)  # [k, i, j]
+    marginals = np.einsum("kij,ixjy->kxy", r, phi.matrix.reshape(d, d, d, d))
+    m = to_coords(marginals, hermitian_basis(d)).T
+    pinv = np.linalg.pinv(m, rcond=np.finfo(float).eps * max(m.shape))
+    return WitnessSystem(phi, canonical=False, m=m, pinv=pinv)
+
+
+def prepare_witness(system, target, tol=1e-9):
     """Local transformation on slot 1 whose conditioned local state on
     slot 2 is the target, with its success probability.
 
     For the maximally entangled state the witness is the pure map
     rho -> X rho X^dag with X = sqrt(d p) (target^T)^(1/2) and the
     largest physical probability p = 1 / (d lambda_max(target)).  For
-    other faithful states a generalized witness is found by solving the
-    local-action linear system; the residual is certified.
+    other faithful states a generalized witness is the minimum-norm
+    solution of the system's marginal equations; the residual is
+    certified.
     """
+    phi = system.phi
     d = phi.d
     rho = target.matrix
-    if _is_max_entangled(phi):
+    if system.canonical:
         lmax = float(np.linalg.eigvalsh(rho)[-1])
         p = 1.0 / (d * lmax)
         x = np.sqrt(d * p) * ch.herm_sqrt(rho.T)
         return kraus_to_choi(quantum(d), [x]), p
-    # generic path: match the slot-2 marginal of the conditioned weight
-    cb = _choi_basis(d)
-    outs = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, 1, d)
-    m = to_coords(ch.partial_trace(outs, (d, d), 1), hermitian_basis(d)).T
     target_coords = to_coords(rho, hermitian_basis(d))
-    x, *_ = np.linalg.lstsq(m, target_coords, rcond=None)
-    resid = float(np.linalg.norm(m @ x - target_coords))
+    x = system.pinv @ target_coords
+    resid = float(np.linalg.norm(system.m @ x - target_coords))
     if resid > tol:
         raise NotFaithful(f"no local witness at residual {resid}")
-    choi = from_coords(x, cb)
+    choi = from_coords(x, _choi_basis(d))
     t = Transformation(quantum(d), choi, generalized=True)
     prob = apply_local(phi, t, 1).total
     if prob <= tol:

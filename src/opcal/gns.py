@@ -10,6 +10,7 @@ algebra satisfying the C*-identity.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .faithful import (
     is_symmetric,
     local_action_matrix,
     prepare_witness,
+    witness_system,
 )
 from .quantum import local_state
 
@@ -41,7 +43,9 @@ def _from_choi_coords(d, coords, generalized=True):
 class TransposeSolver:
     """Solves (A, I) Phi = (I, A') Phi; uniqueness requires the state
     to be dynamically faithful, and every solve certifies its residual
-    instead of silently accepting a rank-deficient system."""
+    instead of silently accepting a rank-deficient system.  The solver
+    also holds the state's preparation-witness system; the slot-2
+    system is built on the first transpose."""
 
     def __init__(self, phi, l1=None):
         """`l1`, if given, is local_action_matrix(phi, slot=1) already
@@ -49,8 +53,15 @@ class TransposeSolver:
         self.phi = phi
         self.d = phi.d
         self.l1 = local_action_matrix(phi, slot=1) if l1 is None else l1
-        self.l2 = local_action_matrix(phi, slot=2)
-        self._pinv2 = np.linalg.pinv(self.l2, rcond=1e-12)
+        self.witness = witness_system(phi)
+
+    @cached_property
+    def l2(self):
+        return local_action_matrix(self.phi, slot=2)
+
+    @cached_property
+    def _pinv2(self):
+        return np.linalg.pinv(self.l2, rcond=1e-12)
 
     def transpose(self, t, tol=TRANSPOSE_RESID):
         rhs = self.l1 @ _choi_coords(t)
@@ -92,17 +103,18 @@ class GnsSpace:
     """The effect Hilbert space carried by a faithful state: its
     transpose solver, the Gram matrix of the scalar product in the
     canonical Hermitian basis with its square root and inverse square
-    root, and the pairing matrix taking Choi coordinates of a
+    root, the pairing matrix taking Choi coordinates of a
     transformation to its pairings with the lifted basis (the scalar
     product is linear in its right entry, so all downstream vectors
-    come from one matrix-vector product)."""
+    come from one matrix-vector product), and the superoperators of the
+    lifted basis, which gns_rep composes with."""
 
     solver: TransposeSolver
     gram: np.ndarray
     gram_sqrt: np.ndarray
     gram_isqrt: np.ndarray
     pairing: np.ndarray
-    lifts: tuple
+    lift_supers: np.ndarray
 
     @property
     def phi(self):
@@ -128,6 +140,7 @@ def gns_space(solver):
     basis = hermitian_basis(d)
     th = quantum(d)
     lifts = tuple(jordan_lift(Effect(th, b, generalized=True)) for b in basis)
+    lift_chois = np.array([lift.choi for lift in lifts])
     cb = _choi_basis(d)
     # Pairing of lift k with the map T_C of Choi basis element C:
     # Phi|_2(adj_k after T_C) = Tr[rho2 T_C^*(E_k)] = Tr[C (rho2^T kron E_k)],
@@ -135,7 +148,7 @@ def gns_space(solver):
     rho2 = local_state(phi, 2).matrix
     effects = [adjoint_map(solver, lift).effect().matrix for lift in lifts]
     pairing = to_coords(np.array([np.kron(rho2.T, e) for e in effects]), cb)
-    gram = pairing @ to_coords(np.array([lift.choi for lift in lifts]), cb).T
+    gram = pairing @ to_coords(lift_chois, cb).T
     gram = (gram + gram.T) / 2.0
     w, v = np.linalg.eigh(gram)
     if w[0] <= 1e-12:
@@ -146,7 +159,7 @@ def gns_space(solver):
         gram_sqrt=(v * np.sqrt(w)) @ v.T,
         gram_isqrt=(v / np.sqrt(w)) @ v.T,
         pairing=pairing,
-        lifts=lifts,
+        lift_supers=ch.choi_to_super(lift_chois),
     )
 
 
@@ -169,8 +182,7 @@ def transformation_coords(space, t):
 def gns_rep(space, t):
     """Matrix of left composition pi(A)|B> = |A after B| in canonical
     coordinates; a homomorphism with pi(identity) = identity."""
-    lift_supers = ch.choi_to_super(np.array([lift.choi for lift in space.lifts]))
-    composites = ch.super_to_choi(t.super @ lift_supers)  # t after each lift
+    composites = ch.super_to_choi(t.super @ space.lift_supers)  # t after each lift
     cols = space.pairing @ to_coords(composites, _choi_basis(space.d)).T
     return np.linalg.solve(space.gram, cols)
 
@@ -205,7 +217,7 @@ def state_rep(space, omega):
     the statistics exactly, consistently with the involution insertion
     in the transformation representation below.
     """
-    witness, p = prepare_witness(space.phi, omega)
+    witness, p = prepare_witness(space.solver.witness, omega)
     adj = adjoint_map(space.solver, witness)
     return transformation_coords(space, adj) / p
 

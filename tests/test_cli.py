@@ -91,6 +91,14 @@ def test_validate_spec_bad_backend():
         cli.validate_spec(cli.TheorySpec(backend="foo"))
 
 
+@pytest.mark.parametrize("d", [6, 10])
+def test_validate_spec_caps_d(d):
+    # validation only: a report at d >= 6 would need gigabytes
+    with pytest.raises(ValidationError, match=f"d must be <= 5, got {d}"):
+        cli.validate_spec(cli.TheorySpec(d=d))
+    assert cli.validate_spec(cli.TheorySpec(d=5)).d == 5
+
+
 # ---------------------------------------------------------------------------
 # suites and reports
 
@@ -201,6 +209,14 @@ def test_main_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_empty_suite_exits_2(capsys):
+    rc = cli.main(["--suite", "gns", "--backend", "classical"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: suite gns has no check for the classical backend" in err
+
+
 def test_main_theory_file(tmp_path, capsys):
     p = tmp_path / "c.theory"
     p.write_text("backend = classical\nd = 3\nseed = 5\n")
@@ -230,13 +246,45 @@ def test_run_builds_shared_objects_once(monkeypatch):
     monkeypatch.setattr(faithful, "spectral_split", split)
     init = _counting(counts, "TransposeSolver", gns.TransposeSolver.__init__)
     monkeypatch.setattr(gns.TransposeSolver, "__init__", init)
+    witness = _counting(counts, "witness_system", gns.witness_system)
+    monkeypatch.setattr(gns, "witness_system", witness)
+    action = gns.local_action_matrix
+
+    def slot2_counting(phi, slot=1):
+        counts["slot2"] += slot == 2
+        return action(phi, slot)
+
+    monkeypatch.setattr(gns, "local_action_matrix", slot2_counting)
     report = cli.run_suite(cli.TheorySpec(d=2), "all")
     assert report.all_pass()
-    assert counts == {"gns_space": 1, "spectral_split": 1, "TransposeSolver": 1}
+    assert counts == {
+        "gns_space": 1,
+        "spectral_split": 1,
+        "TransposeSolver": 1,
+        "witness_system": 1,
+        "slot2": 1,
+    }
     # the GNS space is built on the solver alone, with no spectral split
     counts.clear()
     assert cli.run_suite(cli.TheorySpec(d=2), "gns").all_pass()
-    assert counts == {"gns_space": 1, "TransposeSolver": 1}
+    assert counts == {
+        "gns_space": 1,
+        "TransposeSolver": 1,
+        "witness_system": 1,
+        "slot2": 1,
+    }
+    # the faithful suite builds the witness system but no slot-2 system,
+    # also on a state with a non-canonical witness
+    iso = 0.8 * qm.max_entangled(2).matrix + 0.2 * np.eye(4) / 4
+    for phi in (None, iso):
+        counts.clear()
+        spec = cli.validate_spec(cli.TheorySpec(d=2, phi_override=phi))
+        assert cli.run_suite(spec, "faithful").all_pass()
+        assert counts == {
+            "spectral_split": 1,
+            "TransposeSolver": 1,
+            "witness_system": 1,
+        }
 
 
 def test_context_does_not_store_a_failed_build(monkeypatch):
@@ -292,6 +340,30 @@ def test_runs_share_nothing(tmp_path):
             broken = [n for n in status if n.startswith(("gns.", "born."))]
             broken = set(broken) - {"gns.kraus_transpose", "born.no_signaling"}
             assert broken and all(status[n] == "error" for n in broken)
+
+
+def test_crashing_check_is_an_error_not_an_abort(monkeypatch):
+    def crash(ctx, rng, tol):
+        raise np.linalg.LinAlgError("SVD did not converge #3\n in pinv")
+
+    monkeypatch.setattr(cli, "_check_dynamical", crash)
+    report = cli.run_suite(cli.TheorySpec(d=2, seed=5), "faithful")
+    status = {c.name: c.status for c in report.checks}
+    assert status.pop("faithful.dynamical") == "error"
+    assert set(status.values()) == {"pass"}  # the other checks still ran
+    (failed,) = [c for c in report.checks if c.status == "error"]
+    assert failed.error == "LinAlgError: SVD did not converge 3 in pinv"
+    assert failed.values == {}
+    text = cli.emit_report(report, "structured")
+    assert "check.1.error = LinAlgError: SVD did not converge 3 in pinv\n" in text
+    assert text.count(".error = ") == 1
+    back = cli.parse_report(text)
+    assert back == report
+    assert cli.emit_report(back, "structured") == text
+    shown = cli.emit_report(report, "text")
+    assert "error: LinAlgError: SVD did not converge 3 in pinv" in shown
+    # the command line reports the failed check and goes on
+    assert cli.main(["--suite", "faithful", "--seed", "5"]) == 1
 
 
 def test_failed_witness_is_a_check_error(monkeypatch):

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from opcal import channels as ch
 from opcal import core, faithful
 from opcal import quantum as qm
+from opcal.basis import from_coords, hermitian_basis, to_coords
 from opcal.errors import DegenerateSplit, NotFaithful
 
 SY = np.array([[0, -1j], [1j, 0]])
@@ -67,7 +69,7 @@ def test_bilinear_form_symmetric(seed):
 def test_prepare_witness_pure_oracle(phi2):
     # steering the canonical state to |0><0| succeeds with p = 1/2
     target = core.State(core.quantum(2), np.diag([1.0, 0.0]).astype(complex))
-    witness, p = faithful.prepare_witness(phi2, target)
+    witness, p = faithful.prepare_witness(faithful.witness_system(phi2), target)
     assert p == pytest.approx(0.5, abs=1e-12)
     assert witness.is_physical(1e-9)
     prob, cond = qm.condition_local(phi2, witness, 1)
@@ -78,9 +80,10 @@ def test_prepare_witness_pure_oracle(phi2):
 @pytest.mark.parametrize("d", [2, 3])
 def test_prepare_witness_random_targets(d, phi2, phi3, rng):
     phi = phi2 if d == 2 else phi3
+    system = faithful.witness_system(phi)
     for _ in range(10):
         target = qm.random_state(d, rng)
-        witness, p = faithful.prepare_witness(phi, target)
+        witness, p = faithful.prepare_witness(system, target)
         assert 0 < p <= 1 + 1e-12
         prob, cond = qm.condition_local(phi, witness, 1)
         assert prob == pytest.approx(p, abs=1e-9)
@@ -90,7 +93,64 @@ def test_prepare_witness_random_targets(d, phi2, phi3, rng):
 def test_prepare_witness_unfaithful_raises():
     target = qm.random_state(2, 0)
     with pytest.raises(NotFaithful):
-        faithful.prepare_witness(_product_phi(2), target)
+        faithful.prepare_witness(faithful.witness_system(_product_phi(2)), target)
+
+
+def _isotropic(d, p):
+    omega = qm.max_entangled(d).matrix
+    return qm.BipartiteState(d, (1.0 - p) * omega + p * np.eye(d * d) / d**2)
+
+
+def _marginal_matrix_by_action(phi):
+    # reference: apply each Choi basis element to slot 1, then trace it out
+    d = phi.d
+    cb = faithful._choi_basis(d)
+    outs = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, 1, d)
+    return to_coords(ch.partial_trace(outs, (d, d), 1), hermitian_basis(d)).T
+
+
+def _lstsq_witness(phi, target):
+    # reference: a fresh least-squares solve, rescaled as prepare_witness does
+    d = phi.d
+    m = _marginal_matrix_by_action(phi)
+    x, *_ = np.linalg.lstsq(m, to_coords(target.matrix, hermitian_basis(d)), rcond=None)
+    choi = from_coords(x, faithful._choi_basis(d))
+    t = core.Transformation(core.quantum(d), choi, generalized=True)
+    prob = qm.apply_local(phi, t, 1).total
+    if ch.is_psd(choi, 1e-10):
+        lam = min(1.0 / float(np.linalg.eigvalsh(ch.effect_of_choi(choi))[-1]), 1.0)
+        return lam * choi, lam * prob
+    return choi, prob
+
+
+ISOTROPIC = [(2, 0.6), (3, 0.2), (4, 0.3)]
+
+
+@pytest.mark.parametrize("d, p", ISOTROPIC)
+def test_witness_system_matches_local_action(d, p):
+    system = faithful.witness_system(_isotropic(d, p))
+    assert not system.canonical
+    assert system.m.shape == (d * d, d**4)
+    want = _marginal_matrix_by_action(system.phi)
+    assert_allclose(system.m, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, p", ISOTROPIC)
+def test_witness_matches_lstsq(d, p, rng):
+    phi = _isotropic(d, p)
+    system = faithful.witness_system(phi)
+    for _ in range(5):
+        target = qm.random_state(d, rng)
+        witness, prob = faithful.prepare_witness(system, target)
+        choi, want = _lstsq_witness(phi, target)
+        assert_allclose(witness.choi, choi, rtol=0, atol=1e-10)
+        assert prob == pytest.approx(want, abs=1e-10)
+
+
+def test_witness_system_canonical_builds_nothing(phi2):
+    system = faithful.witness_system(phi2)
+    assert system.canonical
+    assert system.m is None and system.pinv is None
 
 
 # ---------------------------------------------------------------------------
