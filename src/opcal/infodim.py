@@ -11,18 +11,14 @@ import numpy as np
 
 from . import channels as ch
 from .basis import diagonal_basis, hermitian_basis, matrix_rank, to_coords
-from .core import Effect, Observable, Theory, pair, quantum, spanning_states
+from .core import Effect, Observable, Theory, quantum, spanning_states
 from .errors import DimensionMismatch, NotIC, WitnessFailed
 from .quantum import classical_effect
 
 
-def _coord_rows(effects):
-    return np.array([e.coords for e in effects])
-
-
 def ic_rank(obs):
     """Dimension of the span of the observable's effects."""
-    return matrix_rank(_coord_rows(obs.effects))
+    return matrix_rank(to_coords(np.array([e.matrix for e in obs.effects]), obs.theory.basis()))
 
 
 def is_informationally_complete(obs):
@@ -39,7 +35,9 @@ def ic_expand(effect, obs, tol=1e-9):
     IC observables, minimum-norm otherwise)."""
     if not is_informationally_complete(obs):
         raise NotIC("observable does not span the effect space")
-    rows = _coord_rows(obs.effects)
+    # one to_coords per effect: the stacked product rounds differently
+    # in the last bit, and these coefficients reach the report
+    rows = np.array([e.coords for e in obs.effects])
     c, *_ = np.linalg.lstsq(rows.T, effect.coords, rcond=None)
     resid = np.linalg.norm(rows.T @ c - effect.coords)
     if resid > tol:
@@ -144,7 +142,10 @@ def discrimination_witness(theory):
     # on both backends the basis projectors |i><i| come first
     states = spanning_states(theory)[:d]
     obs = Observable(tuple(Effect(theory, p) for p in diagonal_basis(d)))
-    gram = np.array([[pair(w, l) for l in obs.effects] for w in states])
+    # Tr[w l] for every (state, effect) at once
+    gram = np.einsum(
+        "aij,bji->ab", np.array([w.matrix for w in states]), diagonal_basis(d)
+    ).real
     cert = {
         "pairing_residual": float(np.max(np.abs(gram - np.eye(d)))),
         "effect_trace_sum": float(
@@ -211,12 +212,11 @@ def check_local_observability(d1, d2, local_obs1=None, local_obs2=None):
     obs1 = local_obs1 or minimal_ic_povm(d1)
     obs2 = local_obs2 or minimal_ic_povm(d2)
     th12 = Theory(obs1.theory.backend, d1 * d2)
-    prods = [
-        Effect(th12, np.kron(e1.matrix, e2.matrix))
-        for e1 in obs1.effects
-        for e2 in obs2.effects
-    ]
-    rank = matrix_rank(_coord_rows(prods))
+    m1 = np.array([e.matrix for e in obs1.effects])
+    m2 = np.array([e.matrix for e in obs2.effects])
+    # every kron(e1, e2), in the order e1-major
+    prods = np.einsum("aij,bkl->abikjl", m1, m2).reshape(-1, d1 * d2, d1 * d2)
+    rank = matrix_rank(to_coords(prods, th12.basis()))
     return rank == th12.effect_dim, rank
 
 
@@ -318,17 +318,20 @@ def dim_identities(d1, d2=None, backend="quantum"):
     both sides exactly (integer equality)."""
     d2 = d2 or d1
     th1 = Theory(backend, d1)
-    th2 = Theory(backend, d2)
     adm1 = affine_state_dimension(th1)
-    adm2 = affine_state_dimension(th2)
+    adm2 = adm1 if d2 == d1 else affine_state_dimension(Theory(backend, d2))
     idim1 = informational_dimension(th1)
     dim_pr = effect_space_dimension(th1)
     th12 = Theory(backend, d1 * d2)
     adm12 = affine_state_dimension(th12)
     idim12 = informational_dimension(th12)
-    thsq = Theory(backend, d1 * d1)
-    admsq = affine_state_dimension(thsq)
-    idimsq = informational_dimension(thsq)
+    if d2 == d1:
+        # the joint system is the squared one: measure it once
+        admsq, idimsq = adm12, idim12
+    else:
+        thsq = Theory(backend, d1 * d1)
+        admsq = affine_state_dimension(thsq)
+        idimsq = informational_dimension(thsq)
     if backend == "quantum":
         adm_t = transformation_affine_dimension(d1)
     else:

@@ -101,6 +101,21 @@ def test_scalar_product_oracle(space2, rng):
         assert abs(got - want) < 1e-12
 
 
+def test_scalar_product_is_sesquilinear(space2, rng):
+    # complex multiples of effects: conjugate-linear on the left entry,
+    # linear on the right
+    th = core.quantum(2)
+    for _ in range(5):
+        e = qm.random_generalized_effect(2, rng)
+        f = qm.random_generalized_effect(2, rng)
+        base = gns.scalar_product(space2, e, f)
+        assert abs(base.imag) < 1e-12
+        left = gns.scalar_product(space2, core.Effect(th, 1j * e.matrix), f)
+        right = gns.scalar_product(space2, e, core.Effect(th, 1j * f.matrix))
+        assert abs(left - (-1j) * base) < 1e-12
+        assert abs(right - 1j * base) < 1e-12
+
+
 def test_gns_rep_identity(space2):
     rep = gns.gns_rep(space2, core.identity(core.quantum(2)))
     assert_allclose(rep, np.eye(4), atol=1e-12)

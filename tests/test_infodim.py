@@ -1,6 +1,7 @@
 """Informational completeness, discriminability, and the dimension
 identity table."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from opcal import core, infodim
 from opcal import quantum as qm
+from opcal.basis import matrix_rank
 from opcal.errors import DimensionMismatch, NotIC
 
 
@@ -77,12 +79,18 @@ def test_informational_dimension_classical(d):
 
 
 def test_discrimination_witness_certificate():
-    _, obs, cert = infodim.discrimination_witness(core.quantum(3))
-    assert cert["pairing_residual"] < 1e-12
-    # adding one more perfectly discriminable state would need another
-    # unit-trace effect, overflowing the trace of the unit effect
-    assert cert["effect_trace_sum"] == pytest.approx(3.0)
-    assert cert["min_effect_trace"] >= 1.0 - 1e-12
+    for backend, d in itertools.product(("quantum", "classical"), (2, 3, 4)):
+        states, obs, cert = infodim.discrimination_witness(core.Theory(backend, d))
+        # the basis states against the basis projectors: every pairing
+        # is an exact 0 or 1, as the one-pair-at-a-time probabilities give
+        gram = np.array([[core.pair(w, e) for e in obs.effects] for w in states])
+        assert np.array_equal(gram, np.eye(d))
+        assert cert["pairing_residual"] == 0.0
+        # adding one more perfectly discriminable state would need
+        # another unit-trace effect, overflowing the trace of the unit
+        # effect
+        assert cert["effect_trace_sum"] == pytest.approx(d)
+        assert cert["min_effect_trace"] >= 1.0 - 1e-12
 
 
 def test_informational_dimension_memory():
@@ -120,6 +128,27 @@ def test_local_observability_classical():
     # the backend comes from the observables: rank d1 d2 on the simplex
     obs = infodim.classical_observable(3)
     assert infodim.check_local_observability(3, 3, obs, obs) == (True, 9)
+
+
+@pytest.mark.parametrize(
+    "backend, d", [("quantum", 2), ("quantum", 3), ("quantum", 4), ("classical", 3), ("classical", 4)]
+)
+def test_stacked_coordinates_keep_ranks_and_expansions(backend, d):
+    # reference: one Effect and one coordinate vector per effect
+    if backend == "classical":
+        obs = infodim.classical_observable(d)
+        effect = qm.classical_effect(np.linspace(0.1, 0.9, d))
+    else:
+        obs = infodim.minimal_ic_povm(d)
+        effect = qm.random_effect(d, np.random.default_rng(d))
+    rows = np.array([e.coords for e in obs.effects])
+    th12 = core.Theory(backend, d * d)
+    prods = [core.Effect(th12, np.kron(a.matrix, b.matrix)) for a in obs.effects for b in obs.effects]
+    rank12 = matrix_rank(np.array([e.coords for e in prods]))
+    assert infodim.ic_rank(obs) == matrix_rank(rows) == len(obs)
+    assert infodim.check_local_observability(d, d, obs, obs) == (True, rank12)
+    want, *_ = np.linalg.lstsq(rows.T, effect.coords, rcond=None)
+    assert np.array_equal(infodim.ic_expand(effect, obs), want)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -191,6 +220,28 @@ def test_classical_violates_squared_identity(d):
     assert report.passes("D2")
     assert report.passes("D3")
     assert report.passes("tensor")
+
+
+@pytest.mark.parametrize("d1, d2", [(2, None), (3, None), (2, 3)])
+def test_dim_identities_measures_each_system_once(monkeypatch, d1, d2):
+    # with d2 == d1 the second system and the joint one are the first
+    # and the squared one: they are not measured again
+    seen = []
+
+    def counting(name):
+        fn = getattr(infodim, name)
+
+        def wrapped(theory, *args):
+            seen.append((name, theory))
+            return fn(theory, *args)
+
+        return wrapped
+
+    for name in ("affine_state_dimension", "informational_dimension"):
+        monkeypatch.setattr(infodim, name, counting(name))
+    infodim.dim_identities(d1, d2)
+    # d1, d1*d2 (and, for d2 != d1, d2's affine dimension and d1*d1)
+    assert len(seen) == len(set(seen)) == (4 if d2 is None else 7)
 
 
 def test_heterodimensional_composition():
