@@ -9,13 +9,26 @@ import argparse
 import pathlib
 import sys
 
+import numpy as np
+
 from opcal import cli
+from opcal import quantum as qm
+
+
+def isotropic(d, p):
+    """(1 - p)|Omega><Omega| + p I/d^2: faithful, but not the maximally
+    entangled state."""
+    omega = qm.max_entangled(d).matrix
+    phi = (1.0 - p) * omega + p * np.eye(d * d) / d**2
+    return cli.validate_spec(cli.TheorySpec(backend="quantum", d=d, phi_override=phi))
 
 
 CONFIGS = [
     ("quantum-d2", cli.TheorySpec(backend="quantum", d=2)),
     ("quantum-d3", cli.TheorySpec(backend="quantum", d=3)),
     ("classical-d3", cli.TheorySpec(backend="classical", d=3)),
+    ("classical-d4", cli.TheorySpec(backend="classical", d=4)),
+    ("isotropic-d3-p0.2", isotropic(3, 0.2)),
 ]
 
 # the diagonal restriction is a negative control for these identities

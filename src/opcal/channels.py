@@ -20,13 +20,6 @@ def vec(matrix):
     return np.asarray(matrix).reshape(-1)
 
 
-def unvec(vector, d=None):
-    v = np.asarray(vector)
-    if d is None:
-        d = round(np.sqrt(v.size))
-    return v.reshape(d, d)
-
-
 def kraus_to_choi_matrix(kraus):
     ks = [np.asarray(k, dtype=complex) for k in kraus]
     d = ks[0].shape[0]

@@ -289,13 +289,14 @@ def check_seed(master, name):
 
 
 class RunContext:
-    """The objects that the checks of one run share: phi, its local
-    action matrix and rank, the spectral split, the transpose solver
-    (which holds the preparation-witness system of phi), the GNS space
-    built on that solver and the dimension table of each backend.  Each
-    is built on first use, from the spec alone, so sharing them changes
-    no result; a build that raises is not stored and raises again on
-    the next use.  run_suite makes one per call and drops it on return."""
+    """The objects that the checks of one run share: phi, the spectral
+    split, the transpose solver (which holds the slot-1 local action
+    matrix and the preparation-witness system of phi) with the rank of
+    that matrix, the GNS space built on that solver and the dimension
+    table of each backend.  Each is built on first use, from the spec
+    alone, so sharing them changes no result; a build that raises is not
+    stored and raises again on the next use.  run_suite makes one per
+    call and drops it on return."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -306,13 +307,9 @@ class RunContext:
         return self.spec.phi()
 
     @cached_property
-    def action(self):
-        """Matrix of the local action A -> (A, I) Phi on slot 1."""
-        return faithful.local_action_matrix(self.phi)
-
-    @cached_property
     def action_rank(self):
-        return matrix_rank(self.action)
+        """Rank of the local action A -> (A, I) Phi on slot 1."""
+        return matrix_rank(self.solver.l1)
 
     @cached_property
     def split(self):
@@ -320,7 +317,7 @@ class RunContext:
 
     @cached_property
     def solver(self):
-        return gns.TransposeSolver(self.phi, l1=self.action)
+        return gns.TransposeSolver(self.phi)
 
     @cached_property
     def space(self):
@@ -381,23 +378,12 @@ def _sample_effect(spec, rng):
 
 
 def _check_conditioning(ctx, rng, tol):
-    spec = ctx.spec
-    d = spec.d
-    th = spec.theory()
-    if spec.backend == "classical":
-        state = qm.classical_state(np.full(d, 1.0 / d))
-        select = np.zeros((d, d))
-        select[0, 0] = 1.0
-        branch = qm.classical_map(select)
-        expected = qm.classical_state(np.eye(d)[0]).matrix
-    else:
-        state = core.State(th, np.eye(d) / d)
-        p0 = np.zeros((d, d))
-        p0[0, 0] = 1.0
-        branch = qm.projector_map(th, p0)
-        expected = p0.astype(complex)
-    p, cond = core.condition(state, branch)
-    resid = float(np.max(np.abs(cond.matrix - expected)))
+    d = ctx.spec.d
+    th = ctx.spec.theory()
+    state = core.State(th, np.eye(d) / d)
+    p0 = np.diag(np.eye(d)[0])
+    p, cond = core.condition(state, qm.projector_map(th, p0))
+    resid = float(np.max(np.abs(cond.matrix - p0)))
     ok = abs(p - 1.0 / d) <= tol and resid <= tol
     return ok, {"probability": p, "state_residual": resid}
 
@@ -419,40 +405,17 @@ def _check_equivalence(ctx, rng, tol):
 
 
 def _check_completeness(ctx, rng, tol):
-    spec = ctx.spec
-    d = spec.d
-    th = spec.theory()
-    if spec.backend == "classical":
-        branches = []
-        for i in range(d):
-            m = np.zeros((d, d))
-            m[i, :] = np.eye(d)[i]
-            branches.append(qm.classical_map(m))
-        exp = core.Experiment(tuple(branches))
-    else:
-        exp = qm.projective_experiment(th)
+    exp = qm.projective_experiment(ctx.spec.theory())
     exp.check_complete(tol)
     obs = exp.observable()
-    resid = float(np.max(np.abs(sum(e.matrix for e in obs.effects) - np.eye(d))))
+    resid = float(np.max(np.abs(sum(e.matrix for e in obs.effects) - np.eye(ctx.spec.d))))
     return resid <= tol, {"unit_residual": resid, "branches": float(len(obs))}
 
 
 def _check_zero_probability(ctx, rng, tol):
-    spec = ctx.spec
-    d = spec.d
-    th = spec.theory()
-    if spec.backend == "classical":
-        state = qm.classical_state(np.eye(d)[0])
-        select = np.zeros((d, d))
-        select[1, 1] = 1.0
-        branch = qm.classical_map(select)
-    else:
-        m = np.zeros((d, d))
-        m[0, 0] = 1.0
-        state = core.State(th, m)
-        p1 = np.zeros((d, d))
-        p1[1, 1] = 1.0
-        branch = qm.projector_map(th, p1)
+    th = ctx.spec.theory()
+    state = core.State(th, np.diag(np.eye(th.d)[0]))
+    branch = qm.projector_map(th, np.diag(np.eye(th.d)[1]))
     try:
         core.condition(state, branch)
     except ZeroProbability:
@@ -523,23 +486,15 @@ def _check_coexistence(ctx, rng, tol):
 
 
 def _check_minimal_ic(ctx, rng, tol):
-    spec = ctx.spec
-    if spec.backend == "classical":
-        obs = infodim.classical_observable(spec.d)
-    else:
-        obs = infodim.minimal_ic_povm(spec.d)
+    obs = infodim.ic_observable(ctx.spec.theory())
     rank = infodim.ic_rank(obs)
     ok = infodim.is_minimal_ic(obs)
     return ok, {"rank": float(rank), "outcomes": float(len(obs))}
 
 
 def _check_ic_expand(ctx, rng, tol):
-    spec = ctx.spec
-    if spec.backend == "classical":
-        obs = infodim.classical_observable(spec.d)
-    else:
-        obs = infodim.minimal_ic_povm(spec.d)
-    e = _sample_effect(spec, rng)
+    obs = infodim.ic_observable(ctx.spec.theory())
+    e = _sample_effect(ctx.spec, rng)
     c = infodim.ic_expand(e, obs, tol)
     rows = np.array([x.coords for x in obs.effects])
     resid = float(np.linalg.norm(rows.T @ c - e.coords))
@@ -556,9 +511,8 @@ def _check_idim(ctx, rng, tol):
 
 
 def _check_local_observability(ctx, rng, tol):
-    d = ctx.spec.d
-    obs = infodim.classical_observable(d) if ctx.spec.backend == "classical" else None
-    ok, rank = infodim.check_local_observability(d, d, obs, obs)
+    obs = infodim.ic_observable(ctx.spec.theory())
+    ok, rank = infodim.check_local_observability(obs, obs)
     return ok, {"rank": float(rank)}
 
 

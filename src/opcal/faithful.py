@@ -22,10 +22,11 @@ from .quantum import BipartiteState, apply_local, kraus_to_choi, max_entangled
 ZERO_CUTOFF = 1e-12
 
 
-def is_symmetric(phi, tol=1e-12):
-    """Phi(A, B) = Phi(B, A): invariance under swapping the subsystems."""
+def is_symmetric(phi):
+    """Phi(A, B) = Phi(B, A): invariance under swapping the subsystems,
+    to 1e-12 in every entry."""
     s = ch.swap_matrix(phi.d)
-    return bool(np.max(np.abs(s @ phi.matrix @ s - phi.matrix)) <= tol)
+    return bool(np.max(np.abs(s @ phi.matrix @ s - phi.matrix)) <= 1e-12)
 
 
 def bilinear_form(phi, a, b):
@@ -159,7 +160,7 @@ class SpectralSplit:
         return self.p_plus - self.p_minus
 
 
-def spectral_split(phi, cutoff=ZERO_CUTOFF):
+def spectral_split(phi):
     """Diagonalize the Gram matrix of the bilinear form; eigenvalues at
     the zero cutoff raise rather than being assigned a sign (strict
     positivity failing means the input is not faithful)."""
@@ -172,7 +173,7 @@ def spectral_split(phi, cutoff=ZERO_CUTOFF):
     gram = np.einsum("xuyv,ayx,bvu->ab", phi4, basis, basis, optimize=True).real
     gram = (gram + gram.T) / 2.0
     w, v = np.linalg.eigh(gram)
-    if np.min(np.abs(w)) <= cutoff:
+    if np.min(np.abs(w)) <= ZERO_CUTOFF:
         raise DegenerateSplit(
             f"bilinear-form eigenvalue {np.min(np.abs(w))} at the zero cutoff"
         )

@@ -36,8 +36,9 @@ def _choi_coords(t):
     return to_coords(t.choi, _choi_basis(d))
 
 
-def _from_choi_coords(d, coords, generalized=True):
-    return Transformation(quantum(d), from_coords(coords, _choi_basis(d)), generalized)
+def _from_choi_coords(d, coords):
+    choi = from_coords(coords, _choi_basis(d))
+    return Transformation(quantum(d), choi, generalized=True)
 
 
 class TransposeSolver:
@@ -47,12 +48,10 @@ class TransposeSolver:
     also holds the state's preparation-witness system; the slot-2
     system is built on the first transpose."""
 
-    def __init__(self, phi, l1=None):
-        """`l1`, if given, is local_action_matrix(phi, slot=1) already
-        computed by the caller."""
+    def __init__(self, phi):
         self.phi = phi
         self.d = phi.d
-        self.l1 = local_action_matrix(phi, slot=1) if l1 is None else l1
+        self.l1 = local_action_matrix(phi, slot=1)
         self.witness = witness_system(phi)
 
     @cached_property
@@ -63,16 +62,16 @@ class TransposeSolver:
     def _pinv2(self):
         return np.linalg.pinv(self.l2, rcond=1e-12)
 
-    def transpose(self, t, tol=TRANSPOSE_RESID):
+    def transpose(self, t):
         rhs = self.l1 @ _choi_coords(t)
         x = self._pinv2 @ rhs
         resid = float(np.linalg.norm(self.l2 @ x - rhs))
         scale = max(float(np.linalg.norm(rhs)), 1.0)
-        if resid > tol * scale:
+        if resid > TRANSPOSE_RESID * scale:
             raise NotFaithful(
                 f"transpose system residual {resid} (state not faithful)"
             )
-        return _from_choi_coords(self.d, x, generalized=True)
+        return _from_choi_coords(self.d, x)
 
 
 def adjoint_map(solver, t):

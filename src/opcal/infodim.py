@@ -13,7 +13,6 @@ from . import channels as ch
 from .basis import diagonal_basis, hermitian_basis, matrix_rank, to_coords
 from .core import Effect, Observable, Theory, quantum, spanning_states
 from .errors import DimensionMismatch, NotIC, WitnessFailed
-from .quantum import classical_effect
 
 
 def ic_rank(obs):
@@ -45,24 +44,20 @@ def ic_expand(effect, obs, tol=1e-9):
     return c
 
 
-def is_predictable(e, tol=1e-9):
-    """Occurs with certainty on some state and never on another."""
-    if e.theory.backend == "classical":
-        v = np.real(np.diag(e.matrix))
-        return bool(abs(np.max(v) - 1.0) <= tol and abs(np.min(v)) <= tol)
-    ev = np.linalg.eigvalsh(e.matrix)
+def _predictable(ev, tol):
     return bool(abs(ev[-1] - 1.0) <= tol and abs(ev[0]) <= tol)
+
+
+def is_predictable(e, tol=1e-9):
+    """Occurs with certainty on some state and never on another (the
+    spectrum of a classical effect is its diagonal)."""
+    return _predictable(np.linalg.eigvalsh(e.matrix), tol)
 
 
 def is_resolved(e, tol=1e-9):
     """Predictable with a single pure state of certain occurrence."""
-    if not is_predictable(e, tol):
-        return False
-    if e.theory.backend == "classical":
-        v = np.real(np.diag(e.matrix))
-        return bool(np.sum(np.abs(v - 1.0) <= tol) == 1)
     ev = np.linalg.eigvalsh(e.matrix)
-    return bool(np.sum(np.abs(ev - 1.0) <= tol) == 1)
+    return _predictable(ev, tol) and bool(np.sum(np.abs(ev - 1.0) <= tol) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -102,17 +97,16 @@ def pauli_povm_qubit():
     return Observable(tuple(effs))
 
 
-def minimal_ic_povm(d, eps=None):
+def minimal_ic_povm(d):
     """A minimal informationally complete observable at any dimension:
     d^2 - 1 effects (I + eps B_a) / d^2 over the traceless basis, plus
     the completing effect."""
     th = quantum(d)
     basis = hermitian_basis(d)
     n = d * d
-    if eps is None:
-        # keep both (I + eps B_a)/n and the completing effect positive
-        total = np.sum(basis[1:], axis=0)
-        eps = min(1.0 / (2.0 * d), 0.9 / float(np.linalg.norm(total, 2)))
+    # keep both (I + eps B_a)/n and the completing effect positive
+    total = np.sum(basis[1:], axis=0)
+    eps = min(1.0 / (2.0 * d), 0.9 / float(np.linalg.norm(total, 2)))
     effs = []
     rest = np.zeros((d, d), dtype=complex)
     for a in range(1, n):
@@ -123,8 +117,13 @@ def minimal_ic_povm(d, eps=None):
     return Observable(tuple(effs))
 
 
-def classical_observable(d):
-    return Observable(tuple(classical_effect(np.eye(d)[i]) for i in range(d)))
+def ic_observable(theory):
+    """The backend's minimal informationally complete observable: the
+    vertex projectors |i><i| on the classical simplex, minimal_ic_povm
+    on the quantum backend."""
+    if theory.backend == "classical":
+        return Observable(tuple(Effect(theory, p) for p in diagonal_basis(theory.d)))
+    return minimal_ic_povm(theory.d)
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +164,21 @@ def informational_dimension(theory, tol=1e-9):
     states, obs, cert = discrimination_witness(theory)
     if cert["pairing_residual"] > tol:
         raise WitnessFailed("discrimination witness failed the delta check")
-    if not all(is_predictable(l) and is_resolved(l) for l in obs.effects):
+    if not all(is_resolved(l) for l in obs.effects):
         raise WitnessFailed("discriminating effects are not predictable and resolved")
     return len(states)
+
+
+def _spanning_coords(theory):
+    """Coordinates of the theory's spanning states, one row each."""
+    states = spanning_states(theory)
+    return to_coords(np.array([w.matrix for w in states]), theory.basis())
 
 
 def affine_state_dimension(theory):
     """Affine dimension of the state set, measured as the rank of the
     differences of a spanning family."""
-    states = spanning_states(theory)
-    coords = to_coords(np.array([w.matrix for w in states]), theory.basis())
+    coords = _spanning_coords(theory)
     return matrix_rank(coords[1:] - coords[0])
 
 
@@ -188,29 +192,25 @@ def effect_space_dimension(theory):
     return matrix_rank(mats)
 
 
-def transformation_affine_dimension(d):
-    """Affine dimension of the convex set of physical transformations
-    on the quantum backend, from a deterministic spanning family of
-    Choi matrices (contraction maps with rank-one Choi, plus the zero
-    map)."""
-    th = quantum(d * d)  # reuse single-system spanning vectors on C^{d^2}
-    chois = [np.zeros((d * d, d * d), dtype=complex)]
-    for w in spanning_states(th):
-        chois.append(w.matrix)  # rank-one PSD with unit trace: K^dag K <= I
-    rows = to_coords(np.array(chois[1:]) - chois[0], hermitian_basis(d * d))
-    return matrix_rank(rows)
+def transformation_affine_dimension(theory):
+    """Affine dimension of the convex set of physical transformations,
+    from a deterministic spanning family of Choi matrices: the zero map
+    and the spanning states of the d^2-level theory (rank-one PSD with
+    unit trace, so contractions; on the classical backend the vertices,
+    one substochastic matrix entry each).  The zero map makes it the
+    rank of their coordinates."""
+    return matrix_rank(_spanning_coords(Theory(theory.backend, theory.d**2)))
 
 
 # ---------------------------------------------------------------------------
 # composite-system checks
 
 
-def check_local_observability(d1, d2, local_obs1=None, local_obs2=None):
-    """Pairwise products of local minimal IC observables (quantum ones
-    by default) span the bipartite effect space of their backend (rank
-    (d1 d2)^2 for quantum, d1 d2 for classical)."""
-    obs1 = local_obs1 or minimal_ic_povm(d1)
-    obs2 = local_obs2 or minimal_ic_povm(d2)
+def check_local_observability(obs1, obs2):
+    """Pairwise products of two local minimal IC observables span the
+    bipartite effect space of their backend (rank (d1 d2)^2 for quantum,
+    d1 d2 for classical)."""
+    d1, d2 = obs1.theory.d, obs2.theory.d
     th12 = Theory(obs1.theory.backend, d1 * d2)
     m1 = np.array([e.matrix for e in obs1.effects])
     m2 = np.array([e.matrix for e in obs2.effects])
@@ -332,10 +332,7 @@ def dim_identities(d1, d2=None, backend="quantum"):
         thsq = Theory(backend, d1 * d1)
         admsq = affine_state_dimension(thsq)
         idimsq = informational_dimension(thsq)
-    if backend == "quantum":
-        adm_t = transformation_affine_dimension(d1)
-    else:
-        adm_t = d1 * d1  # classical instruments: substochastic matrices
+    adm_t = transformation_affine_dimension(th1)
     rows = [
         ("D2", dim_pr, adm1 + 1),
         ("D3", adm12, adm1 * adm2 + adm1 + adm2),

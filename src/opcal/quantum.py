@@ -141,14 +141,10 @@ def projector_map(theory, p):
     return kraus_to_choi(theory, [p])
 
 
-def projective_experiment(theory, vectors=None):
-    """Experiment with branches P_i . P_i over an orthonormal basis."""
+def projective_experiment(theory):
+    """Experiment with branches P_i . P_i over the computational basis."""
     d = theory.d
-    if vectors is None:
-        vectors = [np.eye(d)[i] for i in range(d)]
-    branches = [
-        projector_map(theory, np.outer(v, np.conj(v))) for v in vectors
-    ]
+    branches = [projector_map(theory, np.diag(np.eye(d)[i])) for i in range(d)]
     return Experiment(tuple(branches))
 
 
@@ -217,10 +213,11 @@ def random_cp(d, seed, trace_preserving=False, rank=None):
     return Transformation(quantum(d), c)
 
 
-def random_experiment(d, seed, branches=3):
-    """Random instrument: Kraus pieces of a trace-preserving CP map."""
+def random_experiment(d, seed):
+    """Random instrument: the three Kraus pieces of a trace-preserving
+    CP map."""
     rng = _rng(seed)
-    tp = random_cp(d, rng, trace_preserving=True, rank=branches)
+    tp = random_cp(d, rng, trace_preserving=True, rank=3)
     w, v = np.linalg.eigh(tp.choi)
     out = []
     for i in range(len(w)):

@@ -54,13 +54,6 @@ def test_diagonal_basis():
     assert_allclose(sum(basis), np.eye(3), atol=1e-14)
 
 
-@given(d=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_vec_unvec_round_trip(d, seed):
-    m = _random_hermitian(d, seed)
-    assert_allclose(ch.unvec(ch.vec(m)), m, atol=1e-14)
-
-
 @given(d=st.integers(2, 3), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_kraus_super_choi_consistency(d, n, seed):

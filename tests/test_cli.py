@@ -251,7 +251,8 @@ def test_run_builds_shared_objects_once(monkeypatch):
     action = gns.local_action_matrix
 
     def slot2_counting(phi, slot=1):
-        counts["slot2"] += slot == 2
+        if slot == 2:
+            counts["slot2"] += 1
         return action(phi, slot)
 
     monkeypatch.setattr(gns, "local_action_matrix", slot2_counting)

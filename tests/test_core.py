@@ -107,6 +107,13 @@ def test_effect_norm_oracles():
     assert core.effect_norm(qm.classical_effect([0.2, -0.9], generalized=True)) == (
         pytest.approx(0.9)
     )
+    # classical effects: the largest |entry| of the outcome vector
+    rng = np.random.default_rng(103)
+    for d in (2, 3, 4, 5):
+        for _ in range(20):
+            v = rng.uniform(-1.0, 1.0, d)
+            e = qm.classical_effect(v, generalized=True)
+            assert core.effect_norm(e) == np.max(np.abs(v))
 
 
 def test_weight_norm_is_trace_norm():
@@ -116,6 +123,13 @@ def test_weight_norm_is_trace_norm():
     assert core.weight_norm(w) == pytest.approx(0.9)
     wc = core.Weight(core.classical(3), np.diag([0.5, -0.25, 0.1]), generalized=True)
     assert core.weight_norm(wc) == pytest.approx(0.85)
+    # classical weights: the l1 norm of the outcome vector
+    rng = np.random.default_rng(112)
+    for d in (2, 3, 4, 5):
+        for _ in range(20):
+            v = rng.uniform(-1.0, 1.0, d)
+            wc = core.Weight(core.classical(d), np.diag(v), generalized=True)
+            assert core.weight_norm(wc) == pytest.approx(np.sum(np.abs(v)), abs=1e-12)
 
 
 def test_trans_norm_cp_exact():
@@ -163,6 +177,17 @@ def test_classical_trans_norm():
     m = np.array([[0.5, 0.1], [0.2, 0.3]])
     t = qm.classical_map(m)
     assert core.trans_norm(t) == pytest.approx(0.7)
+    # substochastic and signed (generalized) matrices: the largest
+    # column l1 norm
+    rng = np.random.default_rng(162)
+    for d in (2, 3, 4, 5):
+        for _ in range(10):
+            sub = qm.random_classical_map(d, rng)
+            signed = rng.uniform(-1.0, 1.0, (d, d))
+            for t in (sub, qm.classical_map(signed, generalized=True)):
+                m = np.real(np.diag(t.choi)).reshape(d, d).T  # m[i, j] at j*d + i
+                want = np.max(np.sum(np.abs(m), axis=0))
+                assert core.trans_norm(t) == pytest.approx(want, abs=1e-12)
 
 
 def test_coexistence_and_add():

@@ -114,20 +114,21 @@ def test_affine_dimensions(d):
 
 
 def test_transformation_affine_dimension_oracle():
-    assert infodim.transformation_affine_dimension(2) == 16
+    assert infodim.transformation_affine_dimension(core.quantum(2)) == 16
 
 
 def test_local_observability():
-    ok, rank = infodim.check_local_observability(2, 2)
+    obs2, obs3 = infodim.minimal_ic_povm(2), infodim.minimal_ic_povm(3)
+    ok, rank = infodim.check_local_observability(obs2, obs2)
     assert ok and rank == 16
-    ok, rank = infodim.check_local_observability(2, 3)
+    ok, rank = infodim.check_local_observability(obs2, obs3)
     assert ok and rank == 36
 
 
 def test_local_observability_classical():
     # the backend comes from the observables: rank d1 d2 on the simplex
-    obs = infodim.classical_observable(3)
-    assert infodim.check_local_observability(3, 3, obs, obs) == (True, 9)
+    obs = infodim.ic_observable(core.classical(3))
+    assert infodim.check_local_observability(obs, obs) == (True, 9)
 
 
 @pytest.mark.parametrize(
@@ -136,7 +137,7 @@ def test_local_observability_classical():
 def test_stacked_coordinates_keep_ranks_and_expansions(backend, d):
     # reference: one Effect and one coordinate vector per effect
     if backend == "classical":
-        obs = infodim.classical_observable(d)
+        obs = infodim.ic_observable(core.classical(d))
         effect = qm.classical_effect(np.linspace(0.1, 0.9, d))
     else:
         obs = infodim.minimal_ic_povm(d)
@@ -146,7 +147,7 @@ def test_stacked_coordinates_keep_ranks_and_expansions(backend, d):
     prods = [core.Effect(th12, np.kron(a.matrix, b.matrix)) for a in obs.effects for b in obs.effects]
     rank12 = matrix_rank(np.array([e.coords for e in prods]))
     assert infodim.ic_rank(obs) == matrix_rank(rows) == len(obs)
-    assert infodim.check_local_observability(d, d, obs, obs) == (True, rank12)
+    assert infodim.check_local_observability(obs, obs) == (True, rank12)
     want, *_ = np.linalg.lstsq(rows.T, effect.coords, rcond=None)
     assert np.array_equal(infodim.ic_expand(effect, obs), want)
 
