@@ -2,12 +2,16 @@
 """Run every verification suite across the standard configurations and
 write the structured reports under reports/ (plus a summary to stdout).
 
-Usage: python3 scripts/verify_all.py [--seed N] [--out DIR]
+The standard matrix is every configuration below at seeds 1, 2 and 3;
+its reports are checked in under tests/golden/.
+
+Usage: python3 scripts/verify_all.py [--seed N ...] [--out DIR]
 """
 
 import argparse
 import pathlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,42 +30,67 @@ def isotropic(d, p):
 CONFIGS = [
     ("quantum-d2", cli.TheorySpec(backend="quantum", d=2)),
     ("quantum-d3", cli.TheorySpec(backend="quantum", d=3)),
+    ("quantum-d4", cli.TheorySpec(backend="quantum", d=4)),
     ("classical-d3", cli.TheorySpec(backend="classical", d=3)),
     ("classical-d4", cli.TheorySpec(backend="classical", d=4)),
     ("isotropic-d3-p0.2", isotropic(3, 0.2)),
+    ("isotropic-d2-p0.6", isotropic(2, 0.6)),
+    ("product-d2", isotropic(2, 1.0)),  # I/4: not faithful
 ]
+SEEDS = (1, 2, 3)
 
-# the diagonal restriction is a negative control for these identities
+# Negative controls: the checks of a configuration that must not pass.
+# The diagonal restriction violates these identities; the product state
+# I/4 is not faithful, so nothing can be calibrated on it (its
+# gns.kraus_transpose passes because that check does not apply to an
+# override).
 CLASSICAL_EXPECT_FAIL = ("table1.D4", "table1.D34", "table1.D34'", "table1.P")
+EXPECT_FAIL = {
+    "classical-d3": CLASSICAL_EXPECT_FAIL,
+    "classical-d4": CLASSICAL_EXPECT_FAIL,
+    "product-d2": (
+        "faithful.dynamical",
+        "faithful.preparational",
+        "faithful.signature",
+        "faithful.abs_gram",
+        "faithful.involution",
+        "gns.transpose_residual",
+        "gns.transpose_axioms",
+        "gns.adjoint_pairing",
+        "gns.homomorphism",
+        "gns.adjoint_rep",
+        "gns.cstar",
+        "born.pair",
+        "born.triple",
+    ),
+}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, action="append", dest="seeds")
     parser.add_argument("--out", default="reports")
     args = parser.parse_args(argv)
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     failures = 0
-    for name, spec in CONFIGS:
-        from dataclasses import replace
-
-        spec = replace(spec, seed=args.seed)
-        report = cli.run_suite(spec, "all")
-        expect = CLASSICAL_EXPECT_FAIL if spec.backend == "classical" else ()
-        path = out / f"{name}-seed{args.seed}.report"
-        path.write_text(cli.emit_report(report, "structured"))
-        ok = report.all_pass(expect_fail=expect)
-        npass = sum(c.status == "pass" for c in report.checks)
-        print(
-            f"{name}: {npass}/{len(report.checks)} checks pass"
-            + (f" ({len(expect)} expected failures)" if expect else "")
-            + f" -> {path}"
-            + ("" if ok else "  [UNEXPECTED RESULT]")
-        )
-        if not ok:
-            failures += 1
+    for seed in args.seeds or SEEDS:
+        for name, spec in CONFIGS:
+            report = cli.run_suite(replace(spec, seed=seed), "all")
+            expect = EXPECT_FAIL.get(name, ())
+            path = out / f"{name}-seed{seed}.report"
+            path.write_text(cli.emit_report(report, "structured"))
+            ok = report.all_pass(expect_fail=expect)
+            npass = sum(c.status == "pass" for c in report.checks)
+            print(
+                f"{name} seed {seed}: {npass}/{len(report.checks)} checks pass"
+                + (f" ({len(expect)} expected failures)" if expect else "")
+                + f" -> {path}"
+                + ("" if ok else "  [UNEXPECTED RESULT]")
+            )
+            if not ok:
+                failures += 1
     return 1 if failures else 0
 
 

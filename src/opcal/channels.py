@@ -116,17 +116,23 @@ def swap_matrix(d):
 def apply_local_super(sup, joint, slot, d):
     """Apply a single-system superoperator, or each of a stack
     (..., d^2, d^2) of them, to one slot of a joint d^2 x d^2 matrix
-    (the other slot untouched)."""
+    (the other slot untouched).  One matrix product: the superoperator
+    rows (a, b) against the joint matrix regrouped as rows (i, j) of
+    the acted-on slot and columns (x, y) of the other."""
     t = np.asarray(joint).reshape(d, d, d, d)  # [i1, i2, j1, j2]
-    lead = sup.shape[:-2]
-    s4 = sup.reshape(*lead, d, d, d, d)  # [..., a, b, i, j]
     if slot == 1:
-        out = np.einsum("...abij,ixjy->...axby", s4, t)
+        # out[a, x, b, y] = sum_ij S[(a, b), (i, j)] t[i, x, j, y]
+        regrouped, perm = t.transpose(0, 2, 1, 3), (0, 2, 1, 3)
     elif slot == 2:
-        out = np.einsum("...abij,xiyj->...xayb", s4, t)
+        # out[x, a, y, b] = sum_ij S[(a, b), (i, j)] t[x, i, y, j]
+        regrouped, perm = t.transpose(1, 3, 0, 2), (2, 0, 3, 1)
     else:
         raise ValueError("slot must be 1 or 2")
-    return out.reshape(*lead, d * d, d * d)
+    lead = sup.shape[:-2]
+    k = len(lead)
+    out = (sup @ regrouped.reshape(d * d, d * d)).reshape(*lead, d, d, d, d)
+    axes = (*range(k), *(k + p for p in perm))
+    return out.transpose(axes).reshape(*lead, d * d, d * d)
 
 
 def trace_distance(a, b):

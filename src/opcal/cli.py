@@ -290,13 +290,13 @@ def check_seed(master, name):
 
 class RunContext:
     """The objects that the checks of one run share: phi, the spectral
-    split, the transpose solver (which holds the slot-1 local action
-    matrix and the preparation-witness system of phi) with the rank of
-    that matrix, the GNS space built on that solver and the dimension
-    table of each backend.  Each is built on first use, from the spec
-    alone, so sharing them changes no result; a build that raises is not
-    stored and raises again on the next use.  run_suite makes one per
-    call and drops it on return."""
+    split, the rank of the slot-1 local action of phi, the transpose
+    solver (which holds the preparation-witness system of phi), the GNS
+    space built on that solver and the dimension table of each backend.
+    Each is built on first use, from the spec alone, so sharing them
+    changes no result; a build that raises is not stored and raises
+    again on the next use.  run_suite makes one per call and drops it on
+    return."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -309,7 +309,7 @@ class RunContext:
     @cached_property
     def action_rank(self):
         """Rank of the local action A -> (A, I) Phi on slot 1."""
-        return matrix_rank(self.solver.l1)
+        return matrix_rank(faithful.local_action_matrix(self.phi, slot=1))
 
     @cached_property
     def split(self):
@@ -433,7 +433,8 @@ def _check_effect_norm(ctx, rng, tol):
         w = _sample_state(spec, rng)
         e = _sample_effect(spec, rng)
         p = core.pair(w, e)
-        worst = max(worst, abs(p) - core.effect_norm(e), core.effect_norm(e) - 1.0)
+        norm = core.effect_norm(e)
+        worst = max(worst, abs(p) - norm, norm - 1.0)
     return worst <= tol, {"max_violation": worst}
 
 
@@ -442,9 +443,9 @@ def _check_weight_norm(ctx, rng, tol):
     worst = 0.0
     for _ in range(SAMPLES):
         w = core.act(_sample_map(spec, rng), _sample_state(spec, rng))
-        worst = max(worst, w.total - core.weight_norm(w))
+        norm = core.weight_norm(w)
         # physical maps never increase the weight norm beyond 1
-        worst = max(worst, core.weight_norm(w) - 1.0)
+        worst = max(worst, w.total - norm, norm - 1.0)
     return worst <= tol, {"max_violation": worst}
 
 

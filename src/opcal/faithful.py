@@ -204,8 +204,7 @@ def sigma(split, e, tol=1e-9):
     (matrix transposition for the maximally entangled split).  Raises
     if a physical input is mapped outside the physical cone."""
     basis = hermitian_basis(split.d)
-    coords = split.sigma_matrix @ to_coords(e.matrix, basis)
-    out = np.einsum("a,aij->ij", coords, basis)
+    out = from_coords(split.sigma_matrix @ to_coords(e.matrix, basis), basis)
     result = Effect(e.theory, out, e.generalized)
     if not e.generalized and e.is_physical(tol) and not result.is_physical(tol):
         raise ConeViolation("involution left the physical effect cone")
@@ -215,8 +214,7 @@ def sigma(split, e, tol=1e-9):
 def state_sigma(split, omega, tol=1e-9):
     """Involution on states, omega^sigma(A) = omega(sigma(A))."""
     basis = hermitian_basis(split.d)
-    coords = split.sigma_matrix @ to_coords(omega.matrix, basis)
-    out = np.einsum("a,aij->ij", coords, basis)
+    out = from_coords(split.sigma_matrix @ to_coords(omega.matrix, basis), basis)
     if ch.min_eig(out) < -tol:
         raise ConeViolation("involution left the state cone")
     return State(omega.theory, out / np.real(np.trace(out)))

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import channels as ch
-from .basis import from_coords, hermitian_basis, to_coords
+from .basis import hermitian_basis, real_view, to_coords
 from .core import Effect, Transformation, compose, pair, quantum
 from .errors import NotFaithful
 from .faithful import (
@@ -31,47 +31,57 @@ from .quantum import local_state
 TRANSPOSE_RESID = 1e-10
 
 
-def _choi_coords(t):
-    d = t.theory.d
-    return to_coords(t.choi, _choi_basis(d))
-
-
-def _from_choi_coords(d, coords):
-    choi = from_coords(coords, _choi_basis(d))
-    return Transformation(quantum(d), choi, generalized=True)
-
-
 class TransposeSolver:
     """Solves (A, I) Phi = (I, A') Phi; uniqueness requires the state
     to be dynamically faithful, and every solve certifies its residual
     instead of silently accepting a rank-deficient system.  The solver
-    also holds the state's preparation-witness system; the slot-2
-    system is built on the first transpose."""
+    also holds the state's preparation-witness system.
+
+    The local action matrices l1, l2 of the two slots act on Choi
+    coordinates.  The Choi basis is Hermitian and orthonormal, so the
+    real views of its elements, stacked as the rows of V (`view`, no
+    copy of the cached basis), take the real view of a Choi matrix to
+    its coordinates, and V.T maps them back.  On the first transpose
+    the solver folds the whole solve into one operator on real views,
+    forward = pinv(l2) l1 V, and the residual into check = Q.T l1 V, Q
+    an orthonormal basis of the complement of the range of l2 (empty
+    for a faithful state).  A transpose is then forward @ real_view(A),
+    mapped back to a real view by V.T, with no coordinate conversion;
+    l1, l2 and pinv(l2) are not kept."""
 
     def __init__(self, phi):
         self.phi = phi
         self.d = phi.d
-        self.l1 = local_action_matrix(phi, slot=1)
+        self.view = real_view(_choi_basis(phi.d))
         self.witness = witness_system(phi)
 
     @cached_property
-    def l2(self):
-        return local_action_matrix(self.phi, slot=2)
-
-    @cached_property
-    def _pinv2(self):
-        return np.linalg.pinv(self.l2, rcond=1e-12)
+    def _maps(self):
+        """(forward, check); the pseudo-inverse is cut at 1e-12
+        sigma_max, as np.linalg.pinv cuts it.  l2 is factored before l1
+        is built, and u is dropped before the operators are formed, so
+        the build needs little more memory than the factorization."""
+        u, s, vh = np.linalg.svd(local_action_matrix(self.phi, slot=2))
+        r = int(np.sum(s > 1e-12 * s[0]))
+        m = u.T @ local_action_matrix(self.phi, slot=1)  # l1 in the basis u
+        del u
+        return ((vh[:r].T / s[:r]) @ m[:r]) @ self.view, m[r:] @ self.view
 
     def transpose(self, t):
-        rhs = self.l1 @ _choi_coords(t)
-        x = self._pinv2 @ rhs
-        resid = float(np.linalg.norm(self.l2 @ x - rhs))
-        scale = max(float(np.linalg.norm(rhs)), 1.0)
-        if resid > TRANSPOSE_RESID * scale:
-            raise NotFaithful(
-                f"transpose system residual {resid} (state not faithful)"
-            )
-        return _from_choi_coords(self.d, x)
+        forward, check = self._maps
+        a = real_view(t.choi)
+        resid = float(np.linalg.norm(check @ a))
+        # the residual bound is relative to max(|l1 V a|, 1), so the
+        # right side is needed only above the absolute bound
+        if resid > TRANSPOSE_RESID:
+            rhs = local_action_matrix(self.phi, slot=1) @ (self.view @ a)
+            if resid > TRANSPOSE_RESID * max(float(np.linalg.norm(rhs)), 1.0):
+                raise NotFaithful(
+                    f"transpose system residual {resid} (state not faithful)"
+                )
+        n = self.d * self.d
+        choi = (self.view.T @ (forward @ a)).view(complex).reshape(n, n)
+        return Transformation(quantum(self.d), choi, generalized=True)
 
 
 def adjoint_map(solver, t):
@@ -102,8 +112,8 @@ class GnsSpace:
     """The effect Hilbert space carried by a faithful state: its
     transpose solver, the Gram matrix of the scalar product in the
     canonical Hermitian basis with its square root and inverse square
-    root, the pairing matrix taking Choi coordinates of a
-    transformation to its pairings with the lifted basis (the scalar
+    root, the pairing matrix taking the real view of a Choi matrix to
+    the transformation's pairings with the lifted basis (the scalar
     product is linear in its right entry, so all downstream vectors
     come from one matrix-vector product), and the superoperators of the
     lifted basis, which gns_rep composes with."""
@@ -140,14 +150,14 @@ def gns_space(solver):
     th = quantum(d)
     lifts = tuple(jordan_lift(Effect(th, b, generalized=True)) for b in basis)
     lift_chois = np.array([lift.choi for lift in lifts])
-    cb = _choi_basis(d)
-    # Pairing of lift k with the map T_C of Choi basis element C:
-    # Phi|_2(adj_k after T_C) = Tr[rho2 T_C^*(E_k)] = Tr[C (rho2^T kron E_k)],
-    # E_k the effect of adj_k, so row k is the coordinate vector of the kron.
+    # Pairing of lift k with the map T of Choi matrix C:
+    # Phi|_2(adj_k after T) = Tr[rho2 T^*(E_k)] = Tr[C (rho2^T kron E_k)],
+    # E_k the effect of adj_k.  The kron is Hermitian, so the trace is
+    # the real dot product of the real views of the kron and of C.
     rho2 = local_state(phi, 2).matrix
     effects = [adjoint_map(solver, lift).effect().matrix for lift in lifts]
-    pairing = to_coords(np.array([np.kron(rho2.T, e) for e in effects]), cb)
-    gram = pairing @ to_coords(lift_chois, cb).T
+    pairing = real_view(np.array([np.kron(rho2.T, e) for e in effects]))
+    gram = pairing @ real_view(lift_chois).T
     gram = (gram + gram.T) / 2.0
     w, v = np.linalg.eigh(gram)
     if w[0] <= 1e-12:
@@ -165,9 +175,12 @@ def gns_space(solver):
 def scalar_product(space, b, a):
     """<B|A> between generalized effects; sesquilinear (conjugation on
     the left entry) on complex coordinate combinations."""
-    basis = hermitian_basis(space.d)
-    cb = np.einsum("aij,ji->a", basis, b.matrix)
-    ca = np.einsum("aij,ji->a", basis, a.matrix)
+    # complex coordinates Tr[B_k M]: the real coordinates of M and of -iM
+    re_b, im_b, re_a, im_a = to_coords(
+        np.array([b.matrix, -1j * b.matrix, a.matrix, -1j * a.matrix]),
+        hermitian_basis(space.d),
+    )
+    cb, ca = re_b + 1j * im_b, re_a + 1j * im_a
     return complex(np.conj(cb) @ space.gram @ ca)
 
 
@@ -175,14 +188,14 @@ def transformation_coords(space, t):
     """GNS-vector coordinates of a transformation, from its pairings
     with the canonical lifted basis (two transformations share a vector
     iff their difference has zero norm)."""
-    return np.linalg.solve(space.gram, space.pairing @ _choi_coords(t))
+    return np.linalg.solve(space.gram, space.pairing @ real_view(t.choi))
 
 
 def gns_rep(space, t):
     """Matrix of left composition pi(A)|B> = |A after B| in canonical
     coordinates; a homomorphism with pi(identity) = identity."""
     composites = ch.super_to_choi(t.super @ space.lift_supers)  # t after each lift
-    cols = space.pairing @ to_coords(composites, _choi_basis(space.d)).T
+    cols = space.pairing @ real_view(composites).T
     return np.linalg.solve(space.gram, cols)
 
 

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from opcal import channels as ch
-from opcal.basis import diagonal_basis, from_coords, hermitian_basis, to_coords
+from opcal.basis import (
+    diagonal_basis,
+    from_coords,
+    hermitian_basis,
+    real_view,
+    to_coords,
+)
 
 
 def _random_hermitian(d, seed):
@@ -46,6 +52,56 @@ def test_coords_round_trip(d, seed):
     c = to_coords(m, basis)
     assert c.dtype == np.float64
     assert_allclose(from_coords(c, basis), m, atol=1e-12)
+
+
+def _dense_coords(m, basis):
+    # the definition: Re Tr[B_a M] against the dense basis stack
+    return np.einsum("aij,...ji->...a", basis, m).real
+
+
+@given(
+    n=st.integers(1, 25),
+    lead=st.sampled_from([(), (3,), (2, 2)]),
+    diagonal=st.booleans(),
+    transposed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_closed_form_coords_match_dense_oracle(n, lead, diagonal, transposed, seed):
+    basis = diagonal_basis(n) if diagonal else hermitian_basis(n)
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((*lead, n, n)) + 1j * rng.standard_normal((*lead, n, n))
+    if transposed:
+        m = np.swapaxes(m, -1, -2)  # a non-contiguous input
+    got = to_coords(m, basis)
+    assert got.shape == (*lead, len(basis)) and got.dtype == np.float64
+    assert_allclose(got, _dense_coords(m, basis), rtol=0, atol=1e-12)
+    assert_allclose(to_coords(m.real, basis), _dense_coords(m.real, basis), atol=1e-12)
+    c = rng.standard_normal((*lead, len(basis)))
+    back = from_coords(c, basis)
+    assert back.shape == (*lead, n, n)
+    assert_allclose(back, np.einsum("...a,aij->...ij", c, basis), rtol=0, atol=1e-12)
+    # round trips: coordinates exactly, matrices up to the Hermitian part
+    # (the whole matrix on the diagonal basis is its real diagonal)
+    assert_allclose(to_coords(back, basis), c, rtol=0, atol=1e-12)
+    herm = (m + np.swapaxes(m, -1, -2).conj()) / 2
+    if diagonal:
+        herm = herm * np.eye(n)
+    assert_allclose(from_coords(got, basis), herm, rtol=0, atol=1e-12)
+
+
+def test_real_view_is_the_coordinate_map():
+    # the real views of an orthonormal Hermitian basis have orthonormal
+    # rows and take the real view of any matrix to its coordinates
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 4, 9):
+        for basis in (hermitian_basis(n), diagonal_basis(n)):
+            v = real_view(basis)
+            assert_allclose(v @ v.T, np.eye(len(basis)), atol=1e-14)
+            m = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+            assert_allclose(real_view(m) @ v.T, to_coords(m, basis), atol=1e-12)
+    b = hermitian_basis(4)
+    assert np.shares_memory(real_view(b), b)  # no copy of the basis
 
 
 def test_diagonal_basis():
@@ -126,3 +182,24 @@ def test_apply_local_super_on_products():
     assert_allclose(out1, np.kron(ch.apply_super(sup, a), b), atol=1e-12)
     out2 = ch.apply_local_super(sup, joint, 2, 2)
     assert_allclose(out2, np.kron(a, ch.apply_super(sup, b)), atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_apply_local_super_matches_kraus_on_stacks(d):
+    # a stack of superoperators applied to an entangled joint matrix,
+    # against (K x I) J (K x I)^dag and (I x K) J (I x K)^dag
+    rng = np.random.default_rng(d)
+    kraus = [_random_kraus(d, 2, 100 * d + i) for i in range(3)]
+    sups = np.array([ch.kraus_to_super(ks) for ks in kraus])
+    g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+    joint = g @ g.conj().T
+    eye = np.eye(d)
+    for slot in (1, 2):
+        got = ch.apply_local_super(sups, joint, slot, d)
+        assert got.shape == (3, d * d, d * d)
+        for ks, out in zip(kraus, got):
+            lifted = [np.kron(k, eye) if slot == 1 else np.kron(eye, k) for k in ks]
+            want = sum(k @ joint @ k.conj().T for k in lifted)
+            assert_allclose(out, want, atol=1e-12)
+        # one superoperator without a stack axis
+        assert_allclose(ch.apply_local_super(sups[0], joint, slot, d), got[0], atol=1e-14)

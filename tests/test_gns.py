@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from opcal import core, gns
+from opcal import cli, core, faithful, gns
+from opcal.basis import from_coords, to_coords
 from opcal import quantum as qm
 from opcal.errors import NotFaithful
 
@@ -49,6 +50,31 @@ def test_transpose_axioms(phi2, rng):
         assert_allclose(
             solver.transpose(solver.transpose(a)).choi, a.choi, atol=1e-12
         )
+
+
+def _isotropic(d, p):
+    omega = qm.max_entangled(d).matrix
+    return qm.BipartiteState(d, (1.0 - p) * omega + p * np.eye(d * d) / d**2)
+
+
+@pytest.mark.parametrize(
+    "phi", [qm.max_entangled(2), qm.max_entangled(3), _isotropic(3, 0.2)],
+    ids=["canonical-d2", "canonical-d3", "isotropic-d3"],
+)
+def test_folded_transpose_is_the_coordinate_solve(phi, rng):
+    # the solver's operators on real views against the plain solve in
+    # Choi coordinates, x = pinv(l2) l1 coords(A)
+    d = phi.d
+    cb = faithful._choi_basis(d)
+    l1 = faithful.local_action_matrix(phi, slot=1)
+    l2 = faithful.local_action_matrix(phi, slot=2)
+    solve = np.linalg.pinv(l2, rcond=1e-12) @ l1
+    solver = gns.TransposeSolver(phi)
+    for _ in range(10):
+        t = qm.random_cp(d, rng)
+        want = from_coords(solve @ to_coords(t.choi, cb), cb)
+        got = solver.transpose(t).choi
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_transpose_requires_faithful():
@@ -246,3 +272,49 @@ def test_gns_space_rejects_unfaithful():
     mixed = core.State(core.quantum(2), np.eye(2) / 2)
     with pytest.raises(Exception):
         gns.gns_space(gns.TransposeSolver(qm.product_state(mixed, mixed)))
+
+
+def test_calibrated_maps_convert_no_coordinates(monkeypatch):
+    # transpose, gns_rep and transformation_coords act on real views of
+    # Choi matrices: a d=2 `all` run makes no coordinate conversion
+    # inside them, though it converts elsewhere (the local action
+    # matrices that the first transpose folds are built in coordinates)
+    import opcal
+
+    inside = [0]
+    calls = {"outside": 0, "inside": 0, "maps": 0}
+
+    def scope(fn, depth, count):
+        def wrapped(*args, **kwargs):
+            calls["maps"] += count
+            saved = inside[0]
+            inside[0] = depth(saved)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] = saved
+
+        return wrapped
+
+    def entering(fn):
+        return scope(fn, lambda depth: depth + 1, 1)
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls["inside" if inside[0] else "outside"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("to_coords", "from_coords"):
+        for module in vars(opcal).values():
+            if hasattr(module, name) and getattr(module, "__name__", "").startswith("opcal."):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    monkeypatch.setattr(gns.TransposeSolver, "transpose", entering(gns.TransposeSolver.transpose))
+    monkeypatch.setattr(gns, "gns_rep", entering(gns.gns_rep))
+    monkeypatch.setattr(gns, "transformation_coords", entering(gns.transformation_coords))
+    calibration = scope(gns.local_action_matrix, lambda depth: 0, 0)
+    monkeypatch.setattr(gns, "local_action_matrix", calibration)
+    assert cli.run_suite(cli.TheorySpec(d=2), "all").all_pass()
+    assert calls["inside"] == 0
+    assert calls["maps"] > 100 and calls["outside"] > 0

@@ -1,8 +1,10 @@
 """Reports of the standard configurations against reports generated by
 an earlier version of the toolkit (tests/golden/, written by
-`scripts/verify_all.py --seed 42`).  A faster or restructured
-implementation may move a value within its check's tolerance, but it
-must never change a status."""
+`scripts/verify_all.py --out tests/golden`: every configuration at
+seeds 1-3, plus older seed-42 reports of some).  A faster or
+restructured implementation may move a value within its check's
+tolerance, but it must never change a status, a detail or the class of
+an error."""
 
 import pathlib
 import sys
@@ -14,22 +16,67 @@ from opcal import cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "scripts"))
-from verify_all import CONFIGS  # noqa: E402
+from verify_all import CONFIGS, SEEDS  # noqa: E402
 
-SEED = 42
+
+def _error_class(check):
+    return check.error.split(":", 1)[0]
+
+
+def assert_matches_golden(report, golden):
+    """Statuses, details, tolerances and error classes exactly; values
+    within their check's tolerance (exactly for the integer-valued
+    table1.* rows, whose tolerance is 0)."""
+    assert [c.name for c in report.checks] == [c.name for c in golden.checks]
+    for got, want in zip(report.checks, golden.checks):
+        assert (got.status, got.detail, got.tolerance, _error_class(got)) == (
+            want.status,
+            want.detail,
+            want.tolerance,
+            _error_class(want),
+        ), got.name
+        assert got.values.keys() == want.values.keys(), got.name
+        for key, value in want.values.items():
+            if got.name.startswith("table1."):
+                assert got.values[key] == value, (got.name, key)
+            else:
+                assert abs(got.values[key] - value) <= want.tolerance, (got.name, key)
 
 
 @pytest.mark.parametrize("name, spec", CONFIGS, ids=[name for name, _ in CONFIGS])
 def test_matches_golden_report(name, spec):
-    golden = cli.parse_report((GOLDEN / f"{name}-seed{SEED}.report").read_text())
-    report = cli.run_suite(replace(spec, seed=SEED), "all")
-    assert [c.name for c in report.checks] == [c.name for c in golden.checks]
-    for got, want in zip(report.checks, golden.checks):
-        assert (got.status, got.detail, got.tolerance) == (
-            want.status,
-            want.detail,
-            want.tolerance,
-        ), got.name
-        assert got.values.keys() == want.values.keys(), got.name
-        for key, value in want.values.items():
-            assert abs(got.values[key] - value) <= want.tolerance, (got.name, key)
+    paths = sorted(GOLDEN.glob(f"{name}-seed*.report"))
+    assert {f"{name}-seed{seed}.report" for seed in SEEDS} <= {p.name for p in paths}
+    for path in paths:
+        golden = cli.parse_report(path.read_text())
+        report = cli.run_suite(replace(spec, seed=golden.seed), "all")
+        assert_matches_golden(report, golden)
+
+
+def _golden(name):
+    return cli.parse_report((GOLDEN / f"{name}.report").read_text())
+
+
+def test_comparison_is_strict_where_it_must_be():
+    golden = _golden("product-d2-seed1")
+    report = _golden("product-d2-seed1")
+    assert_matches_golden(report, golden)
+    error = next(c for c in report.checks if c.status == "error")
+    error.error = "LinAlgError: " + error.error.split(": ", 1)[1]
+    with pytest.raises(AssertionError):
+        assert_matches_golden(report, golden)
+
+    golden = _golden("quantum-d2-seed1")
+    report = _golden("quantum-d2-seed1")
+    row = next(c for c in report.checks if c.name == "table1.D2")
+    row.values["lhs"] += 2.0**-40
+    with pytest.raises(AssertionError):
+        assert_matches_golden(report, golden)
+
+    report = _golden("quantum-d2-seed1")
+    born = next(c for c in report.checks if c.name == "born.pair")
+    born.values["max_residual"] += 0.5 * born.tolerance
+    assert_matches_golden(report, golden)
+    born.values["max_residual"] += born.tolerance
+    with pytest.raises(AssertionError):
+        assert_matches_golden(report, golden)
