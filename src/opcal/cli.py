@@ -31,7 +31,9 @@ from .errors import (
     ZeroProbability,
 )
 
-SUITES = ("core", "norms", "infodim", "table1", "faithful", "gns", "born")
+BACKENDS = ("quantum", "classical")
+QUANTUM = ("quantum",)
+SCALAR_FIELDS = {"backend": str, "d": int, "seed": int, "tol": float}
 SAMPLES = 25  # per sampled check; the test suite runs the 100-sample versions
 # Largest accepted dimension: memory grows as d^8 (a d=5 `all` report
 # peaks near 210 MB; the Choi basis alone is 1.6 GB at d=10).
@@ -101,7 +103,7 @@ class TheorySpec:
 
 def validate_spec(spec):
     errors = []
-    if spec.backend not in ("quantum", "classical"):
+    if spec.backend not in BACKENDS:
         errors.append(f"backend must be quantum or classical, got {spec.backend!r}")
     if spec.d < 2:
         errors.append(f"d must be >= 2, got {spec.d}")
@@ -145,14 +147,8 @@ def load_theory(path):
     fields = {}
     for lineno, key, value in parse_kv(text):
         try:
-            if key == "backend":
-                fields["backend"] = value
-            elif key == "d":
-                fields["d"] = int(value)
-            elif key == "seed":
-                fields["seed"] = int(value)
-            elif key == "tol":
-                fields["tol"] = float(value)
+            if key in SCALAR_FIELDS:
+                fields[key] = SCALAR_FIELDS[key](value)
             elif key == "phi":
                 fields["phi_override"] = _parse_complex_matrix(value, lineno, key)
             else:
@@ -533,10 +529,8 @@ def _check_bell_ic(ctx, rng, tol):
 
 def _table_row(report, row):
     """(holds, values) of one row of a dimension table."""
-    for name, lhs, rhs, ok in report.rows:
-        if name == row:
-            return ok, {"lhs": float(lhs), "rhs": float(rhs)}
-    raise UnknownSuite(row)
+    lhs, rhs, ok = report.row(row)
+    return ok, {"lhs": float(lhs), "rhs": float(rhs)}
 
 
 def _table_check(row):
@@ -589,16 +583,16 @@ def _check_abs_gram(ctx, rng, tol):
     spec = ctx.spec
     low = float(np.linalg.eigvalsh(ctx.split.gram_abs)[0])
     if spec.phi_override is None:
-        ok = abs(low - 1.0 / spec.d) <= 1e-12
+        ok = abs(low - 1.0 / spec.d) <= tol
     else:
-        ok = low > 1e-12
+        ok = low > tol
     return ok, {"min_eig": low, "expected": 1.0 / spec.d}
 
 
 def _check_involution(ctx, rng, tol):
     s = ctx.split.sigma_matrix
     resid = float(np.max(np.abs(s @ s - np.eye(s.shape[0]))))
-    return resid <= 1e-12, {"square_residual": resid}
+    return resid <= tol, {"square_residual": resid}
 
 
 # -- gns
@@ -640,7 +634,7 @@ def _check_transpose_axioms(ctx, rng, tol):
         worst = max(worst, float(np.max(np.abs(lin))))
     ident = solver.transpose(core.identity(th)).choi - core.identity(th).choi
     worst = max(worst, float(np.max(np.abs(ident))))
-    return worst <= 1e-12, {"max_residual": worst}
+    return worst <= tol, {"max_residual": worst}
 
 
 def _check_kraus_transpose(ctx, rng, tol):
@@ -689,7 +683,7 @@ def _check_homomorphism(ctx, rng, tol):
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     ident = gns.gns_rep(space, core.identity(core.quantum(spec.d)))
     worst = max(worst, float(np.max(np.abs(ident - np.eye(space.dim)))))
-    return worst <= 1e-12, {"max_residual": worst}
+    return worst <= tol, {"max_residual": worst}
 
 
 def _check_adjoint_rep(ctx, rng, tol):
@@ -704,7 +698,7 @@ def _check_adjoint_rep(ctx, rng, tol):
         expected = np.linalg.solve(space.gram, rep.conj().T @ space.gram)
         got = gns.gns_rep(space, gns.adjoint_map(space.solver, a))
         worst = max(worst, float(np.max(np.abs(got - expected))))
-    return worst <= 1e-12, {"max_residual": worst}
+    return worst <= tol, {"max_residual": worst}
 
 
 def _check_cstar(ctx, rng, tol):
@@ -770,111 +764,69 @@ def _check_no_signaling(ctx, rng, tol):
 
 
 # ---------------------------------------------------------------------------
-# suite registry
+# check registry
 
-_TABLE_DETAIL = {
-    "D2": "effect-space dimension equals affine state dimension plus one",
-    "D3": "affine dimension of a composite from the parts",
-    "D4": "affine dimension from the doubled informational dimension",
-    "D34": "doubled-system affine dimension from its informational dimension",
-    "D34'": "affine dimension equals squared informational dimension minus one",
-    "tensor": "informational dimension is multiplicative under composition",
-    "T": "transformation affine dimension from the doubled system",
-    "P": "effect-space dimension equals squared informational dimension",
-}
-
-
-def _suite_checks(spec, suite):
-    quantum_only = spec.backend == "quantum"
-    tol = spec.tol
-    if suite == "core":
-        return [
-            ("core.conditioning", "Bayes conditioning on a projector branch", tol, _check_conditioning),
-            ("core.equivalence", "deterministic rotation shares effects with identity but not dynamics", tol, _check_equivalence),
-            ("core.completeness", "experiment branch probabilities sum to one", tol, _check_completeness),
-            ("core.zero_probability", "conditioning on an impossible outcome is rejected", tol, _check_zero_probability),
-        ]
-    if suite == "norms":
-        return [
-            ("norms.effect_bound", "probabilities are bounded by the effect norm", tol, _check_effect_norm),
-            ("norms.weight_bound", "weights of physical branches stay in the unit ball", tol, _check_weight_norm),
-            ("norms.submultiplicative", "transformation norm is submultiplicative", tol, _check_submultiplicative),
-            ("norms.contraction", "physical transformations are contractions", tol, _check_contraction),
-            ("norms.coexistence", "coexistence is contraction of the sum", tol, _check_coexistence),
-        ]
-    if suite == "infodim":
-        return [
-            ("infodim.minimal_ic", "a minimal informationally complete observable exists", tol, _check_minimal_ic),
-            ("infodim.expand", "effects expand over an informationally complete observable", tol, _check_ic_expand),
-            ("infodim.idim", "maximal perfectly discriminable set has the expected size", tol, _check_idim),
-            ("infodim.local_observability", "products of local observables span the joint effects", tol, _check_local_observability),
-            ("infodim.bell_ic", "a joint discriminating observable induces a minimal IC one", tol, _check_bell_ic),
-        ]
-    if suite == "table1":
-        checks = [
-            (f"table1.{row}", _TABLE_DETAIL[row], 0.0, _table_check(row))
-            for row in ("D2", "D3", "D4", "D34", "D34'", "tensor", "T", "P")
-        ]
-        if quantum_only:
-            checks.append(
-                (
-                    "table1.classical_violation",
-                    "the diagonal restriction violates the squared-dimension identity",
-                    0.0,
-                    _check_classical_violation,
-                )
-            )
-        return checks
-    if suite == "faithful":
-        if not quantum_only:
-            return []
-        return [
-            ("faithful.symmetric", "joint state is invariant under swapping the parts", tol, _check_symmetric),
-            ("faithful.dynamical", "local action determines the transformation uniquely", tol, _check_dynamical),
-            ("faithful.preparational", "every state is reachable by a local witness", tol, _check_preparational),
-            ("faithful.signature", "bilinear form has the expected sign signature", tol, _check_signature),
-            ("faithful.abs_gram", "absolute form is strictly positive with the expected floor", 1e-12, _check_abs_gram),
-            ("faithful.involution", "the sign-flip involution squares to the identity", 1e-12, _check_involution),
-        ]
-    if suite == "gns":
-        if not quantum_only:
-            return []
-        return [
-            ("gns.transpose_residual", "local action of a map equals its transpose on the other part", 1e-10, _check_transpose_residual),
-            ("gns.transpose_axioms", "transposition is linear, reverses composition, and squares to one", 1e-12, _check_transpose_axioms),
-            ("gns.kraus_transpose", "transposition acts entrywise on Kraus operators", 1e-10, _check_kraus_transpose),
-            ("gns.adjoint_pairing", "the adjoint moves across the scalar product", tol, _check_adjoint_pairing),
-            ("gns.homomorphism", "the representation preserves composition and the identity", 1e-12, _check_homomorphism),
-            ("gns.adjoint_rep", "the adjoint map is represented by the matrix adjoint", 1e-12, _check_adjoint_rep),
-            ("gns.cstar", "norm of the adjoint composite equals the squared norm", tol, _check_cstar),
-        ]
-    if suite == "born":
-        if not quantum_only:
-            return []
-        return [
-            ("born.pair", "scalar-product pairing reproduces all probabilities", tol, _check_born_pair),
-            ("born.triple", "three-term form reproduces transformed probabilities", tol, _check_born_triple),
-            ("born.no_signaling", "deterministic far experiments leave the local state fixed", tol, _check_no_signaling),
-        ]
-    raise UnknownSuite(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
+# One row per check: (name, detail, tolerance, backends, fn).  The suite
+# is the name's prefix, run order is table order, and a tolerance of
+# None means the spec's tol.
+CHECKS = (
+    ("core.conditioning", "Bayes conditioning on a projector branch", None, BACKENDS, _check_conditioning),
+    ("core.equivalence", "deterministic rotation shares effects with identity but not dynamics", None, BACKENDS, _check_equivalence),
+    ("core.completeness", "experiment branch probabilities sum to one", None, BACKENDS, _check_completeness),
+    ("core.zero_probability", "conditioning on an impossible outcome is rejected", None, BACKENDS, _check_zero_probability),
+    ("norms.effect_bound", "probabilities are bounded by the effect norm", None, BACKENDS, _check_effect_norm),
+    ("norms.weight_bound", "weights of physical branches stay in the unit ball", None, BACKENDS, _check_weight_norm),
+    ("norms.submultiplicative", "transformation norm is submultiplicative", None, BACKENDS, _check_submultiplicative),
+    ("norms.contraction", "physical transformations are contractions", None, BACKENDS, _check_contraction),
+    ("norms.coexistence", "coexistence is contraction of the sum", None, BACKENDS, _check_coexistence),
+    ("infodim.minimal_ic", "a minimal informationally complete observable exists", None, BACKENDS, _check_minimal_ic),
+    ("infodim.expand", "effects expand over an informationally complete observable", None, BACKENDS, _check_ic_expand),
+    ("infodim.idim", "maximal perfectly discriminable set has the expected size", None, BACKENDS, _check_idim),
+    ("infodim.local_observability", "products of local observables span the joint effects", None, BACKENDS, _check_local_observability),
+    ("infodim.bell_ic", "a joint discriminating observable induces a minimal IC one", None, BACKENDS, _check_bell_ic),
+    ("table1.D2", "effect-space dimension equals affine state dimension plus one", 0.0, BACKENDS, _table_check("D2")),
+    ("table1.D3", "affine dimension of a composite from the parts", 0.0, BACKENDS, _table_check("D3")),
+    ("table1.D4", "affine dimension from the doubled informational dimension", 0.0, BACKENDS, _table_check("D4")),
+    ("table1.D34", "doubled-system affine dimension from its informational dimension", 0.0, BACKENDS, _table_check("D34")),
+    ("table1.D34'", "affine dimension equals squared informational dimension minus one", 0.0, BACKENDS, _table_check("D34'")),
+    ("table1.tensor", "informational dimension is multiplicative under composition", 0.0, BACKENDS, _table_check("tensor")),
+    ("table1.T", "transformation affine dimension from the doubled system", 0.0, BACKENDS, _table_check("T")),
+    ("table1.P", "effect-space dimension equals squared informational dimension", 0.0, BACKENDS, _table_check("P")),
+    ("table1.classical_violation", "the diagonal restriction violates the squared-dimension identity", 0.0, QUANTUM, _check_classical_violation),
+    ("faithful.symmetric", "joint state is invariant under swapping the parts", None, QUANTUM, _check_symmetric),
+    ("faithful.dynamical", "local action determines the transformation uniquely", None, QUANTUM, _check_dynamical),
+    ("faithful.preparational", "every state is reachable by a local witness", None, QUANTUM, _check_preparational),
+    ("faithful.signature", "bilinear form has the expected sign signature", None, QUANTUM, _check_signature),
+    ("faithful.abs_gram", "absolute form is strictly positive with the expected floor", 1e-12, QUANTUM, _check_abs_gram),
+    ("faithful.involution", "the sign-flip involution squares to the identity", 1e-12, QUANTUM, _check_involution),
+    ("gns.transpose_residual", "local action of a map equals its transpose on the other part", 1e-10, QUANTUM, _check_transpose_residual),
+    ("gns.transpose_axioms", "transposition is linear, reverses composition, and squares to one", 1e-12, QUANTUM, _check_transpose_axioms),
+    ("gns.kraus_transpose", "transposition acts entrywise on Kraus operators", 1e-10, QUANTUM, _check_kraus_transpose),
+    ("gns.adjoint_pairing", "the adjoint moves across the scalar product", None, QUANTUM, _check_adjoint_pairing),
+    ("gns.homomorphism", "the representation preserves composition and the identity", 1e-12, QUANTUM, _check_homomorphism),
+    ("gns.adjoint_rep", "the adjoint map is represented by the matrix adjoint", 1e-12, QUANTUM, _check_adjoint_rep),
+    ("gns.cstar", "norm of the adjoint composite equals the squared norm", None, QUANTUM, _check_cstar),
+    ("born.pair", "scalar-product pairing reproduces all probabilities", None, QUANTUM, _check_born_pair),
+    ("born.triple", "three-term form reproduces transformed probabilities", None, QUANTUM, _check_born_triple),
+    ("born.no_signaling", "deterministic far experiments leave the local state fixed", None, QUANTUM, _check_no_signaling),
+)
+SUITES = tuple(dict.fromkeys(name.split(".")[0] for name, *_ in CHECKS))
 
 
 def run_suite(spec, suite):
-    """Execute every check of the named suite (or of all suites) in a
-    fixed order; deterministic for a fixed (spec, seed, version)."""
-    if suite == "all":
-        names = SUITES
-    elif suite in SUITES:
-        names = (suite,)
-    else:
+    """Execute every check of the named suite (or of all suites) that
+    applies to the spec's backend, in table order; deterministic for a
+    fixed (spec, seed, version)."""
+    if suite != "all" and suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
     report = Report(
         suite=suite, backend=spec.backend, d=spec.d, seed=spec.seed, version=__version__
     )
     ctx = RunContext(spec)
-    for name in names:
-        for check_name, detail, tolerance, fn in _suite_checks(spec, name):
-            report.checks.append(_run_check(ctx, check_name, detail, tolerance, fn))
+    for name, detail, tolerance, backends, fn in CHECKS:
+        if suite in ("all", name.split(".")[0]) and spec.backend in backends:
+            tolerance = spec.tol if tolerance is None else tolerance
+            report.checks.append(_run_check(ctx, name, detail, tolerance, fn))
     return report
 
 
@@ -891,7 +843,7 @@ def build_parser():
     parser.add_argument("--suite", default="all", help="suite name or 'all'")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    parser.add_argument("--backend", default=None, choices=["quantum", "classical"])
+    parser.add_argument("--backend", default=None, choices=BACKENDS)
     parser.add_argument("--d", type=int, default=None, help="dimension override")
     parser.add_argument(
         "--format", default="text", choices=["text", "structured"], dest="fmt"
@@ -910,15 +862,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         spec = load_theory(args.theory) if args.theory else TheorySpec()
-        overrides = {}
-        if args.backend is not None:
-            overrides["backend"] = args.backend
-        if args.d is not None:
-            overrides["d"] = args.d
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.tol is not None:
-            overrides["tol"] = args.tol
+        overrides = {
+            key: getattr(args, key) for key in SCALAR_FIELDS if getattr(args, key) is not None
+        }
         if overrides:
             spec = validate_spec(replace(spec, **overrides))
         start = time.monotonic()

@@ -159,6 +159,12 @@ class SpectralSplit:
     def sigma_matrix(self):
         return self.p_plus - self.p_minus
 
+    def flip(self, m):
+        """The sign flip of the negative principal axes, applied to the
+        canonical-basis coordinates of the matrix m."""
+        basis = hermitian_basis(self.d)
+        return from_coords(self.sigma_matrix @ to_coords(m, basis), basis)
+
 
 def spectral_split(phi):
     """Diagonalize the Gram matrix of the bilinear form; eigenvalues at
@@ -203,8 +209,7 @@ def sigma(split, e, tol=1e-9):
     """Involution on effects: sign flip of the negative principal axes
     (matrix transposition for the maximally entangled split).  Raises
     if a physical input is mapped outside the physical cone."""
-    basis = hermitian_basis(split.d)
-    out = from_coords(split.sigma_matrix @ to_coords(e.matrix, basis), basis)
+    out = split.flip(e.matrix)
     result = Effect(e.theory, out, e.generalized)
     if not e.generalized and e.is_physical(tol) and not result.is_physical(tol):
         raise ConeViolation("involution left the physical effect cone")
@@ -213,8 +218,7 @@ def sigma(split, e, tol=1e-9):
 
 def state_sigma(split, omega, tol=1e-9):
     """Involution on states, omega^sigma(A) = omega(sigma(A))."""
-    basis = hermitian_basis(split.d)
-    out = from_coords(split.sigma_matrix @ to_coords(omega.matrix, basis), basis)
+    out = split.flip(omega.matrix)
     if ch.min_eig(out) < -tol:
         raise ConeViolation("involution left the state cone")
     return State(omega.theory, out / np.real(np.trace(out)))

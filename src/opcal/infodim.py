@@ -303,11 +303,12 @@ class DimReport:
     adm_t: int
     rows: list = field(default_factory=list)
 
+    def row(self, name):
+        """(lhs, rhs, holds) of the named identity; KeyError if absent."""
+        return {row[0]: row[1:] for row in self.rows}[name]
+
     def passes(self, name):
-        for row_name, lhs, rhs, ok in self.rows:
-            if row_name == name:
-                return ok
-        raise KeyError(name)
+        return self.row(name)[2]
 
     def all_pass(self):
         return all(ok for _, _, _, ok in self.rows)

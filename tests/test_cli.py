@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,6 +127,48 @@ def test_run_suite_product_override_fails_faithful():
     assert report.all_pass(
         expect_fail=tuple(c.name for c in report.checks if c.status != "pass")
     )
+
+
+def test_check_names_are_unique():
+    names = [name for name, *_ in cli.CHECKS]
+    assert len(names) == len(set(names))
+
+
+def test_every_check_function_is_registered_once():
+    fns = [getattr(cli, n) for n in dir(cli) if n.startswith("_check_")]
+    assert fns
+    for fn in fns:
+        assert sum(row[4] is fn for row in cli.CHECKS) == 1, fn.__name__
+
+
+def test_suites_follow_the_table():
+    assert cli.SUITES == (
+        "core", "norms", "infodim", "table1", "faithful", "gns", "born"
+    )
+
+
+@pytest.mark.parametrize("backend, count", [("quantum", 39), ("classical", 22)])
+def test_all_report_size(backend, count):
+    assert len(cli.run_suite(cli.TheorySpec(backend=backend, d=2), "all").checks) == count
+
+
+def _isotropic_d2():
+    phi = 0.4 * qm.max_entangled(2).matrix + 0.6 * np.eye(4) / 4
+    return cli.validate_spec(cli.TheorySpec(d=2, phi_override=phi))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [cli.TheorySpec(d=2), _isotropic_d2(), cli.TheorySpec(backend="classical", d=3)],
+    ids=["quantum-d2", "isotropic-d2-p0.6", "classical-d3"],
+)
+def test_single_suite_is_its_slice_of_all(spec):
+    full = cli.run_suite(replace(spec, seed=3), "all")
+    for suite in cli.SUITES:
+        alone = cli.run_suite(replace(spec, seed=3), suite)
+        part = [c for c in full.checks if c.name.split(".")[0] == suite]
+        want = replace(full, suite=suite, checks=part)
+        assert cli.emit_report(alone, "structured") == cli.emit_report(want, "structured")
 
 
 def test_empty_suite_for_classical():
@@ -347,7 +390,11 @@ def test_crashing_check_is_an_error_not_an_abort(monkeypatch):
     def crash(ctx, rng, tol):
         raise np.linalg.LinAlgError("SVD did not converge #3\n in pinv")
 
-    monkeypatch.setattr(cli, "_check_dynamical", crash)
+    checks = tuple(
+        row[:4] + (crash,) if row[0] == "faithful.dynamical" else row
+        for row in cli.CHECKS
+    )
+    monkeypatch.setattr(cli, "CHECKS", checks)
     report = cli.run_suite(cli.TheorySpec(d=2, seed=5), "faithful")
     status = {c.name: c.status for c in report.checks}
     assert status.pop("faithful.dynamical") == "error"
