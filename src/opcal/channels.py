@@ -30,15 +30,6 @@ def kraus_to_choi_matrix(kraus):
     return c
 
 
-def kraus_to_super(kraus):
-    ks = [np.asarray(k, dtype=complex) for k in kraus]
-    d = ks[0].shape[0]
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for k in ks:
-        s += np.kron(k, k.conj())
-    return s
-
-
 def _reindex(m, perm):
     """Permute the four d-indices of a d^2 x d^2 matrix, or of each
     matrix in a stack (..., d^2, d^2)."""
@@ -58,24 +49,30 @@ def super_to_choi(sup):
 
 
 def apply_super(sup, matrix):
-    d = matrix.shape[0]
-    return (sup @ vec(matrix)).reshape(d, d)
+    """S applied to a d x d matrix; a stack of superoperators and a
+    stack of matrices (broadcasting leading axes) give a stack."""
+    *lead, d, _ = matrix.shape
+    return (sup @ matrix.reshape(*lead, d * d, 1)).reshape(*lead, d, d)
 
 
 def dual_super(sup):
-    """Heisenberg dual: Tr[E T(X)] = Tr[T^*(E) X] for Hermitian E, X."""
-    return sup.conj().T
+    """Heisenberg dual: Tr[E T(X)] = Tr[T^*(E) X] for Hermitian E, X
+    (of each superoperator of a stack)."""
+    return sup.conj().swapaxes(-1, -2)
 
 
 def effect_of_choi(choi):
-    """T^*(I) = sum K^dag K, the dual of the unit effect.
+    """T^*(I) = sum K^dag K, the dual of the unit effect (of each map of
+    a stack of Choi matrices).
 
     The raw output-trace of C is the transpose (input indices label the
     bra side), so it is transposed back: Tr[effect_of_choi(C) @ rho]
     equals the trace of the map applied to rho.
     """
-    d = round(np.sqrt(choi.shape[0]))
-    return np.trace(choi.reshape(d, d, d, d), axis1=1, axis2=3).T
+    *lead, n, _ = choi.shape
+    d = math.isqrt(n)
+    raw = choi.reshape(*lead, d, d, d, d).trace(axis1=-3, axis2=-1)
+    return raw.swapaxes(-1, -2)
 
 
 def identity_choi(d):
@@ -141,7 +138,8 @@ def trace_distance(a, b):
 
 
 def herm_sqrt(m):
-    """Square root of a PSD Hermitian matrix (eigenvalues clipped at 0)."""
+    """Square root of a PSD Hermitian matrix, or of each of a stack
+    (eigenvalues clipped at 0)."""
     w, v = np.linalg.eigh(np.asarray(m))
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)

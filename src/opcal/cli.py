@@ -35,8 +35,9 @@ BACKENDS = ("quantum", "classical")
 QUANTUM = ("quantum",)
 SCALAR_FIELDS = {"backend": str, "d": int, "seed": int, "tol": float}
 SAMPLES = 25  # per sampled check; the test suite runs the 100-sample versions
-# Largest accepted dimension: memory grows as d^8 (a d=5 `all` report
-# peaks near 210 MB; the Choi basis alone is 1.6 GB at d=10).
+# Largest accepted dimension: memory grows as d^8 (a process running two
+# d=5 `all` reports with one BLAS thread peaks at 78.7 MB resident, on
+# numpy 2.4; the Choi basis alone is 1.6 GB at d=10).
 MAX_D = 5
 
 
@@ -370,6 +371,15 @@ def _sample_effect(spec, rng):
     return qm.random_effect(spec.d, rng)
 
 
+def _draw(ctx, rng, n, *samplers):
+    """n samples, each drawn by calling every sampler (as sampler(d,
+    rng)) in the given order, returned as one stack per sampler.  The
+    checks draw from one rng, so this order fixes the samples; the maps
+    are then applied once to each stack."""
+    draws = [[sampler(ctx.spec.d, rng) for sampler in samplers] for _ in range(n)]
+    return [core.stack(column) for column in zip(*draws)]
+
+
 # -- core
 
 
@@ -599,41 +609,30 @@ def _check_involution(ctx, rng, tol):
 
 
 def _check_transpose_residual(ctx, rng, tol):
-    spec = ctx.spec
-    phi, solver = ctx.phi, ctx.solver
-    worst = 0.0
-    for _ in range(SAMPLES):
-        t = qm.random_cp(spec.d, rng)
-        tp = solver.transpose(t)
-        lhs = qm.apply_local(phi, t, 1).matrix
-        rhs = qm.apply_local(phi, tp, 2).matrix
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    (t,) = _draw(ctx, rng, SAMPLES, qm.random_cp)
+    lhs = qm.apply_local(ctx.phi, t, 1).matrix
+    rhs = qm.apply_local(ctx.phi, ctx.solver.transpose(t), 2).matrix
+    worst = float(np.max(np.abs(lhs - rhs)))
     return worst <= tol, {"max_residual": worst}
 
 
 def _check_transpose_axioms(ctx, rng, tol):
-    spec = ctx.spec
-    phi, solver = ctx.phi, ctx.solver
-    worst = 0.0
-    th = core.quantum(spec.d)
-    for _ in range(5):
-        a = qm.random_cp(spec.d, rng)
-        b = qm.random_cp(spec.d, rng)
+    solver = ctx.solver
+    th = core.quantum(ctx.spec.d)
+    a, b = _draw(ctx, rng, 5, qm.random_cp, qm.random_cp)
+    s = core.Transformation(th, a.choi + 0.25 * b.choi, generalized=True)
+    ba, ta, tb, ts = core.unstack(solver.transpose(core.stack([core.compose(b, a), a, b, s])))
+    ident = core.identity(th)
+    residuals = (
         # (b after a)' = a' after b'
-        lhs = solver.transpose(core.compose(b, a)).choi
-        rhs = core.compose(solver.transpose(a), solver.transpose(b)).choi
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        ba.choi - core.compose(ta, tb).choi,
         # involution: a'' = a
-        back = solver.transpose(solver.transpose(a)).choi
-        worst = max(worst, float(np.max(np.abs(back - a.choi))))
+        solver.transpose(ta).choi - a.choi,
         # linearity
-        s = core.Transformation(th, a.choi + 0.25 * b.choi, generalized=True)
-        lin = solver.transpose(s).choi - (
-            solver.transpose(a).choi + 0.25 * solver.transpose(b).choi
-        )
-        worst = max(worst, float(np.max(np.abs(lin))))
-    ident = solver.transpose(core.identity(th)).choi - core.identity(th).choi
-    worst = max(worst, float(np.max(np.abs(ident))))
+        ts.choi - (ta.choi + 0.25 * tb.choi),
+        solver.transpose(ident).choi - ident.choi,
+    )
+    worst = max(float(np.max(np.abs(r))) for r in residuals)
     return worst <= tol, {"max_residual": worst}
 
 
@@ -641,74 +640,63 @@ def _check_kraus_transpose(ctx, rng, tol):
     spec = ctx.spec
     if spec.phi_override is not None:
         return True, {}  # closed form is specific to the canonical state
-    solver = ctx.solver
     th = core.quantum(spec.d)
-    worst = 0.0
+    ks = []
     for _ in range(5):
         k = rng.standard_normal((spec.d, spec.d)) + 1j * rng.standard_normal(
             (spec.d, spec.d)
         )
-        k /= np.linalg.norm(k, 2) * 1.1
-        t = qm.kraus_to_choi(th, [k])
-        expected = qm.kraus_to_choi(th, [k.T])
-        got = solver.transpose(t)
-        worst = max(worst, float(np.max(np.abs(got.choi - expected.choi))))
+        ks.append(k / (np.linalg.norm(k, 2) * 1.1))
+    got = ctx.solver.transpose(core.stack([qm.kraus_to_choi(th, [k]) for k in ks]))
+    expected = np.array([qm.kraus_to_choi(th, [k.T]).choi for k in ks])
+    worst = float(np.max(np.abs(got.choi - expected)))
     return worst <= tol, {"max_residual": worst}
 
 
 def _check_adjoint_pairing(ctx, rng, tol):
-    spec = ctx.spec
     solver = ctx.space.solver
-    worst = 0.0
-    for _ in range(SAMPLES):
-        a = qm.random_cp(spec.d, rng)
-        b = gns.jordan_lift(qm.random_generalized_effect(spec.d, rng))
-        c = gns.jordan_lift(qm.random_generalized_effect(spec.d, rng))
-        lhs = gns._inner_tt(solver, b, core.compose(a, c))
-        adj = gns.adjoint_map(solver, a)
-        rhs = gns._inner_tt(solver, core.compose(adj, b), c)
-        worst = max(worst, abs(lhs - rhs))
+    a, b, c = _draw(
+        ctx, rng, SAMPLES, qm.random_cp, qm.random_generalized_effect, qm.random_generalized_effect
+    )
+    b, c = gns.jordan_lift(b), gns.jordan_lift(c)
+    adj = gns.adjoint_map(solver, a)
+    # <b | a after c> against <adj after b | c>, as one stack of pairs
+    lhs, rhs = gns._inner_tt(
+        solver,
+        core.stack([b, core.compose(adj, b)]),
+        core.stack([core.compose(a, c), c]),
+    )
+    worst = float(np.max(np.abs(lhs - rhs)))
     return worst <= tol, {"max_residual": worst}
 
 
 def _check_homomorphism(ctx, rng, tol):
-    spec = ctx.spec
     space = ctx.space
-    worst = 0.0
-    for _ in range(5):
-        a = qm.random_cp(spec.d, rng)
-        b = qm.random_cp(spec.d, rng)
-        lhs = gns.gns_rep(space, core.compose(a, b))
-        rhs = gns.gns_rep(space, a) @ gns.gns_rep(space, b)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    ident = gns.gns_rep(space, core.identity(core.quantum(spec.d)))
-    worst = max(worst, float(np.max(np.abs(ident - np.eye(space.dim)))))
+    a, b = _draw(ctx, rng, 5, qm.random_cp, qm.random_cp)
+    ident = core.identity(core.quantum(ctx.spec.d))
+    rep_ab, rep_a, rep_b = gns.gns_rep(space, core.stack([core.compose(a, b), a, b]))
+    worst = max(
+        float(np.max(np.abs(rep_ab - rep_a @ rep_b))),
+        float(np.max(np.abs(gns.gns_rep(space, ident) - np.eye(space.dim)))),
+    )
     return worst <= tol, {"max_residual": worst}
 
 
 def _check_adjoint_rep(ctx, rng, tol):
-    spec = ctx.spec
     space = ctx.space
-    worst = 0.0
-    for _ in range(5):
-        a = qm.random_cp(spec.d, rng)
-        rep = gns.gns_rep(space, a)
-        # Gram-adjoint; equals the conjugate transpose when the Gram
-        # matrix is proportional to the identity
-        expected = np.linalg.solve(space.gram, rep.conj().T @ space.gram)
-        got = gns.gns_rep(space, gns.adjoint_map(space.solver, a))
-        worst = max(worst, float(np.max(np.abs(got - expected))))
+    (a,) = _draw(ctx, rng, 5, qm.random_cp)
+    rep, got = gns.gns_rep(space, core.stack([a, gns.adjoint_map(space.solver, a)]))
+    # Gram-adjoint; equals the conjugate transpose when the Gram
+    # matrix is proportional to the identity
+    expected = np.linalg.solve(space.gram, np.swapaxes(rep.conj(), -1, -2) @ space.gram)
+    worst = float(np.max(np.abs(got - expected)))
     return worst <= tol, {"max_residual": worst}
 
 
 def _check_cstar(ctx, rng, tol):
-    spec = ctx.spec
-    space = ctx.space
-    worst = 0.0
-    for _ in range(SAMPLES):
-        a = qm.random_cp(spec.d, rng)
-        lhs, rhs = gns.cstar_check(space, a)
-        worst = max(worst, abs(lhs - rhs))
+    (a,) = _draw(ctx, rng, SAMPLES, qm.random_cp)
+    lhs, rhs = gns.cstar_check(ctx.space, a)
+    worst = float(np.max(np.abs(lhs - rhs)))
     return worst <= tol, {"max_residual": worst}
 
 
@@ -718,28 +706,23 @@ def _check_cstar(ctx, rng, tol):
 def _check_born_pair(ctx, rng, tol):
     spec = ctx.spec
     space = ctx.space
-    states = core.spanning_states(core.quantum(spec.d))
-    effects = infodim.minimal_ic_povm(spec.d).effects
-    vec_w = np.array([gns.state_rep(space, w) for w in states])
-    vec_e = np.array([gns.effect_rep(space, e) for e in effects])
-    # the pairing of gns.born_pair, for every (effect, state) at once
+    states = core.stack(core.spanning_states(core.quantum(spec.d)))
+    effects = core.stack(infodim.minimal_ic_povm(spec.d).effects)
+    vec_w = gns.state_rep(space, states)
+    vec_e = gns.effect_rep(space, effects)
+    # the pairing of gns.born_pair and core.pair, for every (effect,
+    # state) at once
     born = np.real(vec_e.conj() @ space.gram @ vec_w.T)
-    want = np.array([[core.pair(w, e) for w in states] for e in effects])
+    want = core.pair(states, replace(effects, matrix=effects.matrix[:, None]))
     worst = float(np.max(np.abs(born - want)))
     return worst <= tol, {"max_residual": worst}
 
 
 def _check_born_triple(ctx, rng, tol):
-    spec = ctx.spec
-    space = ctx.space
-    worst = 0.0
-    for _ in range(SAMPLES):
-        w = qm.random_state(spec.d, rng)
-        b = qm.random_effect(spec.d, rng)
-        t = qm.random_cp(spec.d, rng)
-        lhs = gns.born_triple(space, w, b, t)
-        rhs = core.pair(w, core.evolve_effect(b, t))
-        worst = max(worst, abs(lhs - rhs))
+    w, b, t = _draw(ctx, rng, SAMPLES, qm.random_state, qm.random_effect, qm.random_cp)
+    lhs = gns.born_triple(ctx.space, w, b, t)
+    rhs = core.pair(w, core.evolve_effect(b, t))
+    worst = float(np.max(np.abs(lhs - rhs)))
     return worst <= tol, {"max_residual": worst}
 
 

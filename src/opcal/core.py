@@ -6,9 +6,13 @@ space of generalized effects.  States are normalized nonnegative
 functionals on effects, transformations act on states by Bayes
 conditioning, and three supremum norms (effect, weight, transformation)
 give the spaces their Banach structure.
+
+A stack of objects of one kind (`stack`) is one object whose matrix
+carries leading axes; pairing, totals, composition, effects and the
+Heisenberg action act on it elementwise, as the gns maps do.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice
 
@@ -99,8 +103,8 @@ class Weight:
 
     @property
     def total(self):
-        """Pairing with the unit effect."""
-        return float(np.real(np.trace(self.matrix)))
+        """Pairing with the unit effect (one per weight of a stack)."""
+        return self.matrix.trace(axis1=-2, axis2=-1).real
 
     @property
     def coords(self):
@@ -119,7 +123,7 @@ class State(Weight):
 
     def __post_init__(self):
         super().__post_init__()
-        if abs(np.trace(self.matrix) - 1.0) > 1e-9:
+        if (np.abs(self.matrix.trace(axis1=-2, axis2=-1) - 1.0) > 1e-9).any():
             raise ValueError("state must have unit total weight")
 
 
@@ -219,11 +223,12 @@ class Observable:
 
 def pair(state, effect):
     """Probability of the effect in the given state (unclamped for
-    generalized inputs)."""
+    generalized inputs); stacks broadcast against each other."""
     _check_same(state, effect)
-    p = float(np.real(np.trace(state.matrix @ effect.matrix)))
+    p = (state.matrix @ effect.matrix).trace(axis1=-2, axis2=-1).real
     if not (state.generalized or effect.generalized):
-        p = min(max(p, 0.0), 1.0) if -PROB_TOL <= p <= 1.0 + PROB_TOL else p
+        near = (p >= -PROB_TOL) & (p <= 1.0 + PROB_TOL)
+        p = np.where(near, np.minimum(np.maximum(p, 0.0), 1.0), p)[()]
     return p
 
 
@@ -257,6 +262,25 @@ def compose(a, b):
     _check_same(a, b)
     s = a.super @ b.super
     return Transformation(a.theory, ch.super_to_choi(s), a.generalized or b.generalized)
+
+
+def stack(items):
+    """Objects of one kind and theory (states, weights, effects or
+    transformations, single or stacked alike) as one object of that kind
+    whose matrix has a new leading axis over the items, in order."""
+    first = items[0]
+    key = "choi" if isinstance(first, Transformation) else "matrix"
+    return replace(
+        first,
+        **{key: np.array([getattr(x, key) for x in items])},
+        generalized=any(x.generalized for x in items),
+    )
+
+
+def unstack(stacked):
+    """The objects along the first leading axis of a stack."""
+    key = "choi" if isinstance(stacked, Transformation) else "matrix"
+    return tuple(replace(stacked, **{key: m}) for m in getattr(stacked, key))
 
 
 def scale(lam, a):

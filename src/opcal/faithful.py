@@ -15,7 +15,7 @@ import numpy as np
 
 from . import channels as ch
 from .basis import from_coords, hermitian_basis, matrix_rank, to_coords
-from .core import Effect, State, Transformation, quantum
+from .core import Effect, Transformation, quantum
 from .errors import ConeViolation, DegenerateSplit, NotFaithful
 from .quantum import BipartiteState, apply_local, kraus_to_choi, max_entangled
 
@@ -27,12 +27,6 @@ def is_symmetric(phi):
     to 1e-12 in every entry."""
     s = ch.swap_matrix(phi.d)
     return bool(np.max(np.abs(s @ phi.matrix @ s - phi.matrix)) <= 1e-12)
-
-
-def bilinear_form(phi, a, b):
-    """Joint pairing Phi(A, B) with effect A on slot 1 and B on slot 2."""
-    m = np.kron(a.matrix, b.matrix)
-    return float(np.real(np.trace(phi.matrix @ m)))
 
 
 @lru_cache(maxsize=8)
@@ -198,13 +192,6 @@ def spectral_split(phi):
     )
 
 
-def abs_form(split, a, b):
-    """|Phi|(A, B), the strictly positive scalar product on effects."""
-    ca = to_coords(a.matrix, hermitian_basis(split.d))
-    cb = to_coords(b.matrix, hermitian_basis(split.d))
-    return float(ca @ split.gram_abs @ cb)
-
-
 def sigma(split, e, tol=1e-9):
     """Involution on effects: sign flip of the negative principal axes
     (matrix transposition for the maximally entangled split).  Raises
@@ -214,14 +201,6 @@ def sigma(split, e, tol=1e-9):
     if not e.generalized and e.is_physical(tol) and not result.is_physical(tol):
         raise ConeViolation("involution left the physical effect cone")
     return result
-
-
-def state_sigma(split, omega, tol=1e-9):
-    """Involution on states, omega^sigma(A) = omega(sigma(A))."""
-    out = split.flip(omega.matrix)
-    if ch.min_eig(out) < -tol:
-        raise ConeViolation("involution left the state cone")
-    return State(omega.theory, out / np.real(np.trace(out)))
 
 
 def conjugate_transformation(t):

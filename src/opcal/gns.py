@@ -7,6 +7,10 @@ the faithful state; the adjoint composes it with the involution.  The
 scalar product between generalized effects turns the effect space into
 a complex Hilbert space on which left composition acts as a matrix
 algebra satisfying the C*-identity.
+
+Every map here also takes a stack of transformations, effects or states
+(`core.stack`: the matrices carry leading axes) and acts on each
+element, so a sampled check applies each map once to all its samples.
 """
 
 from dataclasses import dataclass
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import channels as ch
 from .basis import hermitian_basis, real_view, to_coords
-from .core import Effect, Transformation, compose, pair, quantum
+from .core import Effect, State, Transformation, compose, pair, quantum, stack
 from .errors import NotFaithful
 from .faithful import (
     _choi_basis,
@@ -45,9 +49,10 @@ class TransposeSolver:
     the solver folds the whole solve into one operator on real views,
     forward = pinv(l2) l1 V, and the residual into check = Q.T l1 V, Q
     an orthonormal basis of the complement of the range of l2 (empty
-    for a faithful state).  A transpose is then forward @ real_view(A),
-    mapped back to a real view by V.T, with no coordinate conversion;
-    l1, l2 and pinv(l2) are not kept."""
+    for a faithful state).  A transpose is then real_view(A) @
+    forward.T, mapped back to a real view by V, with no coordinate
+    conversion, for one map or a whole stack at once; l1, l2 and
+    pinv(l2) are not kept."""
 
     def __init__(self, phi):
         self.phi = phi
@@ -68,19 +73,25 @@ class TransposeSolver:
         return ((vh[:r].T / s[:r]) @ m[:r]) @ self.view, m[r:] @ self.view
 
     def transpose(self, t):
+        """The transpose of t, or of each map of a stack.  Each
+        element's residual is held to its own bound; the first element
+        in stack order that fails it raises NotFaithful."""
         forward, check = self._maps
         a = real_view(t.choi)
-        resid = float(np.linalg.norm(check @ a))
+        resid = np.linalg.norm(a @ check.T, axis=-1).reshape(-1)
         # the residual bound is relative to max(|l1 V a|, 1), so the
         # right side is needed only above the absolute bound
-        if resid > TRANSPOSE_RESID:
-            rhs = local_action_matrix(self.phi, slot=1) @ (self.view @ a)
-            if resid > TRANSPOSE_RESID * max(float(np.linalg.norm(rhs)), 1.0):
+        over = np.flatnonzero(resid > TRANSPOSE_RESID)
+        if over.size:
+            views = a.reshape(-1, a.shape[-1])[over]
+            rhs = views @ self.view.T @ local_action_matrix(self.phi, slot=1).T
+            bound = TRANSPOSE_RESID * np.maximum(np.linalg.norm(rhs, axis=-1), 1.0)
+            failed = over[resid[over] > bound]
+            if failed.size:
                 raise NotFaithful(
-                    f"transpose system residual {resid} (state not faithful)"
+                    f"transpose system residual {resid[failed[0]]} (state not faithful)"
                 )
-        n = self.d * self.d
-        choi = (self.view.T @ (forward @ a)).view(complex).reshape(n, n)
+        choi = (a @ forward.T @ self.view).view(complex).reshape(t.choi.shape)
         return Transformation(quantum(self.d), choi, generalized=True)
 
 
@@ -96,12 +107,16 @@ def jordan_lift(e):
     and its action on the identity also equals E."""
     d = e.theory.d
     eye = np.eye(d)
-    sup = 0.5 * (np.kron(e.matrix, eye) + np.kron(eye, e.matrix.conj()))
+    m = e.matrix
+    # kron(E, I) + kron(I, conj E), for each E of a stack
+    sup = np.einsum("...ac,bd->...abcd", m, eye) + np.einsum("ac,...bd->...abcd", eye, m.conj())
+    sup = 0.5 * sup.reshape(*m.shape[:-2], d * d, d * d)
     return Transformation(e.theory, ch.super_to_choi(sup), generalized=True)
 
 
 def _inner_tt(solver, t1, t2):
-    """Scalar product between transformations: Phi|_2(t1^dag after t2)."""
+    """Scalar product between transformations: Phi|_2(t1^dag after t2)
+    (stacks pair elementwise)."""
     a = compose(adjoint_map(solver, t1), t2)
     rho2 = local_state(solver.phi, 2)
     return pair(rho2, Effect(rho2.theory, a.effect().matrix, generalized=True))
@@ -115,15 +130,16 @@ class GnsSpace:
     root, the pairing matrix taking the real view of a Choi matrix to
     the transformation's pairings with the lifted basis (the scalar
     product is linear in its right entry, so all downstream vectors
-    come from one matrix-vector product), and the superoperators of the
-    lifted basis, which gns_rep composes with."""
+    come from one matrix-vector product), and that pairing folded with
+    composition by each lifted basis element, which takes the real view
+    of a Choi matrix straight to the columns of gns_rep."""
 
     solver: TransposeSolver
     gram: np.ndarray
     gram_sqrt: np.ndarray
     gram_isqrt: np.ndarray
     pairing: np.ndarray
-    lift_supers: np.ndarray
+    composed_pairing: np.ndarray
 
     @property
     def phi(self):
@@ -146,29 +162,40 @@ def gns_space(solver):
     if not is_symmetric(phi):
         raise NotFaithful("GNS construction needs a symmetric joint state")
     d = phi.d
-    basis = hermitian_basis(d)
-    th = quantum(d)
-    lifts = tuple(jordan_lift(Effect(th, b, generalized=True)) for b in basis)
-    lift_chois = np.array([lift.choi for lift in lifts])
+    lifts = jordan_lift(Effect(quantum(d), hermitian_basis(d), generalized=True))
     # Pairing of lift k with the map T of Choi matrix C:
     # Phi|_2(adj_k after T) = Tr[rho2 T^*(E_k)] = Tr[C (rho2^T kron E_k)],
     # E_k the effect of adj_k.  The kron is Hermitian, so the trace is
     # the real dot product of the real views of the kron and of C.
     rho2 = local_state(phi, 2).matrix
-    effects = [adjoint_map(solver, lift).effect().matrix for lift in lifts]
-    pairing = real_view(np.array([np.kron(rho2.T, e) for e in effects]))
-    gram = pairing @ real_view(lift_chois).T
+    effects = adjoint_map(solver, lifts).effect().matrix
+    krons = np.array([np.kron(rho2.T, e) for e in effects])
+    pairing = real_view(krons)
+    gram = pairing @ real_view(lifts.choi).T
     gram = (gram + gram.T) / 2.0
     w, v = np.linalg.eigh(gram)
     if w[0] <= 1e-12:
         raise NotFaithful("scalar product is not strictly positive")
+    # Column k of gns_rep(T) pairs T after lift k, whose Choi matrix is
+    # sum_mn L_k[(i,m),(x,n)] C[(m,a),(n,b)].  So pairing j of it is
+    # Re sum C[(m,a),(n,b)] W_jk[m,a,n,b], with W_jk the contraction of
+    # conj(kron_j)[(i,a),(x,b)] and L_k[(i,m),(x,n)] over i and x: the
+    # real dot product of the real views of C and of conj(W_jk), which
+    # contracts kron_j with conj(L_k).
+    n = d * d
+    conj_w = np.einsum(
+        "jiaxb,kimxn->jkmanb",
+        krons.reshape(n, d, d, d, d),
+        lifts.choi.conj().reshape(n, d, d, d, d),
+        optimize=True,
+    )
     return GnsSpace(
         solver=solver,
         gram=gram,
         gram_sqrt=(v * np.sqrt(w)) @ v.T,
         gram_isqrt=(v / np.sqrt(w)) @ v.T,
         pairing=pairing,
-        lift_supers=ch.choi_to_super(lift_chois),
+        composed_pairing=real_view(conj_w.reshape(n * n, n, n)),
     )
 
 
@@ -188,15 +215,16 @@ def transformation_coords(space, t):
     """GNS-vector coordinates of a transformation, from its pairings
     with the canonical lifted basis (two transformations share a vector
     iff their difference has zero norm)."""
-    return np.linalg.solve(space.gram, space.pairing @ real_view(t.choi))
+    pairings = real_view(t.choi) @ space.pairing.T
+    return np.linalg.solve(space.gram, pairings[..., None])[..., 0]
 
 
 def gns_rep(space, t):
     """Matrix of left composition pi(A)|B> = |A after B| in canonical
     coordinates; a homomorphism with pi(identity) = identity."""
-    composites = ch.super_to_choi(t.super @ space.lift_supers)  # t after each lift
-    cols = space.pairing @ real_view(composites).T
-    return np.linalg.solve(space.gram, cols)
+    n = space.dim
+    cols = real_view(t.choi) @ space.composed_pairing.T
+    return np.linalg.solve(space.gram, cols.reshape(*cols.shape[:-1], n, n))
 
 
 def gns_norm(space, t):
@@ -204,16 +232,16 @@ def gns_norm(space, t):
     product, ||G^1/2 pi(t) G^-1/2||_2 (the C*-algebra norm; distinct
     from the Banach transformation norm of the statistical calculus)."""
     rep = space.gram_sqrt @ gns_rep(space, t) @ space.gram_isqrt
-    return float(np.linalg.svd(rep, compute_uv=False)[0])
+    return np.linalg.svd(rep, compute_uv=False)[..., 0]
 
 
 def cstar_check(space, t):
     """(||A-dagger after A||, ||A||^2) in the GNS norm; the C*-identity
-    asserts they coincide."""
+    asserts they coincide.  Both sides come from one representation of
+    the stack (A-dagger after A, A)."""
     adj = adjoint_map(space.solver, t)
-    lhs = gns_norm(space, compose(adj, t))
-    rhs = gns_norm(space, t) ** 2
-    return lhs, rhs
+    lhs, norm = gns_norm(space, stack([compose(adj, t), t]))
+    return lhs, norm**2
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +256,19 @@ def state_rep(space, omega):
     adjoint (conjugate of the transpose) makes the pairing reproduce
     the statistics exactly, consistently with the involution insertion
     in the transformation representation below.
+
+    A stack of states takes one witness per state (the witness of a
+    generic state is solved per target) and one adjoint for them all.
     """
-    witness, p = prepare_witness(space.solver.witness, omega)
-    adj = adjoint_map(space.solver, witness)
-    return transformation_coords(space, adj) / p
+    th, lead = omega.theory, omega.matrix.shape[:-2]
+    prepared = [
+        prepare_witness(space.solver.witness, State(th, m))
+        for m in omega.matrix.reshape(-1, th.d, th.d)
+    ]
+    adj = adjoint_map(space.solver, stack([witness for witness, _ in prepared]))
+    probs = np.array([prob for _, prob in prepared])
+    vecs = transformation_coords(space, adj) / probs[:, None]
+    return vecs.reshape(*lead, space.dim)
 
 
 def effect_rep(space, e):
@@ -239,12 +276,15 @@ def effect_rep(space, e):
     return transformation_coords(space, space.solver.transpose(jordan_lift(e)))
 
 
+def _probability(space, u, v):
+    """Re <u|v> in the scalar product, elementwise over stacks."""
+    return np.real(np.sum((np.conj(u) @ space.gram) * v, axis=-1))
+
+
 def born_pair(space, omega, a):
     """Probability of effect a in state omega, computed purely from the
     scalar-product representation."""
-    vec_a = effect_rep(space, a)
-    vec_w = state_rep(space, omega)
-    return float(np.real(np.conj(vec_a) @ space.gram @ vec_w))
+    return _probability(space, effect_rep(space, a), state_rep(space, omega))
 
 
 def born_triple(space, omega, b, t):
@@ -252,4 +292,4 @@ def born_triple(space, omega, b, t):
     vec_b = effect_rep(space, b)
     op = gns_rep(space, conjugate_transformation(t))
     vec_w = state_rep(space, omega)
-    return float(np.real(np.conj(vec_b) @ space.gram @ (op @ vec_w)))
+    return _probability(space, vec_b, (op @ vec_w[..., None])[..., 0])

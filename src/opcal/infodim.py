@@ -64,39 +64,6 @@ def is_resolved(e, tol=1e-9):
 # reference observables
 
 
-def sic_povm_qubit():
-    """Tetrahedron POVM: four subnormalized projectors along the
-    tetrahedral Bloch directions; minimal informationally complete."""
-    th = quantum(2)
-    dirs = np.array(
-        [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
-    ) / np.sqrt(3)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]])
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    effs = [
-        Effect(th, (np.eye(2) + n[0] * sx + n[1] * sy + n[2] * sz) / 4.0)
-        for n in dirs
-    ]
-    return Observable(tuple(effs))
-
-
-def pauli_povm_qubit():
-    """Six-outcome observable from the +-x, +-y, +-z projectors, each
-    weighted by 1/3; informationally complete but not minimal."""
-    th = quantum(2)
-    vs = [
-        np.array([1, 1]) / np.sqrt(2),
-        np.array([1, -1]) / np.sqrt(2),
-        np.array([1, 1j]) / np.sqrt(2),
-        np.array([1, -1j]) / np.sqrt(2),
-        np.array([1, 0]),
-        np.array([0, 1]),
-    ]
-    effs = [Effect(th, np.outer(v, np.conj(v)) / 3.0) for v in vs]
-    return Observable(tuple(effs))
-
-
 def minimal_ic_povm(d):
     """A minimal informationally complete observable at any dimension:
     d^2 - 1 effects (I + eps B_a) / d^2 over the traceless basis, plus
@@ -306,12 +273,6 @@ class DimReport:
     def row(self, name):
         """(lhs, rhs, holds) of the named identity; KeyError if absent."""
         return {row[0]: row[1:] for row in self.rows}[name]
-
-    def passes(self, name):
-        return self.row(name)[2]
-
-    def all_pass(self):
-        return all(ok for _, _, _, ok in self.rows)
 
 
 def dim_identities(d1, d2=None, backend="quantum"):

@@ -37,21 +37,22 @@ def _rng(seed_or_rng):
 
 @dataclass(frozen=True)
 class BipartiteWeight:
-    """Unnormalized joint weight of two identical d-dimensional systems."""
+    """Unnormalized joint weight of two identical d-dimensional systems
+    (or a stack of them, along leading axes of the matrix)."""
 
     d: int
     matrix: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
-        if self.matrix.shape != (self.d**2, self.d**2):
+        if self.matrix.shape[-2:] != (self.d**2, self.d**2):
             raise DimensionMismatch(
                 f"joint matrix must be {self.d**2} x {self.d**2}"
             )
 
     @property
     def total(self):
-        return float(np.real(np.trace(self.matrix)))
+        return self.matrix.trace(axis1=-2, axis2=-1).real
 
     def normalize(self, tol=PROB_TOL):
         from .errors import ZeroProbability

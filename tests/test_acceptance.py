@@ -8,6 +8,7 @@ from opcal import basis
 from opcal import channels as ch
 from opcal import cli, core, faithful, gns, infodim
 from opcal import quantum as qm
+from reference import all_pass, passes
 
 SY = np.array([[0, -1j], [1j, 0]])
 
@@ -29,7 +30,7 @@ def test_criterion_1_dimension_table(capsys):
         and rows2["tensor"] == (4, 4)
         and rows2["D4"] == (3, 3)
         and rows2["T"] == (16, 16)
-        and r2.all_pass()
+        and all_pass(r2)
     )
     r3 = infodim.dim_identities(3)
     rows3 = {name: (lhs, rhs) for name, lhs, rhs, _ in r3.rows}
@@ -44,7 +45,7 @@ def test_criterion_2_classical_negative_control(capsys):
         rows = {name: (lhs, rhs) for name, lhs, rhs, _ in r.rows}
         lhs, rhs = rows["D34'"]
         # adm = idim - 1 on the simplex, far from idim^2 - 1
-        ok = ok and lhs == d - 1 and rhs == d * d - 1 and not r.passes("D34'")
+        ok = ok and lhs == d - 1 and rhs == d * d - 1 and not passes(r, "D34'")
     _verdict(capsys, "2 classical backend violates the squared identity", ok)
 
 

@@ -286,7 +286,7 @@ def test_calibrated_maps_convert_no_coordinates(monkeypatch):
 
     def scope(fn, depth, count):
         def wrapped(*args, **kwargs):
-            calls["maps"] += count
+            calls["maps"] += count(args)
             saved = inside[0]
             inside[0] = depth(saved)
             try:
@@ -297,7 +297,8 @@ def test_calibrated_maps_convert_no_coordinates(monkeypatch):
         return wrapped
 
     def entering(fn):
-        return scope(fn, lambda depth: depth + 1, 1)
+        # one map per transformation of the stack it is applied to
+        return scope(fn, lambda depth: depth + 1, lambda args: args[-1].choi[..., 0, 0].size)
 
     def counting(fn):
         def wrapped(*args, **kwargs):
@@ -313,7 +314,7 @@ def test_calibrated_maps_convert_no_coordinates(monkeypatch):
     monkeypatch.setattr(gns.TransposeSolver, "transpose", entering(gns.TransposeSolver.transpose))
     monkeypatch.setattr(gns, "gns_rep", entering(gns.gns_rep))
     monkeypatch.setattr(gns, "transformation_coords", entering(gns.transformation_coords))
-    calibration = scope(gns.local_action_matrix, lambda depth: 0, 0)
+    calibration = scope(gns.local_action_matrix, lambda depth: 0, lambda args: 0)
     monkeypatch.setattr(gns, "local_action_matrix", calibration)
     assert cli.run_suite(cli.TheorySpec(d=2), "all").all_pass()
     assert calls["inside"] == 0
