@@ -16,18 +16,19 @@ import math
 import numpy as np
 
 
-def vec(matrix):
-    return np.asarray(matrix).reshape(-1)
-
-
 def kraus_to_choi_matrix(kraus):
-    ks = [np.asarray(k, dtype=complex) for k in kraus]
-    d = ks[0].shape[0]
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for k in ks:
-        w = vec(k.T)
-        c += np.outer(w, w.conj())
-    return c
+    """Choi matrix of the Kraus operators along the axis before the last
+    two; axes before that are a stack, one map per element."""
+    ks = np.asarray(kraus, dtype=complex)
+    *lead, r, d, _ = ks.shape
+    w = ks.swapaxes(-1, -2).reshape(*lead, r, d * d)  # the vec(K^T)
+    return w.swapaxes(-1, -2) @ w.conj()
+
+
+def _last_four(t, perm):
+    """Permute the last four axes of t."""
+    k = t.ndim - 4
+    return t.transpose(*range(k), *(k + p for p in perm))
 
 
 def _reindex(m, perm):
@@ -35,9 +36,7 @@ def _reindex(m, perm):
     matrix in a stack (..., d^2, d^2)."""
     *lead, n, _ = m.shape
     d = math.isqrt(n)
-    k = len(lead)
-    axes = (*range(k), *(k + p for p in perm))
-    return m.reshape(*lead, d, d, d, d).transpose(axes).reshape(*lead, n, n)
+    return _last_four(m.reshape(*lead, d, d, d, d), perm).reshape(*lead, n, n)
 
 
 def choi_to_super(choi):
@@ -80,7 +79,9 @@ def identity_choi(d):
 
 
 def min_eig(m):
-    return float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+    """Smallest eigenvalue of the Hermitian part of m (of each matrix of
+    a stack)."""
+    return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
 
 
 def is_psd(m, tol=1e-12):
@@ -111,25 +112,25 @@ def swap_matrix(d):
 
 
 def apply_local_super(sup, joint, slot, d):
-    """Apply a single-system superoperator, or each of a stack
-    (..., d^2, d^2) of them, to one slot of a joint d^2 x d^2 matrix
-    (the other slot untouched).  One matrix product: the superoperator
-    rows (a, b) against the joint matrix regrouped as rows (i, j) of
-    the acted-on slot and columns (x, y) of the other."""
-    t = np.asarray(joint).reshape(d, d, d, d)  # [i1, i2, j1, j2]
+    """Apply a single-system superoperator to one slot of a joint
+    d^2 x d^2 matrix (the other slot untouched).  Either may be a stack
+    (..., d^2, d^2); leading axes broadcast.  One matrix product: the
+    superoperator rows (a, b) against the joint matrix regrouped as rows
+    (i, j) of the acted-on slot and columns (x, y) of the other."""
+    joint = np.asarray(joint)
     if slot == 1:
         # out[a, x, b, y] = sum_ij S[(a, b), (i, j)] t[i, x, j, y]
-        regrouped, perm = t.transpose(0, 2, 1, 3), (0, 2, 1, 3)
+        into, back = (0, 2, 1, 3), (0, 2, 1, 3)
     elif slot == 2:
         # out[x, a, y, b] = sum_ij S[(a, b), (i, j)] t[x, i, y, j]
-        regrouped, perm = t.transpose(1, 3, 0, 2), (2, 0, 3, 1)
+        into, back = (1, 3, 0, 2), (2, 0, 3, 1)
     else:
         raise ValueError("slot must be 1 or 2")
-    lead = sup.shape[:-2]
-    k = len(lead)
-    out = (sup @ regrouped.reshape(d * d, d * d)).reshape(*lead, d, d, d, d)
-    axes = (*range(k), *(k + p for p in perm))
-    return out.transpose(axes).reshape(*lead, d * d, d * d)
+    t = joint.reshape(*joint.shape[:-2], d, d, d, d)  # [..., i1, i2, j1, j2]
+    regrouped = _last_four(t, into).reshape(*joint.shape[:-2], d * d, d * d)
+    out = sup @ regrouped
+    lead = out.shape[:-2]
+    return _last_four(out.reshape(*lead, d, d, d, d), back).reshape(*lead, d * d, d * d)
 
 
 def trace_distance(a, b):

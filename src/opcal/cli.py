@@ -353,6 +353,10 @@ def _run_check(ctx, name, detail, tolerance, fn):
     )
 
 
+# Samplers, called as sampler(spec, rng); the first three follow the
+# spec's backend, the others are quantum.
+
+
 def _sample_state(spec, rng):
     if spec.backend == "classical":
         return qm.random_classical_state(spec.d, rng)
@@ -371,12 +375,31 @@ def _sample_effect(spec, rng):
     return qm.random_effect(spec.d, rng)
 
 
+def _sample_generalized_effect(spec, rng):
+    return qm.random_generalized_effect(spec.d, rng)
+
+
+def _sample_joint_state(spec, rng):
+    return qm.random_joint_state(spec.d, rng)
+
+
+def _sample_experiment(spec, rng):
+    return qm.random_experiment(spec.d, rng)
+
+
+def _sample_kraus_contraction(spec, rng):
+    """rho -> K rho K^dag for a Gaussian K scaled to operator norm 1/1.1."""
+    d = spec.d
+    k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return qm.kraus_to_choi(core.quantum(d), [k / (np.linalg.norm(k, 2) * 1.1)])
+
+
 def _draw(ctx, rng, n, *samplers):
-    """n samples, each drawn by calling every sampler (as sampler(d,
-    rng)) in the given order, returned as one stack per sampler.  The
-    checks draw from one rng, so this order fixes the samples; the maps
-    are then applied once to each stack."""
-    draws = [[sampler(ctx.spec.d, rng) for sampler in samplers] for _ in range(n)]
+    """n samples, each drawn by calling every sampler in the given
+    order, returned as one stack per sampler.  The checks draw from one
+    rng, so this order fixes the samples; the maps are then applied
+    once to each stack."""
+    draws = [[sampler(ctx.spec, rng) for sampler in samplers] for _ in range(n)]
     return [core.stack(column) for column in zip(*draws)]
 
 
@@ -433,46 +456,32 @@ def _check_zero_probability(ctx, rng, tol):
 
 
 def _check_effect_norm(ctx, rng, tol):
-    spec = ctx.spec
-    worst = 0.0
-    for _ in range(SAMPLES):
-        w = _sample_state(spec, rng)
-        e = _sample_effect(spec, rng)
-        p = core.pair(w, e)
-        norm = core.effect_norm(e)
-        worst = max(worst, abs(p) - norm, norm - 1.0)
+    w, e = _draw(ctx, rng, SAMPLES, _sample_state, _sample_effect)
+    norm = core.effect_norm(e)
+    worst = max(0.0, float(np.max(np.abs(core.pair(w, e)) - norm)), float(np.max(norm - 1.0)))
     return worst <= tol, {"max_violation": worst}
 
 
 def _check_weight_norm(ctx, rng, tol):
-    spec = ctx.spec
-    worst = 0.0
-    for _ in range(SAMPLES):
-        w = core.act(_sample_map(spec, rng), _sample_state(spec, rng))
-        norm = core.weight_norm(w)
-        # physical maps never increase the weight norm beyond 1
-        worst = max(worst, w.total - norm, norm - 1.0)
+    t, w = _draw(ctx, rng, SAMPLES, _sample_map, _sample_state)
+    w = core.act(t, w)
+    norm = core.weight_norm(w)
+    # physical maps never increase the weight norm beyond 1
+    worst = max(0.0, float(np.max(w.total - norm)), float(np.max(norm - 1.0)))
     return worst <= tol, {"max_violation": worst}
 
 
 def _check_submultiplicative(ctx, rng, tol):
-    spec = ctx.spec
-    worst = -np.inf
-    for _ in range(SAMPLES):
-        a = _sample_map(spec, rng)
-        b = _sample_map(spec, rng)
-        lhs = core.trans_norm(core.compose(b, a))
-        rhs = core.trans_norm(b) * core.trans_norm(a)
-        worst = max(worst, lhs - rhs)
-    return worst <= tol, {"max_violation": float(worst)}
+    a, b = _draw(ctx, rng, SAMPLES, _sample_map, _sample_map)
+    lhs = core.trans_norm(core.compose(b, a))
+    worst = float(np.max(lhs - core.trans_norm(b) * core.trans_norm(a)))
+    return worst <= tol, {"max_violation": worst}
 
 
 def _check_contraction(ctx, rng, tol):
-    spec = ctx.spec
-    worst = -np.inf
-    for _ in range(SAMPLES):
-        worst = max(worst, core.trans_norm(_sample_map(spec, rng)) - 1.0)
-    return worst <= tol, {"max_violation": float(worst)}
+    (t,) = _draw(ctx, rng, SAMPLES, _sample_map)
+    worst = float(np.max(core.trans_norm(t) - 1.0))
+    return worst <= tol, {"max_violation": worst}
 
 
 def _check_coexistence(ctx, rng, tol):
@@ -565,19 +574,13 @@ def _check_dynamical(ctx, rng, tol):
 
 
 def _check_preparational(ctx, rng, tol):
-    spec = ctx.spec
-    phi = ctx.phi
-    if ctx.action_rank != spec.d**4:
+    if ctx.action_rank != ctx.spec.d**4:
         return False, {}
-    system = ctx.solver.witness
-    worst, pmin = 0.0, np.inf
-    for _ in range(5):
-        target = qm.random_state(spec.d, rng)
-        witness, p = faithful.prepare_witness(system, target, tol)
-        _, cond = qm.condition_local(phi, witness, 1)
-        out = qm.local_state(cond, 2).matrix
-        worst = max(worst, float(np.max(np.abs(out - target.matrix))))
-        pmin = min(pmin, p)
+    (target,) = _draw(ctx, rng, 5, _sample_state)
+    witness, p = faithful.prepare_witness(ctx.solver.witness, target, tol)
+    _, cond = qm.condition_local(ctx.phi, witness, 1)
+    worst = float(np.max(np.abs(qm.local_state(cond, 2).matrix - target.matrix)))
+    pmin = float(np.min(p))
     return worst <= tol and pmin > 0, {"max_residual": worst, "min_probability": pmin}
 
 
@@ -609,7 +612,7 @@ def _check_involution(ctx, rng, tol):
 
 
 def _check_transpose_residual(ctx, rng, tol):
-    (t,) = _draw(ctx, rng, SAMPLES, qm.random_cp)
+    (t,) = _draw(ctx, rng, SAMPLES, _sample_map)
     lhs = qm.apply_local(ctx.phi, t, 1).matrix
     rhs = qm.apply_local(ctx.phi, ctx.solver.transpose(t), 2).matrix
     worst = float(np.max(np.abs(lhs - rhs)))
@@ -619,7 +622,7 @@ def _check_transpose_residual(ctx, rng, tol):
 def _check_transpose_axioms(ctx, rng, tol):
     solver = ctx.solver
     th = core.quantum(ctx.spec.d)
-    a, b = _draw(ctx, rng, 5, qm.random_cp, qm.random_cp)
+    a, b = _draw(ctx, rng, 5, _sample_map, _sample_map)
     s = core.Transformation(th, a.choi + 0.25 * b.choi, generalized=True)
     ba, ta, tb, ts = core.unstack(solver.transpose(core.stack([core.compose(b, a), a, b, s])))
     ident = core.identity(th)
@@ -640,23 +643,17 @@ def _check_kraus_transpose(ctx, rng, tol):
     spec = ctx.spec
     if spec.phi_override is not None:
         return True, {}  # closed form is specific to the canonical state
-    th = core.quantum(spec.d)
-    ks = []
-    for _ in range(5):
-        k = rng.standard_normal((spec.d, spec.d)) + 1j * rng.standard_normal(
-            (spec.d, spec.d)
-        )
-        ks.append(k / (np.linalg.norm(k, 2) * 1.1))
-    got = ctx.solver.transpose(core.stack([qm.kraus_to_choi(th, [k]) for k in ks]))
-    expected = np.array([qm.kraus_to_choi(th, [k.T]).choi for k in ks])
-    worst = float(np.max(np.abs(got.choi - expected)))
+    (t,) = _draw(ctx, rng, 5, _sample_kraus_contraction)
+    # the Choi matrix of {K^T} is that of {K} with its two factors swapped
+    swap = ch.swap_matrix(spec.d)
+    worst = float(np.max(np.abs(ctx.solver.transpose(t).choi - swap @ t.choi @ swap)))
     return worst <= tol, {"max_residual": worst}
 
 
 def _check_adjoint_pairing(ctx, rng, tol):
     solver = ctx.space.solver
     a, b, c = _draw(
-        ctx, rng, SAMPLES, qm.random_cp, qm.random_generalized_effect, qm.random_generalized_effect
+        ctx, rng, SAMPLES, _sample_map, _sample_generalized_effect, _sample_generalized_effect
     )
     b, c = gns.jordan_lift(b), gns.jordan_lift(c)
     adj = gns.adjoint_map(solver, a)
@@ -672,7 +669,7 @@ def _check_adjoint_pairing(ctx, rng, tol):
 
 def _check_homomorphism(ctx, rng, tol):
     space = ctx.space
-    a, b = _draw(ctx, rng, 5, qm.random_cp, qm.random_cp)
+    a, b = _draw(ctx, rng, 5, _sample_map, _sample_map)
     ident = core.identity(core.quantum(ctx.spec.d))
     rep_ab, rep_a, rep_b = gns.gns_rep(space, core.stack([core.compose(a, b), a, b]))
     worst = max(
@@ -684,7 +681,7 @@ def _check_homomorphism(ctx, rng, tol):
 
 def _check_adjoint_rep(ctx, rng, tol):
     space = ctx.space
-    (a,) = _draw(ctx, rng, 5, qm.random_cp)
+    (a,) = _draw(ctx, rng, 5, _sample_map)
     rep, got = gns.gns_rep(space, core.stack([a, gns.adjoint_map(space.solver, a)]))
     # Gram-adjoint; equals the conjugate transpose when the Gram
     # matrix is proportional to the identity
@@ -694,7 +691,7 @@ def _check_adjoint_rep(ctx, rng, tol):
 
 
 def _check_cstar(ctx, rng, tol):
-    (a,) = _draw(ctx, rng, SAMPLES, qm.random_cp)
+    (a,) = _draw(ctx, rng, SAMPLES, _sample_map)
     lhs, rhs = gns.cstar_check(ctx.space, a)
     worst = float(np.max(np.abs(lhs - rhs)))
     return worst <= tol, {"max_residual": worst}
@@ -719,7 +716,7 @@ def _check_born_pair(ctx, rng, tol):
 
 
 def _check_born_triple(ctx, rng, tol):
-    w, b, t = _draw(ctx, rng, SAMPLES, qm.random_state, qm.random_effect, qm.random_cp)
+    w, b, t = _draw(ctx, rng, SAMPLES, _sample_state, _sample_effect, _sample_map)
     lhs = gns.born_triple(ctx.space, w, b, t)
     rhs = core.pair(w, core.evolve_effect(b, t))
     worst = float(np.max(np.abs(lhs - rhs)))
@@ -728,12 +725,8 @@ def _check_born_triple(ctx, rng, tol):
 
 def _check_no_signaling(ctx, rng, tol):
     spec = ctx.spec
-    worst = 0.0
-    for _ in range(SAMPLES):
-        joint = qm.random_joint_state(spec.d, rng)
-        exp = qm.random_experiment(spec.d, rng)
-        if not qm.no_signaling_check(joint, exp, tol):
-            worst = 1.0
+    joint, exp = _draw(ctx, rng, SAMPLES, _sample_joint_state, _sample_experiment)
+    worst = qm.signaling_residual(joint, exp, tol)
     # conditioning witness: a selective branch changes the far state
     phi = qm.max_entangled(spec.d)
     p0 = np.zeros((spec.d, spec.d))

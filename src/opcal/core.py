@@ -265,16 +265,19 @@ def compose(a, b):
 
 
 def stack(items):
-    """Objects of one kind and theory (states, weights, effects or
-    transformations, single or stacked alike) as one object of that kind
-    whose matrix has a new leading axis over the items, in order."""
+    """Objects of one kind and theory (states, weights, effects,
+    transformations or joint states, single or stacked alike) as one
+    object of that kind whose matrix has a new leading axis over the
+    items, in order.  Experiments with equally many branches stack
+    branchwise."""
     first = items[0]
+    if isinstance(first, Experiment):
+        return Experiment(tuple(stack(b) for b in zip(*(x.branches for x in items), strict=True)))
     key = "choi" if isinstance(first, Transformation) else "matrix"
-    return replace(
-        first,
-        **{key: np.array([getattr(x, key) for x in items])},
-        generalized=any(x.generalized for x in items),
-    )
+    fields = {key: np.array([getattr(x, key) for x in items])}
+    if hasattr(first, "generalized"):
+        fields["generalized"] = any(x.generalized for x in items)
+    return replace(first, **fields)
 
 
 def unstack(stacked):
@@ -311,20 +314,27 @@ def add(a, b, check=True):
 # norms
 
 
+def _per_element(values):
+    """A float for a single object, an array for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
 def effect_norm(e):
     """Supremum of |omega(E)| over states: the largest |eigenvalue|
-    (the largest |entry| on the diagonal classical backend)."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(e.matrix))))
+    (the largest |entry| on the diagonal classical backend); one per
+    effect of a stack."""
+    return _per_element(np.max(np.abs(np.linalg.eigvalsh(e.matrix)), axis=-1))
 
 
 def weight_norm(w):
-    """Supremum of |w(E)| over the unit ball of generalized effects.
+    """Supremum of |w(E)| over the unit ball of generalized effects
+    (one per weight of a stack).
 
     The ball is {E Hermitian, ||E||_inf <= 1}, so the norm is the trace
     norm; on the classical backend the ball is the hypercube
     |e_i| <= 1 and the trace norm is the l1 norm of the outcome vector.
     """
-    return float(np.sum(np.abs(np.linalg.eigvalsh(w.matrix))))
+    return _per_element(np.sum(np.abs(np.linalg.eigvalsh(w.matrix)), axis=-1))
 
 
 def trans_norm(t):
@@ -339,15 +349,25 @@ def trans_norm(t):
     certified lower bound).  A classical map acts on the diagonal alone,
     so the basis-vector starts reach its exact norm, the largest column
     l1 norm of its (sub)stochastic matrix.
-    """
-    d = t.theory.d
-    if np.max(np.abs(t.choi)) == 0.0:
-        return 0.0
-    dual_unit = ch.effect_of_choi(t.choi)
-    if ch.is_psd(t.choi, 1e-10):
-        return float(np.linalg.eigvalsh(dual_unit)[-1])
 
-    sup = t.super
+    A stack gives one norm per map: one eigvalsh of all Choi matrices
+    and one of all dual units, and the alternating maximization for
+    each nonzero map that is not CP.
+    """
+    choi = t.choi.reshape(-1, *t.choi.shape[-2:])
+    zero = ~choi.any(axis=(-2, -1))
+    cp = ch.is_psd(choi, 1e-10)
+    norms = np.linalg.eigvalsh(ch.effect_of_choi(choi))[:, -1]
+    norms[zero] = 0.0
+    for i in np.flatnonzero(~zero & ~cp):
+        norms[i] = _alternating_norm(choi[i], t.theory.d)
+    return _per_element(norms.reshape(t.choi.shape[:-2]))
+
+
+def _alternating_norm(choi, d):
+    """trans_norm of one map that is not CP, by alternating
+    maximization."""
+    sup = ch.choi_to_super(choi)
     dual = ch.dual_super(sup)
 
     def polish(psi):
@@ -368,7 +388,7 @@ def trans_norm(t):
 
     rng = np.random.default_rng(7)
     starts = [np.eye(d)[i].astype(complex) for i in range(d)]
-    w, v = np.linalg.eigh(dual_unit)
+    w, v = np.linalg.eigh(ch.effect_of_choi(choi))
     starts += [v[:, 0], v[:, -1]]
     for _ in range(16):
         g = rng.standard_normal(d) + 1j * rng.standard_normal(d)

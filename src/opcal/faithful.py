@@ -15,7 +15,7 @@ import numpy as np
 
 from . import channels as ch
 from .basis import from_coords, hermitian_basis, matrix_rank, to_coords
-from .core import Effect, Transformation, quantum
+from .core import Effect, Transformation, _per_element, quantum
 from .errors import ConeViolation, DegenerateSplit, NotFaithful
 from .quantum import BipartiteState, apply_local, kraus_to_choi, max_entangled
 
@@ -107,31 +107,38 @@ def prepare_witness(system, target, tol=1e-9):
     other faithful states a generalized witness is the minimum-norm
     solution of the system's marginal equations; the residual is
     certified.
+
+    A stack of targets gives the stack of their witnesses and an array
+    of probabilities, from one solve.  Each element's residual and
+    probability are held to their own bounds, and the first element in
+    stack order that fails either raises NotFaithful.  A witness that
+    is CP is rescaled to a physical map; the stack is generalized if
+    any witness is not.
     """
     phi = system.phi
     d = phi.d
     rho = target.matrix
     if system.canonical:
-        lmax = float(np.linalg.eigvalsh(rho)[-1])
-        p = 1.0 / (d * lmax)
-        x = np.sqrt(d * p) * ch.herm_sqrt(rho.T)
-        return kraus_to_choi(quantum(d), [x]), p
+        p = 1.0 / (d * np.linalg.eigvalsh(rho)[..., -1])
+        x = np.sqrt(d * p)[..., None, None] * ch.herm_sqrt(rho.swapaxes(-1, -2))
+        return kraus_to_choi(quantum(d), x[..., None, :, :]), _per_element(p)
     target_coords = to_coords(rho, hermitian_basis(d))
-    x = system.pinv @ target_coords
-    resid = float(np.linalg.norm(system.m @ x - target_coords))
-    if resid > tol:
-        raise NotFaithful(f"no local witness at residual {resid}")
+    x = target_coords @ system.pinv.T
+    resid = np.linalg.norm(x @ system.m.T - target_coords, axis=-1)
     choi = from_coords(x, _choi_basis(d))
-    t = Transformation(quantum(d), choi, generalized=True)
-    prob = apply_local(phi, t, 1).total
-    if prob <= tol:
+    prob = apply_local(phi, Transformation(quantum(d), choi, generalized=True), 1).total
+    failed = np.flatnonzero((resid > tol) | (prob <= tol))
+    if failed.size:
+        i = np.unravel_index(failed[0], resid.shape)
+        if resid[i] > tol:
+            raise NotFaithful(f"no local witness at residual {resid[i]}")
         raise NotFaithful("witness occurs with vanishing probability")
-    if ch.is_psd(choi, 1e-10):
-        # rescale to a physical (trace-nonincreasing) transformation
-        lam = 1.0 / float(np.linalg.eigvalsh(ch.effect_of_choi(choi))[-1])
-        lam = min(lam, 1.0)
-        return Transformation(quantum(d), lam * choi), lam * prob
-    return t, prob
+    cp = ch.is_psd(choi, 1e-10)
+    # rescale each CP witness to a physical (trace-nonincreasing) map
+    top = np.where(cp, np.linalg.eigvalsh(ch.effect_of_choi(choi))[..., -1], 1.0)
+    lam = np.minimum(np.where(cp, 1.0 / top, 1.0), 1.0)
+    witness = Transformation(quantum(d), lam[..., None, None] * choi, generalized=not cp.all())
+    return witness, _per_element(lam * prob)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import channels as ch
 from .basis import hermitian_basis, real_view, to_coords
-from .core import Effect, State, Transformation, compose, pair, quantum, stack
+from .core import Effect, Transformation, compose, pair, quantum, stack
 from .errors import NotFaithful
 from .faithful import (
     _choi_basis,
@@ -257,18 +257,11 @@ def state_rep(space, omega):
     the statistics exactly, consistently with the involution insertion
     in the transformation representation below.
 
-    A stack of states takes one witness per state (the witness of a
-    generic state is solved per target) and one adjoint for them all.
+    A stack of states takes one witness solve and one adjoint for them
+    all.
     """
-    th, lead = omega.theory, omega.matrix.shape[:-2]
-    prepared = [
-        prepare_witness(space.solver.witness, State(th, m))
-        for m in omega.matrix.reshape(-1, th.d, th.d)
-    ]
-    adj = adjoint_map(space.solver, stack([witness for witness, _ in prepared]))
-    probs = np.array([prob for _, prob in prepared])
-    vecs = transformation_coords(space, adj) / probs[:, None]
-    return vecs.reshape(*lead, space.dim)
+    witness, prob = prepare_witness(space.solver.witness, omega)
+    return transformation_coords(space, adjoint_map(space.solver, witness)) / np.expand_dims(prob, -1)
 
 
 def effect_rep(space, e):

@@ -22,7 +22,7 @@ from .core import (
     classical,
     quantum,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ZeroProbability
 
 
 def _rng(seed_or_rng):
@@ -55,19 +55,19 @@ class BipartiteWeight:
         return self.matrix.trace(axis1=-2, axis2=-1).real
 
     def normalize(self, tol=PROB_TOL):
-        from .errors import ZeroProbability
-
+        """The joint state of each weight; a stack with any weight at or
+        below the cutoff raises."""
         t = self.total
-        if t <= tol:
-            raise ZeroProbability(f"joint weight {t} below cutoff {tol}")
-        return BipartiteState(self.d, self.matrix / t)
+        if (t <= tol).any():
+            raise ZeroProbability(f"joint weight {np.min(t)} below cutoff {tol}")
+        return BipartiteState(self.d, self.matrix / t[..., None, None])
 
 
 @dataclass(frozen=True)
 class BipartiteState(BipartiteWeight):
     def __post_init__(self):
         super().__post_init__()
-        if abs(np.trace(self.matrix) - 1.0) > 1e-9:
+        if (np.abs(self.matrix.trace(axis1=-2, axis2=-1) - 1.0) > 1e-9).any():
             raise ValueError("joint state must have unit trace")
 
     @property
@@ -96,7 +96,7 @@ def local_state(joint, n):
     that slot and identity elsewhere (partial trace over the other)."""
     keep = 0 if n == 1 else 1
     rho = ch.partial_trace(joint.matrix, (joint.d, joint.d), keep)
-    return State(quantum(joint.d), rho / np.real(np.trace(rho)))
+    return State(quantum(joint.d), rho / rho.trace(axis1=-2, axis2=-1).real[..., None, None])
 
 
 def apply_local(joint, t, slot):
@@ -114,16 +114,23 @@ def condition_local(joint, t, slot, tol=PROB_TOL):
     return w.total, w.normalize(tol)
 
 
-def no_signaling_check(joint, experiment, tol=PROB_TOL):
-    """The deterministic sum of a local experiment on slot 1 leaves the
-    local state of slot 2 unchanged.  Raises if the experiment is
+def signaling_residual(joint, experiment, tol=PROB_TOL):
+    """Largest entry by which the deterministic sum of a local
+    experiment on slot 1 changes the local state of slot 2 (zero for a
+    theory without signaling).  A stack of joint states and an
+    experiment whose branches are stacks (`core.stack` of experiments)
+    give the largest over the stack.  Raises if the experiment is
     incomplete rather than reporting a spurious violation."""
     experiment.check_complete(tol)
-    s = experiment.deterministic_sum()
-    after = apply_local(joint, s, 1)
+    after = apply_local(joint, experiment.deterministic_sum(), 1)
     lhs = ch.partial_trace(after.matrix, (joint.d, joint.d), 1)
-    rhs = local_state(joint, 2).matrix
-    return bool(np.max(np.abs(lhs - rhs)) <= tol)
+    return float(np.max(np.abs(lhs - local_state(joint, 2).matrix)))
+
+
+def no_signaling_check(joint, experiment, tol=PROB_TOL):
+    """The deterministic sum of a local experiment on slot 1 leaves the
+    local state of slot 2 unchanged, to tol in every entry."""
+    return signaling_residual(joint, experiment, tol) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +138,12 @@ def no_signaling_check(joint, experiment, tol=PROB_TOL):
 
 
 def kraus_to_choi(theory, kraus, generalized=False):
-    ks = [np.asarray(k, dtype=complex) for k in kraus]
-    if any(k.shape != (theory.d, theory.d) for k in ks):
+    """Transformation of the Kraus operators (a stack of them, one map
+    per element, when they carry leading axes, as in
+    `channels.kraus_to_choi_matrix`)."""
+    if any(np.shape(k)[-2:] != (theory.d, theory.d) for k in kraus):
         raise DimensionMismatch("Kraus operators must be d x d")
-    return Transformation(theory, ch.kraus_to_choi_matrix(ks), generalized)
+    return Transformation(theory, ch.kraus_to_choi_matrix(kraus), generalized)
 
 
 def projector_map(theory, p):
@@ -194,37 +203,32 @@ def random_generalized_effect(d, seed):
 
 def random_cp(d, seed, trace_preserving=False, rank=None):
     """CP map from a Wishart Choi rescaled to trace-nonincreasing (or
-    projected to trace-preserving via its Kraus form)."""
+    projected to trace-preserving)."""
     rng = _rng(seed)
     k = rank or d * d
     g = rng.standard_normal((d * d, k)) + 1j * rng.standard_normal((d * d, k))
     c = g @ g.conj().T
     e = ch.effect_of_choi(c)
     if trace_preserving:
-        # sandwich the Kraus side with (sum K^dag K)^{-1/2} so the dual
-        # unit is the identity
-        root = np.linalg.inv(ch.herm_sqrt(e))
-        w, v = np.linalg.eigh(c)
-        kraus = []
-        for i in range(len(w)):
-            if w[i] > 1e-12:
-                kraus.append(np.sqrt(w[i]) * v[:, i].reshape(d, d).T @ root)
-        return kraus_to_choi(quantum(d), kraus)
+        # every Kraus operator K becomes K R, R = (sum K^dag K)^{-1/2},
+        # so the dual unit is the identity; on the Choi matrix that is
+        # the congruence by R^T kron I
+        rt = np.linalg.inv(ch.herm_sqrt(e)).T
+        c = np.einsum("ik,kalb,jl->iajb", rt, c.reshape(d, d, d, d), rt.conj())
+        return Transformation(quantum(d), c.reshape(d * d, d * d))
     c = c / (np.linalg.eigvalsh(e)[-1] * float(rng.uniform(1.0, 2.0)))
     return Transformation(quantum(d), c)
 
 
 def random_experiment(d, seed):
     """Random instrument: the three Kraus pieces of a trace-preserving
-    CP map."""
+    CP map, i.e. the rank-one terms w v v^dag of its Choi matrix."""
     rng = _rng(seed)
     tp = random_cp(d, rng, trace_preserving=True, rank=3)
     w, v = np.linalg.eigh(tp.choi)
-    out = []
-    for i in range(len(w)):
-        if w[i] > 1e-12:
-            out.append(kraus_to_choi(quantum(d), [np.sqrt(w[i]) * v[:, i].reshape(d, d).T]))
-    return Experiment(tuple(out))
+    keep = w > 1e-12
+    branches = np.einsum("ik,jk->kij", v[:, keep] * w[keep], v[:, keep].conj())
+    return Experiment(tuple(Transformation(quantum(d), c) for c in branches))
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +250,9 @@ def classical_map(matrix, generalized=False):
     outcome vectors; encoded with Kraus sqrt(M_ij) |i><j| so the shared
     Choi machinery applies."""
     m = np.asarray(matrix, dtype=float)
-    d = m.shape[0]
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            idx = j * d + i
-            c[idx, idx] = m[i, j]
-    return Transformation(classical(d), c, generalized)
+    # Choi entry [(j, i), (j, i)] is M[i, j]
+    c = np.diag(m.T.reshape(-1)).astype(complex)
+    return Transformation(classical(m.shape[0]), c, generalized)
 
 
 def random_classical_state(d, seed):

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from opcal import channels as ch
-from opcal import cli, core, gns
+from opcal import cli, core, faithful, gns
 from opcal import quantum as qm
-from opcal.errors import NotFaithful
+from opcal.errors import NotFaithful, ZeroProbability
 
 
 def _isotropic(d, p):
@@ -24,6 +24,10 @@ SPECS = {
     "quantum-d2": cli.TheorySpec(d=2),
     "quantum-d3": cli.TheorySpec(d=3),
     "isotropic-d3-p0.2": _isotropic(3, 0.2),
+}
+CLASSICAL = {
+    "classical-d3": cli.TheorySpec(backend="classical", d=3),
+    "classical-d4": cli.TheorySpec(backend="classical", d=4),
 }
 
 
@@ -60,7 +64,102 @@ def _born_triple_per_sample(ctx, rng, tol):
     return worst <= tol, {"max_residual": worst}
 
 
-SAMPLERS = ("random_cp", "random_state", "random_effect", "random_generalized_effect")
+def _effect_norm_per_sample(ctx, rng, tol):
+    spec = ctx.spec
+    worst = 0.0
+    for _ in range(cli.SAMPLES):
+        w = cli._sample_state(spec, rng)
+        e = cli._sample_effect(spec, rng)
+        p = core.pair(w, e)
+        norm = core.effect_norm(e)
+        worst = max(worst, abs(p) - norm, norm - 1.0)
+    return worst <= tol, {"max_violation": worst}
+
+
+def _weight_norm_per_sample(ctx, rng, tol):
+    spec = ctx.spec
+    worst = 0.0
+    for _ in range(cli.SAMPLES):
+        w = core.act(cli._sample_map(spec, rng), cli._sample_state(spec, rng))
+        norm = core.weight_norm(w)
+        worst = max(worst, w.total - norm, norm - 1.0)
+    return worst <= tol, {"max_violation": worst}
+
+
+def _submultiplicative_per_sample(ctx, rng, tol):
+    spec = ctx.spec
+    worst = -np.inf
+    for _ in range(cli.SAMPLES):
+        a = cli._sample_map(spec, rng)
+        b = cli._sample_map(spec, rng)
+        lhs = core.trans_norm(core.compose(b, a))
+        rhs = core.trans_norm(b) * core.trans_norm(a)
+        worst = max(worst, lhs - rhs)
+    return worst <= tol, {"max_violation": float(worst)}
+
+
+def _contraction_per_sample(ctx, rng, tol):
+    spec = ctx.spec
+    worst = -np.inf
+    for _ in range(cli.SAMPLES):
+        worst = max(worst, core.trans_norm(cli._sample_map(spec, rng)) - 1.0)
+    return worst <= tol, {"max_violation": float(worst)}
+
+
+def _preparational_per_sample(ctx, rng, tol):
+    spec = ctx.spec
+    phi = ctx.phi
+    if ctx.action_rank != spec.d**4:
+        return False, {}
+    system = ctx.solver.witness
+    worst, pmin = 0.0, np.inf
+    for _ in range(5):
+        target = qm.random_state(spec.d, rng)
+        witness, p = faithful.prepare_witness(system, target, tol)
+        _, cond = qm.condition_local(phi, witness, 1)
+        out = qm.local_state(cond, 2).matrix
+        worst = max(worst, float(np.max(np.abs(out - target.matrix))))
+        pmin = min(pmin, p)
+    return worst <= tol and pmin > 0, {"max_residual": worst, "min_probability": pmin}
+
+
+def _no_signaling_per_sample(ctx, rng, tol):
+    # each sample's residual as the per-sample no_signaling_check took it
+    spec = ctx.spec
+    worst = 0.0
+    for _ in range(cli.SAMPLES):
+        joint = qm.random_joint_state(spec.d, rng)
+        exp = qm.random_experiment(spec.d, rng)
+        exp.check_complete(tol)
+        after = qm.apply_local(joint, exp.deterministic_sum(), 1)
+        lhs = ch.partial_trace(after.matrix, (joint.d, joint.d), 1)
+        worst = max(worst, float(np.max(np.abs(lhs - qm.local_state(joint, 2).matrix))))
+    phi = qm.max_entangled(spec.d)
+    p0 = np.zeros((spec.d, spec.d))
+    p0[0, 0] = 1.0
+    branch = qm.projector_map(core.quantum(spec.d), p0)
+    _, cond = qm.condition_local(phi, branch, 1)
+    dist = ch.trace_distance(qm.local_state(cond, 2).matrix, qm.local_state(phi, 2).matrix)
+    return worst <= tol and dist > 0.1, {"max_violation": worst, "witness_distance": dist}
+
+
+SAMPLERS = (
+    "random_cp",
+    "random_state",
+    "random_effect",
+    "random_generalized_effect",
+    "random_classical_state",
+    "random_classical_map",
+    "classical_effect",
+    "random_joint_state",
+    "random_experiment",
+)
+
+
+def _drawn(out):
+    if isinstance(out, core.Experiment):
+        return np.array([b.choi for b in out.branches])
+    return out.choi if hasattr(out, "choi") else out.matrix
 
 
 def _run_recording_draws(monkeypatch, ctx, name, fn):
@@ -71,7 +170,7 @@ def _run_recording_draws(monkeypatch, ctx, name, fn):
     def recording(sampler):
         def wrapped(*args, **kwargs):
             out = sampler(*args, **kwargs)
-            draws.append(out.choi if hasattr(out, "choi") else out.matrix)
+            draws.append(_drawn(out))
             return out
 
         return wrapped
@@ -84,23 +183,39 @@ def _run_recording_draws(monkeypatch, ctx, name, fn):
     return ok, values, draws
 
 
-@pytest.mark.parametrize("config", SPECS)
-@pytest.mark.parametrize(
-    "name, stacked, per_sample",
-    [
-        ("gns.adjoint_pairing", cli._check_adjoint_pairing, _adjoint_pairing_per_sample),
-        ("born.triple", cli._check_born_triple, _born_triple_per_sample),
-    ],
-    ids=["adjoint_pairing", "born_triple"],
+# (id, check, stacked body, per-sample body, configurations, draws per
+# run); a random_joint_state draw records its random_state draw too, and
+# a random_experiment draw its random_cp draw
+ORACLES = (
+    ("adjoint_pairing", "gns.adjoint_pairing", cli._check_adjoint_pairing, _adjoint_pairing_per_sample, SPECS, 3 * cli.SAMPLES),
+    ("born_triple", "born.triple", cli._check_born_triple, _born_triple_per_sample, SPECS, 3 * cli.SAMPLES),
+    ("effect_bound", "norms.effect_bound", cli._check_effect_norm, _effect_norm_per_sample, {**SPECS, **CLASSICAL}, 2 * cli.SAMPLES),
+    ("weight_bound", "norms.weight_bound", cli._check_weight_norm, _weight_norm_per_sample, {**SPECS, **CLASSICAL}, 2 * cli.SAMPLES),
+    ("submultiplicative", "norms.submultiplicative", cli._check_submultiplicative, _submultiplicative_per_sample, {**SPECS, **CLASSICAL}, 2 * cli.SAMPLES),
+    ("contraction", "norms.contraction", cli._check_contraction, _contraction_per_sample, {**SPECS, **CLASSICAL}, cli.SAMPLES),
+    ("preparational", "faithful.preparational", cli._check_preparational, _preparational_per_sample, SPECS, 5),
+    ("no_signaling", "born.no_signaling", cli._check_no_signaling, _no_signaling_per_sample, SPECS, 4 * cli.SAMPLES),
 )
-def test_stacked_check_matches_per_sample_oracle(monkeypatch, config, name, stacked, per_sample):
+
+
+@pytest.mark.parametrize(
+    "name, stacked, per_sample, spec, n_draws",
+    [
+        pytest.param(name, stacked, per_sample, specs[config], n, id=f"{short}-{config}")
+        for short, name, stacked, per_sample, specs, n in ORACLES
+        for config in specs
+    ],
+)
+def test_stacked_check_matches_per_sample_oracle(monkeypatch, name, stacked, per_sample, spec, n_draws):
     for seed in (1, 2, 3):
-        ctx = cli.RunContext(replace(SPECS[config], seed=seed))
+        ctx = cli.RunContext(replace(spec, seed=seed))
         ok, values, draws = _run_recording_draws(monkeypatch, ctx, name, stacked)
         want_ok, want, want_draws = _run_recording_draws(monkeypatch, ctx, name, per_sample)
         assert ok == want_ok
-        assert abs(values["max_residual"] - want["max_residual"]) <= 1e-13
-        assert len(draws) == len(want_draws) == 3 * cli.SAMPLES
+        assert values.keys() == want.keys()
+        for key in want:
+            assert abs(values[key] - want[key]) <= 1e-13, key
+        assert len(draws) == len(want_draws) == n_draws
         for got, expected in zip(draws, want_draws):
             assert np.array_equal(got, expected)
 
@@ -235,3 +350,106 @@ def test_stacked_transpose_requires_faithful():
     with pytest.raises(NotFaithful) as single:
         solver.transpose(first)
     assert _residual(stacked) == pytest.approx(_residual(single), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the norms, local actions and preparation witnesses on stacks
+
+
+def test_trans_norm_on_a_mixed_stack_matches_per_element():
+    th = core.quantum(2)
+    a, b = qm.random_cp(2, 3), qm.random_cp(2, 4)
+    non_cp = core.Transformation(th, a.choi - b.choi, generalized=True)
+    maps = [a, core.zero_map(th), non_cp, b]
+    got = core.trans_norm(core.stack(maps))
+    want = [core.trans_norm(t) for t in maps]
+    assert all(type(x) is float for x in want)
+    assert want[1] == 0.0 and want[2] > 0.0
+    _close(got, want, atol=0.0)
+    nested = core.trans_norm(core.stack([core.stack(maps[:2]), core.stack(maps[2:])]))
+    _close(nested.reshape(-1), want, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_norms_on_stacks_match_per_element(d):
+    s = _samples(d, 10)
+    states, effects = s["states"], s["effects"] + s["generalized"]
+    weights = [core.act(t, w) for t, w in zip(s["maps"], states)]
+    assert type(core.effect_norm(effects[0])) is float
+    assert type(core.weight_norm(weights[0])) is float
+    _close(core.effect_norm(core.stack(effects)), [core.effect_norm(e) for e in effects])
+    _close(core.weight_norm(core.stack(weights)), [core.weight_norm(w) for w in weights])
+    cs = [cli._sample_effect(CLASSICAL["classical-d3"], np.random.default_rng(i)) for i in range(3)]
+    _close(core.effect_norm(core.stack(cs)), [core.effect_norm(e) for e in cs])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_local_action_on_joint_stacks_matches_per_element(d):
+    rng = np.random.default_rng(d)
+    joints = [qm.random_joint_state(d, rng) for _ in range(N)]
+    maps = _samples(d, 11)["maps"]
+    sups = np.array([t.super for t in maps])
+    stacked = core.stack(joints).matrix
+    for slot in (1, 2):
+        # one map on every joint, and map i on joint i
+        _close(
+            ch.apply_local_super(sups[0], stacked, slot, d),
+            [ch.apply_local_super(sups[0], j.matrix, slot, d) for j in joints],
+        )
+        _close(
+            ch.apply_local_super(sups, stacked, slot, d),
+            [ch.apply_local_super(s, j.matrix, slot, d) for s, j in zip(sups, joints)],
+        )
+    _close(
+        qm.local_state(core.stack(joints), 2).matrix,
+        [qm.local_state(j, 2).matrix for j in joints],
+    )
+    weights = qm.apply_local(core.stack(joints), core.stack(maps), 1)
+    _close(
+        weights.normalize().matrix,
+        [qm.apply_local(j, t, 1).normalize().matrix for j, t in zip(joints, maps)],
+    )
+
+
+def test_joint_stacks_reject_any_bad_element():
+    ok = qm.max_entangled(2).matrix
+    with pytest.raises(ValueError, match="unit trace"):
+        qm.BipartiteState(2, np.array([ok, 2 * ok]))
+    with pytest.raises(ZeroProbability):
+        qm.BipartiteWeight(2, np.array([ok, 0 * ok])).normalize()
+
+
+def test_experiments_stack_branchwise():
+    exps = [qm.random_experiment(2, seed) for seed in range(3)]
+    stacked = core.stack(exps)
+    assert len(stacked.branches) == len(exps[0].branches)
+    for k, branch in enumerate(stacked.branches):
+        _close(branch.choi, [e.branches[k].choi for e in exps], atol=0.0)
+    with pytest.raises(ValueError):
+        core.stack([exps[0], core.Experiment(exps[1].branches[:2])])
+
+
+@pytest.mark.parametrize("config", SPECS)
+def test_prepare_witness_on_stacks_matches_per_element(config):
+    system = _space(config).solver.witness
+    states = _samples(system.phi.d, 12)["states"]
+    witness, probs = faithful.prepare_witness(system, core.stack(states))
+    singles = [faithful.prepare_witness(system, w) for w in states]
+    assert all(type(p) is float for _, p in singles)
+    _close(witness.choi, [t.choi for t, _ in singles])
+    _close(probs, [p for _, p in singles])
+    assert witness.generalized == any(t.generalized for t, _ in singles)
+
+
+def test_stacked_witness_requires_faithful():
+    mixed = core.State(core.quantum(2), np.eye(2) / 2)
+    system = faithful.witness_system(qm.product_state(mixed, mixed))
+    first, second = qm.random_state(2, 0), qm.random_state(2, 1)
+    # the maximally mixed target is reachable on the product state; the
+    # first element in stack order that is not is the one named
+    with pytest.raises(NotFaithful) as stacked:
+        faithful.prepare_witness(system, core.stack([mixed, first, second]))
+    with pytest.raises(NotFaithful) as single:
+        faithful.prepare_witness(system, first)
+    assert _residual(stacked) == pytest.approx(_residual(single), rel=1e-12)
+    faithful.prepare_witness(system, mixed)
