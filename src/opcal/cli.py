@@ -353,54 +353,77 @@ def _run_check(ctx, name, detail, tolerance, fn):
     )
 
 
-# Samplers, called as sampler(spec, rng); the first three follow the
-# spec's backend, the others are quantum.
+class _Sampler:
+    """One kind of sample: draw(spec, rng) makes the rng calls of one
+    sample and returns their raw output (`qm.Draws`); build(spec,
+    draws) builds the object from one sample's draws, or the stack of
+    objects from draws stacked over samples.  Called as sampler(spec,
+    rng), it draws and builds one sample."""
+
+    def __init__(self, draw, build):
+        self.draw, self.build = draw, build
+
+    def __call__(self, spec, rng):
+        return self.build(spec, self.draw(spec, rng))
 
 
-def _sample_state(spec, rng):
-    if spec.backend == "classical":
-        return qm.random_classical_state(spec.d, rng)
-    return qm.random_state(spec.d, rng)
+def _classical(spec):
+    return spec.backend == "classical"
 
 
-def _sample_map(spec, rng):
-    if spec.backend == "classical":
-        return qm.random_classical_map(spec.d, rng)
-    return qm.random_cp(spec.d, rng)
-
-
-def _sample_effect(spec, rng):
-    if spec.backend == "classical":
-        return qm.classical_effect(rng.uniform(0.0, 1.0, spec.d))
-    return qm.random_effect(spec.d, rng)
-
-
-def _sample_generalized_effect(spec, rng):
-    return qm.random_generalized_effect(spec.d, rng)
-
-
-def _sample_joint_state(spec, rng):
-    return qm.random_joint_state(spec.d, rng)
-
-
-def _sample_experiment(spec, rng):
-    return qm.random_experiment(spec.d, rng)
-
-
-def _sample_kraus_contraction(spec, rng):
+def _kraus_contraction(spec, draws):
     """rho -> K rho K^dag for a Gaussian K scaled to operator norm 1/1.1."""
-    d = spec.d
-    k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return qm.kraus_to_choi(core.quantum(d), [k / (np.linalg.norm(k, 2) * 1.1)])
+    re, im = draws
+    k = re + 1j * im
+    k = k / (np.linalg.norm(k, 2, axis=(-2, -1))[..., None, None] * 1.1)
+    # one Kraus operator per map: the Kraus axis before the last two
+    return qm.kraus_to_choi(core.quantum(spec.d), k[..., None, :, :])
+
+
+# The first three follow the spec's backend, the others are quantum.
+# Each looks its qm functions up when it runs, so a rebound qm name (a
+# layer tracer's wrapper, say) is the one called.
+_sample_state = _Sampler(
+    lambda spec, rng: (qm._classical_state_draws if _classical(spec) else qm._gaussian_draws)(rng, spec.d),
+    lambda spec, draws: (qm.random_classical_state if _classical(spec) else qm.random_state)(spec.d, draws),
+)
+_sample_map = _Sampler(
+    lambda spec, rng: (qm._classical_map_draws if _classical(spec) else qm._cp_draws)(rng, spec.d),
+    lambda spec, draws: (qm.random_classical_map if _classical(spec) else qm.random_cp)(spec.d, draws),
+)
+_sample_effect = _Sampler(
+    lambda spec, rng: (
+        qm.Draws((rng.uniform(0.0, 1.0, spec.d),)) if _classical(spec) else qm._effect_draws(rng, spec.d)
+    ),
+    lambda spec, draws: qm.classical_effect(draws[0]) if _classical(spec) else qm.random_effect(spec.d, draws),
+)
+_sample_generalized_effect = _Sampler(
+    lambda spec, rng: qm._gaussian_draws(rng, spec.d),
+    lambda spec, draws: qm.random_generalized_effect(spec.d, draws),
+)
+_sample_joint_state = _Sampler(
+    lambda spec, rng: qm._gaussian_draws(rng, spec.d**2),
+    lambda spec, draws: qm.random_joint_state(spec.d, draws),
+)
+_sample_experiment = _Sampler(
+    lambda spec, rng: qm._experiment_draws(rng, spec.d),
+    lambda spec, draws: qm.random_experiment(spec.d, draws),
+)
+_sample_kraus_contraction = _Sampler(
+    lambda spec, rng: qm._gaussian_draws(rng, spec.d), _kraus_contraction
+)
 
 
 def _draw(ctx, rng, n, *samplers):
-    """n samples, each drawn by calling every sampler in the given
-    order, returned as one stack per sampler.  The checks draw from one
-    rng, so this order fixes the samples; the maps are then applied
-    once to each stack."""
-    draws = [[sampler(ctx.spec, rng) for sampler in samplers] for _ in range(n)]
-    return [core.stack(column) for column in zip(*draws)]
+    """n samples, each drawn by making every sampler's rng calls in the
+    given order, then built as one stack per sampler.  The checks draw
+    from one rng, so this order fixes the samples; each sampler then
+    builds, and the maps are applied, once per stack."""
+    spec = ctx.spec
+    draws = [[sampler.draw(spec, rng) for sampler in samplers] for _ in range(n)]
+    return [
+        sampler.build(spec, qm.Draws.stack(column)) for sampler, column in zip(samplers, zip(*draws))
+    ]
 
 
 # -- core

@@ -111,10 +111,12 @@ class Weight:
         return to_coords(self.matrix, self.theory.basis())
 
     def normalize(self, tol=PROB_TOL):
+        """The state of each weight; a stack with any weight at or
+        below the cutoff raises."""
         t = self.total
-        if t <= tol:
-            raise ZeroProbability(f"total weight {t} below cutoff {tol}")
-        return State(self.theory, self.matrix / t)
+        if (t <= tol).any():
+            raise ZeroProbability(f"total weight {np.min(t)} below cutoff {tol}")
+        return State(self.theory, self.matrix / t[..., None, None])
 
 
 @dataclass(frozen=True)
@@ -241,11 +243,13 @@ def act(t, state):
 
 
 def condition(state, t, tol=PROB_TOL):
-    """Bayes conditioning: (probability, conditional state)."""
+    """Bayes conditioning: (probability, conditional state), one of each
+    per element of a stack; a stack with any probability at or below
+    the cutoff raises."""
     w = act(t, state)
     p = w.total
-    if p <= tol:
-        raise ZeroProbability(f"outcome probability {p} below cutoff {tol}")
+    if (p <= tol).any():
+        raise ZeroProbability(f"outcome probability {np.min(p)} below cutoff {tol}")
     return p, w.normalize(tol)
 
 
@@ -268,11 +272,8 @@ def stack(items):
     """Objects of one kind and theory (states, weights, effects,
     transformations or joint states, single or stacked alike) as one
     object of that kind whose matrix has a new leading axis over the
-    items, in order.  Experiments with equally many branches stack
-    branchwise."""
+    items, in order."""
     first = items[0]
-    if isinstance(first, Experiment):
-        return Experiment(tuple(stack(b) for b in zip(*(x.branches for x in items), strict=True)))
     key = "choi" if isinstance(first, Transformation) else "matrix"
     fields = {key: np.array([getattr(x, key) for x in items])}
     if hasattr(first, "generalized"):

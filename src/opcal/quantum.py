@@ -2,10 +2,15 @@
 form, bipartite states, local actions, and seeded samplers.
 
 Sampling distributions: states are Hilbert-Schmidt (normalized Wishart
-G G^dag / Tr), pure states Haar (normalized complex Gaussian), CP maps
-Wishart Choi matrices rescaled to be trace-nonincreasing.  Every
-sampler takes an explicit seed (or a Generator) so suites reproduce
-bit-for-bit.
+G G^dag / Tr), CP maps Wishart Choi matrices rescaled to be
+trace-nonincreasing.  Every sampler takes an explicit seed (or a
+Generator) so suites reproduce bit-for-bit.  A sampler first makes its
+rng calls for one sample, then builds the object from their raw output
+(`Draws`).  Given Draws in place of a seed it only builds, and the build
+is stack-aware: draws stacked over samples build the stack of objects
+in one pass, each element equal to its own scalar call.  `cli._draw`
+draws sample by sample in the checks' call order and builds once per
+stack.
 """
 
 from dataclasses import dataclass
@@ -23,12 +28,6 @@ from .core import (
     quantum,
 )
 from .errors import DimensionMismatch, ZeroProbability
-
-
-def _rng(seed_or_rng):
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +84,6 @@ def max_entangled(d):
     return BipartiteState(d, np.outer(v, v.conj()))
 
 
-def product_state(w1, w2):
-    m1 = w1.matrix if hasattr(w1, "matrix") else np.asarray(w1)
-    m2 = w2.matrix if hasattr(w2, "matrix") else np.asarray(w2)
-    return BipartiteState(m1.shape[0], np.kron(m1, m2))
-
-
 def local_state(joint, n):
     """Local state of slot n: the joint paired with a transformation on
     that slot and identity elsewhere (partial trace over the other)."""
@@ -118,9 +111,10 @@ def signaling_residual(joint, experiment, tol=PROB_TOL):
     """Largest entry by which the deterministic sum of a local
     experiment on slot 1 changes the local state of slot 2 (zero for a
     theory without signaling).  A stack of joint states and an
-    experiment whose branches are stacks (`core.stack` of experiments)
-    give the largest over the stack.  Raises if the experiment is
-    incomplete rather than reporting a spurious violation."""
+    experiment whose branches are stacks (as `random_experiment` builds
+    from stacked draws) give the largest over the stack.  Raises if the
+    experiment is incomplete rather than reporting a spurious
+    violation."""
     experiment.check_complete(tol)
     after = apply_local(joint, experiment.deterministic_sum(), 1)
     lhs = ch.partial_trace(after.matrix, (joint.d, joint.d), 1)
@@ -162,106 +156,165 @@ def projective_experiment(theory):
 # samplers
 
 
-def random_pure(d, seed):
-    rng = _rng(seed)
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
+class Draws(tuple):
+    """The raw output of a sampler's rng calls, one array (or float) per
+    call in call order: for one sample, or stacked over samples along a
+    new leading axis (`Draws.stack`)."""
+
+    @classmethod
+    def stack(cls, samples):
+        """The draws of several samples, stacked call by call."""
+        return cls(np.array(column) for column in zip(*samples))
 
 
-def random_unitary(d, seed):
-    rng = _rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+# The rng calls of one sample, by sampler.  A complex Gaussian is two
+# calls, its real part first.
+
+
+def _gaussian_draws(rng, d):
+    return Draws((rng.standard_normal((d, d)), rng.standard_normal((d, d))))
+
+
+def _effect_draws(rng, d):
+    return Draws((*_gaussian_draws(rng, d), rng.uniform(0.2, 1.0)))
+
+
+def _cp_draws(rng, d, trace_preserving=False, rank=None):
+    shape = (d * d, rank or d * d)
+    g = (rng.standard_normal(shape), rng.standard_normal(shape))
+    return Draws(g if trace_preserving else (*g, rng.uniform(1.0, 2.0)))
+
+
+def _experiment_draws(rng, d):
+    return _cp_draws(rng, d, trace_preserving=True, rank=3)
+
+
+def _classical_state_draws(rng, d):
+    return Draws((rng.dirichlet(np.ones(d)),))
+
+
+def _classical_map_draws(rng, d):
+    return Draws((rng.uniform(0.0, 1.0, (d, d)), rng.uniform(1.0, 1.5)))
+
+
+def _draws(seed, draw, *args):
+    """What a sampler builds from: `seed` itself when it is Draws (one
+    sample's or a stack's), else one sample drawn from the seed or
+    Generator (`default_rng` returns a Generator unaltered)."""
+    if isinstance(seed, Draws):
+        return seed
+    return draw(np.random.default_rng(seed), *args)
+
+
+def _complex(re, im):
+    return re + 1j * im
+
+
+def _dagger(g):
+    return np.swapaxes(g.conj(), -1, -2)
+
+
+def _per_matrix(x):
+    """A scalar per matrix (an array over a stack), shaped to divide it."""
+    return np.asarray(x)[..., None, None]
 
 
 def random_state(d, seed):
     """Hilbert-Schmidt measure via a normalized Wishart matrix."""
-    rng = _rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    return State(quantum(d), m / np.real(np.trace(m)))
+    g = _complex(*_draws(seed, _gaussian_draws, d))
+    m = g @ _dagger(g)
+    return State(quantum(d), m / _per_matrix(m.trace(axis1=-2, axis2=-1).real))
+
 
 def random_joint_state(d, seed):
-    inner = random_state(d * d, seed)
-    return BipartiteState(d, inner.matrix)
+    return BipartiteState(d, random_state(d * d, seed).matrix)
 
 
 def random_effect(d, seed):
     """Physical effect 0 <= E <= I (Wishart rescaled by its top eigenvalue)."""
-    rng = _rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    return Effect(quantum(d), m / np.linalg.eigvalsh(m)[-1] * rng.uniform(0.2, 1.0))
+    re, im, u = _draws(seed, _effect_draws, d)
+    g = _complex(re, im)
+    m = g @ _dagger(g)
+    top = np.linalg.eigvalsh(m)[..., -1]
+    return Effect(quantum(d), m / _per_matrix(top) * _per_matrix(u))
 
 
 def random_generalized_effect(d, seed):
-    rng = _rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return Effect(quantum(d), (g + g.conj().T) / 2.0, generalized=True)
+    g = _complex(*_draws(seed, _gaussian_draws, d))
+    return Effect(quantum(d), (g + _dagger(g)) / 2.0, generalized=True)
 
 
 def random_cp(d, seed, trace_preserving=False, rank=None):
     """CP map from a Wishart Choi rescaled to trace-nonincreasing (or
     projected to trace-preserving)."""
-    rng = _rng(seed)
-    k = rank or d * d
-    g = rng.standard_normal((d * d, k)) + 1j * rng.standard_normal((d * d, k))
-    c = g @ g.conj().T
+    re, im, *scale = _draws(seed, _cp_draws, d, trace_preserving, rank)
+    g = _complex(re, im)
+    c = g @ _dagger(g)
     e = ch.effect_of_choi(c)
     if trace_preserving:
         # every Kraus operator K becomes K R, R = (sum K^dag K)^{-1/2},
         # so the dual unit is the identity; on the Choi matrix that is
         # the congruence by R^T kron I
-        rt = np.linalg.inv(ch.herm_sqrt(e)).T
-        c = np.einsum("ik,kalb,jl->iajb", rt, c.reshape(d, d, d, d), rt.conj())
-        return Transformation(quantum(d), c.reshape(d * d, d * d))
-    c = c / (np.linalg.eigvalsh(e)[-1] * float(rng.uniform(1.0, 2.0)))
-    return Transformation(quantum(d), c)
+        rt = np.swapaxes(np.linalg.inv(ch.herm_sqrt(e)), -1, -2)
+        lead = c.shape[:-2]
+        c = np.einsum(
+            "...ik,...kalb,...jl->...iajb", rt, c.reshape(*lead, d, d, d, d), rt.conj()
+        )
+        return Transformation(quantum(d), c.reshape(*lead, d * d, d * d))
+    top = np.linalg.eigvalsh(e)[..., -1]
+    return Transformation(quantum(d), c / _per_matrix(top * scale[0]))
 
 
 def random_experiment(d, seed):
     """Random instrument: the three Kraus pieces of a trace-preserving
-    CP map, i.e. the rank-one terms w v v^dag of its Choi matrix."""
-    rng = _rng(seed)
-    tp = random_cp(d, rng, trace_preserving=True, rank=3)
+    CP map, i.e. the rank-one terms w v v^dag of its rank-three Choi
+    matrix (its three largest eigenpairs, in ascending order)."""
+    tp = random_cp(d, _draws(seed, _experiment_draws, d), trace_preserving=True)
     w, v = np.linalg.eigh(tp.choi)
-    keep = w > 1e-12
-    branches = np.einsum("ik,jk->kij", v[:, keep] * w[keep], v[:, keep].conj())
-    return Experiment(tuple(Transformation(quantum(d), c) for c in branches))
+    w, v = w[..., -3:], v[..., -3:]
+    branches = np.einsum("...ik,...jk->...kij", v * w[..., None, :], v.conj())
+    return Experiment(tuple(Transformation(quantum(d), c) for c in np.moveaxis(branches, -3, 0)))
 
 
 # ---------------------------------------------------------------------------
 # classical (diagonal) backend helpers
 
 
+def _diag(v):
+    """The diagonal matrix of a vector, or of each of a stack of them
+    (along the last axis)."""
+    i = np.arange(v.shape[-1])
+    out = np.zeros(v.shape + i.shape, dtype=complex)
+    out[..., i, i] = v
+    return out
+
+
 def classical_state(probs):
     p = np.asarray(probs, dtype=float)
-    return State(classical(len(p)), np.diag(p).astype(complex))
+    return State(classical(p.shape[-1]), _diag(p))
 
 
 def classical_effect(values, generalized=False):
     v = np.asarray(values, dtype=float)
-    return Effect(classical(len(v)), np.diag(v).astype(complex), generalized)
+    return Effect(classical(v.shape[-1]), _diag(v), generalized)
 
 
 def classical_map(matrix, generalized=False):
-    """Transformation from a (sub)stochastic matrix M[i, j], acting on
-    outcome vectors; encoded with Kraus sqrt(M_ij) |i><j| so the shared
-    Choi machinery applies."""
+    """Transformation from a (sub)stochastic matrix M[i, j] (or a stack
+    of them), acting on outcome vectors; encoded with Kraus
+    sqrt(M_ij) |i><j| so the shared Choi machinery applies."""
     m = np.asarray(matrix, dtype=float)
     # Choi entry [(j, i), (j, i)] is M[i, j]
-    c = np.diag(m.T.reshape(-1)).astype(complex)
-    return Transformation(classical(m.shape[0]), c, generalized)
+    flat = np.swapaxes(m, -1, -2).reshape(*m.shape[:-2], -1)
+    return Transformation(classical(m.shape[-1]), _diag(flat), generalized)
 
 
 def random_classical_state(d, seed):
-    rng = _rng(seed)
-    return classical_state(rng.dirichlet(np.ones(d)))
+    (p,) = _draws(seed, _classical_state_draws, d)
+    return classical_state(p)
 
 
 def random_classical_map(d, seed):
-    rng = _rng(seed)
-    m = rng.uniform(0.0, 1.0, (d, d))
-    m /= np.max(np.sum(m, axis=0)) * float(rng.uniform(1.0, 1.5))
-    return classical_map(m)
+    m, u = _draws(seed, _classical_map_draws, d)
+    scale = np.max(np.sum(m, axis=-2), axis=-1) * u
+    return classical_map(m / _per_matrix(scale))

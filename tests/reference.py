@@ -1,14 +1,17 @@
 """Reference objects and predicates that only the tests use: the qubit
 reference observables, the Kraus superoperator, the joint bilinear form
-and its absolute value, the involution on states, and the pass
-predicates of a dimension table."""
+and its absolute value, the involution on states, the pass predicates
+of a dimension table, product states, and the samplers: pure states,
+unitaries, and one-sample-at-a-time formulas that the stack-aware
+samplers must reproduce bit for bit."""
 
 import numpy as np
 
 from opcal import channels as ch
 from opcal.basis import hermitian_basis, to_coords
-from opcal.core import Effect, Observable, State, quantum
+from opcal.core import Effect, Experiment, Observable, State, Transformation, classical, quantum
 from opcal.errors import ConeViolation
+from opcal.quantum import BipartiteState
 
 # ---------------------------------------------------------------------------
 # reference observables
@@ -94,3 +97,99 @@ def passes(report, name):
 def all_pass(report):
     """Whether every identity of a dimension table holds."""
     return all(ok for _, _, _, ok in report.rows)
+
+
+# ---------------------------------------------------------------------------
+# states and samplers
+
+
+def product_state(w1, w2):
+    m1 = w1.matrix if hasattr(w1, "matrix") else np.asarray(w1)
+    m2 = w2.matrix if hasattr(w2, "matrix") else np.asarray(w2)
+    return BipartiteState(m1.shape[0], np.kron(m1, m2))
+
+
+def random_pure(d, seed):
+    """Haar-random unit vector (normalized complex Gaussian)."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def random_unitary(d, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# The samplers one sample at a time, each drawing from its rng and
+# building from 2-d arrays: the oracles of the stack-aware samplers of
+# opcal.quantum and opcal.cli, which must make the same rng calls and
+# return the same matrices bit for bit.
+
+
+def _gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def sample_state(d, rng):
+    g = _gaussian(rng, (d, d))
+    m = g @ g.conj().T
+    return State(quantum(d), m / np.real(np.trace(m)))
+
+
+def sample_joint_state(d, rng):
+    return BipartiteState(d, sample_state(d * d, rng).matrix)
+
+
+def sample_effect(d, rng):
+    g = _gaussian(rng, (d, d))
+    m = g @ g.conj().T
+    return Effect(quantum(d), m / np.linalg.eigvalsh(m)[-1] * rng.uniform(0.2, 1.0))
+
+
+def sample_generalized_effect(d, rng):
+    g = _gaussian(rng, (d, d))
+    return Effect(quantum(d), (g + g.conj().T) / 2.0, generalized=True)
+
+
+def sample_cp(d, rng, trace_preserving=False, rank=None):
+    g = _gaussian(rng, (d * d, rank or d * d))
+    c = g @ g.conj().T
+    e = ch.effect_of_choi(c)
+    if trace_preserving:
+        rt = np.linalg.inv(ch.herm_sqrt(e)).T
+        c = np.einsum("ik,kalb,jl->iajb", rt, c.reshape(d, d, d, d), rt.conj())
+        return Transformation(quantum(d), c.reshape(d * d, d * d))
+    c = c / (np.linalg.eigvalsh(e)[-1] * float(rng.uniform(1.0, 2.0)))
+    return Transformation(quantum(d), c)
+
+
+def sample_experiment(d, rng):
+    tp = sample_cp(d, rng, trace_preserving=True, rank=3)
+    w, v = np.linalg.eigh(tp.choi)
+    keep = w > 1e-12
+    branches = np.einsum("ik,jk->kij", v[:, keep] * w[keep], v[:, keep].conj())
+    return Experiment(tuple(Transformation(quantum(d), c) for c in branches))
+
+
+def sample_kraus_contraction(d, rng):
+    k = _gaussian(rng, (d, d))
+    k = k / (np.linalg.norm(k, 2) * 1.1)
+    return Transformation(quantum(d), ch.kraus_to_choi_matrix([k]))
+
+
+def sample_classical_state(d, rng):
+    p = rng.dirichlet(np.ones(d))
+    return State(classical(d), np.diag(p).astype(complex))
+
+
+def sample_classical_effect(d, rng):
+    return Effect(classical(d), np.diag(rng.uniform(0.0, 1.0, d)).astype(complex))
+
+
+def sample_classical_map(d, rng):
+    m = rng.uniform(0.0, 1.0, (d, d))
+    m /= np.max(np.sum(m, axis=0)) * float(rng.uniform(1.0, 1.5))
+    return Transformation(classical(d), np.diag(m.T.reshape(-1)).astype(complex))

@@ -8,7 +8,7 @@ from opcal import basis
 from opcal import channels as ch
 from opcal import cli, core, faithful, gns, infodim
 from opcal import quantum as qm
-from reference import all_pass, passes
+from reference import all_pass, passes, product_state
 
 SY = np.array([[0, -1j], [1j, 0]])
 
@@ -66,7 +66,7 @@ def test_criterion_3_faithfulness(capsys):
             resid = np.max(np.abs(qm.local_state(cond, 2).matrix - target.matrix))
             ok = ok and resid < 1e-9 and p > 0
         mixed = core.State(core.quantum(d), np.eye(d) / d)
-        prod = qm.product_state(mixed, mixed)
+        prod = product_state(mixed, mixed)
         ok = ok and not faithful.is_dynamically_faithful(prod)
         ok = ok and not faithful.is_preparationally_faithful(prod)
     _verdict(capsys, "3 canonical state faithful, product states not (d=2,3)", ok)

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from opcal import core
 from opcal import quantum as qm
 from opcal.errors import BackendMismatch, NotCoexistent, ZeroProbability
+from reference import random_pure
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -167,7 +168,7 @@ def test_trans_norm_generalized_bounds():
         assert n <= core.trans_norm(a) + core.trans_norm(b) + 1e-9
         # lower bound from sampled pure inputs
         for _ in range(5):
-            psi = qm.random_pure(2, rng)
+            psi = random_pure(2, rng)
             out = t(np.outer(psi, psi.conj()))
             lower = float(np.sum(np.abs(np.linalg.eigvalsh(out))))
             assert n >= lower - 1e-9

@@ -11,14 +11,14 @@ from opcal import core, faithful
 from opcal import quantum as qm
 from opcal.basis import from_coords, hermitian_basis, to_coords
 from opcal.errors import DegenerateSplit, NotFaithful
-from reference import abs_form, bilinear_form, state_sigma
+from reference import abs_form, bilinear_form, product_state, state_sigma
 
 SY = np.array([[0, -1j], [1j, 0]])
 
 
 def _product_phi(d):
     mixed = np.eye(d) / d
-    return qm.product_state(
+    return product_state(
         core.State(core.quantum(d), mixed), core.State(core.quantum(d), mixed)
     )
 

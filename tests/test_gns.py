@@ -9,6 +9,7 @@ from opcal import cli, core, faithful, gns
 from opcal.basis import from_coords, to_coords
 from opcal import quantum as qm
 from opcal.errors import NotFaithful
+from reference import product_state
 
 
 def test_transpose_is_kraus_transpose(phi2, rng):
@@ -79,7 +80,7 @@ def test_folded_transpose_is_the_coordinate_solve(phi, rng):
 
 def test_transpose_requires_faithful():
     mixed = core.State(core.quantum(2), np.eye(2) / 2)
-    phi = qm.product_state(mixed, mixed)
+    phi = product_state(mixed, mixed)
     with pytest.raises(NotFaithful):
         gns.TransposeSolver(phi).transpose(qm.random_cp(2, 0))
 
@@ -271,7 +272,7 @@ def test_state_rep_normalization(space2, rng):
 def test_gns_space_rejects_unfaithful():
     mixed = core.State(core.quantum(2), np.eye(2) / 2)
     with pytest.raises(Exception):
-        gns.gns_space(gns.TransposeSolver(qm.product_state(mixed, mixed)))
+        gns.gns_space(gns.TransposeSolver(product_state(mixed, mixed)))
 
 
 def test_calibrated_maps_convert_no_coordinates(monkeypatch):

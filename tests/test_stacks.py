@@ -1,6 +1,8 @@
-"""Stacks of samples: every stack-aware map equals its per-element
-calls, and the stacked gns/born checks draw the same samples, in the
-same order, as the per-sample loops they replaced."""
+"""Stacks of samples: the samplers draw per sample and build per stack
+the same matrices, bit for bit, as the one-sample formulas they
+replaced; every stack-aware map equals its per-element calls; and the
+stacked checks draw the same samples, in the same order, as the
+per-sample loops they replaced."""
 
 import re
 from dataclasses import replace
@@ -12,6 +14,8 @@ from opcal import channels as ch
 from opcal import cli, core, faithful, gns
 from opcal import quantum as qm
 from opcal.errors import NotFaithful, ZeroProbability
+import reference
+from reference import product_state
 
 
 def _isotropic(d, p):
@@ -162,30 +166,56 @@ def _drawn(out):
     return out.choi if hasattr(out, "choi") else out.matrix
 
 
-def _run_recording_draws(monkeypatch, ctx, name, fn):
+def _unstacked(out):
+    """The matrices of each sample of a stack, as `_drawn` gives them."""
+    if isinstance(out, core.Experiment):
+        return list(np.stack([b.choi for b in out.branches], axis=1))
+    return list(_drawn(out))
+
+
+def _run_recording_draws(monkeypatch, ctx, name, fn, stacked):
     """Run a check body on its own rng; return its result and the
-    matrices its samplers returned, in call order."""
+    matrices it drew, sample by sample in call order.  A stacked body's
+    are read off the stacks cli._draw returns; a per-sample body's are
+    what its outermost sampler calls returned."""
     draws = []
+
+    def recording_draw(draw):
+        def wrapped(*args):
+            stacks = draw(*args)
+            draws.extend(x for sample in zip(*map(_unstacked, stacks)) for x in sample)
+            return stacks
+
+        return wrapped
+
+    depth = [0]
 
     def recording(sampler):
         def wrapped(*args, **kwargs):
-            out = sampler(*args, **kwargs)
-            draws.append(_drawn(out))
+            depth[0] += 1
+            try:
+                out = sampler(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                draws.append(_drawn(out))
             return out
 
         return wrapped
 
     with monkeypatch.context() as patch:
-        for sampler in SAMPLERS:
-            patch.setattr(qm, sampler, recording(getattr(qm, sampler)))
+        if stacked:
+            patch.setattr(cli, "_draw", recording_draw(cli._draw))
+        else:
+            for sampler in SAMPLERS:
+                patch.setattr(qm, sampler, recording(getattr(qm, sampler)))
         rng = np.random.default_rng(cli.check_seed(ctx.spec.seed, name))
         ok, values = fn(ctx, rng, ctx.spec.tol)
     return ok, values, draws
 
 
 # (id, check, stacked body, per-sample body, configurations, draws per
-# run); a random_joint_state draw records its random_state draw too, and
-# a random_experiment draw its random_cp draw
+# run)
 ORACLES = (
     ("adjoint_pairing", "gns.adjoint_pairing", cli._check_adjoint_pairing, _adjoint_pairing_per_sample, SPECS, 3 * cli.SAMPLES),
     ("born_triple", "born.triple", cli._check_born_triple, _born_triple_per_sample, SPECS, 3 * cli.SAMPLES),
@@ -194,7 +224,7 @@ ORACLES = (
     ("submultiplicative", "norms.submultiplicative", cli._check_submultiplicative, _submultiplicative_per_sample, {**SPECS, **CLASSICAL}, 2 * cli.SAMPLES),
     ("contraction", "norms.contraction", cli._check_contraction, _contraction_per_sample, {**SPECS, **CLASSICAL}, cli.SAMPLES),
     ("preparational", "faithful.preparational", cli._check_preparational, _preparational_per_sample, SPECS, 5),
-    ("no_signaling", "born.no_signaling", cli._check_no_signaling, _no_signaling_per_sample, SPECS, 4 * cli.SAMPLES),
+    ("no_signaling", "born.no_signaling", cli._check_no_signaling, _no_signaling_per_sample, SPECS, 2 * cli.SAMPLES),
 )
 
 
@@ -209,8 +239,8 @@ ORACLES = (
 def test_stacked_check_matches_per_sample_oracle(monkeypatch, name, stacked, per_sample, spec, n_draws):
     for seed in (1, 2, 3):
         ctx = cli.RunContext(replace(spec, seed=seed))
-        ok, values, draws = _run_recording_draws(monkeypatch, ctx, name, stacked)
-        want_ok, want, want_draws = _run_recording_draws(monkeypatch, ctx, name, per_sample)
+        ok, values, draws = _run_recording_draws(monkeypatch, ctx, name, stacked, True)
+        want_ok, want, want_draws = _run_recording_draws(monkeypatch, ctx, name, per_sample, False)
         assert ok == want_ok
         assert values.keys() == want.keys()
         for key in want:
@@ -218,6 +248,119 @@ def test_stacked_check_matches_per_sample_oracle(monkeypatch, name, stacked, per
         assert len(draws) == len(want_draws) == n_draws
         for got, expected in zip(draws, want_draws):
             assert np.array_equal(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# the samplers: drawn per sample, built per stack
+
+
+SAMPLER_SPECS = {
+    "quantum-d2": cli.TheorySpec(d=2),
+    "quantum-d3": cli.TheorySpec(d=3),
+    "quantum-d4": cli.TheorySpec(d=4),
+    "isotropic-d3-p0.2": SPECS["isotropic-d3-p0.2"],
+    **CLASSICAL,
+}
+# cli sampler -> its one-sample oracle on each backend
+SAMPLE_ORACLES = {
+    "state": {"quantum": reference.sample_state, "classical": reference.sample_classical_state},
+    "map": {"quantum": reference.sample_cp, "classical": reference.sample_classical_map},
+    "effect": {"quantum": reference.sample_effect, "classical": reference.sample_classical_effect},
+    "generalized_effect": {"quantum": reference.sample_generalized_effect},
+    "joint_state": {"quantum": reference.sample_joint_state},
+    "experiment": {"quantum": reference.sample_experiment},
+    "kraus_contraction": {"quantum": reference.sample_kraus_contraction},
+}
+# every sampler alone, and interleaved as the checks draw them
+# (gns.adjoint_pairing, born.triple, born.no_signaling; the norms checks)
+DRAW_ORDERS = {
+    "quantum": [(k,) for k in SAMPLE_ORACLES]
+    + [("map", "generalized_effect", "generalized_effect"), ("state", "effect", "map"), ("joint_state", "experiment")],
+    "classical": [("state",), ("map",), ("effect",), ("state", "effect"), ("map", "state"), ("map", "map")],
+}
+
+
+@pytest.mark.parametrize("config", SAMPLER_SPECS)
+def test_samplers_match_one_sample_oracles(config):
+    for seed in (1, 2, 3):
+        spec = replace(SAMPLER_SPECS[config], seed=seed)
+        ctx = cli.RunContext(spec)
+        for order in DRAW_ORDERS[spec.backend]:
+            samplers = [getattr(cli, f"_sample_{k}") for k in order]
+            oracles = [SAMPLE_ORACLES[k][spec.backend] for k in order]
+            # one stack per sampler
+            rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            stacks = cli._draw(ctx, rng, cli.SAMPLES, *samplers)
+            got = [x for sample in zip(*map(_unstacked, stacks)) for x in sample]
+            want = [_drawn(oracle(spec.d, want_rng)) for _ in range(cli.SAMPLES) for oracle in oracles]
+            assert len(got) == len(want) == cli.SAMPLES * len(order)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), order
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+            # one sample per call
+            rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for sampler, oracle in zip(samplers, oracles):
+                assert np.array_equal(_drawn(sampler(spec, rng)), _drawn(oracle(spec.d, want_rng)))
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_samplers_on_a_seed_match_one_sample_oracles(d):
+    ref = reference
+    for seed in (1, 2, 3):
+        rng = lambda: np.random.default_rng(seed)  # noqa: E731
+        pairs = (
+            (qm.random_state(d, seed), ref.sample_state(d, rng())),
+            (qm.random_joint_state(d, seed), ref.sample_joint_state(d, rng())),
+            (qm.random_effect(d, seed), ref.sample_effect(d, rng())),
+            (qm.random_generalized_effect(d, seed), ref.sample_generalized_effect(d, rng())),
+            (qm.random_cp(d, seed), ref.sample_cp(d, rng())),
+            (qm.random_cp(d, seed, rank=2), ref.sample_cp(d, rng(), rank=2)),
+            (qm.random_cp(d, seed, trace_preserving=True), ref.sample_cp(d, rng(), trace_preserving=True)),
+            (qm.random_experiment(d, seed), ref.sample_experiment(d, rng())),
+            (qm.random_classical_state(d, seed), ref.sample_classical_state(d, rng())),
+            (qm.random_classical_map(d, seed), ref.sample_classical_map(d, rng())),
+        )
+        for got, want in pairs:
+            assert type(got) is type(want)
+            assert np.array_equal(_drawn(got), _drawn(want))
+        assert len(qm.random_experiment(d, seed).branches) == 3
+
+
+def test_classical_constructors_on_stacks_match_per_element():
+    rng = np.random.default_rng(13)
+    inputs = (
+        (qm.classical_state, rng.dirichlet(np.ones(3), size=(2, 2))),
+        (qm.classical_effect, rng.uniform(0.0, 1.0, (2, 2, 3))),
+        (qm.classical_map, rng.uniform(0.0, 1.0, (2, 2, 3, 3)) / 3.0),
+    )
+    for build, stacked in inputs:
+        got = build(stacked)
+        assert got.theory == core.classical(3)
+        flat = stacked.reshape(4, *stacked.shape[2:])
+        want = [_drawn(build(x)) for x in flat]
+        _close(_drawn(got).reshape(4, *want[0].shape), want, atol=0.0)
+    p = inputs[0][1][0, 0]
+    assert np.array_equal(qm.classical_state(p).matrix, np.diag(p))
+
+
+def test_weight_normalize_and_condition_on_stacks():
+    th = core.quantum(2)
+    eye = np.eye(2)
+    states = core.Weight(th, np.array([eye / 2, eye / 4])).normalize()
+    _close(states.matrix, [eye / 2, eye / 2], atol=0.0)
+    s = core.State(th, eye / 2)
+    p, cond = core.condition(core.stack([s, s]), core.identity(th))
+    _close(p, [1.0, 1.0], atol=0.0)
+    _close(cond.matrix, [eye / 2, eye / 2], atol=0.0)
+    # a stack with any weight at or below the cutoff raises, naming the
+    # smallest
+    with pytest.raises(ZeroProbability, match=r"total weight 2e-10 below"):
+        core.Weight(th, np.array([eye * 4e-10, eye / 2, eye * 1e-10])).normalize()
+    branch = qm.projector_map(th, np.diag([0.0, 1.0]))
+    up = core.State(th, np.diag([1.0, 0.0]))
+    with pytest.raises(ZeroProbability, match=r"outcome probability 0\.0 below"):
+        core.condition(core.stack([s, up]), branch)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +483,7 @@ def _residual(err):
 
 def test_stacked_transpose_requires_faithful():
     mixed = core.State(core.quantum(2), np.eye(2) / 2)
-    solver = gns.TransposeSolver(qm.product_state(mixed, mixed))
+    solver = gns.TransposeSolver(product_state(mixed, mixed))
     first, second = qm.random_cp(2, 0), qm.random_cp(2, 1)
     # the zero map solves the system on any state; the first element in
     # stack order that does not is the one named
@@ -420,13 +563,15 @@ def test_joint_stacks_reject_any_bad_element():
 
 
 def test_experiments_stack_branchwise():
-    exps = [qm.random_experiment(2, seed) for seed in range(3)]
-    stacked = core.stack(exps)
-    assert len(stacked.branches) == len(exps[0].branches)
+    # stacked draws build one experiment whose branch k is the stack of
+    # every sample's branch k
+    rng = np.random.default_rng(0)
+    draws = [qm._experiment_draws(rng, 2) for _ in range(3)]
+    exps = [qm.random_experiment(2, x) for x in draws]
+    stacked = qm.random_experiment(2, qm.Draws.stack(draws))
+    assert len(stacked.branches) == len(exps[0].branches) == 3
     for k, branch in enumerate(stacked.branches):
         _close(branch.choi, [e.branches[k].choi for e in exps], atol=0.0)
-    with pytest.raises(ValueError):
-        core.stack([exps[0], core.Experiment(exps[1].branches[:2])])
 
 
 @pytest.mark.parametrize("config", SPECS)
@@ -443,7 +588,7 @@ def test_prepare_witness_on_stacks_matches_per_element(config):
 
 def test_stacked_witness_requires_faithful():
     mixed = core.State(core.quantum(2), np.eye(2) / 2)
-    system = faithful.witness_system(qm.product_state(mixed, mixed))
+    system = faithful.witness_system(product_state(mixed, mixed))
     first, second = qm.random_state(2, 0), qm.random_state(2, 1)
     # the maximally mixed target is reachable on the product state; the
     # first element in stack order that is not is the one named
