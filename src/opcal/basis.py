@@ -159,12 +159,17 @@ def real_view(matrix):
 RANK_RCOND = 1e-10
 
 
+def singular_value_rank(sv):
+    """Number of the (descending, nonempty) singular values above
+    RANK_RCOND * sigma_max, so the decision is scale-free (0 when all
+    are zero)."""
+    return int(np.sum(sv > RANK_RCOND * sv[0]))
+
+
 def matrix_rank(m):
     """Rank by singular values with a relative cutoff of RANK_RCOND *
-    sigma_max, so the decision is scale-free (0 for an empty or zero
-    matrix)."""
+    sigma_max (0 for an empty or zero matrix)."""
     m = np.asarray(m)
     if m.size == 0:
         return 0
-    sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(sv > RANK_RCOND * sv[0]))
+    return singular_value_rank(np.linalg.svd(m, compute_uv=False))

@@ -23,7 +23,6 @@ from . import __version__
 from . import channels as ch
 from . import core, faithful, gns, infodim
 from . import quantum as qm
-from .basis import matrix_rank
 from .errors import (
     ParseError,
     UnknownSuite,
@@ -36,7 +35,7 @@ QUANTUM = ("quantum",)
 SCALAR_FIELDS = {"backend": str, "d": int, "seed": int, "tol": float}
 SAMPLES = 25  # per sampled check; the test suite runs the 100-sample versions
 # Largest accepted dimension: memory grows as d^8 (a process running two
-# d=5 `all` reports with one BLAS thread peaks at 78.7 MB resident, on
+# d=5 `all` reports with one BLAS thread peaks at 78.2 MB resident, on
 # numpy 2.4; the Choi basis alone is 1.6 GB at d=10).
 MAX_D = 5
 
@@ -287,8 +286,9 @@ def check_seed(master, name):
 
 class RunContext:
     """The objects that the checks of one run share: phi, the spectral
-    split, the rank of the slot-1 local action of phi, the transpose
-    solver (which holds the preparation-witness system of phi), the GNS
+    split, the transpose solver (which holds the preparation-witness
+    system of phi, and the rank of the slot-1 local action of phi,
+    `action_rank`, from the one factorization it solves with), the GNS
     space built on that solver and the dimension table of each backend.
     Each is built on first use, from the spec alone, so sharing them
     changes no result; a build that raises is not stored and raises
@@ -303,10 +303,11 @@ class RunContext:
     def phi(self):
         return self.spec.phi()
 
-    @cached_property
+    @property
     def action_rank(self):
-        """Rank of the local action A -> (A, I) Phi on slot 1."""
-        return matrix_rank(faithful.local_action_matrix(self.phi, slot=1))
+        """Rank of the local action A -> (A, I) Phi on slot 1, as the
+        transpose solver decides it from its factorization."""
+        return self.solver.rank
 
     @cached_property
     def split(self):

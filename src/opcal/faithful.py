@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import channels as ch
-from .basis import from_coords, hermitian_basis, matrix_rank, to_coords
+from .basis import _gellmann_layout, from_coords, hermitian_basis, real_view, to_coords
 from .core import Effect, Transformation, _per_element, quantum
 from .errors import ConeViolation, DegenerateSplit, NotFaithful
 from .quantum import BipartiteState, apply_local, kraus_to_choi, max_entangled
@@ -36,28 +36,132 @@ def _choi_basis(d):
     return hermitian_basis(d * d)
 
 
-def local_action_matrix(phi, slot=1):
+def _pair_index(n):
+    """pair[P, Q] = pair[Q, P]: the position of {P, Q}, P != Q, among the
+    off-diagonal pairs of an n x n matrix in Gell-Mann basis order."""
+    j, k = np.triu_indices(n, 1)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[j, k] = pair[k, j] = np.arange(len(j))
+    return pair
+
+
+def _entry_coords(n):
+    """(coords, values), each (n*n, 2): for each entry (P, Q) of an
+    n x n matrix, the two elements of hermitian_basis(n) that hold it
+    and its value in each.  The n diagonal elements are taken in the
+    entry basis |P><P| (the Gell-Mann ones are its rotation by the
+    diagonal transform), so a diagonal entry lies in one element and
+    its second value is 0."""
+    p = (n * n - n) // 2
+    rows, cols = np.divmod(np.arange(n * n), n)
+    pair = _pair_index(n)[rows, cols]
+    s = np.sqrt(0.5)
+    coords = np.stack([n + pair, n + p + pair], axis=-1)
+    values = np.stack([np.full(n * n, s), np.where(rows < cols, -1j * s, 1j * s)], axis=-1)
+    diagonal = rows == cols
+    coords[diagonal] = np.stack([rows[diagonal], rows[diagonal]], axis=-1)
+    values[diagonal] = [1.0, 0.0]
+    return coords, values
+
+
+@lru_cache(maxsize=8)
+def _action_layout(d):
+    """(target, source, coef) of the slot-1 local action on d x d
+    systems, with the diagonal coordinates of both sides in the entry
+    basis: entry `target` of the flattened matrix is the sum of coef
+    times entry `source` of the real view of Phi.
+
+    A matrix unit |i a><j b| of the Choi space maps to |a><b| (x) Phi_ij,
+    Phi_ij[x, y] = Phi[(i, x), (j, y)], so entry (k, c) is
+    Re sum B_k[(b, y), (a, x)] B_c[(i, a), (j, b)] Phi[(i, x), (j, y)]
+    over the d^6 index tuples; each pair of basis values is real or
+    imaginary, so each term reads the real or the imaginary part of
+    one entry of Phi."""
+    n = d * d
+    coords, values = _entry_coords(n)
+    i, a, j, b, x, y = np.indices((d,) * 6).reshape(6, -1)
+    unit = (i * d + a) * n + j * d + b
+    entry = (b * d + y) * n + a * d + x
+    w = values[entry][:, :, None] * values[unit][:, None, :]
+    target = coords[entry][:, :, None] * (n * n) + coords[unit][:, None, :]
+    source = np.broadcast_to((2 * ((i * d + x) * n + j * d + y))[:, None, None], w.shape)
+    keep = w != 0
+    w = w[keep]
+    imag = w.imag != 0
+    layout = (
+        target[keep].astype(np.int32),
+        (source[keep] + imag).astype(np.int32),
+        np.where(imag, -w.imag, w.real),
+    )
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
+def local_action_matrix(phi):
     """Matrix of the real-linear map A -> (A, I) Phi from generalized
     transformations (Choi coordinates) to generalized joint weights
-    (canonical-basis coordinates)."""
+    (canonical-basis coordinates).  One scatter of the entries of Phi
+    into the matrix, then the diagonal transform on the first d^2 rows
+    and columns; no stack of the Choi basis is formed."""
     d = phi.d
-    cb = _choi_basis(d)  # also the canonical basis of joint weights
-    out = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, slot, d)
-    return to_coords(out, cb).T
+    n = d * d
+    target, source, coef = _action_layout(d)
+    m = real_view(phi.matrix)[source]
+    m *= coef
+    m = np.bincount(target, weights=m, minlength=n**4).reshape(n * n, n * n)
+    diag, _ = _gellmann_layout(n)
+    m[:n] = diag @ m[:n]
+    m[:, :n] = m[:, :n] @ diag.T
+    return m
 
 
-def is_dynamically_faithful(phi):
-    """The local action A -> (A, I) Phi has trivial kernel on
-    generalized transformations (full rank d^4)."""
-    return matrix_rank(local_action_matrix(phi)) == phi.d**4
+def is_swap_invariant(phi):
+    """Phi equals S Phi S entry for entry, bit for bit (is_symmetric
+    allows 1e-12)."""
+    t = phi.matrix.reshape((phi.d,) * 4)
+    return bool(np.array_equal(t, t.transpose(1, 0, 3, 2)))
 
 
-def is_preparationally_faithful(phi):
-    """Every joint state is reachable as a local generalized
-    transformation acting on Phi with nonzero probability: the local
-    action map is surjective onto the joint weight space."""
-    m = local_action_matrix(phi)
-    return matrix_rank(m) == phi.d**4
+def swapped(phi):
+    """S Phi S: the joint state with its two subsystems exchanged."""
+    d = phi.d
+    t = phi.matrix.reshape(d, d, d, d).transpose(1, 0, 3, 2)
+    return BipartiteState(d, t.reshape(d * d, d * d))
+
+
+@lru_cache(maxsize=8)
+def _swap_layout(d):
+    """(block, rows, signs) of the swap X -> S X S of d^2 x d^2
+    matrices in Gell-Mann coordinates: the n = d^2 diagonal coordinates
+    of S X S are block @ c[:n], and the others are signs * c[rows],
+    c the coordinates of X.  S permutes the entries of the diagonal,
+    and sends each off-diagonal pair to a pair, flipping the sign of
+    its antisymmetric element when the pair's order flips."""
+    n = d * d
+    diag, _ = _gellmann_layout(n)
+    perm = np.arange(n).reshape(d, d).T.reshape(-1)
+    p = (n * n - n) // 2
+    j, k = np.triu_indices(n, 1)
+    to = _pair_index(n)[perm[j], perm[k]]
+    rows = np.concatenate([n + to, n + p + to])
+    signs = np.concatenate([np.ones(p), np.where(perm[j] < perm[k], 1.0, -1.0)])
+    block = diag @ diag[:, perm].T
+    for arr in (block, rows, signs):
+        arr.setflags(write=False)
+    return block, rows, signs
+
+
+def swap_coords(m, d):
+    """The swap X -> S X S applied to the joint-weight coordinates that
+    are the rows of m: one matrix product on the diagonal coordinates
+    and one signed gather of the others (an orthogonal involution)."""
+    block, rows, signs = _swap_layout(d)
+    n = d * d
+    out = np.empty_like(m)
+    out[:n] = block @ m[:n]
+    out[n:] = signs[:, None] * m[rows]
+    return out
 
 
 def _is_max_entangled(phi, tol=1e-12):

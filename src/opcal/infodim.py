@@ -48,12 +48,6 @@ def _predictable(ev, tol):
     return bool(abs(ev[-1] - 1.0) <= tol and abs(ev[0]) <= tol)
 
 
-def is_predictable(e, tol=1e-9):
-    """Occurs with certainty on some state and never on another (the
-    spectrum of a classical effect is its diagonal)."""
-    return _predictable(np.linalg.eigvalsh(e.matrix), tol)
-
-
 def is_resolved(e, tol=1e-9):
     """Predictable with a single pure state of certain occurrence."""
     ev = np.linalg.eigvalsh(e.matrix)

