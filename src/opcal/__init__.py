@@ -36,7 +36,6 @@ from .quantum import (
     kraus_to_choi,
     local_state,
     max_entangled,
-    no_signaling_check,
 )
 
 __version__ = "0.1.0"

@@ -102,13 +102,11 @@ def partial_trace(matrix, dims, keep):
     return np.trace(t, axis1=-4, axis2=-2)
 
 
-def swap_matrix(d):
-    """Unitary swapping the two factors of C^d tensor C^d."""
-    s = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            s[j * d + i, i * d + j] = 1.0
-    return s
+def swap(m):
+    """S m S, S the unitary swapping the two factors of C^d tensor C^d:
+    the d^2 x d^2 matrix m, or each matrix of a stack, with its two
+    subsystems exchanged."""
+    return _reindex(m, (1, 0, 3, 2))
 
 
 def apply_local_super(sup, joint, slot, d):

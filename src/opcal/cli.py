@@ -35,7 +35,7 @@ QUANTUM = ("quantum",)
 SCALAR_FIELDS = {"backend": str, "d": int, "seed": int, "tol": float}
 SAMPLES = 25  # per sampled check; the test suite runs the 100-sample versions
 # Largest accepted dimension: memory grows as d^8 (a process running two
-# d=5 `all` reports with one BLAS thread peaks at 78.2 MB resident, on
+# d=5 `all` reports with one BLAS thread peaks at 78.6-78.8 MB resident, on
 # numpy 2.4; the Choi basis alone is 1.6 GB at d=10).
 MAX_D = 5
 
@@ -111,13 +111,15 @@ def validate_spec(spec):
         errors.append(f"d must be <= {MAX_D}, got {spec.d} (memory grows as d^8)")
     if not 0 <= spec.seed < 2**64:
         errors.append("seed must fit in 64 bits")
-    if spec.tol <= 0:
-        errors.append("tol must be positive")
+    if not (np.isfinite(spec.tol) and spec.tol > 0):
+        errors.append(f"tol must be finite and positive, got {spec.tol}")
     if spec.phi_override is not None and not errors:
         m = spec.phi_override
         n = spec.d * spec.d
         if m.shape != (n, n):
             errors.append(f"override matrix must be {n} x {n}, got {m.shape}")
+        elif not np.isfinite(m).all():
+            errors.append("override matrix has a non-finite entry")
         else:
             if np.max(np.abs(m - m.conj().T)) > 1e-9:
                 errors.append("override matrix is not Hermitian")
@@ -287,9 +289,8 @@ def check_seed(master, name):
 class RunContext:
     """The objects that the checks of one run share: phi, the spectral
     split, the transpose solver (which holds the preparation-witness
-    system of phi, and the rank of the slot-1 local action of phi,
-    `action_rank`, from the one factorization it solves with), the GNS
-    space built on that solver and the dimension table of each backend.
+    system of phi and the dynamical rank, `solver.rank`), the GNS space
+    built on that solver and the dimension table of each backend.
     Each is built on first use, from the spec alone, so sharing them
     changes no result; a build that raises is not stored and raises
     again on the next use.  run_suite makes one per call and drops it on
@@ -302,12 +303,6 @@ class RunContext:
     @cached_property
     def phi(self):
         return self.spec.phi()
-
-    @property
-    def action_rank(self):
-        """Rank of the local action A -> (A, I) Phi on slot 1, as the
-        transpose solver decides it from its factorization."""
-        return self.solver.rank
 
     @cached_property
     def split(self):
@@ -528,7 +523,7 @@ def _check_coexistence(ctx, rng, tol):
 def _check_minimal_ic(ctx, rng, tol):
     obs = infodim.ic_observable(ctx.spec.theory())
     rank = infodim.ic_rank(obs)
-    ok = infodim.is_minimal_ic(obs)
+    ok = rank == len(obs) == obs.theory.effect_dim
     return ok, {"rank": float(rank), "outcomes": float(len(obs))}
 
 
@@ -593,12 +588,12 @@ def _check_symmetric(ctx, rng, tol):
 
 
 def _check_dynamical(ctx, rng, tol):
-    rank, full = ctx.action_rank, ctx.spec.d**4
+    rank, full = ctx.solver.rank, ctx.spec.d**4
     return rank == full, {"rank": float(rank), "full_rank": float(full)}
 
 
 def _check_preparational(ctx, rng, tol):
-    if ctx.action_rank != ctx.spec.d**4:
+    if ctx.solver.rank != ctx.spec.d**4:
         return False, {}
     (target,) = _draw(ctx, rng, 5, _sample_state)
     witness, p = faithful.prepare_witness(ctx.solver.witness, target, tol)
@@ -669,8 +664,7 @@ def _check_kraus_transpose(ctx, rng, tol):
         return True, {}  # closed form is specific to the canonical state
     (t,) = _draw(ctx, rng, 5, _sample_kraus_contraction)
     # the Choi matrix of {K^T} is that of {K} with its two factors swapped
-    swap = ch.swap_matrix(spec.d)
-    worst = float(np.max(np.abs(ctx.solver.transpose(t).choi - swap @ t.choi @ swap)))
+    worst = float(np.max(np.abs(ctx.solver.transpose(t).choi - ch.swap(t.choi))))
     return worst <= tol, {"max_residual": worst}
 
 

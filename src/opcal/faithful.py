@@ -25,8 +25,7 @@ ZERO_CUTOFF = 1e-12
 def is_symmetric(phi):
     """Phi(A, B) = Phi(B, A): invariance under swapping the subsystems,
     to 1e-12 in every entry."""
-    s = ch.swap_matrix(phi.d)
-    return bool(np.max(np.abs(s @ phi.matrix @ s - phi.matrix)) <= 1e-12)
+    return bool(np.max(np.abs(ch.swap(phi.matrix) - phi.matrix)) <= 1e-12)
 
 
 @lru_cache(maxsize=8)
@@ -116,18 +115,9 @@ def local_action_matrix(phi):
     return m
 
 
-def is_swap_invariant(phi):
-    """Phi equals S Phi S entry for entry, bit for bit (is_symmetric
-    allows 1e-12)."""
-    t = phi.matrix.reshape((phi.d,) * 4)
-    return bool(np.array_equal(t, t.transpose(1, 0, 3, 2)))
-
-
 def swapped(phi):
     """S Phi S: the joint state with its two subsystems exchanged."""
-    d = phi.d
-    t = phi.matrix.reshape(d, d, d, d).transpose(1, 0, 3, 2)
-    return BipartiteState(d, t.reshape(d * d, d * d))
+    return BipartiteState(phi.d, ch.swap(phi.matrix))
 
 
 @lru_cache(maxsize=8)

@@ -19,13 +19,12 @@ from functools import cached_property
 import numpy as np
 
 from . import channels as ch
-from .basis import hermitian_basis, matrix_rank, real_view, singular_value_rank, to_coords
+from .basis import hermitian_basis, real_view, singular_value_rank, to_coords
 from .core import Effect, Transformation, compose, pair, quantum, stack
 from .errors import NotFaithful
 from .faithful import (
     _choi_basis,
     conjugate_transformation,
-    is_swap_invariant,
     is_symmetric,
     local_action_matrix,
     prepare_witness,
@@ -43,24 +42,23 @@ class TransposeSolver:
     to be dynamically faithful, and every solve certifies its residual
     instead of silently accepting a rank-deficient system.  The solver
     also holds the state's preparation-witness system and its dynamical
-    rank, the rank of the slot-1 local action.
+    rank, the rank of the local action.
 
     The local action matrices l1, l2 of the two slots act on Choi
     coordinates.  The slot-2 action is the slot-1 action on the swapped
     state followed by the swap of joint weights, l2 = O l1(S Phi S), O
-    the orthogonal involution `faithful.swap_coords`; when Phi equals
-    its swap bit for bit, l2 = O l1 comes from the one build of l1.
-    The Choi basis is Hermitian and orthonormal, so the real views of
-    its elements, stacked as the rows of V (`view`, no copy of the
-    cached basis), take the real view of a Choi matrix to its
-    coordinates, and V.T maps them back.  On first use the solver
-    factors l2 once and folds the whole solve into one operator on real
-    views, forward = pinv(l2) l1 V, and the residual into check = Q.T
-    l1 V, Q an orthonormal basis of the complement of the range of l2
-    (empty for a faithful state).  A transpose is then real_view(A) @
-    forward.T, mapped back to a real view by V, with no coordinate
-    conversion, for one map or a whole stack at once.  The rank, forward
-    and check are kept; l1, l2 and the factors are not."""
+    the orthogonal involution `faithful.swap_coords`.  The Choi basis
+    is Hermitian and orthonormal, so the real views of its elements,
+    stacked as the rows of V (`view`, no copy of the cached basis),
+    take the real view of a Choi matrix to its coordinates, and V.T
+    maps them back.  On first use the solver factors l2 once and folds
+    the whole solve into one operator on real views, forward = pinv(l2)
+    l1 V, and the residual into check = Q.T l1 V, Q an orthonormal basis
+    of the complement of the range of l2 (empty for a faithful state).
+    A transpose is then real_view(A) @ forward.T, mapped back to a real
+    view by V, with no coordinate conversion, for one map or a whole
+    stack at once.  The rank, forward and check are kept; l1, l2 and
+    the factors are not."""
 
     def __init__(self, phi):
         self.phi = phi
@@ -69,23 +67,20 @@ class TransposeSolver:
         self.witness = witness_system(phi)
 
     def local_actions(self):
-        """(l1, l2, shared): the local action matrices of the two slots,
-        and whether l2 was derived from the same build as l1."""
+        """(l1, l2): the local action matrices of the two slots."""
         l1 = local_action_matrix(self.phi)
-        shared = is_swap_invariant(self.phi)
-        l2 = swap_coords(l1 if shared else local_action_matrix(swapped(self.phi)), self.d)
-        return l1, l2, shared
+        return l1, swap_coords(local_action_matrix(swapped(self.phi)), self.d)
 
     @cached_property
     def _maps(self):
         """(rank, forward, check).  The pseudo-inverse is cut at 1e-12
-        sigma_max, as np.linalg.pinv cuts it.  O is orthogonal, so on the
-        shared path l2's singular values are l1's and give the rank;
-        otherwise the rank is that of l1, taken while it is at hand."""
-        l1, l2, shared = self.local_actions()
+        sigma_max, as np.linalg.pinv cuts it.  Both slot actions have
+        rank d^2 times the operator-Schmidt rank of Phi, so the
+        singular values of l2 give the dynamical rank."""
+        l1, l2 = self.local_actions()
         u, s, vh = np.linalg.svd(l2)
         del l2
-        rank = singular_value_rank(s) if shared else matrix_rank(l1)
+        rank = singular_value_rank(s)
         r = int(np.sum(s > 1e-12 * s[0]))
         m = u.T @ l1  # l1 in the basis u
         del u, l1

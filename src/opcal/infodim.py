@@ -12,7 +12,7 @@ import numpy as np
 from . import channels as ch
 from .basis import diagonal_basis, hermitian_basis, matrix_rank, to_coords
 from .core import Effect, Observable, Theory, quantum, spanning_states
-from .errors import DimensionMismatch, NotIC, WitnessFailed
+from .errors import NotIC, WitnessFailed
 
 
 def ic_rank(obs):
@@ -223,15 +223,11 @@ def bell_basis_observable(d):
     return Observable(tuple(effs))
 
 
-def check_bell_ic(d, ancilla=None):
-    """A joint discriminating observable plus an ancilla preparation
-    induces a minimal IC observable on the system; also checks the
-    dimension count adm(S) = idim(S x S) - 1."""
-    if ancilla is None:
-        ancilla = generic_ancilla_state(d)
-    ancilla = np.asarray(ancilla, dtype=complex)
-    if ancilla.shape != (d, d):
-        raise DimensionMismatch("ancilla must match the system dimension")
+def check_bell_ic(d):
+    """A joint discriminating observable plus the generic ancilla
+    preparation induces a minimal IC observable on the system; also
+    checks the dimension count adm(S) = idim(S x S) - 1."""
+    ancilla = generic_ancilla_state(d)
     joint = bell_basis_observable(d)
     th = quantum(d)
     margs = []

@@ -121,12 +121,6 @@ def signaling_residual(joint, experiment, tol=PROB_TOL):
     return float(np.max(np.abs(lhs - local_state(joint, 2).matrix)))
 
 
-def no_signaling_check(joint, experiment, tol=PROB_TOL):
-    """The deterministic sum of a local experiment on slot 1 leaves the
-    local state of slot 2 unchanged, to tol in every entry."""
-    return signaling_residual(joint, experiment, tol) <= tol
-
-
 # ---------------------------------------------------------------------------
 # CP map plumbing
 
@@ -244,10 +238,10 @@ def random_generalized_effect(d, seed):
     return Effect(quantum(d), (g + _dagger(g)) / 2.0, generalized=True)
 
 
-def random_cp(d, seed, trace_preserving=False, rank=None):
+def random_cp(d, seed, trace_preserving=False):
     """CP map from a Wishart Choi rescaled to trace-nonincreasing (or
     projected to trace-preserving)."""
-    re, im, *scale = _draws(seed, _cp_draws, d, trace_preserving, rank)
+    re, im, *scale = _draws(seed, _cp_draws, d, trace_preserving)
     g = _complex(re, im)
     c = g @ _dagger(g)
     e = ch.effect_of_choi(c)

@@ -237,7 +237,7 @@ def test_criterion_9_no_signaling(capsys):
     for _ in range(100):
         joint = qm.random_joint_state(2, rng)
         exp = qm.random_experiment(2, rng)
-        ok = ok and qm.no_signaling_check(joint, exp, 1e-9)
+        ok = ok and qm.signaling_residual(joint, exp, 1e-9) <= 1e-9
     # selective conditioning does change the far state
     phi = qm.max_entangled(2)
     p0 = np.diag([1.0, 0.0]).astype(complex)

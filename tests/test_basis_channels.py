@@ -152,11 +152,19 @@ def test_partial_trace_of_product():
     assert_allclose(ch.partial_trace(joint, (2, 3), 1), b * np.trace(a), atol=1e-12)
 
 
-def test_swap_matrix():
-    s = ch.swap_matrix(2)
-    a = _random_hermitian(2, 1)
-    b = _random_hermitian(2, 2)
-    assert_allclose(s @ np.kron(a, b) @ s, np.kron(b, a), atol=1e-13)
+def test_swap():
+    # S m S for each matrix of a stack, bit for bit, S |i j> = |j i>
+    rng = np.random.default_rng(0)
+    for d in (2, 3, 4, 5):
+        s = np.zeros((d * d, d * d))
+        for i in range(d):
+            for j in range(d):
+                s[j * d + i, i * d + j] = 1.0
+        m = rng.standard_normal((2, 3, d * d, d * d)) + 1j * rng.standard_normal((2, 3, d * d, d * d))
+        assert np.array_equal(ch.swap(m), s @ m @ s)
+        a = _random_hermitian(d, 1)
+        b = _random_hermitian(d, 2)
+        assert_allclose(ch.swap(np.kron(a, b)), np.kron(b, a), atol=1e-13)
 
 
 def test_trace_distance():

@@ -252,6 +252,25 @@ def test_main_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["nan+0j", "inf+0j"])
+def test_main_rejects_a_non_finite_override_entry(tmp_path, capsys, entry):
+    entries = [f"{x!r}+0j" for x in qm.max_entangled(2).matrix.real.reshape(-1).tolist()]
+    entries[5] = entry
+    p = _write(tmp_path, "backend = quantum\nd = 2\nphi = " + " ".join(entries) + "\n")
+    rc = cli.main(["--theory", p])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert "error: override matrix has a non-finite entry" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_main_rejects_a_non_finite_tol(capsys, tol):
+    rc = cli.main(["--tol", tol])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert f"error: tol must be finite and positive, got {tol}" in err
+
+
 def test_main_empty_suite_exits_2(capsys):
     rc = cli.main(["--suite", "gns", "--backend", "classical"])
     assert rc == 2
@@ -294,8 +313,8 @@ def test_run_builds_shared_objects_once(monkeypatch):
     action = _counting(counts, "local_action_matrix", gns.local_action_matrix)
     for module in (faithful, gns):
         monkeypatch.setattr(module, "local_action_matrix", action)
-    # one local action build serves the dynamical rank and the
-    # transpose solver, also on a swap-invariant override
+    # one build of each slot's local action, and one factorization of
+    # them, serve the dynamical rank and the transpose solver
     iso3 = 0.8 * qm.max_entangled(3).matrix + 0.2 * np.eye(9) / 9
     for d, phi in ((2, None), (3, iso3)):
         counts.clear()
@@ -306,7 +325,7 @@ def test_run_builds_shared_objects_once(monkeypatch):
             "spectral_split": 1,
             "TransposeSolver": 1,
             "witness_system": 1,
-            "local_action_matrix": 1,
+            "local_action_matrix": 2,
         }
     # the GNS space is built on the solver alone, with no spectral split
     counts.clear()
@@ -315,7 +334,7 @@ def test_run_builds_shared_objects_once(monkeypatch):
         "gns_space": 1,
         "TransposeSolver": 1,
         "witness_system": 1,
-        "local_action_matrix": 1,
+        "local_action_matrix": 2,
     }
     # the faithful suite reads the dynamical rank off the solver, also on
     # a state with a non-canonical witness
@@ -328,7 +347,7 @@ def test_run_builds_shared_objects_once(monkeypatch):
             "spectral_split": 1,
             "TransposeSolver": 1,
             "witness_system": 1,
-            "local_action_matrix": 1,
+            "local_action_matrix": 2,
         }
 
 

@@ -58,7 +58,7 @@ def test_no_signaling_random(seed):
     rng = np.random.default_rng(seed)
     joint = qm.random_joint_state(2, rng)
     exp = qm.random_experiment(2, rng)
-    assert qm.no_signaling_check(joint, exp)
+    assert qm.signaling_residual(joint, exp) <= qm.PROB_TOL
 
 
 def test_no_signaling_rejects_incomplete():
@@ -66,7 +66,7 @@ def test_no_signaling_rejects_incomplete():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     exp = core.Experiment((qm.projector_map(core.quantum(2), p0),))
     with pytest.raises(Exception):
-        qm.no_signaling_check(phi, exp)
+        qm.signaling_residual(phi, exp)
 
 
 # ---------------------------------------------------------------------------

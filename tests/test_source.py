@@ -1,5 +1,6 @@
-"""Static checks on the source tree: no unused imports, and every
-function the benchmark traces by name still exists."""
+"""Static checks on the source tree: no unused imports, every public
+function has a caller outside the tests, and every function the
+benchmark traces by name still exists."""
 
 import ast
 import importlib
@@ -28,6 +29,56 @@ def _unused_imports(tree):
 def test_no_unused_imports(path):
     # __init__.py is exempt: its imports are the package's re-exports
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+# Public names with no caller in the library, one reason each.
+NO_LIBRARY_CALLER = {
+    "core.zero_map": "an exported object of the calculus",
+    "faithful.sigma": "the involution on effects, which ROADMAP item 2 puts to use",
+    "gns.scalar_product": "the paper's scalar product, which ROADMAP item 6 gives a check",
+    "gns.born_pair": "the paper's Born rule; born.pair evaluates it on the whole grid in one product",
+}
+
+
+def _public_defs(tree):
+    """(qualified name, node) of each public function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _referenced_names(tree, skip):
+    """Every name and attribute read in tree, outside the node skip."""
+    names, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_public_functions_have_a_library_caller():
+    # the tests do not count: an API only they call is test-only
+    callers = [p for p in MODULES if p.name != "__init__.py"]
+    callers += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    trees = {p: ast.parse(p.read_text()) for p in callers}
+    uncalled = set()
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        for qualname, node in _public_defs(trees[path]):
+            if not any(node.name in _referenced_names(t, node) for t in trees.values()):
+                uncalled.add(f"{path.stem}.{qualname}")
+    assert uncalled == set(NO_LIBRARY_CALLER)
 
 
 def _per_layer_metrics():
