@@ -1,5 +1,6 @@
 """Command-line front end: load theory specifications, run named
-verification suites, emit human-readable and machine-readable reports.
+verification suites (the checks are the rows of `checks.CHECKS`), emit
+human-readable and machine-readable reports.
 
 Theory files and structured reports share one line-oriented key/value
 syntax: `key = value`, one pair per line, `#` comments, complex numbers
@@ -20,22 +21,15 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from . import channels as ch
 from . import core, faithful, gns, infodim
 from . import quantum as qm
-from .errors import (
-    ParseError,
-    UnknownSuite,
-    ValidationError,
-    ZeroProbability,
-)
+from .checks import CHECKS, SUITES
+from .core import BACKENDS
+from .errors import ParseError, UnknownSuite, ValidationError
 
-BACKENDS = ("quantum", "classical")
-QUANTUM = ("quantum",)
 SCALAR_FIELDS = {"backend": str, "d": int, "seed": int, "tol": float}
-SAMPLES = 25  # per sampled check; the test suite runs the 100-sample versions
 # Largest accepted dimension: memory grows as d^8 (a process running two
-# d=5 `all` reports with one BLAS thread peaks at 78.6-78.8 MB resident, on
+# d=5 `all` reports with one BLAS thread peaks at 82.4-82.5 MB resident, on
 # numpy 2.4; the Choi basis alone is 1.6 GB at d=10).
 MAX_D = 5
 
@@ -277,7 +271,7 @@ def parse_report(text):
 
 
 # ---------------------------------------------------------------------------
-# checks
+# running the checks
 
 
 def check_seed(master, name):
@@ -349,464 +343,6 @@ def _run_check(ctx, name, detail, tolerance, fn):
     )
 
 
-class _Sampler:
-    """One kind of sample: draw(spec, rng) makes the rng calls of one
-    sample and returns their raw output (`qm.Draws`); build(spec,
-    draws) builds the object from one sample's draws, or the stack of
-    objects from draws stacked over samples.  Called as sampler(spec,
-    rng), it draws and builds one sample."""
-
-    def __init__(self, draw, build):
-        self.draw, self.build = draw, build
-
-    def __call__(self, spec, rng):
-        return self.build(spec, self.draw(spec, rng))
-
-
-def _classical(spec):
-    return spec.backend == "classical"
-
-
-def _kraus_contraction(spec, draws):
-    """rho -> K rho K^dag for a Gaussian K scaled to operator norm 1/1.1."""
-    re, im = draws
-    k = re + 1j * im
-    k = k / (np.linalg.norm(k, 2, axis=(-2, -1))[..., None, None] * 1.1)
-    # one Kraus operator per map: the Kraus axis before the last two
-    return qm.kraus_to_choi(core.quantum(spec.d), k[..., None, :, :])
-
-
-# The first three follow the spec's backend, the others are quantum.
-# Each looks its qm functions up when it runs, so a rebound qm name (a
-# layer tracer's wrapper, say) is the one called.
-_sample_state = _Sampler(
-    lambda spec, rng: (qm._classical_state_draws if _classical(spec) else qm._gaussian_draws)(rng, spec.d),
-    lambda spec, draws: (qm.random_classical_state if _classical(spec) else qm.random_state)(spec.d, draws),
-)
-_sample_map = _Sampler(
-    lambda spec, rng: (qm._classical_map_draws if _classical(spec) else qm._cp_draws)(rng, spec.d),
-    lambda spec, draws: (qm.random_classical_map if _classical(spec) else qm.random_cp)(spec.d, draws),
-)
-_sample_effect = _Sampler(
-    lambda spec, rng: (
-        qm.Draws((rng.uniform(0.0, 1.0, spec.d),)) if _classical(spec) else qm._effect_draws(rng, spec.d)
-    ),
-    lambda spec, draws: qm.classical_effect(draws[0]) if _classical(spec) else qm.random_effect(spec.d, draws),
-)
-_sample_generalized_effect = _Sampler(
-    lambda spec, rng: qm._gaussian_draws(rng, spec.d),
-    lambda spec, draws: qm.random_generalized_effect(spec.d, draws),
-)
-_sample_joint_state = _Sampler(
-    lambda spec, rng: qm._gaussian_draws(rng, spec.d**2),
-    lambda spec, draws: qm.random_joint_state(spec.d, draws),
-)
-_sample_experiment = _Sampler(
-    lambda spec, rng: qm._experiment_draws(rng, spec.d),
-    lambda spec, draws: qm.random_experiment(spec.d, draws),
-)
-_sample_kraus_contraction = _Sampler(
-    lambda spec, rng: qm._gaussian_draws(rng, spec.d), _kraus_contraction
-)
-
-
-def _draw(ctx, rng, n, *samplers):
-    """n samples, each drawn by making every sampler's rng calls in the
-    given order, then built as one stack per sampler.  The checks draw
-    from one rng, so this order fixes the samples; each sampler then
-    builds, and the maps are applied, once per stack."""
-    spec = ctx.spec
-    draws = [[sampler.draw(spec, rng) for sampler in samplers] for _ in range(n)]
-    return [
-        sampler.build(spec, qm.Draws.stack(column)) for sampler, column in zip(samplers, zip(*draws))
-    ]
-
-
-# -- core
-
-
-def _check_conditioning(ctx, rng, tol):
-    d = ctx.spec.d
-    th = ctx.spec.theory()
-    state = core.State(th, np.eye(d) / d)
-    p0 = np.diag(np.eye(d)[0])
-    p, cond = core.condition(state, qm.projector_map(th, p0))
-    resid = float(np.max(np.abs(cond.matrix - p0)))
-    ok = abs(p - 1.0 / d) <= tol and resid <= tol
-    return ok, {"probability": p, "state_residual": resid}
-
-
-def _check_equivalence(ctx, rng, tol):
-    spec = ctx.spec
-    th = spec.theory()
-    d = spec.d
-    if spec.backend == "classical":
-        perm = np.roll(np.eye(d), 1, axis=0)
-        t = qm.classical_map(perm)
-    else:
-        u = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-        t = qm.kraus_to_choi(th, [u])
-    same_effect = core.informational_equiv(t, core.identity(th), tol)
-    same_dynamics = core.dynamical_equiv(t, core.identity(th), tol)
-    ok = same_effect and not same_dynamics
-    return ok, {"same_effect": float(same_effect), "same_dynamics": float(same_dynamics)}
-
-
-def _check_completeness(ctx, rng, tol):
-    exp = qm.projective_experiment(ctx.spec.theory())
-    exp.check_complete(tol)
-    obs = exp.observable()
-    resid = float(np.max(np.abs(sum(e.matrix for e in obs.effects) - np.eye(ctx.spec.d))))
-    return resid <= tol, {"unit_residual": resid, "branches": float(len(obs))}
-
-
-def _check_zero_probability(ctx, rng, tol):
-    th = ctx.spec.theory()
-    state = core.State(th, np.diag(np.eye(th.d)[0]))
-    branch = qm.projector_map(th, np.diag(np.eye(th.d)[1]))
-    try:
-        core.condition(state, branch)
-    except ZeroProbability:
-        return True, {}
-    return False, {}
-
-
-# -- norms
-
-
-def _check_effect_norm(ctx, rng, tol):
-    w, e = _draw(ctx, rng, SAMPLES, _sample_state, _sample_effect)
-    norm = core.effect_norm(e)
-    worst = max(0.0, float(np.max(np.abs(core.pair(w, e)) - norm)), float(np.max(norm - 1.0)))
-    return worst <= tol, {"max_violation": worst}
-
-
-def _check_weight_norm(ctx, rng, tol):
-    t, w = _draw(ctx, rng, SAMPLES, _sample_map, _sample_state)
-    w = core.act(t, w)
-    norm = core.weight_norm(w)
-    # physical maps never increase the weight norm beyond 1
-    worst = max(0.0, float(np.max(w.total - norm)), float(np.max(norm - 1.0)))
-    return worst <= tol, {"max_violation": worst}
-
-
-def _check_submultiplicative(ctx, rng, tol):
-    a, b = _draw(ctx, rng, SAMPLES, _sample_map, _sample_map)
-    lhs = core.trans_norm(core.compose(b, a))
-    worst = float(np.max(lhs - core.trans_norm(b) * core.trans_norm(a)))
-    return worst <= tol, {"max_violation": worst}
-
-
-def _check_contraction(ctx, rng, tol):
-    (t,) = _draw(ctx, rng, SAMPLES, _sample_map)
-    worst = float(np.max(core.trans_norm(t) - 1.0))
-    return worst <= tol, {"max_violation": worst}
-
-
-def _check_coexistence(ctx, rng, tol):
-    spec = ctx.spec
-    th = spec.theory()
-    if spec.backend == "classical":
-        half = qm.classical_map(np.eye(spec.d) * 0.5)
-        big = qm.classical_map(np.eye(spec.d) * 0.7)
-    else:
-        half = core.scale(0.5, core.identity(th))
-        big = core.scale(0.7, core.identity(th))
-    ok = core.coexistent(half, half, tol) and not core.coexistent(big, big, tol)
-    sum_norm = core.trans_norm(core.add(half, half, check=False))
-    return ok and abs(sum_norm - 1.0) <= tol, {"sum_norm": sum_norm}
-
-
-# -- infodim
-
-
-def _check_minimal_ic(ctx, rng, tol):
-    obs = infodim.ic_observable(ctx.spec.theory())
-    rank = infodim.ic_rank(obs)
-    ok = rank == len(obs) == obs.theory.effect_dim
-    return ok, {"rank": float(rank), "outcomes": float(len(obs))}
-
-
-def _check_ic_expand(ctx, rng, tol):
-    obs = infodim.ic_observable(ctx.spec.theory())
-    e = _sample_effect(ctx.spec, rng)
-    c = infodim.ic_expand(e, obs, tol)
-    rows = np.array([x.coords for x in obs.effects])
-    resid = float(np.linalg.norm(rows.T @ c - e.coords))
-    return resid <= tol, {"residual": resid}
-
-
-def _check_idim(ctx, rng, tol):
-    spec = ctx.spec
-    th = spec.theory()
-    idim = infodim.informational_dimension(th, tol)
-    _, _, cert = infodim.discrimination_witness(th)
-    ok = idim == spec.d and cert["pairing_residual"] <= tol
-    return ok, {"idim": float(idim), "pairing_residual": cert["pairing_residual"]}
-
-
-def _check_local_observability(ctx, rng, tol):
-    obs = infodim.ic_observable(ctx.spec.theory())
-    ok, rank = infodim.check_local_observability(obs, obs)
-    return ok, {"rank": float(rank)}
-
-
-def _check_bell_ic(ctx, rng, tol):
-    spec = ctx.spec
-    if spec.backend == "classical":
-        # classical analogue: copying onto an ancilla and reading both
-        # never exceeds the simplex dimension, so idim(S x S) = d^2
-        idim2 = infodim.informational_dimension(core.classical(spec.d * spec.d))
-        return idim2 == spec.d * spec.d, {"idim2": float(idim2)}
-    ok = infodim.check_bell_ic(spec.d)
-    return ok, {}
-
-
-# -- table1
-
-
-def _table_row(report, row):
-    """(holds, values) of one row of a dimension table."""
-    lhs, rhs, ok = report.row(row)
-    return ok, {"lhs": float(lhs), "rhs": float(rhs)}
-
-
-def _table_check(row):
-    return lambda ctx, rng, tol: _table_row(ctx.dims(ctx.spec.backend), row)
-
-
-def _check_classical_violation(ctx, rng, tol):
-    holds, values = _table_row(ctx.dims("classical"), "D34'")
-    return not holds, values
-
-
-# -- faithful
-
-
-def _check_symmetric(ctx, rng, tol):
-    return faithful.is_symmetric(ctx.phi), {}
-
-
-def _check_dynamical(ctx, rng, tol):
-    rank, full = ctx.solver.rank, ctx.spec.d**4
-    return rank == full, {"rank": float(rank), "full_rank": float(full)}
-
-
-def _check_preparational(ctx, rng, tol):
-    if ctx.solver.rank != ctx.spec.d**4:
-        return False, {}
-    (target,) = _draw(ctx, rng, 5, _sample_state)
-    witness, p = faithful.prepare_witness(ctx.solver.witness, target, tol)
-    _, cond = qm.condition_local(ctx.phi, witness, 1)
-    worst = float(np.max(np.abs(qm.local_state(cond, 2).matrix - target.matrix)))
-    pmin = float(np.min(p))
-    return worst <= tol and pmin > 0, {"max_residual": worst, "min_probability": pmin}
-
-
-def _check_signature(ctx, rng, tol):
-    split = ctx.split
-    d = ctx.spec.d
-    want = (d * d - d * (d - 1) // 2, d * (d - 1) // 2)
-    ok = split.signature == want
-    return ok, {"plus": float(split.signature[0]), "minus": float(split.signature[1])}
-
-
-def _check_abs_gram(ctx, rng, tol):
-    spec = ctx.spec
-    low = float(np.linalg.eigvalsh(ctx.split.gram_abs)[0])
-    if spec.phi_override is None:
-        ok = abs(low - 1.0 / spec.d) <= tol
-    else:
-        ok = low > tol
-    return ok, {"min_eig": low, "expected": 1.0 / spec.d}
-
-
-def _check_involution(ctx, rng, tol):
-    s = ctx.split.sigma_matrix
-    resid = float(np.max(np.abs(s @ s - np.eye(s.shape[0]))))
-    return resid <= tol, {"square_residual": resid}
-
-
-# -- gns
-
-
-def _check_transpose_residual(ctx, rng, tol):
-    (t,) = _draw(ctx, rng, SAMPLES, _sample_map)
-    lhs = qm.apply_local(ctx.phi, t, 1).matrix
-    rhs = qm.apply_local(ctx.phi, ctx.solver.transpose(t), 2).matrix
-    worst = float(np.max(np.abs(lhs - rhs)))
-    return worst <= tol, {"max_residual": worst}
-
-
-def _check_transpose_axioms(ctx, rng, tol):
-    solver = ctx.solver
-    th = core.quantum(ctx.spec.d)
-    a, b = _draw(ctx, rng, 5, _sample_map, _sample_map)
-    s = core.Transformation(th, a.choi + 0.25 * b.choi, generalized=True)
-    ba, ta, tb, ts = core.unstack(solver.transpose(core.stack([core.compose(b, a), a, b, s])))
-    ident = core.identity(th)
-    residuals = (
-        # (b after a)' = a' after b'
-        ba.choi - core.compose(ta, tb).choi,
-        # involution: a'' = a
-        solver.transpose(ta).choi - a.choi,
-        # linearity
-        ts.choi - (ta.choi + 0.25 * tb.choi),
-        solver.transpose(ident).choi - ident.choi,
-    )
-    worst = max(float(np.max(np.abs(r))) for r in residuals)
-    return worst <= tol, {"max_residual": worst}
-
-
-def _check_kraus_transpose(ctx, rng, tol):
-    spec = ctx.spec
-    if spec.phi_override is not None:
-        return True, {}  # closed form is specific to the canonical state
-    (t,) = _draw(ctx, rng, 5, _sample_kraus_contraction)
-    # the Choi matrix of {K^T} is that of {K} with its two factors swapped
-    worst = float(np.max(np.abs(ctx.solver.transpose(t).choi - ch.swap(t.choi))))
-    return worst <= tol, {"max_residual": worst}
-
-
-def _check_adjoint_pairing(ctx, rng, tol):
-    solver = ctx.space.solver
-    a, b, c = _draw(
-        ctx, rng, SAMPLES, _sample_map, _sample_generalized_effect, _sample_generalized_effect
-    )
-    b, c = gns.jordan_lift(b), gns.jordan_lift(c)
-    adj = gns.adjoint_map(solver, a)
-    # <b | a after c> against <adj after b | c>, as one stack of pairs
-    lhs, rhs = gns._inner_tt(
-        solver,
-        core.stack([b, core.compose(adj, b)]),
-        core.stack([core.compose(a, c), c]),
-    )
-    worst = float(np.max(np.abs(lhs - rhs)))
-    return worst <= tol, {"max_residual": worst}
-
-
-def _check_homomorphism(ctx, rng, tol):
-    space = ctx.space
-    a, b = _draw(ctx, rng, 5, _sample_map, _sample_map)
-    ident = core.identity(core.quantum(ctx.spec.d))
-    rep_ab, rep_a, rep_b = gns.gns_rep(space, core.stack([core.compose(a, b), a, b]))
-    worst = max(
-        float(np.max(np.abs(rep_ab - rep_a @ rep_b))),
-        float(np.max(np.abs(gns.gns_rep(space, ident) - np.eye(space.dim)))),
-    )
-    return worst <= tol, {"max_residual": worst}
-
-
-def _check_adjoint_rep(ctx, rng, tol):
-    space = ctx.space
-    (a,) = _draw(ctx, rng, 5, _sample_map)
-    rep, got = gns.gns_rep(space, core.stack([a, gns.adjoint_map(space.solver, a)]))
-    # Gram-adjoint; equals the conjugate transpose when the Gram
-    # matrix is proportional to the identity
-    expected = np.linalg.solve(space.gram, np.swapaxes(rep.conj(), -1, -2) @ space.gram)
-    worst = float(np.max(np.abs(got - expected)))
-    return worst <= tol, {"max_residual": worst}
-
-
-def _check_cstar(ctx, rng, tol):
-    (a,) = _draw(ctx, rng, SAMPLES, _sample_map)
-    lhs, rhs = gns.cstar_check(ctx.space, a)
-    worst = float(np.max(np.abs(lhs - rhs)))
-    return worst <= tol, {"max_residual": worst}
-
-
-# -- born
-
-
-def _check_born_pair(ctx, rng, tol):
-    spec = ctx.spec
-    space = ctx.space
-    states = core.stack(core.spanning_states(core.quantum(spec.d)))
-    effects = core.stack(infodim.minimal_ic_povm(spec.d).effects)
-    vec_w = gns.state_rep(space, states)
-    vec_e = gns.effect_rep(space, effects)
-    # the pairing of gns.born_pair and core.pair, for every (effect,
-    # state) at once
-    born = np.real(vec_e.conj() @ space.gram @ vec_w.T)
-    want = core.pair(states, replace(effects, matrix=effects.matrix[:, None]))
-    worst = float(np.max(np.abs(born - want)))
-    return worst <= tol, {"max_residual": worst}
-
-
-def _check_born_triple(ctx, rng, tol):
-    w, b, t = _draw(ctx, rng, SAMPLES, _sample_state, _sample_effect, _sample_map)
-    lhs = gns.born_triple(ctx.space, w, b, t)
-    rhs = core.pair(w, core.evolve_effect(b, t))
-    worst = float(np.max(np.abs(lhs - rhs)))
-    return worst <= tol, {"max_residual": worst}
-
-
-def _check_no_signaling(ctx, rng, tol):
-    spec = ctx.spec
-    joint, exp = _draw(ctx, rng, SAMPLES, _sample_joint_state, _sample_experiment)
-    worst = qm.signaling_residual(joint, exp, tol)
-    # conditioning witness: a selective branch changes the far state
-    phi = qm.max_entangled(spec.d)
-    p0 = np.zeros((spec.d, spec.d))
-    p0[0, 0] = 1.0
-    branch = qm.projector_map(core.quantum(spec.d), p0)
-    _, cond = qm.condition_local(phi, branch, 1)
-    dist = ch.trace_distance(
-        qm.local_state(cond, 2).matrix, qm.local_state(phi, 2).matrix
-    )
-    return worst <= tol and dist > 0.1, {"max_violation": worst, "witness_distance": dist}
-
-
-# ---------------------------------------------------------------------------
-# check registry
-
-# One row per check: (name, detail, tolerance, backends, fn).  The suite
-# is the name's prefix, run order is table order, and a tolerance of
-# None means the spec's tol.
-CHECKS = (
-    ("core.conditioning", "Bayes conditioning on a projector branch", None, BACKENDS, _check_conditioning),
-    ("core.equivalence", "deterministic rotation shares effects with identity but not dynamics", None, BACKENDS, _check_equivalence),
-    ("core.completeness", "experiment branch probabilities sum to one", None, BACKENDS, _check_completeness),
-    ("core.zero_probability", "conditioning on an impossible outcome is rejected", None, BACKENDS, _check_zero_probability),
-    ("norms.effect_bound", "probabilities are bounded by the effect norm", None, BACKENDS, _check_effect_norm),
-    ("norms.weight_bound", "weights of physical branches stay in the unit ball", None, BACKENDS, _check_weight_norm),
-    ("norms.submultiplicative", "transformation norm is submultiplicative", None, BACKENDS, _check_submultiplicative),
-    ("norms.contraction", "physical transformations are contractions", None, BACKENDS, _check_contraction),
-    ("norms.coexistence", "coexistence is contraction of the sum", None, BACKENDS, _check_coexistence),
-    ("infodim.minimal_ic", "a minimal informationally complete observable exists", None, BACKENDS, _check_minimal_ic),
-    ("infodim.expand", "effects expand over an informationally complete observable", None, BACKENDS, _check_ic_expand),
-    ("infodim.idim", "maximal perfectly discriminable set has the expected size", None, BACKENDS, _check_idim),
-    ("infodim.local_observability", "products of local observables span the joint effects", None, BACKENDS, _check_local_observability),
-    ("infodim.bell_ic", "a joint discriminating observable induces a minimal IC one", None, BACKENDS, _check_bell_ic),
-    ("table1.D2", "effect-space dimension equals affine state dimension plus one", 0.0, BACKENDS, _table_check("D2")),
-    ("table1.D3", "affine dimension of a composite from the parts", 0.0, BACKENDS, _table_check("D3")),
-    ("table1.D4", "affine dimension from the doubled informational dimension", 0.0, BACKENDS, _table_check("D4")),
-    ("table1.D34", "doubled-system affine dimension from its informational dimension", 0.0, BACKENDS, _table_check("D34")),
-    ("table1.D34'", "affine dimension equals squared informational dimension minus one", 0.0, BACKENDS, _table_check("D34'")),
-    ("table1.tensor", "informational dimension is multiplicative under composition", 0.0, BACKENDS, _table_check("tensor")),
-    ("table1.T", "transformation affine dimension from the doubled system", 0.0, BACKENDS, _table_check("T")),
-    ("table1.P", "effect-space dimension equals squared informational dimension", 0.0, BACKENDS, _table_check("P")),
-    ("table1.classical_violation", "the diagonal restriction violates the squared-dimension identity", 0.0, QUANTUM, _check_classical_violation),
-    ("faithful.symmetric", "joint state is invariant under swapping the parts", None, QUANTUM, _check_symmetric),
-    ("faithful.dynamical", "local action determines the transformation uniquely", None, QUANTUM, _check_dynamical),
-    ("faithful.preparational", "every state is reachable by a local witness", None, QUANTUM, _check_preparational),
-    ("faithful.signature", "bilinear form has the expected sign signature", None, QUANTUM, _check_signature),
-    ("faithful.abs_gram", "absolute form is strictly positive with the expected floor", 1e-12, QUANTUM, _check_abs_gram),
-    ("faithful.involution", "the sign-flip involution squares to the identity", 1e-12, QUANTUM, _check_involution),
-    ("gns.transpose_residual", "local action of a map equals its transpose on the other part", 1e-10, QUANTUM, _check_transpose_residual),
-    ("gns.transpose_axioms", "transposition is linear, reverses composition, and squares to one", 1e-12, QUANTUM, _check_transpose_axioms),
-    ("gns.kraus_transpose", "transposition acts entrywise on Kraus operators", 1e-10, QUANTUM, _check_kraus_transpose),
-    ("gns.adjoint_pairing", "the adjoint moves across the scalar product", None, QUANTUM, _check_adjoint_pairing),
-    ("gns.homomorphism", "the representation preserves composition and the identity", 1e-12, QUANTUM, _check_homomorphism),
-    ("gns.adjoint_rep", "the adjoint map is represented by the matrix adjoint", 1e-12, QUANTUM, _check_adjoint_rep),
-    ("gns.cstar", "norm of the adjoint composite equals the squared norm", None, QUANTUM, _check_cstar),
-    ("born.pair", "scalar-product pairing reproduces all probabilities", None, QUANTUM, _check_born_pair),
-    ("born.triple", "three-term form reproduces transformed probabilities", None, QUANTUM, _check_born_triple),
-    ("born.no_signaling", "deterministic far experiments leave the local state fixed", None, QUANTUM, _check_no_signaling),
-)
-SUITES = tuple(dict.fromkeys(name.split(".")[0] for name, *_ in CHECKS))
-
-
 def run_suite(spec, suite):
     """Execute every check of the named suite (or of all suites) that
     applies to the spec's backend, in table order; deterministic for a
@@ -854,6 +390,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    known = {name for name, *_ in CHECKS}
+    unknown = [name for name in args.expect_fail if name not in known]
+    if unknown:
+        sys.stderr.write(f"error: unknown check {', '.join(map(repr, unknown))}\n")
+        return 2
     try:
         spec = load_theory(args.theory) if args.theory else TheorySpec()
         overrides = {

@@ -27,6 +27,7 @@ from .errors import (
     ZeroProbability,
 )
 
+BACKENDS = ("quantum", "classical")
 PROB_TOL = 1e-9
 
 
@@ -39,7 +40,7 @@ class Theory:
     d: int
 
     def __post_init__(self):
-        if self.backend not in ("quantum", "classical"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")

@@ -35,15 +35,6 @@ def _choi_basis(d):
     return hermitian_basis(d * d)
 
 
-def _pair_index(n):
-    """pair[P, Q] = pair[Q, P]: the position of {P, Q}, P != Q, among the
-    off-diagonal pairs of an n x n matrix in Gell-Mann basis order."""
-    j, k = np.triu_indices(n, 1)
-    pair = np.zeros((n, n), dtype=np.intp)
-    pair[j, k] = pair[k, j] = np.arange(len(j))
-    return pair
-
-
 def _entry_coords(n):
     """(coords, values), each (n*n, 2): for each entry (P, Q) of an
     n x n matrix, the two elements of hermitian_basis(n) that hold it
@@ -51,9 +42,14 @@ def _entry_coords(n):
     entry basis |P><P| (the Gell-Mann ones are its rotation by the
     diagonal transform), so a diagonal entry lies in one element and
     its second value is 0."""
-    p = (n * n - n) // 2
+    # pair[P, Q] = pair[Q, P]: the position of {P, Q}, P != Q, among the
+    # off-diagonal pairs in Gell-Mann basis order
+    j, k = np.triu_indices(n, 1)
+    p = len(j)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[j, k] = pair[k, j] = np.arange(p)
     rows, cols = np.divmod(np.arange(n * n), n)
-    pair = _pair_index(n)[rows, cols]
+    pair = pair[rows, cols]
     s = np.sqrt(0.5)
     coords = np.stack([n + pair, n + p + pair], axis=-1)
     values = np.stack([np.full(n * n, s), np.where(rows < cols, -1j * s, 1j * s)], axis=-1)
@@ -64,26 +60,33 @@ def _entry_coords(n):
 
 
 @lru_cache(maxsize=8)
-def _action_layout(d):
-    """(target, source, coef) of the slot-1 local action on d x d
+def _action_layout(d, slot):
+    """(target, source, coef) of the local action on slot 1 or 2 of d x d
     systems, with the diagonal coordinates of both sides in the entry
     basis: entry `target` of the flattened matrix is the sum of coef
     times entry `source` of the real view of Phi.
 
-    A matrix unit |i a><j b| of the Choi space maps to |a><b| (x) Phi_ij,
-    Phi_ij[x, y] = Phi[(i, x), (j, y)], so entry (k, c) is
-    Re sum B_k[(b, y), (a, x)] B_c[(i, a), (j, b)] Phi[(i, x), (j, y)]
-    over the d^6 index tuples; each pair of basis values is real or
-    imaginary, so each term reads the real or the imaginary part of
-    one entry of Phi."""
+    On slot 1 a matrix unit |i a><j b| of the Choi space maps to
+    |a><b| (x) Phi_ij, Phi_ij[x, y] = Phi[(i, x), (j, y)], so entry
+    (k, c) is Re sum B_k[(b, y), (a, x)] B_c[(i, a), (j, b)]
+    Phi[(i, x), (j, y)] over the d^6 index tuples; on slot 2 it maps to
+    Phi^ij (x) |a><b|, Phi^ij[x, y] = Phi[(x, i), (y, j)], and only the
+    two index expressions of the output entry and of Phi change.  Each
+    pair of basis values is real or imaginary, so each term reads the
+    real or the imaginary part of one entry of Phi."""
     n = d * d
     coords, values = _entry_coords(n)
     i, a, j, b, x, y = np.indices((d,) * 6).reshape(6, -1)
     unit = (i * d + a) * n + j * d + b
-    entry = (b * d + y) * n + a * d + x
+    if slot == 1:
+        entry = (b * d + y) * n + a * d + x
+        phi = (i * d + x) * n + j * d + y
+    else:
+        entry = (y * d + b) * n + x * d + a
+        phi = (x * d + i) * n + y * d + j
     w = values[entry][:, :, None] * values[unit][:, None, :]
     target = coords[entry][:, :, None] * (n * n) + coords[unit][:, None, :]
-    source = np.broadcast_to((2 * ((i * d + x) * n + j * d + y))[:, None, None], w.shape)
+    source = np.broadcast_to((2 * phi)[:, None, None], w.shape)
     keep = w != 0
     w = w[keep]
     imag = w.imag != 0
@@ -97,15 +100,16 @@ def _action_layout(d):
     return layout
 
 
-def local_action_matrix(phi):
-    """Matrix of the real-linear map A -> (A, I) Phi from generalized
-    transformations (Choi coordinates) to generalized joint weights
-    (canonical-basis coordinates).  One scatter of the entries of Phi
-    into the matrix, then the diagonal transform on the first d^2 rows
-    and columns; no stack of the Choi basis is formed."""
+def local_action_matrix(phi, slot):
+    """Matrix of the real-linear map A -> (A, I) Phi (slot 1) or
+    A -> (I, A) Phi (slot 2) from generalized transformations (Choi
+    coordinates) to generalized joint weights (canonical-basis
+    coordinates).  One scatter of the entries of Phi into the matrix,
+    then the diagonal transform on the first d^2 rows and columns; no
+    stack of the Choi basis is formed."""
     d = phi.d
     n = d * d
-    target, source, coef = _action_layout(d)
+    target, source, coef = _action_layout(d, slot)
     m = real_view(phi.matrix)[source]
     m *= coef
     m = np.bincount(target, weights=m, minlength=n**4).reshape(n * n, n * n)
@@ -115,47 +119,8 @@ def local_action_matrix(phi):
     return m
 
 
-def swapped(phi):
-    """S Phi S: the joint state with its two subsystems exchanged."""
-    return BipartiteState(phi.d, ch.swap(phi.matrix))
-
-
-@lru_cache(maxsize=8)
-def _swap_layout(d):
-    """(block, rows, signs) of the swap X -> S X S of d^2 x d^2
-    matrices in Gell-Mann coordinates: the n = d^2 diagonal coordinates
-    of S X S are block @ c[:n], and the others are signs * c[rows],
-    c the coordinates of X.  S permutes the entries of the diagonal,
-    and sends each off-diagonal pair to a pair, flipping the sign of
-    its antisymmetric element when the pair's order flips."""
-    n = d * d
-    diag, _ = _gellmann_layout(n)
-    perm = np.arange(n).reshape(d, d).T.reshape(-1)
-    p = (n * n - n) // 2
-    j, k = np.triu_indices(n, 1)
-    to = _pair_index(n)[perm[j], perm[k]]
-    rows = np.concatenate([n + to, n + p + to])
-    signs = np.concatenate([np.ones(p), np.where(perm[j] < perm[k], 1.0, -1.0)])
-    block = diag @ diag[:, perm].T
-    for arr in (block, rows, signs):
-        arr.setflags(write=False)
-    return block, rows, signs
-
-
-def swap_coords(m, d):
-    """The swap X -> S X S applied to the joint-weight coordinates that
-    are the rows of m: one matrix product on the diagonal coordinates
-    and one signed gather of the others (an orthogonal involution)."""
-    block, rows, signs = _swap_layout(d)
-    n = d * d
-    out = np.empty_like(m)
-    out[:n] = block @ m[:n]
-    out[n:] = signs[:, None] * m[rows]
-    return out
-
-
-def _is_max_entangled(phi, tol=1e-12):
-    return bool(np.max(np.abs(phi.matrix - max_entangled(phi.d).matrix)) <= tol)
+def _is_max_entangled(phi):
+    return bool(np.max(np.abs(phi.matrix - max_entangled(phi.d).matrix)) <= 1e-12)
 
 
 @dataclass(frozen=True)

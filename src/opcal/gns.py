@@ -28,8 +28,6 @@ from .faithful import (
     is_symmetric,
     local_action_matrix,
     prepare_witness,
-    swap_coords,
-    swapped,
     witness_system,
 )
 from .quantum import local_state
@@ -45,20 +43,19 @@ class TransposeSolver:
     rank, the rank of the local action.
 
     The local action matrices l1, l2 of the two slots act on Choi
-    coordinates.  The slot-2 action is the slot-1 action on the swapped
-    state followed by the swap of joint weights, l2 = O l1(S Phi S), O
-    the orthogonal involution `faithful.swap_coords`.  The Choi basis
-    is Hermitian and orthonormal, so the real views of its elements,
-    stacked as the rows of V (`view`, no copy of the cached basis),
-    take the real view of a Choi matrix to its coordinates, and V.T
-    maps them back.  On first use the solver factors l2 once and folds
-    the whole solve into one operator on real views, forward = pinv(l2)
-    l1 V, and the residual into check = Q.T l1 V, Q an orthonormal basis
-    of the complement of the range of l2 (empty for a faithful state).
-    A transpose is then real_view(A) @ forward.T, mapped back to a real
-    view by V, with no coordinate conversion, for one map or a whole
-    stack at once.  The rank, forward and check are kept; l1, l2 and
-    the factors are not."""
+    coordinates; each is one scatter of the entries of Phi
+    (`faithful.local_action_matrix`).  The Choi basis is Hermitian and
+    orthonormal, so the real views of its elements, stacked as the rows
+    of V (`view`, no copy of the cached basis), take the real view of a
+    Choi matrix to its coordinates, and V.T maps them back.  On first
+    use the solver factors l2 once and folds the whole solve into one
+    operator on real views, forward = pinv(l2) l1 V, and the residual
+    into check = Q.T l1 V, Q an orthonormal basis of the complement of
+    the range of l2 (empty for a faithful state).  A transpose is then
+    real_view(A) @ forward.T, mapped back to a real view by V, with no
+    coordinate conversion, for one map or a whole stack at once.  The
+    rank, forward and check are kept; l1, l2 and the factors are
+    not."""
 
     def __init__(self, phi):
         self.phi = phi
@@ -66,18 +63,14 @@ class TransposeSolver:
         self.view = real_view(_choi_basis(phi.d))
         self.witness = witness_system(phi)
 
-    def local_actions(self):
-        """(l1, l2): the local action matrices of the two slots."""
-        l1 = local_action_matrix(self.phi)
-        return l1, swap_coords(local_action_matrix(swapped(self.phi)), self.d)
-
     @cached_property
     def _maps(self):
         """(rank, forward, check).  The pseudo-inverse is cut at 1e-12
         sigma_max, as np.linalg.pinv cuts it.  Both slot actions have
         rank d^2 times the operator-Schmidt rank of Phi, so the
         singular values of l2 give the dynamical rank."""
-        l1, l2 = self.local_actions()
+        l1 = local_action_matrix(self.phi, 1)
+        l2 = local_action_matrix(self.phi, 2)
         u, s, vh = np.linalg.svd(l2)
         del l2
         rank = singular_value_rank(s)
@@ -104,7 +97,7 @@ class TransposeSolver:
         over = np.flatnonzero(resid > TRANSPOSE_RESID)
         if over.size:
             views = a.reshape(-1, a.shape[-1])[over]
-            rhs = views @ self.view.T @ local_action_matrix(self.phi).T
+            rhs = views @ self.view.T @ local_action_matrix(self.phi, 1).T
             bound = TRANSPOSE_RESID * np.maximum(np.linalg.norm(rhs, axis=-1), 1.0)
             failed = over[resid[over] > bound]
             if failed.size:

@@ -48,10 +48,11 @@ def _predictable(ev, tol):
     return bool(abs(ev[-1] - 1.0) <= tol and abs(ev[0]) <= tol)
 
 
-def is_resolved(e, tol=1e-9):
-    """Predictable with a single pure state of certain occurrence."""
+def is_resolved(e):
+    """Predictable with a single pure state of certain occurrence, to
+    1e-9 in the eigenvalues."""
     ev = np.linalg.eigvalsh(e.matrix)
-    return _predictable(ev, tol) and bool(np.sum(np.abs(ev - 1.0) <= tol) == 1)
+    return _predictable(ev, 1e-9) and bool(np.sum(np.abs(ev - 1.0) <= 1e-9) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +251,7 @@ class DimReport:
     """Measured dimensions and the per-identity comparisons."""
 
     backend: str
-    d1: int
-    d2: int
+    d: int
     adm_s: int
     idim_s: int
     dim_pr: int
@@ -265,40 +265,31 @@ class DimReport:
         return {row[0]: row[1:] for row in self.rows}[name]
 
 
-def dim_identities(d1, d2=None, backend="quantum"):
-    """Measure every dimension entering the identity table and compare
-    both sides exactly (integer equality)."""
-    d2 = d2 or d1
-    th1 = Theory(backend, d1)
+def dim_identities(d, backend="quantum"):
+    """Measure every dimension entering the identity table of a system
+    and its composite with a copy of itself, and compare both sides
+    exactly (integer equality)."""
+    th1 = Theory(backend, d)
     adm1 = affine_state_dimension(th1)
-    adm2 = adm1 if d2 == d1 else affine_state_dimension(Theory(backend, d2))
     idim1 = informational_dimension(th1)
     dim_pr = effect_space_dimension(th1)
-    th12 = Theory(backend, d1 * d2)
+    th12 = Theory(backend, d * d)
     adm12 = affine_state_dimension(th12)
     idim12 = informational_dimension(th12)
-    if d2 == d1:
-        # the joint system is the squared one: measure it once
-        admsq, idimsq = adm12, idim12
-    else:
-        thsq = Theory(backend, d1 * d1)
-        admsq = affine_state_dimension(thsq)
-        idimsq = informational_dimension(thsq)
     adm_t = transformation_affine_dimension(th1)
     rows = [
         ("D2", dim_pr, adm1 + 1),
-        ("D3", adm12, adm1 * adm2 + adm1 + adm2),
-        ("D4", adm1, idimsq - 1),
-        ("D34", admsq, idimsq**2 - 1),
+        ("D3", adm12, adm1**2 + 2 * adm1),
+        ("D4", adm1, idim12 - 1),
+        ("D34", adm12, idim12**2 - 1),
         ("D34'", adm1, idim1**2 - 1),
-        ("tensor", idimsq, idim1**2),
-        ("T", adm_t, admsq + 1),
+        ("tensor", idim12, idim1**2),
+        ("T", adm_t, adm12 + 1),
         ("P", dim_pr, idim1**2),
     ]
     report = DimReport(
         backend=backend,
-        d1=d1,
-        d2=d2,
+        d=d,
         adm_s=adm1,
         idim_s=idim1,
         dim_pr=dim_pr,

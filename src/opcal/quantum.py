@@ -102,9 +102,9 @@ def apply_local(joint, t, slot):
     return BipartiteWeight(joint.d, out)
 
 
-def condition_local(joint, t, slot, tol=PROB_TOL):
+def condition_local(joint, t, slot):
     w = apply_local(joint, t, slot)
-    return w.total, w.normalize(tol)
+    return w.total, w.normalize()
 
 
 def signaling_residual(joint, experiment, tol=PROB_TOL):
@@ -125,13 +125,13 @@ def signaling_residual(joint, experiment, tol=PROB_TOL):
 # CP map plumbing
 
 
-def kraus_to_choi(theory, kraus, generalized=False):
+def kraus_to_choi(theory, kraus):
     """Transformation of the Kraus operators (a stack of them, one map
     per element, when they carry leading axes, as in
     `channels.kraus_to_choi_matrix`)."""
     if any(np.shape(k)[-2:] != (theory.d, theory.d) for k in kraus):
         raise DimensionMismatch("Kraus operators must be d x d")
-    return Transformation(theory, ch.kraus_to_choi_matrix(kraus), generalized)
+    return Transformation(theory, ch.kraus_to_choi_matrix(kraus))
 
 
 def projector_map(theory, p):

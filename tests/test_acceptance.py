@@ -60,7 +60,7 @@ def test_criterion_3_faithfulness(capsys):
     for d in (2, 3):
         phi = qm.max_entangled(d)
         ok = ok and faithful.is_symmetric(phi)
-        ok = ok and basis.matrix_rank(faithful.local_action_matrix(phi)) == d**4
+        ok = ok and basis.matrix_rank(faithful.local_action_matrix(phi, 1)) == d**4
         ok = ok and is_dynamically_faithful(phi)
         ok = ok and is_preparationally_faithful(phi)
         rng = np.random.default_rng(300 + d)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import opcal
-from opcal import cli, core, faithful, gns, infodim
+from opcal import checks, cli, core, faithful, gns, infodim
 from opcal import quantum as qm
 from opcal.errors import (
     NotFaithful,
@@ -130,19 +130,19 @@ def test_run_suite_product_override_fails_faithful():
 
 
 def test_check_names_are_unique():
-    names = [name for name, *_ in cli.CHECKS]
+    names = [name for name, *_ in checks.CHECKS]
     assert len(names) == len(set(names))
 
 
 def test_every_check_function_is_registered_once():
-    fns = [getattr(cli, n) for n in dir(cli) if n.startswith("_check_")]
+    fns = [getattr(checks, n) for n in dir(checks) if n.startswith("_check_")]
     assert fns
     for fn in fns:
-        assert sum(row[4] is fn for row in cli.CHECKS) == 1, fn.__name__
+        assert sum(row[4] is fn for row in checks.CHECKS) == 1, fn.__name__
 
 
 def test_suites_follow_the_table():
-    assert cli.SUITES == (
+    assert checks.SUITES == (
         "core", "norms", "infodim", "table1", "faithful", "gns", "born"
     )
 
@@ -164,7 +164,7 @@ def _isotropic_d2():
 )
 def test_single_suite_is_its_slice_of_all(spec):
     full = cli.run_suite(replace(spec, seed=3), "all")
-    for suite in cli.SUITES:
+    for suite in checks.SUITES:
         alone = cli.run_suite(replace(spec, seed=3), suite)
         part = [c for c in full.checks if c.name.split(".")[0] == suite]
         want = replace(full, suite=suite, checks=part)
@@ -242,6 +242,15 @@ def test_main_expect_fail(capsys):
         ]
     )
     assert rc == 0
+
+
+def test_main_rejects_an_unknown_expect_fail_name(capsys):
+    rc = cli.main(["--suite", "core", "--expect-fail", "core.conditionin"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "error: unknown check 'core.conditionin'\n"
+    # a check outside the selected suite or backend is accepted
+    assert cli.main(["--suite", "core", "--backend", "classical", "--expect-fail", "gns.cstar"]) == 0
 
 
 def test_main_parse_error(tmp_path, capsys):
@@ -410,11 +419,11 @@ def test_crashing_check_is_an_error_not_an_abort(monkeypatch):
     def crash(ctx, rng, tol):
         raise np.linalg.LinAlgError("SVD did not converge #3\n in pinv")
 
-    checks = tuple(
+    rows = tuple(
         row[:4] + (crash,) if row[0] == "faithful.dynamical" else row
-        for row in cli.CHECKS
+        for row in checks.CHECKS
     )
-    monkeypatch.setattr(cli, "CHECKS", checks)
+    monkeypatch.setattr(cli, "CHECKS", rows)
     report = cli.run_suite(cli.TheorySpec(d=2, seed=5), "faithful")
     status = {c.name: c.status for c in report.checks}
     assert status.pop("faithful.dynamical") == "error"

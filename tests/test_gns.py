@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from opcal import channels as ch
 from opcal import cli, core, faithful, gns
-from opcal.basis import from_coords, hermitian_basis, matrix_rank, to_coords
+from opcal.basis import from_coords, matrix_rank, to_coords
 from opcal import quantum as qm
 from opcal.errors import NotFaithful
 from reference import local_action_oracle, product_state, random_unitary
@@ -68,7 +68,7 @@ def test_folded_transpose_is_the_coordinate_solve(phi, rng):
     # Choi coordinates, x = pinv(l2) l1 coords(A)
     d = phi.d
     cb = faithful._choi_basis(d)
-    l1 = faithful.local_action_matrix(phi)
+    l1 = faithful.local_action_matrix(phi, 1)
     l2 = local_action_oracle(phi, 2)
     solve = np.linalg.pinv(l2, rcond=1e-12) @ l1
     solver = gns.TransposeSolver(phi)
@@ -109,6 +109,7 @@ LOCAL_ACTION_STATES = [
     ("product-d2", lambda: qm.BipartiteState(2, np.eye(4) / 4)),
     ("nonsymmetric-d2", lambda: _nonsymmetric(2)),
     ("nonsymmetric-d3", lambda: _nonsymmetric(3)),
+    *((f"random-joint-d{d}", lambda d=d: qm.random_joint_state(d, 8)) for d in (2, 3)),
 ]
 
 
@@ -116,26 +117,15 @@ LOCAL_ACTION_STATES = [
     "make", [m for _, m in LOCAL_ACTION_STATES], ids=[n for n, _ in LOCAL_ACTION_STATES]
 )
 def test_solver_local_actions_are_the_slot_builds(make):
-    # l1 and l2 = O l1(S Phi S) against the superoperator build of each
+    # the scatter of each slot against the superoperator build of that
     # slot; the solver's rank, read off l2, is the rank of the slot-1
     # oracle, also on the states that are not symmetric
     phi = make()
-    solver = gns.TransposeSolver(phi)
-    l1, l2 = solver.local_actions()
     want1 = local_action_oracle(phi, 1)
-    assert np.max(np.abs(l1 - want1)) <= 1e-15
+    assert np.max(np.abs(faithful.local_action_matrix(phi, 1) - want1)) <= 1e-15
+    l2 = faithful.local_action_matrix(phi, 2)
     assert np.max(np.abs(l2 - local_action_oracle(phi, 2))) <= 1e-15
-    assert solver.rank == matrix_rank(want1)
-
-
-def test_swap_coords_is_the_coordinate_swap(rng):
-    # O maps the coordinates of X to those of S X S, and O O = 1
-    for d in (2, 3):
-        basis = hermitian_basis(d * d)
-        x = rng.standard_normal((5, d**4))
-        got = faithful.swap_coords(x.T, d).T
-        assert np.max(np.abs(got - to_coords(ch.swap(from_coords(x, basis)), basis))) <= 1e-15
-        assert np.max(np.abs(faithful.swap_coords(got.T, d).T - x)) <= 1e-15
+    assert gns.TransposeSolver(phi).rank == matrix_rank(want1)
 
 
 def test_transpose_requires_faithful():

@@ -35,7 +35,7 @@ def test_no_unused_imports(path):
 NO_LIBRARY_CALLER = {
     "core.zero_map": "an exported object of the calculus",
     "faithful.sigma": "the involution on effects, which ROADMAP item 2 puts to use",
-    "gns.scalar_product": "the paper's scalar product, which ROADMAP item 6 gives a check",
+    "gns.scalar_product": "the paper's scalar product; a check for it waits until perfbench's 39/22 check counts move (ROADMAP item 1)",
     "gns.born_pair": "the paper's Born rule; born.pair evaluates it on the whole grid in one product",
 }
 

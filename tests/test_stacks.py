@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from opcal import channels as ch
-from opcal import cli, core, faithful, gns
+from opcal import checks, cli, core, faithful, gns
 from opcal import quantum as qm
 from opcal.errors import NotFaithful, ZeroProbability
 import reference
@@ -43,7 +43,7 @@ def _adjoint_pairing_per_sample(ctx, rng, tol):
     spec = ctx.spec
     solver = ctx.space.solver
     worst = 0.0
-    for _ in range(cli.SAMPLES):
+    for _ in range(checks.SAMPLES):
         a = qm.random_cp(spec.d, rng)
         b = gns.jordan_lift(qm.random_generalized_effect(spec.d, rng))
         c = gns.jordan_lift(qm.random_generalized_effect(spec.d, rng))
@@ -58,7 +58,7 @@ def _born_triple_per_sample(ctx, rng, tol):
     spec = ctx.spec
     space = ctx.space
     worst = 0.0
-    for _ in range(cli.SAMPLES):
+    for _ in range(checks.SAMPLES):
         w = qm.random_state(spec.d, rng)
         b = qm.random_effect(spec.d, rng)
         t = qm.random_cp(spec.d, rng)
@@ -71,9 +71,9 @@ def _born_triple_per_sample(ctx, rng, tol):
 def _effect_norm_per_sample(ctx, rng, tol):
     spec = ctx.spec
     worst = 0.0
-    for _ in range(cli.SAMPLES):
-        w = cli._sample_state(spec, rng)
-        e = cli._sample_effect(spec, rng)
+    for _ in range(checks.SAMPLES):
+        w = checks._sample_state(spec, rng)
+        e = checks._sample_effect(spec, rng)
         p = core.pair(w, e)
         norm = core.effect_norm(e)
         worst = max(worst, abs(p) - norm, norm - 1.0)
@@ -83,8 +83,8 @@ def _effect_norm_per_sample(ctx, rng, tol):
 def _weight_norm_per_sample(ctx, rng, tol):
     spec = ctx.spec
     worst = 0.0
-    for _ in range(cli.SAMPLES):
-        w = core.act(cli._sample_map(spec, rng), cli._sample_state(spec, rng))
+    for _ in range(checks.SAMPLES):
+        w = core.act(checks._sample_map(spec, rng), checks._sample_state(spec, rng))
         norm = core.weight_norm(w)
         worst = max(worst, w.total - norm, norm - 1.0)
     return worst <= tol, {"max_violation": worst}
@@ -93,9 +93,9 @@ def _weight_norm_per_sample(ctx, rng, tol):
 def _submultiplicative_per_sample(ctx, rng, tol):
     spec = ctx.spec
     worst = -np.inf
-    for _ in range(cli.SAMPLES):
-        a = cli._sample_map(spec, rng)
-        b = cli._sample_map(spec, rng)
+    for _ in range(checks.SAMPLES):
+        a = checks._sample_map(spec, rng)
+        b = checks._sample_map(spec, rng)
         lhs = core.trans_norm(core.compose(b, a))
         rhs = core.trans_norm(b) * core.trans_norm(a)
         worst = max(worst, lhs - rhs)
@@ -105,8 +105,8 @@ def _submultiplicative_per_sample(ctx, rng, tol):
 def _contraction_per_sample(ctx, rng, tol):
     spec = ctx.spec
     worst = -np.inf
-    for _ in range(cli.SAMPLES):
-        worst = max(worst, core.trans_norm(cli._sample_map(spec, rng)) - 1.0)
+    for _ in range(checks.SAMPLES):
+        worst = max(worst, core.trans_norm(checks._sample_map(spec, rng)) - 1.0)
     return worst <= tol, {"max_violation": float(worst)}
 
 
@@ -131,7 +131,7 @@ def _no_signaling_per_sample(ctx, rng, tol):
     # the residual of each sample on its own, as signaling_residual takes it
     spec = ctx.spec
     worst = 0.0
-    for _ in range(cli.SAMPLES):
+    for _ in range(checks.SAMPLES):
         joint = qm.random_joint_state(spec.d, rng)
         exp = qm.random_experiment(spec.d, rng)
         exp.check_complete(tol)
@@ -176,7 +176,7 @@ def _unstacked(out):
 def _run_recording_draws(monkeypatch, ctx, name, fn, stacked):
     """Run a check body on its own rng; return its result and the
     matrices it drew, sample by sample in call order.  A stacked body's
-    are read off the stacks cli._draw returns; a per-sample body's are
+    are read off the stacks checks._draw returns; a per-sample body's are
     what its outermost sampler calls returned."""
     draws = []
 
@@ -205,7 +205,7 @@ def _run_recording_draws(monkeypatch, ctx, name, fn, stacked):
 
     with monkeypatch.context() as patch:
         if stacked:
-            patch.setattr(cli, "_draw", recording_draw(cli._draw))
+            patch.setattr(checks, "_draw", recording_draw(checks._draw))
         else:
             for sampler in SAMPLERS:
                 patch.setattr(qm, sampler, recording(getattr(qm, sampler)))
@@ -217,14 +217,14 @@ def _run_recording_draws(monkeypatch, ctx, name, fn, stacked):
 # (id, check, stacked body, per-sample body, configurations, draws per
 # run)
 ORACLES = (
-    ("adjoint_pairing", "gns.adjoint_pairing", cli._check_adjoint_pairing, _adjoint_pairing_per_sample, SPECS, 3 * cli.SAMPLES),
-    ("born_triple", "born.triple", cli._check_born_triple, _born_triple_per_sample, SPECS, 3 * cli.SAMPLES),
-    ("effect_bound", "norms.effect_bound", cli._check_effect_norm, _effect_norm_per_sample, {**SPECS, **CLASSICAL}, 2 * cli.SAMPLES),
-    ("weight_bound", "norms.weight_bound", cli._check_weight_norm, _weight_norm_per_sample, {**SPECS, **CLASSICAL}, 2 * cli.SAMPLES),
-    ("submultiplicative", "norms.submultiplicative", cli._check_submultiplicative, _submultiplicative_per_sample, {**SPECS, **CLASSICAL}, 2 * cli.SAMPLES),
-    ("contraction", "norms.contraction", cli._check_contraction, _contraction_per_sample, {**SPECS, **CLASSICAL}, cli.SAMPLES),
-    ("preparational", "faithful.preparational", cli._check_preparational, _preparational_per_sample, SPECS, 5),
-    ("no_signaling", "born.no_signaling", cli._check_no_signaling, _no_signaling_per_sample, SPECS, 2 * cli.SAMPLES),
+    ("adjoint_pairing", "gns.adjoint_pairing", checks._check_adjoint_pairing, _adjoint_pairing_per_sample, SPECS, 3 * checks.SAMPLES),
+    ("born_triple", "born.triple", checks._check_born_triple, _born_triple_per_sample, SPECS, 3 * checks.SAMPLES),
+    ("effect_bound", "norms.effect_bound", checks._check_effect_norm, _effect_norm_per_sample, {**SPECS, **CLASSICAL}, 2 * checks.SAMPLES),
+    ("weight_bound", "norms.weight_bound", checks._check_weight_norm, _weight_norm_per_sample, {**SPECS, **CLASSICAL}, 2 * checks.SAMPLES),
+    ("submultiplicative", "norms.submultiplicative", checks._check_submultiplicative, _submultiplicative_per_sample, {**SPECS, **CLASSICAL}, 2 * checks.SAMPLES),
+    ("contraction", "norms.contraction", checks._check_contraction, _contraction_per_sample, {**SPECS, **CLASSICAL}, checks.SAMPLES),
+    ("preparational", "faithful.preparational", checks._check_preparational, _preparational_per_sample, SPECS, 5),
+    ("no_signaling", "born.no_signaling", checks._check_no_signaling, _no_signaling_per_sample, SPECS, 2 * checks.SAMPLES),
 )
 
 
@@ -286,14 +286,14 @@ def test_samplers_match_one_sample_oracles(config):
         spec = replace(SAMPLER_SPECS[config], seed=seed)
         ctx = cli.RunContext(spec)
         for order in DRAW_ORDERS[spec.backend]:
-            samplers = [getattr(cli, f"_sample_{k}") for k in order]
+            samplers = [getattr(checks, f"_sample_{k}") for k in order]
             oracles = [SAMPLE_ORACLES[k][spec.backend] for k in order]
             # one stack per sampler
             rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            stacks = cli._draw(ctx, rng, cli.SAMPLES, *samplers)
+            stacks = checks._draw(ctx, rng, checks.SAMPLES, *samplers)
             got = [x for sample in zip(*map(_unstacked, stacks)) for x in sample]
-            want = [_drawn(oracle(spec.d, want_rng)) for _ in range(cli.SAMPLES) for oracle in oracles]
-            assert len(got) == len(want) == cli.SAMPLES * len(order)
+            want = [_drawn(oracle(spec.d, want_rng)) for _ in range(checks.SAMPLES) for oracle in oracles]
+            assert len(got) == len(want) == checks.SAMPLES * len(order)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), order
             assert rng.bit_generator.state == want_rng.bit_generator.state
@@ -521,7 +521,7 @@ def test_norms_on_stacks_match_per_element(d):
     assert type(core.weight_norm(weights[0])) is float
     _close(core.effect_norm(core.stack(effects)), [core.effect_norm(e) for e in effects])
     _close(core.weight_norm(core.stack(weights)), [core.weight_norm(w) for w in weights])
-    cs = [cli._sample_effect(CLASSICAL["classical-d3"], np.random.default_rng(i)) for i in range(3)]
+    cs = [checks._sample_effect(CLASSICAL["classical-d3"], np.random.default_rng(i)) for i in range(3)]
     _close(core.effect_norm(core.stack(cs)), [core.effect_norm(e) for e in cs])
 
 
