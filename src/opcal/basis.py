@@ -29,51 +29,33 @@ from functools import lru_cache
 
 import numpy as np
 
-
-def gellmann(j, k, d):
-    """Generalized Gell-Mann matrix of dimension d (Tr[g^2] = 2).
-
-    j > k: symmetric, j < k: antisymmetric (imaginary), j == k < d:
-    diagonal, j == k == d: identity.
-    """
-    g = np.zeros((d, d), dtype=complex)
-    if j > k:
-        g[j, k] = 1.0
-        g[k, j] = 1.0
-    elif j < k:
-        g[j, k] = -1.0j
-        g[k, j] = 1.0j
-    elif j < d - 1 or d == 1:
-        m = j + 1
-        diag = np.zeros(d)
-        diag[:m] = 1.0
-        diag[m] = -m
-        g = np.diag(np.sqrt(2.0 / (m * (m + 1))) * diag).astype(complex)
-    else:
-        g = np.eye(d, dtype=complex)
-    return g
+from .tolerances import RANK_RCOND
 
 
 @lru_cache(maxsize=None)
-def hermitian_basis(d):
-    """Orthonormal Hermitian basis of d x d matrices, identity first.
+def hermitian_basis(n):
+    """Orthonormal Hermitian basis of n x n matrices, identity first.
 
-    Returns an array of shape (d*d, d, d) with Tr[B_a B_b] = delta_ab.
-    The antisymmetric (imaginary) elements are the ones that pick up a
-    sign under matrix transposition.
+    Returns an array of shape (n*n, n, n) with Tr[B_a B_b] = delta_ab:
+    I/sqrt(n), then the generalized Gell-Mann matrices, diagonal,
+    symmetric and antisymmetric (imaginary; these pick up a sign under
+    transposition), scaled to unit norm and scattered onto the entries
+    that `_gellmann_layout` lists.
     """
-    mats = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    for j in range(d - 1):
-        mats.append(gellmann(j, j, d) / np.sqrt(2.0))
-    for j in range(d):
-        for k in range(j + 1, d):
-            mats.append(gellmann(k, j, d) / np.sqrt(2.0))  # symmetric
-    for j in range(d):
-        for k in range(j + 1, d):
-            mats.append(gellmann(j, k, d) / np.sqrt(2.0))  # antisymmetric
-    arr = np.array(mats)
-    arr.setflags(write=False)
-    return arr
+    _, entries = _gellmann_layout(n)
+    diag, upper, lower = np.split(entries, [n, (n * n + n) // 2])
+    sym, anti = np.split(np.arange(n, n * n), 2)
+    m, col = np.arange(1, n)[:, None], np.arange(n)
+    out = np.zeros((n * n, n * n), dtype=complex)
+    out[0, diag] = 1.0
+    # m ones, then -m, scaled to Tr[g^2] = 2
+    out[1:n, diag] = np.sqrt(2.0 / (m * (m + 1))) * np.where(col < m, 1.0, np.where(col == m, -m, 0.0))
+    out[sym, upper] = out[sym, lower] = 1.0
+    out[anti, upper], out[anti, lower] = -1.0j, 1.0j
+    out /= np.where(np.arange(n * n) == 0, np.sqrt(n), np.sqrt(2.0))[:, None]
+    out = out.reshape(n * n, n, n)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -154,9 +136,6 @@ def real_view(matrix):
     interleaved; no copy for a C-contiguous complex array."""
     m = np.ascontiguousarray(matrix, dtype=complex)
     return m.reshape(*m.shape[:-2], -1).view(np.float64)
-
-
-RANK_RCOND = 1e-10
 
 
 def singular_value_rank(sv):

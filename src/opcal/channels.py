@@ -84,7 +84,7 @@ def min_eig(m):
     return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
 
 
-def is_psd(m, tol=1e-12):
+def is_psd(m, tol):
     return min_eig(m) >= -tol
 
 

@@ -26,6 +26,7 @@ from . import quantum as qm
 from .checks import CHECKS, SUITES
 from .core import BACKENDS
 from .errors import ParseError, UnknownSuite, ValidationError
+from .tolerances import DEFAULT_TOL, OVERRIDE_HERMITIAN, OVERRIDE_PSD, OVERRIDE_TRACE
 
 SCALAR_FIELDS = {"backend": str, "d": int, "seed": int, "tol": float}
 # Largest accepted dimension: memory grows as d^8 (a process running two
@@ -83,7 +84,7 @@ class TheorySpec:
     backend: str = "quantum"
     d: int = 2
     seed: int = 0
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     phi_override: np.ndarray = None
 
     def theory(self):
@@ -115,16 +116,16 @@ def validate_spec(spec):
         elif not np.isfinite(m).all():
             errors.append("override matrix has a non-finite entry")
         else:
-            if np.max(np.abs(m - m.conj().T)) > 1e-9:
+            if np.max(np.abs(m - m.conj().T)) > OVERRIDE_HERMITIAN:
                 errors.append("override matrix is not Hermitian")
             else:
                 low = float(np.linalg.eigvalsh(m)[0])
-                if low < -1e-9:
+                if low < -OVERRIDE_PSD:
                     errors.append(
                         f"override matrix is not PSD: eigenvalue {low:.6e}"
                     )
             tr = complex(np.trace(m))
-            if abs(tr - 1.0) > 1e-6:
+            if abs(tr - 1.0) > OVERRIDE_TRACE:
                 errors.append(f"override matrix trace {tr} is not 1")
     if errors:
         raise ValidationError("; ".join(errors))

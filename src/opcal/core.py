@@ -26,9 +26,9 @@ from .errors import (
     NotCoexistent,
     ZeroProbability,
 )
+from .tolerances import CP_TOL, NORM_STEP, OBSERVABLE_SUM, PROB_TOL, UNIT_TRACE
 
 BACKENDS = ("quantum", "classical")
-PROB_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,12 @@ class Weight:
     def coords(self):
         return to_coords(self.matrix, self.theory.basis())
 
-    def normalize(self, tol=PROB_TOL):
+    def normalize(self):
         """The state of each weight; a stack with any weight at or
-        below the cutoff raises."""
+        below PROB_TOL raises."""
         t = self.total
-        if (t <= tol).any():
-            raise ZeroProbability(f"total weight {np.min(t)} below cutoff {tol}")
+        if (t <= PROB_TOL).any():
+            raise ZeroProbability(f"total weight {np.min(t)} below cutoff {PROB_TOL}")
         return State(self.theory, self.matrix / t[..., None, None])
 
 
@@ -126,7 +126,7 @@ class State(Weight):
 
     def __post_init__(self):
         super().__post_init__()
-        if (np.abs(self.matrix.trace(axis1=-2, axis2=-1) - 1.0) > 1e-9).any():
+        if (np.abs(self.matrix.trace(axis1=-2, axis2=-1) - 1.0) > UNIT_TRACE).any():
             raise ValueError("state must have unit total weight")
 
 
@@ -189,10 +189,10 @@ class Experiment:
         total = sum(b.choi for b in self.branches)
         return Transformation(t.theory, total)
 
-    def check_complete(self, tol=PROB_TOL):
+    def check_complete(self):
         s = self.deterministic_sum().effect()
         d = s.theory.d
-        if np.max(np.abs(s.matrix - np.eye(d))) > tol:
+        if np.max(np.abs(s.matrix - np.eye(d))) > PROB_TOL:
             raise CompletenessError("branch probabilities do not sum to one")
 
     def observable(self):
@@ -209,7 +209,7 @@ class Observable:
         object.__setattr__(self, "effects", tuple(self.effects))
         total = sum(e.matrix for e in self.effects)
         d = self.effects[0].theory.d
-        if np.max(np.abs(total - np.eye(d))) > 1e-7:
+        if np.max(np.abs(total - np.eye(d))) > OBSERVABLE_SUM:
             raise ValueError("effects do not satisfy the completeness relation")
 
     @property
@@ -243,15 +243,15 @@ def act(t, state):
     return Weight(t.theory, out, t.generalized or state.generalized)
 
 
-def condition(state, t, tol=PROB_TOL):
+def condition(state, t):
     """Bayes conditioning: (probability, conditional state), one of each
     per element of a stack; a stack with any probability at or below
-    the cutoff raises."""
+    PROB_TOL raises."""
     w = act(t, state)
     p = w.total
-    if (p <= tol).any():
-        raise ZeroProbability(f"outcome probability {np.min(p)} below cutoff {tol}")
-    return p, w.normalize(tol)
+    if (p <= PROB_TOL).any():
+        raise ZeroProbability(f"outcome probability {np.min(p)} below cutoff {PROB_TOL}")
+    return p, w.normalize()
 
 
 def evolve_effect(e, t):
@@ -295,12 +295,12 @@ def scale(lam, a):
     return Transformation(a.theory, lam * a.choi, a.generalized)
 
 
-def coexistent(a, b, tol=PROB_TOL):
+def coexistent(a, b):
     """Two physical transformations can occur in one experiment iff
-    their sum is a contraction."""
+    their sum is a contraction (to PROB_TOL)."""
     _check_same(a, b)
     s = Transformation(a.theory, a.choi + b.choi)
-    return trans_norm(s) <= 1.0 + tol
+    return trans_norm(s) <= 1.0 + PROB_TOL
 
 
 def add(a, b, check=True):
@@ -347,7 +347,7 @@ def trans_norm(t):
     eigenvalue of the dual unit effect; otherwise it is evaluated by
     alternating maximization over (pure state, unit-ball effect) pairs
     from 16 restarts (seed 7) plus structured starting points, each
-    refined at most 200 times and until it gains less than 1e-13 (a
+    refined at most 200 times and until it gains less than NORM_STEP (a
     certified lower bound).  A classical map acts on the diagonal alone,
     so the basis-vector starts reach its exact norm, the largest column
     l1 norm of its (sub)stochastic matrix.
@@ -358,7 +358,7 @@ def trans_norm(t):
     """
     choi = t.choi.reshape(-1, *t.choi.shape[-2:])
     zero = ~choi.any(axis=(-2, -1))
-    cp = ch.is_psd(choi, 1e-10)
+    cp = ch.is_psd(choi, CP_TOL)
     norms = np.linalg.eigvalsh(ch.effect_of_choi(choi))[:, -1]
     norms[zero] = 0.0
     for i in np.flatnonzero(~zero & ~cp):
@@ -383,7 +383,7 @@ def _alternating_norm(choi, d):
             ww, vv = np.linalg.eigh((dual_b + dual_b.conj().T) / 2.0)
             psi = vv[:, -1]
             new = float(ww[-1])
-            if new <= val + 1e-13:
+            if new <= val + NORM_STEP:
                 return max(new, val)
             val = new
         return val
@@ -424,21 +424,21 @@ def spanning_states(theory):
     return tuple(State(theory, np.outer(v, v.conj())) for v in kept)
 
 
-def informational_equiv(a, b, tol=PROB_TOL):
-    """Equal occurrence probability in every state."""
+def informational_equiv(a, b):
+    """Equal occurrence probability in every state (to PROB_TOL)."""
     _check_same(a, b)
     ea, eb = a.effect(), b.effect()
-    return all(abs(pair(w, ea) - pair(w, eb)) <= tol for w in spanning_states(a.theory))
+    return all(abs(pair(w, ea) - pair(w, eb)) <= PROB_TOL for w in spanning_states(a.theory))
 
 
-def dynamical_equiv(a, b, tol=PROB_TOL):
-    """Equal conditional states wherever both probabilities are nonzero."""
+def dynamical_equiv(a, b):
+    """Equal conditional states wherever both probabilities exceed PROB_TOL."""
     _check_same(a, b)
     for w in spanning_states(a.theory):
         pa, pb = act(a, w).total, act(b, w).total
-        if pa > tol and pb > tol:
+        if pa > PROB_TOL and pb > PROB_TOL:
             ra = a(w.matrix) / pa
             rb = b(w.matrix) / pb
-            if np.max(np.abs(ra - rb)) > tol:
+            if np.max(np.abs(ra - rb)) > PROB_TOL:
                 return False
     return True

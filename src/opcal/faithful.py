@@ -18,21 +18,13 @@ from .basis import _gellmann_layout, from_coords, hermitian_basis, real_view, to
 from .core import Effect, Transformation, _per_element, quantum
 from .errors import ConeViolation, DegenerateSplit, NotFaithful
 from .quantum import BipartiteState, apply_local, kraus_to_choi, max_entangled
-
-ZERO_CUTOFF = 1e-12
+from .tolerances import CANONICAL_TOL, CP_TOL, SYMMETRY_TOL, WITNESS_RESID, ZERO_CUTOFF
 
 
 def is_symmetric(phi):
     """Phi(A, B) = Phi(B, A): invariance under swapping the subsystems,
-    to 1e-12 in every entry."""
-    return bool(np.max(np.abs(ch.swap(phi.matrix) - phi.matrix)) <= 1e-12)
-
-
-@lru_cache(maxsize=8)
-def _choi_basis(d):
-    """Hermitian basis of the d^2 x d^2 Choi space (generalized
-    transformations as a real d^4-dimensional space)."""
-    return hermitian_basis(d * d)
+    to SYMMETRY_TOL in every entry."""
+    return bool(np.max(np.abs(ch.swap(phi.matrix) - phi.matrix)) <= SYMMETRY_TOL)
 
 
 def _entry_coords(n):
@@ -120,7 +112,7 @@ def local_action_matrix(phi, slot):
 
 
 def _is_max_entangled(phi):
-    return bool(np.max(np.abs(phi.matrix - max_entangled(phi.d).matrix)) <= 1e-12)
+    return bool(np.max(np.abs(phi.matrix - max_entangled(phi.d).matrix)) <= CANONICAL_TOL)
 
 
 @dataclass(frozen=True)
@@ -148,7 +140,7 @@ def witness_system(phi):
     if _is_max_entangled(phi):
         return WitnessSystem(phi, canonical=True, m=None, pinv=None)
     d = phi.d
-    cb = _choi_basis(d)
+    cb = hermitian_basis(d * d)
     r = np.trace(cb.reshape(-1, d, d, d, d), axis1=2, axis2=4)  # [k, i, j]
     marginals = np.einsum("kij,ixjy->kxy", r, phi.matrix.reshape(d, d, d, d))
     m = to_coords(marginals, hermitian_basis(d)).T
@@ -156,7 +148,7 @@ def witness_system(phi):
     return WitnessSystem(phi, canonical=False, m=m, pinv=pinv)
 
 
-def prepare_witness(system, target, tol=1e-9):
+def prepare_witness(system, target):
     """Local transformation on slot 1 whose conditioned local state on
     slot 2 is the target, with its success probability.
 
@@ -165,7 +157,7 @@ def prepare_witness(system, target, tol=1e-9):
     largest physical probability p = 1 / (d lambda_max(target)).  For
     other faithful states a generalized witness is the minimum-norm
     solution of the system's marginal equations; the residual is
-    certified.
+    certified to WITNESS_RESID.
 
     A stack of targets gives the stack of their witnesses and an array
     of probabilities, from one solve.  Each element's residual and
@@ -184,15 +176,15 @@ def prepare_witness(system, target, tol=1e-9):
     target_coords = to_coords(rho, hermitian_basis(d))
     x = target_coords @ system.pinv.T
     resid = np.linalg.norm(x @ system.m.T - target_coords, axis=-1)
-    choi = from_coords(x, _choi_basis(d))
+    choi = from_coords(x, hermitian_basis(d * d))
     prob = apply_local(phi, Transformation(quantum(d), choi, generalized=True), 1).total
-    failed = np.flatnonzero((resid > tol) | (prob <= tol))
+    failed = np.flatnonzero((resid > WITNESS_RESID) | (prob <= WITNESS_RESID))
     if failed.size:
         i = np.unravel_index(failed[0], resid.shape)
-        if resid[i] > tol:
+        if resid[i] > WITNESS_RESID:
             raise NotFaithful(f"no local witness at residual {resid[i]}")
         raise NotFaithful("witness occurs with vanishing probability")
-    cp = ch.is_psd(choi, 1e-10)
+    cp = ch.is_psd(choi, CP_TOL)
     # rescale each CP witness to a physical (trace-nonincreasing) map
     top = np.where(cp, np.linalg.eigvalsh(ch.effect_of_choi(choi))[..., -1], 1.0)
     lam = np.minimum(np.where(cp, 1.0 / top, 1.0), 1.0)
@@ -258,13 +250,13 @@ def spectral_split(phi):
     )
 
 
-def sigma(split, e, tol=1e-9):
+def sigma(split, e):
     """Involution on effects: sign flip of the negative principal axes
     (matrix transposition for the maximally entangled split).  Raises
     if a physical input is mapped outside the physical cone."""
     out = split.flip(e.matrix)
     result = Effect(e.theory, out, e.generalized)
-    if not e.generalized and e.is_physical(tol) and not result.is_physical(tol):
+    if not e.generalized and e.is_physical() and not result.is_physical():
         raise ConeViolation("involution left the physical effect cone")
     return result
 

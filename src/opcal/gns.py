@@ -23,7 +23,6 @@ from .basis import hermitian_basis, real_view, singular_value_rank, to_coords
 from .core import Effect, Transformation, compose, pair, quantum, stack
 from .errors import NotFaithful
 from .faithful import (
-    _choi_basis,
     conjugate_transformation,
     is_symmetric,
     local_action_matrix,
@@ -31,8 +30,7 @@ from .faithful import (
     witness_system,
 )
 from .quantum import local_state
-
-TRANSPOSE_RESID = 1e-10
+from .tolerances import GRAM_FLOOR, PINV_RCOND, TRANSPOSE_RESID
 
 
 class TransposeSolver:
@@ -60,21 +58,21 @@ class TransposeSolver:
     def __init__(self, phi):
         self.phi = phi
         self.d = phi.d
-        self.view = real_view(_choi_basis(phi.d))
+        self.view = real_view(hermitian_basis(phi.d * phi.d))
         self.witness = witness_system(phi)
 
     @cached_property
     def _maps(self):
-        """(rank, forward, check).  The pseudo-inverse is cut at 1e-12
-        sigma_max, as np.linalg.pinv cuts it.  Both slot actions have
-        rank d^2 times the operator-Schmidt rank of Phi, so the
-        singular values of l2 give the dynamical rank."""
+        """(rank, forward, check).  The pseudo-inverse is cut at
+        PINV_RCOND sigma_max, as np.linalg.pinv cuts it.  Both slot
+        actions have rank d^2 times the operator-Schmidt rank of Phi,
+        so the singular values of l2 give the dynamical rank."""
         l1 = local_action_matrix(self.phi, 1)
         l2 = local_action_matrix(self.phi, 2)
         u, s, vh = np.linalg.svd(l2)
         del l2
         rank = singular_value_rank(s)
-        r = int(np.sum(s > 1e-12 * s[0]))
+        r = int(np.sum(s > PINV_RCOND * s[0]))
         m = u.T @ l1  # l1 in the basis u
         del u, l1
         return rank, ((vh[:r].T / s[:r]) @ m[:r]) @ self.view, m[r:] @ self.view
@@ -86,18 +84,18 @@ class TransposeSolver:
         return self._maps[0]
 
     def transpose(self, t):
-        """The transpose of t, or of each map of a stack.  Each
+        """The transpose of t, or of each map of a stack (its leading
+        axes flattened, so one matrix product serves them all).  Each
         element's residual is held to its own bound; the first element
         in stack order that fails it raises NotFaithful."""
         _, forward, check = self._maps
-        a = real_view(t.choi)
-        resid = np.linalg.norm(a @ check.T, axis=-1).reshape(-1)
+        a = real_view(t.choi).reshape(-1, self.view.shape[-1])
+        resid = np.linalg.norm(a @ check.T, axis=-1)
         # the residual bound is relative to max(|l1 V a|, 1), so the
         # right side is needed only above the absolute bound
         over = np.flatnonzero(resid > TRANSPOSE_RESID)
         if over.size:
-            views = a.reshape(-1, a.shape[-1])[over]
-            rhs = views @ self.view.T @ local_action_matrix(self.phi, 1).T
+            rhs = a[over] @ self.view.T @ local_action_matrix(self.phi, 1).T
             bound = TRANSPOSE_RESID * np.maximum(np.linalg.norm(rhs, axis=-1), 1.0)
             failed = over[resid[over] > bound]
             if failed.size:
@@ -187,7 +185,7 @@ def gns_space(solver):
     gram = pairing @ real_view(lifts.choi).T
     gram = (gram + gram.T) / 2.0
     w, v = np.linalg.eigh(gram)
-    if w[0] <= 1e-12:
+    if w[0] <= GRAM_FLOOR:
         raise NotFaithful("scalar product is not strictly positive")
     # Column k of gns_rep(T) pairs T after lift k, whose Choi matrix is
     # sum_mn L_k[(i,m),(x,n)] C[(m,a),(n,b)].  So pairing j of it is
@@ -227,9 +225,12 @@ def scalar_product(space, b, a):
 def transformation_coords(space, t):
     """GNS-vector coordinates of a transformation, from its pairings
     with the canonical lifted basis (two transformations share a vector
-    iff their difference has zero norm)."""
-    pairings = real_view(t.choi) @ space.pairing.T
-    return np.linalg.solve(space.gram, pairings[..., None])[..., 0]
+    iff their difference has zero norm).  The leading axes of a stack
+    are flattened: one product and one solve with a right side per
+    element."""
+    lead = t.choi.shape[:-2]
+    pairings = real_view(t.choi).reshape(-1, space.pairing.shape[-1]) @ space.pairing.T
+    return np.linalg.solve(space.gram, pairings.T).T.reshape(*lead, -1)
 
 
 def gns_rep(space, t):

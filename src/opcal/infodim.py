@@ -2,7 +2,7 @@
 identities relating affine, informational and effect-space dimensions.
 
 Ranks are decided by basis.matrix_rank: singular values with a
-relative cutoff of 1e-10 * sigma_max, so the decisions are scale-free.
+relative cutoff of RANK_RCOND * sigma_max, so they are scale-free.
 """
 
 from dataclasses import dataclass, field
@@ -10,9 +10,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channels as ch
-from .basis import diagonal_basis, hermitian_basis, matrix_rank, to_coords
+from .basis import diagonal_basis, hermitian_basis, matrix_rank, real_view, to_coords
 from .core import Effect, Observable, Theory, quantum, spanning_states
 from .errors import NotIC, WitnessFailed
+from .tolerances import DISCRIMINATION_RESID, EXPAND_RESID, RESOLVED_EIG
 
 
 def ic_rank(obs):
@@ -29,9 +30,9 @@ def is_minimal_ic(obs):
     return is_informationally_complete(obs) and len(obs) == obs.theory.effect_dim
 
 
-def ic_expand(effect, obs, tol=1e-9):
-    """Coefficients c_i with effect = sum_i c_i l_i (unique for minimal
-    IC observables, minimum-norm otherwise)."""
+def ic_expand(effect, obs):
+    """Coefficients c_i with effect = sum_i c_i l_i to EXPAND_RESID
+    (unique for minimal IC observables, minimum-norm otherwise)."""
     if not is_informationally_complete(obs):
         raise NotIC("observable does not span the effect space")
     # one to_coords per effect: the stacked product rounds differently
@@ -39,8 +40,8 @@ def ic_expand(effect, obs, tol=1e-9):
     rows = np.array([e.coords for e in obs.effects])
     c, *_ = np.linalg.lstsq(rows.T, effect.coords, rcond=None)
     resid = np.linalg.norm(rows.T @ c - effect.coords)
-    if resid > tol:
-        raise NotIC(f"expansion residual {resid} above {tol}")
+    if resid > EXPAND_RESID:
+        raise NotIC(f"expansion residual {resid} above {EXPAND_RESID}")
     return c
 
 
@@ -50,9 +51,9 @@ def _predictable(ev, tol):
 
 def is_resolved(e):
     """Predictable with a single pure state of certain occurrence, to
-    1e-9 in the eigenvalues."""
+    RESOLVED_EIG in the eigenvalues."""
     ev = np.linalg.eigvalsh(e.matrix)
-    return _predictable(ev, 1e-9) and bool(np.sum(np.abs(ev - 1.0) <= 1e-9) == 1)
+    return _predictable(ev, RESOLVED_EIG) and bool(np.sum(np.abs(ev - 1.0) <= RESOLVED_EIG) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +121,11 @@ def discrimination_witness(theory):
     return states, obs, cert
 
 
-def informational_dimension(theory, tol=1e-9):
+def informational_dimension(theory):
     """Maximal cardinality of a perfectly discriminable set of states,
     verified constructively by the witness above."""
     states, obs, cert = discrimination_witness(theory)
-    if cert["pairing_residual"] > tol:
+    if cert["pairing_residual"] > DISCRIMINATION_RESID:
         raise WitnessFailed("discrimination witness failed the delta check")
     if not all(is_resolved(l) for l in obs.effects):
         raise WitnessFailed("discriminating effects are not predictable and resolved")
@@ -146,12 +147,9 @@ def affine_state_dimension(theory):
 
 def effect_space_dimension(theory):
     """Linear dimension of the generalized-effect space, measured from
-    the span of the physical effects (basis elements shifted into the
-    cone)."""
-    basis = theory.basis()
-    rows = [e.reshape(-1) for e in basis]
-    mats = np.array([np.concatenate([r.real, r.imag]) for r in rows])
-    return matrix_rank(mats)
+    the span of the physical effects (I + B_a) / 2, one per basis
+    element B_a shifted into the cone."""
+    return matrix_rank(real_view((np.eye(theory.d) + theory.basis()) / 2.0))
 
 
 def transformation_affine_dimension(theory):

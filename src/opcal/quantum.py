@@ -18,16 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels as ch
-from .core import (
-    PROB_TOL,
-    Effect,
-    Experiment,
-    State,
-    Transformation,
-    classical,
-    quantum,
-)
+from .core import Effect, Experiment, State, Transformation, classical, quantum
 from .errors import DimensionMismatch, ZeroProbability
+from .tolerances import PROB_TOL, UNIT_TRACE
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +46,12 @@ class BipartiteWeight:
     def total(self):
         return self.matrix.trace(axis1=-2, axis2=-1).real
 
-    def normalize(self, tol=PROB_TOL):
+    def normalize(self):
         """The joint state of each weight; a stack with any weight at or
-        below the cutoff raises."""
+        below PROB_TOL raises."""
         t = self.total
-        if (t <= tol).any():
-            raise ZeroProbability(f"joint weight {np.min(t)} below cutoff {tol}")
+        if (t <= PROB_TOL).any():
+            raise ZeroProbability(f"joint weight {np.min(t)} below cutoff {PROB_TOL}")
         return BipartiteState(self.d, self.matrix / t[..., None, None])
 
 
@@ -66,7 +59,7 @@ class BipartiteWeight:
 class BipartiteState(BipartiteWeight):
     def __post_init__(self):
         super().__post_init__()
-        if (np.abs(self.matrix.trace(axis1=-2, axis2=-1) - 1.0) > 1e-9).any():
+        if (np.abs(self.matrix.trace(axis1=-2, axis2=-1) - 1.0) > UNIT_TRACE).any():
             raise ValueError("joint state must have unit trace")
 
     @property
@@ -107,15 +100,15 @@ def condition_local(joint, t, slot):
     return w.total, w.normalize()
 
 
-def signaling_residual(joint, experiment, tol=PROB_TOL):
+def signaling_residual(joint, experiment):
     """Largest entry by which the deterministic sum of a local
     experiment on slot 1 changes the local state of slot 2 (zero for a
     theory without signaling).  A stack of joint states and an
     experiment whose branches are stacks (as `random_experiment` builds
     from stacked draws) give the largest over the stack.  Raises if the
     experiment is incomplete rather than reporting a spurious
-    violation."""
-    experiment.check_complete(tol)
+    violation (at PROB_TOL, `Experiment.check_complete`)."""
+    experiment.check_complete()
     after = apply_local(joint, experiment.deterministic_sum(), 1)
     lhs = ch.partial_trace(after.matrix, (joint.d, joint.d), 1)
     return float(np.max(np.abs(lhs - local_state(joint, 2).matrix)))

@@ -13,7 +13,7 @@ from opcal import channels as ch
 from opcal.basis import hermitian_basis, matrix_rank, to_coords
 from opcal.core import Effect, Experiment, Observable, State, Transformation, classical, quantum
 from opcal.errors import ConeViolation
-from opcal.faithful import _choi_basis, local_action_matrix
+from opcal.faithful import local_action_matrix
 from opcal.infodim import _predictable
 from opcal.quantum import BipartiteState
 
@@ -105,7 +105,7 @@ def local_action_oracle(phi, slot):
     element applied to that slot of Phi, then converted to
     coordinates."""
     d = phi.d
-    cb = _choi_basis(d)
+    cb = hermitian_basis(d * d)
     out = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, slot, d)
     return to_coords(out, cb).T
 

@@ -280,6 +280,27 @@ def test_main_rejects_a_non_finite_tol(capsys, tol):
     assert f"error: tol must be finite and positive, got {tol}" in err
 
 
+def _main_report(capsys, *argv):
+    rc = cli.main([*argv, "--format", "structured"])
+    report = cli.parse_report(capsys.readouterr().out)
+    return rc, {c.name: c for c in report.checks}
+
+
+def test_tol_bounds_only_what_a_check_reports(capsys):
+    # a loose tol cannot blur the checks that tell objects apart
+    rc, by_name = _main_report(capsys, "--tol", "1")
+    assert rc == 0
+    for name in ("core.equivalence", "norms.coexistence"):
+        assert (by_name[name].status, by_name[name].tolerance) == ("pass", 1e-9)
+    # a tight tol fails a reported residual; no construction raises
+    rc, by_name = _main_report(capsys, "--tol", "1e-15")
+    assert rc == 1
+    assert [c.name for c in by_name.values() if c.status == "error"] == []
+    signaling = by_name["born.no_signaling"]
+    assert signaling.status == "fail"
+    assert 1e-15 < signaling.values["max_violation"] < 1e-12
+
+
 def test_main_empty_suite_exits_2(capsys):
     rc = cli.main(["--suite", "gns", "--backend", "classical"])
     assert rc == 2

@@ -112,7 +112,7 @@ def _isotropic(d, p):
 def _marginal_matrix_by_action(phi):
     # reference: apply each Choi basis element to slot 1, then trace it out
     d = phi.d
-    cb = faithful._choi_basis(d)
+    cb = hermitian_basis(d * d)
     outs = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, 1, d)
     return to_coords(ch.partial_trace(outs, (d, d), 1), hermitian_basis(d)).T
 
@@ -122,7 +122,7 @@ def _lstsq_witness(phi, target):
     d = phi.d
     m = _marginal_matrix_by_action(phi)
     x, *_ = np.linalg.lstsq(m, to_coords(target.matrix, hermitian_basis(d)), rcond=None)
-    choi = from_coords(x, faithful._choi_basis(d))
+    choi = from_coords(x, hermitian_basis(d * d))
     t = core.Transformation(core.quantum(d), choi, generalized=True)
     prob = qm.apply_local(phi, t, 1).total
     if ch.is_psd(choi, 1e-10):

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from opcal import channels as ch
 from opcal import cli, core, faithful, gns
-from opcal.basis import from_coords, matrix_rank, to_coords
+from opcal.basis import from_coords, hermitian_basis, matrix_rank, to_coords
 from opcal import quantum as qm
 from opcal.errors import NotFaithful
 from reference import local_action_oracle, product_state, random_unitary
@@ -67,7 +67,7 @@ def test_folded_transpose_is_the_coordinate_solve(phi, rng):
     # the solver's operators on real views against the plain solve in
     # Choi coordinates, x = pinv(l2) l1 coords(A)
     d = phi.d
-    cb = faithful._choi_basis(d)
+    cb = hermitian_basis(d * d)
     l1 = faithful.local_action_matrix(phi, 1)
     l2 = local_action_oracle(phi, 2)
     solve = np.linalg.pinv(l2, rcond=1e-12) @ l1

@@ -114,6 +114,15 @@ def test_affine_dimensions(d):
     assert infodim.effect_space_dimension(core.classical(d)) == d
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_effect_space_dimension_ranks_physical_effects(d):
+    # the basis elements shifted into the cone, (I + B_a) / 2
+    for th in (core.quantum(d), core.classical(d)):
+        effects = (np.eye(d) + th.basis()) / 2.0
+        assert all(core.Effect(th, e).is_physical() for e in effects)
+        assert infodim.effect_space_dimension(th) == th.effect_dim
+
+
 def test_transformation_affine_dimension_oracle():
     assert infodim.transformation_affine_dimension(core.quantum(2)) == 16
 

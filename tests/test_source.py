@@ -31,12 +31,25 @@ def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 
+def test_every_cutoff_is_named_once():
+    # a small literal outside tolerances.py is a cutoff with no name
+    literals = [
+        (path.name, node.lineno, node.value)
+        for path in MODULES
+        if path.name != "tolerances.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant)
+        and type(node.value) in (float, complex)
+        and 0 < abs(node.value) <= 1e-6
+    ]
+    assert literals == []
+
+
 # Public names with no caller in the library, one reason each.
 NO_LIBRARY_CALLER = {
     "core.zero_map": "an exported object of the calculus",
     "faithful.sigma": "the involution on effects, which ROADMAP item 2 puts to use",
     "gns.scalar_product": "the paper's scalar product; a check for it waits until perfbench's 39/22 check counts move (ROADMAP item 1)",
-    "gns.born_pair": "the paper's Born rule; born.pair evaluates it on the whole grid in one product",
 }
 
 

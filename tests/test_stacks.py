@@ -119,7 +119,7 @@ def _preparational_per_sample(ctx, rng, tol):
     worst, pmin = 0.0, np.inf
     for _ in range(5):
         target = qm.random_state(spec.d, rng)
-        witness, p = faithful.prepare_witness(system, target, tol)
+        witness, p = faithful.prepare_witness(system, target)
         _, cond = qm.condition_local(phi, witness, 1)
         out = qm.local_state(cond, 2).matrix
         worst = max(worst, float(np.max(np.abs(out - target.matrix))))
@@ -134,7 +134,7 @@ def _no_signaling_per_sample(ctx, rng, tol):
     for _ in range(checks.SAMPLES):
         joint = qm.random_joint_state(spec.d, rng)
         exp = qm.random_experiment(spec.d, rng)
-        exp.check_complete(tol)
+        exp.check_complete()
         after = qm.apply_local(joint, exp.deterministic_sum(), 1)
         lhs = ch.partial_trace(after.matrix, (joint.d, joint.d), 1)
         worst = max(worst, float(np.max(np.abs(lhs - qm.local_state(joint, 2).matrix))))
