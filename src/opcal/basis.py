@@ -22,7 +22,7 @@ imaginary parts of the entries out as one real vector.  Stacking the
 views of the basis gives a matrix V with orthonormal rows, with
 coords = V @ real_view(M) and real_view(M) = V.T @ coords for Hermitian
 M, which lets a fixed linear map on coordinates be folded into one
-operator on the entries themselves (gns.TransposeSolver).
+operator on the entries themselves (gns.gns_space).
 """
 
 from functools import lru_cache

@@ -47,6 +47,13 @@ def super_to_choi(sup):
     return _reindex(sup, (2, 0, 3, 1))
 
 
+def realign(m):
+    """R[(p, q), (r, s)] = m[(p, r), (q, s)] (of each matrix of a stack):
+    the operator-Schmidt realignment, m = sum R[(p, q), (r, s)]
+    |p><q| kron |r><s|.  An involution."""
+    return _reindex(m, (0, 2, 1, 3))
+
+
 def apply_super(sup, matrix):
     """S applied to a d x d matrix; a stack of superoperators and a
     stack of matrices (broadcasting leading axes) give a stack."""

@@ -26,7 +26,7 @@ from .errors import (
     NotCoexistent,
     ZeroProbability,
 )
-from .tolerances import CP_TOL, NORM_STEP, OBSERVABLE_SUM, PROB_TOL, UNIT_TRACE
+from .tolerances import COMPLETENESS_TOL, CP_TOL, NORM_STEP, PROB_TOL, UNIT_TRACE
 
 BACKENDS = ("quantum", "classical")
 
@@ -192,7 +192,7 @@ class Experiment:
     def check_complete(self):
         s = self.deterministic_sum().effect()
         d = s.theory.d
-        if np.max(np.abs(s.matrix - np.eye(d))) > PROB_TOL:
+        if np.max(np.abs(s.matrix - np.eye(d))) > COMPLETENESS_TOL:
             raise CompletenessError("branch probabilities do not sum to one")
 
     def observable(self):
@@ -209,8 +209,8 @@ class Observable:
         object.__setattr__(self, "effects", tuple(self.effects))
         total = sum(e.matrix for e in self.effects)
         d = self.effects[0].theory.d
-        if np.max(np.abs(total - np.eye(d))) > OBSERVABLE_SUM:
-            raise ValueError("effects do not satisfy the completeness relation")
+        if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
+            raise CompletenessError("effects do not sum to the unit effect")
 
     @property
     def theory(self):

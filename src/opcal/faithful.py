@@ -9,12 +9,11 @@ form is the strictly positive scalar product.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import channels as ch
-from .basis import _gellmann_layout, from_coords, hermitian_basis, real_view, to_coords
+from .basis import from_coords, hermitian_basis, to_coords
 from .core import Effect, Transformation, _per_element, quantum
 from .errors import ConeViolation, DegenerateSplit, NotFaithful
 from .quantum import BipartiteState, apply_local, kraus_to_choi, max_entangled
@@ -27,88 +26,15 @@ def is_symmetric(phi):
     return bool(np.max(np.abs(ch.swap(phi.matrix) - phi.matrix)) <= SYMMETRY_TOL)
 
 
-def _entry_coords(n):
-    """(coords, values), each (n*n, 2): for each entry (P, Q) of an
-    n x n matrix, the two elements of hermitian_basis(n) that hold it
-    and its value in each.  The n diagonal elements are taken in the
-    entry basis |P><P| (the Gell-Mann ones are its rotation by the
-    diagonal transform), so a diagonal entry lies in one element and
-    its second value is 0."""
-    # pair[P, Q] = pair[Q, P]: the position of {P, Q}, P != Q, among the
-    # off-diagonal pairs in Gell-Mann basis order
-    j, k = np.triu_indices(n, 1)
-    p = len(j)
-    pair = np.zeros((n, n), dtype=np.intp)
-    pair[j, k] = pair[k, j] = np.arange(p)
-    rows, cols = np.divmod(np.arange(n * n), n)
-    pair = pair[rows, cols]
-    s = np.sqrt(0.5)
-    coords = np.stack([n + pair, n + p + pair], axis=-1)
-    values = np.stack([np.full(n * n, s), np.where(rows < cols, -1j * s, 1j * s)], axis=-1)
-    diagonal = rows == cols
-    coords[diagonal] = np.stack([rows[diagonal], rows[diagonal]], axis=-1)
-    values[diagonal] = [1.0, 0.0]
-    return coords, values
-
-
-@lru_cache(maxsize=8)
-def _action_layout(d, slot):
-    """(target, source, coef) of the local action on slot 1 or 2 of d x d
-    systems, with the diagonal coordinates of both sides in the entry
-    basis: entry `target` of the flattened matrix is the sum of coef
-    times entry `source` of the real view of Phi.
-
-    On slot 1 a matrix unit |i a><j b| of the Choi space maps to
-    |a><b| (x) Phi_ij, Phi_ij[x, y] = Phi[(i, x), (j, y)], so entry
-    (k, c) is Re sum B_k[(b, y), (a, x)] B_c[(i, a), (j, b)]
-    Phi[(i, x), (j, y)] over the d^6 index tuples; on slot 2 it maps to
-    Phi^ij (x) |a><b|, Phi^ij[x, y] = Phi[(x, i), (y, j)], and only the
-    two index expressions of the output entry and of Phi change.  Each
-    pair of basis values is real or imaginary, so each term reads the
-    real or the imaginary part of one entry of Phi."""
-    n = d * d
-    coords, values = _entry_coords(n)
-    i, a, j, b, x, y = np.indices((d,) * 6).reshape(6, -1)
-    unit = (i * d + a) * n + j * d + b
-    if slot == 1:
-        entry = (b * d + y) * n + a * d + x
-        phi = (i * d + x) * n + j * d + y
-    else:
-        entry = (y * d + b) * n + x * d + a
-        phi = (x * d + i) * n + y * d + j
-    w = values[entry][:, :, None] * values[unit][:, None, :]
-    target = coords[entry][:, :, None] * (n * n) + coords[unit][:, None, :]
-    source = np.broadcast_to((2 * phi)[:, None, None], w.shape)
-    keep = w != 0
-    w = w[keep]
-    imag = w.imag != 0
-    layout = (
-        target[keep].astype(np.int32),
-        (source[keep] + imag).astype(np.int32),
-        np.where(imag, -w.imag, w.real),
-    )
-    for arr in layout:
-        arr.setflags(write=False)
-    return layout
-
-
-def local_action_matrix(phi, slot):
-    """Matrix of the real-linear map A -> (A, I) Phi (slot 1) or
-    A -> (I, A) Phi (slot 2) from generalized transformations (Choi
-    coordinates) to generalized joint weights (canonical-basis
-    coordinates).  One scatter of the entries of Phi into the matrix,
-    then the diagonal transform on the first d^2 rows and columns; no
-    stack of the Choi basis is formed."""
-    d = phi.d
-    n = d * d
-    target, source, coef = _action_layout(d, slot)
-    m = real_view(phi.matrix)[source]
-    m *= coef
-    m = np.bincount(target, weights=m, minlength=n**4).reshape(n * n, n * n)
-    diag, _ = _gellmann_layout(n)
-    m[:n] = diag @ m[:n]
-    m[:, :n] = m[:, :n] @ diag.T
-    return m
+def local_action_matrix(phi):
+    """R[(p, q), (r, s)] = Phi[(p, r), (q, s)], the realignment of Phi,
+    which is the matrix of the slot-1 local action on realigned Choi
+    matrices.  Write A~[(a, b), (i, j)] = C[(i, a), (j, b)] for the Choi
+    matrix C of A (its superoperator, `channels.choi_to_super`); then
+    (A, I) Phi realigns to A~ R and (I, A) Phi to R A~^T.  The action
+    A~ -> A~ R has R's singular values, each d^2 times, so its rank is
+    d^2 rank(R), and nothing of size d^8 is formed."""
+    return ch.realign(phi.matrix)
 
 
 def _is_max_entangled(phi):

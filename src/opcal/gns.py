@@ -40,69 +40,58 @@ class TransposeSolver:
     also holds the state's preparation-witness system and its dynamical
     rank, the rank of the local action.
 
-    The local action matrices l1, l2 of the two slots act on Choi
-    coordinates; each is one scatter of the entries of Phi
-    (`faithful.local_action_matrix`).  The Choi basis is Hermitian and
-    orthonormal, so the real views of its elements, stacked as the rows
-    of V (`view`, no copy of the cached basis), take the real view of a
-    Choi matrix to its coordinates, and V.T maps them back.  On first
-    use the solver factors l2 once and folds the whole solve into one
-    operator on real views, forward = pinv(l2) l1 V, and the residual
-    into check = Q.T l1 V, Q an orthonormal basis of the complement of
-    the range of l2 (empty for a faithful state).  A transpose is then
-    real_view(A) @ forward.T, mapped back to a real view by V, with no
-    coordinate conversion, for one map or a whole stack at once.  The
-    rank, forward and check are kept; l1, l2 and the factors are
-    not."""
+    Realigned, the equation is one d^2 x d^2 matrix identity.  With R
+    the realignment of Phi (`faithful.local_action_matrix`) and A~ the
+    superoperator of A (`channels.choi_to_super`), (A, I) Phi realigns
+    to A~ R and (I, A') Phi to R A'~^T, so A'~^T = R^+ A~ R: a
+    similarity by R where R is invertible (R = I/d on the maximally
+    entangled state).  The part of A~ R outside the range of R is the
+    residual.  On first use the solver factors R once and keeps R, its
+    pseudo-inverse and an orthonormal basis of the complement of its
+    range (empty for a faithful state); a transpose is then two
+    d^2 x d^2 products per map (three where R is rank-deficient), for
+    one map or a whole stack at once."""
 
     def __init__(self, phi):
         self.phi = phi
         self.d = phi.d
-        self.view = real_view(hermitian_basis(phi.d * phi.d))
         self.witness = witness_system(phi)
 
     @cached_property
     def _maps(self):
-        """(rank, forward, check).  The pseudo-inverse is cut at
-        PINV_RCOND sigma_max, as np.linalg.pinv cuts it.  Both slot
-        actions have rank d^2 times the operator-Schmidt rank of Phi,
-        so the singular values of l2 give the dynamical rank."""
-        l1 = local_action_matrix(self.phi, 1)
-        l2 = local_action_matrix(self.phi, 2)
-        u, s, vh = np.linalg.svd(l2)
-        del l2
-        rank = singular_value_rank(s)
+        """(R, rank, pinv, null).  Both slot actions, A~ -> A~ R and
+        A'~ -> R A'~^T, have the singular values of R, each d^2 times,
+        so their rank is d^2 rank(R), and the pseudo-inverse is cut at
+        PINV_RCOND sigma_max of R, as np.linalg.pinv cuts it."""
+        realigned = local_action_matrix(self.phi)
+        u, s, vh = np.linalg.svd(realigned)
         r = int(np.sum(s > PINV_RCOND * s[0]))
-        m = u.T @ l1  # l1 in the basis u
-        del u, l1
-        return rank, ((vh[:r].T / s[:r]) @ m[:r]) @ self.view, m[r:] @ self.view
+        pinv = (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
+        return realigned, self.d**2 * singular_value_rank(s), pinv, u[:, r:].conj().T
 
     @property
     def rank(self):
         """Rank of the local action A -> (A, I) Phi (d^4 when Phi is
         dynamically faithful)."""
-        return self._maps[0]
+        return self._maps[1]
 
     def transpose(self, t):
-        """The transpose of t, or of each map of a stack (its leading
-        axes flattened, so one matrix product serves them all).  Each
-        element's residual is held to its own bound; the first element
-        in stack order that fails it raises NotFaithful."""
-        _, forward, check = self._maps
-        a = real_view(t.choi).reshape(-1, self.view.shape[-1])
-        resid = np.linalg.norm(a @ check.T, axis=-1)
-        # the residual bound is relative to max(|l1 V a|, 1), so the
-        # right side is needed only above the absolute bound
-        over = np.flatnonzero(resid > TRANSPOSE_RESID)
-        if over.size:
-            rhs = a[over] @ self.view.T @ local_action_matrix(self.phi, 1).T
-            bound = TRANSPOSE_RESID * np.maximum(np.linalg.norm(rhs, axis=-1), 1.0)
-            failed = over[resid[over] > bound]
+        """The transpose of t, or of each map of a stack.  Each
+        element's residual is held to TRANSPOSE_RESID relative to
+        max(|A~ R|, 1); the first element in stack order that fails it
+        raises NotFaithful."""
+        realigned, _, pinv, null = self._maps
+        n = realigned.shape[0]
+        # A~ R, one product for a whole stack
+        action = (ch.choi_to_super(t.choi).reshape(-1, n) @ realigned).reshape(-1, n, n)
+        if null.size:  # an R of full rank leaves no residual
+            resid = np.linalg.norm(null @ action, axis=(-2, -1))
+            bound = TRANSPOSE_RESID * np.maximum(np.linalg.norm(action, axis=(-2, -1)), 1.0)
+            failed = np.flatnonzero(resid > bound)
             if failed.size:
-                raise NotFaithful(
-                    f"transpose system residual {resid[failed[0]]} (state not faithful)"
-                )
-        choi = (a @ forward.T @ self.view).view(complex).reshape(t.choi.shape)
+                raise NotFaithful(f"transpose system residual {resid[failed[0]]} (state not faithful)")
+        # A'~ = (R^+ A~ R)^T, whose Choi matrix is the realignment of R^+ A~ R
+        choi = ch.realign(pinv @ action).reshape(t.choi.shape)
         return Transformation(quantum(self.d), choi, generalized=True)
 
 

@@ -107,7 +107,7 @@ def signaling_residual(joint, experiment):
     experiment whose branches are stacks (as `random_experiment` builds
     from stacked draws) give the largest over the stack.  Raises if the
     experiment is incomplete rather than reporting a spurious
-    violation (at PROB_TOL, `Experiment.check_complete`)."""
+    violation (at COMPLETENESS_TOL, `Experiment.check_complete`)."""
     experiment.check_complete()
     after = apply_local(joint, experiment.deterministic_sum(), 1)
     lhs = ch.partial_trace(after.matrix, (joint.d, joint.d), 1)

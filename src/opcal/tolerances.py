@@ -4,9 +4,9 @@ match.  A spec's `tol` is none of these: it bounds only what a check
 reports, in the rows of `checks.CHECKS` that fix no tolerance."""
 
 # probabilities, totals and completeness
-PROB_TOL = 1e-9  # a probability within this of [0, 1] is clamped into it, a total at or below it is zero; the physical cone, experiment completeness, equal probabilities, coexistence, and the tolerance of core.equivalence and norms.coexistence
+PROB_TOL = 1e-9  # a probability within this of [0, 1] is clamped into it, a total at or below it is zero; the physical cone, equal probabilities, coexistence, and the tolerance of core.equivalence and norms.coexistence
 UNIT_TRACE = 1e-9  # |Tr - 1| of a State or BipartiteState
-OBSERVABLE_SUM = 1e-7  # largest entry of sum E - I over the effects of an Observable
+COMPLETENESS_TOL = 1e-9  # largest entry of sum - I over the effects of an Observable or the branch effects of an Experiment (Experiment.check_complete)
 RESOLVED_EIG = 1e-9  # an effect eigenvalue this close to 0 or 1 counts as 0 or 1 (infodim.is_resolved)
 
 # theory files (cli.validate_spec) and the spec's default
@@ -17,8 +17,8 @@ DEFAULT_TOL = 1e-9  # a spec's tol when neither the theory file nor the command 
 
 # ranks, solves and certified residuals
 RANK_RCOND = 1e-10  # singular values at or below this times the largest do not count toward a rank
-PINV_RCOND = 1e-12  # singular values of the slot-2 local action at or below this times the largest are cut from the transpose solve
-TRANSPOSE_RESID = 1e-10  # transpose-system residual, relative to max(|l1 V a|, 1), above which the state is not faithful
+PINV_RCOND = 1e-12  # singular values sigma(R) of the realigned state at or below this times the largest are cut from the transpose solve
+TRANSPOSE_RESID = 1e-10  # transpose residual |(I - R R^+) A~ R|_F, relative to max(|A~ R|_F, 1), above which the state is not faithful
 WITNESS_RESID = 1e-9  # preparation-witness residual above which, or probability at or below which, there is no witness
 EXPAND_RESID = 1e-9  # residual above which an effect does not expand over an observable (infodim.ic_expand)
 DISCRIMINATION_RESID = 1e-9  # largest entry of pairing - identity of a perfectly discriminating witness

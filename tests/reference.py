@@ -13,7 +13,6 @@ from opcal import channels as ch
 from opcal.basis import hermitian_basis, matrix_rank, to_coords
 from opcal.core import Effect, Experiment, Observable, State, Transformation, classical, quantum
 from opcal.errors import ConeViolation
-from opcal.faithful import local_action_matrix
 from opcal.infodim import _predictable
 from opcal.quantum import BipartiteState
 
@@ -113,14 +112,14 @@ def local_action_oracle(phi, slot):
 def is_dynamically_faithful(phi):
     """The local action A -> (A, I) Phi has trivial kernel on
     generalized transformations (full rank d^4)."""
-    return matrix_rank(local_action_matrix(phi, 1)) == phi.d**4
+    return matrix_rank(local_action_oracle(phi, 1)) == phi.d**4
 
 
 def is_preparationally_faithful(phi):
     """Every joint state is reachable as a local generalized
     transformation acting on Phi with nonzero probability: the local
     action map is surjective onto the joint weight space."""
-    m = local_action_matrix(phi, 1)
+    m = local_action_oracle(phi, 1)
     return matrix_rank(m) == phi.d**4
 
 

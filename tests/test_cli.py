@@ -343,8 +343,8 @@ def test_run_builds_shared_objects_once(monkeypatch):
     action = _counting(counts, "local_action_matrix", gns.local_action_matrix)
     for module in (faithful, gns):
         monkeypatch.setattr(module, "local_action_matrix", action)
-    # one build of each slot's local action, and one factorization of
-    # them, serve the dynamical rank and the transpose solver
+    # one build of the realigned state, and one factorization of it,
+    # serve the dynamical rank and the transpose solver
     iso3 = 0.8 * qm.max_entangled(3).matrix + 0.2 * np.eye(9) / 9
     for d, phi in ((2, None), (3, iso3)):
         counts.clear()
@@ -355,7 +355,7 @@ def test_run_builds_shared_objects_once(monkeypatch):
             "spectral_split": 1,
             "TransposeSolver": 1,
             "witness_system": 1,
-            "local_action_matrix": 2,
+            "local_action_matrix": 1,
         }
     # the GNS space is built on the solver alone, with no spectral split
     counts.clear()
@@ -364,7 +364,7 @@ def test_run_builds_shared_objects_once(monkeypatch):
         "gns_space": 1,
         "TransposeSolver": 1,
         "witness_system": 1,
-        "local_action_matrix": 2,
+        "local_action_matrix": 1,
     }
     # the faithful suite reads the dynamical rank off the solver, also on
     # a state with a non-canonical witness
@@ -377,7 +377,7 @@ def test_run_builds_shared_objects_once(monkeypatch):
             "spectral_split": 1,
             "TransposeSolver": 1,
             "witness_system": 1,
-            "local_action_matrix": 2,
+            "local_action_matrix": 1,
         }
 
 

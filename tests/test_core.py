@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from opcal import core
 from opcal import quantum as qm
-from opcal.errors import BackendMismatch, NotCoexistent, ZeroProbability
+from opcal.errors import BackendMismatch, CompletenessError, NotCoexistent, ZeroProbability
 from reference import random_pure
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -72,8 +72,16 @@ def test_experiment_completeness():
     obs = exp.observable()
     assert len(obs) == 2
     incomplete = core.Experiment((exp.branches[0],))
-    with pytest.raises(Exception):
+    with pytest.raises(CompletenessError):
         incomplete.check_complete()
+    # a branch short by 5e-8: the experiment and its observable are held
+    # to one cutoff and raise one error
+    short = core.Transformation(th, (1 - 5e-8) * exp.branches[0].choi)
+    near = core.Experiment((short, *exp.branches[1:]))
+    with pytest.raises(CompletenessError):
+        near.check_complete()
+    with pytest.raises(CompletenessError):
+        near.observable()
 
 
 def test_evolve_effect_is_heisenberg():

@@ -3,6 +3,8 @@ the two pairing identities."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from opcal import channels as ch
@@ -10,6 +12,7 @@ from opcal import cli, core, faithful, gns
 from opcal.basis import from_coords, hermitian_basis, matrix_rank, to_coords
 from opcal import quantum as qm
 from opcal.errors import NotFaithful
+from opcal.tolerances import ACTION_TOL, PINV_RCOND, TRANSPOSE_RESID
 from reference import local_action_oracle, product_state, random_unitary
 
 
@@ -59,26 +62,6 @@ def _isotropic(d, p):
     return qm.BipartiteState(d, (1.0 - p) * omega + p * np.eye(d * d) / d**2)
 
 
-@pytest.mark.parametrize(
-    "phi", [qm.max_entangled(2), qm.max_entangled(3), _isotropic(3, 0.2)],
-    ids=["canonical-d2", "canonical-d3", "isotropic-d3"],
-)
-def test_folded_transpose_is_the_coordinate_solve(phi, rng):
-    # the solver's operators on real views against the plain solve in
-    # Choi coordinates, x = pinv(l2) l1 coords(A)
-    d = phi.d
-    cb = hermitian_basis(d * d)
-    l1 = faithful.local_action_matrix(phi, 1)
-    l2 = local_action_oracle(phi, 2)
-    solve = np.linalg.pinv(l2, rcond=1e-12) @ l1
-    solver = gns.TransposeSolver(phi)
-    for _ in range(10):
-        t = qm.random_cp(d, rng)
-        want = from_coords(solve @ to_coords(t.choi, cb), cb)
-        got = solver.transpose(t).choi
-        assert np.max(np.abs(got - want)) < 1e-12
-
-
 def _pure_symmetric(d, seed):
     """|F>><<F| with F = W diag(sqrt p) W^T, W complex unitary: a
     faithful state that is symmetric but not real."""
@@ -100,32 +83,143 @@ def _nonsymmetric(d):
     return qm.BipartiteState(d, 0.8 * qm.max_entangled(d).matrix + 0.2 * rho / np.trace(rho))
 
 
+def _nonsymmetric_golden():
+    """The non-symmetric override of the golden matrix."""
+    rho = np.kron(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
+    return qm.BipartiteState(2, 0.8 * qm.max_entangled(2).matrix + 0.2 * rho)
+
+
+def _pure_product(d):
+    """|0><0| (x) |+><+|: operator-Schmidt rank 1, local action rank d^2."""
+    plus = np.full(d, 1.0 / np.sqrt(d))
+    return qm.BipartiteState(d, np.kron(np.diag(np.eye(d)[0]), np.outer(plus, plus)))
+
+
 LOCAL_ACTION_STATES = [
     *((f"canonical-d{d}", lambda d=d: qm.max_entangled(d)) for d in (2, 3, 4, 5)),
     ("isotropic-d3", lambda: _isotropic(3, 0.2)),
     ("mixture-d2", lambda: _symmetrized_mixture(2, 5)),
     ("mixture-d3", lambda: _symmetrized_mixture(3, 6)),
     ("pure-complex-d3", lambda: _pure_symmetric(3, 7)),
+    ("pure-complex-d4", lambda: _pure_symmetric(4, 0)),
     ("product-d2", lambda: qm.BipartiteState(2, np.eye(4) / 4)),
+    ("pure-product-d3", lambda: _pure_product(3)),
     ("nonsymmetric-d2", lambda: _nonsymmetric(2)),
     ("nonsymmetric-d3", lambda: _nonsymmetric(3)),
+    ("nonsymmetric-golden-d2", _nonsymmetric_golden),
     *((f"random-joint-d{d}", lambda d=d: qm.random_joint_state(d, 8)) for d in (2, 3)),
 ]
-
-
-@pytest.mark.parametrize(
+STATE_PARAMS = pytest.mark.parametrize(
     "make", [m for _, m in LOCAL_ACTION_STATES], ids=[n for n, _ in LOCAL_ACTION_STATES]
 )
+
+
+def _realign(m, d):
+    """[(p, r), (q, s)] -> [(p, q), (r, s)] of each d^2 x d^2 matrix of a
+    stack (an involution)."""
+    return m.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(m.shape)
+
+
+@STATE_PARAMS
 def test_solver_local_actions_are_the_slot_builds(make):
-    # the scatter of each slot against the superoperator build of that
-    # slot; the solver's rank, read off l2, is the rank of the slot-1
-    # oracle, also on the states that are not symmetric
+    # the realigned action of each Choi basis element, A~ R on slot 1
+    # and R A~^T on slot 2, against the superoperator build of that
+    # slot; the solver's rank is the rank of the slot-1 oracle and d^2
+    # times the rank of R, also on the states that are not symmetric
     phi = make()
+    d = phi.d
+    cb = hermitian_basis(d * d)
+    sup = ch.choi_to_super(cb)
+    r = faithful.local_action_matrix(phi)
     want1 = local_action_oracle(phi, 1)
-    assert np.max(np.abs(faithful.local_action_matrix(phi, 1) - want1)) <= 1e-15
-    l2 = faithful.local_action_matrix(phi, 2)
-    assert np.max(np.abs(l2 - local_action_oracle(phi, 2))) <= 1e-15
-    assert gns.TransposeSolver(phi).rank == matrix_rank(want1)
+    got1 = to_coords(_realign(sup @ r, d), cb).T
+    got2 = to_coords(_realign(r @ sup.swapaxes(-1, -2), d), cb).T
+    assert np.max(np.abs(got1 - want1)) <= 1e-15
+    assert np.max(np.abs(got2 - local_action_oracle(phi, 2))) <= 1e-15
+    assert gns.TransposeSolver(phi).rank == matrix_rank(want1) == d * d * matrix_rank(r)
+
+
+def _oracle_transposes(phi, maps):
+    """The transpose of each map as the least-squares solve of the
+    oracle system l2 x = l1 a in Choi coordinates, with the solver's cut;
+    None where the residual exceeds the solver's bound."""
+    cb = hermitian_basis(phi.d**2)
+    l1, l2 = (local_action_oracle(phi, slot) for slot in (1, 2))
+    pinv = np.linalg.pinv(l2, rcond=PINV_RCOND)
+    out = []
+    for t in maps:
+        rhs = l1 @ to_coords(t.choi, cb)
+        x = pinv @ rhs
+        ok = np.linalg.norm(l2 @ x - rhs) <= TRANSPOSE_RESID * max(np.linalg.norm(rhs), 1.0)
+        out.append(from_coords(x, cb) if ok else None)
+    return out
+
+
+def _defining_residual(phi, t, choi):
+    """|(A, I) Phi - (I, A') Phi| / |(A, I) Phi| for A' of Choi matrix choi."""
+    lhs = qm.apply_local(phi, t, 1).matrix
+    tp = core.Transformation(t.theory, choi, generalized=True)
+    return np.linalg.norm(lhs - qm.apply_local(phi, tp, 2).matrix) / np.linalg.norm(lhs)
+
+
+@STATE_PARAMS
+def test_folded_transpose_is_the_coordinate_solve(make, rng):
+    # the similarity R^+ A~ R against the plain solve in Choi
+    # coordinates; both reject the maps of a state whose action is
+    # rank-deficient, and where the two differ beyond rounding the
+    # similarity solves the defining equation no worse (pure-complex-d4,
+    # cond(R) = 449)
+    phi = make()
+    solver = gns.TransposeSolver(phi)
+    maps = [qm.random_cp(phi.d, rng) for _ in range(10)]
+    for t, want in zip(maps, _oracle_transposes(phi, maps)):
+        if want is None:
+            with pytest.raises(NotFaithful):
+                solver.transpose(t)
+            continue
+        got = solver.transpose(t).choi
+        if np.max(np.abs(got - want)) > 1e-13:
+            assert _defining_residual(phi, t, got) <= _defining_residual(phi, t, want)
+
+
+def _schmidt_rank_state(d, k, seed):
+    """I/d^2 + c sum_m s_m X_m (x) Y_m over k - 1 pairs of orthonormal
+    traceless Hermitian X_m, Y_m, s_m in [1, 2]: a state of
+    operator-Schmidt rank k, c small enough to keep it positive
+    semidefinite.  R has the singular values 1/d and c s_m."""
+    rng = np.random.default_rng(seed)
+    n = d * d
+    traceless = hermitian_basis(d)[1:]
+    x, y = (
+        np.einsum("am,aij->mij", np.linalg.qr(rng.standard_normal((n - 1, k - 1)))[0], traceless)
+        for _ in range(2)
+    )
+    terms = np.einsum("m,mab,mcd->acbd", rng.uniform(1.0, 2.0, k - 1), x, y).reshape(n, n)
+    scale = np.linalg.norm(terms, 2) if k > 1 else 1.0
+    return qm.BipartiteState(d, np.eye(n) / n + rng.uniform(0.5, 1.0) / (n * scale) * terms)
+
+
+@given(
+    case=st.sampled_from([2, 3]).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(1, d * d), st.integers(0, 2**32 - 1))
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_local_action_rank_is_d2_times_the_schmidt_rank(case):
+    d, k, seed = case
+    phi = _schmidt_rank_state(d, k, seed)
+    solver = gns.TransposeSolver(phi)
+    assert matrix_rank(faithful.local_action_matrix(phi)) == k
+    assert solver.rank == matrix_rank(local_action_oracle(phi, 1)) == d * d * k
+    g = np.random.default_rng(seed).standard_normal((2, d * d, d * d))
+    t = core.Transformation(core.quantum(d), g[0] + g[0].T + 1j * (g[1] - g[1].T), generalized=True)
+    if k < d * d:
+        with pytest.raises(NotFaithful):
+            solver.transpose(t)
+        return
+    lhs = qm.apply_local(phi, t, 1).matrix
+    rhs = qm.apply_local(phi, solver.transpose(t), 2).matrix
+    assert np.linalg.norm(lhs - rhs) <= ACTION_TOL * np.linalg.norm(lhs)
 
 
 def test_transpose_requires_faithful():
@@ -326,30 +420,26 @@ def test_gns_space_rejects_unfaithful():
 
 
 def test_calibrated_maps_convert_no_coordinates(monkeypatch):
-    # transpose, gns_rep and transformation_coords act on real views of
-    # Choi matrices: a d=2 `all` run makes no coordinate conversion
-    # inside them, though it converts elsewhere (the local action
-    # matrices that the first transpose folds are built in coordinates)
+    # transpose, gns_rep and transformation_coords act on Choi matrices
+    # or their real views, the first transpose's factorization of R
+    # included: a d=2 `all` run makes no coordinate conversion inside
+    # them, though it converts elsewhere
     import opcal
 
     inside = [0]
     calls = {"outside": 0, "inside": 0, "maps": 0}
 
-    def scope(fn, depth, count):
+    def entering(fn):
+        # one map per transformation of the stack it is applied to
         def wrapped(*args, **kwargs):
-            calls["maps"] += count(args)
-            saved = inside[0]
-            inside[0] = depth(saved)
+            calls["maps"] += args[-1].choi[..., 0, 0].size
+            inside[0] += 1
             try:
                 return fn(*args, **kwargs)
             finally:
-                inside[0] = saved
+                inside[0] -= 1
 
         return wrapped
-
-    def entering(fn):
-        # one map per transformation of the stack it is applied to
-        return scope(fn, lambda depth: depth + 1, lambda args: args[-1].choi[..., 0, 0].size)
 
     def counting(fn):
         def wrapped(*args, **kwargs):
@@ -365,8 +455,6 @@ def test_calibrated_maps_convert_no_coordinates(monkeypatch):
     monkeypatch.setattr(gns.TransposeSolver, "transpose", entering(gns.TransposeSolver.transpose))
     monkeypatch.setattr(gns, "gns_rep", entering(gns.gns_rep))
     monkeypatch.setattr(gns, "transformation_coords", entering(gns.transformation_coords))
-    calibration = scope(gns.local_action_matrix, lambda depth: 0, lambda args: 0)
-    monkeypatch.setattr(gns, "local_action_matrix", calibration)
     assert cli.run_suite(cli.TheorySpec(d=2), "all").all_pass()
     assert calls["inside"] == 0
     assert calls["maps"] > 100 and calls["outside"] > 0
