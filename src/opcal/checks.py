@@ -192,45 +192,38 @@ def _check_coexistence(ctx, rng, tol):
 
 
 def _check_minimal_ic(ctx, rng, tol):
-    obs = infodim.ic_observable(ctx.spec.theory())
+    obs = ctx.ic
     rank = infodim.ic_rank(obs)
     ok = rank == len(obs) == obs.theory.effect_dim
     return ok, {"rank": float(rank), "outcomes": float(len(obs))}
 
 
 def _check_ic_expand(ctx, rng, tol):
-    obs = infodim.ic_observable(ctx.spec.theory())
-    e = _sample_effect(ctx.spec, rng)
-    c = infodim.ic_expand(e, obs)
-    rows = np.array([x.coords for x in obs.effects])
-    resid = float(np.linalg.norm(rows.T @ c - e.coords))
+    _, resid = infodim.ic_expand(_sample_effect(ctx.spec, rng), ctx.ic)
     return resid <= tol, {"residual": resid}
 
 
 def _check_idim(ctx, rng, tol):
-    spec = ctx.spec
-    th = spec.theory()
-    idim = infodim.informational_dimension(th)
-    _, _, cert = infodim.discrimination_witness(th)
-    ok = idim == spec.d and cert["pairing_residual"] <= tol
-    return ok, {"idim": float(idim), "pairing_residual": cert["pairing_residual"]}
+    dims = ctx.dims(ctx.spec.backend)
+    ok = dims.idim_s == ctx.spec.d and dims.pairing_residual <= tol
+    return ok, {"idim": float(dims.idim_s), "pairing_residual": dims.pairing_residual}
 
 
 def _check_local_observability(ctx, rng, tol):
-    obs = infodim.ic_observable(ctx.spec.theory())
-    ok, rank = infodim.check_local_observability(obs, obs)
+    ok, rank = infodim.check_local_observability(ctx.ic, ctx.ic)
     return ok, {"rank": float(rank)}
 
 
 def _check_bell_ic(ctx, rng, tol):
     spec = ctx.spec
+    dims = ctx.dims(spec.backend)
     if spec.backend == "classical":
         # classical analogue: copying onto an ancilla and reading both
         # never exceeds the simplex dimension, so idim(S x S) = d^2
-        idim2 = infodim.informational_dimension(core.classical(spec.d * spec.d))
-        return idim2 == spec.d * spec.d, {"idim2": float(idim2)}
-    ok = infodim.check_bell_ic(spec.d)
-    return ok, {}
+        return dims.idim_s12 == spec.d * spec.d, {"idim2": float(dims.idim_s12)}
+    # the dimension count adm(S) = idim(S x S) - 1 is the table's row D4
+    lhs, rhs = dims.rows["D4"]
+    return infodim.check_bell_ic(spec.d) and lhs == rhs, {}
 
 
 # -- table1
@@ -238,8 +231,8 @@ def _check_bell_ic(ctx, rng, tol):
 
 def _table_row(report, row):
     """(holds, values) of one row of a dimension table."""
-    lhs, rhs, ok = report.row(row)
-    return ok, {"lhs": float(lhs), "rhs": float(rhs)}
+    lhs, rhs = report.rows[row]
+    return lhs == rhs, {"lhs": float(lhs), "rhs": float(rhs)}
 
 
 def _table_check(row):
@@ -393,7 +386,7 @@ def _check_born_pair(ctx, rng, tol):
     d = ctx.spec.d
     states = core.stack(core.spanning_states(core.quantum(d)))
     # every (effect, state) pair at once: the effects on their own axis
-    effects = core.stack(infodim.minimal_ic_povm(d).effects)
+    effects = core.stack(ctx.ic.effects)
     effects = replace(effects, matrix=effects.matrix[:, None])
     born = gns.born_pair(ctx.space, states, effects)
     worst = float(np.max(np.abs(born - core.pair(states, effects))))

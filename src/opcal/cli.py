@@ -286,7 +286,8 @@ class RunContext:
     """The objects that the checks of one run share: phi, the spectral
     split, the transpose solver (which holds the preparation-witness
     system of phi and the dynamical rank, `solver.rank`), the GNS space
-    built on that solver and the dimension table of each backend.
+    built on that solver, the backend's minimal IC observable and the
+    dimension table of each backend.
     Each is built on first use, from the spec alone, so sharing them
     changes no result; a build that raises is not stored and raises
     again on the next use.  run_suite makes one per call and drops it on
@@ -311,6 +312,10 @@ class RunContext:
     @cached_property
     def space(self):
         return gns.gns_space(self.solver)
+
+    @cached_property
+    def ic(self):
+        return infodim.ic_observable(self.spec.theory())
 
     def dims(self, backend):
         if backend not in self._dims:

@@ -402,25 +402,28 @@ def _alternating_norm(choi, d):
 # equivalences
 
 
+def spanning_vectors(n):
+    """The n^2 unit vectors |i>, (|i>+|j>)/sqrt2, (|i>+i|j>)/sqrt2 of
+    C^n, in that order: their projectors span the n x n Hermitian
+    matrices."""
+    eye = np.eye(n)
+    yield from eye.astype(complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            yield (eye[i] + eye[j]) / np.sqrt(2)
+            yield (eye[i] + 1j * eye[j]) / np.sqrt(2)
+
+
 @lru_cache(maxsize=None)
 def spanning_states(theory):
     """A fixed informationally complete family of states; equality of
     pairings on it decides equality on all states.
 
-    The d^2 pure states |i>, (|i>+|j>)/sqrt2, (|i>+i|j>)/sqrt2, of
-    which the classical backend keeps the d vertices |i><i| (one state
-    per basis element on both backends).
+    The projectors of spanning_vectors(d), of which the classical
+    backend keeps the d vertices |i><i| (one state per basis element on
+    both backends).
     """
-    eye = np.eye(theory.d)
-
-    def vectors():
-        yield from eye.astype(complex)
-        for i in range(theory.d):
-            for j in range(i + 1, theory.d):
-                yield (eye[i] + eye[j]) / np.sqrt(2)
-                yield (eye[i] + 1j * eye[j]) / np.sqrt(2)
-
-    kept = islice(vectors(), theory.effect_dim)
+    kept = islice(spanning_vectors(theory.d), theory.effect_dim)
     return tuple(State(theory, np.outer(v, v.conj())) for v in kept)
 
 

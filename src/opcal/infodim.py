@@ -5,14 +5,15 @@ Ranks are decided by basis.matrix_rank: singular values with a
 relative cutoff of RANK_RCOND * sigma_max, so they are scale-free.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import channels as ch
 from .basis import diagonal_basis, hermitian_basis, matrix_rank, real_view, to_coords
-from .core import Effect, Observable, Theory, quantum, spanning_states
+from .core import Effect, Observable, Theory, quantum, spanning_states, spanning_vectors
 from .errors import NotIC, WitnessFailed
+from .quantum import classical_map, kraus_to_choi
 from .tolerances import DISCRIMINATION_RESID, EXPAND_RESID, RESOLVED_EIG
 
 
@@ -31,18 +32,19 @@ def is_minimal_ic(obs):
 
 
 def ic_expand(effect, obs):
-    """Coefficients c_i with effect = sum_i c_i l_i to EXPAND_RESID
-    (unique for minimal IC observables, minimum-norm otherwise)."""
+    """Coefficients c_i with effect = sum_i c_i l_i, unique for minimal
+    IC observables and minimum-norm otherwise, and the residual of the
+    expansion, at most EXPAND_RESID."""
     if not is_informationally_complete(obs):
         raise NotIC("observable does not span the effect space")
     # one to_coords per effect: the stacked product rounds differently
     # in the last bit, and these coefficients reach the report
     rows = np.array([e.coords for e in obs.effects])
     c, *_ = np.linalg.lstsq(rows.T, effect.coords, rcond=None)
-    resid = np.linalg.norm(rows.T @ c - effect.coords)
+    resid = float(np.linalg.norm(rows.T @ c - effect.coords))
     if resid > EXPAND_RESID:
         raise NotIC(f"expansion residual {resid} above {EXPAND_RESID}")
-    return c
+    return c, resid
 
 
 def _predictable(ev, tol):
@@ -123,25 +125,21 @@ def discrimination_witness(theory):
 
 def informational_dimension(theory):
     """Maximal cardinality of a perfectly discriminable set of states,
-    verified constructively by the witness above."""
+    verified constructively by the witness above, and the witness's
+    pairing residual."""
     states, obs, cert = discrimination_witness(theory)
     if cert["pairing_residual"] > DISCRIMINATION_RESID:
         raise WitnessFailed("discrimination witness failed the delta check")
     if not all(is_resolved(l) for l in obs.effects):
         raise WitnessFailed("discriminating effects are not predictable and resolved")
-    return len(states)
-
-
-def _spanning_coords(theory):
-    """Coordinates of the theory's spanning states, one row each."""
-    states = spanning_states(theory)
-    return to_coords(np.array([w.matrix for w in states]), theory.basis())
+    return len(states), cert["pairing_residual"]
 
 
 def affine_state_dimension(theory):
     """Affine dimension of the state set, measured as the rank of the
     differences of a spanning family."""
-    coords = _spanning_coords(theory)
+    states = spanning_states(theory)
+    coords = to_coords(np.array([w.matrix for w in states]), theory.basis())
     return matrix_rank(coords[1:] - coords[0])
 
 
@@ -154,12 +152,20 @@ def effect_space_dimension(theory):
 
 def transformation_affine_dimension(theory):
     """Affine dimension of the convex set of physical transformations,
-    from a deterministic spanning family of Choi matrices: the zero map
-    and the spanning states of the d^2-level theory (rank-one PSD with
-    unit trace, so contractions; on the classical backend the vertices,
-    one substochastic matrix entry each).  The zero map makes it the
-    rank of their coordinates."""
-    return matrix_rank(_spanning_coords(Theory(theory.backend, theory.d**2)))
+    from a deterministic spanning family of maps built by the
+    transformation layer: on the quantum backend rho -> K rho K^dag for
+    the d^4 spanning vectors of C^(d^2) read as d x d Kraus operators K
+    (unit Frobenius norm, so contractions), on the classical backend the
+    d^2 vertex maps, one substochastic matrix entry each.  The zero map
+    is a transformation too, so the affine dimension is the rank of
+    their Choi coordinates."""
+    d = theory.d
+    if theory.backend == "classical":
+        maps = classical_map(np.eye(d * d).reshape(-1, d, d))
+    else:
+        kraus = np.array(list(spanning_vectors(d * d))).reshape(-1, 1, d, d)
+        maps = kraus_to_choi(theory, kraus)
+    return matrix_rank(to_coords(maps.choi, Theory(theory.backend, d * d).basis()))
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +230,10 @@ def bell_basis_observable(d):
 
 def check_bell_ic(d):
     """A joint discriminating observable plus the generic ancilla
-    preparation induces a minimal IC observable on the system; also
-    checks the dimension count adm(S) = idim(S x S) - 1."""
-    ancilla = generic_ancilla_state(d)
-    joint = bell_basis_observable(d)
-    th = quantum(d)
-    margs = []
-    for e in joint.effects:
-        m = ch.partial_trace(np.kron(np.eye(d), ancilla) @ e.matrix, (d, d), 0)
-        margs.append(Effect(th, m))
-    induced = Observable(tuple(margs))
-    minimal = is_minimal_ic(induced)
-    adm = affine_state_dimension(th)
-    idim2 = informational_dimension(quantum(d * d))
-    return minimal and adm == idim2 - 1
+    preparation induces a minimal IC observable on the system."""
+    joint = np.array([e.matrix for e in bell_basis_observable(d).effects])
+    margs = ch.partial_trace(np.kron(np.eye(d), generic_ancilla_state(d)) @ joint, (d, d), 0)
+    return is_minimal_ic(Observable(tuple(Effect(quantum(d), m) for m in margs)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,54 +242,36 @@ def check_bell_ic(d):
 
 @dataclass
 class DimReport:
-    """Measured dimensions and the per-identity comparisons."""
+    """The identity table, each row's name mapped to its measured
+    (lhs, rhs), which holds when the two are equal; and the system's
+    informational dimension, its witness's pairing residual and the
+    informational dimension of the composite."""
 
-    backend: str
-    d: int
-    adm_s: int
+    rows: dict
     idim_s: int
-    dim_pr: int
-    adm_s12: int
+    pairing_residual: float
     idim_s12: int
-    adm_t: int
-    rows: list = field(default_factory=list)
-
-    def row(self, name):
-        """(lhs, rhs, holds) of the named identity; KeyError if absent."""
-        return {row[0]: row[1:] for row in self.rows}[name]
 
 
 def dim_identities(d, backend="quantum"):
     """Measure every dimension entering the identity table of a system
-    and its composite with a copy of itself, and compare both sides
-    exactly (integer equality)."""
+    and its composite with a copy of itself."""
     th1 = Theory(backend, d)
     adm1 = affine_state_dimension(th1)
-    idim1 = informational_dimension(th1)
+    idim1, residual = informational_dimension(th1)
     dim_pr = effect_space_dimension(th1)
     th12 = Theory(backend, d * d)
     adm12 = affine_state_dimension(th12)
-    idim12 = informational_dimension(th12)
+    idim12, _ = informational_dimension(th12)
     adm_t = transformation_affine_dimension(th1)
-    rows = [
-        ("D2", dim_pr, adm1 + 1),
-        ("D3", adm12, adm1**2 + 2 * adm1),
-        ("D4", adm1, idim12 - 1),
-        ("D34", adm12, idim12**2 - 1),
-        ("D34'", adm1, idim1**2 - 1),
-        ("tensor", idim12, idim1**2),
-        ("T", adm_t, adm12 + 1),
-        ("P", dim_pr, idim1**2),
-    ]
-    report = DimReport(
-        backend=backend,
-        d=d,
-        adm_s=adm1,
-        idim_s=idim1,
-        dim_pr=dim_pr,
-        adm_s12=adm12,
-        idim_s12=idim12,
-        adm_t=adm_t,
-    )
-    report.rows = [(n, int(l), int(r), l == r) for n, l, r in rows]
-    return report
+    rows = {
+        "D2": (dim_pr, adm1 + 1),
+        "D3": (adm12, adm1**2 + 2 * adm1),
+        "D4": (adm1, idim12 - 1),
+        "D34": (adm12, idim12**2 - 1),
+        "D34'": (adm1, idim1**2 - 1),
+        "tensor": (idim12, idim1**2),
+        "T": (adm_t, adm12 + 1),
+        "P": (dim_pr, idim1**2),
+    }
+    return DimReport(rows, idim1, residual, idim12)

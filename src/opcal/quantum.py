@@ -8,7 +8,7 @@ Generator) so suites reproduce bit-for-bit.  A sampler first makes its
 rng calls for one sample, then builds the object from their raw output
 (`Draws`).  Given Draws in place of a seed it only builds, and the build
 is stack-aware: draws stacked over samples build the stack of objects
-in one pass, each element equal to its own scalar call.  `cli._draw`
+in one pass, each element equal to its own scalar call.  `checks._draw`
 draws sample by sample in the checks' call order and builds once per
 stack.
 """

@@ -129,12 +129,13 @@ def is_preparationally_faithful(phi):
 
 def passes(report, name):
     """Whether the named identity of a dimension table holds."""
-    return report.row(name)[2]
+    lhs, rhs = report.rows[name]
+    return lhs == rhs
 
 
 def all_pass(report):
     """Whether every identity of a dimension table holds."""
-    return all(ok for _, _, _, ok in report.rows)
+    return all(lhs == rhs for lhs, rhs in report.rows.values())
 
 
 # ---------------------------------------------------------------------------

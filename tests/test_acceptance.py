@@ -28,7 +28,7 @@ def _verdict(capsys, label, ok):
 
 def test_criterion_1_dimension_table(capsys):
     r2 = infodim.dim_identities(2)
-    rows2 = {name: (lhs, rhs) for name, lhs, rhs, _ in r2.rows}
+    rows2 = r2.rows
     ok = (
         rows2["D2"] == (4, 4)
         and rows2["D34'"] == (3, 3)
@@ -40,7 +40,7 @@ def test_criterion_1_dimension_table(capsys):
         and all_pass(r2)
     )
     r3 = infodim.dim_identities(3)
-    rows3 = {name: (lhs, rhs) for name, lhs, rhs, _ in r3.rows}
+    rows3 = r3.rows
     ok = ok and rows3["D34'"] == (8, 8) and rows3["D3"] == (80, 80)
     _verdict(capsys, "1 dimension-identity table (d=2,3, exact integers)", ok)
 
@@ -49,8 +49,7 @@ def test_criterion_2_classical_negative_control(capsys):
     ok = True
     for d in (2, 3):
         r = infodim.dim_identities(d, backend="classical")
-        rows = {name: (lhs, rhs) for name, lhs, rhs, _ in r.rows}
-        lhs, rhs = rows["D34'"]
+        lhs, rhs = r.rows["D34'"]
         # adm = idim - 1 on the simplex, far from idim^2 - 1
         ok = ok and lhs == d - 1 and rhs == d * d - 1 and not passes(r, "D34'")
     _verdict(capsys, "2 classical backend violates the squared identity", ok)

@@ -379,6 +379,22 @@ def test_run_builds_shared_objects_once(monkeypatch):
             "witness_system": 1,
             "local_action_matrix": 1,
         }
+    # one IC observable and one dimension table per backend feed every
+    # infodim check; each table builds the witness of a system and of
+    # its composite
+    builds = Counter()
+    for name in ("ic_observable", "minimal_ic_povm", "discrimination_witness", "dim_identities"):
+        monkeypatch.setattr(infodim, name, _counting(builds, name, getattr(infodim, name)))
+    assert cli.run_suite(cli.TheorySpec(d=2), "all").all_pass()
+    assert builds == {
+        "ic_observable": 1,
+        "minimal_ic_povm": 1,
+        "discrimination_witness": 4,
+        "dim_identities": 2,
+    }
+    builds.clear()
+    cli.run_suite(cli.TheorySpec(backend="classical", d=3), "all")
+    assert builds == {"ic_observable": 1, "discrimination_witness": 2, "dim_identities": 1}
 
 
 def test_context_does_not_store_a_failed_build(monkeypatch):

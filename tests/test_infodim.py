@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from opcal import channels as ch
 from opcal import core, infodim
 from opcal import quantum as qm
 from opcal.basis import matrix_rank
@@ -27,7 +28,7 @@ def test_sic_expand_identity_oracle():
     # each tetrahedron effect has trace 1/2, so I = 1*E1 + ... + 1*E4
     obs = sic_povm_qubit()
     e = core.Effect(core.quantum(2), np.eye(2))
-    c = infodim.ic_expand(e, obs)
+    c, _ = infodim.ic_expand(e, obs)
     assert_allclose(c, np.ones(4), atol=1e-12)
 
 
@@ -71,12 +72,12 @@ def test_predictable_and_resolved():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_informational_dimension_quantum(d):
-    assert infodim.informational_dimension(core.quantum(d)) == d
+    assert infodim.informational_dimension(core.quantum(d)) == (d, 0.0)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_informational_dimension_classical(d):
-    assert infodim.informational_dimension(core.classical(d)) == d
+    assert infodim.informational_dimension(core.classical(d)) == (d, 0.0)
 
 
 def test_discrimination_witness_certificate():
@@ -99,7 +100,7 @@ def test_informational_dimension_memory():
     # effects, not d Choi matrices of size d^2 x d^2 (18 MB at d = 16)
     tracemalloc.start()
     try:
-        assert infodim.informational_dimension(core.quantum(16)) == 16
+        assert infodim.informational_dimension(core.quantum(16)) == (16, 0.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -125,6 +126,17 @@ def test_effect_space_dimension_ranks_physical_effects(d):
 
 def test_transformation_affine_dimension_oracle():
     assert infodim.transformation_affine_dimension(core.quantum(2)) == 16
+    assert infodim.transformation_affine_dimension(core.quantum(3)) == 81
+    assert infodim.transformation_affine_dimension(core.classical(2)) == 4
+    assert infodim.transformation_affine_dimension(core.classical(3)) == 9
+
+
+def test_table_T_measures_the_choi_encoding(monkeypatch):
+    # an encoding that drops the imaginary parts leaves only the real
+    # symmetric Choi matrices, d^2 (d^2 + 1) / 2 of the d^4 dimensions
+    encode = ch.kraus_to_choi_matrix
+    monkeypatch.setattr(ch, "kraus_to_choi_matrix", lambda kraus: encode(kraus).real)
+    assert infodim.dim_identities(2).rows["T"] == (10, 16)
 
 
 def test_local_observability():
@@ -159,7 +171,7 @@ def test_stacked_coordinates_keep_ranks_and_expansions(backend, d):
     assert infodim.ic_rank(obs) == matrix_rank(rows) == len(obs)
     assert infodim.check_local_observability(obs, obs) == (True, rank12)
     want, *_ = np.linalg.lstsq(rows.T, effect.coords, rcond=None)
-    assert np.array_equal(infodim.ic_expand(effect, obs), want)
+    assert np.array_equal(infodim.ic_expand(effect, obs)[0], want)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -195,9 +207,9 @@ def test_bell_basis_observable_complete():
 def test_dim_identities_quantum(d):
     report = infodim.dim_identities(d)
     assert all_pass(report), report.rows
-    assert report.adm_s == d * d - 1
+    assert report.rows["D34'"][0] == d * d - 1
     assert report.idim_s == d
-    assert report.dim_pr == d * d
+    assert report.rows["P"][0] == d * d
 
 
 def test_dim_identities_quantum_oracle_values():
@@ -212,9 +224,7 @@ def test_dim_identities_quantum_oracle_values():
         "T": (16, 16),
         "P": (4, 4),
     }
-    for name, lhs, rhs, ok in r.rows:
-        assert (lhs, rhs) == expected[name]
-        assert ok
+    assert r.rows == expected
 
 
 @pytest.mark.parametrize("d", [2, 3])
