@@ -204,9 +204,8 @@ def _check_ic_expand(ctx, rng, tol):
 
 
 def _check_idim(ctx, rng, tol):
-    dims = ctx.dims(ctx.spec.backend)
-    ok = dims.idim_s == ctx.spec.d and dims.pairing_residual <= tol
-    return ok, {"idim": float(dims.idim_s), "pairing_residual": dims.pairing_residual}
+    idim, resid = infodim.informational_dimension(ctx.spec.theory())
+    return idim == ctx.spec.d and resid <= tol, {"idim": float(idim), "pairing_residual": resid}
 
 
 def _check_local_observability(ctx, rng, tol):
@@ -216,14 +215,14 @@ def _check_local_observability(ctx, rng, tol):
 
 def _check_bell_ic(ctx, rng, tol):
     spec = ctx.spec
-    dims = ctx.dims(spec.backend)
+    idim2, _ = infodim.informational_dimension(core.Theory(spec.backend, spec.d * spec.d))
     if spec.backend == "classical":
         # classical analogue: copying onto an ancilla and reading both
         # never exceeds the simplex dimension, so idim(S x S) = d^2
-        return dims.idim_s12 == spec.d * spec.d, {"idim2": float(dims.idim_s12)}
-    # the dimension count adm(S) = idim(S x S) - 1 is the table's row D4
-    lhs, rhs = dims.rows["D4"]
-    return infodim.check_bell_ic(spec.d) and lhs == rhs, {}
+        return idim2 == spec.d * spec.d, {"idim2": float(idim2)}
+    # the dimension count adm(S) = idim(S x S) - 1
+    adm = infodim.affine_state_dimension(spec.theory())
+    return infodim.check_bell_ic(spec.d) and adm == idim2 - 1, {}
 
 
 # -- table1

@@ -6,6 +6,7 @@ relative cutoff of RANK_RCOND * sigma_max, so they are scale-free.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -13,7 +14,7 @@ from . import channels as ch
 from .basis import diagonal_basis, hermitian_basis, matrix_rank, real_view, to_coords
 from .core import Effect, Observable, Theory, quantum, spanning_states, spanning_vectors
 from .errors import NotIC, WitnessFailed
-from .quantum import classical_map, kraus_to_choi
+from .quantum import kraus_to_choi
 from .tolerances import DISCRIMINATION_RESID, EXPAND_RESID, RESOLVED_EIG
 
 
@@ -153,19 +154,17 @@ def effect_space_dimension(theory):
 def transformation_affine_dimension(theory):
     """Affine dimension of the convex set of physical transformations,
     from a deterministic spanning family of maps built by the
-    transformation layer: on the quantum backend rho -> K rho K^dag for
-    the d^4 spanning vectors of C^(d^2) read as d x d Kraus operators K
-    (unit Frobenius norm, so contractions), on the classical backend the
-    d^2 vertex maps, one substochastic matrix entry each.  The zero map
-    is a transformation too, so the affine dimension is the rank of
+    transformation layer: rho -> K rho K^dag for the spanning vectors
+    of C^(d^2) read as d x d Kraus operators K (unit Frobenius norm, so
+    contractions), of which the classical backend keeps the d^2 vertex
+    maps |i><j|, as spanning_states keeps the vertex states.  The zero
+    map is a transformation too, so the affine dimension is the rank of
     their Choi coordinates."""
     d = theory.d
-    if theory.backend == "classical":
-        maps = classical_map(np.eye(d * d).reshape(-1, d, d))
-    else:
-        kraus = np.array(list(spanning_vectors(d * d))).reshape(-1, 1, d, d)
-        maps = kraus_to_choi(theory, kraus)
-    return matrix_rank(to_coords(maps.choi, Theory(theory.backend, d * d).basis()))
+    th12 = Theory(theory.backend, d * d)
+    kraus = np.array(list(islice(spanning_vectors(d * d), th12.effect_dim)))
+    maps = kraus_to_choi(theory, kraus.reshape(-1, 1, d, d))
+    return matrix_rank(to_coords(maps.choi, th12.basis()))
 
 
 # ---------------------------------------------------------------------------

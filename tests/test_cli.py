@@ -379,9 +379,10 @@ def test_run_builds_shared_objects_once(monkeypatch):
             "witness_system": 1,
             "local_action_matrix": 1,
         }
-    # one IC observable and one dimension table per backend feed every
-    # infodim check; each table builds the witness of a system and of
-    # its composite
+    # one IC observable and one dimension table per backend; each table
+    # builds the witness of a system and of its composite, and
+    # infodim.idim and infodim.bell_ic build one each, so a
+    # `--suite infodim` run needs no table
     builds = Counter()
     for name in ("ic_observable", "minimal_ic_povm", "discrimination_witness", "dim_identities"):
         monkeypatch.setattr(infodim, name, _counting(builds, name, getattr(infodim, name)))
@@ -389,12 +390,15 @@ def test_run_builds_shared_objects_once(monkeypatch):
     assert builds == {
         "ic_observable": 1,
         "minimal_ic_povm": 1,
-        "discrimination_witness": 4,
+        "discrimination_witness": 6,
         "dim_identities": 2,
     }
     builds.clear()
     cli.run_suite(cli.TheorySpec(backend="classical", d=3), "all")
-    assert builds == {"ic_observable": 1, "discrimination_witness": 2, "dim_identities": 1}
+    assert builds == {"ic_observable": 1, "discrimination_witness": 4, "dim_identities": 1}
+    builds.clear()
+    cli.run_suite(cli.TheorySpec(d=2), "infodim")
+    assert "dim_identities" not in builds
 
 
 def test_context_does_not_store_a_failed_build(monkeypatch):
