@@ -228,9 +228,9 @@ def _check_bell_ic(ctx, rng, tol):
 # -- table1
 
 
-def _table_row(report, row):
+def _table_row(table, row):
     """(holds, values) of one row of a dimension table."""
-    lhs, rhs = report.rows[row]
+    lhs, rhs = table[row]
     return lhs == rhs, {"lhs": float(lhs), "rhs": float(rhs)}
 
 

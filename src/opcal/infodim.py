@@ -5,7 +5,6 @@ Ranks are decided by basis.matrix_rank: singular values with a
 relative cutoff of RANK_RCOND * sigma_max, so they are scale-free.
 """
 
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -239,31 +238,19 @@ def check_bell_ic(d):
 # the identity table
 
 
-@dataclass
-class DimReport:
-    """The identity table, each row's name mapped to its measured
-    (lhs, rhs), which holds when the two are equal; and the system's
-    informational dimension, its witness's pairing residual and the
-    informational dimension of the composite."""
-
-    rows: dict
-    idim_s: int
-    pairing_residual: float
-    idim_s12: int
-
-
 def dim_identities(d, backend="quantum"):
     """Measure every dimension entering the identity table of a system
-    and its composite with a copy of itself."""
+    and its composite with a copy of itself: each row's name mapped to
+    its (lhs, rhs), which holds when the two are equal."""
     th1 = Theory(backend, d)
     adm1 = affine_state_dimension(th1)
-    idim1, residual = informational_dimension(th1)
+    idim1, _ = informational_dimension(th1)
     dim_pr = effect_space_dimension(th1)
     th12 = Theory(backend, d * d)
     adm12 = affine_state_dimension(th12)
     idim12, _ = informational_dimension(th12)
     adm_t = transformation_affine_dimension(th1)
-    rows = {
+    return {
         "D2": (dim_pr, adm1 + 1),
         "D3": (adm12, adm1**2 + 2 * adm1),
         "D4": (adm1, idim12 - 1),
@@ -273,4 +260,3 @@ def dim_identities(d, backend="quantum"):
         "T": (adm_t, adm12 + 1),
         "P": (dim_pr, idim1**2),
     }
-    return DimReport(rows, idim1, residual, idim12)

@@ -127,15 +127,15 @@ def is_preparationally_faithful(phi):
 # dimension tables
 
 
-def passes(report, name):
+def passes(table, name):
     """Whether the named identity of a dimension table holds."""
-    lhs, rhs = report.rows[name]
+    lhs, rhs = table[name]
     return lhs == rhs
 
 
-def all_pass(report):
+def all_pass(table):
     """Whether every identity of a dimension table holds."""
-    return all(lhs == rhs for lhs, rhs in report.rows.values())
+    return all(lhs == rhs for lhs, rhs in table.values())
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,7 @@ def _verdict(capsys, label, ok):
 
 
 def test_criterion_1_dimension_table(capsys):
-    r2 = infodim.dim_identities(2)
-    rows2 = r2.rows
+    rows2 = infodim.dim_identities(2)
     ok = (
         rows2["D2"] == (4, 4)
         and rows2["D34'"] == (3, 3)
@@ -37,10 +36,9 @@ def test_criterion_1_dimension_table(capsys):
         and rows2["tensor"] == (4, 4)
         and rows2["D4"] == (3, 3)
         and rows2["T"] == (16, 16)
-        and all_pass(r2)
+        and all_pass(rows2)
     )
-    r3 = infodim.dim_identities(3)
-    rows3 = r3.rows
+    rows3 = infodim.dim_identities(3)
     ok = ok and rows3["D34'"] == (8, 8) and rows3["D3"] == (80, 80)
     _verdict(capsys, "1 dimension-identity table (d=2,3, exact integers)", ok)
 
@@ -49,7 +47,7 @@ def test_criterion_2_classical_negative_control(capsys):
     ok = True
     for d in (2, 3):
         r = infodim.dim_identities(d, backend="classical")
-        lhs, rhs = r.rows["D34'"]
+        lhs, rhs = r["D34'"]
         # adm = idim - 1 on the simplex, far from idim^2 - 1
         ok = ok and lhs == d - 1 and rhs == d * d - 1 and not passes(r, "D34'")
     _verdict(capsys, "2 classical backend violates the squared identity", ok)

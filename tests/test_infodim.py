@@ -136,7 +136,7 @@ def test_table_T_measures_the_choi_encoding(monkeypatch):
     # symmetric Choi matrices, d^2 (d^2 + 1) / 2 of the d^4 dimensions
     encode = ch.kraus_to_choi_matrix
     monkeypatch.setattr(ch, "kraus_to_choi_matrix", lambda kraus: encode(kraus).real)
-    assert infodim.dim_identities(2).rows["T"] == (10, 16)
+    assert infodim.dim_identities(2)["T"] == (10, 16)
 
 
 def test_local_observability():
@@ -205,15 +205,14 @@ def test_bell_basis_observable_complete():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_dim_identities_quantum(d):
-    report = infodim.dim_identities(d)
-    assert all_pass(report), report.rows
-    assert report.rows["D34'"][0] == d * d - 1
-    assert report.idim_s == d
-    assert report.rows["P"][0] == d * d
+    rows = infodim.dim_identities(d)
+    assert all_pass(rows), rows
+    assert rows["D34'"][0] == d * d - 1
+    assert rows["tensor"] == (d * d, d * d)
+    assert rows["P"][0] == d * d
 
 
 def test_dim_identities_quantum_oracle_values():
-    r = infodim.dim_identities(2)
     expected = {
         "D2": (4, 4),
         "D3": (15, 15),
@@ -224,7 +223,7 @@ def test_dim_identities_quantum_oracle_values():
         "T": (16, 16),
         "P": (4, 4),
     }
-    assert r.rows == expected
+    assert infodim.dim_identities(2) == expected
 
 
 @pytest.mark.parametrize("d", [2, 3])
