@@ -14,7 +14,6 @@ Heisenberg action act on it elementwise, as the gns maps do.
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -404,14 +403,16 @@ def _alternating_norm(choi, d):
 
 def spanning_vectors(n):
     """The n^2 unit vectors |i>, (|i>+|j>)/sqrt2, (|i>+i|j>)/sqrt2 of
-    C^n, in that order: their projectors span the n x n Hermitian
-    matrices."""
-    eye = np.eye(n)
-    yield from eye.astype(complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield (eye[i] + eye[j]) / np.sqrt(2)
-            yield (eye[i] + 1j * eye[j]) / np.sqrt(2)
+    C^n (i < j, row-major), in that order, as the rows of one array:
+    their projectors span the n x n Hermitian matrices."""
+    out = np.zeros((n * n, n), dtype=complex)
+    out[:n] = np.eye(n)
+    i, j = np.triu_indices(n, 1)
+    rows = n + 2 * np.arange(len(i))
+    s = 1 / np.sqrt(2)
+    out[rows, i] = out[rows, j] = out[rows + 1, i] = s
+    out[rows + 1, j] = 1j * s
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -423,8 +424,8 @@ def spanning_states(theory):
     backend keeps the d vertices |i><i| (one state per basis element on
     both backends).
     """
-    kept = islice(spanning_vectors(theory.d), theory.effect_dim)
-    return tuple(State(theory, np.outer(v, v.conj())) for v in kept)
+    v = spanning_vectors(theory.d)[: theory.effect_dim]
+    return unstack(State(theory, np.einsum("ai,aj->aij", v, v.conj())))
 
 
 def informational_equiv(a, b):

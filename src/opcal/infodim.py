@@ -5,13 +5,11 @@ Ranks are decided by basis.matrix_rank: singular values with a
 relative cutoff of RANK_RCOND * sigma_max, so they are scale-free.
 """
 
-from itertools import islice
-
 import numpy as np
 
 from . import channels as ch
 from .basis import diagonal_basis, hermitian_basis, matrix_rank, real_view, to_coords
-from .core import Effect, Observable, Theory, quantum, spanning_states, spanning_vectors
+from .core import Effect, Observable, Theory, quantum, spanning_states, spanning_vectors, stack
 from .errors import NotIC, WitnessFailed
 from .quantum import kraus_to_choi
 from .tolerances import DISCRIMINATION_RESID, EXPAND_RESID, RESOLVED_EIG
@@ -47,15 +45,13 @@ def ic_expand(effect, obs):
     return c, resid
 
 
-def _predictable(ev, tol):
-    return bool(abs(ev[-1] - 1.0) <= tol and abs(ev[0]) <= tol)
-
-
 def is_resolved(e):
-    """Predictable with a single pure state of certain occurrence, to
-    RESOLVED_EIG in the eigenvalues."""
+    """Predictable (eigenvalues 0 and 1) with a single pure state of
+    certain occurrence, to RESOLVED_EIG in the eigenvalues: one bool
+    per effect of a stack, from one eigvalsh."""
     ev = np.linalg.eigvalsh(e.matrix)
-    return _predictable(ev, RESOLVED_EIG) and bool(np.sum(np.abs(ev - 1.0) <= RESOLVED_EIG) == 1)
+    one = np.abs(ev - 1.0) <= RESOLVED_EIG
+    return (np.abs(ev[..., 0]) <= RESOLVED_EIG) & one[..., -1] & (one.sum(axis=-1) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -103,21 +99,17 @@ def discrimination_witness(theory):
     trace at least, and the traces must sum to the trace of the unit
     effect)."""
     d = theory.d
+    basis = diagonal_basis(d)
     # on both backends the basis projectors |i><i| come first
     states = spanning_states(theory)[:d]
-    obs = Observable(tuple(Effect(theory, p) for p in diagonal_basis(d)))
-    # Tr[w l] for every (state, effect) at once
-    gram = np.einsum(
-        "aij,bji->ab", np.array([w.matrix for w in states]), diagonal_basis(d)
-    ).real
+    obs = Observable(tuple(Effect(theory, p) for p in basis))
+    # Tr[w l] for every (state, effect) at once, and every Tr[l]
+    gram = np.tensordot(stack(states).matrix, basis, axes=([1, 2], [2, 1])).real
+    traces = basis.trace(axis1=-2, axis2=-1).real
     cert = {
         "pairing_residual": float(np.max(np.abs(gram - np.eye(d)))),
-        "effect_trace_sum": float(
-            np.real(sum(np.trace(l.matrix) for l in obs.effects))
-        ),
-        "min_effect_trace": float(
-            min(np.real(np.trace(l.matrix)) for l in obs.effects)
-        ),
+        "effect_trace_sum": float(np.sum(traces)),
+        "min_effect_trace": float(np.min(traces)),
         "upper_bound": d,
     }
     return states, obs, cert
@@ -130,7 +122,7 @@ def informational_dimension(theory):
     states, obs, cert = discrimination_witness(theory)
     if cert["pairing_residual"] > DISCRIMINATION_RESID:
         raise WitnessFailed("discrimination witness failed the delta check")
-    if not all(is_resolved(l) for l in obs.effects):
+    if not np.all(is_resolved(stack(obs.effects))):
         raise WitnessFailed("discriminating effects are not predictable and resolved")
     return len(states), cert["pairing_residual"]
 
@@ -161,7 +153,7 @@ def transformation_affine_dimension(theory):
     their Choi coordinates."""
     d = theory.d
     th12 = Theory(theory.backend, d * d)
-    kraus = np.array(list(islice(spanning_vectors(d * d), th12.effect_dim)))
+    kraus = spanning_vectors(d * d)[: th12.effect_dim]
     maps = kraus_to_choi(theory, kraus.reshape(-1, 1, d, d))
     return matrix_rank(to_coords(maps.choi, th12.basis()))
 
@@ -184,11 +176,13 @@ def check_local_observability(obs1, obs2):
     return rank == th12.effect_dim, rank
 
 
-def _weyl(d, m, n):
-    x = np.roll(np.eye(d), 1, axis=0).astype(complex)
-    omega = np.exp(2j * np.pi / d)
-    z = np.diag(omega ** np.arange(d))
-    return np.linalg.matrix_power(x, m) @ np.linalg.matrix_power(z, n)
+def weyl_operators(d):
+    """The d^2 displacements X^m Z^n, m-major, with X|k> = |k+1> and
+    Z|k> = w^k |k> (w = exp(2 pi i / d)), from the closed form
+    (X^m Z^n)[j, k] = w^(n k) [j = k + m mod d]."""
+    m, n, j, k = np.ogrid[:d, :d, :d, :d]
+    w = np.exp(2j * np.pi * (n * k % d) / d) * ((j - k - m) % d == 0)
+    return w.reshape(d * d, d, d)
 
 
 def generic_ancilla_state(d):
@@ -196,15 +190,13 @@ def generic_ancilla_state(d):
     displacement direction, so the induced marginal observable is
     informationally complete.  (The maximally mixed ancilla would
     induce the trivial observable.)"""
-    m = np.eye(d, dtype=complex)
-    for k, (a, b) in enumerate(
-        (a, b) for a in range(d) for b in range(d) if (a, b) != (0, 0)
-    ):
-        w = _weyl(d, a, b)
-        # both Hermitian combinations, so the overlap with w itself is
-        # nonzero even when w + w^dag vanishes (e.g. anti-Hermitian w)
-        m = m + (0.2 / (k + 2.0)) * (w + w.conj().T)
-        m = m + (0.1 / (k + 3.0)) * 1j * (w - w.conj().T)
+    w = weyl_operators(d)[1:]
+    wd = w.conj().swapaxes(-1, -2)
+    k = np.arange(len(w))
+    # both Hermitian combinations, so the overlap with w itself is
+    # nonzero even when w + w^dag vanishes (e.g. anti-Hermitian w)
+    m = np.eye(d) + np.einsum("k,kij->ij", 0.2 / (k + 2.0), w + wd)
+    m = m + 1j * np.einsum("k,kij->ij", 0.1 / (k + 3.0), w - wd)
     ev = np.linalg.eigvalsh(m)
     m = m + (abs(min(ev[0], 0.0)) + 0.05) * np.eye(d)
     return m / np.trace(m)
@@ -212,18 +204,10 @@ def generic_ancilla_state(d):
 
 def bell_basis_observable(d):
     """Discriminating observable on system + ancilla: the d^2 rank-one
-    projectors onto (I x U_mn)|Omega>."""
-    th = quantum(d * d)
-    v0 = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        v0[i * d + i] = 1.0 / np.sqrt(d)
-    effs = []
-    for m in range(d):
-        for n in range(d):
-            u = np.kron(np.eye(d), _weyl(d, m, n))
-            v = u @ v0
-            effs.append(Effect(th, np.outer(v, v.conj())))
-    return Observable(tuple(effs))
+    projectors onto (I x U_mn)|Omega>, whose vectors are vec(U_mn^T)/sqrt(d)."""
+    v = weyl_operators(d).swapaxes(-1, -2).reshape(d * d, d * d) / np.sqrt(d)
+    projs = np.einsum("ai,aj->aij", v, v.conj())
+    return Observable(tuple(Effect(quantum(d * d), p) for p in projs))
 
 
 def check_bell_ic(d):

@@ -122,7 +122,8 @@ def kraus_to_choi(theory, kraus):
     """Transformation of the Kraus operators (a stack of them, one map
     per element, when they carry leading axes, as in
     `channels.kraus_to_choi_matrix`)."""
-    if any(np.shape(k)[-2:] != (theory.d, theory.d) for k in kraus):
+    kraus = np.asarray(kraus, dtype=complex)
+    if kraus.shape[-2:] != (theory.d, theory.d):
         raise DimensionMismatch("Kraus operators must be d x d")
     return Transformation(theory, ch.kraus_to_choi_matrix(kraus))
 

@@ -1,5 +1,7 @@
 """Reference objects and predicates that only the tests use: the qubit
 reference observables, the predictability test of an effect, the
+loop-built oracles of the fixed infodim families (spanning vectors,
+Weyl displacements, generic ancilla, Bell projectors), the
 Kraus superoperator, the joint bilinear form and its absolute value,
 the involution on states, the local action of either slot built
 through superoperators and the faithfulness predicates on its rank,
@@ -13,7 +15,6 @@ from opcal import channels as ch
 from opcal.basis import hermitian_basis, matrix_rank, to_coords
 from opcal.core import Effect, Experiment, Observable, State, Transformation, classical, quantum
 from opcal.errors import ConeViolation
-from opcal.infodim import _predictable
 from opcal.quantum import BipartiteState
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,60 @@ def pauli_povm_qubit():
 def is_predictable(e, tol=1e-9):
     """Occurs with certainty on some state and never on another (the
     spectrum of a classical effect is its diagonal)."""
-    return _predictable(np.linalg.eigvalsh(e.matrix), tol)
+    ev = np.linalg.eigvalsh(e.matrix)
+    return bool(abs(ev[-1] - 1.0) <= tol and abs(ev[0]) <= tol)
+
+
+# ---------------------------------------------------------------------------
+# fixed infodim families, one element at a time: the oracles of the
+# closed forms in opcal.core and opcal.infodim
+
+
+def spanning_vectors(n):
+    """The spanning vectors of C^n from a generator, in the order of
+    core.spanning_vectors."""
+    eye = np.eye(n)
+    yield from eye.astype(complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            yield (eye[i] + eye[j]) / np.sqrt(2)
+            yield (eye[i] + 1j * eye[j]) / np.sqrt(2)
+
+
+def weyl(d, m, n):
+    """The displacement X^m Z^n through matrix powers."""
+    x = np.roll(np.eye(d), 1, axis=0).astype(complex)
+    omega = np.exp(2j * np.pi / d)
+    z = np.diag(omega ** np.arange(d))
+    return np.linalg.matrix_power(x, m) @ np.linalg.matrix_power(z, n)
+
+
+def generic_ancilla_state(d):
+    """infodim.generic_ancilla_state, one displacement at a time."""
+    m = np.eye(d, dtype=complex)
+    for k, (a, b) in enumerate(
+        (a, b) for a in range(d) for b in range(d) if (a, b) != (0, 0)
+    ):
+        w = weyl(d, a, b)
+        m = m + (0.2 / (k + 2.0)) * (w + w.conj().T)
+        m = m + (0.1 / (k + 3.0)) * 1j * (w - w.conj().T)
+    ev = np.linalg.eigvalsh(m)
+    m = m + (abs(min(ev[0], 0.0)) + 0.05) * np.eye(d)
+    return m / np.trace(m)
+
+
+def bell_projectors(d):
+    """The effects of infodim.bell_basis_observable, one projector onto
+    (I x U_mn)|Omega> at a time."""
+    v0 = np.zeros(d * d, dtype=complex)
+    for i in range(d):
+        v0[i * d + i] = 1.0 / np.sqrt(d)
+    out = []
+    for m in range(d):
+        for n in range(d):
+            v = np.kron(np.eye(d), weyl(d, m, n)) @ v0
+            out.append(np.outer(v, v.conj()))
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

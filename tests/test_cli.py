@@ -401,6 +401,22 @@ def test_run_builds_shared_objects_once(monkeypatch):
     assert "dim_identities" not in builds
 
 
+def test_one_resolution_test_per_witness(monkeypatch):
+    # each discrimination witness resolves its effects as one stack:
+    # idim, bell_ic and the two witnesses of each dimension table
+    calls = Counter()
+    resolved = _counting(calls, "is_resolved", infodim.is_resolved)
+    monkeypatch.setattr(infodim, "is_resolved", resolved)
+    for spec, want in (
+        (cli.TheorySpec(d=2), 6),
+        (cli.TheorySpec(backend="classical", d=3), 4),
+        (cli.TheorySpec(d=4), 6),
+    ):
+        calls.clear()
+        cli.run_suite(spec, "all")
+        assert calls["is_resolved"] == want, spec
+
+
 def test_context_does_not_store_a_failed_build(monkeypatch):
     calls = []
 
@@ -485,7 +501,7 @@ def test_crashing_check_is_an_error_not_an_abort(monkeypatch):
 
 
 def test_failed_witness_is_a_check_error(monkeypatch):
-    monkeypatch.setattr(infodim, "is_resolved", lambda e, tol=1e-9: False)
+    monkeypatch.setattr(infodim, "is_resolved", lambda e: False)
     with pytest.raises(WitnessFailed):
         infodim.informational_dimension(core.quantum(2))
     report = cli.run_suite(cli.TheorySpec(d=2), "infodim")

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from opcal import core
 from opcal import quantum as qm
 from opcal.errors import BackendMismatch, CompletenessError, NotCoexistent, ZeroProbability
-from reference import random_pure
+from reference import random_pure, spanning_vectors
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -246,3 +246,8 @@ def test_spanning_states_are_ic():
         th = core.quantum(d)
         rows = np.array([w.coords for w in core.spanning_states(th)])
         assert np.linalg.matrix_rank(rows) == d * d
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_spanning_vectors_match_the_generator(n):
+    assert np.array_equal(core.spanning_vectors(n), np.array(list(spanning_vectors(n))))

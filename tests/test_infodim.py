@@ -13,7 +13,16 @@ from opcal import core, infodim
 from opcal import quantum as qm
 from opcal.basis import matrix_rank
 from opcal.errors import NotIC
-from reference import all_pass, is_predictable, passes, pauli_povm_qubit, sic_povm_qubit
+from reference import (
+    all_pass,
+    bell_projectors,
+    generic_ancilla_state,
+    is_predictable,
+    passes,
+    pauli_povm_qubit,
+    sic_povm_qubit,
+    weyl,
+)
 
 
 def test_sic_qubit_minimal_ic():
@@ -177,6 +186,23 @@ def test_stacked_coordinates_keep_ranks_and_expansions(backend, d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_bell_ic(d):
     assert infodim.check_bell_ic(d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_weyl_families_match_the_loop_builds(d):
+    want = np.array([weyl(d, m, n) for m in range(d) for n in range(d)])
+    assert np.max(np.abs(infodim.weyl_operators(d) - want)) <= 1e-15
+    assert np.max(np.abs(infodim.generic_ancilla_state(d) - generic_ancilla_state(d))) <= 1e-15
+    effects = np.array([e.matrix for e in infodim.bell_basis_observable(d).effects])
+    assert np.max(np.abs(effects - bell_projectors(d))) <= 1e-15
+    assert infodim.check_bell_ic(d)
+
+
+def test_is_resolved_on_a_stack():
+    th = core.quantum(3)
+    diag = [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    e = core.Effect(th, np.array([np.diag(x) for x in diag]))
+    assert infodim.is_resolved(e).tolist() == [True, False, False, False]
 
 
 def test_bell_ic_trivial_ancilla_fails(monkeypatch):

@@ -41,6 +41,14 @@ def test_apply_local_dimension_check():
         qm.apply_local(phi, qm.random_cp(3, 0), 1)
 
 
+def test_kraus_to_choi_rejects_wrong_shapes():
+    th = core.quantum(2)
+    with pytest.raises(DimensionMismatch):
+        qm.kraus_to_choi(th, [np.eye(3), np.eye(3)])
+    with pytest.raises(DimensionMismatch):
+        qm.kraus_to_choi(th, np.zeros((5, 1, 3, 3)))
+
+
 def test_condition_local_steering():
     # conditioning half of the singlet-type state steers the far part
     phi = qm.max_entangled(2)

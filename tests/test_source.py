@@ -1,6 +1,7 @@
 """Static checks on the source tree: no unused imports, every public
-function has a caller outside the tests, and every function the
-benchmark traces by name still exists."""
+function and every private module-level helper has a caller outside
+the tests, and every function the benchmark traces by name still
+exists."""
 
 import ast
 import importlib
@@ -79,8 +80,18 @@ def _referenced_names(tree, skip):
     return names
 
 
-def test_public_functions_have_a_library_caller():
-    # the tests do not count: an API only they call is test-only
+def _private_helpers(tree):
+    """(name, node) of each private module-level function."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            if not node.name.startswith("__"):  # dunders are called by Python
+                yield node.name, node
+
+
+def _uncalled(defs):
+    """Qualified names of the definitions defs(tree) yields in
+    src/opcal that no library, perfbench or script module reads; the
+    tests do not count, so an API only they call is test-only."""
     callers = [p for p in MODULES if p.name != "__init__.py"]
     callers += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     trees = {p: ast.parse(p.read_text()) for p in callers}
@@ -88,10 +99,18 @@ def test_public_functions_have_a_library_caller():
     for path in MODULES:
         if path.name == "__init__.py":
             continue
-        for qualname, node in _public_defs(trees[path]):
+        for qualname, node in defs(trees[path]):
             if not any(node.name in _referenced_names(t, node) for t in trees.values()):
                 uncalled.add(f"{path.stem}.{qualname}")
-    assert uncalled == set(NO_LIBRARY_CALLER)
+    return uncalled
+
+
+def test_public_functions_have_a_library_caller():
+    assert _uncalled(_public_defs) == set(NO_LIBRARY_CALLER)
+
+
+def test_private_helpers_have_a_library_caller():
+    assert _uncalled(_private_helpers) == set()
 
 
 def _per_layer_metrics():
