@@ -3,8 +3,10 @@ random inputs, one function per claim, and the registry `CHECKS` that
 names each claim, its tolerance and the backends it applies to.
 
 A check takes the run's context (`cli.RunContext`: the spec and the
-objects the checks share), a generator seeded for that check, and its
-tolerance, and returns (holds, values).
+objects the checks share), its seed (`cli.check_seed`, or a Generator)
+and its tolerance, and returns (holds, values).  A check that draws
+builds its one Generator from that seed in its one `_draw` or sampler
+call; a check that draws nothing builds none.
 """
 
 from dataclasses import replace
@@ -23,17 +25,17 @@ SAMPLES = 25  # per sampled check; the test suite runs the 100-sample versions
 
 
 class _Sampler:
-    """One kind of sample: draw(spec, rng) makes the rng calls of one
-    sample and returns their raw output (`qm.Draws`); build(spec,
-    draws) builds the object from one sample's draws, or the stack of
-    objects from draws stacked over samples.  Called as sampler(spec,
-    rng), it draws and builds one sample."""
+    """One kind of sample: recipe(spec) is the rng calls of one sample
+    (`qm._execute`); build(spec, draws) builds the object from one
+    sample's draws (`qm.Draws`), or the stack of objects from draws
+    stacked over samples.  Called as sampler(spec, rng) with a seed or
+    a Generator, it draws and builds one sample."""
 
-    def __init__(self, draw, build):
-        self.draw, self.build = draw, build
+    def __init__(self, recipe, build):
+        self.recipe, self.build = recipe, build
 
     def __call__(self, spec, rng):
-        return self.build(spec, self.draw(spec, rng))
+        return self.build(spec, qm._draws(rng, self.recipe(spec)))
 
 
 def _classical(spec):
@@ -53,46 +55,44 @@ def _kraus_contraction(spec, draws):
 # Each looks its qm functions up when it runs, so a rebound qm name (a
 # layer tracer's wrapper, say) is the one called.
 _sample_state = _Sampler(
-    lambda spec, rng: (qm._classical_state_draws if _classical(spec) else qm._gaussian_draws)(rng, spec.d),
+    lambda spec: (qm._classical_state_recipe if _classical(spec) else qm._gaussian_recipe)(spec.d),
     lambda spec, draws: (qm.random_classical_state if _classical(spec) else qm.random_state)(spec.d, draws),
 )
 _sample_map = _Sampler(
-    lambda spec, rng: (qm._classical_map_draws if _classical(spec) else qm._cp_draws)(rng, spec.d),
+    lambda spec: (qm._classical_map_recipe if _classical(spec) else qm._cp_recipe)(spec.d),
     lambda spec, draws: (qm.random_classical_map if _classical(spec) else qm.random_cp)(spec.d, draws),
 )
 _sample_effect = _Sampler(
-    lambda spec, rng: (
-        qm.Draws((rng.uniform(0.0, 1.0, spec.d),)) if _classical(spec) else qm._effect_draws(rng, spec.d)
-    ),
+    lambda spec: (qm._classical_effect_recipe if _classical(spec) else qm._effect_recipe)(spec.d),
     lambda spec, draws: qm.classical_effect(draws[0]) if _classical(spec) else qm.random_effect(spec.d, draws),
 )
 _sample_generalized_effect = _Sampler(
-    lambda spec, rng: qm._gaussian_draws(rng, spec.d),
+    lambda spec: qm._gaussian_recipe(spec.d),
     lambda spec, draws: qm.random_generalized_effect(spec.d, draws),
 )
 _sample_joint_state = _Sampler(
-    lambda spec, rng: qm._gaussian_draws(rng, spec.d**2),
+    lambda spec: qm._gaussian_recipe(spec.d**2),
     lambda spec, draws: qm.random_joint_state(spec.d, draws),
 )
 _sample_experiment = _Sampler(
-    lambda spec, rng: qm._experiment_draws(rng, spec.d),
+    lambda spec: qm._experiment_recipe(spec.d),
     lambda spec, draws: qm.random_experiment(spec.d, draws),
 )
 _sample_kraus_contraction = _Sampler(
-    lambda spec, rng: qm._gaussian_draws(rng, spec.d), _kraus_contraction
+    lambda spec: qm._gaussian_recipe(spec.d), _kraus_contraction
 )
 
 
 def _draw(ctx, rng, n, *samplers):
-    """n samples, each drawn by making every sampler's rng calls in the
-    given order, then built as one stack per sampler.  The checks draw
-    from one rng, so this order fixes the samples; each sampler then
-    builds, and the maps are applied, once per stack."""
+    """n samples from one Generator seeded by rng, each drawn by making
+    every sampler's rng calls in the given order, then built as one
+    stack per sampler.  This order fixes the samples; the samplers'
+    recipes run as one (`qm._execute`), and each sampler then builds,
+    and the maps are applied, once per stack."""
     spec = ctx.spec
-    draws = [[sampler.draw(spec, rng) for sampler in samplers] for _ in range(n)]
-    return [
-        sampler.build(spec, qm.Draws.stack(column)) for sampler, column in zip(samplers, zip(*draws))
-    ]
+    recipes = [sampler.recipe(spec) for sampler in samplers]
+    draws = iter(qm._execute(np.random.default_rng(rng), sum(recipes, ()), n))
+    return [sampler.build(spec, qm.Draws(next(draws) for _ in recipe)) for sampler, recipe in zip(samplers, recipes)]
 
 
 # -- core

@@ -8,7 +8,8 @@ as "re+imj", matrices as whitespace-separated entries in row-major
 order.  Every check draws its randomness from a sub-seed derived as the
 first eight bytes (big-endian) of sha256("{seed}:{check name}"), so
 check order and concurrency cannot alter results and reports are
-byte-identical for a fixed (spec, seed, version).
+byte-identical for a fixed (spec, seed, version).  The runner hands a
+check its sub-seed; a check that draws builds one Generator from it.
 """
 
 import argparse
@@ -333,10 +334,9 @@ def _error_text(exc):
 def _run_check(ctx, name, detail, tolerance, fn):
     """Run one check; any exception it raises becomes an `error` status
     that names the exception, so one check cannot abort the run."""
-    rng = np.random.default_rng(check_seed(ctx.spec.seed, name))
     values, error = {}, ""
     try:
-        ok, values = fn(ctx, rng, tolerance)
+        ok, values = fn(ctx, check_seed(ctx.spec.seed, name), tolerance)
         status = "pass" if ok else "fail"
     except Exception as exc:
         status, error = "error", _error_text(exc)

@@ -4,16 +4,19 @@ form, bipartite states, local actions, and seeded samplers.
 Sampling distributions: states are Hilbert-Schmidt (normalized Wishart
 G G^dag / Tr), CP maps Wishart Choi matrices rescaled to be
 trace-nonincreasing.  Every sampler takes an explicit seed (or a
-Generator) so suites reproduce bit-for-bit.  A sampler first makes its
-rng calls for one sample, then builds the object from their raw output
-(`Draws`).  Given Draws in place of a seed it only builds, and the build
-is stack-aware: draws stacked over samples build the stack of objects
-in one pass, each element equal to its own scalar call.  `checks._draw`
-draws sample by sample in the checks' call order and builds once per
-stack.
+Generator) so suites reproduce bit-for-bit.  A sampler's recipe lists
+the rng calls of one sample; `_execute` makes the calls of n samples,
+each run of consecutive Gaussian calls as one call, and returns their
+raw output stacked over samples (`Draws`).  Given Draws in place of a
+seed a sampler only builds, and the build is stack-aware: draws
+stacked over samples build the stack of objects in one pass, each
+element equal to its own scalar call.  `checks._draw` runs the recipes
+of a check's samplers as one and builds once per stack.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -147,51 +150,83 @@ def projective_experiment(theory):
 class Draws(tuple):
     """The raw output of a sampler's rng calls, one array (or float) per
     call in call order: for one sample, or stacked over samples along a
-    new leading axis (`Draws.stack`)."""
-
-    @classmethod
-    def stack(cls, samples):
-        """The draws of several samples, stacked call by call."""
-        return cls(np.array(column) for column in zip(*samples))
+    new leading axis."""
 
 
-# The rng calls of one sample, by sampler.  A complex Gaussian is two
+# The rng calls of one sample, by sampler (its recipe): each entry is a
+# Generator method's name and its arguments.  A complex Gaussian is two
 # calls, its real part first.
 
 
-def _gaussian_draws(rng, d):
-    return Draws((rng.standard_normal((d, d)), rng.standard_normal((d, d))))
+def _gaussian_recipe(d):
+    return (("standard_normal", (d, d)),) * 2
 
 
-def _effect_draws(rng, d):
-    return Draws((*_gaussian_draws(rng, d), rng.uniform(0.2, 1.0)))
+def _effect_recipe(d):
+    return (*_gaussian_recipe(d), ("uniform", 0.2, 1.0))
 
 
-def _cp_draws(rng, d, trace_preserving=False, rank=None):
-    shape = (d * d, rank or d * d)
-    g = (rng.standard_normal(shape), rng.standard_normal(shape))
-    return Draws(g if trace_preserving else (*g, rng.uniform(1.0, 2.0)))
+def _cp_recipe(d, trace_preserving=False, rank=None):
+    g = (("standard_normal", (d * d, rank or d * d)),) * 2
+    return g if trace_preserving else (*g, ("uniform", 1.0, 2.0))
 
 
-def _experiment_draws(rng, d):
-    return _cp_draws(rng, d, trace_preserving=True, rank=3)
+def _experiment_recipe(d):
+    return _cp_recipe(d, trace_preserving=True, rank=3)
 
 
-def _classical_state_draws(rng, d):
-    return Draws((rng.dirichlet(np.ones(d)),))
+def _classical_state_recipe(d):
+    return (("dirichlet", (1.0,) * d),)
 
 
-def _classical_map_draws(rng, d):
-    return Draws((rng.uniform(0.0, 1.0, (d, d)), rng.uniform(1.0, 1.5)))
+def _classical_effect_recipe(d):
+    return (("uniform", 0.0, 1.0, d),)
 
 
-def _draws(seed, draw, *args):
+def _classical_map_recipe(d):
+    return (("uniform", 0.0, 1.0, (d, d)), ("uniform", 1.0, 1.5))
+
+
+def _execute(rng, recipe, n):
+    """The Draws of n samples of a recipe, stacked over samples: the
+    same values, and the same generator state after, as making the
+    recipe's calls sample by sample.  A Generator keeps no state
+    between calls but its bit generator, so each run of consecutive
+    `standard_normal` calls, across sample boundaries too, is one call
+    into one buffer; the other calls run one by one in their turn."""
+    sizes = [math.prod(args[0]) if name == "standard_normal" else 0 for name, *args in recipe]
+    ends, per_sample = list(accumulate(sizes)), sum(sizes)
+    gauss = np.empty(n * per_sample)
+    # each call that is not Gaussian, bound to rng, after the Gaussians
+    # that its sample draws before it
+    others = [
+        (end, getattr(rng, name), args, []) for (name, *args), size, end in zip(recipe, sizes, ends) if not size
+    ]
+    drawn = 0
+    for sample in range(n):
+        for end, call, args, column in others:
+            stop = sample * per_sample + end
+            if stop > drawn:
+                rng.standard_normal(out=gauss[drawn:stop])
+                drawn = stop
+            column.append(call(*args))
+    if drawn < gauss.size:
+        rng.standard_normal(out=gauss[drawn:])
+    gauss, columns = gauss.reshape(n, per_sample), iter([column for *_, column in others])
+    return Draws(
+        gauss[:, end - size : end].reshape(n, *args[0]) if size else np.array(next(columns))
+        for (name, *args), size, end in zip(recipe, sizes, ends)
+    )
+
+
+def _draws(seed, recipe):
     """What a sampler builds from: `seed` itself when it is Draws (one
-    sample's or a stack's), else one sample drawn from the seed or
-    Generator (`default_rng` returns a Generator unaltered)."""
+    sample's or a stack's), else one sample of the recipe drawn from
+    the seed or Generator (`default_rng` returns a Generator
+    unaltered)."""
     if isinstance(seed, Draws):
         return seed
-    return draw(np.random.default_rng(seed), *args)
+    return Draws(x[0] for x in _execute(np.random.default_rng(seed), recipe, 1))
 
 
 def _complex(re, im):
@@ -209,7 +244,7 @@ def _per_matrix(x):
 
 def random_state(d, seed):
     """Hilbert-Schmidt measure via a normalized Wishart matrix."""
-    g = _complex(*_draws(seed, _gaussian_draws, d))
+    g = _complex(*_draws(seed, _gaussian_recipe(d)))
     m = g @ _dagger(g)
     return State(quantum(d), m / _per_matrix(m.trace(axis1=-2, axis2=-1).real))
 
@@ -220,7 +255,7 @@ def random_joint_state(d, seed):
 
 def random_effect(d, seed):
     """Physical effect 0 <= E <= I (Wishart rescaled by its top eigenvalue)."""
-    re, im, u = _draws(seed, _effect_draws, d)
+    re, im, u = _draws(seed, _effect_recipe(d))
     g = _complex(re, im)
     m = g @ _dagger(g)
     top = np.linalg.eigvalsh(m)[..., -1]
@@ -228,14 +263,14 @@ def random_effect(d, seed):
 
 
 def random_generalized_effect(d, seed):
-    g = _complex(*_draws(seed, _gaussian_draws, d))
+    g = _complex(*_draws(seed, _gaussian_recipe(d)))
     return Effect(quantum(d), (g + _dagger(g)) / 2.0, generalized=True)
 
 
 def random_cp(d, seed, trace_preserving=False):
     """CP map from a Wishart Choi rescaled to trace-nonincreasing (or
     projected to trace-preserving)."""
-    re, im, *scale = _draws(seed, _cp_draws, d, trace_preserving)
+    re, im, *scale = _draws(seed, _cp_recipe(d, trace_preserving))
     g = _complex(re, im)
     c = g @ _dagger(g)
     e = ch.effect_of_choi(c)
@@ -257,7 +292,7 @@ def random_experiment(d, seed):
     """Random instrument: the three Kraus pieces of a trace-preserving
     CP map, i.e. the rank-one terms w v v^dag of its rank-three Choi
     matrix (its three largest eigenpairs, in ascending order)."""
-    tp = random_cp(d, _draws(seed, _experiment_draws, d), trace_preserving=True)
+    tp = random_cp(d, _draws(seed, _experiment_recipe(d)), trace_preserving=True)
     w, v = np.linalg.eigh(tp.choi)
     w, v = w[..., -3:], v[..., -3:]
     branches = np.einsum("...ik,...jk->...kij", v * w[..., None, :], v.conj())
@@ -298,11 +333,11 @@ def classical_map(matrix, generalized=False):
 
 
 def random_classical_state(d, seed):
-    (p,) = _draws(seed, _classical_state_draws, d)
+    (p,) = _draws(seed, _classical_state_recipe(d))
     return classical_state(p)
 
 
 def random_classical_map(d, seed):
-    m, u = _draws(seed, _classical_map_draws, d)
+    m, u = _draws(seed, _classical_map_recipe(d))
     scale = np.max(np.sum(m, axis=-2), axis=-1) * u
     return classical_map(m / _per_matrix(scale))

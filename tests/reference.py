@@ -6,8 +6,9 @@ Kraus superoperator, the joint bilinear form and its absolute value,
 the involution on states, the local action of either slot built
 through superoperators and the faithfulness predicates on its rank,
 the pass predicates of a dimension table, product states, and the
-samplers: pure states, unitaries, and one-sample-at-a-time formulas
-that the stack-aware samplers must reproduce bit for bit."""
+samplers: pure states, unitaries, one generator call per recipe entry,
+and one-sample-at-a-time formulas that the stack-aware samplers must
+reproduce bit for bit."""
 
 import numpy as np
 
@@ -214,6 +215,14 @@ def random_unitary(d, seed):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def execute(rng, recipe, n):
+    """The draws of n samples of a recipe, one generator call per recipe
+    entry, sample by sample, stacked call by call: the oracle of
+    opcal.quantum._execute."""
+    samples = [[getattr(rng, name)(*args) for name, *args in recipe] for _ in range(n)]
+    return [np.array(column) for column in zip(*samples)]
 
 
 # The samplers one sample at a time, each drawing from its rng and

@@ -401,6 +401,63 @@ def test_run_builds_shared_objects_once(monkeypatch):
     assert "dim_identities" not in builds
 
 
+class _CountingGenerator:
+    """A Generator that counts its method calls under one check's name."""
+
+    def __init__(self, rng, calls, check):
+        self._rng, self._calls, self._check = rng, calls, check
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self._calls[self._check] += 1
+            return method(*args, **kwargs)
+
+        return call
+
+
+def test_each_check_draws_in_the_fewest_generator_calls(monkeypatch):
+    # a Generator only for a check that draws, at most one per check (a
+    # second would replay its stream), and one call per run of Gaussian
+    # draws: a check whose draws are all Gaussian makes one call
+    generators, calls, running = Counter(), Counter(), [None]
+    default_rng, run_check = np.random.default_rng, cli._run_check
+
+    def counting_rng(seed):
+        generators[running[0]] += 1
+        return _CountingGenerator(default_rng(seed), calls, running[0])
+
+    def counting_run_check(ctx, name, *args):
+        running[0] = name
+        return run_check(ctx, name, *args)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(cli, "_run_check", counting_run_check)
+    per_check = {
+        "born.no_signaling": 1,
+        "faithful.preparational": 1,
+        "gns.kraus_transpose": 1,
+        "infodim.expand": 2,
+        "gns.adjoint_pairing": 51,
+        "norms.contraction": 50,
+        "born.triple": 100,
+    }
+    for spec, want_generators, want_calls in (
+        (cli.TheorySpec(d=2), 15, 557),
+        (cli.TheorySpec(d=4), 15, 557),
+        (cli.TheorySpec(backend="classical", d=3), 5, 276),
+    ):
+        generators.clear()
+        calls.clear()
+        cli.run_suite(spec, "all")
+        assert sum(generators.values()) == want_generators, spec
+        assert max(generators.values()) == 1, spec
+        assert sum(calls.values()) == want_calls, spec
+        if spec.backend == "quantum":
+            assert {name: calls[name] for name in per_check} == per_check
+
+
 def test_one_resolution_test_per_witness(monkeypatch):
     # each discrimination witness resolves its effects as one stack:
     # idim, bell_ic and the two witnesses of each dimension table

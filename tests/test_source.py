@@ -1,7 +1,7 @@
 """Static checks on the source tree: no unused imports, every public
 function and every private module-level helper has a caller outside
-the tests, and every function the benchmark traces by name still
-exists."""
+the tests, every function the benchmark traces by name still exists,
+and every check hands its seed to one draw."""
 
 import ast
 import importlib
@@ -132,3 +132,40 @@ def test_benchmarked_functions_exist():
         for attr in attrs:
             obj = getattr(obj, attr, None)
         assert callable(obj), name
+
+
+def _rng_misuses(tree):
+    """Names of the `_check_*` functions in which `rng` appears other
+    than as an argument of one `_draw(...)` or `_sample_*(...)` call:
+    a body that calls a generator method itself, or draws twice (each
+    draw would seed its own Generator and replay the stream)."""
+    bad = []
+    for node in tree.body:
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")):
+            continue
+        uses = [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "rng"]
+        draws = [
+            call
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and (call.func.id == "_draw" or call.func.id.startswith("_sample_"))
+            and any(arg in uses for arg in call.args)
+        ]
+        if len(uses) > 1 or len(draws) != len(uses):
+            bad.append(node.name)
+    return bad
+
+
+def test_each_check_hands_its_seed_to_one_draw():
+    assert _rng_misuses(ast.parse((ROOT / "src" / "opcal" / "checks.py").read_text())) == []
+    bodies = {
+        "_check_a": "w = rng.standard_normal(3)",
+        "_check_b": "a, = _draw(ctx, rng, 5, _sample_map)\n    b, = _draw(ctx, rng, 5, _sample_map)",
+        "_check_c": "e = _sample_effect(ctx.spec, rng)\n    e = _sample_effect(ctx.spec, rng)",
+        "_check_d": "a, = _draw(ctx, np.random.default_rng(rng), 5, _sample_map)",
+        "_check_e": "a, = _draw(ctx, rng, 5, _sample_map)",
+        "_check_f": "return True, {}",
+    }
+    source = "".join(f"def {name}(ctx, rng, tol):\n    {body}\n" for name, body in bodies.items())
+    assert _rng_misuses(ast.parse(source)) == ["_check_a", "_check_b", "_check_c", "_check_d"]

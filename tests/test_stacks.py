@@ -1,8 +1,8 @@
-"""Stacks of samples: the samplers draw per sample and build per stack
-the same matrices, bit for bit, as the one-sample formulas they
-replaced; every stack-aware map equals its per-element calls; and the
-stacked checks draw the same samples, in the same order, as the
-per-sample loops they replaced."""
+"""Stacks of samples: the samplers draw their samples' rng calls in the
+fewest generator calls and build per stack the same matrices, bit for
+bit, as the one-sample formulas they replaced; every stack-aware map
+equals its per-element calls; and the stacked checks draw the same
+samples, in the same order, as the per-sample loops they replaced."""
 
 import re
 from dataclasses import replace
@@ -33,6 +33,8 @@ CLASSICAL = {
     "classical-d3": cli.TheorySpec(backend="classical", d=3),
     "classical-d4": cli.TheorySpec(backend="classical", d=4),
 }
+# the specs on which gns.kraus_transpose applies
+CANONICAL = {name: spec for name, spec in SPECS.items() if spec.phi_override is None}
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +149,34 @@ def _no_signaling_per_sample(ctx, rng, tol):
     return worst <= tol and dist > 0.1, {"max_violation": worst, "witness_distance": dist}
 
 
+def _transpose_residual_per_sample(ctx, rng, tol):
+    worst = 0.0
+    for _ in range(checks.SAMPLES):
+        t = qm.random_cp(ctx.spec.d, rng)
+        lhs = qm.apply_local(ctx.phi, t, 1).matrix
+        rhs = qm.apply_local(ctx.phi, ctx.solver.transpose(t), 2).matrix
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst <= tol, {"max_residual": worst}
+
+
+def _kraus_transpose_per_sample(ctx, rng, tol):
+    if ctx.spec.phi_override is not None:
+        return True, {}
+    worst = 0.0
+    for _ in range(5):
+        t = reference.sample_kraus_contraction(ctx.spec.d, rng)
+        worst = max(worst, float(np.max(np.abs(ctx.solver.transpose(t).choi - ch.swap(t.choi)))))
+    return worst <= tol, {"max_residual": worst}
+
+
+def _cstar_per_sample(ctx, rng, tol):
+    worst = 0.0
+    for _ in range(checks.SAMPLES):
+        lhs, rhs = gns.cstar_check(ctx.space, qm.random_cp(ctx.spec.d, rng))
+        worst = max(worst, abs(lhs - rhs))
+    return worst <= tol, {"max_residual": worst}
+
+
 SAMPLERS = (
     "random_cp",
     "random_state",
@@ -209,6 +239,7 @@ def _run_recording_draws(monkeypatch, ctx, name, fn, stacked):
         else:
             for sampler in SAMPLERS:
                 patch.setattr(qm, sampler, recording(getattr(qm, sampler)))
+            patch.setattr(reference, "sample_kraus_contraction", recording(reference.sample_kraus_contraction))
         rng = np.random.default_rng(cli.check_seed(ctx.spec.seed, name))
         ok, values = fn(ctx, rng, ctx.spec.tol)
     return ok, values, draws
@@ -225,6 +256,9 @@ ORACLES = (
     ("contraction", "norms.contraction", checks._check_contraction, _contraction_per_sample, {**SPECS, **CLASSICAL}, checks.SAMPLES),
     ("preparational", "faithful.preparational", checks._check_preparational, _preparational_per_sample, SPECS, 5),
     ("no_signaling", "born.no_signaling", checks._check_no_signaling, _no_signaling_per_sample, SPECS, 2 * checks.SAMPLES),
+    ("transpose_residual", "gns.transpose_residual", checks._check_transpose_residual, _transpose_residual_per_sample, SPECS, checks.SAMPLES),
+    ("kraus_transpose", "gns.kraus_transpose", checks._check_kraus_transpose, _kraus_transpose_per_sample, CANONICAL, 5),
+    ("cstar", "gns.cstar", checks._check_cstar, _cstar_per_sample, SPECS, checks.SAMPLES),
 )
 
 
@@ -302,6 +336,45 @@ def test_samplers_match_one_sample_oracles(config):
             for sampler, oracle in zip(samplers, oracles):
                 assert np.array_equal(_drawn(sampler(spec, rng)), _drawn(oracle(spec.d, want_rng)))
             assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _draw_calls(monkeypatch, spec):
+    """The distinct (samplers, n) that the checks of one `all` run pass
+    to checks._draw, in run order."""
+    seen = {}
+    draw = checks._draw
+
+    def recording(ctx, rng, n, *samplers):
+        seen[samplers, n] = None
+        return draw(ctx, rng, n, *samplers)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "_draw", recording)
+        cli.run_suite(spec, "all")
+    return list(seen)
+
+
+@pytest.mark.parametrize(
+    "config", ["quantum-d2", "quantum-d3", "quantum-d4", "classical-d3", "classical-d4"]
+)
+def test_executor_matches_one_call_per_recipe_entry(monkeypatch, config):
+    # every run of Gaussian calls merged into one call yields the values
+    # of one call per recipe entry, and leaves the generator in the same
+    # state; the classical recipes hold no Gaussian call
+    spec = SAMPLER_SPECS[config]
+    calls = _draw_calls(monkeypatch, spec)
+    assert len(calls) == (4 if spec.backend == "classical" else 11)
+    for samplers, n in calls:
+        recipe = sum((sampler.recipe(spec) for sampler in samplers), ())
+        for count in (n, 1):
+            for seed in (1, 2):
+                rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = qm._execute(rng, recipe, count)
+                want = reference.execute(want_rng, recipe, count)
+                assert len(got) == len(want) == len(recipe)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and np.array_equal(g, w), recipe
+                assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -564,10 +637,9 @@ def test_joint_stacks_reject_any_bad_element():
 def test_experiments_stack_branchwise():
     # stacked draws build one experiment whose branch k is the stack of
     # every sample's branch k
-    rng = np.random.default_rng(0)
-    draws = [qm._experiment_draws(rng, 2) for _ in range(3)]
-    exps = [qm.random_experiment(2, x) for x in draws]
-    stacked = qm.random_experiment(2, qm.Draws.stack(draws))
+    draws = qm._execute(np.random.default_rng(0), qm._experiment_recipe(2), 3)
+    exps = [qm.random_experiment(2, qm.Draws(x[i] for x in draws)) for i in range(3)]
+    stacked = qm.random_experiment(2, draws)
     assert len(stacked.branches) == len(exps[0].branches) == 3
     for k, branch in enumerate(stacked.branches):
         _close(branch.choi, [e.branches[k].choi for e in exps], atol=0.0)
