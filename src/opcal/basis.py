@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tolerances import RANK_RCOND
+from .tolerances import RANK_CERT, RANK_RCOND
 
 
 @lru_cache(maxsize=None)
@@ -145,10 +145,38 @@ def singular_value_rank(sv):
     return int(np.sum(sv > RANK_RCOND * sv[0]))
 
 
+def _certifies_full_rank(m):
+    """Whether the Gram matrix G on the smaller side of m, shifted down
+    by RANK_CERT * Tr G in place, has a finite Cholesky factor.  If it
+    has, lambda_min(G) >= (RANK_CERT - (k + n + 1) u) Tr G, with u the
+    float64 unit roundoff, n the size of G and k the inner dimension of
+    its product (Higham, Thm 10.3).  A Gram that overflows reads inf or
+    NaN, and numpy's cholesky factors a NaN matrix without raising, so
+    only the finiteness test keeps either from being certified."""
+    mh = m.conj().T  # a view for real m: conj() returns m itself
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m @ mh if m.shape[0] <= m.shape[1] else mh @ m
+        gram.flat[:: len(gram) + 1] -= RANK_CERT * np.trace(gram).real
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return False
+    return bool(np.isfinite(factor).all())
+
+
 def matrix_rank(m):
-    """Rank by singular values with a relative cutoff of RANK_RCOND *
-    sigma_max (0 for an empty or zero matrix)."""
+    """Number of singular values above RANK_RCOND * sigma_max (0 for an
+    empty or zero matrix), with no SVD where the rank is certified full.
+
+    The certificate applies to a float64 or complex128 matrix, whose
+    roundoff its bound assumes.  At n = k = 625 (d = 5) it gives
+    sigma_min > 3e-6 sigma_max, and an SVD computes every singular
+    value to about n u sigma_max, so it would count all min(m.shape)
+    of them.  Any other matrix, rank-deficient, close to it, too large
+    or small for its Gram, or not finite, goes to the SVD."""
     m = np.asarray(m)
     if m.size == 0:
         return 0
+    if m.ndim == 2 and m.dtype in (np.float64, np.complex128) and _certifies_full_rank(m):
+        return min(m.shape)
     return singular_value_rank(np.linalg.svd(m, compute_uv=False))

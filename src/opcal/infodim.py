@@ -1,8 +1,12 @@
 """Informational completeness, discriminability, and the dimension
 identities relating affine, informational and effect-space dimensions.
 
-Ranks are decided by basis.matrix_rank: singular values with a
-relative cutoff of RANK_RCOND * sigma_max, so they are scale-free.
+Ranks are decided by basis.matrix_rank, scale-free: a full rank is
+certified by one Cholesky factor of the Gram matrix shifted down by
+RANK_CERT times its trace, and any rank that certificate cannot show
+is counted in singular values above RANK_RCOND * sigma_max.  The
+certificate only answers where the singular values would count the
+same, so a rank never depends on which of the two decided it.
 """
 
 import numpy as np
@@ -155,7 +159,9 @@ def transformation_affine_dimension(theory):
     th12 = Theory(theory.backend, d * d)
     kraus = spanning_vectors(d * d)[: th12.effect_dim]
     maps = kraus_to_choi(theory, kraus.reshape(-1, 1, d, d))
-    return matrix_rank(to_coords(maps.choi, th12.basis()))
+    coords = to_coords(maps.choi, th12.basis())
+    del maps  # freed before the rank, which allocates its own Gram matrix
+    return matrix_rank(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +178,9 @@ def check_local_observability(obs1, obs2):
     m2 = np.array([e.matrix for e in obs2.effects])
     # every kron(e1, e2), in the order e1-major
     prods = np.einsum("aij,bkl->abikjl", m1, m2).reshape(-1, d1 * d2, d1 * d2)
-    rank = matrix_rank(to_coords(prods, th12.basis()))
+    coords = to_coords(prods, th12.basis())
+    del prods  # freed before the rank, which allocates its own Gram matrix
+    rank = matrix_rank(coords)
     return rank == th12.effect_dim, rank
 
 

@@ -17,6 +17,7 @@ DEFAULT_TOL = 1e-9  # a spec's tol when neither the theory file nor the command 
 
 # ranks, solves and certified residuals
 RANK_RCOND = 1e-10  # singular values at or below this times the largest do not count toward a rank
+RANK_CERT = 1e-11  # a Gram matrix that stays positive definite shifted down by this times its trace certifies full rank (basis.matrix_rank)
 PINV_RCOND = 1e-12  # singular values sigma(R) of the realigned state at or below this times the largest are cut from the transpose solve
 TRANSPOSE_RESID = 1e-10  # transpose residual |(I - R R^+) A~ R|_F, relative to max(|A~ R|_F, 1), above which the state is not faithful
 WITNESS_RESID = 1e-9  # preparation-witness residual above which, or probability at or below which, there is no witness

@@ -3,8 +3,9 @@ reference observables, the predictability test of an effect, the
 loop-built oracles of the fixed infodim families (spanning vectors,
 Weyl displacements, generic ancilla, Bell projectors), the
 Kraus superoperator, the joint bilinear form and its absolute value,
-the involution on states, the local action of either slot built
-through superoperators and the faithfulness predicates on its rank,
+the involution on states, the rank by singular values alone, the
+local action of either slot built through superoperators and the
+faithfulness predicates on its rank,
 the pass predicates of a dimension table, product states, and the
 samplers: pure states, unitaries, one generator call per recipe entry,
 and one-sample-at-a-time formulas that the stack-aware samplers must
@@ -13,7 +14,7 @@ reproduce bit for bit."""
 import numpy as np
 
 from opcal import channels as ch
-from opcal.basis import hermitian_basis, matrix_rank, to_coords
+from opcal.basis import hermitian_basis, matrix_rank, singular_value_rank, to_coords
 from opcal.core import Effect, Experiment, Observable, State, Transformation, classical, quantum
 from opcal.errors import ConeViolation
 from opcal.quantum import BipartiteState
@@ -147,6 +148,20 @@ def state_sigma(split, omega, tol=1e-9):
     if ch.min_eig(out) < -tol:
         raise ConeViolation("involution left the state cone")
     return State(omega.theory, out / np.real(np.trace(out)))
+
+
+# ---------------------------------------------------------------------------
+# the rank by singular values alone: the oracle of basis.matrix_rank,
+# which certifies a full rank without them
+
+
+def svd_rank(m):
+    """Number of singular values above RANK_RCOND * sigma_max (0 when
+    empty): what basis.matrix_rank returns, however it decides."""
+    m = np.asarray(m)
+    if m.size == 0:
+        return 0
+    return singular_value_rank(np.linalg.svd(m, compute_uv=False))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Canonical Hermitian bases and the Choi/superoperator plumbing."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from opcal import channels as ch
+from opcal import infodim
 from opcal.basis import (
     diagonal_basis,
     from_coords,
     hermitian_basis,
+    matrix_rank,
     real_view,
     to_coords,
 )
-from reference import kraus_to_super
+from opcal.core import Theory
+from opcal.tolerances import RANK_RCOND
+from reference import kraus_to_super, svd_rank
 
 
 def _random_hermitian(d, seed):
@@ -109,6 +115,97 @@ def test_diagonal_basis():
     basis = diagonal_basis(3)
     assert basis.shape == (3, 3, 3)
     assert_allclose(sum(basis), np.eye(3), atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# ranks: the full-rank certificate never answers other than the
+# singular values would
+
+
+def _orthonormal_columns(rng, n, k, complex_):
+    g = rng.standard_normal((n, k))
+    if complex_:
+        g = g + 1j * rng.standard_normal((n, k))
+    return np.linalg.qr(g)[0]
+
+
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    complex_=st.booleans(),
+    smallest=st.sampled_from([None, 1e-4, 1e-9, 1e-10 * (1 - 1e-3), 1e-10 * (1 + 1e-3), 1e-12]),
+    zeros=st.integers(0, 3),
+    scale=st.sampled_from([1.0, 1e-150, 1e150]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_matrix_rank_matches_the_singular_values(rows, cols, complex_, smallest, zeros, scale, seed):
+    # m = U diag(s) V^dag with sigma_max 1, a chosen smallest nonzero
+    # singular value and some exact zeros, at an overall scale
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    nonzero = k - min(zeros, k - 1)
+    s = np.sort(rng.uniform(0.1, 1.0, k))[::-1]
+    s[0] = 1.0
+    if smallest is not None and nonzero > 1:
+        s[nonzero - 1] = smallest
+    s[nonzero:] = 0.0
+    u = _orthonormal_columns(rng, rows, k, complex_)
+    v = _orthonormal_columns(rng, cols, k, complex_)
+    m = scale * (u * s) @ v.conj().T
+    assert matrix_rank(m) == svd_rank(m)
+    if scale == 1.0:  # the construction is what the test says it is
+        assert svd_rank(m) == np.sum(s > RANK_RCOND)
+
+
+def test_matrix_rank_of_empty_matrices():
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        assert matrix_rank(np.zeros(shape)) == svd_rank(np.zeros(shape)) == 0
+
+
+def _ranked_matrices(monkeypatch, run):
+    """Every matrix that infodim hands to matrix_rank while run() runs."""
+    ranked, rank = [], infodim.matrix_rank
+
+    def recording_rank(m):
+        ranked.append(np.array(m))
+        return rank(m)
+
+    monkeypatch.setattr(infodim, "matrix_rank", recording_rank)
+    run()
+    return ranked
+
+
+@pytest.mark.parametrize("backend", ["quantum", "classical"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_matrix_rank_matches_the_singular_values_on_every_table_matrix(monkeypatch, d, backend):
+    th = Theory(backend, d)
+    obs = infodim.ic_observable(th)
+
+    def run():
+        infodim.dim_identities(d, backend)
+        infodim.check_local_observability(obs, obs)
+
+    ranked = _ranked_matrices(monkeypatch, run)
+    assert len(ranked) == 5  # four in the table, one local observability
+    for m in ranked:
+        assert matrix_rank(m) == svd_rank(m), m.shape
+
+
+def test_matrix_rank_of_non_finite_and_extreme_entries():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # numpy's Cholesky factors a NaN Gram without raising, so only
+        # the finiteness test leaves this to the SVD, which raises
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            matrix_rank(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+        # the SVD of an inf entry returns NaN singular values, and none
+        # counts: a pinned answer, not a claimed one
+        assert matrix_rank(np.diag([np.inf, 1.0])) == svd_rank(np.diag([np.inf, 1.0])) == 0
+        # a Gram that overflows to inf, or underflows to zero
+        for scale in (1e200, 1e-200):
+            assert matrix_rank(np.diag([1.0, 2.0, 3.0]) * scale) == 3
+        assert matrix_rank(np.ones((3, 5)) * 1e200) == 1
 
 
 @given(d=st.integers(2, 3), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))

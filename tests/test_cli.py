@@ -458,6 +458,28 @@ def test_each_check_draws_in_the_fewest_generator_calls(monkeypatch):
             assert {name: calls[name] for name in per_check} == per_check
 
 
+def test_no_rank_reaches_an_svd(monkeypatch):
+    # every rank of an `all` run is full, so the Cholesky certificate
+    # decides it; the only SVDs left are the transpose solver's factors
+    # of R and the GNS operator norm
+    calls, svd = Counter(), np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls[sys._getframe(1).f_code.co_qualname] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for spec, want in (
+        (cli.TheorySpec(d=2), {"TransposeSolver._maps": 1, "gns_norm": 1}),
+        (cli.TheorySpec(d=3), {"TransposeSolver._maps": 1, "gns_norm": 1}),
+        (cli.TheorySpec(d=4), {"TransposeSolver._maps": 1, "gns_norm": 1}),
+        (cli.TheorySpec(backend="classical", d=3), {}),
+    ):
+        calls.clear()
+        cli.run_suite(spec, "all")
+        assert dict(calls) == want, spec
+
+
 def test_one_resolution_test_per_witness(monkeypatch):
     # each discrimination witness resolves its effects as one stack:
     # idim, bell_ic and the two witnesses of each dimension table

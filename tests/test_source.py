@@ -1,7 +1,8 @@
 """Static checks on the source tree: no unused imports, every public
 function and every private module-level helper has a caller outside
 the tests, every function the benchmark traces by name still exists,
-and every check hands its seed to one draw."""
+every check hands its seed to one draw, and every rank is decided in
+one place."""
 
 import ast
 import importlib
@@ -169,3 +170,69 @@ def test_each_check_hands_its_seed_to_one_draw():
     }
     source = "".join(f"def {name}(ctx, rng, tol):\n    {body}\n" for name, body in bodies.items())
     assert _rng_misuses(ast.parse(source)) == ["_check_a", "_check_b", "_check_c", "_check_d"]
+
+
+def _dotted(node):
+    """The callee of a call as written (np.linalg.svd), or ''."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def _rank_sites(tree, module):
+    """Where a module decides a rank itself: each kind of rank call or
+    cutoff read mapped to the qualified names of the functions (the
+    module's name at top level) that make it.  Any call named svd
+    counts, however it was imported."""
+    sites = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            kind = None
+            if isinstance(child, ast.Call):
+                callee = _dotted(child.func)
+                if callee.rpartition(".")[2] in ("svd", "singular_value_rank"):
+                    kind = callee.rpartition(".")[2]
+                elif callee.endswith("linalg.matrix_rank"):
+                    kind = "linalg.matrix_rank"
+            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                kind = "RANK_RCOND" if child.id == "RANK_RCOND" else None
+            elif isinstance(child, ast.alias) and child.name in ("RANK_RCOND", "svd"):
+                kind = child.name
+            if kind:
+                sites.setdefault(kind, set()).add(".".join((module, *scope)))
+            visit(child, scope)
+
+    visit(tree, ())
+    return sites
+
+
+def test_one_place_decides_ranks():
+    # every rank goes through basis.matrix_rank and its certificate; the
+    # solver's SVD of R also gives factors, the GNS norm needs sigma_max
+    sites = {}
+    for path in MODULES:
+        for kind, where in _rank_sites(ast.parse(path.read_text()), path.stem).items():
+            sites.setdefault(kind, set()).update(where)
+    assert sites == {
+        "svd": {"basis.matrix_rank", "gns.TransposeSolver._maps", "gns.gns_norm"},
+        "singular_value_rank": {"basis.matrix_rank", "gns.TransposeSolver._maps"},
+        "RANK_RCOND": {"basis", "basis.singular_value_rank"},
+    }
+    source = (
+        "from numpy.linalg import svd\n"
+        "from .tolerances import RANK_RCOND\n"
+        "class A:\n"
+        "    def f(self, m):\n"
+        "        return np.linalg.matrix_rank(m, RANK_RCOND), svd(m), la.svd(m)\n"
+    )
+    assert _rank_sites(ast.parse(source), "m") == {
+        "svd": {"m", "m.A.f"},
+        "RANK_RCOND": {"m", "m.A.f"},
+        "linalg.matrix_rank": {"m.A.f"},
+    }
