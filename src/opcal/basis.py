@@ -173,10 +173,15 @@ def matrix_rank(m):
     sigma_min > 3e-6 sigma_max, and an SVD computes every singular
     value to about n u sigma_max, so it would count all min(m.shape)
     of them.  Any other matrix, rank-deficient, close to it, too large
-    or small for its Gram, or not finite, goes to the SVD."""
+    or small for its Gram, or not finite, goes to the SVD, which raises
+    on a NaN entry and returns NaN singular values for an inf entry; a
+    matrix with either has no rank, so both raise."""
     m = np.asarray(m)
     if m.size == 0:
         return 0
     if m.ndim == 2 and m.dtype in (np.float64, np.complex128) and _certifies_full_rank(m):
         return min(m.shape)
-    return singular_value_rank(np.linalg.svd(m, compute_uv=False))
+    sv = np.linalg.svd(m, compute_uv=False)
+    if not np.isfinite(sv).all():
+        raise np.linalg.LinAlgError("singular values are not finite")
+    return singular_value_rank(sv)

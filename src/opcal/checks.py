@@ -24,75 +24,56 @@ QUANTUM = ("quantum",)
 SAMPLES = 25  # per sampled check; the test suite runs the 100-sample versions
 
 
-class _Sampler:
-    """One kind of sample: recipe(spec) is the rng calls of one sample
-    (`qm._execute`); build(spec, draws) builds the object from one
-    sample's draws (`qm.Draws`), or the stack of objects from draws
-    stacked over samples.  Called as sampler(spec, rng) with a seed or
-    a Generator, it draws and builds one sample."""
-
-    def __init__(self, recipe, build):
-        self.recipe, self.build = recipe, build
-
-    def __call__(self, spec, rng):
-        return self.build(spec, qm._draws(rng, self.recipe(spec)))
+# Each sampler is sampler(spec, rng, n=None): n samples as one stack,
+# or one sample when n is None.  The first three follow the spec's
+# backend, the others are quantum.  Each looks its qm sampler up when it
+# runs, so a rebound qm name (a layer tracer's wrapper, say) is the one
+# called.
 
 
 def _classical(spec):
     return spec.backend == "classical"
 
 
-def _kraus_contraction(spec, draws):
+def _sample_state(spec, rng, n=None):
+    return (qm.random_classical_state if _classical(spec) else qm.random_state)(spec.d, rng, n)
+
+
+def _sample_map(spec, rng, n=None):
+    return (qm.random_classical_map if _classical(spec) else qm.random_cp)(spec.d, rng, n)
+
+
+def _sample_effect(spec, rng, n=None):
+    return (qm.random_classical_effect if _classical(spec) else qm.random_effect)(spec.d, rng, n)
+
+
+def _sample_generalized_effect(spec, rng, n=None):
+    return qm.random_generalized_effect(spec.d, rng, n)
+
+
+def _sample_joint_state(spec, rng, n=None):
+    return qm.random_joint_state(spec.d, rng, n)
+
+
+def _sample_experiment(spec, rng, n=None):
+    return qm.random_experiment(spec.d, rng, n)
+
+
+def _sample_kraus_contraction(spec, rng, n=None):
     """rho -> K rho K^dag for a Gaussian K scaled to operator norm 1/1.1."""
-    re, im = draws
-    k = re + 1j * im
+    k = qm._gaussian(np.random.default_rng(rng), n, spec.d, spec.d)
     k = k / (np.linalg.norm(k, 2, axis=(-2, -1))[..., None, None] * 1.1)
     # one Kraus operator per map: the Kraus axis before the last two
     return qm.kraus_to_choi(core.quantum(spec.d), k[..., None, :, :])
 
 
-# The first three follow the spec's backend, the others are quantum.
-# Each looks its qm functions up when it runs, so a rebound qm name (a
-# layer tracer's wrapper, say) is the one called.
-_sample_state = _Sampler(
-    lambda spec: (qm._classical_state_recipe if _classical(spec) else qm._gaussian_recipe)(spec.d),
-    lambda spec, draws: (qm.random_classical_state if _classical(spec) else qm.random_state)(spec.d, draws),
-)
-_sample_map = _Sampler(
-    lambda spec: (qm._classical_map_recipe if _classical(spec) else qm._cp_recipe)(spec.d),
-    lambda spec, draws: (qm.random_classical_map if _classical(spec) else qm.random_cp)(spec.d, draws),
-)
-_sample_effect = _Sampler(
-    lambda spec: (qm._classical_effect_recipe if _classical(spec) else qm._effect_recipe)(spec.d),
-    lambda spec, draws: qm.classical_effect(draws[0]) if _classical(spec) else qm.random_effect(spec.d, draws),
-)
-_sample_generalized_effect = _Sampler(
-    lambda spec: qm._gaussian_recipe(spec.d),
-    lambda spec, draws: qm.random_generalized_effect(spec.d, draws),
-)
-_sample_joint_state = _Sampler(
-    lambda spec: qm._gaussian_recipe(spec.d**2),
-    lambda spec, draws: qm.random_joint_state(spec.d, draws),
-)
-_sample_experiment = _Sampler(
-    lambda spec: qm._experiment_recipe(spec.d),
-    lambda spec, draws: qm.random_experiment(spec.d, draws),
-)
-_sample_kraus_contraction = _Sampler(
-    lambda spec: qm._gaussian_recipe(spec.d), _kraus_contraction
-)
-
-
 def _draw(ctx, rng, n, *samplers):
-    """n samples from one Generator seeded by rng, each drawn by making
-    every sampler's rng calls in the given order, then built as one
-    stack per sampler.  This order fixes the samples; the samplers'
-    recipes run as one (`qm._execute`), and each sampler then builds,
-    and the maps are applied, once per stack."""
-    spec = ctx.spec
-    recipes = [sampler.recipe(spec) for sampler in samplers]
-    draws = iter(qm._execute(np.random.default_rng(rng), sum(recipes, ()), n))
-    return [sampler.build(spec, qm.Draws(next(draws) for _ in recipe)) for sampler, recipe in zip(samplers, recipes)]
+    """n samples of each sampler, one stack per sampler, from one
+    Generator seeded by rng.  The samplers draw in the order given, each
+    its whole stack in one generator call per array, and each stack is
+    built, and the maps are applied to it, once."""
+    rng = np.random.default_rng(rng)
+    return [sampler(ctx.spec, rng, n) for sampler in samplers]
 
 
 # -- core

@@ -39,9 +39,7 @@ def ic_expand(effect, obs):
     expansion, at most EXPAND_RESID."""
     if not is_informationally_complete(obs):
         raise NotIC("observable does not span the effect space")
-    # one to_coords per effect: the stacked product rounds differently
-    # in the last bit, and these coefficients reach the report
-    rows = np.array([e.coords for e in obs.effects])
+    rows = stack(obs.effects).coords
     c, *_ = np.linalg.lstsq(rows.T, effect.coords, rcond=None)
     resid = float(np.linalg.norm(rows.T @ c - effect.coords))
     if resid > EXPAND_RESID:

@@ -3,20 +3,14 @@ form, bipartite states, local actions, and seeded samplers.
 
 Sampling distributions: states are Hilbert-Schmidt (normalized Wishart
 G G^dag / Tr), CP maps Wishart Choi matrices rescaled to be
-trace-nonincreasing.  Every sampler takes an explicit seed (or a
-Generator) so suites reproduce bit-for-bit.  A sampler's recipe lists
-the rng calls of one sample; `_execute` makes the calls of n samples,
-each run of consecutive Gaussian calls as one call, and returns their
-raw output stacked over samples (`Draws`).  Given Draws in place of a
-seed a sampler only builds, and the build is stack-aware: draws
-stacked over samples build the stack of objects in one pass, each
-element equal to its own scalar call.  `checks._draw` runs the recipes
-of a check's samplers as one and builds once per stack.
+trace-nonincreasing.  Every sampler is sampler(d, seed, n=None): it
+draws from the seed (or Generator) with one generator call per array,
+the arrays of n samples stacked along a new leading axis, and builds
+the stack of n objects in one pass; with n None it draws and builds one
+object.  So the same seed gives the same samples bit for bit.
 """
 
-import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -147,90 +141,17 @@ def projective_experiment(theory):
 # samplers
 
 
-class Draws(tuple):
-    """The raw output of a sampler's rng calls, one array (or float) per
-    call in call order: for one sample, or stacked over samples along a
-    new leading axis."""
+def _size(n, *shape):
+    """The shape of one sample's array, or of n stacked along a new
+    leading axis."""
+    return shape if n is None else (n, *shape)
 
 
-# The rng calls of one sample, by sampler (its recipe): each entry is a
-# Generator method's name and its arguments.  A complex Gaussian is two
-# calls, its real part first.
-
-
-def _gaussian_recipe(d):
-    return (("standard_normal", (d, d)),) * 2
-
-
-def _effect_recipe(d):
-    return (*_gaussian_recipe(d), ("uniform", 0.2, 1.0))
-
-
-def _cp_recipe(d, trace_preserving=False, rank=None):
-    g = (("standard_normal", (d * d, rank or d * d)),) * 2
-    return g if trace_preserving else (*g, ("uniform", 1.0, 2.0))
-
-
-def _experiment_recipe(d):
-    return _cp_recipe(d, trace_preserving=True, rank=3)
-
-
-def _classical_state_recipe(d):
-    return (("dirichlet", (1.0,) * d),)
-
-
-def _classical_effect_recipe(d):
-    return (("uniform", 0.0, 1.0, d),)
-
-
-def _classical_map_recipe(d):
-    return (("uniform", 0.0, 1.0, (d, d)), ("uniform", 1.0, 1.5))
-
-
-def _execute(rng, recipe, n):
-    """The Draws of n samples of a recipe, stacked over samples: the
-    same values, and the same generator state after, as making the
-    recipe's calls sample by sample.  A Generator keeps no state
-    between calls but its bit generator, so each run of consecutive
-    `standard_normal` calls, across sample boundaries too, is one call
-    into one buffer; the other calls run one by one in their turn."""
-    sizes = [math.prod(args[0]) if name == "standard_normal" else 0 for name, *args in recipe]
-    ends, per_sample = list(accumulate(sizes)), sum(sizes)
-    gauss = np.empty(n * per_sample)
-    # each call that is not Gaussian, bound to rng, after the Gaussians
-    # that its sample draws before it
-    others = [
-        (end, getattr(rng, name), args, []) for (name, *args), size, end in zip(recipe, sizes, ends) if not size
-    ]
-    drawn = 0
-    for sample in range(n):
-        for end, call, args, column in others:
-            stop = sample * per_sample + end
-            if stop > drawn:
-                rng.standard_normal(out=gauss[drawn:stop])
-                drawn = stop
-            column.append(call(*args))
-    if drawn < gauss.size:
-        rng.standard_normal(out=gauss[drawn:])
-    gauss, columns = gauss.reshape(n, per_sample), iter([column for *_, column in others])
-    return Draws(
-        gauss[:, end - size : end].reshape(n, *args[0]) if size else np.array(next(columns))
-        for (name, *args), size, end in zip(recipe, sizes, ends)
-    )
-
-
-def _draws(seed, recipe):
-    """What a sampler builds from: `seed` itself when it is Draws (one
-    sample's or a stack's), else one sample of the recipe drawn from
-    the seed or Generator (`default_rng` returns a Generator
-    unaltered)."""
-    if isinstance(seed, Draws):
-        return seed
-    return Draws(x[0] for x in _execute(np.random.default_rng(seed), recipe, 1))
-
-
-def _complex(re, im):
-    return re + 1j * im
+def _gaussian(rng, n, *shape):
+    """Complex Gaussian entries: one call for the real parts, then one
+    for the imaginary parts."""
+    size = _size(n, *shape)
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
 def _dagger(g):
@@ -242,59 +163,66 @@ def _per_matrix(x):
     return np.asarray(x)[..., None, None]
 
 
-def random_state(d, seed):
+def random_state(d, seed, n=None):
     """Hilbert-Schmidt measure via a normalized Wishart matrix."""
-    g = _complex(*_draws(seed, _gaussian_recipe(d)))
+    g = _gaussian(np.random.default_rng(seed), n, d, d)
     m = g @ _dagger(g)
     return State(quantum(d), m / _per_matrix(m.trace(axis1=-2, axis2=-1).real))
 
 
-def random_joint_state(d, seed):
-    return BipartiteState(d, random_state(d * d, seed).matrix)
+def random_joint_state(d, seed, n=None):
+    return BipartiteState(d, random_state(d * d, seed, n).matrix)
 
 
-def random_effect(d, seed):
+def random_effect(d, seed, n=None):
     """Physical effect 0 <= E <= I (Wishart rescaled by its top eigenvalue)."""
-    re, im, u = _draws(seed, _effect_recipe(d))
-    g = _complex(re, im)
+    rng = np.random.default_rng(seed)
+    g = _gaussian(rng, n, d, d)
     m = g @ _dagger(g)
     top = np.linalg.eigvalsh(m)[..., -1]
-    return Effect(quantum(d), m / _per_matrix(top) * _per_matrix(u))
+    return Effect(quantum(d), m / _per_matrix(top) * _per_matrix(rng.uniform(0.2, 1.0, n)))
 
 
-def random_generalized_effect(d, seed):
-    g = _complex(*_draws(seed, _gaussian_recipe(d)))
+def random_generalized_effect(d, seed, n=None):
+    g = _gaussian(np.random.default_rng(seed), n, d, d)
     return Effect(quantum(d), (g + _dagger(g)) / 2.0, generalized=True)
 
 
-def random_cp(d, seed, trace_preserving=False):
+def _trace_preserving(d, g):
+    """The factor g of a Choi matrix g g^dag made trace preserving: every
+    Kraus operator K becomes K R, R = (sum K^dag K)^{-1/2}, which on the
+    Choi matrix is the congruence by R^T kron I, so on its factor one
+    product by R^T on the first tensor index."""
+    *lead, _, r = g.shape
+    rows = g.reshape(*lead, d, d * r)
+    # rows rows^dag is the output trace of g g^dag, the transpose of
+    # sum K^dag K, so its inverse square root is R^T
+    rt = np.linalg.inv(ch.herm_sqrt(rows @ _dagger(rows)))
+    return (rt @ rows).reshape(*lead, d * d, r)
+
+
+def random_cp(d, seed, n=None, trace_preserving=False):
     """CP map from a Wishart Choi rescaled to trace-nonincreasing (or
     projected to trace-preserving)."""
-    re, im, *scale = _draws(seed, _cp_recipe(d, trace_preserving))
-    g = _complex(re, im)
-    c = g @ _dagger(g)
-    e = ch.effect_of_choi(c)
+    rng = np.random.default_rng(seed)
+    g = _gaussian(rng, n, d * d, d * d)
     if trace_preserving:
-        # every Kraus operator K becomes K R, R = (sum K^dag K)^{-1/2},
-        # so the dual unit is the identity; on the Choi matrix that is
-        # the congruence by R^T kron I
-        rt = np.swapaxes(np.linalg.inv(ch.herm_sqrt(e)), -1, -2)
-        lead = c.shape[:-2]
-        c = np.einsum(
-            "...ik,...kalb,...jl->...iajb", rt, c.reshape(*lead, d, d, d, d), rt.conj()
-        )
-        return Transformation(quantum(d), c.reshape(*lead, d * d, d * d))
-    top = np.linalg.eigvalsh(e)[..., -1]
-    return Transformation(quantum(d), c / _per_matrix(top * scale[0]))
+        h = _trace_preserving(d, g)
+        return Transformation(quantum(d), h @ _dagger(h))
+    c = g @ _dagger(g)
+    top = np.linalg.eigvalsh(ch.effect_of_choi(c))[..., -1]
+    return Transformation(quantum(d), c / _per_matrix(top * rng.uniform(1.0, 2.0, n)))
 
 
-def random_experiment(d, seed):
+def random_experiment(d, seed, n=None):
     """Random instrument: the three Kraus pieces of a trace-preserving
-    CP map, i.e. the rank-one terms w v v^dag of its rank-three Choi
-    matrix (its three largest eigenpairs, in ascending order)."""
-    tp = random_cp(d, _draws(seed, _experiment_recipe(d)), trace_preserving=True)
-    w, v = np.linalg.eigh(tp.choi)
-    w, v = w[..., -3:], v[..., -3:]
+    CP map of Choi rank three, i.e. the rank-one terms w v v^dag of its
+    eigendecomposition, in ascending order of w.  The Choi matrix is
+    h h^dag for a d^2 x 3 factor h, so the pairs are its left singular
+    vectors and squared singular values."""
+    h = _trace_preserving(d, _gaussian(np.random.default_rng(seed), n, d * d, 3))
+    v, s, _ = np.linalg.svd(h, full_matrices=False)
+    v, w = v[..., ::-1], s[..., ::-1] ** 2
     branches = np.einsum("...ik,...jk->...kij", v * w[..., None, :], v.conj())
     return Experiment(tuple(Transformation(quantum(d), c) for c in np.moveaxis(branches, -3, 0)))
 
@@ -332,12 +260,16 @@ def classical_map(matrix, generalized=False):
     return Transformation(classical(m.shape[-1]), _diag(flat), generalized)
 
 
-def random_classical_state(d, seed):
-    (p,) = _draws(seed, _classical_state_recipe(d))
-    return classical_state(p)
+def random_classical_state(d, seed, n=None):
+    return classical_state(np.random.default_rng(seed).dirichlet(np.ones(d), size=n))
 
 
-def random_classical_map(d, seed):
-    m, u = _draws(seed, _classical_map_recipe(d))
-    scale = np.max(np.sum(m, axis=-2), axis=-1) * u
+def random_classical_effect(d, seed, n=None):
+    return classical_effect(np.random.default_rng(seed).uniform(0.0, 1.0, _size(n, d)))
+
+
+def random_classical_map(d, seed, n=None):
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.0, 1.0, _size(n, d, d))
+    scale = np.max(np.sum(m, axis=-2), axis=-1) * rng.uniform(1.0, 1.5, n)
     return classical_map(m / _per_matrix(scale))

@@ -7,9 +7,8 @@ the involution on states, the rank by singular values alone, the
 local action of either slot built through superoperators and the
 faithfulness predicates on its rank,
 the pass predicates of a dimension table, product states, and the
-samplers: pure states, unitaries, one generator call per recipe entry,
-and one-sample-at-a-time formulas that the stack-aware samplers must
-reproduce bit for bit."""
+samplers: pure states, unitaries, and one-sample-at-a-time formulas
+that the stack-aware samplers must reproduce from the same draws."""
 
 import numpy as np
 
@@ -232,18 +231,14 @@ def random_unitary(d, seed):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def execute(rng, recipe, n):
-    """The draws of n samples of a recipe, one generator call per recipe
-    entry, sample by sample, stacked call by call: the oracle of
-    opcal.quantum._execute."""
-    samples = [[getattr(rng, name)(*args) for name, *args in recipe] for _ in range(n)]
-    return [np.array(column) for column in zip(*samples)]
-
-
 # The samplers one sample at a time, each drawing from its rng and
 # building from 2-d arrays: the oracles of the stack-aware samplers of
-# opcal.quantum and opcal.cli, which must make the same rng calls and
-# return the same matrices bit for bit.
+# opcal.quantum and opcal.checks, which make the same rng calls with a
+# leading sample axis and build, from each sample's slice of the draws,
+# the same matrices: bit for bit, except that the trace-preserving
+# congruence is an einsum here and the experiment's branches come from
+# an eigh of the Choi matrix, where the samplers take one matrix
+# product and the SVD of its factor (equal to rounding).
 
 
 def _gaussian(rng, shape):

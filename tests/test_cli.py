@@ -419,12 +419,15 @@ class _CountingGenerator:
 
 def test_each_check_draws_in_the_fewest_generator_calls(monkeypatch):
     # a Generator only for a check that draws, at most one per check (a
-    # second would replay its stream), and one call per run of Gaussian
-    # draws: a check whose draws are all Gaussian makes one call
+    # second would replay its stream), and one call per array that a
+    # sampler draws, whatever the number of samples: a complex Gaussian
+    # is two calls, a uniform scale or a classical sample one
     generators, calls, running = Counter(), Counter(), [None]
     default_rng, run_check = np.random.default_rng, cli._run_check
 
     def counting_rng(seed):
+        if isinstance(seed, _CountingGenerator):
+            return seed  # as default_rng returns a Generator unaltered
         generators[running[0]] += 1
         return _CountingGenerator(default_rng(seed), calls, running[0])
 
@@ -435,18 +438,18 @@ def test_each_check_draws_in_the_fewest_generator_calls(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     monkeypatch.setattr(cli, "_run_check", counting_run_check)
     per_check = {
-        "born.no_signaling": 1,
-        "faithful.preparational": 1,
-        "gns.kraus_transpose": 1,
-        "infodim.expand": 2,
-        "gns.adjoint_pairing": 51,
-        "norms.contraction": 50,
-        "born.triple": 100,
+        "born.no_signaling": 4,
+        "faithful.preparational": 2,
+        "gns.kraus_transpose": 2,
+        "infodim.expand": 3,
+        "gns.adjoint_pairing": 7,
+        "norms.contraction": 3,
+        "born.triple": 8,
     }
     for spec, want_generators, want_calls in (
-        (cli.TheorySpec(d=2), 15, 557),
-        (cli.TheorySpec(d=4), 15, 557),
-        (cli.TheorySpec(backend="classical", d=3), 5, 276),
+        (cli.TheorySpec(d=2), 15, 66),
+        (cli.TheorySpec(d=4), 15, 66),
+        (cli.TheorySpec(backend="classical", d=3), 5, 12),
     ):
         generators.clear()
         calls.clear()
@@ -461,7 +464,8 @@ def test_each_check_draws_in_the_fewest_generator_calls(monkeypatch):
 def test_no_rank_reaches_an_svd(monkeypatch):
     # every rank of an `all` run is full, so the Cholesky certificate
     # decides it; the only SVDs left are the transpose solver's factors
-    # of R and the GNS operator norm
+    # of R, the GNS operator norm and the branch split of the sampled
+    # experiments, none of them a rank
     calls, svd = Counter(), np.linalg.svd
 
     def counting_svd(*args, **kwargs):
@@ -470,9 +474,9 @@ def test_no_rank_reaches_an_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     for spec, want in (
-        (cli.TheorySpec(d=2), {"TransposeSolver._maps": 1, "gns_norm": 1}),
-        (cli.TheorySpec(d=3), {"TransposeSolver._maps": 1, "gns_norm": 1}),
-        (cli.TheorySpec(d=4), {"TransposeSolver._maps": 1, "gns_norm": 1}),
+        (cli.TheorySpec(d=2), {"TransposeSolver._maps": 1, "gns_norm": 1, "random_experiment": 1}),
+        (cli.TheorySpec(d=3), {"TransposeSolver._maps": 1, "gns_norm": 1, "random_experiment": 1}),
+        (cli.TheorySpec(d=4), {"TransposeSolver._maps": 1, "gns_norm": 1, "random_experiment": 1}),
         (cli.TheorySpec(backend="classical", d=3), {}),
     ):
         calls.clear()

@@ -1,7 +1,7 @@
 """Reports of the standard configurations against reports generated by
 an earlier version of the toolkit (tests/golden/, written by
 `scripts/verify_all.py --out tests/golden`: every configuration at
-seeds 1-3, plus older seed-42 reports of some, plus seed-1 reports of
+seeds 1-3, plus seed-42 reports of some, plus seed-1 reports of
 the two overrides of `OVERRIDES`).  A faster or restructured
 implementation may move a value within its check's tolerance, but it
 must never change a status, a detail or the class of an error."""

@@ -179,8 +179,14 @@ def test_stacked_coordinates_keep_ranks_and_expansions(backend, d):
     rank12 = matrix_rank(np.array([e.coords for e in prods]))
     assert infodim.ic_rank(obs) == matrix_rank(rows) == len(obs)
     assert infodim.check_local_observability(obs, obs) == (True, rank12)
+    # ic_expand takes the coordinates of all effects in one call, which
+    # rounds differently in the last bit from one call per effect
+    stacked = core.stack(obs.effects).coords
+    assert np.max(np.abs(stacked - rows)) <= 1e-15
+    got = infodim.ic_expand(effect, obs)[0]
+    assert np.array_equal(got, np.linalg.lstsq(stacked.T, effect.coords, rcond=None)[0])
     want, *_ = np.linalg.lstsq(rows.T, effect.coords, rcond=None)
-    assert np.array_equal(infodim.ic_expand(effect, obs)[0], want)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("d", [2, 3])

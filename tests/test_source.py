@@ -214,13 +214,14 @@ def _rank_sites(tree, module):
 
 def test_one_place_decides_ranks():
     # every rank goes through basis.matrix_rank and its certificate; the
-    # solver's SVD of R also gives factors, the GNS norm needs sigma_max
+    # solver's SVD of R also gives factors, the GNS norm needs sigma_max,
+    # and the experiment sampler splits a Choi factor of rank three
     sites = {}
     for path in MODULES:
         for kind, where in _rank_sites(ast.parse(path.read_text()), path.stem).items():
             sites.setdefault(kind, set()).update(where)
     assert sites == {
-        "svd": {"basis.matrix_rank", "gns.TransposeSolver._maps", "gns.gns_norm"},
+        "svd": {"basis.matrix_rank", "gns.TransposeSolver._maps", "gns.gns_norm", "quantum.random_experiment"},
         "singular_value_rank": {"basis.matrix_rank", "gns.TransposeSolver._maps"},
         "RANK_RCOND": {"basis", "basis.singular_value_rank"},
     }

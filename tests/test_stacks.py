@@ -1,8 +1,8 @@
-"""Stacks of samples: the samplers draw their samples' rng calls in the
-fewest generator calls and build per stack the same matrices, bit for
-bit, as the one-sample formulas they replaced; every stack-aware map
-equals its per-element calls; and the stacked checks draw the same
-samples, in the same order, as the per-sample loops they replaced."""
+"""Stacks of samples: each sampler draws its stack in one generator
+call per array and builds, from each sample's slice of those draws,
+the same matrices as the one-sample formulas; every stack-aware map
+equals its per-element calls; and each stacked check reports what its
+per-sample loop reports on the same samples."""
 
 import re
 from dataclasses import replace
@@ -38,17 +38,18 @@ CANONICAL = {name: spec for name, spec in SPECS.items() if spec.phi_override is 
 
 
 # ---------------------------------------------------------------------------
-# the per-sample check bodies that the stacked checks replaced
+# the per-sample check bodies that the stacked checks replaced, each
+# taking the samples that the stacked check drew, one at a time, in the
+# order of its samplers
 
 
-def _adjoint_pairing_per_sample(ctx, rng, tol):
-    spec = ctx.spec
+def _adjoint_pairing_per_sample(ctx, samples, tol):
     solver = ctx.space.solver
     worst = 0.0
     for _ in range(checks.SAMPLES):
-        a = qm.random_cp(spec.d, rng)
-        b = gns.jordan_lift(qm.random_generalized_effect(spec.d, rng))
-        c = gns.jordan_lift(qm.random_generalized_effect(spec.d, rng))
+        a = next(samples)
+        b = gns.jordan_lift(next(samples))
+        c = gns.jordan_lift(next(samples))
         lhs = gns._inner_tt(solver, b, core.compose(a, c))
         adj = gns.adjoint_map(solver, a)
         rhs = gns._inner_tt(solver, core.compose(adj, b), c)
@@ -56,63 +57,55 @@ def _adjoint_pairing_per_sample(ctx, rng, tol):
     return worst <= tol, {"max_residual": worst}
 
 
-def _born_triple_per_sample(ctx, rng, tol):
-    spec = ctx.spec
+def _born_triple_per_sample(ctx, samples, tol):
     space = ctx.space
     worst = 0.0
     for _ in range(checks.SAMPLES):
-        w = qm.random_state(spec.d, rng)
-        b = qm.random_effect(spec.d, rng)
-        t = qm.random_cp(spec.d, rng)
+        w, b, t = next(samples), next(samples), next(samples)
         lhs = gns.born_triple(space, w, b, t)
         rhs = core.pair(w, core.evolve_effect(b, t))
         worst = max(worst, abs(lhs - rhs))
     return worst <= tol, {"max_residual": worst}
 
 
-def _effect_norm_per_sample(ctx, rng, tol):
-    spec = ctx.spec
+def _effect_norm_per_sample(ctx, samples, tol):
     worst = 0.0
     for _ in range(checks.SAMPLES):
-        w = checks._sample_state(spec, rng)
-        e = checks._sample_effect(spec, rng)
+        w, e = next(samples), next(samples)
         p = core.pair(w, e)
         norm = core.effect_norm(e)
         worst = max(worst, abs(p) - norm, norm - 1.0)
     return worst <= tol, {"max_violation": worst}
 
 
-def _weight_norm_per_sample(ctx, rng, tol):
-    spec = ctx.spec
+def _weight_norm_per_sample(ctx, samples, tol):
     worst = 0.0
     for _ in range(checks.SAMPLES):
-        w = core.act(checks._sample_map(spec, rng), checks._sample_state(spec, rng))
+        t, w = next(samples), next(samples)
+        w = core.act(t, w)
         norm = core.weight_norm(w)
         worst = max(worst, w.total - norm, norm - 1.0)
     return worst <= tol, {"max_violation": worst}
 
 
-def _submultiplicative_per_sample(ctx, rng, tol):
-    spec = ctx.spec
+def _submultiplicative_per_sample(ctx, samples, tol):
     worst = -np.inf
     for _ in range(checks.SAMPLES):
-        a = checks._sample_map(spec, rng)
-        b = checks._sample_map(spec, rng)
+        a, b = next(samples), next(samples)
         lhs = core.trans_norm(core.compose(b, a))
         rhs = core.trans_norm(b) * core.trans_norm(a)
         worst = max(worst, lhs - rhs)
     return worst <= tol, {"max_violation": float(worst)}
 
 
-def _contraction_per_sample(ctx, rng, tol):
-    spec = ctx.spec
+def _contraction_per_sample(ctx, samples, tol):
     worst = -np.inf
     for _ in range(checks.SAMPLES):
-        worst = max(worst, core.trans_norm(checks._sample_map(spec, rng)) - 1.0)
+        worst = max(worst, core.trans_norm(next(samples)) - 1.0)
     return worst <= tol, {"max_violation": float(worst)}
 
 
-def _preparational_per_sample(ctx, rng, tol):
+def _preparational_per_sample(ctx, samples, tol):
     spec = ctx.spec
     phi = ctx.phi
     if ctx.solver.rank != spec.d**4:
@@ -120,7 +113,7 @@ def _preparational_per_sample(ctx, rng, tol):
     system = ctx.solver.witness
     worst, pmin = 0.0, np.inf
     for _ in range(5):
-        target = qm.random_state(spec.d, rng)
+        target = next(samples)
         witness, p = faithful.prepare_witness(system, target)
         _, cond = qm.condition_local(phi, witness, 1)
         out = qm.local_state(cond, 2).matrix
@@ -129,13 +122,12 @@ def _preparational_per_sample(ctx, rng, tol):
     return worst <= tol and pmin > 0, {"max_residual": worst, "min_probability": pmin}
 
 
-def _no_signaling_per_sample(ctx, rng, tol):
+def _no_signaling_per_sample(ctx, samples, tol):
     # the residual of each sample on its own, as signaling_residual takes it
     spec = ctx.spec
     worst = 0.0
     for _ in range(checks.SAMPLES):
-        joint = qm.random_joint_state(spec.d, rng)
-        exp = qm.random_experiment(spec.d, rng)
+        joint, exp = next(samples), next(samples)
         exp.check_complete()
         after = qm.apply_local(joint, exp.deterministic_sum(), 1)
         lhs = ch.partial_trace(after.matrix, (joint.d, joint.d), 1)
@@ -149,45 +141,32 @@ def _no_signaling_per_sample(ctx, rng, tol):
     return worst <= tol and dist > 0.1, {"max_violation": worst, "witness_distance": dist}
 
 
-def _transpose_residual_per_sample(ctx, rng, tol):
+def _transpose_residual_per_sample(ctx, samples, tol):
     worst = 0.0
     for _ in range(checks.SAMPLES):
-        t = qm.random_cp(ctx.spec.d, rng)
+        t = next(samples)
         lhs = qm.apply_local(ctx.phi, t, 1).matrix
         rhs = qm.apply_local(ctx.phi, ctx.solver.transpose(t), 2).matrix
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst <= tol, {"max_residual": worst}
 
 
-def _kraus_transpose_per_sample(ctx, rng, tol):
+def _kraus_transpose_per_sample(ctx, samples, tol):
     if ctx.spec.phi_override is not None:
         return True, {}
     worst = 0.0
     for _ in range(5):
-        t = reference.sample_kraus_contraction(ctx.spec.d, rng)
+        t = next(samples)
         worst = max(worst, float(np.max(np.abs(ctx.solver.transpose(t).choi - ch.swap(t.choi)))))
     return worst <= tol, {"max_residual": worst}
 
 
-def _cstar_per_sample(ctx, rng, tol):
+def _cstar_per_sample(ctx, samples, tol):
     worst = 0.0
     for _ in range(checks.SAMPLES):
-        lhs, rhs = gns.cstar_check(ctx.space, qm.random_cp(ctx.spec.d, rng))
+        lhs, rhs = gns.cstar_check(ctx.space, next(samples))
         worst = max(worst, abs(lhs - rhs))
     return worst <= tol, {"max_residual": worst}
-
-
-SAMPLERS = (
-    "random_cp",
-    "random_state",
-    "random_effect",
-    "random_generalized_effect",
-    "random_classical_state",
-    "random_classical_map",
-    "classical_effect",
-    "random_joint_state",
-    "random_experiment",
-)
 
 
 def _drawn(out):
@@ -196,53 +175,30 @@ def _drawn(out):
     return out.choi if hasattr(out, "choi") else out.matrix
 
 
-def _unstacked(out):
-    """The matrices of each sample of a stack, as `_drawn` gives them."""
-    if isinstance(out, core.Experiment):
-        return list(np.stack([b.choi for b in out.branches], axis=1))
-    return list(_drawn(out))
+def _elements(stack):
+    """The objects of a sampler's stack, one per sample (an experiment's
+    branches are stacked branchwise)."""
+    if isinstance(stack, core.Experiment):
+        return [core.Experiment(branches) for branches in zip(*map(core.unstack, stack.branches))]
+    return core.unstack(stack)
 
 
-def _run_recording_draws(monkeypatch, ctx, name, fn, stacked):
-    """Run a check body on its own rng; return its result and the
-    matrices it drew, sample by sample in call order.  A stacked body's
-    are read off the stacks checks._draw returns; a per-sample body's are
-    what its outermost sampler calls returned."""
-    draws = []
+def _run_stacked(monkeypatch, ctx, name, fn):
+    """Run a stacked check body on its check seed; return its result and
+    the objects it drew, sample by sample and, within a sample, in the
+    order of its samplers."""
+    drawn = []
+    draw = checks._draw
 
-    def recording_draw(draw):
-        def wrapped(*args):
-            stacks = draw(*args)
-            draws.extend(x for sample in zip(*map(_unstacked, stacks)) for x in sample)
-            return stacks
-
-        return wrapped
-
-    depth = [0]
-
-    def recording(sampler):
-        def wrapped(*args, **kwargs):
-            depth[0] += 1
-            try:
-                out = sampler(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-            if depth[0] == 0:
-                draws.append(_drawn(out))
-            return out
-
-        return wrapped
+    def recording(*args):
+        stacks = draw(*args)
+        drawn.extend(x for sample in zip(*map(_elements, stacks)) for x in sample)
+        return stacks
 
     with monkeypatch.context() as patch:
-        if stacked:
-            patch.setattr(checks, "_draw", recording_draw(checks._draw))
-        else:
-            for sampler in SAMPLERS:
-                patch.setattr(qm, sampler, recording(getattr(qm, sampler)))
-            patch.setattr(reference, "sample_kraus_contraction", recording(reference.sample_kraus_contraction))
-        rng = np.random.default_rng(cli.check_seed(ctx.spec.seed, name))
-        ok, values = fn(ctx, rng, ctx.spec.tol)
-    return ok, values, draws
+        patch.setattr(checks, "_draw", recording)
+        ok, values = fn(ctx, cli.check_seed(ctx.spec.seed, name), ctx.spec.tol)
+    return ok, values, drawn
 
 
 # (id, check, stacked body, per-sample body, configurations, draws per
@@ -271,21 +227,69 @@ ORACLES = (
     ],
 )
 def test_stacked_check_matches_per_sample_oracle(monkeypatch, name, stacked, per_sample, spec, n_draws):
+    # the per-sample loop on the samples the stacked check drew, one at a
+    # time, reports what the stacked check reports, and takes them all
     for seed in (1, 2, 3):
         ctx = cli.RunContext(replace(spec, seed=seed))
-        ok, values, draws = _run_recording_draws(monkeypatch, ctx, name, stacked, True)
-        want_ok, want, want_draws = _run_recording_draws(monkeypatch, ctx, name, per_sample, False)
+        ok, values, drawn = _run_stacked(monkeypatch, ctx, name, stacked)
+        assert len(drawn) == n_draws
+        samples = iter(drawn)
+        want_ok, want = per_sample(ctx, samples, ctx.spec.tol)
+        assert next(samples, None) is None
         assert ok == want_ok
         assert values.keys() == want.keys()
         for key in want:
             assert abs(values[key] - want[key]) <= 1e-13, key
-        assert len(draws) == len(want_draws) == n_draws
-        for got, expected in zip(draws, want_draws):
-            assert np.array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------
-# the samplers: drawn per sample, built per stack
+# the samplers: one generator call per array, built per stack
+
+
+class _Recording:
+    """A Generator that keeps each call's method name and output."""
+
+    def __init__(self, seed):
+        self._rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, out))
+            return out
+
+        return call
+
+
+class _Slice:
+    """Replays sample i of recorded calls: call k must name the method
+    of recorded call k, and returns element i of its output."""
+
+    def __init__(self, calls, i):
+        self._calls, self._i = iter(calls), i
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            recorded, out = next(self._calls)
+            assert recorded == name
+            return out[self._i]
+
+        return call
+
+    def exhausted(self):
+        return next(self._calls, None) is None
+
+
+@pytest.fixture
+def fake_generators(monkeypatch):
+    """np.random.default_rng returns a _Recording or a _Slice unaltered,
+    as it returns a Generator."""
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: seed if isinstance(seed, (_Recording, _Slice)) else default_rng(seed)
+    )
 
 
 SAMPLER_SPECS = {
@@ -293,49 +297,52 @@ SAMPLER_SPECS = {
     "quantum-d3": cli.TheorySpec(d=3),
     "quantum-d4": cli.TheorySpec(d=4),
     "isotropic-d3-p0.2": SPECS["isotropic-d3-p0.2"],
+    "classical-d2": cli.TheorySpec(backend="classical", d=2),
     **CLASSICAL,
 }
-# cli sampler -> its one-sample oracle on each backend
+# checks sampler -> its one-sample oracle on each backend, and the
+# number of arrays (generator calls) that it draws
 SAMPLE_ORACLES = {
-    "state": {"quantum": reference.sample_state, "classical": reference.sample_classical_state},
-    "map": {"quantum": reference.sample_cp, "classical": reference.sample_classical_map},
-    "effect": {"quantum": reference.sample_effect, "classical": reference.sample_classical_effect},
-    "generalized_effect": {"quantum": reference.sample_generalized_effect},
-    "joint_state": {"quantum": reference.sample_joint_state},
-    "experiment": {"quantum": reference.sample_experiment},
-    "kraus_contraction": {"quantum": reference.sample_kraus_contraction},
+    "state": {"quantum": (reference.sample_state, 2), "classical": (reference.sample_classical_state, 1)},
+    "map": {"quantum": (reference.sample_cp, 3), "classical": (reference.sample_classical_map, 2)},
+    "effect": {"quantum": (reference.sample_effect, 3), "classical": (reference.sample_classical_effect, 1)},
+    "generalized_effect": {"quantum": (reference.sample_generalized_effect, 2)},
+    "joint_state": {"quantum": (reference.sample_joint_state, 2)},
+    "experiment": {"quantum": (reference.sample_experiment, 2)},
+    "kraus_contraction": {"quantum": (reference.sample_kraus_contraction, 2)},
 }
-# every sampler alone, and interleaved as the checks draw them
-# (gns.adjoint_pairing, born.triple, born.no_signaling; the norms checks)
-DRAW_ORDERS = {
-    "quantum": [(k,) for k in SAMPLE_ORACLES]
-    + [("map", "generalized_effect", "generalized_effect"), ("state", "effect", "map"), ("joint_state", "experiment")],
-    "classical": [("state",), ("map",), ("effect",), ("state", "effect"), ("map", "state"), ("map", "map")],
-}
+# the oracle's experiment branches come from an eigh, not an SVD
+ORACLE_ATOL = {"experiment": 1e-12}
 
 
 @pytest.mark.parametrize("config", SAMPLER_SPECS)
-def test_samplers_match_one_sample_oracles(config):
+def test_samplers_match_one_sample_oracles(fake_generators, config):
+    spec = SAMPLER_SPECS[config]
     for seed in (1, 2, 3):
-        spec = replace(SAMPLER_SPECS[config], seed=seed)
-        ctx = cli.RunContext(spec)
-        for order in DRAW_ORDERS[spec.backend]:
-            samplers = [getattr(checks, f"_sample_{k}") for k in order]
-            oracles = [SAMPLE_ORACLES[k][spec.backend] for k in order]
-            # one stack per sampler
-            rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            stacks = checks._draw(ctx, rng, checks.SAMPLES, *samplers)
-            got = [x for sample in zip(*map(_unstacked, stacks)) for x in sample]
-            want = [_drawn(oracle(spec.d, want_rng)) for _ in range(checks.SAMPLES) for oracle in oracles]
-            assert len(got) == len(want) == checks.SAMPLES * len(order)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w), order
-            assert rng.bit_generator.state == want_rng.bit_generator.state
-            # one sample per call
-            rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for sampler, oracle in zip(samplers, oracles):
-                assert np.array_equal(_drawn(sampler(spec, rng)), _drawn(oracle(spec.d, want_rng)))
-            assert rng.bit_generator.state == want_rng.bit_generator.state
+        for kind, oracles in SAMPLE_ORACLES.items():
+            if spec.backend not in oracles:
+                continue
+            oracle, arrays = oracles[spec.backend]
+            sampler = getattr(checks, f"_sample_{kind}")
+            rng = _Recording(seed)
+            stack = _elements(sampler(spec, rng, checks.SAMPLES))
+            # one call per array, each drawing every sample
+            assert len(rng.calls) == arrays, kind
+            assert all(len(out) == checks.SAMPLES for _, out in rng.calls), kind
+            assert len(stack) == checks.SAMPLES
+            for i, got in enumerate(stack):
+                # sample i's slices of the same draws build the same
+                # object, through the sampler and through its oracle
+                one, ref = _Slice(rng.calls, i), _Slice(rng.calls, i)
+                assert np.array_equal(_drawn(got), _drawn(sampler(spec, one))), kind
+                want = oracle(spec.d, ref)
+                assert one.exhausted() and ref.exhausted()
+                assert type(got) is type(want), kind
+                want = _drawn(want)
+                if kind in ORACLE_ATOL:
+                    assert np.max(np.abs(_drawn(got) - want)) <= ORACLE_ATOL[kind], kind
+                else:
+                    assert np.array_equal(_drawn(got), want), kind
 
 
 def _draw_calls(monkeypatch, spec):
@@ -357,46 +364,70 @@ def _draw_calls(monkeypatch, spec):
 @pytest.mark.parametrize(
     "config", ["quantum-d2", "quantum-d3", "quantum-d4", "classical-d3", "classical-d4"]
 )
-def test_executor_matches_one_call_per_recipe_entry(monkeypatch, config):
-    # every run of Gaussian calls merged into one call yields the values
-    # of one call per recipe entry, and leaves the generator in the same
-    # state; the classical recipes hold no Gaussian call
+def test_every_draw_of_a_run_is_one_call_per_array(monkeypatch, fake_generators, config):
+    # every sampler tuple an `all` run draws makes one generator call per
+    # array, each of them drawing all n samples, in the order given
     spec = SAMPLER_SPECS[config]
     calls = _draw_calls(monkeypatch, spec)
     assert len(calls) == (4 if spec.backend == "classical" else 11)
     for samplers, n in calls:
-        recipe = sum((sampler.recipe(spec) for sampler in samplers), ())
-        for count in (n, 1):
-            for seed in (1, 2):
-                rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = qm._execute(rng, recipe, count)
-                want = reference.execute(want_rng, recipe, count)
-                assert len(got) == len(want) == len(recipe)
-                for g, w in zip(got, want):
-                    assert g.shape == w.shape and np.array_equal(g, w), recipe
-                assert rng.bit_generator.state == want_rng.bit_generator.state
+        rng = _Recording(1)
+        stacks = checks._draw(cli.RunContext(spec), rng, n, *samplers)
+        kinds = [sampler.__name__.removeprefix("_sample_") for sampler in samplers]
+        assert len(rng.calls) == sum(SAMPLE_ORACLES[k][spec.backend][1] for k in kinds)
+        assert all(len(out) == n for _, out in rng.calls)
+        assert [len(_elements(s)) for s in stacks] == [n] * len(samplers)
+        want_rng = np.random.default_rng(1)
+        for sampler, stack in zip(samplers, stacks):
+            assert np.array_equal(_drawn(stack), _drawn(sampler(spec, want_rng, n)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_samplers_on_a_seed_match_one_sample_oracles(d):
+    # with n None a sampler makes one sample's calls, as the oracles do
     ref = reference
     for seed in (1, 2, 3):
         rng = lambda: np.random.default_rng(seed)  # noqa: E731
         pairs = (
-            (qm.random_state(d, seed), ref.sample_state(d, rng())),
-            (qm.random_joint_state(d, seed), ref.sample_joint_state(d, rng())),
-            (qm.random_effect(d, seed), ref.sample_effect(d, rng())),
-            (qm.random_generalized_effect(d, seed), ref.sample_generalized_effect(d, rng())),
-            (qm.random_cp(d, seed), ref.sample_cp(d, rng())),
-            (qm.random_cp(d, seed, trace_preserving=True), ref.sample_cp(d, rng(), trace_preserving=True)),
-            (qm.random_experiment(d, seed), ref.sample_experiment(d, rng())),
-            (qm.random_classical_state(d, seed), ref.sample_classical_state(d, rng())),
-            (qm.random_classical_map(d, seed), ref.sample_classical_map(d, rng())),
+            (qm.random_state(d, seed), ref.sample_state(d, rng()), 0.0),
+            (qm.random_joint_state(d, seed), ref.sample_joint_state(d, rng()), 0.0),
+            (qm.random_effect(d, seed), ref.sample_effect(d, rng()), 0.0),
+            (qm.random_generalized_effect(d, seed), ref.sample_generalized_effect(d, rng()), 0.0),
+            (qm.random_cp(d, seed), ref.sample_cp(d, rng()), 0.0),
+            (qm.random_cp(d, seed, trace_preserving=True), ref.sample_cp(d, rng(), trace_preserving=True), 1e-12),
+            (qm.random_experiment(d, seed), ref.sample_experiment(d, rng()), 1e-12),
+            (qm.random_classical_state(d, seed), ref.sample_classical_state(d, rng()), 0.0),
+            (qm.random_classical_effect(d, seed), ref.sample_classical_effect(d, rng()), 0.0),
+            (qm.random_classical_map(d, seed), ref.sample_classical_map(d, rng()), 0.0),
         )
-        for got, want in pairs:
+        for got, want, atol in pairs:
             assert type(got) is type(want)
-            assert np.array_equal(_drawn(got), _drawn(want))
+            assert _drawn(got).shape == _drawn(want).shape
+            assert np.max(np.abs(_drawn(got) - _drawn(want)), initial=0.0) <= atol
         assert len(qm.random_experiment(d, seed).branches) == 3
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_trace_preserving_paths_match_the_einsum_and_eigh_oracles(fake_generators, d):
+    # the product by R^T on the Choi factor against the einsum
+    # congruence, and the SVD of the rank-three factor against the eigh
+    # of its Choi matrix, on the same draws; the branches sum to the
+    # trace-preserving Choi matrix they split
+    rng = _Recording(d)
+    stack = qm.random_cp(d, rng, 5, trace_preserving=True)
+    for i, got in enumerate(core.unstack(stack)):
+        assert np.array_equal(got.choi, qm.random_cp(d, _Slice(rng.calls, i), trace_preserving=True).choi)
+    worst = 0.0
+    for seed in range(10):
+        rng = lambda: np.random.default_rng(seed)  # noqa: E731
+        tp, want = qm.random_cp(d, seed, trace_preserving=True), reference.sample_cp(d, rng(), trace_preserving=True)
+        worst = max(worst, np.max(np.abs(tp.choi - want.choi)))
+        assert np.max(np.abs(tp.effect().matrix - np.eye(d))) <= 1e-12
+        exp, want = qm.random_experiment(d, seed), reference.sample_experiment(d, rng())
+        whole = reference.sample_cp(d, rng(), trace_preserving=True, rank=3).choi
+        worst = max(worst, np.max(np.abs(_drawn(exp) - _drawn(want))))
+        worst = max(worst, np.max(np.abs(sum(b.choi for b in exp.branches) - whole)))
+    assert worst <= 1e-12
 
 
 def test_classical_constructors_on_stacks_match_per_element():
@@ -634,12 +665,13 @@ def test_joint_stacks_reject_any_bad_element():
         qm.BipartiteWeight(2, np.array([ok, 0 * ok])).normalize()
 
 
-def test_experiments_stack_branchwise():
-    # stacked draws build one experiment whose branch k is the stack of
-    # every sample's branch k
-    draws = qm._execute(np.random.default_rng(0), qm._experiment_recipe(2), 3)
-    exps = [qm.random_experiment(2, qm.Draws(x[i] for x in draws)) for i in range(3)]
-    stacked = qm.random_experiment(2, draws)
+def test_experiments_stack_branchwise(fake_generators):
+    # a stack of experiments is one experiment whose branch k is the
+    # stack of every sample's branch k, each as the sample's own slices
+    # of the draws build it
+    rng = _Recording(0)
+    stacked = qm.random_experiment(2, rng, 3)
+    exps = [qm.random_experiment(2, _Slice(rng.calls, i)) for i in range(3)]
     assert len(stacked.branches) == len(exps[0].branches) == 3
     for k, branch in enumerate(stacked.branches):
         _close(branch.choi, [e.branches[k].choi for e in exps], atol=0.0)
