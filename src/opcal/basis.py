@@ -14,15 +14,6 @@ entries, so its coordinate is sqrt(1/2) Re(M[j,k] + M[k,j]) (symmetric)
 or sqrt(1/2) Im(M[k,j] - M[j,k]) (antisymmetric).  In the diagonal
 basis the coordinates are Re diag(M).  from_coords is the matching
 scatter.
-
-Both bases are Hermitian and orthonormal, so the coordinate map is also
-a real dot product with the basis: coordinate a of M is
-real_view(B_a) . real_view(M), where real_view lays the real and
-imaginary parts of the entries out as one real vector.  Stacking the
-views of the basis gives a matrix V with orthonormal rows, with
-coords = V @ real_view(M) and real_view(M) = V.T @ coords for Hermitian
-M, which lets a fixed linear map on coordinates be folded into one
-operator on the entries themselves (gns.gns_space).
 """
 
 from functools import lru_cache

@@ -32,8 +32,8 @@ from .tolerances import DEFAULT_TOL, OVERRIDE_HERMITIAN, OVERRIDE_PSD, OVERRIDE_
 SCALAR_FIELDS = {"backend": str, "d": int, "seed": int, "tol": float}
 # Largest accepted dimension: memory grows as d^8, the size of the Choi
 # basis of d^2 x d^2 matrices (1.6 GB alone at d=10).  A process running
-# two d=5 `all` reports with one BLAS thread peaks at 69.9 MB resident,
-# and a warm d=5 `all` report takes 0.13-0.16 s (numpy 2.4, 2 shared vCPUs).
+# two d=5 `all` reports with one BLAS thread peaks at 69.9-70.0 MB resident,
+# and a warm d=5 `all` report takes 0.09-0.13 s (numpy 2.4, 2 shared vCPUs).
 MAX_D = 5
 
 

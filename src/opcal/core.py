@@ -351,9 +351,9 @@ def trans_norm(t):
     so the basis-vector starts reach its exact norm, the largest column
     l1 norm of its (sub)stochastic matrix.
 
-    A stack gives one norm per map: one eigvalsh of all Choi matrices
-    and one of all dual units, and the alternating maximization for
-    each nonzero map that is not CP.
+    A stack gives one norm per map: one CP test of all Choi matrices
+    (`channels.is_psd`), one eigvalsh of all dual units, and the
+    alternating maximization for each nonzero map that is not CP.
     """
     choi = t.choi.reshape(-1, *t.choi.shape[-2:])
     zero = ~choi.any(axis=(-2, -1))

@@ -67,7 +67,7 @@ def witness_system(phi):
         return WitnessSystem(phi, canonical=True, m=None, pinv=None)
     d = phi.d
     cb = hermitian_basis(d * d)
-    r = np.trace(cb.reshape(-1, d, d, d, d), axis1=2, axis2=4)  # [k, i, j]
+    r = np.einsum("kiaja->kij", cb.reshape(-1, d, d, d, d))
     marginals = np.einsum("kij,ixjy->kxy", r, phi.matrix.reshape(d, d, d, d))
     m = to_coords(marginals, hermitian_basis(d)).T
     pinv = np.linalg.pinv(m, rcond=np.finfo(float).eps * max(m.shape))

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import channels as ch
-from .basis import hermitian_basis, real_view, singular_value_rank, to_coords
+from .basis import hermitian_basis, singular_value_rank, to_coords
 from .core import Effect, Transformation, compose, pair, quantum, stack
 from .errors import NotFaithful
 from .faithful import (
@@ -127,23 +127,22 @@ class GnsSpace:
     """The effect Hilbert space carried by a faithful state: its
     transpose solver, the Gram matrix of the scalar product in the
     canonical Hermitian basis with its square root and inverse square
-    root, the pairing matrix taking the real view of a Choi matrix to
-    the transformation's pairings with the lifted basis (the scalar
-    product is linear in its right entry, so all downstream vectors
-    come from one matrix-vector product), and that pairing folded with
-    composition by each lifted basis element, which takes the real view
-    of a Choi matrix straight to the columns of gns_rep."""
+    root, and the factors of the pairing with the lifted basis.  With
+    S_T the superoperator of a map T, lift j pairs with T as
+    Re(E-bar_j S_T a-bar), where row j of `effects` (E-bar) is
+    vec(conj E_j), E_j the effect of the adjoint of lift j, `state`
+    (a-bar) is vec(conj rho2^T) and column k of `lifted` (Q-bar) is
+    lift k applied to a-bar.  The Gram matrix is Re(E-bar Q-bar), and
+    the pairings of A after each lift, the columns of gns_rep, are
+    Re(E-bar S_A Q-bar)."""
 
     solver: TransposeSolver
     gram: np.ndarray
     gram_sqrt: np.ndarray
     gram_isqrt: np.ndarray
-    pairing: np.ndarray
-    composed_pairing: np.ndarray
-
-    @property
-    def phi(self):
-        return self.solver.phi
+    effects: np.ndarray
+    state: np.ndarray
+    lifted: np.ndarray
 
     @property
     def d(self):
@@ -161,41 +160,26 @@ def gns_space(solver):
     phi = solver.phi
     if not is_symmetric(phi):
         raise NotFaithful("GNS construction needs a symmetric joint state")
-    d = phi.d
-    lifts = jordan_lift(Effect(quantum(d), hermitian_basis(d), generalized=True))
-    # Pairing of lift k with the map T of Choi matrix C:
-    # Phi|_2(adj_k after T) = Tr[rho2 T^*(E_k)] = Tr[C (rho2^T kron E_k)],
-    # E_k the effect of adj_k.  The kron is Hermitian, so the trace is
-    # the real dot product of the real views of the kron and of C.
-    rho2 = local_state(phi, 2).matrix
-    effects = adjoint_map(solver, lifts).effect().matrix
-    krons = np.array([np.kron(rho2.T, e) for e in effects])
-    pairing = real_view(krons)
-    gram = pairing @ real_view(lifts.choi).T
+    n = phi.d * phi.d
+    lifts = jordan_lift(Effect(quantum(phi.d), hermitian_basis(phi.d), generalized=True))
+    # Phi|_2(adj_j after T) = Tr[E_j T(rho2)], and sum_ab conj(X)_ab Y_ab
+    # = Tr[X^dag Y], so the pairing is Re(vec(conj E_j) . S_T vec(conj rho2^T))
+    effects = adjoint_map(solver, lifts).effect().matrix.conj().reshape(n, n)
+    state = local_state(phi, 2).matrix.T.conj().reshape(n)
+    lifted = (ch.choi_to_super(lifts.choi) @ state).T
+    gram = (effects @ lifted).real
     gram = (gram + gram.T) / 2.0
     w, v = np.linalg.eigh(gram)
     if w[0] <= GRAM_FLOOR:
         raise NotFaithful("scalar product is not strictly positive")
-    # Column k of gns_rep(T) pairs T after lift k, whose Choi matrix is
-    # sum_mn L_k[(i,m),(x,n)] C[(m,a),(n,b)].  So pairing j of it is
-    # Re sum C[(m,a),(n,b)] W_jk[m,a,n,b], with W_jk the contraction of
-    # conj(kron_j)[(i,a),(x,b)] and L_k[(i,m),(x,n)] over i and x: the
-    # real dot product of the real views of C and of conj(W_jk), which
-    # contracts kron_j with conj(L_k).
-    n = d * d
-    conj_w = np.einsum(
-        "jiaxb,kimxn->jkmanb",
-        krons.reshape(n, d, d, d, d),
-        lifts.choi.conj().reshape(n, d, d, d, d),
-        optimize=True,
-    )
     return GnsSpace(
         solver=solver,
         gram=gram,
         gram_sqrt=(v * np.sqrt(w)) @ v.T,
         gram_isqrt=(v / np.sqrt(w)) @ v.T,
-        pairing=pairing,
-        composed_pairing=real_view(conj_w.reshape(n * n, n, n)),
+        effects=effects,
+        state=state,
+        lifted=lifted,
     )
 
 
@@ -215,19 +199,18 @@ def transformation_coords(space, t):
     """GNS-vector coordinates of a transformation, from its pairings
     with the canonical lifted basis (two transformations share a vector
     iff their difference has zero norm).  The leading axes of a stack
-    are flattened: one product and one solve with a right side per
-    element."""
+    are flattened: two matrix-vector products and one solve with a
+    right side per element."""
     lead = t.choi.shape[:-2]
-    pairings = real_view(t.choi).reshape(-1, space.pairing.shape[-1]) @ space.pairing.T
-    return np.linalg.solve(space.gram, pairings.T).T.reshape(*lead, -1)
+    pairings = ((ch.choi_to_super(t.choi) @ space.state) @ space.effects.T).real
+    return np.linalg.solve(space.gram, pairings.reshape(-1, space.dim).T).T.reshape(*lead, -1)
 
 
 def gns_rep(space, t):
     """Matrix of left composition pi(A)|B> = |A after B| in canonical
     coordinates; a homomorphism with pi(identity) = identity."""
-    n = space.dim
-    cols = real_view(t.choi) @ space.composed_pairing.T
-    return np.linalg.solve(space.gram, cols.reshape(*cols.shape[:-1], n, n))
+    cols = (space.effects @ ch.choi_to_super(t.choi) @ space.lifted).real
+    return np.linalg.solve(space.gram, cols)
 
 
 def gns_norm(space, t):

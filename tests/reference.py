@@ -3,20 +3,23 @@ reference observables, the predictability test of an effect, the
 loop-built oracles of the fixed infodim families (spanning vectors,
 Weyl displacements, generic ancilla, Bell projectors), the
 Kraus superoperator, the joint bilinear form and its absolute value,
-the involution on states, the rank by singular values alone, the
+the involution on states, the positivity decision by the spectrum
+alone, the rank by singular values alone, the
 local action of either slot built through superoperators and the
 faithfulness predicates on its rank,
-the pass predicates of a dimension table, product states, and the
+the pass predicates of a dimension table, product states, the
 samplers: pure states, unitaries, and one-sample-at-a-time formulas
-that the stack-aware samplers must reproduce from the same draws."""
+that the stack-aware samplers must reproduce from the same draws, and
+the GNS maps folded onto the real views of Choi matrices."""
 
 import numpy as np
 
 from opcal import channels as ch
-from opcal.basis import hermitian_basis, matrix_rank, singular_value_rank, to_coords
+from opcal import gns
+from opcal.basis import hermitian_basis, matrix_rank, real_view, singular_value_rank, to_coords
 from opcal.core import Effect, Experiment, Observable, State, Transformation, classical, quantum
 from opcal.errors import ConeViolation
-from opcal.quantum import BipartiteState
+from opcal.quantum import BipartiteState, local_state
 
 # ---------------------------------------------------------------------------
 # reference observables
@@ -152,6 +155,12 @@ def state_sigma(split, omega, tol=1e-9):
 # ---------------------------------------------------------------------------
 # the rank by singular values alone: the oracle of basis.matrix_rank,
 # which certifies a full rank without them
+
+
+def spectrum_psd(m, tol):
+    """The positivity decision by the spectrum alone: no eigenvalue of
+    the Hermitian part of m (of each matrix of a stack) below -tol."""
+    return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)[..., 0] >= -tol
 
 
 def svd_rank(m):
@@ -305,3 +314,59 @@ def sample_classical_map(d, rng):
     m = rng.uniform(0.0, 1.0, (d, d))
     m /= np.max(np.sum(m, axis=0)) * float(rng.uniform(1.0, 1.5))
     return Transformation(classical(d), np.diag(m.T.reshape(-1)).astype(complex))
+
+
+# ---------------------------------------------------------------------------
+# the GNS maps folded onto real views of Choi matrices
+
+
+def folded_gns(solver):
+    """(gram, pairing, composed_pairing): the GNS maps of the solver's
+    state as operators on the real views of Choi matrices, the oracle
+    of the factored maps of `gns.GnsSpace`.  Row k of the pairing is the
+    real view of kron(rho2^T, E_k), E_k the effect of the adjoint of
+    lift k, and the composition with each lifted basis element is
+    folded into it by one contraction."""
+    phi = solver.phi
+    d = phi.d
+    lifts = gns.jordan_lift(Effect(quantum(d), hermitian_basis(d), generalized=True))
+    # Pairing of lift k with the map T of Choi matrix C:
+    # Phi|_2(adj_k after T) = Tr[rho2 T^*(E_k)] = Tr[C (rho2^T kron E_k)],
+    # E_k the effect of adj_k.  The kron is Hermitian, so the trace is
+    # the real dot product of the real views of the kron and of C.
+    rho2 = local_state(phi, 2).matrix
+    effects = gns.adjoint_map(solver, lifts).effect().matrix
+    krons = np.array([np.kron(rho2.T, e) for e in effects])
+    pairing = real_view(krons)
+    gram = pairing @ real_view(lifts.choi).T
+    gram = (gram + gram.T) / 2.0
+    # Column k of gns_rep(T) pairs T after lift k, whose Choi matrix is
+    # sum_mn L_k[(i,m),(x,n)] C[(m,a),(n,b)].  So pairing j of it is
+    # Re sum C[(m,a),(n,b)] W_jk[m,a,n,b], with W_jk the contraction of
+    # conj(kron_j)[(i,a),(x,b)] and L_k[(i,m),(x,n)] over i and x: the
+    # real dot product of the real views of C and of conj(W_jk), which
+    # contracts kron_j with conj(L_k).
+    n = d * d
+    conj_w = np.einsum(
+        "jiaxb,kimxn->jkmanb",
+        krons.reshape(n, d, d, d, d),
+        lifts.choi.conj().reshape(n, d, d, d, d),
+        optimize=True,
+    )
+    return gram, pairing, real_view(conj_w.reshape(n * n, n, n))
+
+
+def folded_transformation_coords(folded, t):
+    """gns.transformation_coords through the folded pairing."""
+    gram, pairing, _ = folded
+    lead = t.choi.shape[:-2]
+    pairings = real_view(t.choi).reshape(-1, pairing.shape[-1]) @ pairing.T
+    return np.linalg.solve(gram, pairings.T).T.reshape(*lead, -1)
+
+
+def folded_gns_rep(folded, t):
+    """gns.gns_rep through the folded composed pairing."""
+    gram, _, composed_pairing = folded
+    n = len(gram)
+    cols = real_view(t.choi) @ composed_pairing.T
+    return np.linalg.solve(gram, cols.reshape(*cols.shape[:-1], n, n))

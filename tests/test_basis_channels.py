@@ -1,6 +1,7 @@
 """Canonical Hermitian bases and the Choi/superoperator plumbing."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from opcal import channels as ch
 from opcal import infodim
+from opcal import quantum as qm
 from opcal.basis import (
     diagonal_basis,
     from_coords,
@@ -19,8 +21,8 @@ from opcal.basis import (
     to_coords,
 )
 from opcal.core import Theory
-from opcal.tolerances import RANK_RCOND
-from reference import kraus_to_super, svd_rank
+from opcal.tolerances import CP_TOL, RANK_RCOND
+from reference import kraus_to_super, spectrum_psd, svd_rank
 
 
 def _random_hermitian(d, seed):
@@ -207,6 +209,70 @@ def test_matrix_rank_of_non_finite_and_extreme_entries():
         for scale in (1e200, 1e-200):
             assert matrix_rank(np.diag([1.0, 2.0, 3.0]) * scale) == 3
         assert matrix_rank(np.ones((3, 5)) * 1e200) == 1
+
+
+# ---------------------------------------------------------------------------
+# positivity: the Cholesky certificate never answers other than the
+# spectrum would
+
+
+@given(
+    n=st.integers(1, 25),
+    lead=st.sampled_from([(), (1,), (4,), (2, 3)]),
+    low=st.sampled_from([0.0, 1e-14, -1e-14, -CP_TOL * (1 - 1e-3), -CP_TOL * (1 + 1e-3), -1e-3, -1.0]),
+    zeros=st.integers(0, 3),
+    hermitian=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_is_psd_matches_the_spectrum(n, lead, low, zeros, hermitian, seed):
+    # Hermitian parts U diag(w) U^dag with eigenvalues in [0.1, 1], some
+    # exact zeros (rank-deficient, as the Choi matrix of the identity
+    # channel is) and the smallest at low; a non-Hermitian input adds
+    # an anti-Hermitian part, which leaves the Hermitian part as it is
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((*lead, n, n)) + 1j * rng.standard_normal((*lead, n, n))
+    u = np.linalg.qr(g)[0]
+    w = rng.uniform(0.1, 1.0, (*lead, 1, n))
+    w[..., :zeros] = 0.0
+    w[..., 0] = low
+    m = (u * w) @ u.conj().swapaxes(-1, -2)
+    if not hermitian:
+        m = m + (g - g.conj().swapaxes(-1, -2))
+    with mock.patch.object(ch, "min_eig", wraps=ch.min_eig) as spectrum:
+        got = ch.is_psd(m, CP_TOL)
+    want = spectrum_psd(m, CP_TOL)
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+    if low >= -1e-14:  # far inside the cone: the factor decides
+        assert spectrum.call_count == 0
+
+
+def test_is_psd_of_a_stack_with_one_map_that_is_not_cp():
+    choi = qm.random_cp(3, 4, n=5).choi
+    choi[2] = ch.identity_choi(3) - 1e-3 * np.eye(9)
+    want = [True, True, False, True, True]
+    assert ch.is_psd(choi, CP_TOL).tolist() == spectrum_psd(choi, CP_TOL).tolist() == want
+    assert not ch.is_psd(choi[2], CP_TOL) and not spectrum_psd(choi[2], CP_TOL)
+
+
+def _outcome(decide, m):
+    try:
+        return repr(decide(m, CP_TOL))
+    except Exception as exc:  # the class of the error is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, np.inf)])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 2), (2, 0)])
+def test_is_psd_of_non_finite_entries(value, entry):
+    # numpy's cholesky reads only the lower triangle and factors a NaN
+    # matrix without raising; an entry in either triangle, alone or in
+    # a stack, must give the answer or the error class of the spectrum
+    m = np.stack([np.eye(3, dtype=complex)] * 2)
+    m[1][entry] = value
+    with np.errstate(all="ignore"):
+        for x in (m, m[1]):
+            assert _outcome(ch.is_psd, x) == _outcome(spectrum_psd, x)
 
 
 @given(d=st.integers(2, 3), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import opcal
+from opcal import channels as ch
 from opcal import checks, cli, core, faithful, gns, infodim
 from opcal import quantum as qm
 from opcal.errors import (
@@ -482,6 +483,31 @@ def test_no_rank_reaches_an_svd(monkeypatch):
         calls.clear()
         cli.run_suite(spec, "all")
         assert dict(calls) == want, spec
+
+
+def test_cp_stacks_take_no_spectrum(monkeypatch):
+    # every Choi stack an `all` run tests for complete positivity is
+    # CP, and one Cholesky factor decides each: no test reaches the
+    # spectrum of a Choi matrix
+    tests, spectra = [], Counter()
+    is_psd, eigvalsh = ch.is_psd, np.linalg.eigvalsh
+
+    def recording_is_psd(m, tol):
+        before = spectra["min_eig"]
+        out = is_psd(m, tol)
+        tests.append((bool(np.all(out)), spectra["min_eig"] - before))
+        return out
+
+    def counting_eigvalsh(*args, **kwargs):
+        spectra[sys._getframe(1).f_code.co_name] += 1
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(ch, "is_psd", recording_is_psd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    for spec in (cli.TheorySpec(d=2), cli.TheorySpec(d=4)):
+        tests.clear()
+        cli.run_suite(spec, "all")
+        assert tests and set(tests) == {(True, 0)}, spec
 
 
 def test_one_resolution_test_per_witness(monkeypatch):

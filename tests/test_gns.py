@@ -13,6 +13,7 @@ from opcal.basis import from_coords, hermitian_basis, matrix_rank, to_coords
 from opcal import quantum as qm
 from opcal.errors import NotFaithful
 from opcal.tolerances import ACTION_TOL, PINV_RCOND, TRANSPOSE_RESID
+import reference
 from reference import local_action_oracle, product_state, random_unitary
 
 
@@ -413,6 +414,55 @@ def test_state_rep_normalization(space2, rng):
         assert gns.born_pair(space2, w, unit) == pytest.approx(1.0, abs=1e-10)
 
 
+def _swap_perturbed_isotropic():
+    """The swap-perturbed isotropic override of the golden matrix:
+    symmetric to is_symmetric's 1e-12, but not bit for bit."""
+    a = np.kron(np.diag([1.0, 0.0, -1.0]), np.eye(3))
+    return qm.BipartiteState(3, _isotropic(3, 0.2).matrix + 1e-13 * (a - ch.swap(a)))
+
+
+FACTORED_STATES = [
+    *((f"canonical-d{d}", lambda d=d: qm.max_entangled(d)) for d in (2, 3, 4, 5)),
+    *((f"isotropic-d{d}", lambda d=d: _isotropic(d, 0.2)) for d in (2, 3, 4, 5)),
+    ("nonsymmetric-d2", _nonsymmetric_golden),
+    ("swap-perturbed-isotropic-d3", _swap_perturbed_isotropic),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in FACTORED_STATES], ids=[n for n, _ in FACTORED_STATES])
+def test_factored_maps_match_the_folded_operator(make, monkeypatch):
+    # the Gram matrix, transformation_coords and gns_rep from the
+    # superoperator factors against the folded operator on real views,
+    # for one map, a stack of CP maps and a stack of arbitrary complex
+    # Choi matrices with two leading axes.  The pairing identities hold
+    # on any faithful state, so the non-symmetric one, which gns_space
+    # rejects, is compared with the symmetry test bypassed.
+    phi = make()
+    d = phi.d
+    if not faithful.is_symmetric(phi):
+        with pytest.raises(NotFaithful, match="symmetric"):
+            gns.gns_space(gns.TransposeSolver(phi))
+        monkeypatch.setattr(gns, "is_symmetric", lambda phi: True)
+    solver = gns.TransposeSolver(phi)
+    space = gns.gns_space(solver)
+    folded = reference.folded_gns(solver)
+    assert np.max(np.abs(space.gram - folded[0])) <= 1e-13
+    rng = np.random.default_rng(d)
+    cp = qm.random_cp(d, d, n=4)
+    complex_ = rng.standard_normal((2, 3, d * d, d * d)) + 1j * rng.standard_normal((2, 3, d * d, d * d))
+    for t in (
+        core.Transformation(core.quantum(d), cp.choi[0]),
+        cp,
+        core.Transformation(core.quantum(d), complex_, generalized=True),
+    ):
+        coords = gns.transformation_coords(space, t)
+        rep = gns.gns_rep(space, t)
+        assert coords.shape == (*t.choi.shape[:-2], d * d)
+        assert rep.shape == (*t.choi.shape[:-2], d * d, d * d)
+        assert np.max(np.abs(coords - reference.folded_transformation_coords(folded, t))) <= 1e-13
+        assert np.max(np.abs(rep - reference.folded_gns_rep(folded, t))) <= 1e-13
+
+
 def test_gns_space_rejects_unfaithful():
     mixed = core.State(core.quantum(2), np.eye(2) / 2)
     with pytest.raises(Exception):
@@ -421,7 +471,7 @@ def test_gns_space_rejects_unfaithful():
 
 def test_calibrated_maps_convert_no_coordinates(monkeypatch):
     # transpose, gns_rep and transformation_coords act on Choi matrices
-    # or their real views, the first transpose's factorization of R
+    # or their superoperators, the first transpose's factorization of R
     # included: a d=2 `all` run makes no coordinate conversion inside
     # them, though it converts elsewhere
     import opcal

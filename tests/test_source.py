@@ -1,8 +1,8 @@
 """Static checks on the source tree: no unused imports, every public
 function and every private module-level helper has a caller outside
 the tests, every function the benchmark traces by name still exists,
-every check hands its seed to one draw, and every rank is decided in
-one place."""
+every check hands its seed to one draw, and every rank and every
+positivity test is decided in one place."""
 
 import ast
 import importlib
@@ -181,11 +181,10 @@ def _dotted(node):
     return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
 
 
-def _rank_sites(tree, module):
-    """Where a module decides a rank itself: each kind of rank call or
-    cutoff read mapped to the qualified names of the functions (the
-    module's name at top level) that make it.  Any call named svd
-    counts, however it was imported."""
+def _sites(tree, module, kind_of):
+    """Each kind that kind_of(node) gives a node of tree mapped to the
+    qualified names of the functions (the module's name at top level)
+    whose code holds such a node."""
     sites = {}
 
     def visit(node, scope):
@@ -193,17 +192,7 @@ def _rank_sites(tree, module):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, (*scope, child.name))
                 continue
-            kind = None
-            if isinstance(child, ast.Call):
-                callee = _dotted(child.func)
-                if callee.rpartition(".")[2] in ("svd", "singular_value_rank"):
-                    kind = callee.rpartition(".")[2]
-                elif callee.endswith("linalg.matrix_rank"):
-                    kind = "linalg.matrix_rank"
-            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                kind = "RANK_RCOND" if child.id == "RANK_RCOND" else None
-            elif isinstance(child, ast.alias) and child.name in ("RANK_RCOND", "svd"):
-                kind = child.name
+            kind = kind_of(child)
             if kind:
                 sites.setdefault(kind, set()).add(".".join((module, *scope)))
             visit(child, scope)
@@ -212,15 +201,37 @@ def _rank_sites(tree, module):
     return sites
 
 
+def _all_sites(kind_of):
+    """_sites over every module of src/opcal, merged."""
+    merged = {}
+    for path in MODULES:
+        for kind, where in _sites(ast.parse(path.read_text()), path.stem, kind_of).items():
+            merged.setdefault(kind, set()).update(where)
+    return merged
+
+
+def _rank_kind(node):
+    """Where a module decides a rank itself: a rank call or a read of
+    the rank cutoff.  Any call named svd counts, however it was
+    imported."""
+    if isinstance(node, ast.Call):
+        callee = _dotted(node.func)
+        if callee.rpartition(".")[2] in ("svd", "singular_value_rank"):
+            return callee.rpartition(".")[2]
+        if callee.endswith("linalg.matrix_rank"):
+            return "linalg.matrix_rank"
+    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return "RANK_RCOND" if node.id == "RANK_RCOND" else None
+    elif isinstance(node, ast.alias) and node.name in ("RANK_RCOND", "svd"):
+        return node.name
+    return None
+
+
 def test_one_place_decides_ranks():
     # every rank goes through basis.matrix_rank and its certificate; the
     # solver's SVD of R also gives factors, the GNS norm needs sigma_max,
     # and the experiment sampler splits a Choi factor of rank three
-    sites = {}
-    for path in MODULES:
-        for kind, where in _rank_sites(ast.parse(path.read_text()), path.stem).items():
-            sites.setdefault(kind, set()).update(where)
-    assert sites == {
+    assert _all_sites(_rank_kind) == {
         "svd": {"basis.matrix_rank", "gns.TransposeSolver._maps", "gns.gns_norm", "quantum.random_experiment"},
         "singular_value_rank": {"basis.matrix_rank", "gns.TransposeSolver._maps"},
         "RANK_RCOND": {"basis", "basis.singular_value_rank"},
@@ -232,8 +243,40 @@ def test_one_place_decides_ranks():
         "    def f(self, m):\n"
         "        return np.linalg.matrix_rank(m, RANK_RCOND), svd(m), la.svd(m)\n"
     )
-    assert _rank_sites(ast.parse(source), "m") == {
+    assert _sites(ast.parse(source), "m", _rank_kind) == {
         "svd": {"m", "m.A.f"},
         "RANK_RCOND": {"m", "m.A.f"},
         "linalg.matrix_rank": {"m.A.f"},
+    }
+
+
+def _positivity_kind(node):
+    """A Cholesky factorization, a positivity test or a read of its
+    cutoff."""
+    if isinstance(node, ast.Call):
+        name = _dotted(node.func).rpartition(".")[2]
+        return name if name in ("cholesky", "is_psd") else None
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == "CP_TOL":
+        return "CP_TOL"
+    return None
+
+
+def test_one_place_decides_positivity():
+    # the rank certificate and the CP certificate are the only Cholesky
+    # factorizations, and CP_TOL is read only where is_psd is called
+    sites = _all_sites(_positivity_kind)
+    assert sites["cholesky"] == {"basis._certifies_full_rank", "channels.is_psd"}
+    assert sites["CP_TOL"] == {"core.trans_norm", "faithful.prepare_witness"}
+    assert sites["CP_TOL"] <= sites["is_psd"]
+    source = (
+        "from .tolerances import CP_TOL\n"
+        "def f(m):\n"
+        "    return np.linalg.cholesky(m), CP_TOL\n"
+        "def g(m):\n"
+        "    return ch.is_psd(m, CP_TOL), la.cholesky(m)\n"
+    )
+    assert _sites(ast.parse(source), "m", _positivity_kind) == {
+        "cholesky": {"m.f", "m.g"},
+        "CP_TOL": {"m.f", "m.g"},
+        "is_psd": {"m.g"},
     }
