@@ -86,7 +86,12 @@ def identity_choi(d):
 
 def min_eig(m):
     """Smallest eigenvalue of the Hermitian part of m (of each matrix of
-    a stack), formed in one buffer: m^dag, plus m, halved in place."""
+    a stack), formed in one buffer: m^dag, plus m, halved in place.  A
+    NaN or inf entry anywhere raises LinAlgError, as in
+    basis.matrix_rank: eigvalsh reads one triangle only, and a NaN on
+    the diagonal may come back as finite eigenvalues."""
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("matrix entries are not finite")
     h = np.swapaxes(m, -1, -2).copy()
     np.conjugate(h, out=h)
     h += m

@@ -287,8 +287,8 @@ class RunContext:
     """The objects that the checks of one run share: phi, the spectral
     split, the transpose solver (which holds the preparation-witness
     system of phi and the dynamical rank, `solver.rank`), the GNS space
-    built on that solver, the backend's minimal IC observable and the
-    dimension table of each backend.
+    built on that solver, the backend's minimal IC observable, the
+    spec's dimension table, and a store of theory-level measurements.
     Each is built on first use, from the spec alone, so sharing them
     changes no result; a build that raises is not stored and raises
     again on the next use.  run_suite makes one per call and drops it on
@@ -296,7 +296,18 @@ class RunContext:
 
     def __init__(self, spec):
         self.spec = spec
-        self._dims = {}
+        self._measured = {}
+
+    def measure(self, measurement, theory):
+        """measurement(theory), for a theory-level measurement of
+        infodim, taken at most once per run: the store is keyed by
+        (measurement, theory).  Callers pass the function as infodim
+        binds it when they call, so a rebound name (a tracer's wrapper,
+        a test's patch) is the one that runs."""
+        key = (measurement, theory)
+        if key not in self._measured:
+            self._measured[key] = measurement(theory)
+        return self._measured[key]
 
     @cached_property
     def phi(self):
@@ -318,10 +329,11 @@ class RunContext:
     def ic(self):
         return infodim.ic_observable(self.spec.theory())
 
-    def dims(self, backend):
-        if backend not in self._dims:
-            self._dims[backend] = infodim.dim_identities(self.spec.d, backend=backend)
-        return self._dims[backend]
+    @cached_property
+    def dims(self):
+        """The dimension table of the spec's backend, its measurements
+        read through the store."""
+        return infodim.dim_identities(self.spec.d, self.spec.backend, self.measure)
 
 
 def _error_text(exc):

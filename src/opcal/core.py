@@ -206,10 +206,7 @@ class Observable:
 
     def __post_init__(self):
         object.__setattr__(self, "effects", tuple(self.effects))
-        total = sum(e.matrix for e in self.effects)
-        d = self.effects[0].theory.d
-        if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
-            raise CompletenessError("effects do not sum to the unit effect")
+        check_unit_sum(stack(self.effects))
 
     @property
     def theory(self):
@@ -217,6 +214,15 @@ class Observable:
 
     def __len__(self):
         return len(self.effects)
+
+
+def check_unit_sum(effects):
+    """The completeness test of an Observable, on the effects of one
+    stack: CompletenessError unless they sum to the unit effect, to
+    COMPLETENESS_TOL in the largest entry."""
+    total = effects.matrix.sum(axis=0)
+    if np.max(np.abs(total - np.eye(effects.theory.d))) > COMPLETENESS_TOL:
+        raise CompletenessError("effects do not sum to the unit effect")
 
 
 # ---------------------------------------------------------------------------
@@ -417,32 +423,35 @@ def spanning_vectors(n):
 
 @lru_cache(maxsize=None)
 def spanning_states(theory):
-    """A fixed informationally complete family of states; equality of
-    pairings on it decides equality on all states.
+    """A fixed informationally complete family of states, as one stack;
+    equality of pairings on it decides equality on all states.
 
     The projectors of spanning_vectors(d), of which the classical
     backend keeps the d vertices |i><i| (one state per basis element on
     both backends).
     """
     v = spanning_vectors(theory.d)[: theory.effect_dim]
-    return unstack(State(theory, np.einsum("ai,aj->aij", v, v.conj())))
+    states = np.einsum("ai,aj->aij", v, v.conj())
+    states.flags.writeable = False  # every caller shares this one array
+    return State(theory, states)
 
 
 def informational_equiv(a, b):
-    """Equal occurrence probability in every state (to PROB_TOL)."""
+    """Equal occurrence probability in every state (to PROB_TOL), paired
+    on the whole spanning family at once."""
     _check_same(a, b)
-    ea, eb = a.effect(), b.effect()
-    return all(abs(pair(w, ea) - pair(w, eb)) <= PROB_TOL for w in spanning_states(a.theory))
+    states = spanning_states(a.theory)
+    return bool(np.all(np.abs(pair(states, a.effect()) - pair(states, b.effect())) <= PROB_TOL))
 
 
 def dynamical_equiv(a, b):
-    """Equal conditional states wherever both probabilities exceed PROB_TOL."""
+    """Equal conditional states wherever both probabilities exceed
+    PROB_TOL, with each map applied to the whole spanning family once."""
     _check_same(a, b)
-    for w in spanning_states(a.theory):
-        pa, pb = act(a, w).total, act(b, w).total
-        if pa > PROB_TOL and pb > PROB_TOL:
-            ra = a(w.matrix) / pa
-            rb = b(w.matrix) / pb
-            if np.max(np.abs(ra - rb)) > PROB_TOL:
-                return False
-    return True
+    states = spanning_states(a.theory)
+    wa, wb = act(a, states), act(b, states)
+    pa, pb = wa.total, wb.total
+    keep = (pa > PROB_TOL) & (pb > PROB_TOL)
+    ra = wa.matrix[keep] / pa[keep, None, None]
+    rb = wb.matrix[keep] / pb[keep, None, None]
+    return not np.any(np.abs(ra - rb) > PROB_TOL)

@@ -7,13 +7,21 @@ RANK_CERT times its trace, and any rank that certificate cannot show
 is counted in singular values above RANK_RCOND * sigma_max.  The
 certificate only answers where the singular values would count the
 same, so a rank never depends on which of the two decided it.
+
+The theory-level measurements (affine_state_dimension,
+informational_dimension, effect_space_dimension,
+transformation_affine_dimension) depend on the theory alone.  A run
+takes each at most once, through the per-run store of
+`cli.RunContext.measure`, which dim_identities reads too; nothing here
+keeps a result between calls.
 """
 
 import numpy as np
 
 from . import channels as ch
 from .basis import diagonal_basis, hermitian_basis, matrix_rank, real_view, to_coords
-from .core import Effect, Observable, Theory, quantum, spanning_states, spanning_vectors, stack
+from .core import Effect, Observable, State, Theory, check_unit_sum, quantum
+from .core import spanning_states, spanning_vectors, stack
 from .errors import NotIC, WitnessFailed
 from .quantum import kraus_to_choi
 from .tolerances import DISCRIMINATION_RESID, EXPAND_RESID, RESOLVED_EIG
@@ -94,19 +102,21 @@ def ic_observable(theory):
 
 
 def discrimination_witness(theory):
-    """Maximal perfectly discriminable family: states, a predictable
-    and resolved discriminating observable, and the delta pairing
-    matrix, plus the trace certificate that one more state is
-    impossible (each discriminating effect needs unit norm so unit
-    trace at least, and the traces must sum to the trace of the unit
-    effect)."""
+    """Maximal perfectly discriminable family: the states and the
+    effects of a predictable and resolved discriminating observable,
+    one stack each (the effects pass an Observable's completeness
+    test), and the delta pairing matrix, plus the trace certificate
+    that one more state is impossible (each discriminating effect needs
+    unit norm so unit trace at least, and the traces must sum to the
+    trace of the unit effect)."""
     d = theory.d
     basis = diagonal_basis(d)
     # on both backends the basis projectors |i><i| come first
-    states = spanning_states(theory)[:d]
-    obs = Observable(tuple(Effect(theory, p) for p in basis))
+    states = State(theory, spanning_states(theory).matrix[:d])
+    effects = Effect(theory, basis)
+    check_unit_sum(effects)
     # Tr[w l] for every (state, effect) at once, and every Tr[l]
-    gram = np.tensordot(stack(states).matrix, basis, axes=([1, 2], [2, 1])).real
+    gram = np.tensordot(states.matrix, basis, axes=([1, 2], [2, 1])).real
     traces = basis.trace(axis1=-2, axis2=-1).real
     cert = {
         "pairing_residual": float(np.max(np.abs(gram - np.eye(d)))),
@@ -114,26 +124,25 @@ def discrimination_witness(theory):
         "min_effect_trace": float(np.min(traces)),
         "upper_bound": d,
     }
-    return states, obs, cert
+    return states, effects, cert
 
 
 def informational_dimension(theory):
     """Maximal cardinality of a perfectly discriminable set of states,
     verified constructively by the witness above, and the witness's
     pairing residual."""
-    states, obs, cert = discrimination_witness(theory)
+    states, effects, cert = discrimination_witness(theory)
     if cert["pairing_residual"] > DISCRIMINATION_RESID:
         raise WitnessFailed("discrimination witness failed the delta check")
-    if not np.all(is_resolved(stack(obs.effects))):
+    if not np.all(is_resolved(effects)):
         raise WitnessFailed("discriminating effects are not predictable and resolved")
-    return len(states), cert["pairing_residual"]
+    return len(states.matrix), cert["pairing_residual"]
 
 
 def affine_state_dimension(theory):
     """Affine dimension of the state set, measured as the rank of the
     differences of a spanning family."""
-    states = spanning_states(theory)
-    coords = to_coords(np.array([w.matrix for w in states]), theory.basis())
+    coords = spanning_states(theory).coords
     return matrix_rank(coords[1:] - coords[0])
 
 
@@ -228,18 +237,27 @@ def check_bell_ic(d):
 # the identity table
 
 
-def dim_identities(d, backend="quantum"):
+def _take(measurement, theory):
+    return measurement(theory)
+
+
+def dim_identities(d, backend="quantum", measure=_take):
     """Measure every dimension entering the identity table of a system
     and its composite with a copy of itself: each row's name mapped to
-    its (lhs, rhs), which holds when the two are equal."""
-    th1 = Theory(backend, d)
-    adm1 = affine_state_dimension(th1)
-    idim1, _ = informational_dimension(th1)
-    dim_pr = effect_space_dimension(th1)
-    th12 = Theory(backend, d * d)
-    adm12 = affine_state_dimension(th12)
-    idim12, _ = informational_dimension(th12)
-    adm_t = transformation_affine_dimension(th1)
+    its (lhs, rhs), which holds when the two are equal.
+
+    Each of the six measurements is measure(f, theory), f the function
+    of this module as bound when it is measured.  A run's context
+    passes its per-run store (`cli.RunContext.measure`), so a dimension
+    that another check of the run has measured is read, not measured
+    again."""
+    th1, th12 = Theory(backend, d), Theory(backend, d * d)
+    adm1 = measure(affine_state_dimension, th1)
+    idim1, _ = measure(informational_dimension, th1)
+    dim_pr = measure(effect_space_dimension, th1)
+    adm12 = measure(affine_state_dimension, th12)
+    idim12, _ = measure(informational_dimension, th12)
+    adm_t = measure(transformation_affine_dimension, th1)
     return {
         "D2": (dim_pr, adm1 + 1),
         "D3": (adm12, adm1**2 + 2 * adm1),

@@ -7,7 +7,9 @@ the involution on states, the positivity decision by the spectrum
 alone, the rank by singular values alone, the
 local action of either slot built through superoperators and the
 faithfulness predicates on its rank,
-the pass predicates of a dimension table, product states, the
+the pass predicates of a dimension table, the spanning family as
+separate states and the two equivalences decided on it one state at a
+time, product states, the
 samplers: pure states, unitaries, and one-sample-at-a-time formulas
 that the stack-aware samplers must reproduce from the same draws, and
 the GNS maps folded onto the real views of Choi matrices."""
@@ -17,9 +19,20 @@ import numpy as np
 from opcal import channels as ch
 from opcal import gns
 from opcal.basis import hermitian_basis, matrix_rank, real_view, singular_value_rank, to_coords
-from opcal.core import Effect, Experiment, Observable, State, Transformation, classical, quantum
+from opcal.core import (
+    Effect,
+    Experiment,
+    Observable,
+    State,
+    Transformation,
+    act,
+    classical,
+    pair,
+    quantum,
+)
 from opcal.errors import ConeViolation
 from opcal.quantum import BipartiteState, local_state
+from opcal.tolerances import PROB_TOL
 
 # ---------------------------------------------------------------------------
 # reference observables
@@ -79,6 +92,30 @@ def spanning_vectors(n):
         for j in range(i + 1, n):
             yield (eye[i] + eye[j]) / np.sqrt(2)
             yield (eye[i] + 1j * eye[j]) / np.sqrt(2)
+
+
+def spanning_states(theory):
+    """The spanning family as separate states, one projector per
+    spanning vector: the tuple core.spanning_states returned before it
+    returned one stack."""
+    vectors = list(spanning_vectors(theory.d))[: theory.effect_dim]
+    return tuple(State(theory, np.outer(v, v.conj())) for v in vectors)
+
+
+def informational_equiv(a, b):
+    """core.informational_equiv, one spanning state at a time."""
+    ea, eb = a.effect(), b.effect()
+    return all(abs(pair(w, ea) - pair(w, eb)) <= PROB_TOL for w in spanning_states(a.theory))
+
+
+def dynamical_equiv(a, b):
+    """core.dynamical_equiv, one spanning state at a time."""
+    for w in spanning_states(a.theory):
+        pa, pb = act(a, w).total, act(b, w).total
+        if pa > PROB_TOL and pb > PROB_TOL:
+            if np.max(np.abs(a(w.matrix) / pa - b(w.matrix) / pb)) > PROB_TOL:
+                return False
+    return True
 
 
 def weyl(d, m, n):
@@ -159,7 +196,10 @@ def state_sigma(split, omega, tol=1e-9):
 
 def spectrum_psd(m, tol):
     """The positivity decision by the spectrum alone: no eigenvalue of
-    the Hermitian part of m (of each matrix of a stack) below -tol."""
+    the Hermitian part of m (of each matrix of a stack) below -tol.  A
+    matrix with a NaN or inf entry has no spectrum: LinAlgError."""
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("matrix entries are not finite")
     return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)[..., 0] >= -tol
 
 

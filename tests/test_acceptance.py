@@ -189,7 +189,7 @@ def test_criterion_7_born_rule(capsys, space2, space3):
     for d, space in ((2, space2), (3, space3)):
         th = core.quantum(d)
         worst = 0.0
-        for w in core.spanning_states(th):
+        for w in core.unstack(core.spanning_states(th)):
             for e in infodim.minimal_ic_povm(d).effects:
                 worst = max(worst, abs(gns.born_pair(space, w, e) - core.pair(w, e)))
         ok = ok and worst <= 1e-9

@@ -266,13 +266,15 @@ def _outcome(decide, m):
 @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 2), (2, 0)])
 def test_is_psd_of_non_finite_entries(value, entry):
     # numpy's cholesky reads only the lower triangle and factors a NaN
-    # matrix without raising; an entry in either triangle, alone or in
-    # a stack, must give the answer or the error class of the spectrum
+    # matrix without raising, and eigvalsh reads finite eigenvalues off
+    # a NaN diagonal; an entry in either triangle, alone or in a stack,
+    # has no spectrum, so both decisions raise
     m = np.stack([np.eye(3, dtype=complex)] * 2)
     m[1][entry] = value
     with np.errstate(all="ignore"):
         for x in (m, m[1]):
-            assert _outcome(ch.is_psd, x) == _outcome(spectrum_psd, x)
+            assert _outcome(ch.is_psd, x) == _outcome(spectrum_psd, x) == np.linalg.LinAlgError
+            assert _outcome(lambda y, tol: ch.min_eig(y), x) == np.linalg.LinAlgError
 
 
 @given(d=st.integers(2, 3), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))

@@ -380,10 +380,11 @@ def test_run_builds_shared_objects_once(monkeypatch):
             "witness_system": 1,
             "local_action_matrix": 1,
         }
-    # one IC observable and one dimension table per backend; each table
-    # builds the witness of a system and of its composite, and
-    # infodim.idim and infodim.bell_ic build one each, so a
-    # `--suite infodim` run needs no table
+    # one IC observable and one dimension table, of the spec's backend;
+    # the table reads the witnesses that infodim.idim and
+    # infodim.bell_ic measured, and table1.classical_violation measures
+    # the classical system alone, so a quantum run builds the witnesses
+    # of d, d*d and classical d, and a classical run those of d and d*d
     builds = Counter()
     for name in ("ic_observable", "minimal_ic_povm", "discrimination_witness", "dim_identities"):
         monkeypatch.setattr(infodim, name, _counting(builds, name, getattr(infodim, name)))
@@ -391,15 +392,54 @@ def test_run_builds_shared_objects_once(monkeypatch):
     assert builds == {
         "ic_observable": 1,
         "minimal_ic_povm": 1,
-        "discrimination_witness": 6,
-        "dim_identities": 2,
+        "discrimination_witness": 3,
+        "dim_identities": 1,
     }
     builds.clear()
     cli.run_suite(cli.TheorySpec(backend="classical", d=3), "all")
-    assert builds == {"ic_observable": 1, "discrimination_witness": 4, "dim_identities": 1}
-    builds.clear()
-    cli.run_suite(cli.TheorySpec(d=2), "infodim")
-    assert "dim_identities" not in builds
+    assert builds == {"ic_observable": 1, "discrimination_witness": 2, "dim_identities": 1}
+
+
+def _recording(seen, name, fn):
+    def wrapper(theory):
+        seen.append((name, theory))
+        return fn(theory)
+
+    return wrapper
+
+
+MEASUREMENTS = (
+    "affine_state_dimension",
+    "informational_dimension",
+    "effect_space_dimension",
+    "transformation_affine_dimension",
+)
+
+
+def test_each_measurement_runs_once_per_run(monkeypatch):
+    seen = []
+    for name in MEASUREMENTS:
+        monkeypatch.setattr(infodim, name, _recording(seen, name, getattr(infodim, name)))
+    affine, idim, effect, maps = MEASUREMENTS
+    for backend, d in (("quantum", 2), ("quantum", 3), ("classical", 3)):
+        seen.clear()
+        cli.run_suite(cli.TheorySpec(backend=backend, d=d), "all")
+        th1, th2 = core.Theory(backend, d), core.Theory(backend, d * d)
+        want = {(affine, th1), (idim, th1), (effect, th1), (affine, th2), (idim, th2), (maps, th1)}
+        if backend == "quantum":
+            # table1.classical_violation reads the classical system only
+            want |= {(affine, core.classical(d)), (idim, core.classical(d))}
+        assert len(seen) == len(set(seen)) == len(want)
+        assert set(seen) == want, (backend, d)
+    # the infodim suite measures no table: no d^4 x d^4 rank, and no map
+    builds = Counter()
+    monkeypatch.setattr(
+        infodim, "dim_identities", _counting(builds, "dim_identities", infodim.dim_identities)
+    )
+    seen.clear()
+    assert cli.run_suite(cli.TheorySpec(d=2), "infodim").all_pass()
+    assert builds == Counter()
+    assert set(seen) == {(idim, core.quantum(2)), (idim, core.quantum(4)), (affine, core.quantum(2))}
 
 
 class _CountingGenerator:
@@ -511,15 +551,16 @@ def test_cp_stacks_take_no_spectrum(monkeypatch):
 
 
 def test_one_resolution_test_per_witness(monkeypatch):
-    # each discrimination witness resolves its effects as one stack:
-    # idim, bell_ic and the two witnesses of each dimension table
+    # each discrimination witness resolves its effects as one stack, and
+    # a run builds one witness per system: d and d*d, and on the
+    # quantum backend the classical d of table1.classical_violation
     calls = Counter()
     resolved = _counting(calls, "is_resolved", infodim.is_resolved)
     monkeypatch.setattr(infodim, "is_resolved", resolved)
     for spec, want in (
-        (cli.TheorySpec(d=2), 6),
-        (cli.TheorySpec(backend="classical", d=3), 4),
-        (cli.TheorySpec(d=4), 6),
+        (cli.TheorySpec(d=2), 3),
+        (cli.TheorySpec(backend="classical", d=3), 2),
+        (cli.TheorySpec(d=4), 3),
     ):
         calls.clear()
         cli.run_suite(spec, "all")

@@ -244,7 +244,7 @@ def test_probabilities_in_range(seed):
 def test_spanning_states_are_ic():
     for d in (2, 3):
         th = core.quantum(d)
-        rows = np.array([w.coords for w in core.spanning_states(th)])
+        rows = np.array([w.coords for w in core.unstack(core.spanning_states(th))])
         assert np.linalg.matrix_rank(rows) == d * d
 
 

@@ -91,10 +91,12 @@ def test_informational_dimension_classical(d):
 
 def test_discrimination_witness_certificate():
     for backend, d in itertools.product(("quantum", "classical"), (2, 3, 4)):
-        states, obs, cert = infodim.discrimination_witness(core.Theory(backend, d))
+        states, effects, cert = infodim.discrimination_witness(core.Theory(backend, d))
         # the basis states against the basis projectors: every pairing
         # is an exact 0 or 1, as the one-pair-at-a-time probabilities give
-        gram = np.array([[core.pair(w, e) for e in obs.effects] for w in states])
+        gram = np.array(
+            [[core.pair(w, e) for e in core.unstack(effects)] for w in core.unstack(states)]
+        )
         assert np.array_equal(gram, np.eye(d))
         assert cert["pairing_residual"] == 0.0
         # adding one more perfectly discriminable state would need

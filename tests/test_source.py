@@ -1,8 +1,9 @@
 """Static checks on the source tree: no unused imports, every public
 function and every private module-level helper has a caller outside
 the tests, every function the benchmark traces by name still exists,
-every check hands its seed to one draw, and every rank and every
-positivity test is decided in one place."""
+every check hands its seed to one draw, every rank and every
+positivity test is decided in one place, and the checks take each
+theory-level dimension through the run's context."""
 
 import ast
 import importlib
@@ -279,4 +280,42 @@ def test_one_place_decides_positivity():
         "cholesky": {"m.f", "m.g"},
         "CP_TOL": {"m.f", "m.g"},
         "is_psd": {"m.g"},
+    }
+
+
+MEASUREMENTS = ("informational_dimension", "affine_state_dimension", "dim_identities")
+
+
+def _measurement_kind(node):
+    """A direct call of a theory-level measurement or of the dimension
+    table, or a read of one through the run's store (`ctx.measure`)."""
+    if isinstance(node, ast.Call):
+        callee = _dotted(node.func)
+        if callee.rpartition(".")[2] in MEASUREMENTS:
+            return callee.rpartition(".")[2]
+        if callee == "ctx.measure":
+            return "ctx.measure"
+    return None
+
+
+def test_checks_measure_only_through_the_run_context():
+    # the context takes each (measurement, theory) once per run; a check
+    # that called a measurement itself would take it again
+    src = ROOT / "src" / "opcal"
+    assert _sites(ast.parse((src / "checks.py").read_text()), "checks", _measurement_kind) == {
+        "ctx.measure": {"checks._check_idim", "checks._check_bell_ic", "checks._check_classical_violation"},
+    }
+    assert _sites(ast.parse((src / "cli.py").read_text()), "cli", _measurement_kind) == {
+        "dim_identities": {"cli.RunContext.dims"},
+    }
+    source = (
+        "def f(ctx, th):\n"
+        "    return infodim.informational_dimension(th), ctx.measure(infodim.affine_state_dimension, th)\n"
+        "def g(d):\n"
+        "    return dim_identities(d), affine_state_dimension\n"
+    )
+    assert _sites(ast.parse(source), "m", _measurement_kind) == {
+        "informational_dimension": {"m.f"},
+        "ctx.measure": {"m.f"},
+        "dim_identities": {"m.g"},
     }

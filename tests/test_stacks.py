@@ -14,6 +14,7 @@ from opcal import channels as ch
 from opcal import checks, cli, core, faithful, gns
 from opcal import quantum as qm
 from opcal.errors import NotFaithful, ZeroProbability
+from opcal.tolerances import PROB_TOL
 import reference
 from reference import product_state
 
@@ -701,3 +702,77 @@ def test_stacked_witness_requires_faithful():
         faithful.prepare_witness(system, first)
     assert _residual(stacked) == pytest.approx(_residual(single), rel=1e-12)
     faithful.prepare_witness(system, mixed)
+
+
+# ---------------------------------------------------------------------------
+# the spanning family as one stack, and the equivalences decided on it
+
+
+@pytest.mark.parametrize("backend", core.BACKENDS)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_spanning_states_unstack_to_the_separate_states(backend, d):
+    th = core.Theory(backend, d)
+    # one cached array that every caller shares, so no caller may write it
+    assert not core.spanning_states(th).matrix.flags.writeable
+    got, want = core.unstack(core.spanning_states(th)), reference.spanning_states(th)
+    assert len(got) == len(want) == th.effect_dim
+    for g, w in zip(got, want):
+        assert (type(g), g.theory, g.generalized) == (type(w), w.theory, w.generalized)
+        assert g.matrix.dtype == w.matrix.dtype and g.matrix.shape == w.matrix.shape
+        assert g.matrix.tobytes() == w.matrix.tobytes()
+
+
+def _hermitian_shift(th, eps):
+    """The Choi matrix of rho -> eps Tr(rho) Z, Z = diag(1, -1, 0, ...):
+    it moves no probability, and every conditional state by eps in its
+    largest entry (diagonal, so classical maps stay classical)."""
+    z = np.zeros(th.d)
+    z[:2] = (1.0, -1.0)
+    sup = np.outer(np.diag(z).reshape(-1), np.eye(th.d).reshape(-1)).astype(complex)
+    return eps * ch.super_to_choi(sup)
+
+
+def _equivalence_pairs(backend, d):
+    """(a, b, informationally, dynamically equivalent, or None where
+    only the oracle decides)."""
+    th = core.Theory(backend, d)
+    sample = qm.random_classical_map if backend == "classical" else qm.random_cp
+    maps = core.unstack(sample(d, 20 + d, 6))
+    ident = core.identity(th)
+    pairs = [(a, b, None, None) for a, b in zip(maps[::2], maps[1::2])]
+    pairs += [(a, a, True, True) for a in maps[:2]]
+    # same conditional states, half the probability
+    pairs += [(a, core.scale(0.5, a), False, True) for a in maps[:2]]
+    # the masked branch: b sends |1> to |0>, where a = P0 . P0 has
+    # probability 0; on every other spanning state both leave |0><0|
+    e0, e1 = np.eye(d)[0], np.eye(d)[1]
+    a = qm.projector_map(th, np.outer(e0, e0))
+    b = qm.kraus_to_choi(th, [np.outer(e0, e0), np.outer(e0, e1)])
+    pairs.append((a, b, False, True))
+    # the same with a leak of probability 1e-12 (below PROB_TOL) on |1>,
+    # whose conditional state |1><1| only the mask leaves out
+    leak = qm.kraus_to_choi(th, [np.outer(e0, e0), 1e-6 * np.outer(e1, e1)])
+    pairs.append((leak, b, False, True))
+    # against the identity it differs on (|0>+|1>)/sqrt2; the classical
+    # family is the vertices alone, where every other state is masked
+    pairs.append((a, ident, False, backend == "classical"))
+    for factor, holds in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
+        eps = factor * PROB_TOL
+        # every probability moves by eps
+        shifted = core.Transformation(th, ident.choi + eps * ch.identity_choi(d), generalized=True)
+        pairs.append((ident, shifted, holds, True))
+        # every conditional state moves by eps, no probability does
+        moved = core.Transformation(th, ident.choi + _hermitian_shift(th, eps), generalized=True)
+        pairs.append((ident, moved, True, holds))
+    return pairs
+
+
+@pytest.mark.parametrize("backend", core.BACKENDS)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_equivalences_on_the_stack_match_the_per_state_oracles(backend, d):
+    for a, b, info, dyn in _equivalence_pairs(backend, d):
+        got = (core.informational_equiv(a, b), core.dynamical_equiv(a, b))
+        assert got == (reference.informational_equiv(a, b), reference.dynamical_equiv(a, b))
+        assert all(type(x) is bool for x in got)
+        for want, value in zip((info, dyn), got):
+            assert want is None or value == want
