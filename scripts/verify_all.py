@@ -3,12 +3,15 @@
 write the structured reports under reports/ (plus a summary to stdout).
 
 The standard matrix is every configuration below at seeds 1, 2 and 3;
-its reports are checked in under tests/golden/.
+its reports are checked in under tests/golden/.  Each summary line ends
+with the sha256 of its report, so two runs' stdout differ exactly where
+their reports do.
 
 Usage: python3 scripts/verify_all.py [--seed N ...] [--out DIR]
 """
 
 import argparse
+import hashlib
 import pathlib
 import sys
 from dataclasses import replace
@@ -80,7 +83,8 @@ def main(argv=None):
             report = cli.run_suite(replace(spec, seed=seed), "all")
             expect = EXPECT_FAIL.get(name, ())
             path = out / f"{name}-seed{seed}.report"
-            path.write_text(cli.emit_report(report, "structured"))
+            text = cli.emit_report(report, "structured")
+            path.write_text(text)
             ok = report.all_pass(expect_fail=expect)
             npass = sum(c.status == "pass" for c in report.checks)
             print(
@@ -88,6 +92,7 @@ def main(argv=None):
                 + (f" ({len(expect)} expected failures)" if expect else "")
                 + f" -> {path}"
                 + ("" if ok else "  [UNEXPECTED RESULT]")
+                + f"  sha256 {hashlib.sha256(text.encode()).hexdigest()}"
             )
             if not ok:
                 failures += 1

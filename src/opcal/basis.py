@@ -14,6 +14,12 @@ entries, so its coordinate is sqrt(1/2) Re(M[j,k] + M[k,j]) (symmetric)
 or sqrt(1/2) Im(M[k,j] - M[j,k]) (antisymmetric).  In the diagonal
 basis the coordinates are Re diag(M).  from_coords is the matching
 scatter.
+
+A rank needs only the inner products of a family, not its coordinates
+in a fixed basis.  packed_coords gives rows with the same inner
+products from one real gather of a Hermitian stack's diagonal and upper
+triangle, and packed_product_coords gives those of a stack of kron
+products from the factors, without forming the products.
 """
 
 from functools import lru_cache
@@ -121,12 +127,72 @@ def from_coords(coords, basis):
     return out.reshape(*lead, n, n)
 
 
-def real_view(matrix):
-    """Real and imaginary parts of the entries of a complex matrix, or
-    of each of a stack (..., n, n), as one real vector (..., 2 n^2),
-    interleaved; no copy for a C-contiguous complex array."""
-    m = np.ascontiguousarray(matrix, dtype=complex)
-    return m.reshape(*m.shape[:-2], -1).view(np.float64)
+@lru_cache(maxsize=None)
+def _packed_layout(n):
+    """(entries, gather, scale) of packed_coords on n x n matrices and
+    the full basis: the flat indices of the entries it reads (the
+    diagonal, then the upper triangle j < k, row-major), the indices of
+    the real numbers it takes from a matrix's interleaved real and
+    imaginary parts (the real part of each diagonal entry, then both
+    parts of each upper one), and the factor each is scaled by."""
+    j, k = np.triu_indices(n, 1)
+    upper = j * n + k
+    entries = np.concatenate([np.arange(n) * (n + 1), upper])
+    gather = np.concatenate([2 * entries[:n], np.stack([2 * upper, 2 * upper + 1], axis=-1).ravel()])
+    scale = np.concatenate([np.ones(n), np.tile([np.sqrt(2.0), -np.sqrt(2.0)], len(j))])
+    for a in (entries, gather, scale):
+        a.setflags(write=False)
+    return entries, gather, scale
+
+
+def packed_coords(matrices, basis):
+    """Real rows of a Hermitian matrix, or of each of a stack (..., n,
+    n), with the inner products of the matrices: on the diagonal basis
+    the coordinates Re diag(M); on the full basis Re M[i, i], then
+    sqrt2 Re M[j, k] and -sqrt2 Im M[j, k] for each entry of the upper
+    triangle j < k, read from the stack's memory in one real gather.
+
+    These are the Gell-Mann coordinates of to_coords with the diagonal
+    block left unrotated and the off-diagonal pairs interleaved, an
+    orthogonal change of coordinates, so a stack has the same Gram
+    matrix, singular values and rank either way.  Only the diagonal and
+    the upper triangle are read: the input must be Hermitian, or the
+    rows are those of a different matrix."""
+    n = np.shape(matrices)[-1]
+    if _is_diagonal_basis(basis, n):
+        return to_coords(matrices, basis)
+    m = np.ascontiguousarray(matrices, dtype=complex)
+    _, gather, scale = _packed_layout(n)
+    out = np.take(m.reshape(*m.shape[:-2], n * n).view(np.float64), gather, axis=-1)
+    out *= scale
+    return out
+
+
+def packed_product_coords(a, b, basis):
+    """packed_coords of every kron(a_i, b_j), i-major, for two stacks
+    of Hermitian matrices (k1, d1, d1) and (k2, d2, d2), with basis
+    the basis of the d1 d2 x d1 d2 matrices.  Each entry that
+    packed_coords reads, at row i1 d2 + i2 and column j1 d2 + j2, is
+    the product a[i1, j1] b[i2, j2]; each is written straight into its
+    columns of the rows, and the stack of kron products is never
+    formed."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    (k1, d1, _), (k2, d2, _) = a.shape, b.shape
+    n = d1 * d2
+    entries, _, _ = _packed_layout(n)
+    if _is_diagonal_basis(basis, n):
+        entries = entries[:n]  # Re diag(M): to_coords on this basis
+    row, col = np.divmod(entries, n)
+    (i1, i2), (j1, j2) = np.divmod(row, d2), np.divmod(col, d2)
+    left = a.reshape(k1, 1, d1 * d1)[..., i1 * d1 + j1]
+    right = b.reshape(1, k2, d2 * d2)[..., i2 * d2 + j2]
+    out = np.empty((k1, k2, 2 * len(entries) - n))
+    out[..., :n] = (left[..., :n] * right[..., :n]).real
+    # sqrt2 conj(a b) = sqrt2 (Re, -Im) of each upper entry (none on the
+    # diagonal basis), written as one complex number over its two columns
+    np.multiply(left[..., n:].conj(), right[..., n:].conj(), out=out[..., n:].view(complex))
+    out[..., n:] *= np.sqrt(2.0)
+    return out.reshape(k1 * k2, -1)
 
 
 def singular_value_rank(sv):

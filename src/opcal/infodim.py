@@ -1,7 +1,10 @@
 """Informational completeness, discriminability, and the dimension
 identities relating affine, informational and effect-space dimensions.
 
-Ranks are decided by basis.matrix_rank, scale-free: a full rank is
+Every rank is of a Hermitian family's rows from basis.packed_coords
+(or packed_product_coords for kron products), which have the inner
+products of its matrices, so the rank is that of the family.  Ranks
+are decided by basis.matrix_rank, scale-free: a full rank is
 certified by one Cholesky factor of the Gram matrix shifted down by
 RANK_CERT times its trace, and any rank that certificate cannot show
 is counted in singular values above RANK_RCOND * sigma_max.  The
@@ -19,7 +22,7 @@ keeps a result between calls.
 import numpy as np
 
 from . import channels as ch
-from .basis import diagonal_basis, hermitian_basis, matrix_rank, real_view, to_coords
+from .basis import diagonal_basis, hermitian_basis, matrix_rank, packed_coords, packed_product_coords
 from .core import Effect, Observable, State, Theory, check_unit_sum, quantum
 from .core import spanning_states, spanning_vectors, stack
 from .errors import NotIC, WitnessFailed
@@ -29,7 +32,7 @@ from .tolerances import DISCRIMINATION_RESID, EXPAND_RESID, RESOLVED_EIG
 
 def ic_rank(obs):
     """Dimension of the span of the observable's effects."""
-    return matrix_rank(to_coords(np.array([e.matrix for e in obs.effects]), obs.theory.basis()))
+    return matrix_rank(packed_coords(np.array([e.matrix for e in obs.effects]), obs.theory.basis()))
 
 
 def is_informationally_complete(obs):
@@ -142,15 +145,17 @@ def informational_dimension(theory):
 def affine_state_dimension(theory):
     """Affine dimension of the state set, measured as the rank of the
     differences of a spanning family."""
-    coords = spanning_states(theory).coords
-    return matrix_rank(coords[1:] - coords[0])
+    rows = packed_coords(spanning_states(theory).matrix, theory.basis())
+    rows[1:] -= rows[0]
+    return matrix_rank(rows[1:])
 
 
 def effect_space_dimension(theory):
     """Linear dimension of the generalized-effect space, measured from
     the span of the physical effects (I + B_a) / 2, one per basis
     element B_a shifted into the cone."""
-    return matrix_rank(real_view((np.eye(theory.d) + theory.basis()) / 2.0))
+    basis = theory.basis()
+    return matrix_rank(packed_coords((np.eye(theory.d) + basis) / 2.0, basis))
 
 
 def transformation_affine_dimension(theory):
@@ -166,9 +171,9 @@ def transformation_affine_dimension(theory):
     th12 = Theory(theory.backend, d * d)
     kraus = spanning_vectors(d * d)[: th12.effect_dim]
     maps = kraus_to_choi(theory, kraus.reshape(-1, 1, d, d))
-    coords = to_coords(maps.choi, th12.basis())
+    rows = packed_coords(maps.choi, th12.basis())
     del maps  # freed before the rank, which allocates its own Gram matrix
-    return matrix_rank(coords)
+    return matrix_rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +188,7 @@ def check_local_observability(obs1, obs2):
     th12 = Theory(obs1.theory.backend, d1 * d2)
     m1 = np.array([e.matrix for e in obs1.effects])
     m2 = np.array([e.matrix for e in obs2.effects])
-    # every kron(e1, e2), in the order e1-major
-    prods = np.einsum("aij,bkl->abikjl", m1, m2).reshape(-1, d1 * d2, d1 * d2)
-    coords = to_coords(prods, th12.basis())
-    del prods  # freed before the rank, which allocates its own Gram matrix
-    rank = matrix_rank(coords)
+    rank = matrix_rank(packed_product_coords(m1, m2, th12.basis()))
     return rank == th12.effect_dim, rank
 
 
@@ -230,6 +231,9 @@ def check_bell_ic(d):
     preparation induces a minimal IC observable on the system."""
     joint = np.array([e.matrix for e in bell_basis_observable(d).effects])
     margs = ch.partial_trace(np.kron(np.eye(d), generic_ancilla_state(d)) @ joint, (d, d), 0)
+    # Hermitian, but only up to rounding as computed: keep the Hermitian
+    # part, which an IC rank reads
+    margs = (margs + margs.conj().swapaxes(-1, -2)) / 2.0
     return is_minimal_ic(Observable(tuple(Effect(quantum(d), m) for m in margs)))
 
 

@@ -4,7 +4,8 @@ loop-built oracles of the fixed infodim families (spanning vectors,
 Weyl displacements, generic ancilla, Bell projectors), the
 Kraus superoperator, the joint bilinear form and its absolute value,
 the involution on states, the positivity decision by the spectrum
-alone, the rank by singular values alone, the
+alone, the rank by singular values alone, the real view of a complex
+matrix and the Gell-Mann coordinates of every family a rank reads, the
 local action of either slot built through superoperators and the
 faithfulness predicates on its rank,
 the pass predicates of a dimension table, the spanning family as
@@ -17,13 +18,14 @@ the GNS maps folded onto the real views of Choi matrices."""
 import numpy as np
 
 from opcal import channels as ch
-from opcal import gns
-from opcal.basis import hermitian_basis, matrix_rank, real_view, singular_value_rank, to_coords
+from opcal import core, gns, infodim
+from opcal.basis import hermitian_basis, matrix_rank, singular_value_rank, to_coords
 from opcal.core import (
     Effect,
     Experiment,
     Observable,
     State,
+    Theory,
     Transformation,
     act,
     classical,
@@ -31,7 +33,7 @@ from opcal.core import (
     quantum,
 )
 from opcal.errors import ConeViolation
-from opcal.quantum import BipartiteState, local_state
+from opcal.quantum import BipartiteState, kraus_to_choi, local_state
 from opcal.tolerances import PROB_TOL
 
 # ---------------------------------------------------------------------------
@@ -210,6 +212,40 @@ def svd_rank(m):
     if m.size == 0:
         return 0
     return singular_value_rank(np.linalg.svd(m, compute_uv=False))
+
+
+def real_view(matrix):
+    """Real and imaginary parts of the entries of a complex matrix, or
+    of each of a stack (..., n, n), as one real vector (..., 2 n^2),
+    interleaved; no copy for a C-contiguous complex array."""
+    m = np.ascontiguousarray(matrix, dtype=complex)
+    return m.reshape(*m.shape[:-2], -1).view(np.float64)
+
+
+def coordinate_rank_inputs(d, backend):
+    """The five matrices that infodim ranks for the dimension table of
+    (backend, d) and for local observability of its IC observable, in
+    that order, as Gell-Mann coordinates by to_coords of each whole
+    family: the state differences at d, the effects (I + B_a)/2, the
+    state differences at d^2, the Choi matrices of the T family and the
+    kron products of the IC effects."""
+    th1, th12 = Theory(backend, d), Theory(backend, d * d)
+
+    def differences(th):
+        coords = core.spanning_states(th).coords
+        return coords[1:] - coords[0]
+
+    basis = th1.basis()
+    kraus = core.spanning_vectors(d * d)[: th12.effect_dim].reshape(-1, 1, d, d)
+    effects = np.array([e.matrix for e in infodim.ic_observable(th1).effects])
+    prods = np.einsum("aij,bkl->abikjl", effects, effects).reshape(-1, d * d, d * d)
+    return [
+        differences(th1),
+        to_coords((np.eye(d) + basis) / 2.0, basis),
+        differences(th12),
+        to_coords(kraus_to_choi(th1, kraus).choi, th12.basis()),
+        to_coords(prods, th12.basis()),
+    ]
 
 
 # ---------------------------------------------------------------------------

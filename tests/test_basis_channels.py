@@ -17,12 +17,13 @@ from opcal.basis import (
     from_coords,
     hermitian_basis,
     matrix_rank,
-    real_view,
+    packed_coords,
+    packed_product_coords,
     to_coords,
 )
 from opcal.core import Theory
 from opcal.tolerances import CP_TOL, RANK_RCOND
-from reference import kraus_to_super, spectrum_psd, svd_rank
+from reference import coordinate_rank_inputs, kraus_to_super, real_view, spectrum_psd, svd_rank
 
 
 def _random_hermitian(d, seed):
@@ -113,6 +114,53 @@ def test_real_view_is_the_coordinate_map():
     assert np.shares_memory(real_view(b), b)  # no copy of the basis
 
 
+def _hermitian_stack(rng, lead, n):
+    g = rng.standard_normal((*lead, n, n)) + 1j * rng.standard_normal((*lead, n, n))
+    return g + np.swapaxes(g, -1, -2).conj()
+
+
+@given(
+    n=st.integers(1, 6),
+    lead=st.sampled_from([(), (1,), (7,), (2, 3)]),
+    diagonal=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_packed_coords_have_the_inner_products_of_the_coordinates(n, lead, diagonal, seed):
+    # an orthogonal change of the coordinates of to_coords: the same
+    # Gram matrix, and each row as long as the part of its matrix that
+    # the basis spans (the diagonal, on the diagonal basis)
+    basis = diagonal_basis(n) if diagonal else hermitian_basis(n)
+    m = _hermitian_stack(np.random.default_rng(seed), lead, n)
+    got = packed_coords(m, basis)
+    assert got.shape == (*lead, len(basis)) and got.dtype == np.float64
+    rows, want = got.reshape(-1, len(basis)), to_coords(m, basis).reshape(-1, len(basis))
+    gram = want @ want.T
+    assert_allclose(rows @ rows.T, gram, rtol=0, atol=1e-13 * np.abs(gram).max())
+    spanned = m * np.eye(n) if diagonal else m
+    assert_allclose(np.linalg.norm(got, axis=-1), np.linalg.norm(spanned, axis=(-2, -1)), rtol=1e-14)
+
+
+@given(
+    d1=st.integers(1, 4),
+    d2=st.integers(1, 4),
+    k1=st.integers(1, 5),
+    k2=st.integers(1, 5),
+    diagonal=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_packed_product_coords_are_the_packed_coords_of_the_krons(d1, d2, k1, k2, diagonal, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _hermitian_stack(rng, (k1,), d1), _hermitian_stack(rng, (k2,), d2)
+    n = d1 * d2
+    basis = diagonal_basis(n) if diagonal else hermitian_basis(n)
+    krons = np.array([np.kron(x, y) for x in a for y in b])
+    got = packed_product_coords(a, b, basis)
+    assert got.shape == (k1 * k2, len(basis)) and got.dtype == np.float64
+    assert_allclose(got, packed_coords(krons, basis), rtol=0, atol=1e-14 * np.abs(krons).max())
+
+
 def test_diagonal_basis():
     basis = diagonal_basis(3)
     assert basis.shape == (3, 3, 3)
@@ -190,8 +238,12 @@ def test_matrix_rank_matches_the_singular_values_on_every_table_matrix(monkeypat
 
     ranked = _ranked_matrices(monkeypatch, run)
     assert len(ranked) == 5  # four in the table, one local observability
-    for m in ranked:
+    for m, coords in zip(ranked, coordinate_rank_inputs(d, backend), strict=True):
         assert matrix_rank(m) == svd_rank(m), m.shape
+        # the rows of each family have the singular values of its
+        # Gell-Mann coordinates
+        sv, want = (np.linalg.svd(x, compute_uv=False) for x in (m, coords))
+        assert_allclose(sv, want, rtol=0, atol=1e-12 * want[0])
 
 
 def test_matrix_rank_of_non_finite_and_extreme_entries():
