@@ -1,25 +1,21 @@
 """Canonical Hermitian operator bases and real coordinates.
 
-The quantum backend uses the orthonormal basis made of the normalized
-identity I/sqrt(d) followed by the generalized Gell-Mann matrices scaled
-to unit Hilbert-Schmidt norm, so Tr[B_a B_b] = delta_ab.  The classical
-backend uses the diagonal projectors |i><i|.  Every real coordinate
-vector in the toolkit refers to one of these bases.
+The quantum backend uses the orthonormal matrix-unit basis of n x n
+Hermitian matrices: the projectors |i><i|, then for each upper entry
+j < k, row-major, (|j><k| + |k><j|)/sqrt2 and -i(|j><k| - |k><j|)/sqrt2,
+so Tr[B_a B_b] = delta_ab.  The classical backend uses its first n
+elements, the diagonal projectors.  Every real coordinate vector in the
+toolkit refers to one of these bases; every quantity a check reports is
+basis-free, so the choice is bookkeeping.
 
-Coordinates are computed in closed form from the structure of the
-basis, never against its dense stack.  In the Gell-Mann basis the
-first n coordinates of an n x n matrix M are one real n x n transform
-of Re diag(M); each later element touches one pair of off-diagonal
-entries, so its coordinate is sqrt(1/2) Re(M[j,k] + M[k,j]) (symmetric)
-or sqrt(1/2) Im(M[k,j] - M[j,k]) (antisymmetric).  In the diagonal
-basis the coordinates are Re diag(M).  from_coords is the matching
-scatter.
-
-A rank needs only the inner products of a family, not its coordinates
-in a fixed basis.  packed_coords gives rows with the same inner
-products from one real gather of a Hermitian stack's diagonal and upper
-triangle, and packed_product_coords gives those of a stack of kron
-products from the factors, without forming the products.
+The coordinates Re Tr[B_a M] of an n x n matrix are Re M[i, i], then
+sqrt(1/2) Re(M[j, k] + M[k, j]) and sqrt(1/2) Im(M[k, j] - M[j, k]) for
+each j < k: two real gathers from the matrix's interleaved real and
+imaginary parts, one of the diagonal and upper entries, scaled by
+(1, sqrt(1/2), -sqrt(1/2)), and one of the lower entries added to it.
+from_coords is the matching scatter, and packed_product_coords gives
+the coordinates of a stack of Hermitian kron products from the
+factors, without forming the products.
 """
 
 from functools import lru_cache
@@ -30,80 +26,73 @@ from .tolerances import RANK_CERT, RANK_RCOND
 
 
 @lru_cache(maxsize=None)
-def hermitian_basis(n):
-    """Orthonormal Hermitian basis of n x n matrices, identity first.
+def _layout(n):
+    """(entries, upper, lower, scale) of the matrix-unit basis of n x n
+    matrices: the flat indices of the diagonal, then of the upper
+    triangle j < k, row-major; the indices, into a matrix's interleaved
+    real and imaginary parts, of the real part of each diagonal entry
+    and of both parts of each upper entry, in basis order, with the
+    factor each coordinate reads it by; and the indices of both parts
+    of each lower entry (k, j), in the same order, each read by
+    sqrt(1/2)."""
+    j, k = np.triu_indices(n, 1)
+    entries = np.concatenate([np.arange(n) * (n + 1), j * n + k])
 
-    Returns an array of shape (n*n, n, n) with Tr[B_a B_b] = delta_ab:
-    I/sqrt(n), then the generalized Gell-Mann matrices, diagonal,
-    symmetric and antisymmetric (imaginary; these pick up a sign under
-    transposition), scaled to unit norm and scattered onto the entries
-    that `_gellmann_layout` lists.
-    """
-    _, entries = _gellmann_layout(n)
-    diag, upper, lower = np.split(entries, [n, (n * n + n) // 2])
-    sym, anti = np.split(np.arange(n, n * n), 2)
-    m, col = np.arange(1, n)[:, None], np.arange(n)
-    out = np.zeros((n * n, n * n), dtype=complex)
-    out[0, diag] = 1.0
-    # m ones, then -m, scaled to Tr[g^2] = 2
-    out[1:n, diag] = np.sqrt(2.0 / (m * (m + 1))) * np.where(col < m, 1.0, np.where(col == m, -m, 0.0))
-    out[sym, upper] = out[sym, lower] = 1.0
-    out[anti, upper], out[anti, lower] = -1.0j, 1.0j
-    out /= np.where(np.arange(n * n) == 0, np.sqrt(n), np.sqrt(2.0))[:, None]
-    out = out.reshape(n * n, n, n)
+    def both_parts(flat):
+        return np.stack([2 * flat, 2 * flat + 1], axis=-1).ravel()
+
+    upper = np.concatenate([2 * entries[:n], both_parts(entries[n:])])
+    lower = both_parts(k * n + j)
+    scale = np.concatenate([np.ones(n), np.tile([np.sqrt(0.5), -np.sqrt(0.5)], len(j))])
+    for a in (entries, upper, lower, scale):
+        a.setflags(write=False)
+    return entries, upper, lower, scale
+
+
+def _units(n, k):
+    """The first k elements of the matrix-unit basis of n x n matrices,
+    read-only: element a holds, at each entry that coordinate a reads,
+    the factor it reads that entry by."""
+    _, upper, lower, scale = _layout(n)
+    out = np.zeros((k, 2 * n * n))
+    out[np.arange(k), upper[:k]] = scale[:k]
+    out[np.arange(n, k), lower[: k - n]] = np.sqrt(0.5)
+    out = out.view(complex).reshape(k, n, n)
     out.setflags(write=False)
     return out
 
 
 @lru_cache(maxsize=None)
-def diagonal_basis(d):
-    """Classical effect basis: the projectors |i><i| (shape (d, d, d))."""
-    arr = np.array([np.diag(np.eye(d)[i]).astype(complex) for i in range(d)])
-    arr.setflags(write=False)
-    return arr
+def hermitian_basis(n):
+    """Orthonormal Hermitian basis of n x n matrices, shape (n*n, n, n):
+    |i><i|, then for each upper entry j < k, row-major, the symmetric
+    (|j><k| + |k><j|)/sqrt2 and the antisymmetric (imaginary; it picks
+    up a sign under transposition) -i(|j><k| - |k><j|)/sqrt2."""
+    return _units(n, n * n)
 
 
 @lru_cache(maxsize=None)
-def _gellmann_layout(n):
-    """(diag, entries) of hermitian_basis(n): the real n x n transform
-    taking Re diag(M) to the first n coordinates, and the flat indices
-    of the diagonal, upper (j < k) and lower (k, j) entries that the
-    coordinates read, in basis order."""
-    diag = np.zeros((n, n))
-    diag[0] = 1.0 / np.sqrt(n)
-    for m in range(1, n):
-        diag[m, :m] = 1.0
-        diag[m, m] = -m
-        diag[m] /= np.sqrt(m * (m + 1))
-    j, k = np.triu_indices(n, 1)
-    entries = np.concatenate([np.arange(n) * (n + 1), j * n + k, k * n + j])
-    diag.setflags(write=False)
-    entries.setflags(write=False)
-    return diag, entries
-
-
-def _is_diagonal_basis(basis, n):
-    # the two bases coincide at n = 1
-    return len(basis) == n
+def diagonal_basis(d):
+    """Classical effect basis: the projectors |i><i| (shape (d, d, d)),
+    the first d elements of hermitian_basis(d), built without it."""
+    return _units(d, d)
 
 
 def to_coords(matrix, basis):
-    """Real coordinates Re Tr[B_a M] of a matrix in an orthonormal
-    basis (the coordinates of its Hermitian part); a stack of matrices
-    (..., n, n) gives a stack of coordinate vectors."""
-    m = np.asarray(matrix)
+    """Real coordinates Re Tr[B_a M] of a matrix in hermitian_basis(n)
+    or diagonal_basis(n) (the coordinates of its Hermitian part); a
+    stack of matrices (..., n, n) gives a stack of coordinate vectors."""
+    m = np.ascontiguousarray(matrix, dtype=complex)
     *lead, n, _ = m.shape
-    if _is_diagonal_basis(basis, n):
-        return np.ascontiguousarray(np.diagonal(m, axis1=-2, axis2=-1).real)
-    diag, entries = _gellmann_layout(n)
-    picked = m.reshape(*lead, n * n)[..., entries]
-    p = (n * n - n) // 2
-    upper, lower = picked[..., n : n + p], picked[..., n + p :]
-    out = np.empty((*lead, n * n))
-    out[..., :n] = picked[..., :n].real @ diag.T
-    np.add(upper.real, lower.real, out=out[..., n : n + p])
-    np.subtract(lower.imag, upper.imag, out=out[..., n + p :])
-    out[..., n:] *= np.sqrt(0.5)
+    k = len(basis)
+    _, upper, lower, scale = _layout(n)
+    flat = m.reshape(*lead, n * n).view(np.float64)
+    out = np.take(flat, upper[:k], axis=-1)
+    if k > n:  # the diagonal basis reads the diagonal as it is
+        out *= scale
+        lower_parts = np.take(flat, lower, axis=-1)
+        lower_parts *= np.sqrt(0.5)
+        out[..., n:] += lower_parts
     return out
 
 
@@ -111,82 +100,35 @@ def from_coords(coords, basis):
     """Matrix with the given real coordinates; a stack of coordinate
     vectors (..., len(basis)) gives a stack of matrices."""
     c = np.asarray(coords, dtype=float)
-    *lead, _ = c.shape
+    *lead, k = c.shape
     n = basis.shape[-1]
+    _, upper, lower, scale = _layout(n)
     out = np.zeros((*lead, n * n), dtype=complex)
-    if _is_diagonal_basis(basis, n):
-        out[..., :: n + 1] = c
-        return out.reshape(*lead, n, n)
-    diag, entries = _gellmann_layout(n)
-    p = (n * n - n) // 2
-    sym = np.sqrt(0.5) * c[..., n : n + p]
-    anti = np.sqrt(0.5) * c[..., n + p :]
-    out[..., entries[:n]] = c[..., :n] @ diag
-    out[..., entries[n : n + p]] = sym - 1j * anti
-    out[..., entries[n + p :]] = sym + 1j * anti
+    flat = out.view(np.float64)
+    flat[..., upper[:k]] = c * scale[:k]
+    flat[..., lower[: k - n]] = np.sqrt(0.5) * c[..., n:]
     return out.reshape(*lead, n, n)
 
 
-@lru_cache(maxsize=None)
-def _packed_layout(n):
-    """(entries, gather, scale) of packed_coords on n x n matrices and
-    the full basis: the flat indices of the entries it reads (the
-    diagonal, then the upper triangle j < k, row-major), the indices of
-    the real numbers it takes from a matrix's interleaved real and
-    imaginary parts (the real part of each diagonal entry, then both
-    parts of each upper one), and the factor each is scaled by."""
-    j, k = np.triu_indices(n, 1)
-    upper = j * n + k
-    entries = np.concatenate([np.arange(n) * (n + 1), upper])
-    gather = np.concatenate([2 * entries[:n], np.stack([2 * upper, 2 * upper + 1], axis=-1).ravel()])
-    scale = np.concatenate([np.ones(n), np.tile([np.sqrt(2.0), -np.sqrt(2.0)], len(j))])
-    for a in (entries, gather, scale):
-        a.setflags(write=False)
-    return entries, gather, scale
-
-
-def packed_coords(matrices, basis):
-    """Real rows of a Hermitian matrix, or of each of a stack (..., n,
-    n), with the inner products of the matrices: on the diagonal basis
-    the coordinates Re diag(M); on the full basis Re M[i, i], then
-    sqrt2 Re M[j, k] and -sqrt2 Im M[j, k] for each entry of the upper
-    triangle j < k, read from the stack's memory in one real gather.
-
-    These are the Gell-Mann coordinates of to_coords with the diagonal
-    block left unrotated and the off-diagonal pairs interleaved, an
-    orthogonal change of coordinates, so a stack has the same Gram
-    matrix, singular values and rank either way.  Only the diagonal and
-    the upper triangle are read: the input must be Hermitian, or the
-    rows are those of a different matrix."""
-    n = np.shape(matrices)[-1]
-    if _is_diagonal_basis(basis, n):
-        return to_coords(matrices, basis)
-    m = np.ascontiguousarray(matrices, dtype=complex)
-    _, gather, scale = _packed_layout(n)
-    out = np.take(m.reshape(*m.shape[:-2], n * n).view(np.float64), gather, axis=-1)
-    out *= scale
-    return out
-
-
 def packed_product_coords(a, b, basis):
-    """packed_coords of every kron(a_i, b_j), i-major, for two stacks
-    of Hermitian matrices (k1, d1, d1) and (k2, d2, d2), with basis
-    the basis of the d1 d2 x d1 d2 matrices.  Each entry that
-    packed_coords reads, at row i1 d2 + i2 and column j1 d2 + j2, is
-    the product a[i1, j1] b[i2, j2]; each is written straight into its
-    columns of the rows, and the stack of kron products is never
-    formed."""
+    """to_coords of every kron(a_i, b_j), i-major, for two stacks of
+    Hermitian matrices (k1, d1, d1) and (k2, d2, d2), with basis the
+    basis of the d1 d2 x d1 d2 matrices.  Each diagonal or upper entry
+    of a product, at row i1 d2 + i2 and column j1 d2 + j2, is
+    a[i1, j1] b[i2, j2], and its lower entry is the conjugate; each is
+    written straight into its columns of the rows, and the stack of
+    kron products is never formed."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     (k1, d1, _), (k2, d2, _) = a.shape, b.shape
     n = d1 * d2
-    entries, _, _ = _packed_layout(n)
-    if _is_diagonal_basis(basis, n):
-        entries = entries[:n]  # Re diag(M): to_coords on this basis
+    entries = _layout(n)[0]
+    if len(basis) == n:
+        entries = entries[:n]  # the diagonal basis reads the diagonal alone
     row, col = np.divmod(entries, n)
     (i1, i2), (j1, j2) = np.divmod(row, d2), np.divmod(col, d2)
     left = a.reshape(k1, 1, d1 * d1)[..., i1 * d1 + j1]
     right = b.reshape(1, k2, d2 * d2)[..., i2 * d2 + j2]
-    out = np.empty((k1, k2, 2 * len(entries) - n))
+    out = np.empty((k1, k2, len(basis)))
     out[..., :n] = (left[..., :n] * right[..., :n]).real
     # sqrt2 conj(a b) = sqrt2 (Re, -Im) of each upper entry (none on the
     # diagonal basis), written as one complex number over its two columns

@@ -32,8 +32,8 @@ from .tolerances import DEFAULT_TOL, OVERRIDE_HERMITIAN, OVERRIDE_PSD, OVERRIDE_
 SCALAR_FIELDS = {"backend": str, "d": int, "seed": int, "tol": float}
 # Largest accepted dimension: memory grows as d^8, the size of the Choi
 # basis of d^2 x d^2 matrices (1.6 GB alone at d=10).  A process running
-# two d=5 `all` reports with one BLAS thread peaks at 66.5-66.7 MB resident,
-# and a warm d=5 `all` report takes 0.08-0.13 s (numpy 2.4, 2 shared vCPUs).
+# two d=5 `all` reports with one BLAS thread peaks at 65.8-66.0 MB resident,
+# and a warm d=5 `all` report takes 0.09-0.11 s (numpy 2.4, 2 shared vCPUs).
 MAX_D = 5
 
 
@@ -43,8 +43,8 @@ MAX_D = 5
 
 def parse_kv(text):
     """Parse `key = value` lines into an ordered list of
-    (line number, key, value) triples."""
-    out = []
+    (line number, key, value) triples; a key may appear once."""
+    out, seen = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -55,6 +55,9 @@ def parse_kv(text):
         key = key.strip()
         if not key:
             raise ParseError(f"line {lineno}: empty key")
+        if key in seen:
+            raise ParseError(f"line {lineno}: field {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         out.append((lineno, key, value.strip()))
     return out
 
@@ -143,11 +146,8 @@ def load_theory(path):
     rejected so typos fail loudly."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    fields, seen = {}, {}
+    fields = {}
     for lineno, key, value in parse_kv(text):
-        if key in seen:
-            raise ParseError(f"line {lineno}: field {key!r} repeats line {seen[key]}")
-        seen[key] = lineno
         try:
             if key in SCALAR_FIELDS:
                 fields[key] = SCALAR_FIELDS[key](value)

@@ -233,7 +233,7 @@ def pair(state, effect):
     """Probability of the effect in the given state (unclamped for
     generalized inputs); stacks broadcast against each other."""
     _check_same(state, effect)
-    p = (state.matrix @ effect.matrix).trace(axis1=-2, axis2=-1).real
+    p = np.einsum("...ij,...ji->...", state.matrix, effect.matrix).real
     if not (state.generalized or effect.generalized):
         near = (p >= -PROB_TOL) & (p <= 1.0 + PROB_TOL)
         p = np.where(near, np.minimum(np.maximum(p, 0.0), 1.0), p)[()]

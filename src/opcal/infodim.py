@@ -1,15 +1,16 @@
 """Informational completeness, discriminability, and the dimension
 identities relating affine, informational and effect-space dimensions.
 
-Every rank is of a Hermitian family's rows from basis.packed_coords
-(or packed_product_coords for kron products), which have the inner
-products of its matrices, so the rank is that of the family.  Ranks
-are decided by basis.matrix_rank, scale-free: a full rank is
-certified by one Cholesky factor of the Gram matrix shifted down by
-RANK_CERT times its trace, and any rank that certificate cannot show
-is counted in singular values above RANK_RCOND * sigma_max.  The
-certificate only answers where the singular values would count the
-same, so a rank never depends on which of the two decided it.
+Every rank is of a Hermitian family's coordinates, from
+basis.to_coords (or packed_product_coords for kron products), which
+have the inner products of its matrices, so the rank is that of the
+family.  Ranks are decided by basis.matrix_rank, scale-free: a full
+rank is certified by one Cholesky factor of the Gram matrix shifted
+down by RANK_CERT times its trace, and any rank that certificate
+cannot show is counted in singular values above RANK_RCOND *
+sigma_max.  The certificate only answers where the singular values
+would count the same, so a rank never depends on which of the two
+decided it.
 
 The theory-level measurements (affine_state_dimension,
 informational_dimension, effect_space_dimension,
@@ -22,7 +23,7 @@ keeps a result between calls.
 import numpy as np
 
 from . import channels as ch
-from .basis import diagonal_basis, hermitian_basis, matrix_rank, packed_coords, packed_product_coords
+from .basis import diagonal_basis, hermitian_basis, matrix_rank, packed_product_coords, to_coords
 from .core import Effect, Observable, State, Theory, check_unit_sum, quantum
 from .core import spanning_states, spanning_vectors, stack
 from .errors import NotIC, WitnessFailed
@@ -32,7 +33,7 @@ from .tolerances import DISCRIMINATION_RESID, EXPAND_RESID, RESOLVED_EIG
 
 def ic_rank(obs):
     """Dimension of the span of the observable's effects."""
-    return matrix_rank(packed_coords(np.array([e.matrix for e in obs.effects]), obs.theory.basis()))
+    return matrix_rank(to_coords(np.array([e.matrix for e in obs.effects]), obs.theory.basis()))
 
 
 def is_informationally_complete(obs):
@@ -73,18 +74,20 @@ def is_resolved(e):
 
 def minimal_ic_povm(d):
     """A minimal informationally complete observable at any dimension:
-    d^2 - 1 effects (I + eps B_a) / d^2 over the traceless basis, plus
-    the completing effect."""
+    d^2 - 1 effects (I + eps B_a) / d^2 over a traceless family, the
+    basis elements after |0><0| less their trace parts, plus the
+    completing effect."""
     th = quantum(d)
-    basis = hermitian_basis(d)
+    basis = hermitian_basis(d)[1:]
+    traceless = basis - np.trace(basis, axis1=-2, axis2=-1)[:, None, None] * np.eye(d) / d
     n = d * d
     # keep both (I + eps B_a)/n and the completing effect positive
-    total = np.sum(basis[1:], axis=0)
+    total = np.sum(traceless, axis=0)
     eps = min(1.0 / (2.0 * d), 0.9 / float(np.linalg.norm(total, 2)))
     effs = []
     rest = np.zeros((d, d), dtype=complex)
-    for a in range(1, n):
-        m = (np.eye(d) + eps * basis[a]) / n
+    for b in traceless:
+        m = (np.eye(d) + eps * b) / n
         effs.append(Effect(th, m))
         rest += m
     effs.insert(0, Effect(th, np.eye(d) - rest))
@@ -145,7 +148,7 @@ def informational_dimension(theory):
 def affine_state_dimension(theory):
     """Affine dimension of the state set, measured as the rank of the
     differences of a spanning family."""
-    rows = packed_coords(spanning_states(theory).matrix, theory.basis())
+    rows = to_coords(spanning_states(theory).matrix, theory.basis())
     rows[1:] -= rows[0]
     return matrix_rank(rows[1:])
 
@@ -155,7 +158,7 @@ def effect_space_dimension(theory):
     the span of the physical effects (I + B_a) / 2, one per basis
     element B_a shifted into the cone."""
     basis = theory.basis()
-    return matrix_rank(packed_coords((np.eye(theory.d) + basis) / 2.0, basis))
+    return matrix_rank(to_coords((np.eye(theory.d) + basis) / 2.0, basis))
 
 
 def transformation_affine_dimension(theory):
@@ -171,7 +174,7 @@ def transformation_affine_dimension(theory):
     th12 = Theory(theory.backend, d * d)
     kraus = spanning_vectors(d * d)[: th12.effect_dim]
     maps = kraus_to_choi(theory, kraus.reshape(-1, 1, d, d))
-    rows = packed_coords(maps.choi, th12.basis())
+    rows = to_coords(maps.choi, th12.basis())
     del maps  # freed before the rank, which allocates its own Gram matrix
     return matrix_rank(rows)
 
@@ -231,9 +234,6 @@ def check_bell_ic(d):
     preparation induces a minimal IC observable on the system."""
     joint = np.array([e.matrix for e in bell_basis_observable(d).effects])
     margs = ch.partial_trace(np.kron(np.eye(d), generic_ancilla_state(d)) @ joint, (d, d), 0)
-    # Hermitian, but only up to rounding as computed: keep the Hermitian
-    # part, which an IC rank reads
-    margs = (margs + margs.conj().swapaxes(-1, -2)) / 2.0
     return is_minimal_ic(Observable(tuple(Effect(quantum(d), m) for m in margs)))
 
 

@@ -5,7 +5,7 @@ Weyl displacements, generic ancilla, Bell projectors), the
 Kraus superoperator, the joint bilinear form and its absolute value,
 the involution on states, the positivity decision by the spectrum
 alone, the rank by singular values alone, the real view of a complex
-matrix and the Gell-Mann coordinates of every family a rank reads, the
+matrix and the coordinates of every whole family a rank reads, the
 local action of either slot built through superoperators and the
 faithfulness predicates on its rank,
 the pass predicates of a dimension table, the spanning family as
@@ -225,10 +225,10 @@ def real_view(matrix):
 def coordinate_rank_inputs(d, backend):
     """The five matrices that infodim ranks for the dimension table of
     (backend, d) and for local observability of its IC observable, in
-    that order, as Gell-Mann coordinates by to_coords of each whole
-    family: the state differences at d, the effects (I + B_a)/2, the
-    state differences at d^2, the Choi matrices of the T family and the
-    kron products of the IC effects."""
+    that order, as coordinates by to_coords of each whole family (the
+    kron products formed first): the state differences at d, the
+    effects (I + B_a)/2, the state differences at d^2, the Choi
+    matrices of the T family and the kron products of the IC effects."""
     th1, th12 = Theory(backend, d), Theory(backend, d * d)
 
     def differences(th):

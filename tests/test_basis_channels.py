@@ -17,7 +17,6 @@ from opcal.basis import (
     from_coords,
     hermitian_basis,
     matrix_rank,
-    packed_coords,
     packed_product_coords,
     to_coords,
 )
@@ -50,8 +49,17 @@ def test_hermitian_basis_orthonormal(d):
     assert_allclose(gram, np.eye(d * d), atol=1e-12)
     for b in basis:
         assert_allclose(b, b.conj().T, atol=1e-14)
-    # identity direction comes first
-    assert_allclose(basis[0], np.eye(d) / np.sqrt(d), atol=1e-14)
+    # the projectors |i><i| come first, so the classical basis is a
+    # prefix; then, for each j < k row-major, the symmetric and the
+    # antisymmetric element of (j, k)
+    assert np.array_equal(basis[:d], np.eye(d)[:, None, :] * np.eye(d)[:, :, None])
+    assert np.array_equal(diagonal_basis(d), basis[:d])
+    j, k = np.triu_indices(d, 1)
+    unit = np.zeros((len(j), d, d))
+    unit[np.arange(len(j)), j, k] = 1.0
+    flip = unit.swapaxes(-1, -2)
+    assert_allclose(basis[d::2], (unit + flip) / np.sqrt(2.0), rtol=0, atol=1e-15)
+    assert_allclose(basis[d + 1 :: 2], -1j * (unit - flip) / np.sqrt(2.0), rtol=0, atol=1e-15)
 
 
 @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
@@ -120,28 +128,6 @@ def _hermitian_stack(rng, lead, n):
 
 
 @given(
-    n=st.integers(1, 6),
-    lead=st.sampled_from([(), (1,), (7,), (2, 3)]),
-    diagonal=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=80, deadline=None)
-def test_packed_coords_have_the_inner_products_of_the_coordinates(n, lead, diagonal, seed):
-    # an orthogonal change of the coordinates of to_coords: the same
-    # Gram matrix, and each row as long as the part of its matrix that
-    # the basis spans (the diagonal, on the diagonal basis)
-    basis = diagonal_basis(n) if diagonal else hermitian_basis(n)
-    m = _hermitian_stack(np.random.default_rng(seed), lead, n)
-    got = packed_coords(m, basis)
-    assert got.shape == (*lead, len(basis)) and got.dtype == np.float64
-    rows, want = got.reshape(-1, len(basis)), to_coords(m, basis).reshape(-1, len(basis))
-    gram = want @ want.T
-    assert_allclose(rows @ rows.T, gram, rtol=0, atol=1e-13 * np.abs(gram).max())
-    spanned = m * np.eye(n) if diagonal else m
-    assert_allclose(np.linalg.norm(got, axis=-1), np.linalg.norm(spanned, axis=(-2, -1)), rtol=1e-14)
-
-
-@given(
     d1=st.integers(1, 4),
     d2=st.integers(1, 4),
     k1=st.integers(1, 5),
@@ -158,7 +144,7 @@ def test_packed_product_coords_are_the_packed_coords_of_the_krons(d1, d2, k1, k2
     krons = np.array([np.kron(x, y) for x in a for y in b])
     got = packed_product_coords(a, b, basis)
     assert got.shape == (k1 * k2, len(basis)) and got.dtype == np.float64
-    assert_allclose(got, packed_coords(krons, basis), rtol=0, atol=1e-14 * np.abs(krons).max())
+    assert_allclose(got, to_coords(krons, basis), rtol=0, atol=1e-14 * np.abs(krons).max())
 
 
 def test_diagonal_basis():
@@ -240,8 +226,8 @@ def test_matrix_rank_matches_the_singular_values_on_every_table_matrix(monkeypat
     assert len(ranked) == 5  # four in the table, one local observability
     for m, coords in zip(ranked, coordinate_rank_inputs(d, backend), strict=True):
         assert matrix_rank(m) == svd_rank(m), m.shape
-        # the rows of each family have the singular values of its
-        # Gell-Mann coordinates
+        # the rows of each family have the singular values of to_coords
+        # of the family built whole, its kron products formed
         sv, want = (np.linalg.svd(x, compute_uv=False) for x in (m, coords))
         assert_allclose(sv, want, rtol=0, atol=1e-12 * want[0])
 

@@ -203,6 +203,18 @@ def test_structured_round_trip():
     assert cli.emit_report(back, "structured") == text
 
 
+def test_parse_report_repeated_key():
+    # appended lines cannot turn a passing d=2 report into a failed d=3 one
+    report = cli.run_suite(cli.TheorySpec(d=2, seed=7), "core")
+    text = cli.emit_report(report, "structured")
+    assert report.all_pass()
+    n = len(text.splitlines())
+    with pytest.raises(ParseError, match=f"line {n + 1}: field 'check.0.status' repeats line 8$"):
+        cli.parse_report(text + "check.0.status = fail\nd = 3\n")
+    with pytest.raises(ParseError, match=f"line {n + 1}: field 'd' repeats line 3$"):
+        cli.parse_report(text + "d = 3\n")
+
+
 def test_text_report_flags_failures():
     report = cli.run_suite(cli.TheorySpec(backend="classical", d=2), "table1")
     text = cli.emit_report(report, "text")
@@ -532,56 +544,12 @@ def test_no_rank_reaches_an_svd(monkeypatch):
         calls.clear()
         cli.run_suite(spec, "all")
         assert dict(calls) == want, spec
-
-
-def test_packed_rows_read_only_hermitian_stacks(monkeypatch):
-    # packed_coords reads the diagonal and upper triangle alone, so it
-    # is exact only on Hermitian input: every stack that reaches it (or
-    # whose kron products reach packed_product_coords) must be exactly
-    # Hermitian
-    stacks = []
-
-    def recording_packed(m, basis):
-        stacks.append(np.array(m))
-        return basis_packed(m, basis)
-
-    def recording_product(a, b, basis):
-        stacks.extend((np.array(a), np.array(b)))
-        return basis_product(a, b, basis)
-
-    basis_packed, basis_product = infodim.packed_coords, infodim.packed_product_coords
-    monkeypatch.setattr(infodim, "packed_coords", recording_packed)
-    monkeypatch.setattr(infodim, "packed_product_coords", recording_product)
-
-    def at_d5():
-        infodim.dim_identities(5)
-        obs = infodim.ic_observable(core.quantum(5))
-        infodim.check_local_observability(obs, obs)
-
-    runs = [lambda spec=cli.TheorySpec(d=d): cli.run_suite(spec, "all") for d in (2, 3, 4)]
-    runs += [lambda spec=cli.TheorySpec(backend="classical", d=d): cli.run_suite(spec, "all") for d in (3, 4)]
-    for run in [*runs, at_d5]:
-        stacks.clear()
-        run()
-        assert stacks
-        for m in stacks:
-            assert np.array_equal(m, np.swapaxes(m, -1, -2).conj()), m.shape
-
-
-def test_no_whole_family_reaches_to_coords(monkeypatch):
-    # the ranks read packed rows, so a quantum d=4 run takes Gell-Mann
-    # coordinates of no stack wider than a basis of d x d matrices
-    sizes, to_coords = [], core.to_coords
-
-    def recording_to_coords(m, basis):
-        sizes.append(int(np.prod(np.shape(m)[:-2])))
-        return to_coords(m, basis)
-
-    for mod in (opcal.basis, core, faithful, gns, infodim):
-        if getattr(mod, "to_coords", None) is to_coords:
-            monkeypatch.setattr(mod, "to_coords", recording_to_coords)
-    cli.run_suite(cli.TheorySpec(d=4), "all")
-    assert sizes and max(sizes) <= 16
+    # the d=5 dimension table and local observability, every rank full
+    calls.clear()
+    assert all(lhs == rhs for lhs, rhs in infodim.dim_identities(5).values())
+    obs = infodim.ic_observable(core.quantum(5))
+    assert infodim.check_local_observability(obs, obs) == (True, 625)
+    assert dict(calls) == {}
 
 
 def test_cp_stacks_take_no_spectrum(monkeypatch):

@@ -190,7 +190,11 @@ def _schmidt_rank_state(d, k, seed):
     semidefinite.  R has the singular values 1/d and c s_m."""
     rng = np.random.default_rng(seed)
     n = d * d
-    traceless = hermitian_basis(d)[1:]
+    # the Helmert rows as diagonal matrices, then the off-diagonal
+    # elements of the basis: n - 1 orthonormal traceless matrices
+    m, col = np.arange(1, d)[:, None], np.arange(d)
+    helmert = np.where(col < m, 1.0, np.where(col == m, -m, 0.0)) / np.sqrt(m * (m + 1))
+    traceless = np.concatenate([helmert[:, None, :] * np.eye(d), hermitian_basis(d)[d:]])
     x, y = (
         np.einsum("am,aij->mij", np.linalg.qr(rng.standard_normal((n - 1, k - 1)))[0], traceless)
         for _ in range(2)

@@ -1,9 +1,9 @@
 """Static checks on the source tree: no unused imports, every public
 function and every private module-level helper has a caller outside
 the tests, every function the benchmark traces by name still exists,
-every check hands its seed to one draw, every rank and every
-positivity test is decided in one place, and the checks take each
-theory-level dimension through the run's context."""
+every check hands its seed to one draw, every rank, every positivity
+test and the coordinate layout are decided in one place, and the
+checks take each theory-level dimension through the run's context."""
 
 import ast
 import importlib
@@ -281,6 +281,30 @@ def test_one_place_decides_positivity():
         "CP_TOL": {"m.f", "m.g"},
         "is_psd": {"m.g"},
     }
+
+
+def _view_kind(node):
+    """A reinterpretation of array memory as another dtype: a `.view`
+    call given a dtype."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "view":
+        return "view" if node.args or node.keywords else None
+    return None
+
+
+def test_one_place_lays_out_coordinates():
+    # reading a complex matrix's memory as real numbers, or real rows as
+    # complex ones, fixes the coordinate layout, which is basis.py's alone
+    sites = _all_sites(_view_kind)
+    assert {site.partition(".")[0] for site in sites["view"]} == {"basis"}
+    source = (
+        "def f(m):\n"
+        "    return m.reshape(-1).view(np.float64), m.view()\n"
+        "def g(m, out):\n"
+        "    np.multiply(m, m, out=out.view(dtype=complex))\n"
+        "def h(m, view):\n"
+        "    return view(m), m.real, m.copy()\n"
+    )
+    assert _sites(ast.parse(source), "m", _view_kind) == {"view": {"m.f", "m.g"}}
 
 
 MEASUREMENTS = ("informational_dimension", "affine_state_dimension", "dim_identities")
