@@ -27,7 +27,6 @@ from .core import (
     scale,
     trans_norm,
     weight_norm,
-    zero_map,
 )
 from .quantum import (
     BipartiteState,

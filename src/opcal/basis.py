@@ -15,7 +15,10 @@ imaginary parts, one of the diagonal and upper entries, scaled by
 (1, sqrt(1/2), -sqrt(1/2)), and one of the lower entries added to it.
 from_coords is the matching scatter, and packed_product_coords gives
 the coordinates of a stack of Hermitian kron products from the
-factors, without forming the products.
+factors, without forming the products.  The maps read only sizes:
+to_coords and packed_product_coords take the number k of coordinates
+(n * n, or n on the diagonal basis), from_coords the matrix size n, and
+none of them builds a basis.
 """
 
 from functools import lru_cache
@@ -78,13 +81,13 @@ def diagonal_basis(d):
     return _units(d, d)
 
 
-def to_coords(matrix, basis):
-    """Real coordinates Re Tr[B_a M] of a matrix in hermitian_basis(n)
-    or diagonal_basis(n) (the coordinates of its Hermitian part); a
-    stack of matrices (..., n, n) gives a stack of coordinate vectors."""
+def to_coords(matrix, k):
+    """The first k real coordinates Re Tr[B_a M] of an n x n matrix in
+    the matrix-unit basis (the coordinates of its Hermitian part): k is
+    n * n for hermitian_basis(n) and n for diagonal_basis(n).  A stack
+    of matrices (..., n, n) gives a stack of coordinate vectors."""
     m = np.ascontiguousarray(matrix, dtype=complex)
     *lead, n, _ = m.shape
-    k = len(basis)
     _, upper, lower, scale = _layout(n)
     flat = m.reshape(*lead, n * n).view(np.float64)
     out = np.take(flat, upper[:k], axis=-1)
@@ -96,12 +99,14 @@ def to_coords(matrix, basis):
     return out
 
 
-def from_coords(coords, basis):
-    """Matrix with the given real coordinates; a stack of coordinate
-    vectors (..., len(basis)) gives a stack of matrices."""
+def from_coords(coords, n):
+    """The n x n matrix with the given real coordinates, the first k of
+    the matrix-unit basis for k the length of the last axis (n * n or
+    n); a stack of coordinate vectors (..., k) gives a stack of
+    matrices.  The size is n, not k, because k = n * n can also be the
+    diagonal basis of n * n x n * n matrices."""
     c = np.asarray(coords, dtype=float)
     *lead, k = c.shape
-    n = basis.shape[-1]
     _, upper, lower, scale = _layout(n)
     out = np.zeros((*lead, n * n), dtype=complex)
     flat = out.view(np.float64)
@@ -110,25 +115,23 @@ def from_coords(coords, basis):
     return out.reshape(*lead, n, n)
 
 
-def packed_product_coords(a, b, basis):
-    """to_coords of every kron(a_i, b_j), i-major, for two stacks of
-    Hermitian matrices (k1, d1, d1) and (k2, d2, d2), with basis the
-    basis of the d1 d2 x d1 d2 matrices.  Each diagonal or upper entry
-    of a product, at row i1 d2 + i2 and column j1 d2 + j2, is
-    a[i1, j1] b[i2, j2], and its lower entry is the conjugate; each is
-    written straight into its columns of the rows, and the stack of
-    kron products is never formed."""
+def packed_product_coords(a, b, k):
+    """to_coords(..., k) of every kron(a_i, b_j), i-major, for two
+    stacks of Hermitian matrices (k1, d1, d1) and (k2, d2, d2), with k
+    the number of coordinates of a d1 d2 x d1 d2 matrix.  Each diagonal
+    or upper entry of a product, at row i1 d2 + i2 and column
+    j1 d2 + j2, is a[i1, j1] b[i2, j2], and its lower entry is the
+    conjugate; each is written straight into its columns of the rows,
+    and the stack of kron products is never formed."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     (k1, d1, _), (k2, d2, _) = a.shape, b.shape
     n = d1 * d2
-    entries = _layout(n)[0]
-    if len(basis) == n:
-        entries = entries[:n]  # the diagonal basis reads the diagonal alone
+    entries = _layout(n)[0][:k]  # the diagonal basis reads the diagonal alone
     row, col = np.divmod(entries, n)
     (i1, i2), (j1, j2) = np.divmod(row, d2), np.divmod(col, d2)
     left = a.reshape(k1, 1, d1 * d1)[..., i1 * d1 + j1]
     right = b.reshape(1, k2, d2 * d2)[..., i2 * d2 + j2]
-    out = np.empty((k1, k2, len(basis)))
+    out = np.empty((k1, k2, k))
     out[..., :n] = (left[..., :n] * right[..., :n]).real
     # sqrt2 conj(a b) = sqrt2 (Re, -Im) of each upper entry (none on the
     # diagonal basis), written as one complex number over its two columns

@@ -30,10 +30,11 @@ from .errors import ParseError, UnknownSuite, ValidationError
 from .tolerances import DEFAULT_TOL, OVERRIDE_HERMITIAN, OVERRIDE_PSD, OVERRIDE_TRACE
 
 SCALAR_FIELDS = {"backend": str, "d": int, "seed": int, "tol": float}
-# Largest accepted dimension: memory grows as d^8, the size of the Choi
-# basis of d^2 x d^2 matrices (1.6 GB alone at d=10).  A process running
-# two d=5 `all` reports with one BLAS thread peaks at 65.8-66.0 MB resident,
-# and a warm d=5 `all` report takes 0.09-0.11 s (numpy 2.4, 2 shared vCPUs).
+# Largest accepted dimension: memory grows as d^8, the size of the d^4
+# spanning states of C^(d^2) and of the d^4 Choi matrices of `table1.T`,
+# each d^2 x d^2 (1.6 GB apiece at d=10).  A process running two d=5
+# `all` reports with one BLAS thread peaks at 60.6-60.7 MB resident, and
+# a warm d=5 `all` report takes 0.10-0.14 s (numpy 2.4, 2 shared vCPUs).
 MAX_D = 5
 
 

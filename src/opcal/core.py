@@ -22,10 +22,11 @@ from .basis import diagonal_basis, hermitian_basis, to_coords
 from .errors import (
     BackendMismatch,
     CompletenessError,
+    NoClosedForm,
     NotCoexistent,
     ZeroProbability,
 )
-from .tolerances import COMPLETENESS_TOL, CP_TOL, NORM_STEP, PROB_TOL, UNIT_TRACE
+from .tolerances import COMPLETENESS_TOL, CP_TOL, PROB_TOL, UNIT_TRACE
 
 BACKENDS = ("quantum", "classical")
 
@@ -46,8 +47,9 @@ class Theory:
 
     @property
     def effect_dim(self):
-        """Dimension of the generalized-effect space."""
-        return len(self.basis())
+        """Dimension of the generalized-effect space: the d^2 Hermitian
+        matrices, or the d diagonal ones."""
+        return self.d * self.d if self.backend == "quantum" else self.d
 
     def basis(self):
         if self.backend == "quantum":
@@ -82,7 +84,7 @@ class Effect:
 
     @property
     def coords(self):
-        return to_coords(self.matrix, self.theory.basis())
+        return to_coords(self.matrix, self.theory.effect_dim)
 
     def is_physical(self, tol=PROB_TOL):
         ev = np.linalg.eigvalsh(self.matrix)
@@ -105,10 +107,6 @@ class Weight:
     def total(self):
         """Pairing with the unit effect (one per weight of a stack)."""
         return self.matrix.trace(axis1=-2, axis2=-1).real
-
-    @property
-    def coords(self):
-        return to_coords(self.matrix, self.theory.basis())
 
     def normalize(self):
         """The state of each weight; a stack with any weight at or
@@ -157,20 +155,9 @@ class Transformation:
         """Schrodinger action on a (density) matrix."""
         return ch.apply_super(self.super, np.asarray(matrix, dtype=complex))
 
-    def is_physical(self, tol=PROB_TOL):
-        if not ch.is_psd(self.choi, tol):
-            return False
-        ev = np.linalg.eigvalsh(ch.effect_of_choi(self.choi))
-        return bool(ev[-1] <= 1.0 + tol)
-
 
 def identity(theory):
     return Transformation(theory, ch.identity_choi(theory.d))
-
-
-def zero_map(theory):
-    d = theory.d
-    return Transformation(theory, np.zeros((d * d, d * d), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -345,62 +332,29 @@ def weight_norm(w):
 
 
 def trans_norm(t):
-    """Operator norm sup over unit-ball effects B of ||B after t||.
-
-    The supremum equals the induced trace-norm over pure inputs,
-    sup_psi ||t(psi)||_1.  For CP maps this is exactly the top
-    eigenvalue of the dual unit effect; otherwise it is evaluated by
-    alternating maximization over (pure state, unit-ball effect) pairs
-    from 16 restarts (seed 7) plus structured starting points, each
-    refined at most 200 times and until it gains less than NORM_STEP (a
-    certified lower bound).  A classical map acts on the diagonal alone,
-    so the basis-vector starts reach its exact norm, the largest column
-    l1 norm of its (sub)stochastic matrix.
+    """Operator norm sup over unit-ball effects B of ||B after t||, the
+    induced trace norm over pure inputs, sup_psi ||t(psi)||_1, in one of
+    two closed forms.  A CP map has the top eigenvalue of its dual unit
+    effect.  A map with a diagonal Choi matrix (every classical map,
+    signed or not) sends |j><j| to sum_i M[i, j] |i><i|, with
+    M[i, j] = C[(j, i), (j, i)], and has the largest column l1 norm of
+    M.  Any other map raises NoClosedForm.
 
     A stack gives one norm per map: one CP test of all Choi matrices
-    (`channels.is_psd`), one eigvalsh of all dual units, and the
-    alternating maximization for each nonzero map that is not CP.
+    (`channels.is_psd`), one eigvalsh of all dual units, and the column
+    norms of the maps that are not CP.
     """
     choi = t.choi.reshape(-1, *t.choi.shape[-2:])
-    zero = ~choi.any(axis=(-2, -1))
-    cp = ch.is_psd(choi, CP_TOL)
     norms = np.linalg.eigvalsh(ch.effect_of_choi(choi))[:, -1]
-    norms[zero] = 0.0
-    for i in np.flatnonzero(~zero & ~cp):
-        norms[i] = _alternating_norm(choi[i], t.theory.d)
+    not_cp = ~ch.is_psd(choi, CP_TOL)
+    if not_cp.any():
+        other = choi[not_cp]
+        diag = np.diagonal(other, axis1=-2, axis2=-1)
+        if np.count_nonzero(other) > np.count_nonzero(diag):  # an off-diagonal entry
+            raise NoClosedForm("trans_norm of a map that is neither CP nor diagonal in its Choi matrix")
+        d = t.theory.d
+        norms[not_cp] = np.abs(diag).reshape(-1, d, d).sum(axis=-1).max(axis=-1)
     return _per_element(norms.reshape(t.choi.shape[:-2]))
-
-
-def _alternating_norm(choi, d):
-    """trans_norm of one map that is not CP, by alternating
-    maximization."""
-    sup = ch.choi_to_super(choi)
-    dual = ch.dual_super(sup)
-
-    def polish(psi):
-        val = -np.inf
-        for _ in range(200):
-            rho = np.outer(psi, psi.conj())
-            out = ch.apply_super(sup, rho)
-            w, v = np.linalg.eigh((out + out.conj().T) / 2.0)
-            b = (v * np.sign(w)) @ v.conj().T  # optimal unit-ball effect
-            dual_b = ch.apply_super(dual, b)
-            ww, vv = np.linalg.eigh((dual_b + dual_b.conj().T) / 2.0)
-            psi = vv[:, -1]
-            new = float(ww[-1])
-            if new <= val + NORM_STEP:
-                return max(new, val)
-            val = new
-        return val
-
-    rng = np.random.default_rng(7)
-    starts = [np.eye(d)[i].astype(complex) for i in range(d)]
-    w, v = np.linalg.eigh(ch.effect_of_choi(choi))
-    starts += [v[:, 0], v[:, -1]]
-    for _ in range(16):
-        g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        starts.append(g / np.linalg.norm(g))
-    return max(polish(psi) for psi in starts)
 
 
 # ---------------------------------------------------------------------------

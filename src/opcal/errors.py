@@ -21,6 +21,11 @@ class NotCoexistent(OpcalError):
     """Sum of two transformations would exceed unit probability."""
 
 
+class NoClosedForm(OpcalError):
+    """A transformation norm with no closed form: the map is neither CP
+    nor given by a diagonal Choi matrix."""
+
+
 class NotIC(OpcalError):
     """Observable is not informationally complete."""
 

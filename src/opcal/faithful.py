@@ -60,16 +60,18 @@ class WitnessSystem:
 
 def witness_system(phi):
     """Build the witness system of phi.  The slot-2 marginal of (T, I)
-    Phi depends on T only through r[i, j] = Tr T(|i><j|), the raw output
-    trace of its Choi matrix, so the system is one contraction of the
-    Choi basis's output traces with Phi."""
+    Phi is M(C)[x, y] = sum_ija C[(i, a), (j, a)] Phi[(i, x), (j, y)] for
+    the Choi matrix C of T, so its coordinate on a basis element b is
+    Tr[b M(C)] = Tr[C (M*(b) kron I)], with the adjoint
+    M*(b)[j, i] = sum_xy b[y, x] Phi[(i, x), (j, y)].  Row a of m is
+    therefore to_coords of M*(b_a) kron I, for the d^2 elements b_a of
+    hermitian_basis(d), and no basis of Choi matrices is built."""
     if _is_max_entangled(phi):
         return WitnessSystem(phi, canonical=True, m=None, pinv=None)
     d = phi.d
-    cb = hermitian_basis(d * d)
-    r = np.einsum("kiaja->kij", cb.reshape(-1, d, d, d, d))
-    marginals = np.einsum("kij,ixjy->kxy", r, phi.matrix.reshape(d, d, d, d))
-    m = to_coords(marginals, hermitian_basis(d)).T
+    adjoint = np.einsum("ayx,ixjy->aji", hermitian_basis(d), phi.matrix.reshape(d, d, d, d))
+    rows = np.einsum("aji,xy->ajxiy", adjoint, np.eye(d)).reshape(d * d, d * d, d * d)
+    m = to_coords(rows, d**4)
     pinv = np.linalg.pinv(m, rcond=np.finfo(float).eps * max(m.shape))
     return WitnessSystem(phi, canonical=False, m=m, pinv=pinv)
 
@@ -99,10 +101,10 @@ def prepare_witness(system, target):
         p = 1.0 / (d * np.linalg.eigvalsh(rho)[..., -1])
         x = np.sqrt(d * p)[..., None, None] * ch.herm_sqrt(rho.swapaxes(-1, -2))
         return kraus_to_choi(quantum(d), x[..., None, :, :]), _per_element(p)
-    target_coords = to_coords(rho, hermitian_basis(d))
+    target_coords = to_coords(rho, d * d)
     x = target_coords @ system.pinv.T
     resid = np.linalg.norm(x @ system.m.T - target_coords, axis=-1)
-    choi = from_coords(x, hermitian_basis(d * d))
+    choi = from_coords(x, d * d)
     prob = apply_local(phi, Transformation(quantum(d), choi, generalized=True), 1).total
     failed = np.flatnonzero((resid > WITNESS_RESID) | (prob <= WITNESS_RESID))
     if failed.size:
@@ -140,8 +142,7 @@ class SpectralSplit:
     def flip(self, m):
         """The sign flip of the negative principal axes, applied to the
         canonical-basis coordinates of the matrix m."""
-        basis = hermitian_basis(self.d)
-        return from_coords(self.sigma_matrix @ to_coords(m, basis), basis)
+        return from_coords(self.sigma_matrix @ to_coords(m, self.d**2), self.d)
 
 
 def spectral_split(phi):

@@ -187,10 +187,7 @@ def scalar_product(space, b, a):
     """<B|A> between generalized effects; sesquilinear (conjugation on
     the left entry) on complex coordinate combinations."""
     # complex coordinates Tr[B_k M]: the real coordinates of M and of -iM
-    re_b, im_b, re_a, im_a = to_coords(
-        np.array([b.matrix, -1j * b.matrix, a.matrix, -1j * a.matrix]),
-        hermitian_basis(space.d),
-    )
+    re_b, im_b, re_a, im_a = to_coords(np.array([b.matrix, -1j * b.matrix, a.matrix, -1j * a.matrix]), space.dim)
     cb, ca = re_b + 1j * im_b, re_a + 1j * im_a
     return complex(np.conj(cb) @ space.gram @ ca)
 

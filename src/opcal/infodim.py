@@ -33,7 +33,7 @@ from .tolerances import DISCRIMINATION_RESID, EXPAND_RESID, RESOLVED_EIG
 
 def ic_rank(obs):
     """Dimension of the span of the observable's effects."""
-    return matrix_rank(to_coords(np.array([e.matrix for e in obs.effects]), obs.theory.basis()))
+    return matrix_rank(to_coords(np.array([e.matrix for e in obs.effects]), obs.theory.effect_dim))
 
 
 def is_informationally_complete(obs):
@@ -148,7 +148,7 @@ def informational_dimension(theory):
 def affine_state_dimension(theory):
     """Affine dimension of the state set, measured as the rank of the
     differences of a spanning family."""
-    rows = to_coords(spanning_states(theory).matrix, theory.basis())
+    rows = to_coords(spanning_states(theory).matrix, theory.effect_dim)
     rows[1:] -= rows[0]
     return matrix_rank(rows[1:])
 
@@ -157,8 +157,7 @@ def effect_space_dimension(theory):
     """Linear dimension of the generalized-effect space, measured from
     the span of the physical effects (I + B_a) / 2, one per basis
     element B_a shifted into the cone."""
-    basis = theory.basis()
-    return matrix_rank(to_coords((np.eye(theory.d) + basis) / 2.0, basis))
+    return matrix_rank(to_coords((np.eye(theory.d) + theory.basis()) / 2.0, theory.effect_dim))
 
 
 def transformation_affine_dimension(theory):
@@ -174,7 +173,7 @@ def transformation_affine_dimension(theory):
     th12 = Theory(theory.backend, d * d)
     kraus = spanning_vectors(d * d)[: th12.effect_dim]
     maps = kraus_to_choi(theory, kraus.reshape(-1, 1, d, d))
-    rows = to_coords(maps.choi, th12.basis())
+    rows = to_coords(maps.choi, th12.effect_dim)
     del maps  # freed before the rank, which allocates its own Gram matrix
     return matrix_rank(rows)
 
@@ -191,7 +190,7 @@ def check_local_observability(obs1, obs2):
     th12 = Theory(obs1.theory.backend, d1 * d2)
     m1 = np.array([e.matrix for e in obs1.effects])
     m2 = np.array([e.matrix for e in obs2.effects])
-    rank = matrix_rank(packed_product_coords(m1, m2, th12.basis()))
+    rank = matrix_rank(packed_product_coords(m1, m2, th12.effect_dim))
     return rank == th12.effect_dim, rank
 
 
@@ -241,11 +240,7 @@ def check_bell_ic(d):
 # the identity table
 
 
-def _take(measurement, theory):
-    return measurement(theory)
-
-
-def dim_identities(d, backend="quantum", measure=_take):
+def dim_identities(d, backend, measure):
     """Measure every dimension entering the identity table of a system
     and its composite with a copy of itself: each row's name mapped to
     its (lhs, rhs), which holds when the two are equal.

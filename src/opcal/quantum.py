@@ -59,10 +59,6 @@ class BipartiteState(BipartiteWeight):
         if (np.abs(self.matrix.trace(axis1=-2, axis2=-1) - 1.0) > UNIT_TRACE).any():
             raise ValueError("joint state must have unit trace")
 
-    @property
-    def theory(self):
-        return quantum(self.d)
-
 
 def max_entangled(d):
     """|Omega><Omega| with |Omega> = d^(-1/2) sum_i |ii>."""

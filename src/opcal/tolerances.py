@@ -30,7 +30,6 @@ SYMMETRY_TOL = 1e-12  # largest entry of S phi S - phi of a symmetric joint stat
 CANONICAL_TOL = 1e-12  # largest entry of phi - |Omega><Omega| that takes the closed-form preparation witness
 ZERO_CUTOFF = 1e-12  # a bilinear-form eigenvalue of this magnitude or less has no sign
 GRAM_FLOOR = 1e-12  # smallest eigenvalue of the GNS Gram matrix of a strictly positive scalar product
-NORM_STEP = 1e-13  # the alternating maximization of trans_norm stops at a step that gains less
 
 # fixed check tolerances (checks.CHECKS), whatever the spec's tol
 EXACT_TOL = 1e-12  # identities exact on a faithful state: faithful.abs_gram, faithful.involution, gns.transpose_axioms, gns.homomorphism, gns.adjoint_rep

@@ -1,5 +1,6 @@
 """Reference objects and predicates that only the tests use: the qubit
 reference observables, the predictability test of an effect, the
+physicality test of a map, the
 loop-built oracles of the fixed infodim families (spanning vectors,
 Weyl displacements, generic ancilla, Bell projectors), the
 Kraus superoperator, the joint bilinear form and its absolute value,
@@ -8,7 +9,9 @@ alone, the rank by singular values alone, the real view of a complex
 matrix and the coordinates of every whole family a rank reads, the
 local action of either slot built through superoperators and the
 faithfulness predicates on its rank,
-the pass predicates of a dimension table, the spanning family as
+the Choi-basis construction of the witness system, the direct
+measurement that a dimension table takes and the pass predicates of
+the table, the spanning family as
 separate states and the two equivalences decided on it one state at a
 time, product states, the
 samplers: pure states, unitaries, and one-sample-at-a-time formulas
@@ -78,6 +81,12 @@ def is_predictable(e, tol=1e-9):
     spectrum of a classical effect is its diagonal)."""
     ev = np.linalg.eigvalsh(e.matrix)
     return bool(abs(ev[-1] - 1.0) <= tol and abs(ev[0]) <= tol)
+
+
+def is_physical_map(t, tol=1e-9):
+    """Completely positive (`channels.is_psd` of the Choi matrix) and
+    trace-nonincreasing (its effect at most I), each to tol."""
+    return ch.is_psd(t.choi, tol) and bool(np.linalg.eigvalsh(t.effect().matrix)[-1] <= 1.0 + tol)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +187,8 @@ def bilinear_form(phi, a, b):
 
 def abs_form(split, a, b):
     """|Phi|(A, B), the strictly positive scalar product on effects."""
-    ca = to_coords(a.matrix, hermitian_basis(split.d))
-    cb = to_coords(b.matrix, hermitian_basis(split.d))
+    ca = to_coords(a.matrix, split.d**2)
+    cb = to_coords(b.matrix, split.d**2)
     return float(ca @ split.gram_abs @ cb)
 
 
@@ -232,19 +241,18 @@ def coordinate_rank_inputs(d, backend):
     th1, th12 = Theory(backend, d), Theory(backend, d * d)
 
     def differences(th):
-        coords = core.spanning_states(th).coords
+        coords = to_coords(core.spanning_states(th).matrix, th.effect_dim)
         return coords[1:] - coords[0]
 
-    basis = th1.basis()
     kraus = core.spanning_vectors(d * d)[: th12.effect_dim].reshape(-1, 1, d, d)
     effects = np.array([e.matrix for e in infodim.ic_observable(th1).effects])
     prods = np.einsum("aij,bkl->abikjl", effects, effects).reshape(-1, d * d, d * d)
     return [
         differences(th1),
-        to_coords((np.eye(d) + basis) / 2.0, basis),
+        to_coords((np.eye(d) + th1.basis()) / 2.0, th1.effect_dim),
         differences(th12),
-        to_coords(kraus_to_choi(th1, kraus).choi, th12.basis()),
-        to_coords(prods, th12.basis()),
+        to_coords(kraus_to_choi(th1, kraus).choi, th12.effect_dim),
+        to_coords(prods, th12.effect_dim),
     ]
 
 
@@ -260,7 +268,20 @@ def local_action_oracle(phi, slot):
     d = phi.d
     cb = hermitian_basis(d * d)
     out = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, slot, d)
-    return to_coords(out, cb).T
+    return to_coords(out, d**4).T
+
+
+def choi_basis_witness_matrix(phi):
+    """The matrix m of faithful.witness_system built over the Choi
+    basis: the slot-2 marginal of (T, I) Phi depends on T only through
+    r[i, j] = Tr T(|i><j|), the raw output trace of its Choi matrix, so
+    column k is the coordinates of the contraction of Phi with the
+    output traces of Choi basis element k."""
+    d = phi.d
+    cb = hermitian_basis(d * d)
+    r = np.einsum("kiaja->kij", cb.reshape(-1, d, d, d, d))
+    marginals = np.einsum("kij,ixjy->kxy", r, phi.matrix.reshape(d, d, d, d))
+    return to_coords(marginals, d * d).T
 
 
 def is_dynamically_faithful(phi):
@@ -279,6 +300,12 @@ def is_preparationally_faithful(phi):
 
 # ---------------------------------------------------------------------------
 # dimension tables
+
+
+def measured(measurement, theory):
+    """Take a theory-level measurement directly, with no store: the
+    measure argument of infodim.dim_identities outside a run."""
+    return measurement(theory)
 
 
 def passes(table, name):

@@ -13,6 +13,7 @@ from reference import (
     is_dynamically_faithful,
     is_preparationally_faithful,
     local_action_oracle,
+    measured,
     passes,
     product_state,
 )
@@ -27,7 +28,7 @@ def _verdict(capsys, label, ok):
 
 
 def test_criterion_1_dimension_table(capsys):
-    rows2 = infodim.dim_identities(2)
+    rows2 = infodim.dim_identities(2, "quantum", measured)
     ok = (
         rows2["D2"] == (4, 4)
         and rows2["D34'"] == (3, 3)
@@ -38,7 +39,7 @@ def test_criterion_1_dimension_table(capsys):
         and rows2["T"] == (16, 16)
         and all_pass(rows2)
     )
-    rows3 = infodim.dim_identities(3)
+    rows3 = infodim.dim_identities(3, "quantum", measured)
     ok = ok and rows3["D34'"] == (8, 8) and rows3["D3"] == (80, 80)
     _verdict(capsys, "1 dimension-identity table (d=2,3, exact integers)", ok)
 
@@ -46,7 +47,7 @@ def test_criterion_1_dimension_table(capsys):
 def test_criterion_2_classical_negative_control(capsys):
     ok = True
     for d in (2, 3):
-        r = infodim.dim_identities(d, backend="classical")
+        r = infodim.dim_identities(d, "classical", measured)
         lhs, rhs = r["D34'"]
         # adm = idim - 1 on the simplex, far from idim^2 - 1
         ok = ok and lhs == d - 1 and rhs == d * d - 1 and not passes(r, "D34'")

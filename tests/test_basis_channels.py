@@ -22,7 +22,7 @@ from opcal.basis import (
 )
 from opcal.core import Theory
 from opcal.tolerances import CP_TOL, RANK_RCOND
-from reference import coordinate_rank_inputs, kraus_to_super, real_view, spectrum_psd, svd_rank
+from reference import coordinate_rank_inputs, kraus_to_super, measured, real_view, spectrum_psd, svd_rank
 
 
 def _random_hermitian(d, seed):
@@ -66,10 +66,9 @@ def test_hermitian_basis_orthonormal(d):
 @settings(max_examples=25, deadline=None)
 def test_coords_round_trip(d, seed):
     m = _random_hermitian(d, seed)
-    basis = hermitian_basis(d)
-    c = to_coords(m, basis)
+    c = to_coords(m, d * d)
     assert c.dtype == np.float64
-    assert_allclose(from_coords(c, basis), m, atol=1e-12)
+    assert_allclose(from_coords(c, d), m, atol=1e-12)
 
 
 def _dense_coords(m, basis):
@@ -91,21 +90,22 @@ def test_closed_form_coords_match_dense_oracle(n, lead, diagonal, transposed, se
     m = rng.standard_normal((*lead, n, n)) + 1j * rng.standard_normal((*lead, n, n))
     if transposed:
         m = np.swapaxes(m, -1, -2)  # a non-contiguous input
-    got = to_coords(m, basis)
-    assert got.shape == (*lead, len(basis)) and got.dtype == np.float64
+    k = len(basis)
+    got = to_coords(m, k)
+    assert got.shape == (*lead, k) and got.dtype == np.float64
     assert_allclose(got, _dense_coords(m, basis), rtol=0, atol=1e-12)
-    assert_allclose(to_coords(m.real, basis), _dense_coords(m.real, basis), atol=1e-12)
-    c = rng.standard_normal((*lead, len(basis)))
-    back = from_coords(c, basis)
+    assert_allclose(to_coords(m.real, k), _dense_coords(m.real, basis), atol=1e-12)
+    c = rng.standard_normal((*lead, k))
+    back = from_coords(c, n)
     assert back.shape == (*lead, n, n)
     assert_allclose(back, np.einsum("...a,aij->...ij", c, basis), rtol=0, atol=1e-12)
     # round trips: coordinates exactly, matrices up to the Hermitian part
     # (the whole matrix on the diagonal basis is its real diagonal)
-    assert_allclose(to_coords(back, basis), c, rtol=0, atol=1e-12)
+    assert_allclose(to_coords(back, k), c, rtol=0, atol=1e-12)
     herm = (m + np.swapaxes(m, -1, -2).conj()) / 2
     if diagonal:
         herm = herm * np.eye(n)
-    assert_allclose(from_coords(got, basis), herm, rtol=0, atol=1e-12)
+    assert_allclose(from_coords(got, n), herm, rtol=0, atol=1e-12)
 
 
 def test_real_view_is_the_coordinate_map():
@@ -117,7 +117,7 @@ def test_real_view_is_the_coordinate_map():
             v = real_view(basis)
             assert_allclose(v @ v.T, np.eye(len(basis)), atol=1e-14)
             m = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
-            assert_allclose(real_view(m) @ v.T, to_coords(m, basis), atol=1e-12)
+            assert_allclose(real_view(m) @ v.T, to_coords(m, len(basis)), atol=1e-12)
     b = hermitian_basis(4)
     assert np.shares_memory(real_view(b), b)  # no copy of the basis
 
@@ -140,11 +140,11 @@ def test_packed_product_coords_are_the_packed_coords_of_the_krons(d1, d2, k1, k2
     rng = np.random.default_rng(seed)
     a, b = _hermitian_stack(rng, (k1,), d1), _hermitian_stack(rng, (k2,), d2)
     n = d1 * d2
-    basis = diagonal_basis(n) if diagonal else hermitian_basis(n)
+    k = n if diagonal else n * n
     krons = np.array([np.kron(x, y) for x in a for y in b])
-    got = packed_product_coords(a, b, basis)
-    assert got.shape == (k1 * k2, len(basis)) and got.dtype == np.float64
-    assert_allclose(got, to_coords(krons, basis), rtol=0, atol=1e-14 * np.abs(krons).max())
+    got = packed_product_coords(a, b, k)
+    assert got.shape == (k1 * k2, k) and got.dtype == np.float64
+    assert_allclose(got, to_coords(krons, k), rtol=0, atol=1e-14 * np.abs(krons).max())
 
 
 def test_diagonal_basis():
@@ -219,7 +219,7 @@ def test_matrix_rank_matches_the_singular_values_on_every_table_matrix(monkeypat
     obs = infodim.ic_observable(th)
 
     def run():
-        infodim.dim_identities(d, backend)
+        infodim.dim_identities(d, backend, measured)
         infodim.check_local_observability(obs, obs)
 
     ranked = _ranked_matrices(monkeypatch, run)

@@ -12,7 +12,7 @@ import pytest
 
 import opcal
 from opcal import channels as ch
-from opcal import checks, cli, core, faithful, gns, infodim
+from opcal import basis, checks, cli, core, faithful, gns, infodim
 from opcal import quantum as qm
 from opcal.errors import (
     NotFaithful,
@@ -21,6 +21,7 @@ from opcal.errors import (
     ValidationError,
     WitnessFailed,
 )
+from reference import measured
 
 
 def _write(tmp_path, text, name="t.theory"):
@@ -546,10 +547,31 @@ def test_no_rank_reaches_an_svd(monkeypatch):
         assert dict(calls) == want, spec
     # the d=5 dimension table and local observability, every rank full
     calls.clear()
-    assert all(lhs == rhs for lhs, rhs in infodim.dim_identities(5).values())
+    assert all(lhs == rhs for lhs, rhs in infodim.dim_identities(5, "quantum", measured).values())
     obs = infodim.ic_observable(core.quantum(5))
     assert infodim.check_local_observability(obs, obs) == (True, 625)
     assert dict(calls) == {}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_no_run_builds_the_choi_basis(monkeypatch, d):
+    # the coordinate maps take sizes, so no `all` run asks for the
+    # d^4-element basis of the d^2 x d^2 matrices, on the canonical
+    # state or on an override
+    sizes, build = [], basis.hermitian_basis
+
+    def recording(n):
+        sizes.append(n)
+        return build(n)
+
+    for mod in (basis, core, faithful, gns, infodim):
+        if getattr(mod, "hermitian_basis", None) is build:
+            monkeypatch.setattr(mod, "hermitian_basis", recording)
+    phi = 0.8 * qm.max_entangled(d).matrix + 0.2 * np.eye(d * d) / d**2
+    for spec in (cli.TheorySpec(d=d), cli.validate_spec(cli.TheorySpec(d=d, phi_override=phi))):
+        report = cli.run_suite(spec, "all")
+        assert all(c.status == "pass" for c in report.checks)
+    assert sizes and set(sizes) == {d}
 
 
 def test_cp_stacks_take_no_spectrum(monkeypatch):

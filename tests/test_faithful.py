@@ -14,7 +14,9 @@ from opcal.errors import DegenerateSplit, NotFaithful
 from reference import (
     abs_form,
     bilinear_form,
+    choi_basis_witness_matrix,
     is_dynamically_faithful,
+    is_physical_map,
     is_preparationally_faithful,
     product_state,
     state_sigma,
@@ -79,7 +81,7 @@ def test_prepare_witness_pure_oracle(phi2):
     target = core.State(core.quantum(2), np.diag([1.0, 0.0]).astype(complex))
     witness, p = faithful.prepare_witness(faithful.witness_system(phi2), target)
     assert p == pytest.approx(0.5, abs=1e-12)
-    assert witness.is_physical(1e-9)
+    assert is_physical_map(witness)
     prob, cond = qm.condition_local(phi2, witness, 1)
     assert prob == pytest.approx(p, abs=1e-12)
     assert_allclose(qm.local_state(cond, 2).matrix, target.matrix, atol=1e-12)
@@ -114,15 +116,15 @@ def _marginal_matrix_by_action(phi):
     d = phi.d
     cb = hermitian_basis(d * d)
     outs = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, 1, d)
-    return to_coords(ch.partial_trace(outs, (d, d), 1), hermitian_basis(d)).T
+    return to_coords(ch.partial_trace(outs, (d, d), 1), d * d).T
 
 
 def _lstsq_witness(phi, target):
     # reference: a fresh least-squares solve, rescaled as prepare_witness does
     d = phi.d
     m = _marginal_matrix_by_action(phi)
-    x, *_ = np.linalg.lstsq(m, to_coords(target.matrix, hermitian_basis(d)), rcond=None)
-    choi = from_coords(x, hermitian_basis(d * d))
+    x, *_ = np.linalg.lstsq(m, to_coords(target.matrix, d * d), rcond=None)
+    choi = from_coords(x, d * d)
     t = core.Transformation(core.quantum(d), choi, generalized=True)
     prob = qm.apply_local(phi, t, 1).total
     if ch.is_psd(choi, 1e-10):
@@ -141,6 +143,27 @@ def test_witness_system_matches_local_action(d, p):
     assert system.m.shape == (d * d, d**4)
     want = _marginal_matrix_by_action(system.phi)
     assert_allclose(system.m, want, rtol=0, atol=1e-12)
+
+
+def _symmetric_mixture(d, seed):
+    rho = qm.random_joint_state(d, seed).matrix
+    return qm.BipartiteState(d, (rho + ch.swap(rho)) / 2.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda d=d, p=p: _isotropic(d, p) for d in (2, 3) for p in (0.2, 0.6)]
+    + [lambda d=d, seed=seed: _symmetric_mixture(d, seed) for d in (2, 3, 4) for seed in (0, 1)],
+    ids=[f"isotropic-d{d}-p{p}" for d in (2, 3) for p in (0.2, 0.6)]
+    + [f"mixture-d{d}-seed{seed}" for d in (2, 3, 4) for seed in (0, 1)],
+)
+def test_witness_system_matches_the_choi_basis_build(make):
+    # the rows from the adjoint of the slot-2 marginal map against the
+    # columns from the output traces of the whole Choi basis
+    phi = make()
+    system = faithful.witness_system(phi)
+    assert not system.canonical and is_dynamically_faithful(phi)
+    assert_allclose(system.m, choi_basis_witness_matrix(phi), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("d, p", ISOTROPIC)

@@ -133,8 +133,8 @@ def test_solver_local_actions_are_the_slot_builds(make):
     sup = ch.choi_to_super(cb)
     r = faithful.local_action_matrix(phi)
     want1 = local_action_oracle(phi, 1)
-    got1 = to_coords(_realign(sup @ r, d), cb).T
-    got2 = to_coords(_realign(r @ sup.swapaxes(-1, -2), d), cb).T
+    got1 = to_coords(_realign(sup @ r, d), d**4).T
+    got2 = to_coords(_realign(r @ sup.swapaxes(-1, -2), d), d**4).T
     assert np.max(np.abs(got1 - want1)) <= 1e-15
     assert np.max(np.abs(got2 - local_action_oracle(phi, 2))) <= 1e-15
     assert gns.TransposeSolver(phi).rank == matrix_rank(want1) == d * d * matrix_rank(r)
@@ -144,15 +144,14 @@ def _oracle_transposes(phi, maps):
     """The transpose of each map as the least-squares solve of the
     oracle system l2 x = l1 a in Choi coordinates, with the solver's cut;
     None where the residual exceeds the solver's bound."""
-    cb = hermitian_basis(phi.d**2)
     l1, l2 = (local_action_oracle(phi, slot) for slot in (1, 2))
     pinv = np.linalg.pinv(l2, rcond=PINV_RCOND)
     out = []
     for t in maps:
-        rhs = l1 @ to_coords(t.choi, cb)
+        rhs = l1 @ to_coords(t.choi, phi.d**4)
         x = pinv @ rhs
         ok = np.linalg.norm(l2 @ x - rhs) <= TRANSPOSE_RESID * max(np.linalg.norm(rhs), 1.0)
-        out.append(from_coords(x, cb) if ok else None)
+        out.append(from_coords(x, phi.d**2) if ok else None)
     return out
 
 

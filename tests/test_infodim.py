@@ -18,6 +18,7 @@ from reference import (
     bell_projectors,
     generic_ancilla_state,
     is_predictable,
+    measured,
     passes,
     pauli_povm_qubit,
     sic_povm_qubit,
@@ -147,7 +148,7 @@ def test_table_T_measures_the_choi_encoding(monkeypatch):
     # symmetric Choi matrices, d^2 (d^2 + 1) / 2 of the d^4 dimensions
     encode = ch.kraus_to_choi_matrix
     monkeypatch.setattr(ch, "kraus_to_choi_matrix", lambda kraus: encode(kraus).real)
-    assert infodim.dim_identities(2)["T"] == (10, 16)
+    assert infodim.dim_identities(2, "quantum", measured)["T"] == (10, 16)
 
 
 def test_local_observability():
@@ -239,7 +240,7 @@ def test_bell_basis_observable_complete():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_dim_identities_quantum(d):
-    rows = infodim.dim_identities(d)
+    rows = infodim.dim_identities(d, "quantum", measured)
     assert all_pass(rows), rows
     assert rows["D34'"][0] == d * d - 1
     assert rows["tensor"] == (d * d, d * d)
@@ -257,12 +258,12 @@ def test_dim_identities_quantum_oracle_values():
         "T": (16, 16),
         "P": (4, 4),
     }
-    assert infodim.dim_identities(2) == expected
+    assert infodim.dim_identities(2, "quantum", measured) == expected
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_classical_violates_squared_identity(d):
-    report = infodim.dim_identities(d, backend="classical")
+    report = infodim.dim_identities(d, "classical", measured)
     assert not passes(report, "D34'")
     assert not passes(report, "D4")
     assert not passes(report, "D34")
@@ -289,6 +290,6 @@ def test_dim_identities_measures_each_system_once(monkeypatch, d):
 
     for name in ("affine_state_dimension", "informational_dimension"):
         monkeypatch.setattr(infodim, name, counting(name))
-    infodim.dim_identities(d)
+    infodim.dim_identities(d, "quantum", measured)
     # d and d*d, each once
     assert len(seen) == len(set(seen)) == 4

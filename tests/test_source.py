@@ -1,14 +1,20 @@
-"""Static checks on the source tree: no unused imports, every public
-function and every private module-level helper has a caller outside
-the tests, every function the benchmark traces by name still exists,
+"""Checks on the source tree: no unused imports, every public function
+and every private module-level helper has a caller outside the tests,
+every function runs in some report, every function the benchmark
+traces by name still exists,
 every check hands its seed to one draw, every rank, every positivity
 test and the coordinate layout are decided in one place, and the
 checks take each theory-level dimension through the run's context."""
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -50,9 +56,15 @@ def test_every_cutoff_is_named_once():
 
 # Public names with no caller in the library, one reason each.
 NO_LIBRARY_CALLER = {
-    "core.zero_map": "an exported object of the calculus",
     "faithful.sigma": "the involution on effects, which ROADMAP item 2 puts to use",
     "gns.scalar_product": "the paper's scalar product; a check for it waits until perfbench's 39/22 check counts move (ROADMAP item 1)",
+}
+# Functions that run in no report, one reason each: the names above and
+# what only they call.
+NOT_RUN = {
+    **NO_LIBRARY_CALLER,
+    "faithful.SpectralSplit.flip": "the sign flip of faithful.sigma, its only caller",
+    "core.Effect.is_physical": "the cone test of faithful.sigma, its only caller",
 }
 
 
@@ -113,6 +125,74 @@ def test_public_functions_have_a_library_caller():
 
 def test_private_helpers_have_a_library_caller():
     assert _uncalled(_private_helpers) == set()
+
+
+# Runs in a fresh interpreter with a profile hook installed before opcal
+# is imported, so functions that run only at import are seen too; it
+# writes the (file, qualified name) of every function called to argv[2].
+_RECORD_CALLS = """
+import contextlib, io, json, sys
+from dataclasses import replace
+
+src, out, theory = sys.argv[1:]
+called = set()
+
+
+def hook(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(src):
+        called.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+
+
+sys.setprofile(hook)
+import verify_all
+from opcal import cli
+
+for _, spec in verify_all.CONFIGS:
+    report = cli.run_suite(replace(spec, seed=1), "all")
+    cli.parse_report(cli.emit_report(report, "structured"))
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["--theory", theory])
+sys.setprofile(None)
+with open(out, "w") as fh:
+    json.dump(sorted(called), fh)
+"""
+
+
+def _defined_functions(path):
+    """(file, qualified name) of every function and method of a module,
+    nested ones included, as its code objects name them."""
+    todo, found = [compile(path.read_text(), str(path), "exec")], set()
+    while todo:
+        code = todo.pop()
+        if not code.co_name.startswith("<"):  # the module, lambdas, comprehensions
+            found.add((code.co_filename, code.co_qualname))
+        todo.extend(c for c in code.co_consts if hasattr(c, "co_code"))
+    return found
+
+
+def test_every_function_runs_in_some_report(tmp_path):
+    # the verify_all configurations at seed 1, through run_suite,
+    # emit_report and parse_report, and one command-line run on a theory
+    # file with a phi line.  This catches a method whose name another
+    # definition shares, which the name match of the library-caller
+    # test counts as called.
+    src = ROOT / "src" / "opcal"
+    phi = 0.4 * np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2 + 0.6 * np.eye(4) / 4
+    theory = tmp_path / "iso.theory"
+    theory.write_text("backend = quantum\nd = 2\nphi = " + " ".join(map(str, phi.ravel())) + "\n")
+    out = tmp_path / "called.json"
+    done = subprocess.run(
+        [sys.executable, "-c", _RECORD_CALLS, str(src), str(out), str(theory)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src.parent), str(ROOT / "scripts")])},
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    called = {tuple(x) for x in json.loads(out.read_text())}
+    defined = set().union(*(_defined_functions(p) for p in MODULES))
+    not_run = {f"{pathlib.Path(f).stem}.{name}" for f, name in defined - called}
+    assert not_run == set(NOT_RUN)
 
 
 def _per_layer_metrics():

@@ -13,7 +13,7 @@ import pytest
 from opcal import channels as ch
 from opcal import checks, cli, core, faithful, gns
 from opcal import quantum as qm
-from opcal.errors import NotFaithful, ZeroProbability
+from opcal.errors import NoClosedForm, NotFaithful, ZeroProbability
 from opcal.tolerances import PROB_TOL
 import reference
 from reference import product_state
@@ -591,7 +591,8 @@ def test_stacked_transpose_requires_faithful():
     first, second = qm.random_cp(2, 0), qm.random_cp(2, 1)
     # the zero map solves the system on any state; the first element in
     # stack order that does not is the one named
-    stack = core.stack([core.zero_map(core.quantum(2)), first, second])
+    zero = core.Transformation(core.quantum(2), np.zeros((4, 4)))
+    stack = core.stack([zero, first, second])
     with pytest.raises(NotFaithful) as stacked:
         solver.transpose(stack)
     with pytest.raises(NotFaithful) as single:
@@ -604,17 +605,26 @@ def test_stacked_transpose_requires_faithful():
 
 
 def test_trans_norm_on_a_mixed_stack_matches_per_element():
-    th = core.quantum(2)
-    a, b = qm.random_cp(2, 3), qm.random_cp(2, 4)
-    non_cp = core.Transformation(th, a.choi - b.choi, generalized=True)
-    maps = [a, core.zero_map(th), non_cp, b]
+    # classical maps: CP, zero, signed and CP, the signed one by its
+    # largest column l1 norm
+    a, b = qm.random_classical_map(3, 3), qm.random_classical_map(3, 4)
+    signed = qm.classical_map(np.random.default_rng(5).uniform(-1.0, 1.0, (3, 3)), generalized=True)
+    zero = core.Transformation(a.theory, np.zeros((9, 9)))
+    maps = [a, zero, signed, b]
     got = core.trans_norm(core.stack(maps))
     want = [core.trans_norm(t) for t in maps]
     assert all(type(x) is float for x in want)
-    assert want[1] == 0.0 and want[2] > 0.0
+    assert want[1] == 0.0 and want[2] > 0.0 and not ch.is_psd(signed.choi, 0.0)
     _close(got, want, atol=0.0)
     nested = core.trans_norm(core.stack([core.stack(maps[:2]), core.stack(maps[2:])]))
     _close(nested.reshape(-1), want, atol=0.0)
+    # a quantum map that is neither CP nor diagonal has no closed form,
+    # alone or in a stack
+    p, q = qm.random_cp(2, 3), qm.random_cp(2, 4)
+    non_cp = core.Transformation(p.theory, p.choi - q.choi, generalized=True)
+    for t in (non_cp, core.stack([p, non_cp, q])):
+        with pytest.raises(NoClosedForm):
+            core.trans_norm(t)
 
 
 @pytest.mark.parametrize("d", [2, 3])
