@@ -110,7 +110,7 @@ def _check_equivalence(ctx, rng, tol):
 
 def _check_completeness(ctx, rng, tol):
     obs = qm.projective_experiment(ctx.spec.theory()).observable()
-    resid = float(np.max(np.abs(sum(e.matrix for e in obs.effects) - np.eye(ctx.spec.d))))
+    resid = float(np.max(np.abs(obs.effects.matrix.sum(axis=0) - np.eye(ctx.spec.d))))
     return resid <= tol, {"unit_residual": resid, "branches": float(len(obs))}
 
 
@@ -374,8 +374,7 @@ def _check_born_pair(ctx, rng, tol):
     d = ctx.spec.d
     states = core.spanning_states(core.quantum(d))
     # every (effect, state) pair at once: the effects on their own axis
-    effects = core.stack(ctx.ic.effects)
-    effects = replace(effects, matrix=effects.matrix[:, None])
+    effects = replace(ctx.ic.effects, matrix=ctx.ic.effects.matrix[:, None])
     born = gns.born_pair(ctx.space, states, effects)
     worst = float(np.max(np.abs(born - core.pair(states, effects))))
     return worst <= tol, {"max_residual": worst}

@@ -161,55 +161,44 @@ def identity(theory):
 
 
 @dataclass(frozen=True)
-class Experiment:
-    """An ordered set of transformation branches {A_j} whose
-    probabilities sum to one on every state."""
-
-    branches: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-
-    def deterministic_sum(self):
-        t = self.branches[0]
-        total = sum(b.choi for b in self.branches)
-        return Transformation(t.theory, total)
-
-    def check_complete(self):
-        s = self.deterministic_sum().effect()
-        d = s.theory.d
-        if np.max(np.abs(s.matrix - np.eye(d))) > COMPLETENESS_TOL:
-            raise CompletenessError("branch probabilities do not sum to one")
-
-    def observable(self):
-        return Observable(tuple(b.effect() for b in self.branches))
-
-
-@dataclass(frozen=True)
 class Observable:
-    """A complete set of effects summing to the unit effect."""
+    """A complete set of effects: one stacked Effect whose leading axis
+    is the outcomes (an outcome may itself be a stack), summing to the
+    unit effect, to COMPLETENESS_TOL in the largest entry, or
+    CompletenessError when it is built."""
 
-    effects: tuple
+    effects: Effect
 
     def __post_init__(self):
-        object.__setattr__(self, "effects", tuple(self.effects))
-        check_unit_sum(stack(self.effects))
+        total = self.effects.matrix.sum(axis=0)
+        if np.max(np.abs(total - np.eye(self.theory.d))) > COMPLETENESS_TOL:
+            raise CompletenessError("effects do not sum to the unit effect")
 
     @property
     def theory(self):
-        return self.effects[0].theory
+        return self.effects.theory
 
     def __len__(self):
-        return len(self.effects)
+        return len(self.effects.matrix)
 
 
-def check_unit_sum(effects):
-    """The completeness test of an Observable, on the effects of one
-    stack: CompletenessError unless they sum to the unit effect, to
-    COMPLETENESS_TOL in the largest entry."""
-    total = effects.matrix.sum(axis=0)
-    if np.max(np.abs(total - np.eye(effects.theory.d))) > COMPLETENESS_TOL:
-        raise CompletenessError("effects do not sum to the unit effect")
+@dataclass(frozen=True)
+class Experiment:
+    """A set of transformation branches {A_j}: one stacked
+    Transformation whose leading axis is the branches (a branch may
+    itself be a stack).  Their effects form an Observable, so an
+    incomplete experiment raises CompletenessError when it is built."""
+
+    branches: Transformation
+
+    def __post_init__(self):
+        self.observable()
+
+    def deterministic_sum(self):
+        return Transformation(self.branches.theory, self.branches.choi.sum(axis=0))
+
+    def observable(self):
+        return Observable(self.branches.effect())
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import channels as ch
 from .basis import diagonal_basis, hermitian_basis, matrix_rank, packed_product_coords, to_coords
-from .core import Effect, Observable, State, Theory, check_unit_sum, quantum
-from .core import spanning_states, spanning_vectors, stack
+from .core import Effect, Observable, State, Theory, quantum, spanning_states, spanning_vectors
 from .errors import NotIC, WitnessFailed
 from .quantum import kraus_to_choi
 from .tolerances import DISCRIMINATION_RESID, EXPAND_RESID, RESOLVED_EIG
@@ -33,7 +32,7 @@ from .tolerances import DISCRIMINATION_RESID, EXPAND_RESID, RESOLVED_EIG
 
 def ic_rank(obs):
     """Dimension of the span of the observable's effects."""
-    return matrix_rank(to_coords(np.array([e.matrix for e in obs.effects]), obs.theory.effect_dim))
+    return matrix_rank(to_coords(obs.effects.matrix, obs.theory.effect_dim))
 
 
 def is_informationally_complete(obs):
@@ -51,7 +50,7 @@ def ic_expand(effect, obs):
     expansion, at most EXPAND_RESID."""
     if not is_informationally_complete(obs):
         raise NotIC("observable does not span the effect space")
-    rows = stack(obs.effects).coords
+    rows = obs.effects.coords
     c, *_ = np.linalg.lstsq(rows.T, effect.coords, rcond=None)
     resid = float(np.linalg.norm(rows.T @ c - effect.coords))
     if resid > EXPAND_RESID:
@@ -75,23 +74,16 @@ def is_resolved(e):
 def minimal_ic_povm(d):
     """A minimal informationally complete observable at any dimension:
     d^2 - 1 effects (I + eps B_a) / d^2 over a traceless family, the
-    basis elements after |0><0| less their trace parts, plus the
-    completing effect."""
-    th = quantum(d)
+    basis elements after |0><0| less their trace parts, after the
+    completing effect I - sum_a (I + eps B_a) / d^2."""
     basis = hermitian_basis(d)[1:]
     traceless = basis - np.trace(basis, axis1=-2, axis2=-1)[:, None, None] * np.eye(d) / d
     n = d * d
     # keep both (I + eps B_a)/n and the completing effect positive
     total = np.sum(traceless, axis=0)
     eps = min(1.0 / (2.0 * d), 0.9 / float(np.linalg.norm(total, 2)))
-    effs = []
-    rest = np.zeros((d, d), dtype=complex)
-    for b in traceless:
-        m = (np.eye(d) + eps * b) / n
-        effs.append(Effect(th, m))
-        rest += m
-    effs.insert(0, Effect(th, np.eye(d) - rest))
-    return Observable(tuple(effs))
+    effs = (np.eye(d) + eps * traceless) / n
+    return Observable(Effect(quantum(d), np.concatenate([[np.eye(d) - effs.sum(axis=0)], effs])))
 
 
 def ic_observable(theory):
@@ -99,7 +91,7 @@ def ic_observable(theory):
     vertex projectors |i><i| on the classical simplex, minimal_ic_povm
     on the quantum backend."""
     if theory.backend == "classical":
-        return Observable(tuple(Effect(theory, p) for p in diagonal_basis(theory.d)))
+        return Observable(Effect(theory, diagonal_basis(theory.d)))
     return minimal_ic_povm(theory.d)
 
 
@@ -119,8 +111,7 @@ def discrimination_witness(theory):
     basis = diagonal_basis(d)
     # on both backends the basis projectors |i><i| come first
     states = State(theory, spanning_states(theory).matrix[:d])
-    effects = Effect(theory, basis)
-    check_unit_sum(effects)
+    effects = Observable(Effect(theory, basis)).effects
     # Tr[w l] for every (state, effect) at once, and every Tr[l]
     gram = np.tensordot(states.matrix, basis, axes=([1, 2], [2, 1])).real
     traces = basis.trace(axis1=-2, axis2=-1).real
@@ -188,9 +179,7 @@ def check_local_observability(obs1, obs2):
     d1 d2 for classical)."""
     d1, d2 = obs1.theory.d, obs2.theory.d
     th12 = Theory(obs1.theory.backend, d1 * d2)
-    m1 = np.array([e.matrix for e in obs1.effects])
-    m2 = np.array([e.matrix for e in obs2.effects])
-    rank = matrix_rank(packed_product_coords(m1, m2, th12.effect_dim))
+    rank = matrix_rank(packed_product_coords(obs1.effects.matrix, obs2.effects.matrix, th12.effect_dim))
     return rank == th12.effect_dim, rank
 
 
@@ -225,15 +214,15 @@ def bell_basis_observable(d):
     projectors onto (I x U_mn)|Omega>, whose vectors are vec(U_mn^T)/sqrt(d)."""
     v = weyl_operators(d).swapaxes(-1, -2).reshape(d * d, d * d) / np.sqrt(d)
     projs = np.einsum("ai,aj->aij", v, v.conj())
-    return Observable(tuple(Effect(quantum(d * d), p) for p in projs))
+    return Observable(Effect(quantum(d * d), projs))
 
 
 def check_bell_ic(d):
     """A joint discriminating observable plus the generic ancilla
     preparation induces a minimal IC observable on the system."""
-    joint = np.array([e.matrix for e in bell_basis_observable(d).effects])
+    joint = bell_basis_observable(d).effects.matrix
     margs = ch.partial_trace(np.kron(np.eye(d), generic_ancilla_state(d)) @ joint, (d, d), 0)
-    return is_minimal_ic(Observable(tuple(Effect(quantum(d), m) for m in margs)))
+    return is_minimal_ic(Observable(Effect(quantum(d), margs)))
 
 
 # ---------------------------------------------------------------------------

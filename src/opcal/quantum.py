@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels as ch
+from .basis import diagonal_basis
 from .core import Effect, Experiment, State, Transformation, classical, quantum
 from .errors import DimensionMismatch, ZeroProbability
 from .tolerances import PROB_TOL, UNIT_TRACE
@@ -65,8 +66,7 @@ def max_entangled(d):
     if d < 2:
         raise ValueError("need d >= 2")
     v = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        v[i * d + i] = 1.0 / np.sqrt(d)
+    v[:: d + 1] = 1.0 / np.sqrt(d)
     return BipartiteState(d, np.outer(v, v.conj()))
 
 
@@ -98,10 +98,9 @@ def signaling_residual(joint, experiment):
     experiment on slot 1 changes the local state of slot 2 (zero for a
     theory without signaling).  A stack of joint states and an
     experiment whose branches are stacks (as `random_experiment` builds
-    from stacked draws) give the largest over the stack.  Raises if the
-    experiment is incomplete rather than reporting a spurious
-    violation (at COMPLETENESS_TOL, `Experiment.check_complete`)."""
-    experiment.check_complete()
+    from stacked draws) give the largest over the stack.  An incomplete
+    experiment, which would report a spurious violation, cannot reach
+    it: an Experiment is complete (to COMPLETENESS_TOL) once built."""
     after = apply_local(joint, experiment.deterministic_sum(), 1)
     lhs = ch.partial_trace(after.matrix, (joint.d, joint.d), 1)
     return float(np.max(np.abs(lhs - local_state(joint, 2).matrix)))
@@ -127,10 +126,9 @@ def projector_map(theory, p):
 
 
 def projective_experiment(theory):
-    """Experiment with branches P_i . P_i over the computational basis."""
-    d = theory.d
-    branches = [projector_map(theory, np.diag(np.eye(d)[i])) for i in range(d)]
-    return Experiment(tuple(branches))
+    """Experiment with branches P_i . P_i over the computational basis:
+    one Kraus operator per branch, the projectors of diagonal_basis."""
+    return Experiment(kraus_to_choi(theory, diagonal_basis(theory.d)[:, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +218,7 @@ def random_experiment(d, seed, n=None):
     v, s, _ = np.linalg.svd(h, full_matrices=False)
     v, w = v[..., ::-1], s[..., ::-1] ** 2
     branches = np.einsum("...ik,...jk->...kij", v * w[..., None, :], v.conj())
-    return Experiment(tuple(Transformation(quantum(d), c) for c in np.moveaxis(branches, -3, 0)))
+    return Experiment(Transformation(quantum(d), np.moveaxis(branches, -3, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Reference objects and predicates that only the tests use: the qubit
 reference observables, the predictability test of an effect, the
 physicality test of a map, the
-loop-built oracles of the fixed infodim families (spanning vectors,
-Weyl displacements, generic ancilla, Bell projectors), the
+loop-built oracles of the fixed families (spanning vectors,
+Weyl displacements, generic ancilla, Bell projectors, the minimal IC
+observable, the projective experiment, the maximally entangled
+state), the
 Kraus superoperator, the joint bilinear form and its absolute value,
 the involution on states, the positivity decision by the spectrum
 alone, the rank by singular values alone, the real view of a complex
@@ -36,7 +38,7 @@ from opcal.core import (
     quantum,
 )
 from opcal.errors import ConeViolation
-from opcal.quantum import BipartiteState, kraus_to_choi, local_state
+from opcal.quantum import BipartiteState, kraus_to_choi, local_state, projector_map
 from opcal.tolerances import PROB_TOL
 
 # ---------------------------------------------------------------------------
@@ -57,7 +59,7 @@ def sic_povm_qubit():
         Effect(th, (np.eye(2) + n[0] * sx + n[1] * sy + n[2] * sz) / 4.0)
         for n in dirs
     ]
-    return Observable(tuple(effs))
+    return Observable(core.stack(effs))
 
 
 def pauli_povm_qubit():
@@ -73,7 +75,7 @@ def pauli_povm_qubit():
         np.array([0, 1]),
     ]
     effs = [Effect(th, np.outer(v, np.conj(v)) / 3.0) for v in vs]
-    return Observable(tuple(effs))
+    return Observable(core.stack(effs))
 
 
 def is_predictable(e, tol=1e-9):
@@ -90,8 +92,8 @@ def is_physical_map(t, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# fixed infodim families, one element at a time: the oracles of the
-# closed forms in opcal.core and opcal.infodim
+# fixed families, one element at a time: the oracles of the closed
+# forms and stacked builds in opcal.core, opcal.infodim and opcal.quantum
 
 
 def spanning_vectors(n):
@@ -163,6 +165,40 @@ def bell_projectors(d):
             v = np.kron(np.eye(d), weyl(d, m, n)) @ v0
             out.append(np.outer(v, v.conj()))
     return np.array(out)
+
+
+def minimal_ic_povm(d):
+    """infodim.minimal_ic_povm one effect at a time: each (I + eps B_a)/d^2
+    added to a running sum, and the completing effect I - sum put first."""
+    th = quantum(d)
+    basis = hermitian_basis(d)[1:]
+    traceless = basis - np.trace(basis, axis1=-2, axis2=-1)[:, None, None] * np.eye(d) / d
+    n = d * d
+    total = np.sum(traceless, axis=0)
+    eps = min(1.0 / (2.0 * d), 0.9 / float(np.linalg.norm(total, 2)))
+    effs = []
+    rest = np.zeros((d, d), dtype=complex)
+    for b in traceless:
+        m = (np.eye(d) + eps * b) / n
+        effs.append(Effect(th, m))
+        rest += m
+    effs.insert(0, Effect(th, np.eye(d) - rest))
+    return Observable(core.stack(effs))
+
+
+def projective_experiment(theory):
+    """quantum.projective_experiment one branch P_i . P_i at a time."""
+    d = theory.d
+    branches = [projector_map(theory, np.diag(np.eye(d)[i])) for i in range(d)]
+    return Experiment(core.stack(branches))
+
+
+def max_entangled(d):
+    """quantum.max_entangled with |Omega> written one entry |ii> at a time."""
+    v = np.zeros(d * d, dtype=complex)
+    for i in range(d):
+        v[i * d + i] = 1.0 / np.sqrt(d)
+    return BipartiteState(d, np.outer(v, v.conj()))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +281,7 @@ def coordinate_rank_inputs(d, backend):
         return coords[1:] - coords[0]
 
     kraus = core.spanning_vectors(d * d)[: th12.effect_dim].reshape(-1, 1, d, d)
-    effects = np.array([e.matrix for e in infodim.ic_observable(th1).effects])
+    effects = infodim.ic_observable(th1).effects.matrix
     prods = np.einsum("aij,bkl->abikjl", effects, effects).reshape(-1, d * d, d * d)
     return [
         differences(th1),
@@ -395,7 +431,7 @@ def sample_experiment(d, rng):
     w, v = np.linalg.eigh(tp.choi)
     keep = w > 1e-12
     branches = np.einsum("ik,jk->kij", v[:, keep] * w[keep], v[:, keep].conj())
-    return Experiment(tuple(Transformation(quantum(d), c) for c in branches))
+    return Experiment(Transformation(quantum(d), branches))
 
 
 def sample_kraus_contraction(d, rng):

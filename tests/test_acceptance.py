@@ -191,7 +191,7 @@ def test_criterion_7_born_rule(capsys, space2, space3):
         th = core.quantum(d)
         worst = 0.0
         for w in core.unstack(core.spanning_states(th)):
-            for e in infodim.minimal_ic_povm(d).effects:
+            for e in core.unstack(infodim.minimal_ic_povm(d).effects):
                 worst = max(worst, abs(gns.born_pair(space, w, e) - core.pair(w, e)))
         ok = ok and worst <= 1e-9
     rng = np.random.default_rng(700)
@@ -224,10 +224,10 @@ def test_criterion_8_banach(capsys):
         core.scale(0.7, core.identity(th)), core.scale(0.7, core.identity(th))
     )
     # experiment branches are pairwise coexistent by construction
-    exp = qm.random_experiment(2, 801)
-    for i in range(len(exp.branches)):
-        for j in range(i + 1, len(exp.branches)):
-            ok = ok and core.coexistent(exp.branches[i], exp.branches[j])
+    branches = core.unstack(qm.random_experiment(2, 801).branches)
+    for i in range(len(branches)):
+        for j in range(i + 1, len(branches)):
+            ok = ok and core.coexistent(branches[i], branches[j])
     _verdict(capsys, "8 Banach: submultiplicative, contraction, coexistence", ok)
 
 

@@ -76,20 +76,26 @@ def test_unitary_informationally_but_not_dynamically_trivial():
 def test_experiment_completeness():
     th = core.quantum(2)
     exp = qm.projective_experiment(th)
-    exp.check_complete()
     obs = exp.observable()
     assert len(obs) == 2
-    incomplete = core.Experiment((exp.branches[0],))
     with pytest.raises(CompletenessError):
-        incomplete.check_complete()
+        core.Experiment(core.Transformation(th, exp.branches.choi[:1]))
     # a branch short by 5e-8: the experiment and its observable are held
-    # to one cutoff and raise one error
-    short = core.Transformation(th, (1 - 5e-8) * exp.branches[0].choi)
-    near = core.Experiment((short, *exp.branches[1:]))
+    # to one cutoff and raise one error, when each is built
+    short = exp.branches.choi.copy()
+    short[0] *= 1 - 5e-8
     with pytest.raises(CompletenessError):
-        near.check_complete()
+        core.Experiment(core.Transformation(th, short))
     with pytest.raises(CompletenessError):
-        near.observable()
+        core.Observable(core.Transformation(th, short).effect())
+    # a stack of experiments is checked sample by sample: one sample's
+    # first branch short by 5e-8 (at least 1.2e-8 off the unit effect)
+    stacked = qm.random_experiment(2, 7, 3)
+    core.Experiment(stacked.branches)
+    short = stacked.branches.choi.copy()
+    short[0, 1] *= 1 - 5e-8
+    with pytest.raises(CompletenessError):
+        core.Experiment(core.Transformation(th, short))
 
 
 def test_evolve_effect_is_heisenberg():

@@ -383,7 +383,7 @@ def test_born_pair_on_spanning_set(d, space2, space3):
     th = core.quantum(d)
     worst = 0.0
     for w in core.unstack(core.spanning_states(th)):
-        for e in infodim.minimal_ic_povm(d).effects:
+        for e in core.unstack(infodim.minimal_ic_povm(d).effects):
             worst = max(
                 worst, abs(gns.born_pair(space, w, e) - core.pair(w, e))
             )

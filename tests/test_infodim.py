@@ -29,7 +29,7 @@ from reference import (
 def test_sic_qubit_minimal_ic():
     obs = sic_povm_qubit()
     assert len(obs) == 4
-    assert all(e.is_physical(1e-12) for e in obs.effects)
+    assert all(e.is_physical(1e-12) for e in core.unstack(obs.effects))
     assert infodim.ic_rank(obs) == 4
     assert infodim.is_minimal_ic(obs)
 
@@ -53,7 +53,7 @@ def test_pauli_povm_ic_not_minimal():
 def test_minimal_ic_povm_general(d):
     obs = infodim.minimal_ic_povm(d)
     assert len(obs) == d * d
-    assert all(e.is_physical(1e-12) for e in obs.effects)
+    assert all(e.is_physical(1e-12) for e in core.unstack(obs.effects))
     assert infodim.is_minimal_ic(obs)
 
 
@@ -61,7 +61,7 @@ def test_ic_expand_rejects_non_ic():
     th = core.quantum(2)
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
-    obs = core.Observable((core.Effect(th, p0), core.Effect(th, p1)))
+    obs = core.Observable(core.Effect(th, np.array([p0, p1])))
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(NotIC):
         infodim.ic_expand(core.Effect(th, sx, generalized=True), obs)
@@ -176,15 +176,16 @@ def test_stacked_coordinates_keep_ranks_and_expansions(backend, d):
     else:
         obs = infodim.minimal_ic_povm(d)
         effect = qm.random_effect(d, np.random.default_rng(d))
-    rows = np.array([e.coords for e in obs.effects])
+    effects = core.unstack(obs.effects)
+    rows = np.array([e.coords for e in effects])
     th12 = core.Theory(backend, d * d)
-    prods = [core.Effect(th12, np.kron(a.matrix, b.matrix)) for a in obs.effects for b in obs.effects]
+    prods = [core.Effect(th12, np.kron(a.matrix, b.matrix)) for a in effects for b in effects]
     rank12 = matrix_rank(np.array([e.coords for e in prods]))
     assert infodim.ic_rank(obs) == matrix_rank(rows) == len(obs)
     assert infodim.check_local_observability(obs, obs) == (True, rank12)
     # ic_expand takes the coordinates of all effects in one call, which
     # rounds differently in the last bit from one call per effect
-    stacked = core.stack(obs.effects).coords
+    stacked = obs.effects.coords
     assert np.max(np.abs(stacked - rows)) <= 1e-15
     got = infodim.ic_expand(effect, obs)[0]
     assert np.array_equal(got, np.linalg.lstsq(stacked.T, effect.coords, rcond=None)[0])
@@ -202,7 +203,7 @@ def test_weyl_families_match_the_loop_builds(d):
     want = np.array([weyl(d, m, n) for m in range(d) for n in range(d)])
     assert np.max(np.abs(infodim.weyl_operators(d) - want)) <= 1e-15
     assert np.max(np.abs(infodim.generic_ancilla_state(d) - generic_ancilla_state(d))) <= 1e-15
-    effects = np.array([e.matrix for e in infodim.bell_basis_observable(d).effects])
+    effects = infodim.bell_basis_observable(d).effects.matrix
     assert np.max(np.abs(effects - bell_projectors(d))) <= 1e-15
     assert infodim.check_bell_ic(d)
 
@@ -230,7 +231,7 @@ def test_generic_ancilla_is_state():
 
 def test_bell_basis_observable_complete():
     obs = infodim.bell_basis_observable(2)
-    total = sum(e.matrix for e in obs.effects)
+    total = sum(e.matrix for e in core.unstack(obs.effects))
     assert_allclose(total, np.eye(4), atol=1e-12)
 
 

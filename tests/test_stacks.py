@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from opcal import channels as ch
-from opcal import checks, cli, core, faithful, gns
+from opcal import checks, cli, core, faithful, gns, infodim
 from opcal import quantum as qm
 from opcal.errors import NoClosedForm, NotFaithful, ZeroProbability
 from opcal.tolerances import PROB_TOL
@@ -129,7 +129,6 @@ def _no_signaling_per_sample(ctx, samples, tol):
     worst = 0.0
     for _ in range(checks.SAMPLES):
         joint, exp = next(samples), next(samples)
-        exp.check_complete()
         after = qm.apply_local(joint, exp.deterministic_sum(), 1)
         lhs = ch.partial_trace(after.matrix, (joint.d, joint.d), 1)
         worst = max(worst, float(np.max(np.abs(lhs - qm.local_state(joint, 2).matrix))))
@@ -172,7 +171,7 @@ def _cstar_per_sample(ctx, samples, tol):
 
 def _drawn(out):
     if isinstance(out, core.Experiment):
-        return np.array([b.choi for b in out.branches])
+        return out.branches.choi
     return out.choi if hasattr(out, "choi") else out.matrix
 
 
@@ -180,7 +179,7 @@ def _elements(stack):
     """The objects of a sampler's stack, one per sample (an experiment's
     branches are stacked branchwise)."""
     if isinstance(stack, core.Experiment):
-        return [core.Experiment(branches) for branches in zip(*map(core.unstack, stack.branches))]
+        return [core.Experiment(replace(stack.branches, choi=c)) for c in stack.branches.choi.swapaxes(0, 1)]
     return core.unstack(stack)
 
 
@@ -405,7 +404,7 @@ def test_samplers_on_a_seed_match_one_sample_oracles(d):
             assert type(got) is type(want)
             assert _drawn(got).shape == _drawn(want).shape
             assert np.max(np.abs(_drawn(got) - _drawn(want)), initial=0.0) <= atol
-        assert len(qm.random_experiment(d, seed).branches) == 3
+        assert len(qm.random_experiment(d, seed).branches.choi) == 3
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -427,7 +426,7 @@ def test_trace_preserving_paths_match_the_einsum_and_eigh_oracles(fake_generator
         exp, want = qm.random_experiment(d, seed), reference.sample_experiment(d, rng())
         whole = reference.sample_cp(d, rng(), trace_preserving=True, rank=3).choi
         worst = max(worst, np.max(np.abs(_drawn(exp) - _drawn(want))))
-        worst = max(worst, np.max(np.abs(sum(b.choi for b in exp.branches) - whole)))
+        worst = max(worst, np.max(np.abs(sum(b.choi for b in core.unstack(exp.branches)) - whole)))
     assert worst <= 1e-12
 
 
@@ -683,9 +682,43 @@ def test_experiments_stack_branchwise(fake_generators):
     rng = _Recording(0)
     stacked = qm.random_experiment(2, rng, 3)
     exps = [qm.random_experiment(2, _Slice(rng.calls, i)) for i in range(3)]
-    assert len(stacked.branches) == len(exps[0].branches) == 3
-    for k, branch in enumerate(stacked.branches):
-        _close(branch.choi, [e.branches[k].choi for e in exps], atol=0.0)
+    assert len(stacked.branches.choi) == len(exps[0].branches.choi) == 3
+    for k, branch in enumerate(core.unstack(stacked.branches)):
+        _close(branch.choi, [e.branches.choi[k] for e in exps], atol=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_stacked_builds_match_the_loop_builds(d):
+    # exactly: every report's bytes rest on these builds
+    _close(infodim.minimal_ic_povm(d).effects.matrix, reference.minimal_ic_povm(d).effects.matrix, atol=0.0)
+    for th in (core.quantum(d), core.classical(d)):
+        _close(qm.projective_experiment(th).branches.choi, reference.projective_experiment(th).branches.choi, atol=0.0)
+    _close(qm.max_entangled(d).matrix, reference.max_entangled(d).matrix, atol=0.0)
+    for n in (None, 25):
+        exp = qm.random_experiment(d, d, n)
+        branches = core.unstack(exp.branches)
+        _close(exp.observable().effects.matrix, [b.effect().matrix for b in branches], atol=0.0)
+        _close(exp.deterministic_sum().choi, sum(b.choi for b in branches), atol=0.0)
+
+
+def test_every_observable_and_experiment_of_a_report_is_one_stack():
+    # the outcome or branch axis first, then any stack axes, then the matrix
+    observables = [(infodim.bell_basis_observable(d), (d * d,) * 3) for d in (2, 3, 4, 5)]
+    experiments = []
+    for d in (2, 3, 4, 5):
+        for th in (core.quantum(d), core.classical(d)):
+            observables.append((infodim.ic_observable(th), (th.effect_dim, d, d)))
+            experiments.append((qm.projective_experiment(th), (d, d * d, d * d)))
+        experiments.append((qm.random_experiment(d, 1), (3, d * d, d * d)))
+        experiments.append((qm.random_experiment(d, 1, 25), (3, 25, d * d, d * d)))
+    for exp, shape in experiments:
+        assert type(exp.branches) is core.Transformation
+        assert exp.branches.choi.shape == shape
+        observables.append((exp.observable(), (*shape[:-2], exp.branches.theory.d, exp.branches.theory.d)))
+    for obs, shape in observables:
+        assert type(obs.effects) is core.Effect
+        assert obs.effects.matrix.shape == shape
+        assert len(obs) == shape[0]
 
 
 @pytest.mark.parametrize("config", SPECS)
