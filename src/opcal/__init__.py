@@ -29,8 +29,6 @@ from .core import (
     weight_norm,
 )
 from .quantum import (
-    BipartiteState,
-    BipartiteWeight,
     apply_local,
     kraus_to_choi,
     local_state,

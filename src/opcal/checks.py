@@ -54,7 +54,7 @@ def _sample_generalized_effect(spec, rng, n=None):
 
 
 def _sample_joint_state(spec, rng, n=None):
-    return qm.random_joint_state(spec.d, rng, n)
+    return qm.random_state(spec.d**2, rng, n)
 
 
 def _sample_experiment(spec, rng, n=None):

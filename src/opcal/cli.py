@@ -98,7 +98,7 @@ class TheorySpec:
 
     def phi(self):
         if self.phi_override is not None:
-            return qm.BipartiteState(self.d, self.phi_override)
+            return core.State(core.quantum(self.d**2), self.phi_override)
         return qm.max_entangled(self.d)
 
 

@@ -9,7 +9,9 @@ give the spaces their Banach structure.
 
 A stack of objects of one kind (`stack`) is one object whose matrix
 carries leading axes; pairing, totals, composition, effects and the
-Heisenberg action act on it elementwise, as the gns maps do.
+Heisenberg action act on it elementwise, as the gns maps do.  The last
+two axes are d x d (d^2 x d^2 for a Choi matrix), checked when built.
+A joint state of two d-dimensional systems is a State of quantum(d^2).
 """
 
 from dataclasses import dataclass, replace
@@ -22,6 +24,7 @@ from .basis import diagonal_basis, hermitian_basis, to_coords
 from .errors import (
     BackendMismatch,
     CompletenessError,
+    DimensionMismatch,
     NoClosedForm,
     NotCoexistent,
     ZeroProbability,
@@ -70,6 +73,14 @@ def _check_same(a, b):
         raise BackendMismatch(f"{a.theory} vs {b.theory}")
 
 
+def _as_matrix(m, n):
+    """m as a complex array of shape (..., n, n), or DimensionMismatch."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (n, n):
+        raise DimensionMismatch(f"matrix of shape {m.shape} is not (..., {n}, {n})")
+    return m
+
+
 @dataclass(frozen=True)
 class Effect:
     """An informational equivalence class of transformations, stored as
@@ -80,7 +91,7 @@ class Effect:
     generalized: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
+        object.__setattr__(self, "matrix", _as_matrix(self.matrix, self.theory.d))
 
     @property
     def coords(self):
@@ -101,7 +112,7 @@ class Weight:
     generalized: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
+        object.__setattr__(self, "matrix", _as_matrix(self.matrix, self.theory.d))
 
     @property
     def total(self):
@@ -141,7 +152,7 @@ class Transformation:
     generalized: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "choi", np.asarray(self.choi, dtype=complex))
+        object.__setattr__(self, "choi", _as_matrix(self.choi, self.theory.d**2))
 
     @property
     def super(self):
@@ -229,10 +240,7 @@ def condition(state, t):
     per element of a stack; a stack with any probability at or below
     PROB_TOL raises."""
     w = act(t, state)
-    p = w.total
-    if (p <= PROB_TOL).any():
-        raise ZeroProbability(f"outcome probability {np.min(p)} below cutoff {PROB_TOL}")
-    return p, w.normalize()
+    return w.total, w.normalize()
 
 
 def evolve_effect(e, t):
@@ -251,16 +259,13 @@ def compose(a, b):
 
 
 def stack(items):
-    """Objects of one kind and theory (states, weights, effects,
-    transformations or joint states, single or stacked alike) as one
-    object of that kind whose matrix has a new leading axis over the
-    items, in order."""
+    """Objects of one kind and theory (states, weights, effects or
+    transformations, single or stacked alike) as one object of that
+    kind whose matrix has a new leading axis over the items, in order."""
     first = items[0]
     key = "choi" if isinstance(first, Transformation) else "matrix"
-    fields = {key: np.array([getattr(x, key) for x in items])}
-    if hasattr(first, "generalized"):
-        fields["generalized"] = any(x.generalized for x in items)
-    return replace(first, **fields)
+    matrices = np.array([getattr(x, key) for x in items])
+    return replace(first, **{key: matrices, "generalized": any(x.generalized for x in items)})
 
 
 def unstack(stacked):

@@ -1,11 +1,12 @@
-"""Faithfulness of bipartite states and the bilinear-form machinery.
+"""Faithfulness of joint states and the bilinear-form machinery.
 
-A symmetric joint state Phi defines a real symmetric bilinear form on
-generalized effects.  Diagonalizing its Gram matrix in the canonical
-Hermitian basis splits the effect space into positive and negative
-principal axes; the sign flip of the negative axes is the involution
-used downstream as complex conjugation, and the absolute value of the
-form is the strictly positive scalar product.
+A symmetric joint state Phi (a State of quantum(d^2)) defines a real
+symmetric bilinear form on generalized effects.  Diagonalizing its
+Gram matrix in the canonical Hermitian basis splits the effect space
+into positive and negative principal axes; the sign flip of the
+negative axes is the involution used downstream as complex
+conjugation, and the absolute value of the form is the strictly
+positive scalar product.
 """
 
 from dataclasses import dataclass
@@ -14,9 +15,9 @@ import numpy as np
 
 from . import channels as ch
 from .basis import from_coords, hermitian_basis, to_coords
-from .core import Effect, Transformation, _per_element, quantum
+from .core import Effect, State, Transformation, _per_element, quantum
 from .errors import ConeViolation, DegenerateSplit, NotFaithful
-from .quantum import BipartiteState, apply_local, kraus_to_choi, max_entangled
+from .quantum import apply_local, kraus_to_choi, max_entangled, part_dim
 from .tolerances import CANONICAL_TOL, CP_TOL, SYMMETRY_TOL, WITNESS_RESID, ZERO_CUTOFF
 
 
@@ -38,7 +39,7 @@ def local_action_matrix(phi):
 
 
 def _is_max_entangled(phi):
-    return bool(np.max(np.abs(phi.matrix - max_entangled(phi.d).matrix)) <= CANONICAL_TOL)
+    return bool(np.max(np.abs(phi.matrix - max_entangled(part_dim(phi)).matrix)) <= CANONICAL_TOL)
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class WitnessSystem:
     pseudo-inverse at the cutoff of `np.linalg.lstsq`, so `pinv @ t` is
     the minimum-norm least-squares solution."""
 
-    phi: BipartiteState
+    phi: State
     canonical: bool
     m: np.ndarray
     pinv: np.ndarray
@@ -68,7 +69,7 @@ def witness_system(phi):
     hermitian_basis(d), and no basis of Choi matrices is built."""
     if _is_max_entangled(phi):
         return WitnessSystem(phi, canonical=True, m=None, pinv=None)
-    d = phi.d
+    d = part_dim(phi)
     adjoint = np.einsum("ayx,ixjy->aji", hermitian_basis(d), phi.matrix.reshape(d, d, d, d))
     rows = np.einsum("aji,xy->ajxiy", adjoint, np.eye(d)).reshape(d * d, d * d, d * d)
     m = to_coords(rows, d**4)
@@ -95,7 +96,7 @@ def prepare_witness(system, target):
     any witness is not.
     """
     phi = system.phi
-    d = phi.d
+    d = part_dim(phi)
     rho = target.matrix
     if system.canonical:
         p = 1.0 / (d * np.linalg.eigvalsh(rho)[..., -1])
@@ -151,7 +152,7 @@ def spectral_split(phi):
     positivity failing means the input is not faithful)."""
     if not is_symmetric(phi):
         raise NotFaithful("spectral split needs a symmetric joint state")
-    d = phi.d
+    d = part_dim(phi)
     basis = hermitian_basis(d)
     # gram[a, b] = Tr[Phi (B_a kron B_b)], the bilinear form on the basis
     phi4 = phi.matrix.reshape(d, d, d, d)  # [x1, x2, y1, y2]

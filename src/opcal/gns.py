@@ -29,7 +29,7 @@ from .faithful import (
     prepare_witness,
     witness_system,
 )
-from .quantum import local_state
+from .quantum import local_state, part_dim
 from .tolerances import GRAM_FLOOR, PINV_RCOND, TRANSPOSE_RESID
 
 
@@ -54,7 +54,7 @@ class TransposeSolver:
 
     def __init__(self, phi):
         self.phi = phi
-        self.d = phi.d
+        self.d = part_dim(phi)
         self.witness = witness_system(phi)
 
     @cached_property
@@ -160,8 +160,8 @@ def gns_space(solver):
     phi = solver.phi
     if not is_symmetric(phi):
         raise NotFaithful("GNS construction needs a symmetric joint state")
-    n = phi.d * phi.d
-    lifts = jordan_lift(Effect(quantum(phi.d), hermitian_basis(phi.d), generalized=True))
+    d, n = solver.d, solver.d**2
+    lifts = jordan_lift(Effect(quantum(d), hermitian_basis(d), generalized=True))
     # Phi|_2(adj_j after T) = Tr[E_j T(rho2)], and sum_ab conj(X)_ab Y_ab
     # = Tr[X^dag Y], so the pairing is Re(vec(conj E_j) . S_T vec(conj rho2^T))
     effects = adjoint_map(solver, lifts).effect().matrix.conj().reshape(n, n)

@@ -1,5 +1,5 @@
 """Quantum and classical backends: density matrices, CP maps in Choi
-form, bipartite states, local actions, and seeded samplers.
+form, joint states, local actions, and seeded samplers.
 
 Sampling distributions: states are Hilbert-Schmidt (normalized Wishart
 G G^dag / Tr), CP maps Wishart Choi matrices rescaled to be
@@ -10,55 +10,27 @@ the stack of n objects in one pass; with n None it draws and builds one
 object.  So the same seed gives the same samples bit for bit.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from . import channels as ch
 from .basis import diagonal_basis
-from .core import Effect, Experiment, State, Transformation, classical, quantum
-from .errors import DimensionMismatch, ZeroProbability
-from .tolerances import PROB_TOL, UNIT_TRACE
+from .core import Effect, Experiment, State, Transformation, Weight, classical, quantum
+from .errors import DimensionMismatch
 
 
 # ---------------------------------------------------------------------------
-# bipartite states
+# joint states: states of quantum(d^2)
 
 
-@dataclass(frozen=True)
-class BipartiteWeight:
-    """Unnormalized joint weight of two identical d-dimensional systems
-    (or a stack of them, along leading axes of the matrix)."""
-
-    d: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
-        if self.matrix.shape[-2:] != (self.d**2, self.d**2):
-            raise DimensionMismatch(
-                f"joint matrix must be {self.d**2} x {self.d**2}"
-            )
-
-    @property
-    def total(self):
-        return self.matrix.trace(axis1=-2, axis2=-1).real
-
-    def normalize(self):
-        """The joint state of each weight; a stack with any weight at or
-        below PROB_TOL raises."""
-        t = self.total
-        if (t <= PROB_TOL).any():
-            raise ZeroProbability(f"joint weight {np.min(t)} below cutoff {PROB_TOL}")
-        return BipartiteState(self.d, self.matrix / t[..., None, None])
-
-
-@dataclass(frozen=True)
-class BipartiteState(BipartiteWeight):
-    def __post_init__(self):
-        super().__post_init__()
-        if (np.abs(self.matrix.trace(axis1=-2, axis2=-1) - 1.0) > UNIT_TRACE).any():
-            raise ValueError("joint state must have unit trace")
+def part_dim(joint):
+    """The dimension d of each part of a joint state or weight of
+    quantum(d^2)."""
+    d = math.isqrt(joint.theory.d)
+    if d * d != joint.theory.d:
+        raise DimensionMismatch(f"{joint.theory} is not the joint theory of two equal parts")
+    return d
 
 
 def max_entangled(d):
@@ -67,25 +39,26 @@ def max_entangled(d):
         raise ValueError("need d >= 2")
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0 / np.sqrt(d)
-    return BipartiteState(d, np.outer(v, v.conj()))
+    return State(quantum(d * d), np.outer(v, v.conj()))
 
 
 def local_state(joint, n):
     """Local state of slot n: the joint paired with a transformation on
     that slot and identity elsewhere (partial trace over the other)."""
-    keep = 0 if n == 1 else 1
-    rho = ch.partial_trace(joint.matrix, (joint.d, joint.d), keep)
-    return State(quantum(joint.d), rho / rho.trace(axis1=-2, axis2=-1).real[..., None, None])
+    if n not in (1, 2):
+        raise ValueError("slot must be 1 or 2")
+    d = part_dim(joint)
+    rho = ch.partial_trace(joint.matrix, (d, d), n - 1)
+    return Weight(quantum(d), rho).normalize()
 
 
 def apply_local(joint, t, slot):
     """Local action (A, I) or (I, A) on a joint weight, unnormalized."""
-    if t.theory.d != joint.d:
-        raise DimensionMismatch(
-            f"transformation dimension {t.theory.d} != joint slot {joint.d}"
-        )
-    out = ch.apply_local_super(t.super, joint.matrix, slot, joint.d)
-    return BipartiteWeight(joint.d, out)
+    d = part_dim(joint)
+    if t.theory.d != d:
+        raise DimensionMismatch(f"transformation dimension {t.theory.d} != joint slot {d}")
+    out = ch.apply_local_super(t.super, joint.matrix, slot, d)
+    return Weight(joint.theory, out, t.generalized or joint.generalized)
 
 
 def condition_local(joint, t, slot):
@@ -102,7 +75,8 @@ def signaling_residual(joint, experiment):
     experiment, which would report a spurious violation, cannot reach
     it: an Experiment is complete (to COMPLETENESS_TOL) once built."""
     after = apply_local(joint, experiment.deterministic_sum(), 1)
-    lhs = ch.partial_trace(after.matrix, (joint.d, joint.d), 1)
+    d = part_dim(joint)
+    lhs = ch.partial_trace(after.matrix, (d, d), 1)
     return float(np.max(np.abs(lhs - local_state(joint, 2).matrix)))
 
 
@@ -161,11 +135,7 @@ def random_state(d, seed, n=None):
     """Hilbert-Schmidt measure via a normalized Wishart matrix."""
     g = _gaussian(np.random.default_rng(seed), n, d, d)
     m = g @ _dagger(g)
-    return State(quantum(d), m / _per_matrix(m.trace(axis1=-2, axis2=-1).real))
-
-
-def random_joint_state(d, seed, n=None):
-    return BipartiteState(d, random_state(d * d, seed, n).matrix)
+    return Weight(quantum(d), m).normalize()
 
 
 def random_effect(d, seed, n=None):

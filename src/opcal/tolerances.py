@@ -5,7 +5,7 @@ reports, in the rows of `checks.CHECKS` that fix no tolerance."""
 
 # probabilities, totals and completeness
 PROB_TOL = 1e-9  # a probability within this of [0, 1] is clamped into it, a total at or below it is zero; the physical cone, equal probabilities, coexistence, and the tolerance of core.equivalence and norms.coexistence
-UNIT_TRACE = 1e-9  # |Tr - 1| of a State or BipartiteState
+UNIT_TRACE = 1e-9  # |Tr - 1| of a State, joint states (States of quantum(d^2)) included
 COMPLETENESS_TOL = 1e-9  # largest entry of sum - I over the effects of an Observable, and so over the branch effects of an Experiment; each is checked when it is built
 RESOLVED_EIG = 1e-9  # an effect eigenvalue this close to 0 or 1 counts as 0 or 1 (infodim.is_resolved)
 

@@ -38,7 +38,7 @@ from opcal.core import (
     quantum,
 )
 from opcal.errors import ConeViolation
-from opcal.quantum import BipartiteState, kraus_to_choi, local_state, projector_map
+from opcal.quantum import kraus_to_choi, local_state, part_dim, projector_map
 from opcal.tolerances import PROB_TOL
 
 # ---------------------------------------------------------------------------
@@ -193,12 +193,18 @@ def projective_experiment(theory):
     return Experiment(core.stack(branches))
 
 
+def joint_state(d, m):
+    """The joint state of two d-dimensional systems with matrix m: a
+    State of quantum(d^2)."""
+    return State(quantum(d * d), m)
+
+
 def max_entangled(d):
     """quantum.max_entangled with |Omega> written one entry |ii> at a time."""
     v = np.zeros(d * d, dtype=complex)
     for i in range(d):
         v[i * d + i] = 1.0 / np.sqrt(d)
-    return BipartiteState(d, np.outer(v, v.conj()))
+    return joint_state(d, np.outer(v, v.conj()))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +307,7 @@ def local_action_oracle(phi, slot):
     Choi coordinates, built as the superoperator of every Choi basis
     element applied to that slot of Phi, then converted to
     coordinates."""
-    d = phi.d
+    d = part_dim(phi)
     cb = hermitian_basis(d * d)
     out = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, slot, d)
     return to_coords(out, d**4).T
@@ -313,7 +319,7 @@ def choi_basis_witness_matrix(phi):
     r[i, j] = Tr T(|i><j|), the raw output trace of its Choi matrix, so
     column k is the coordinates of the contraction of Phi with the
     output traces of Choi basis element k."""
-    d = phi.d
+    d = part_dim(phi)
     cb = hermitian_basis(d * d)
     r = np.einsum("kiaja->kij", cb.reshape(-1, d, d, d, d))
     marginals = np.einsum("kij,ixjy->kxy", r, phi.matrix.reshape(d, d, d, d))
@@ -323,7 +329,7 @@ def choi_basis_witness_matrix(phi):
 def is_dynamically_faithful(phi):
     """The local action A -> (A, I) Phi has trivial kernel on
     generalized transformations (full rank d^4)."""
-    return matrix_rank(local_action_oracle(phi, 1)) == phi.d**4
+    return matrix_rank(local_action_oracle(phi, 1)) == part_dim(phi)**4
 
 
 def is_preparationally_faithful(phi):
@@ -331,7 +337,7 @@ def is_preparationally_faithful(phi):
     transformation acting on Phi with nonzero probability: the local
     action map is surjective onto the joint weight space."""
     m = local_action_oracle(phi, 1)
-    return matrix_rank(m) == phi.d**4
+    return matrix_rank(m) == part_dim(phi)**4
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +368,7 @@ def all_pass(table):
 def product_state(w1, w2):
     m1 = w1.matrix if hasattr(w1, "matrix") else np.asarray(w1)
     m2 = w2.matrix if hasattr(w2, "matrix") else np.asarray(w2)
-    return BipartiteState(m1.shape[0], np.kron(m1, m2))
+    return joint_state(m1.shape[0], np.kron(m1, m2))
 
 
 def random_pure(d, seed):
@@ -400,7 +406,7 @@ def sample_state(d, rng):
 
 
 def sample_joint_state(d, rng):
-    return BipartiteState(d, sample_state(d * d, rng).matrix)
+    return sample_state(d * d, rng)
 
 
 def sample_effect(d, rng):
@@ -467,7 +473,7 @@ def folded_gns(solver):
     lift k, and the composition with each lifted basis element is
     folded into it by one contraction."""
     phi = solver.phi
-    d = phi.d
+    d = part_dim(phi)
     lifts = gns.jordan_lift(Effect(quantum(d), hermitian_basis(d), generalized=True))
     # Pairing of lift k with the map T of Choi matrix C:
     # Phi|_2(adj_k after T) = Tr[rho2 T^*(E_k)] = Tr[C (rho2^T kron E_k)],

@@ -235,7 +235,7 @@ def test_criterion_9_no_signaling(capsys):
     rng = np.random.default_rng(900)
     ok = True
     for _ in range(100):
-        joint = qm.random_joint_state(2, rng)
+        joint = qm.random_state(4, rng)
         exp = qm.random_experiment(2, rng)
         ok = ok and qm.signaling_residual(joint, exp) <= 1e-9
     # selective conditioning does change the far state

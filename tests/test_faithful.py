@@ -18,6 +18,7 @@ from reference import (
     is_dynamically_faithful,
     is_physical_map,
     is_preparationally_faithful,
+    joint_state,
     product_state,
     state_sigma,
 )
@@ -108,12 +109,12 @@ def test_prepare_witness_unfaithful_raises():
 
 def _isotropic(d, p):
     omega = qm.max_entangled(d).matrix
-    return qm.BipartiteState(d, (1.0 - p) * omega + p * np.eye(d * d) / d**2)
+    return joint_state(d, (1.0 - p) * omega + p * np.eye(d * d) / d**2)
 
 
 def _marginal_matrix_by_action(phi):
     # reference: apply each Choi basis element to slot 1, then trace it out
-    d = phi.d
+    d = qm.part_dim(phi)
     cb = hermitian_basis(d * d)
     outs = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, 1, d)
     return to_coords(ch.partial_trace(outs, (d, d), 1), d * d).T
@@ -121,7 +122,7 @@ def _marginal_matrix_by_action(phi):
 
 def _lstsq_witness(phi, target):
     # reference: a fresh least-squares solve, rescaled as prepare_witness does
-    d = phi.d
+    d = qm.part_dim(phi)
     m = _marginal_matrix_by_action(phi)
     x, *_ = np.linalg.lstsq(m, to_coords(target.matrix, d * d), rcond=None)
     choi = from_coords(x, d * d)
@@ -146,8 +147,8 @@ def test_witness_system_matches_local_action(d, p):
 
 
 def _symmetric_mixture(d, seed):
-    rho = qm.random_joint_state(d, seed).matrix
-    return qm.BipartiteState(d, (rho + ch.swap(rho)) / 2.0)
+    rho = qm.random_state(d * d, seed).matrix
+    return joint_state(d, (rho + ch.swap(rho)) / 2.0)
 
 
 @pytest.mark.parametrize(

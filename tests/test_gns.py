@@ -14,7 +14,7 @@ from opcal import quantum as qm
 from opcal.errors import NotFaithful
 from opcal.tolerances import ACTION_TOL, PINV_RCOND, TRANSPOSE_RESID
 import reference
-from reference import local_action_oracle, product_state, random_unitary
+from reference import joint_state, local_action_oracle, product_state, random_unitary
 
 
 def test_transpose_is_kraus_transpose(phi2, rng):
@@ -60,7 +60,7 @@ def test_transpose_axioms(phi2, rng):
 
 def _isotropic(d, p):
     omega = qm.max_entangled(d).matrix
-    return qm.BipartiteState(d, (1.0 - p) * omega + p * np.eye(d * d) / d**2)
+    return joint_state(d, (1.0 - p) * omega + p * np.eye(d * d) / d**2)
 
 
 def _pure_symmetric(d, seed):
@@ -70,30 +70,30 @@ def _pure_symmetric(d, seed):
     p = np.random.default_rng(seed).dirichlet(np.ones(d))
     f = (w * np.sqrt(p)) @ w.T
     v = ((f + f.T) / 2.0).reshape(-1)
-    return qm.BipartiteState(d, np.outer(v, v.conj()) / np.vdot(v, v).real)
+    return joint_state(d, np.outer(v, v.conj()) / np.vdot(v, v).real)
 
 
 def _symmetrized_mixture(d, seed):
     """(rho + S rho S) / 2 for a random joint state rho."""
-    rho = qm.random_joint_state(d, seed).matrix
-    return qm.BipartiteState(d, (rho + ch.swap(rho)) / 2.0)
+    rho = qm.random_state(d * d, seed).matrix
+    return joint_state(d, (rho + ch.swap(rho)) / 2.0)
 
 
 def _nonsymmetric(d):
     rho = np.kron(np.diag(np.arange(1.0, d + 1)), np.diag(np.arange(d, 0.0, -1)))
-    return qm.BipartiteState(d, 0.8 * qm.max_entangled(d).matrix + 0.2 * rho / np.trace(rho))
+    return joint_state(d, 0.8 * qm.max_entangled(d).matrix + 0.2 * rho / np.trace(rho))
 
 
 def _nonsymmetric_golden():
     """The non-symmetric override of the golden matrix."""
     rho = np.kron(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
-    return qm.BipartiteState(2, 0.8 * qm.max_entangled(2).matrix + 0.2 * rho)
+    return joint_state(2, 0.8 * qm.max_entangled(2).matrix + 0.2 * rho)
 
 
 def _pure_product(d):
     """|0><0| (x) |+><+|: operator-Schmidt rank 1, local action rank d^2."""
     plus = np.full(d, 1.0 / np.sqrt(d))
-    return qm.BipartiteState(d, np.kron(np.diag(np.eye(d)[0]), np.outer(plus, plus)))
+    return joint_state(d, np.kron(np.diag(np.eye(d)[0]), np.outer(plus, plus)))
 
 
 LOCAL_ACTION_STATES = [
@@ -103,12 +103,12 @@ LOCAL_ACTION_STATES = [
     ("mixture-d3", lambda: _symmetrized_mixture(3, 6)),
     ("pure-complex-d3", lambda: _pure_symmetric(3, 7)),
     ("pure-complex-d4", lambda: _pure_symmetric(4, 0)),
-    ("product-d2", lambda: qm.BipartiteState(2, np.eye(4) / 4)),
+    ("product-d2", lambda: joint_state(2, np.eye(4) / 4)),
     ("pure-product-d3", lambda: _pure_product(3)),
     ("nonsymmetric-d2", lambda: _nonsymmetric(2)),
     ("nonsymmetric-d3", lambda: _nonsymmetric(3)),
     ("nonsymmetric-golden-d2", _nonsymmetric_golden),
-    *((f"random-joint-d{d}", lambda d=d: qm.random_joint_state(d, 8)) for d in (2, 3)),
+    *((f"random-joint-d{d}", lambda d=d: qm.random_state(d * d, 8)) for d in (2, 3)),
 ]
 STATE_PARAMS = pytest.mark.parametrize(
     "make", [m for _, m in LOCAL_ACTION_STATES], ids=[n for n, _ in LOCAL_ACTION_STATES]
@@ -128,7 +128,7 @@ def test_solver_local_actions_are_the_slot_builds(make):
     # slot; the solver's rank is the rank of the slot-1 oracle and d^2
     # times the rank of R, also on the states that are not symmetric
     phi = make()
-    d = phi.d
+    d = qm.part_dim(phi)
     cb = hermitian_basis(d * d)
     sup = ch.choi_to_super(cb)
     r = faithful.local_action_matrix(phi)
@@ -148,10 +148,10 @@ def _oracle_transposes(phi, maps):
     pinv = np.linalg.pinv(l2, rcond=PINV_RCOND)
     out = []
     for t in maps:
-        rhs = l1 @ to_coords(t.choi, phi.d**4)
+        rhs = l1 @ to_coords(t.choi, qm.part_dim(phi)**4)
         x = pinv @ rhs
         ok = np.linalg.norm(l2 @ x - rhs) <= TRANSPOSE_RESID * max(np.linalg.norm(rhs), 1.0)
-        out.append(from_coords(x, phi.d**2) if ok else None)
+        out.append(from_coords(x, qm.part_dim(phi)**2) if ok else None)
     return out
 
 
@@ -171,7 +171,7 @@ def test_folded_transpose_is_the_coordinate_solve(make, rng):
     # cond(R) = 449)
     phi = make()
     solver = gns.TransposeSolver(phi)
-    maps = [qm.random_cp(phi.d, rng) for _ in range(10)]
+    maps = [qm.random_cp(qm.part_dim(phi), rng) for _ in range(10)]
     for t, want in zip(maps, _oracle_transposes(phi, maps)):
         if want is None:
             with pytest.raises(NotFaithful):
@@ -200,7 +200,7 @@ def _schmidt_rank_state(d, k, seed):
     )
     terms = np.einsum("m,mab,mcd->acbd", rng.uniform(1.0, 2.0, k - 1), x, y).reshape(n, n)
     scale = np.linalg.norm(terms, 2) if k > 1 else 1.0
-    return qm.BipartiteState(d, np.eye(n) / n + rng.uniform(0.5, 1.0) / (n * scale) * terms)
+    return joint_state(d, np.eye(n) / n + rng.uniform(0.5, 1.0) / (n * scale) * terms)
 
 
 @given(
@@ -346,7 +346,7 @@ def test_cstar_identity_isotropic(d, p, rng):
     # (1 - p)|Omega><Omega| + p I/d^2 has a Gram matrix that is not a
     # multiple of the identity, so the norm must use the Gram metric
     omega = qm.max_entangled(d).matrix
-    phi = qm.BipartiteState(d, (1.0 - p) * omega + p * np.eye(d * d) / d**2)
+    phi = joint_state(d, (1.0 - p) * omega + p * np.eye(d * d) / d**2)
     space = gns.gns_space(gns.TransposeSolver(phi))
     for _ in range(20):
         t = qm.random_cp(d, rng)
@@ -421,7 +421,7 @@ def _swap_perturbed_isotropic():
     """The swap-perturbed isotropic override of the golden matrix:
     symmetric to is_symmetric's 1e-12, but not bit for bit."""
     a = np.kron(np.diag([1.0, 0.0, -1.0]), np.eye(3))
-    return qm.BipartiteState(3, _isotropic(3, 0.2).matrix + 1e-13 * (a - ch.swap(a)))
+    return joint_state(3, _isotropic(3, 0.2).matrix + 1e-13 * (a - ch.swap(a)))
 
 
 FACTORED_STATES = [
@@ -441,7 +441,7 @@ def test_factored_maps_match_the_folded_operator(make, monkeypatch):
     # on any faithful state, so the non-symmetric one, which gns_space
     # rejects, is compared with the symmetry test bypassed.
     phi = make()
-    d = phi.d
+    d = qm.part_dim(phi)
     if not faithful.is_symmetric(phi):
         with pytest.raises(NotFaithful, match="symmetric"):
             gns.gns_space(gns.TransposeSolver(phi))

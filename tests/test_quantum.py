@@ -1,4 +1,4 @@
-"""Bipartite states, local actions, no-signaling, and seeded samplers."""
+"""Joint states, local actions, no-signaling, and seeded samplers."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from opcal import channels as ch
-from opcal import core
+from opcal import core, infodim
 from opcal import quantum as qm
 from opcal.errors import CompletenessError, DimensionMismatch
+from opcal.tolerances import PROB_TOL
 from reference import is_physical_map, product_state, random_unitary
 
 
@@ -33,6 +34,65 @@ def test_product_state_local_action():
     assert_allclose(out.matrix, np.kron(t(a.matrix), b.matrix), atol=1e-12)
     out2 = qm.apply_local(joint, t, 2)
     assert_allclose(out2.matrix, np.kron(a.matrix, t(b.matrix)), atol=1e-12)
+
+
+def _joint_states(d):
+    """The maximally entangled state, the isotropic state at p = 0.2 and
+    a random joint state, each a State of quantum(d^2)."""
+    omega = qm.max_entangled(d)
+    iso = core.State(core.quantum(d * d), 0.8 * omega.matrix + 0.2 * np.eye(d * d) / d**2)
+    return {"max_entangled": omega, "isotropic": iso, "random": qm.random_state(d * d, 10 + d)}
+
+
+@pytest.mark.parametrize("which", ["max_entangled", "isotropic", "random"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_joint_state_is_a_state(d, which):
+    phi = _joint_states(d)[which]
+    joint = core.quantum(d * d)
+    assert phi.theory == joint and qm.part_dim(phi) == d
+    # a local effect paired with the joint state is the effect paired
+    # with that slot's local state
+    eye = np.eye(d)
+    for e in core.unstack(qm.random_effect(d, 7, 5)):
+        p1 = core.pair(phi, core.Effect(joint, np.kron(e.matrix, eye)))
+        p2 = core.pair(phi, core.Effect(joint, np.kron(eye, e.matrix)))
+        assert p1 == pytest.approx(core.pair(qm.local_state(phi, 1), e), abs=1e-12)
+        assert p2 == pytest.approx(core.pair(qm.local_state(phi, 2), e), abs=1e-12)
+    # the joint discriminating observable is an observable of the same theory
+    probs = core.pair(phi, infodim.bell_basis_observable(d).effects)
+    assert probs.shape == (d * d,) and probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_objects_check_their_shape_against_their_theory(d):
+    joint = core.quantum(d * d)
+    for build in (
+        lambda: core.State(joint, np.eye(d) / d),
+        lambda: core.Weight(joint, np.ones(d * d)),
+        lambda: core.Effect(joint, np.eye(d)),
+        lambda: core.Transformation(joint, np.eye(d * d)),
+        lambda: core.Transformation(core.quantum(d), np.eye(d)),
+        lambda: core.State(core.quantum(d + 1), np.eye(d) / d),
+    ):
+        with pytest.raises(DimensionMismatch):
+            build()
+    phi = qm.max_entangled(d)
+    assert core.stack([phi, phi]).matrix.shape == (2, d * d, d * d)
+    assert core.Effect(joint, np.array([np.eye(d * d)] * 3)).matrix.shape == (3, d * d, d * d)
+    choi = np.array([np.eye(d**4)] * 2)
+    assert core.Transformation(joint, choi).effect().matrix.shape == (2, d * d, d * d)
+
+
+def test_joint_operations_reject_a_bad_slot_or_joint_theory():
+    phi = qm.max_entangled(2)
+    for slot in (0, 3):
+        with pytest.raises(ValueError, match="slot must be 1 or 2"):
+            qm.local_state(phi, slot)
+        with pytest.raises(ValueError, match="slot must be 1 or 2"):
+            qm.apply_local(phi, qm.random_cp(2, 0), slot)
+    # a theory whose dimension is not a square has no two equal parts
+    with pytest.raises(DimensionMismatch):
+        qm.local_state(qm.random_state(5, 0), 1)
 
 
 def test_apply_local_dimension_check():
@@ -64,9 +124,9 @@ def test_condition_local_steering():
 @settings(max_examples=30, deadline=None)
 def test_no_signaling_random(seed):
     rng = np.random.default_rng(seed)
-    joint = qm.random_joint_state(2, rng)
+    joint = qm.random_state(4, rng)
     exp = qm.random_experiment(2, rng)
-    assert qm.signaling_residual(joint, exp) <= qm.PROB_TOL
+    assert qm.signaling_residual(joint, exp) <= PROB_TOL
 
 
 def test_no_signaling_rejects_incomplete():

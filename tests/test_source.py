@@ -3,8 +3,9 @@ and every private module-level helper has a caller outside the tests,
 every function runs in some report, every function the benchmark
 traces by name still exists,
 every check hands its seed to one draw, every rank, every positivity
-test and the coordinate layout are decided in one place, and the
-checks take each theory-level dimension through the run's context."""
+test and the coordinate layout are decided in one place, only core
+defines objects that carry a matrix, and the checks take each
+theory-level dimension through the run's context."""
 
 import ast
 import importlib
@@ -214,6 +215,31 @@ def test_benchmarked_functions_exist():
         for attr in attrs:
             obj = getattr(obj, attr, None)
         assert callable(obj), name
+
+
+def _matrix_classes(tree):
+    """Names of the classes that declare a `matrix` or `choi` field or
+    set one on an instance."""
+    found = set()
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for node in ast.walk(cls):
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                name = node.attr
+            else:
+                continue
+            if name in ("matrix", "choi"):
+                found.add(cls.name)
+    return found
+
+
+def test_only_core_defines_matrix_objects():
+    # a joint state is a State of quantum(d^2): a second class carrying
+    # a matrix would repeat the totals, normalization and shape checks
+    # of core's Weight, and could not go through pair or Observable
+    found = {f"{p.stem}.{c}" for p in MODULES for c in _matrix_classes(ast.parse(p.read_text()))}
+    assert found == {"core.Effect", "core.Weight", "core.Transformation"}
 
 
 def _rng_misuses(tree):

@@ -130,7 +130,7 @@ def _no_signaling_per_sample(ctx, samples, tol):
     for _ in range(checks.SAMPLES):
         joint, exp = next(samples), next(samples)
         after = qm.apply_local(joint, exp.deterministic_sum(), 1)
-        lhs = ch.partial_trace(after.matrix, (joint.d, joint.d), 1)
+        lhs = ch.partial_trace(after.matrix, (qm.part_dim(joint), qm.part_dim(joint)), 1)
         worst = max(worst, float(np.max(np.abs(lhs - qm.local_state(joint, 2).matrix))))
     phi = qm.max_entangled(spec.d)
     p0 = np.zeros((spec.d, spec.d))
@@ -390,7 +390,7 @@ def test_samplers_on_a_seed_match_one_sample_oracles(d):
         rng = lambda: np.random.default_rng(seed)  # noqa: E731
         pairs = (
             (qm.random_state(d, seed), ref.sample_state(d, rng()), 0.0),
-            (qm.random_joint_state(d, seed), ref.sample_joint_state(d, rng()), 0.0),
+            (qm.random_state(d * d, seed), ref.sample_joint_state(d, rng()), 0.0),
             (qm.random_effect(d, seed), ref.sample_effect(d, rng()), 0.0),
             (qm.random_generalized_effect(d, seed), ref.sample_generalized_effect(d, rng()), 0.0),
             (qm.random_cp(d, seed), ref.sample_cp(d, rng()), 0.0),
@@ -462,7 +462,7 @@ def test_weight_normalize_and_condition_on_stacks():
         core.Weight(th, np.array([eye * 4e-10, eye / 2, eye * 1e-10])).normalize()
     branch = qm.projector_map(th, np.diag([0.0, 1.0]))
     up = core.State(th, np.diag([1.0, 0.0]))
-    with pytest.raises(ZeroProbability, match=r"outcome probability 0\.0 below"):
+    with pytest.raises(ZeroProbability, match=r"total weight 0\.0 below"):
         core.condition(core.stack([s, up]), branch)
 
 
@@ -642,7 +642,7 @@ def test_norms_on_stacks_match_per_element(d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_local_action_on_joint_stacks_matches_per_element(d):
     rng = np.random.default_rng(d)
-    joints = [qm.random_joint_state(d, rng) for _ in range(N)]
+    joints = [qm.random_state(d * d, rng) for _ in range(N)]
     maps = _samples(d, 11)["maps"]
     sups = np.array([t.super for t in maps])
     stacked = core.stack(joints).matrix
@@ -669,10 +669,10 @@ def test_local_action_on_joint_stacks_matches_per_element(d):
 
 def test_joint_stacks_reject_any_bad_element():
     ok = qm.max_entangled(2).matrix
-    with pytest.raises(ValueError, match="unit trace"):
-        qm.BipartiteState(2, np.array([ok, 2 * ok]))
+    with pytest.raises(ValueError, match="state must have unit total weight"):
+        core.State(core.quantum(4), np.array([ok, 2 * ok]))
     with pytest.raises(ZeroProbability):
-        qm.BipartiteWeight(2, np.array([ok, 0 * ok])).normalize()
+        core.Weight(core.quantum(4), np.array([ok, 0 * ok])).normalize()
 
 
 def test_experiments_stack_branchwise(fake_generators):
@@ -724,7 +724,7 @@ def test_every_observable_and_experiment_of_a_report_is_one_stack():
 @pytest.mark.parametrize("config", SPECS)
 def test_prepare_witness_on_stacks_matches_per_element(config):
     system = _space(config).solver.witness
-    states = _samples(system.phi.d, 12)["states"]
+    states = _samples(qm.part_dim(system.phi), 12)["states"]
     witness, probs = faithful.prepare_witness(system, core.stack(states))
     singles = [faithful.prepare_witness(system, w) for w in states]
     assert all(type(p) is float for _, p in singles)
