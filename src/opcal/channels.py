@@ -75,26 +75,31 @@ def effect_of_choi(choi):
     bra side), so it is transposed back: Tr[effect_of_choi(C) @ rho]
     equals the trace of the map applied to rho.
     """
-    *lead, n, _ = choi.shape
-    d = math.isqrt(n)
-    return np.einsum("...iaja->...ji", choi.reshape(*lead, d, d, d, d))
+    d = math.isqrt(choi.shape[-1])
+    return np.swapaxes(partial_trace(choi, (d, d), 0), -1, -2)
 
 
 def identity_choi(d):
     return kraus_to_choi_matrix([np.eye(d)])
 
 
+def _twice_hermitian_part(m):
+    """m^dag + m (of each matrix of a stack) in one new buffer."""
+    h = np.swapaxes(m, -1, -2).copy()
+    np.conjugate(h, out=h)
+    h += m
+    return h
+
+
 def min_eig(m):
     """Smallest eigenvalue of the Hermitian part of m (of each matrix of
-    a stack), formed in one buffer: m^dag, plus m, halved in place.  A
+    a stack), formed in one buffer: m^dag + m, halved in place.  A
     NaN or inf entry anywhere raises LinAlgError, as in
     basis.matrix_rank: eigvalsh reads one triangle only, and a NaN on
     the diagonal may come back as finite eigenvalues."""
     if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("matrix entries are not finite")
-    h = np.swapaxes(m, -1, -2).copy()
-    np.conjugate(h, out=h)
-    h += m
+    h = _twice_hermitian_part(m)
     h *= 0.5
     return np.linalg.eigvalsh(h)[..., 0]
 
@@ -111,9 +116,7 @@ def is_psd(m, tol):
     reads only the lower triangle and the real part of the diagonal, and
     factors NaN without raising; a NaN or inf in m reaches the lower
     triangle of A or the imaginary part of tr A, which is 0 for finite m."""
-    a = np.swapaxes(m, -1, -2).copy()
-    np.conjugate(a, out=a)
-    a += m
+    a = _twice_hermitian_part(m)
     n = a.shape[-1]
     diag = a.reshape(*a.shape[:-2], n * n)[..., :: n + 1]  # a view
     diag += tol

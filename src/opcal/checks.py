@@ -62,11 +62,7 @@ def _sample_experiment(spec, rng, n=None):
 
 
 def _sample_kraus_contraction(spec, rng, n=None):
-    """rho -> K rho K^dag for a Gaussian K scaled to operator norm 1/1.1."""
-    k = qm._gaussian(np.random.default_rng(rng), n, spec.d, spec.d)
-    k = k / (np.linalg.norm(k, 2, axis=(-2, -1))[..., None, None] * 1.1)
-    # one Kraus operator per map: the Kraus axis before the last two
-    return qm.kraus_to_choi(core.quantum(spec.d), k[..., None, :, :])
+    return qm.random_kraus_contraction(spec.d, rng, n)
 
 
 def _draw(ctx, rng, n, *samplers):
@@ -166,9 +162,10 @@ def _check_coexistence(ctx, rng, tol):
     else:
         half = core.scale(0.5, core.identity(th))
         big = core.scale(0.7, core.identity(th))
-    ok = core.coexistent(half, half) and not core.coexistent(big, big)
-    sum_norm = core.trans_norm(core.add(half, half, check=False))
-    return ok and abs(sum_norm - 1.0) <= tol, {"sum_norm": sum_norm}
+    # add raises NotCoexistent unless half and half are coexistent
+    sum_norm = core.trans_norm(core.add(half, half))
+    ok = not core.coexistent(big, big) and abs(sum_norm - 1.0) <= tol
+    return ok, {"sum_norm": sum_norm}
 
 
 # -- infodim

@@ -289,11 +289,12 @@ def coexistent(a, b):
     return trans_norm(s) <= 1.0 + PROB_TOL
 
 
-def add(a, b, check=True):
-    """Coarse-grained transformation "a or b" for coexistent branches."""
+def add(a, b):
+    """Coarse-grained transformation "a or b".  Two physical branches
+    must be coexistent, or NotCoexistent; a generalized one adds freely."""
     _check_same(a, b)
     generalized = a.generalized or b.generalized
-    if check and not generalized and not coexistent(a, b):
+    if not generalized and not coexistent(a, b):
         raise NotCoexistent("branches would exceed unit probability")
     return Transformation(a.theory, a.choi + b.choi, generalized)
 
@@ -327,27 +328,18 @@ def weight_norm(w):
 
 def trans_norm(t):
     """Operator norm sup over unit-ball effects B of ||B after t||, the
-    induced trace norm over pure inputs, sup_psi ||t(psi)||_1, in one of
-    two closed forms.  A CP map has the top eigenvalue of its dual unit
-    effect.  A map with a diagonal Choi matrix (every classical map,
-    signed or not) sends |j><j| to sum_i M[i, j] |i><i|, with
-    M[i, j] = C[(j, i), (j, i)], and has the largest column l1 norm of
-    M.  Any other map raises NoClosedForm.
+    induced trace norm over pure inputs, sup_psi ||t(psi)||_1, in its
+    closed form for a CP map: the top eigenvalue of its dual unit effect.
+    A map that is not CP (to CP_TOL) raises NoClosedForm.
 
-    A stack gives one norm per map: one CP test of all Choi matrices
-    (`channels.is_psd`), one eigvalsh of all dual units, and the column
-    norms of the maps that are not CP.
+    A stack gives one norm per map, from one CP test of all Choi
+    matrices (`channels.is_psd`) and one eigvalsh of all dual units; a
+    stack with any map that is not CP raises.
     """
     choi = t.choi.reshape(-1, *t.choi.shape[-2:])
+    if not ch.is_psd(choi, CP_TOL).all():
+        raise NoClosedForm("trans_norm of a map that is not CP")
     norms = np.linalg.eigvalsh(ch.effect_of_choi(choi))[:, -1]
-    not_cp = ~ch.is_psd(choi, CP_TOL)
-    if not_cp.any():
-        other = choi[not_cp]
-        diag = np.diagonal(other, axis1=-2, axis2=-1)
-        if np.count_nonzero(other) > np.count_nonzero(diag):  # an off-diagonal entry
-            raise NoClosedForm("trans_norm of a map that is neither CP nor diagonal in its Choi matrix")
-        d = t.theory.d
-        norms[not_cp] = np.abs(diag).reshape(-1, d, d).sum(axis=-1).max(axis=-1)
     return _per_element(norms.reshape(t.choi.shape[:-2]))
 
 

@@ -22,8 +22,7 @@ class NotCoexistent(OpcalError):
 
 
 class NoClosedForm(OpcalError):
-    """A transformation norm with no closed form: the map is neither CP
-    nor given by a diagonal Choi matrix."""
+    """A transformation norm with no closed form: the map is not CP."""
 
 
 class NotIC(OpcalError):

@@ -165,14 +165,10 @@ def _trace_preserving(d, g):
     return (rt @ rows).reshape(*lead, d * d, r)
 
 
-def random_cp(d, seed, n=None, trace_preserving=False):
-    """CP map from a Wishart Choi rescaled to trace-nonincreasing (or
-    projected to trace-preserving)."""
+def random_cp(d, seed, n=None):
+    """CP map from a Wishart Choi rescaled to trace-nonincreasing."""
     rng = np.random.default_rng(seed)
     g = _gaussian(rng, n, d * d, d * d)
-    if trace_preserving:
-        h = _trace_preserving(d, g)
-        return Transformation(quantum(d), h @ _dagger(h))
     c = g @ _dagger(g)
     top = np.linalg.eigvalsh(ch.effect_of_choi(c))[..., -1]
     return Transformation(quantum(d), c / _per_matrix(top * rng.uniform(1.0, 2.0, n)))
@@ -189,6 +185,14 @@ def random_experiment(d, seed, n=None):
     v, w = v[..., ::-1], s[..., ::-1] ** 2
     branches = np.einsum("...ik,...jk->...kij", v * w[..., None, :], v.conj())
     return Experiment(Transformation(quantum(d), np.moveaxis(branches, -3, 0)))
+
+
+def random_kraus_contraction(d, seed, n=None):
+    """rho -> K rho K^dag for a Gaussian K scaled to operator norm 1/1.1."""
+    k = _gaussian(np.random.default_rng(seed), n, d, d)
+    k = k / (_per_matrix(np.linalg.norm(k, 2, axis=(-2, -1))) * 1.1)
+    # one Kraus operator per map: the Kraus axis before the last two
+    return kraus_to_choi(quantum(d), k[..., None, :, :])
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +213,19 @@ def classical_state(probs):
     return State(classical(p.shape[-1]), _diag(p))
 
 
-def classical_effect(values, generalized=False):
+def classical_effect(values):
     v = np.asarray(values, dtype=float)
-    return Effect(classical(v.shape[-1]), _diag(v), generalized)
+    return Effect(classical(v.shape[-1]), _diag(v))
 
 
-def classical_map(matrix, generalized=False):
-    """Transformation from a (sub)stochastic matrix M[i, j] (or a stack
-    of them), acting on outcome vectors; encoded with Kraus
+def classical_map(matrix):
+    """Physical transformation from a (sub)stochastic matrix M[i, j] (or
+    a stack of them), acting on outcome vectors; encoded with Kraus
     sqrt(M_ij) |i><j| so the shared Choi machinery applies."""
     m = np.asarray(matrix, dtype=float)
     # Choi entry [(j, i), (j, i)] is M[i, j]
     flat = np.swapaxes(m, -1, -2).reshape(*m.shape[:-2], -1)
-    return Transformation(classical(m.shape[-1]), _diag(flat), generalized)
+    return Transformation(classical(m.shape[-1]), _diag(flat))
 
 
 def random_classical_state(d, seed, n=None):

@@ -127,15 +127,14 @@ def test_effect_norm_oracles():
     th = core.quantum(2)
     assert core.effect_norm(core.Effect(th, SZ, generalized=True)) == pytest.approx(1.0)
     assert core.effect_norm(core.Effect(th, 0.3 * np.eye(2))) == pytest.approx(0.3)
-    assert core.effect_norm(qm.classical_effect([0.2, -0.9], generalized=True)) == (
-        pytest.approx(0.9)
-    )
+    signed = core.Effect(core.classical(2), np.diag([0.2, -0.9]), generalized=True)
+    assert core.effect_norm(signed) == pytest.approx(0.9)
     # classical effects: the largest |entry| of the outcome vector
     rng = np.random.default_rng(103)
     for d in (2, 3, 4, 5):
         for _ in range(20):
             v = rng.uniform(-1.0, 1.0, d)
-            e = qm.classical_effect(v, generalized=True)
+            e = core.Effect(core.classical(d), np.diag(v), generalized=True)
             assert core.effect_norm(e) == np.max(np.abs(v))
 
 
@@ -162,10 +161,11 @@ def test_trans_norm_cp_exact():
         0.6, abs=1e-12
     )
     assert core.trans_norm(core.Transformation(th, np.zeros((4, 4)))) == 0.0
+    # an experiment's deterministic sum is trace preserving
     rng = np.random.default_rng(1)
     for _ in range(10):
         assert core.trans_norm(
-            qm.random_cp(2, rng, trace_preserving=True)
+            qm.random_experiment(2, rng).deterministic_sum()
         ) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -185,17 +185,19 @@ def test_classical_trans_norm():
     m = np.array([[0.5, 0.1], [0.2, 0.3]])
     t = qm.classical_map(m)
     assert core.trans_norm(t) == pytest.approx(0.7)
-    # substochastic and signed (generalized) matrices: the largest
-    # column l1 norm
+    # substochastic matrices: the largest column sum; a signed
+    # (generalized) one is not CP, so no closed form gives its norm
     rng = np.random.default_rng(162)
     for d in (2, 3, 4, 5):
         for _ in range(10):
-            sub = qm.random_classical_map(d, rng)
-            signed = rng.uniform(-1.0, 1.0, (d, d))
-            for t in (sub, qm.classical_map(signed, generalized=True)):
-                m = np.real(np.diag(t.choi)).reshape(d, d).T  # m[i, j] at j*d + i
-                want = np.max(np.sum(np.abs(m), axis=0))
-                assert core.trans_norm(t) == pytest.approx(want, abs=1e-12)
+            t = qm.random_classical_map(d, rng)
+            m = np.real(np.diag(t.choi)).reshape(d, d).T  # m[i, j] at j*d + i
+            want = np.max(np.sum(np.abs(m), axis=0))
+            assert core.trans_norm(t) == pytest.approx(want, abs=1e-12)
+            signed = np.diag(rng.uniform(-1.0, 1.0, d * d))
+            signed[0, 0] = -0.5  # at least one negative Choi eigenvalue
+            with pytest.raises(NoClosedForm):
+                core.trans_norm(core.Transformation(t.theory, signed, generalized=True))
 
 
 def test_coexistence_and_add():

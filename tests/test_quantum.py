@@ -162,7 +162,7 @@ def test_sampled_effects_physical(seed, d):
 def test_sampled_maps_physical(seed, d):
     t = qm.random_cp(d, seed)
     assert is_physical_map(t)
-    tp = qm.random_cp(d, seed, trace_preserving=True)
+    tp = qm.random_experiment(d, seed).deterministic_sum()
     assert_allclose(tp.effect().matrix, np.eye(d), atol=1e-9)
 
 

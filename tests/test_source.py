@@ -1,7 +1,8 @@
 """Checks on the source tree: no unused imports, every public function
 and every private module-level helper has a caller outside the tests,
-every function runs in some report, every function the benchmark
-traces by name still exists,
+every function runs in some report, every defaulted parameter of a
+function that runs is set to another value in some report, every
+function the benchmark traces by name still exists,
 every check hands its seed to one draw, every rank, every positivity
 test and the coordinate layout are decided in one place, only core
 defines objects that carry a matrix, and the checks take each
@@ -129,19 +130,47 @@ def test_private_helpers_have_a_library_caller():
 
 
 # Runs in a fresh interpreter with a profile hook installed before opcal
-# is imported, so functions that run only at import are seen too; it
-# writes the (file, qualified name) of every function called to argv[2].
+# is imported, so functions that run only at import are seen too.  It
+# writes to argv[2] the (file, qualified name) of every function called,
+# and the (file, qualified name, parameter) of each defaulted parameter
+# of those functions, and of those a call set to another value.  The
+# defaults are those of the function the qualified name names in the
+# frame's module; a nested function has none there.
 _RECORD_CALLS = """
 import contextlib, io, json, sys
 from dataclasses import replace
 
 src, out, theory = sys.argv[1:]
-called = set()
+called, defaulted, given = set(), set(), set()
+params = {}  # code object -> ((parameter, default), ...)
+
+
+def defaults(frame):
+    code = frame.f_code
+    head, *rest = code.co_qualname.split(".")
+    fn = frame.f_globals.get(head)
+    for name in rest:
+        fn = getattr(fn, name, None)
+    fn = getattr(fn, "__wrapped__", fn)  # an lru_cache
+    if getattr(fn, "__code__", None) is not code:
+        return ()
+    values = fn.__defaults__ or ()
+    positional = code.co_varnames[code.co_argcount - len(values) : code.co_argcount]
+    return (*zip(positional, values), *(fn.__kwdefaults__ or {}).items())
 
 
 def hook(frame, event, arg):
-    if event == "call" and frame.f_code.co_filename.startswith(src):
-        called.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(src):
+        key = (code.co_filename, code.co_qualname)
+        called.add(key)
+        if code not in params:
+            params[code] = defaults(frame)
+            defaulted.update((*key, name) for name, _ in params[code])
+        for name, default in params[code]:
+            value = frame.f_locals[name]
+            if value is not default and not (type(value) is type(default) and value == default):
+                given.add((*key, name))
 
 
 sys.setprofile(hook)
@@ -151,11 +180,13 @@ from opcal import cli
 for _, spec in verify_all.CONFIGS:
     report = cli.run_suite(replace(spec, seed=1), "all")
     cli.parse_report(cli.emit_report(report, "structured"))
+expect_fail = (f"--expect-fail={name}" for name in verify_all.CLASSICAL_EXPECT_FAIL)
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["--theory", theory])
+    cli.main(["--backend", "classical", "--d", "3", *expect_fail])
 sys.setprofile(None)
 with open(out, "w") as fh:
-    json.dump(sorted(called), fh)
+    json.dump({"called": sorted(called), "defaulted": sorted(defaulted), "given": sorted(given)}, fh)
 """
 
 
@@ -171,17 +202,18 @@ def _defined_functions(path):
     return found
 
 
-def test_every_function_runs_in_some_report(tmp_path):
-    # the verify_all configurations at seed 1, through run_suite,
-    # emit_report and parse_report, and one command-line run on a theory
-    # file with a phi line.  This catches a method whose name another
-    # definition shares, which the name match of the library-caller
-    # test counts as called.
+@pytest.fixture(scope="module")
+def report_calls(tmp_path_factory):
+    """What _RECORD_CALLS records over the verify_all configurations at
+    seed 1, through run_suite, emit_report and parse_report, and two
+    command-line runs: one on a theory file with a phi line, and one
+    classical with the negative controls of verify_all as --expect-fail."""
     src = ROOT / "src" / "opcal"
+    tmp = tmp_path_factory.mktemp("report_calls")
     phi = 0.4 * np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2 + 0.6 * np.eye(4) / 4
-    theory = tmp_path / "iso.theory"
+    theory = tmp / "iso.theory"
     theory.write_text("backend = quantum\nd = 2\nphi = " + " ".join(map(str, phi.ravel())) + "\n")
-    out = tmp_path / "called.json"
+    out = tmp / "called.json"
     done = subprocess.run(
         [sys.executable, "-c", _RECORD_CALLS, str(src), str(out), str(theory)],
         capture_output=True,
@@ -190,10 +222,25 @@ def test_every_function_runs_in_some_report(tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    called = {tuple(x) for x in json.loads(out.read_text())}
+    return {key: {tuple(x) for x in rows} for key, rows in json.loads(out.read_text()).items()}
+
+
+def _qualified(rows):
+    """module.qualname(.parameter) of each recorded row."""
+    return {".".join((pathlib.Path(f).stem, *rest)) for f, *rest in rows}
+
+
+def test_every_function_runs_in_some_report(report_calls):
+    # this catches a method whose name another definition shares, which
+    # the name match of the library-caller test counts as called
     defined = set().union(*(_defined_functions(p) for p in MODULES))
-    not_run = {f"{pathlib.Path(f).stem}.{name}" for f, name in defined - called}
-    assert not_run == set(NOT_RUN)
+    assert _qualified(defined - report_calls["called"]) == set(NOT_RUN)
+
+
+def test_every_keyword_is_set_in_some_report(report_calls):
+    # a defaulted parameter that no call sets to another value is an
+    # option that only the tests reach
+    assert _qualified(report_calls["defaulted"] - report_calls["given"]) == set()
 
 
 def _per_layer_metrics():

@@ -394,8 +394,8 @@ def test_samplers_on_a_seed_match_one_sample_oracles(d):
             (qm.random_effect(d, seed), ref.sample_effect(d, rng()), 0.0),
             (qm.random_generalized_effect(d, seed), ref.sample_generalized_effect(d, rng()), 0.0),
             (qm.random_cp(d, seed), ref.sample_cp(d, rng()), 0.0),
-            (qm.random_cp(d, seed, trace_preserving=True), ref.sample_cp(d, rng(), trace_preserving=True), 1e-12),
             (qm.random_experiment(d, seed), ref.sample_experiment(d, rng()), 1e-12),
+            (qm.random_kraus_contraction(d, seed), ref.sample_kraus_contraction(d, rng()), 0.0),
             (qm.random_classical_state(d, seed), ref.sample_classical_state(d, rng()), 0.0),
             (qm.random_classical_effect(d, seed), ref.sample_classical_effect(d, rng()), 0.0),
             (qm.random_classical_map(d, seed), ref.sample_classical_map(d, rng()), 0.0),
@@ -408,25 +408,20 @@ def test_samplers_on_a_seed_match_one_sample_oracles(d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_trace_preserving_paths_match_the_einsum_and_eigh_oracles(fake_generators, d):
-    # the product by R^T on the Choi factor against the einsum
-    # congruence, and the SVD of the rank-three factor against the eigh
-    # of its Choi matrix, on the same draws; the branches sum to the
-    # trace-preserving Choi matrix they split
-    rng = _Recording(d)
-    stack = qm.random_cp(d, rng, 5, trace_preserving=True)
-    for i, got in enumerate(core.unstack(stack)):
-        assert np.array_equal(got.choi, qm.random_cp(d, _Slice(rng.calls, i), trace_preserving=True).choi)
+def test_trace_preserving_paths_match_the_einsum_and_eigh_oracles(d):
+    # the experiment's product by R^T on its Choi factor against the
+    # einsum congruence, and the SVD of the rank-three factor against
+    # the eigh of its Choi matrix, on the same draws; the branches sum
+    # to the trace-preserving Choi matrix they split
     worst = 0.0
     for seed in range(10):
         rng = lambda: np.random.default_rng(seed)  # noqa: E731
-        tp, want = qm.random_cp(d, seed, trace_preserving=True), reference.sample_cp(d, rng(), trace_preserving=True)
-        worst = max(worst, np.max(np.abs(tp.choi - want.choi)))
-        assert np.max(np.abs(tp.effect().matrix - np.eye(d))) <= 1e-12
         exp, want = qm.random_experiment(d, seed), reference.sample_experiment(d, rng())
         whole = reference.sample_cp(d, rng(), trace_preserving=True, rank=3).choi
+        total = exp.deterministic_sum()
+        assert np.max(np.abs(total.effect().matrix - np.eye(d))) <= 1e-12
         worst = max(worst, np.max(np.abs(_drawn(exp) - _drawn(want))))
-        worst = max(worst, np.max(np.abs(sum(b.choi for b in core.unstack(exp.branches)) - whole)))
+        worst = max(worst, np.max(np.abs(total.choi - whole)))
     assert worst <= 1e-12
 
 
@@ -604,24 +599,25 @@ def test_stacked_transpose_requires_faithful():
 
 
 def test_trans_norm_on_a_mixed_stack_matches_per_element():
-    # classical maps: CP, zero, signed and CP, the signed one by its
-    # largest column l1 norm
-    a, b = qm.random_classical_map(3, 3), qm.random_classical_map(3, 4)
-    signed = qm.classical_map(np.random.default_rng(5).uniform(-1.0, 1.0, (3, 3)), generalized=True)
+    # classical maps: CP, zero, CP and CP
+    a, b, c = (qm.random_classical_map(3, seed) for seed in (3, 4, 5))
     zero = core.Transformation(a.theory, np.zeros((9, 9)))
-    maps = [a, zero, signed, b]
+    maps = [a, zero, b, c]
     got = core.trans_norm(core.stack(maps))
     want = [core.trans_norm(t) for t in maps]
     assert all(type(x) is float for x in want)
-    assert want[1] == 0.0 and want[2] > 0.0 and not ch.is_psd(signed.choi, 0.0)
+    assert want[1] == 0.0
     _close(got, want, atol=0.0)
     nested = core.trans_norm(core.stack([core.stack(maps[:2]), core.stack(maps[2:])]))
     _close(nested.reshape(-1), want, atol=0.0)
-    # a quantum map that is neither CP nor diagonal has no closed form,
-    # alone or in a stack
+    # a map that is not CP has no closed form, alone or in a stack: a
+    # signed classical map, and a quantum difference of CP maps
+    signed = np.diag(np.random.default_rng(5).uniform(-1.0, 1.0, 9))
+    signed = core.Transformation(a.theory, signed, generalized=True)
+    assert not ch.is_psd(signed.choi, 0.0)
     p, q = qm.random_cp(2, 3), qm.random_cp(2, 4)
     non_cp = core.Transformation(p.theory, p.choi - q.choi, generalized=True)
-    for t in (non_cp, core.stack([p, non_cp, q])):
+    for t in (signed, core.stack([a, signed, b]), non_cp, core.stack([p, non_cp, q])):
         with pytest.raises(NoClosedForm):
             core.trans_norm(t)
 
