@@ -5,7 +5,9 @@ write the structured reports under reports/ (plus a summary to stdout).
 The standard matrix is every configuration below at seeds 1, 2 and 3;
 its reports are checked in under tests/golden/.  Each summary line ends
 with the sha256 of its report, so two runs' stdout differ exactly where
-their reports do.
+their reports do, and then with a second sha256 taken over each check's
+name, status and error class alone, so a change that moves only values
+leaves that last column as it was.
 
 Usage: python3 scripts/verify_all.py [--seed N ...] [--out DIR]
 """
@@ -87,12 +89,14 @@ def main(argv=None):
             path.write_text(text)
             ok = report.all_pass(expect_fail=expect)
             npass = sum(c.status == "pass" for c in report.checks)
+            outcomes = "".join(f"{c.name} {c.status} {c.error.partition(':')[0]}\n" for c in report.checks)
             print(
                 f"{name} seed {seed}: {npass}/{len(report.checks)} checks pass"
                 + (f" ({len(expect)} expected failures)" if expect else "")
                 + f" -> {path}"
                 + ("" if ok else "  [UNEXPECTED RESULT]")
                 + f"  sha256 {hashlib.sha256(text.encode()).hexdigest()}"
+                + f"  status sha256 {hashlib.sha256(outcomes.encode()).hexdigest()}"
             )
             if not ok:
                 failures += 1

@@ -245,7 +245,7 @@ def _check_preparational(ctx, rng, tol):
     if ctx.solver.rank != ctx.spec.d**4:
         return False, {}
     (target,) = _draw(ctx, rng, 5, _sample_state)
-    witness, p = faithful.prepare_witness(ctx.solver.witness, target)
+    witness, p = faithful.prepare_witness(ctx.solver.form, target)
     _, cond = qm.condition_local(ctx.phi, witness, 1)
     worst = float(np.max(np.abs(qm.local_state(cond, 2).matrix - target.matrix)))
     pmin = float(np.min(p))

@@ -289,8 +289,9 @@ def check_seed(master, name):
 
 class RunContext:
     """The objects that the checks of one run share: phi, the spectral
-    split, the transpose solver (which holds the preparation-witness
-    system of phi and the dynamical rank, `solver.rank`), the GNS space
+    split, the transpose solver (which holds the bilinear form of phi,
+    `solver.form`, that the preparation witnesses read, and the
+    dynamical rank, `solver.rank`), the GNS space
     built on that solver, the backend's minimal IC observable, the
     spec's dimension table, and a store of theory-level measurements.
     Each is built on first use, from the spec alone, so sharing them

@@ -1,24 +1,28 @@
 """Faithfulness of joint states and the bilinear-form machinery.
 
-A symmetric joint state Phi (a State of quantum(d^2)) defines a real
-symmetric bilinear form on generalized effects.  Diagonalizing its
-Gram matrix in the canonical Hermitian basis splits the effect space
-into positive and negative principal axes; the sign flip of the
-negative axes is the involution used downstream as complex
+A joint state Phi (a State of quantum(d^2)) defines a real bilinear
+form on generalized effects, whose matrix F in the canonical Hermitian
+basis (`form_matrix`) has the singular values of the realigned state:
+Phi is preparationally faithful exactly when F is invertible, the
+condition for full dynamical rank, and every preparation witness is
+read off F.  Diagonalizing F, symmetric for a symmetric Phi, splits
+the effect space into positive and negative principal axes; the sign
+flip of the negative axes is the involution used downstream as complex
 conjugation, and the absolute value of the form is the strictly
 positive scalar product.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
 from . import channels as ch
 from .basis import from_coords, hermitian_basis, to_coords
-from .core import Effect, State, Transformation, _per_element, quantum
+from .core import Effect, Transformation, _per_element, quantum
 from .errors import ConeViolation, DegenerateSplit, NotFaithful
-from .quantum import apply_local, kraus_to_choi, max_entangled, part_dim
-from .tolerances import CANONICAL_TOL, CP_TOL, SYMMETRY_TOL, WITNESS_RESID, ZERO_CUTOFF
+from .quantum import part_dim
+from .tolerances import CP_TOL, SYMMETRY_TOL, WITNESS_RESID, ZERO_CUTOFF
 
 
 def is_symmetric(phi):
@@ -38,86 +42,54 @@ def local_action_matrix(phi):
     return ch.realign(phi.matrix)
 
 
-def _is_max_entangled(phi):
-    return bool(np.max(np.abs(phi.matrix - max_entangled(part_dim(phi)).matrix)) <= CANONICAL_TOL)
+def form_matrix(realigned):
+    """F[a, b] = Phi(B_a, B_b) = Tr[Phi (B_a kron B_b)], the bilinear
+    form on the elements B_a of hermitian_basis(d), from the realigned
+    state R (`local_action_matrix`): F = Re(Bt R Bt^T), where row a of
+    Bt is vec(B_a^T).  Bt is unitary, so F has R's singular values: the
+    form is invertible (Phi is preparationally faithful) exactly when
+    the local action has full rank d^4 (Phi is dynamically faithful)."""
+    n = realigned.shape[0]
+    bt = hermitian_basis(isqrt(n)).swapaxes(-1, -2).reshape(n, n)
+    return (bt @ realigned @ bt.T).real
 
 
-@dataclass(frozen=True)
-class WitnessSystem:
-    """The preparation-witness system of one joint state, built once.
-
-    For the maximally entangled state the witness has a closed form and
-    `m` and `pinv` are None.  Otherwise `m` takes the Choi coordinates of
-    a local transformation on slot 1 to the canonical-basis coordinates
-    of the slot-2 marginal of its conditioned weight, and `pinv` is its
-    pseudo-inverse at the cutoff of `np.linalg.lstsq`, so `pinv @ t` is
-    the minimum-norm least-squares solution."""
-
-    phi: State
-    canonical: bool
-    m: np.ndarray
-    pinv: np.ndarray
-
-
-def witness_system(phi):
-    """Build the witness system of phi.  The slot-2 marginal of (T, I)
-    Phi is M(C)[x, y] = sum_ija C[(i, a), (j, a)] Phi[(i, x), (j, y)] for
-    the Choi matrix C of T, so its coordinate on a basis element b is
-    Tr[b M(C)] = Tr[C (M*(b) kron I)], with the adjoint
-    M*(b)[j, i] = sum_xy b[y, x] Phi[(i, x), (j, y)].  Row a of m is
-    therefore to_coords of M*(b_a) kron I, for the d^2 elements b_a of
-    hermitian_basis(d), and no basis of Choi matrices is built."""
-    if _is_max_entangled(phi):
-        return WitnessSystem(phi, canonical=True, m=None, pinv=None)
-    d = part_dim(phi)
-    adjoint = np.einsum("ayx,ixjy->aji", hermitian_basis(d), phi.matrix.reshape(d, d, d, d))
-    rows = np.einsum("aji,xy->ajxiy", adjoint, np.eye(d)).reshape(d * d, d * d, d * d)
-    m = to_coords(rows, d**4)
-    pinv = np.linalg.pinv(m, rcond=np.finfo(float).eps * max(m.shape))
-    return WitnessSystem(phi, canonical=False, m=m, pinv=pinv)
-
-
-def prepare_witness(system, target):
+def prepare_witness(form, target):
     """Local transformation on slot 1 whose conditioned local state on
-    slot 2 is the target, with its success probability.
+    slot 2 is the target, with its success probability, on the state of
+    bilinear form `form` (`form_matrix`).
 
-    For the maximally entangled state the witness is the pure map
-    rho -> X rho X^dag with X = sqrt(d p) (target^T)^(1/2) and the
-    largest physical probability p = 1 / (d lambda_max(target)).  For
-    other faithful states a generalized witness is the minimum-norm
-    solution of the system's marginal equations; the residual is
-    certified to WITNESS_RESID.
+    The slot-2 marginal of (T, I) Phi is Tr_1[(E kron I) Phi] for the
+    effect E of T, with coordinates F^T e, so the witness is the
+    measure-and-prepare map rho -> Tr[E rho] I/d (Choi matrix
+    E^T kron I/d, the least-norm one of effect E) for the minimum-norm
+    e = (F^T)^+ t; its residual is certified to WITNESS_RESID and its
+    probability is the trace of the fitted marginal.  A CP witness
+    (E >= 0) is rescaled to a physical map; on the maximally entangled
+    state that gives p = 1 / (d lambda_max(target)).
 
-    A stack of targets gives the stack of their witnesses and an array
-    of probabilities, from one solve.  Each element's residual and
-    probability are held to their own bounds, and the first element in
-    stack order that fails either raises NotFaithful.  A witness that
-    is CP is rescaled to a physical map; the stack is generalized if
-    any witness is not.
-    """
-    phi = system.phi
-    d = part_dim(phi)
-    rho = target.matrix
-    if system.canonical:
-        p = 1.0 / (d * np.linalg.eigvalsh(rho)[..., -1])
-        x = np.sqrt(d * p)[..., None, None] * ch.herm_sqrt(rho.swapaxes(-1, -2))
-        return kraus_to_choi(quantum(d), x[..., None, :, :]), _per_element(p)
-    target_coords = to_coords(rho, d * d)
-    x = target_coords @ system.pinv.T
-    resid = np.linalg.norm(x @ system.m.T - target_coords, axis=-1)
-    choi = from_coords(x, d * d)
-    prob = apply_local(phi, Transformation(quantum(d), choi, generalized=True), 1).total
-    failed = np.flatnonzero((resid > WITNESS_RESID) | (prob <= WITNESS_RESID))
+    A stack of targets takes one pseudo-inverse; the first element in
+    stack order whose residual fails raises NotFaithful, and the stack
+    is generalized if any witness is not CP."""
+    d = target.theory.d
+    t = to_coords(target.matrix, d * d)
+    e = t @ np.linalg.pinv(form, rcond=d * d * np.finfo(float).eps)  # rows (F^T)^+ t, cut as lstsq cuts
+    fitted = e @ form
+    resid = np.linalg.norm(fitted - t, axis=-1)
+    failed = resid[resid > WITNESS_RESID]
     if failed.size:
-        i = np.unravel_index(failed[0], resid.shape)
-        if resid[i] > WITNESS_RESID:
-            raise NotFaithful(f"no local witness at residual {resid[i]}")
-        raise NotFaithful("witness occurs with vanishing probability")
-    cp = ch.is_psd(choi, CP_TOL)
+        raise NotFaithful(f"no local witness at residual {failed[0]}")
+    # the trace of the marginal: of the basis, only the d projectors |i><i| have one
+    prob = fitted[..., :d].sum(axis=-1)
+    effect = from_coords(e, d)
+    cp = ch.is_psd(effect / d, CP_TOL)
     # rescale each CP witness to a physical (trace-nonincreasing) map
-    top = np.where(cp, np.linalg.eigvalsh(ch.effect_of_choi(choi))[..., -1], 1.0)
+    top = np.where(cp, np.linalg.eigvalsh(effect)[..., -1], 1.0)
     lam = np.minimum(np.where(cp, 1.0 / top, 1.0), 1.0)
-    witness = Transformation(quantum(d), lam[..., None, None] * choi, generalized=not cp.all())
+    # C[(i, a), (j, b)] = lam E[j, i] delta_ab / d
+    scaled = (lam / d)[..., None, None] * effect.swapaxes(-1, -2)
+    choi = (scaled[..., :, None, :, None] * np.eye(d)[:, None, :]).reshape(*e.shape[:-1], d * d, d * d)
+    witness = Transformation(quantum(d), choi, generalized=not cp.all())
     return witness, _per_element(lam * prob)
 
 
@@ -133,7 +105,6 @@ class SpectralSplit:
     p_plus: np.ndarray
     p_minus: np.ndarray
     signature: tuple
-    gram: np.ndarray
     gram_abs: np.ndarray
 
     @property
@@ -147,18 +118,14 @@ class SpectralSplit:
 
 
 def spectral_split(phi):
-    """Diagonalize the Gram matrix of the bilinear form; eigenvalues at
-    the zero cutoff raise rather than being assigned a sign (strict
-    positivity failing means the input is not faithful)."""
+    """Diagonalize the bilinear form F of phi (`form_matrix`), made
+    exactly symmetric; eigenvalues at the zero cutoff raise rather than
+    being assigned a sign (strict positivity failing means the input is
+    not faithful)."""
     if not is_symmetric(phi):
         raise NotFaithful("spectral split needs a symmetric joint state")
-    d = part_dim(phi)
-    basis = hermitian_basis(d)
-    # gram[a, b] = Tr[Phi (B_a kron B_b)], the bilinear form on the basis
-    phi4 = phi.matrix.reshape(d, d, d, d)  # [x1, x2, y1, y2]
-    gram = np.einsum("xuyv,ayx,bvu->ab", phi4, basis, basis, optimize=True).real
-    gram = (gram + gram.T) / 2.0
-    w, v = np.linalg.eigh(gram)
+    form = form_matrix(local_action_matrix(phi))
+    w, v = np.linalg.eigh((form + form.T) / 2.0)
     if np.min(np.abs(w)) <= ZERO_CUTOFF:
         raise DegenerateSplit(
             f"bilinear-form eigenvalue {np.min(np.abs(w))} at the zero cutoff"
@@ -169,11 +136,10 @@ def spectral_split(phi):
     p_minus = neg @ neg.T
     gram_abs = (v * np.abs(w)) @ v.T
     return SpectralSplit(
-        d=d,
+        d=part_dim(phi),
         p_plus=p_plus,
         p_minus=p_minus,
         signature=(int(pos.shape[1]), int(neg.shape[1])),
-        gram=gram,
         gram_abs=(gram_abs + gram_abs.T) / 2.0,
     )
 

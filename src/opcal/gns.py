@@ -22,13 +22,7 @@ from . import channels as ch
 from .basis import hermitian_basis, singular_value_rank, to_coords
 from .core import Effect, Transformation, compose, pair, quantum, stack
 from .errors import NotFaithful
-from .faithful import (
-    conjugate_transformation,
-    is_symmetric,
-    local_action_matrix,
-    prepare_witness,
-    witness_system,
-)
+from .faithful import conjugate_transformation, form_matrix, is_symmetric, local_action_matrix, prepare_witness
 from .quantum import local_state, part_dim
 from .tolerances import GRAM_FLOOR, PINV_RCOND, TRANSPOSE_RESID
 
@@ -37,8 +31,10 @@ class TransposeSolver:
     """Solves (A, I) Phi = (I, A') Phi; uniqueness requires the state
     to be dynamically faithful, and every solve certifies its residual
     instead of silently accepting a rank-deficient system.  The solver
-    also holds the state's preparation-witness system and its dynamical
-    rank, the rank of the local action.
+    also holds the state's dynamical rank, the rank of the local action,
+    and its bilinear form F (`faithful.form_matrix`), read off the same
+    realignment, from which every preparation witness is solved; F has
+    the singular values of R, so d^2 rank(F) is the dynamical rank.
 
     Realigned, the equation is one d^2 x d^2 matrix identity.  With R
     the realignment of Phi (`faithful.local_action_matrix`) and A~ the
@@ -55,7 +51,6 @@ class TransposeSolver:
     def __init__(self, phi):
         self.phi = phi
         self.d = part_dim(phi)
-        self.witness = witness_system(phi)
 
     @cached_property
     def _maps(self):
@@ -68,6 +63,11 @@ class TransposeSolver:
         r = int(np.sum(s > PINV_RCOND * s[0]))
         pinv = (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
         return realigned, self.d**2 * singular_value_rank(s), pinv, u[:, r:].conj().T
+
+    @cached_property
+    def form(self):
+        """The bilinear form F of Phi, from the realigned state R."""
+        return form_matrix(self._maps[0])
 
     @property
     def rank(self):
@@ -243,7 +243,7 @@ def state_rep(space, omega):
     A stack of states takes one witness solve and one adjoint for them
     all.
     """
-    witness, prob = prepare_witness(space.solver.witness, omega)
+    witness, prob = prepare_witness(space.solver.form, omega)
     return transformation_coords(space, adjoint_map(space.solver, witness)) / np.expand_dims(prob, -1)
 
 

@@ -20,14 +20,13 @@ RANK_RCOND = 1e-10  # singular values at or below this times the largest do not 
 RANK_CERT = 1e-11  # a Gram matrix that stays positive definite shifted down by this times its trace certifies full rank (basis.matrix_rank)
 PINV_RCOND = 1e-12  # singular values sigma(R) of the realigned state at or below this times the largest are cut from the transpose solve
 TRANSPOSE_RESID = 1e-10  # transpose residual |(I - R R^+) A~ R|_F, relative to max(|A~ R|_F, 1), above which the state is not faithful
-WITNESS_RESID = 1e-9  # preparation-witness residual above which, or probability at or below which, there is no witness
+WITNESS_RESID = 1e-9  # preparation-witness residual |F^T e - t| (faithful.prepare_witness) above which there is no witness
 EXPAND_RESID = 1e-9  # residual above which an effect does not expand over an observable (infodim.ic_expand)
 DISCRIMINATION_RESID = 1e-9  # largest entry of pairing - identity of a perfectly discriminating witness
 
 # positivity, symmetry and the faithful state
 CP_TOL = 1e-10  # a Choi matrix with no eigenvalue below -CP_TOL is completely positive (trans_norm, prepare_witness)
 SYMMETRY_TOL = 1e-12  # largest entry of S phi S - phi of a symmetric joint state
-CANONICAL_TOL = 1e-12  # largest entry of phi - |Omega><Omega| that takes the closed-form preparation witness
 ZERO_CUTOFF = 1e-12  # a bilinear-form eigenvalue of this magnitude or less has no sign
 GRAM_FLOOR = 1e-12  # smallest eigenvalue of the GNS Gram matrix of a strictly positive scalar product
 

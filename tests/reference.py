@@ -11,7 +11,9 @@ alone, the rank by singular values alone, the real view of a complex
 matrix and the coordinates of every whole family a rank reads, the
 local action of either slot built through superoperators and the
 faithfulness predicates on its rank,
-the Choi-basis construction of the witness system, the direct
+the Choi-basis construction of the witness equations, the einsum of
+the bilinear form, the least-squares and closed-form preparation
+witnesses, the direct
 measurement that a dimension table takes and the pass predicates of
 the table, the spanning family as
 separate states and the two equivalences decided on it one state at a
@@ -24,7 +26,7 @@ import numpy as np
 
 from opcal import channels as ch
 from opcal import core, gns, infodim
-from opcal.basis import hermitian_basis, matrix_rank, singular_value_rank, to_coords
+from opcal.basis import from_coords, hermitian_basis, matrix_rank, singular_value_rank, to_coords
 from opcal.core import (
     Effect,
     Experiment,
@@ -38,7 +40,7 @@ from opcal.core import (
     quantum,
 )
 from opcal.errors import ConeViolation
-from opcal.quantum import kraus_to_choi, local_state, part_dim, projector_map
+from opcal.quantum import apply_local, kraus_to_choi, local_state, part_dim, projector_map
 from opcal.tolerances import PROB_TOL
 
 # ---------------------------------------------------------------------------
@@ -314,8 +316,10 @@ def local_action_oracle(phi, slot):
 
 
 def choi_basis_witness_matrix(phi):
-    """The matrix m of faithful.witness_system built over the Choi
-    basis: the slot-2 marginal of (T, I) Phi depends on T only through
+    """The matrix m of the preparation-witness equations built over the
+    Choi basis: m takes the Choi coordinates of a local transformation
+    on slot 1 to the coordinates of the slot-2 marginal of its
+    conditioned weight.  That marginal depends on T only through
     r[i, j] = Tr T(|i><j|), the raw output trace of its Choi matrix, so
     column k is the coordinates of the contraction of Phi with the
     output traces of Choi basis element k."""
@@ -324,6 +328,43 @@ def choi_basis_witness_matrix(phi):
     r = np.einsum("kiaja->kij", cb.reshape(-1, d, d, d, d))
     marginals = np.einsum("kij,ixjy->kxy", r, phi.matrix.reshape(d, d, d, d))
     return to_coords(marginals, d * d).T
+
+
+def einsum_form(phi):
+    """F[a, b] = Tr[Phi (B_a kron B_b)] over hermitian_basis(d), as one
+    einsum of Phi with two copies of the basis: the oracle of
+    faithful.form_matrix."""
+    d = part_dim(phi)
+    basis = hermitian_basis(d)
+    phi4 = phi.matrix.reshape(d, d, d, d)  # [x1, x2, y1, y2]
+    return np.einsum("xuyv,ayx,bvu->ab", phi4, basis, basis, optimize=True).real
+
+
+def lstsq_witness(phi, target):
+    """The minimum-norm least-squares solution over Choi coordinates of
+    the witness equations m x = t (m = choi_basis_witness_matrix), a
+    d^4-column solve for one target, rescaled to a physical map where it
+    is CP as faithful.prepare_witness rescales: (Choi matrix,
+    probability)."""
+    d = part_dim(phi)
+    x, *_ = np.linalg.lstsq(choi_basis_witness_matrix(phi), to_coords(target.matrix, d * d), rcond=None)
+    choi = from_coords(x, d * d)
+    prob = apply_local(phi, Transformation(quantum(d), choi, generalized=True), 1).total
+    if ch.is_psd(choi, 1e-10):
+        lam = min(1.0 / float(np.linalg.eigvalsh(ch.effect_of_choi(choi))[-1]), 1.0)
+        return lam * choi, lam * prob
+    return choi, prob
+
+
+def closed_form_witness(target):
+    """The pure witness on the maximally entangled state: rho -> X rho
+    X^dag with X = sqrt(d p) (target^T)^(1/2), which steers slot 2 to the
+    target with the largest physical probability p = 1 / (d
+    lambda_max(target)): (Transformation, p)."""
+    d = target.theory.d
+    p = 1.0 / (d * float(np.linalg.eigvalsh(target.matrix)[-1]))
+    x = np.sqrt(d * p) * ch.herm_sqrt(target.matrix.T)
+    return kraus_to_choi(quantum(d), [x]), p
 
 
 def is_dynamically_faithful(phi):

@@ -64,10 +64,10 @@ def test_criterion_3_faithfulness(capsys):
         ok = ok and is_dynamically_faithful(phi)
         ok = ok and is_preparationally_faithful(phi)
         rng = np.random.default_rng(300 + d)
-        system = faithful.witness_system(phi)
+        form = gns.TransposeSolver(phi).form
         for _ in range(10):
             target = qm.random_state(d, rng)
-            witness, p = faithful.prepare_witness(system, target)
+            witness, p = faithful.prepare_witness(form, target)
             _, cond = qm.condition_local(phi, witness, 1)
             resid = np.max(np.abs(qm.local_state(cond, 2).matrix - target.matrix))
             ok = ok and resid < 1e-9 and p > 0

@@ -361,13 +361,14 @@ def test_run_builds_shared_objects_once(monkeypatch):
     monkeypatch.setattr(faithful, "spectral_split", split)
     init = _counting(counts, "TransposeSolver", gns.TransposeSolver.__init__)
     monkeypatch.setattr(gns.TransposeSolver, "__init__", init)
-    witness = _counting(counts, "witness_system", gns.witness_system)
-    monkeypatch.setattr(gns, "witness_system", witness)
     action = _counting(counts, "local_action_matrix", gns.local_action_matrix)
     for module in (faithful, gns):
         monkeypatch.setattr(module, "local_action_matrix", action)
-    # one build of the realigned state, and one factorization of it,
-    # serve the dynamical rank and the transpose solver
+    # one factorization of the realigned state serves the dynamical
+    # rank, the transpose solver and the bilinear form that the
+    # preparation witnesses read; the spectral split realigns phi once
+    # more for its own form (a copy of d^4 entries, with no
+    # factorization), so a run with a split realigns twice
     iso3 = 0.8 * qm.max_entangled(3).matrix + 0.2 * np.eye(9) / 9
     for d, phi in ((2, None), (3, iso3)):
         counts.clear()
@@ -377,8 +378,7 @@ def test_run_builds_shared_objects_once(monkeypatch):
             "gns_space": 1,
             "spectral_split": 1,
             "TransposeSolver": 1,
-            "witness_system": 1,
-            "local_action_matrix": 1,
+            "local_action_matrix": 2,
         }
     # the GNS space is built on the solver alone, with no spectral split
     counts.clear()
@@ -386,11 +386,10 @@ def test_run_builds_shared_objects_once(monkeypatch):
     assert counts == {
         "gns_space": 1,
         "TransposeSolver": 1,
-        "witness_system": 1,
         "local_action_matrix": 1,
     }
-    # the faithful suite reads the dynamical rank off the solver, also on
-    # a state with a non-canonical witness
+    # the faithful suite reads the dynamical rank and the form off the
+    # solver, also on a state that is not the maximally entangled one
     iso = 0.8 * qm.max_entangled(2).matrix + 0.2 * np.eye(4) / 4
     for phi in (None, iso):
         counts.clear()
@@ -399,8 +398,7 @@ def test_run_builds_shared_objects_once(monkeypatch):
         assert counts == {
             "spectral_split": 1,
             "TransposeSolver": 1,
-            "witness_system": 1,
-            "local_action_matrix": 1,
+            "local_action_matrix": 2,
         }
     # one IC observable and one dimension table, of the spec's backend;
     # the table reads the witnesses that infodim.idim and

@@ -7,18 +7,21 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from opcal import channels as ch
-from opcal import core, faithful
+from opcal import core, faithful, gns
 from opcal import quantum as qm
-from opcal.basis import from_coords, hermitian_basis, to_coords
+from opcal.basis import hermitian_basis, matrix_rank, to_coords
 from opcal.errors import DegenerateSplit, NotFaithful
 from reference import (
     abs_form,
     bilinear_form,
     choi_basis_witness_matrix,
+    closed_form_witness,
+    einsum_form,
     is_dynamically_faithful,
     is_physical_map,
     is_preparationally_faithful,
     joint_state,
+    lstsq_witness,
     product_state,
     state_sigma,
 )
@@ -74,13 +77,17 @@ def test_bilinear_form_symmetric(seed):
 
 
 # ---------------------------------------------------------------------------
-# preparation witness
+# the bilinear form and the preparation witness
+
+
+def _form(phi):
+    return faithful.form_matrix(faithful.local_action_matrix(phi))
 
 
 def test_prepare_witness_pure_oracle(phi2):
     # steering the canonical state to |0><0| succeeds with p = 1/2
     target = core.State(core.quantum(2), np.diag([1.0, 0.0]).astype(complex))
-    witness, p = faithful.prepare_witness(faithful.witness_system(phi2), target)
+    witness, p = faithful.prepare_witness(_form(phi2), target)
     assert p == pytest.approx(0.5, abs=1e-12)
     assert is_physical_map(witness)
     prob, cond = qm.condition_local(phi2, witness, 1)
@@ -91,10 +98,10 @@ def test_prepare_witness_pure_oracle(phi2):
 @pytest.mark.parametrize("d", [2, 3])
 def test_prepare_witness_random_targets(d, phi2, phi3, rng):
     phi = phi2 if d == 2 else phi3
-    system = faithful.witness_system(phi)
+    form = _form(phi)
     for _ in range(10):
         target = qm.random_state(d, rng)
-        witness, p = faithful.prepare_witness(system, target)
+        witness, p = faithful.prepare_witness(form, target)
         assert 0 < p <= 1 + 1e-12
         prob, cond = qm.condition_local(phi, witness, 1)
         assert prob == pytest.approx(p, abs=1e-9)
@@ -104,7 +111,7 @@ def test_prepare_witness_random_targets(d, phi2, phi3, rng):
 def test_prepare_witness_unfaithful_raises():
     target = qm.random_state(2, 0)
     with pytest.raises(NotFaithful):
-        faithful.prepare_witness(faithful.witness_system(_product_phi(2)), target)
+        faithful.prepare_witness(_form(_product_phi(2)), target)
 
 
 def _isotropic(d, p):
@@ -120,18 +127,12 @@ def _marginal_matrix_by_action(phi):
     return to_coords(ch.partial_trace(outs, (d, d), 1), d * d).T
 
 
-def _lstsq_witness(phi, target):
-    # reference: a fresh least-squares solve, rescaled as prepare_witness does
+def _marginal_matrix_by_form(phi):
+    # the witness equations read off the form: the marginal of a map
+    # with effect E has coordinates F^T e, for each Choi basis element
     d = qm.part_dim(phi)
-    m = _marginal_matrix_by_action(phi)
-    x, *_ = np.linalg.lstsq(m, to_coords(target.matrix, d * d), rcond=None)
-    choi = from_coords(x, d * d)
-    t = core.Transformation(core.quantum(d), choi, generalized=True)
-    prob = qm.apply_local(phi, t, 1).total
-    if ch.is_psd(choi, 1e-10):
-        lam = min(1.0 / float(np.linalg.eigvalsh(ch.effect_of_choi(choi))[-1]), 1.0)
-        return lam * choi, lam * prob
-    return choi, prob
+    effects = ch.effect_of_choi(hermitian_basis(d * d))
+    return _form(phi).T @ to_coords(effects, d * d).T
 
 
 ISOTROPIC = [(2, 0.6), (3, 0.2), (4, 0.3)]
@@ -139,11 +140,10 @@ ISOTROPIC = [(2, 0.6), (3, 0.2), (4, 0.3)]
 
 @pytest.mark.parametrize("d, p", ISOTROPIC)
 def test_witness_system_matches_local_action(d, p):
-    system = faithful.witness_system(_isotropic(d, p))
-    assert not system.canonical
-    assert system.m.shape == (d * d, d**4)
-    want = _marginal_matrix_by_action(system.phi)
-    assert_allclose(system.m, want, rtol=0, atol=1e-12)
+    phi = _isotropic(d, p)
+    m = _marginal_matrix_by_form(phi)
+    assert m.shape == (d * d, d**4)
+    assert_allclose(m, _marginal_matrix_by_action(phi), rtol=0, atol=1e-12)
 
 
 def _symmetric_mixture(d, seed):
@@ -159,30 +159,95 @@ def _symmetric_mixture(d, seed):
     + [f"mixture-d{d}-seed{seed}" for d in (2, 3, 4) for seed in (0, 1)],
 )
 def test_witness_system_matches_the_choi_basis_build(make):
-    # the rows from the adjoint of the slot-2 marginal map against the
-    # columns from the output traces of the whole Choi basis
+    # the equations through the form against the columns from the
+    # output traces of the whole Choi basis
     phi = make()
-    system = faithful.witness_system(phi)
-    assert not system.canonical and is_dynamically_faithful(phi)
-    assert_allclose(system.m, choi_basis_witness_matrix(phi), rtol=0, atol=1e-14)
+    assert is_dynamically_faithful(phi)
+    assert_allclose(_marginal_matrix_by_form(phi), choi_basis_witness_matrix(phi), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("d, p", ISOTROPIC)
 def test_witness_matches_lstsq(d, p, rng):
     phi = _isotropic(d, p)
-    system = faithful.witness_system(phi)
+    form = _form(phi)
     for _ in range(5):
         target = qm.random_state(d, rng)
-        witness, prob = faithful.prepare_witness(system, target)
-        choi, want = _lstsq_witness(phi, target)
+        witness, prob = faithful.prepare_witness(form, target)
+        choi, want = lstsq_witness(phi, target)
         assert_allclose(witness.choi, choi, rtol=0, atol=1e-10)
         assert prob == pytest.approx(want, abs=1e-10)
 
 
-def test_witness_system_canonical_builds_nothing(phi2):
-    system = faithful.witness_system(phi2)
-    assert system.canonical
-    assert system.m is None and system.pinv is None
+def test_canonical_form_is_the_transpose_over_d(phi2, phi3):
+    # on |Omega><Omega|, Phi(A, B) = Tr[A B^T] / d: in the basis the
+    # transpose fixes |i><i| and the symmetric elements and negates the
+    # antisymmetric ones, so F is that sign pattern over d
+    for d, phi in ((2, phi2), (3, phi3)):
+        signs = [1.0] * d + [1.0, -1.0] * (d * (d - 1) // 2)
+        assert_allclose(_form(phi), np.diag(signs) / d, rtol=0, atol=1e-15)
+
+
+def _nonsymmetric(d):
+    rho = np.kron(np.diag(np.arange(1.0, d + 1)), np.diag(np.arange(d, 0.0, -1)))
+    return joint_state(d, 0.8 * qm.max_entangled(d).matrix + 0.2 * rho / np.trace(rho))
+
+
+@st.composite
+def _faithful_states(draw):
+    d = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["canonical", "isotropic", "mixture", "nonsymmetric"]))
+    if kind == "canonical":
+        return kind, qm.max_entangled(d)
+    if kind == "isotropic":
+        return kind, _isotropic(d, draw(st.floats(0.0, 0.9)))
+    if kind == "mixture":
+        # a symmetric mixture with at least half of |Omega><Omega|: the two
+        # solves agree to about cond(F) eps, and cond(F) reaches 4e3 at
+        # weights near 0.2, where they differ by 5e-10
+        w = draw(st.floats(0.5, 1.0))
+        rho = _symmetric_mixture(d, draw(st.integers(0, 2**32 - 1))).matrix
+        return kind, joint_state(d, w * qm.max_entangled(d).matrix + (1.0 - w) * rho)
+    return kind, _nonsymmetric(d)
+
+
+@given(state=_faithful_states(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_witness_is_the_least_squares_witness(state, seed):
+    kind, phi = state
+    d = qm.part_dim(phi)
+    target = qm.random_state(d, seed)
+    witness, prob = faithful.prepare_witness(_form(phi), target)
+    choi, want = lstsq_witness(phi, target)
+    assert_allclose(witness.choi, choi, rtol=0, atol=1e-12)
+    assert prob == pytest.approx(want, abs=1e-12)
+    if kind == "canonical":
+        # the probability of the pure closed-form witness, 1 / (d lambda_max)
+        _, p = closed_form_witness(target)
+        assert prob == pytest.approx(p, abs=1e-12)
+        assert not witness.generalized
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_form_is_the_realigned_state_in_the_basis(d):
+    mixed = np.eye(d) / d
+    states = [
+        qm.max_entangled(d),
+        _isotropic(d, 0.3),
+        joint_state(d, qm.random_state(d * d, d).matrix),
+        _product_phi(d),
+        product_state(qm.random_state(d, 1), qm.random_state(d, 2)),
+        joint_state(d, 0.5 * qm.max_entangled(d).matrix + 0.5 * np.kron(mixed, mixed)),
+    ]
+    for phi in states:
+        realigned = faithful.local_action_matrix(phi)
+        form = faithful.form_matrix(realigned)
+        assert_allclose(form, einsum_form(phi), rtol=0, atol=1e-15)
+        assert_allclose(
+            np.linalg.svd(form, compute_uv=False), np.linalg.svd(realigned, compute_uv=False), rtol=0, atol=1e-14
+        )
+        solver = gns.TransposeSolver(phi)
+        assert_allclose(solver.form, form, rtol=0, atol=0)
+        assert d * d * matrix_rank(form) == solver.rank
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +264,9 @@ def test_spectral_split_qubit_oracle(phi2):
     e = np.zeros(4)
     e[idx[0]] = 1.0
     assert_allclose(split.p_minus, np.outer(e, e), atol=1e-12)
-    # Gram eigenvalues are +-1/d
-    assert_allclose(np.sort(np.linalg.eigvalsh(split.gram)), [-0.5, 0.5, 0.5, 0.5])
+    # the symmetrized form has eigenvalues +-1/d
+    form = _form(phi2)
+    assert_allclose(np.sort(np.linalg.eigvalsh((form + form.T) / 2.0)), [-0.5, 0.5, 0.5, 0.5])
 
 
 @pytest.mark.parametrize("d", [2, 3])

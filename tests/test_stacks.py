@@ -111,11 +111,11 @@ def _preparational_per_sample(ctx, samples, tol):
     phi = ctx.phi
     if ctx.solver.rank != spec.d**4:
         return False, {}
-    system = ctx.solver.witness
+    form = ctx.solver.form
     worst, pmin = 0.0, np.inf
     for _ in range(5):
         target = next(samples)
-        witness, p = faithful.prepare_witness(system, target)
+        witness, p = faithful.prepare_witness(form, target)
         _, cond = qm.condition_local(phi, witness, 1)
         out = qm.local_state(cond, 2).matrix
         worst = max(worst, float(np.max(np.abs(out - target.matrix))))
@@ -719,10 +719,10 @@ def test_every_observable_and_experiment_of_a_report_is_one_stack():
 
 @pytest.mark.parametrize("config", SPECS)
 def test_prepare_witness_on_stacks_matches_per_element(config):
-    system = _space(config).solver.witness
-    states = _samples(qm.part_dim(system.phi), 12)["states"]
-    witness, probs = faithful.prepare_witness(system, core.stack(states))
-    singles = [faithful.prepare_witness(system, w) for w in states]
+    solver = _space(config).solver
+    states = _samples(solver.d, 12)["states"]
+    witness, probs = faithful.prepare_witness(solver.form, core.stack(states))
+    singles = [faithful.prepare_witness(solver.form, w) for w in states]
     assert all(type(p) is float for _, p in singles)
     _close(witness.choi, [t.choi for t, _ in singles])
     _close(probs, [p for _, p in singles])
@@ -731,16 +731,16 @@ def test_prepare_witness_on_stacks_matches_per_element(config):
 
 def test_stacked_witness_requires_faithful():
     mixed = core.State(core.quantum(2), np.eye(2) / 2)
-    system = faithful.witness_system(product_state(mixed, mixed))
+    form = faithful.form_matrix(faithful.local_action_matrix(product_state(mixed, mixed)))
     first, second = qm.random_state(2, 0), qm.random_state(2, 1)
     # the maximally mixed target is reachable on the product state; the
     # first element in stack order that is not is the one named
     with pytest.raises(NotFaithful) as stacked:
-        faithful.prepare_witness(system, core.stack([mixed, first, second]))
+        faithful.prepare_witness(form, core.stack([mixed, first, second]))
     with pytest.raises(NotFaithful) as single:
-        faithful.prepare_witness(system, first)
+        faithful.prepare_witness(form, first)
     assert _residual(stacked) == pytest.approx(_residual(single), rel=1e-12)
-    faithful.prepare_witness(system, mixed)
+    faithful.prepare_witness(form, mixed)
 
 
 # ---------------------------------------------------------------------------
