@@ -237,15 +237,15 @@ def _check_symmetric(ctx, rng, tol):
 
 
 def _check_dynamical(ctx, rng, tol):
-    rank, full = ctx.solver.rank, ctx.spec.d**4
+    rank, full = ctx.calibration.rank, ctx.spec.d**4
     return rank == full, {"rank": float(rank), "full_rank": float(full)}
 
 
 def _check_preparational(ctx, rng, tol):
-    if ctx.solver.rank != ctx.spec.d**4:
+    if ctx.calibration.rank != ctx.spec.d**4:
         return False, {}
     (target,) = _draw(ctx, rng, 5, _sample_state)
-    witness, p = faithful.prepare_witness(ctx.solver.form, target)
+    witness, p = faithful.prepare_witness(ctx.calibration, target)
     _, cond = qm.condition_local(ctx.phi, witness, 1)
     worst = float(np.max(np.abs(qm.local_state(cond, 2).matrix - target.matrix)))
     pmin = float(np.min(p))

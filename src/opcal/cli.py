@@ -288,11 +288,11 @@ def check_seed(master, name):
 
 
 class RunContext:
-    """The objects that the checks of one run share: phi, the spectral
-    split, the transpose solver (which holds the bilinear form of phi,
-    `solver.form`, that the preparation witnesses read, and the
-    dynamical rank, `solver.rank`), the GNS space
-    built on that solver, the backend's minimal IC observable, the
+    """The objects that the checks of one run share: phi, its one
+    calibration (`faithful.Calibration`: the dynamical rank and the
+    form that the preparation witnesses read), the spectral split and
+    the transpose solver read off it, the GNS space built on that
+    solver, the backend's minimal IC observable, the
     spec's dimension table, and a store of theory-level measurements.
     Each is built on first use, from the spec alone, so sharing them
     changes no result; a build that raises is not stored and raises
@@ -319,12 +319,16 @@ class RunContext:
         return self.spec.phi()
 
     @cached_property
+    def calibration(self):
+        return faithful.Calibration(self.phi)
+
+    @cached_property
     def split(self):
-        return faithful.spectral_split(self.phi)
+        return faithful.spectral_split(self.calibration)
 
     @cached_property
     def solver(self):
-        return gns.TransposeSolver(self.phi)
+        return gns.TransposeSolver(self.calibration)
 
     @cached_property
     def space(self):

@@ -14,27 +14,23 @@ element, so a sampled check applies each map once to all its samples.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import channels as ch
-from .basis import hermitian_basis, singular_value_rank, to_coords
+from .basis import hermitian_basis, to_coords
 from .core import Effect, Transformation, compose, pair, quantum, stack
 from .errors import NotFaithful
-from .faithful import conjugate_transformation, form_matrix, is_symmetric, local_action_matrix, prepare_witness
-from .quantum import local_state, part_dim
-from .tolerances import GRAM_FLOOR, PINV_RCOND, TRANSPOSE_RESID
+from .faithful import conjugate_transformation, is_symmetric, prepare_witness
+from .quantum import local_state
+from .tolerances import GRAM_FLOOR, TRANSPOSE_RESID
 
 
 class TransposeSolver:
-    """Solves (A, I) Phi = (I, A') Phi; uniqueness requires the state
-    to be dynamically faithful, and every solve certifies its residual
-    instead of silently accepting a rank-deficient system.  The solver
-    also holds the state's dynamical rank, the rank of the local action,
-    and its bilinear form F (`faithful.form_matrix`), read off the same
-    realignment, from which every preparation witness is solved; F has
-    the singular values of R, so d^2 rank(F) is the dynamical rank.
+    """Solves (A, I) Phi = (I, A') Phi on a calibrated state
+    (`faithful.Calibration`); uniqueness requires the state to be
+    dynamically faithful, and every solve certifies its residual
+    instead of silently accepting a rank-deficient system.
 
     Realigned, the equation is one d^2 x d^2 matrix identity.  With R
     the realignment of Phi (`faithful.local_action_matrix`) and A~ the
@@ -42,56 +38,32 @@ class TransposeSolver:
     to A~ R and (I, A') Phi to R A'~^T, so A'~^T = R^+ A~ R: a
     similarity by R where R is invertible (R = I/d on the maximally
     entangled state).  The part of A~ R outside the range of R is the
-    residual.  On first use the solver factors R once and keeps R, its
-    pseudo-inverse and an orthonormal basis of the complement of its
-    range (empty for a faithful state); a transpose is then two
-    d^2 x d^2 products per map (three where R is rank-deficient), for
-    one map or a whole stack at once."""
+    residual.  R, R^+ and the complement of R's range are read off the
+    calibration, so a transpose is two d^2 x d^2 products per map
+    (three where R is rank-deficient), for one map or a whole stack at
+    once."""
 
-    def __init__(self, phi):
-        self.phi = phi
-        self.d = part_dim(phi)
-
-    @cached_property
-    def _maps(self):
-        """(R, rank, pinv, null).  Both slot actions, A~ -> A~ R and
-        A'~ -> R A'~^T, have the singular values of R, each d^2 times,
-        so their rank is d^2 rank(R), and the pseudo-inverse is cut at
-        PINV_RCOND sigma_max of R, as np.linalg.pinv cuts it."""
-        realigned = local_action_matrix(self.phi)
-        u, s, vh = np.linalg.svd(realigned)
-        r = int(np.sum(s > PINV_RCOND * s[0]))
-        pinv = (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
-        return realigned, self.d**2 * singular_value_rank(s), pinv, u[:, r:].conj().T
-
-    @cached_property
-    def form(self):
-        """The bilinear form F of Phi, from the realigned state R."""
-        return form_matrix(self._maps[0])
-
-    @property
-    def rank(self):
-        """Rank of the local action A -> (A, I) Phi (d^4 when Phi is
-        dynamically faithful)."""
-        return self._maps[1]
+    def __init__(self, calibration):
+        self.calibration = calibration
+        self.phi, self.d = calibration.phi, calibration.d
 
     def transpose(self, t):
         """The transpose of t, or of each map of a stack.  Each
         element's residual is held to TRANSPOSE_RESID relative to
         max(|A~ R|, 1); the first element in stack order that fails it
         raises NotFaithful."""
-        realigned, _, pinv, null = self._maps
-        n = realigned.shape[0]
+        cal = self.calibration
+        n = cal.realigned.shape[0]
         # A~ R, one product for a whole stack
-        action = (ch.choi_to_super(t.choi).reshape(-1, n) @ realigned).reshape(-1, n, n)
-        if null.size:  # an R of full rank leaves no residual
-            resid = np.linalg.norm(null @ action, axis=(-2, -1))
+        action = (ch.choi_to_super(t.choi).reshape(-1, n) @ cal.realigned).reshape(-1, n, n)
+        if cal.cokernel.size:  # an R of full rank leaves no residual
+            resid = np.linalg.norm(cal.cokernel @ action, axis=(-2, -1))
             bound = TRANSPOSE_RESID * np.maximum(np.linalg.norm(action, axis=(-2, -1)), 1.0)
             failed = np.flatnonzero(resid > bound)
             if failed.size:
                 raise NotFaithful(f"transpose system residual {resid[failed[0]]} (state not faithful)")
         # A'~ = (R^+ A~ R)^T, whose Choi matrix is the realignment of R^+ A~ R
-        choi = ch.realign(pinv @ action).reshape(t.choi.shape)
+        choi = ch.realign(cal.realigned_pinv @ action).reshape(t.choi.shape)
         return Transformation(quantum(self.d), choi, generalized=True)
 
 
@@ -243,7 +215,7 @@ def state_rep(space, omega):
     A stack of states takes one witness solve and one adjoint for them
     all.
     """
-    witness, prob = prepare_witness(space.solver.form, omega)
+    witness, prob = prepare_witness(space.solver.calibration, omega)
     return transformation_coords(space, adjoint_map(space.solver, witness)) / np.expand_dims(prob, -1)
 
 

@@ -18,7 +18,7 @@ DEFAULT_TOL = 1e-9  # a spec's tol when neither the theory file nor the command 
 # ranks, solves and certified residuals
 RANK_RCOND = 1e-10  # singular values at or below this times the largest do not count toward a rank
 RANK_CERT = 1e-11  # a Gram matrix that stays positive definite shifted down by this times its trace certifies full rank (basis.matrix_rank)
-PINV_RCOND = 1e-12  # singular values sigma(R) of the realigned state at or below this times the largest are cut from the transpose solve
+PINV_RCOND = 1e-12  # singular values of the form F (those of the realigned state R) at or below this times the largest are cut from the transpose solve (faithful.Calibration)
 TRANSPOSE_RESID = 1e-10  # transpose residual |(I - R R^+) A~ R|_F, relative to max(|A~ R|_F, 1), above which the state is not faithful
 WITNESS_RESID = 1e-9  # preparation-witness residual |F^T e - t| (faithful.prepare_witness) above which there is no witness
 EXPAND_RESID = 1e-9  # residual above which an effect does not expand over an observable (infodim.ic_expand)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opcal import gns
+from opcal import faithful, gns
 from opcal.quantum import max_entangled
 
 
@@ -17,12 +17,12 @@ def phi3():
 
 @pytest.fixture(scope="session")
 def space2(phi2):
-    return gns.gns_space(gns.TransposeSolver(phi2))
+    return gns.gns_space(gns.TransposeSolver(faithful.Calibration(phi2)))
 
 
 @pytest.fixture(scope="session")
 def space3(phi3):
-    return gns.gns_space(gns.TransposeSolver(phi3))
+    return gns.gns_space(gns.TransposeSolver(faithful.Calibration(phi3)))
 
 
 @pytest.fixture

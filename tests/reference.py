@@ -13,7 +13,9 @@ local action of either slot built through superoperators and the
 faithfulness predicates on its rank,
 the Choi-basis construction of the witness equations, the einsum of
 the bilinear form, the least-squares and closed-form preparation
-witnesses, the direct
+witnesses, the transpose by a complex SVD of the realigned state and
+the spectral split by eigh of the form (the oracles of the one
+calibration), the direct
 measurement that a dimension table takes and the pass predicates of
 the table, the spanning family as
 separate states and the two equivalences decided on it one state at a
@@ -39,9 +41,10 @@ from opcal.core import (
     pair,
     quantum,
 )
-from opcal.errors import ConeViolation
+from opcal.errors import ConeViolation, DegenerateSplit, NotFaithful
+from opcal.faithful import is_symmetric
 from opcal.quantum import apply_local, kraus_to_choi, local_state, part_dim, projector_map
-from opcal.tolerances import PROB_TOL
+from opcal.tolerances import PINV_RCOND, PROB_TOL, TRANSPOSE_RESID, ZERO_CUTOFF
 
 # ---------------------------------------------------------------------------
 # reference observables
@@ -231,14 +234,15 @@ def bilinear_form(phi, a, b):
 
 def abs_form(split, a, b):
     """|Phi|(A, B), the strictly positive scalar product on effects."""
-    ca = to_coords(a.matrix, split.d**2)
-    cb = to_coords(b.matrix, split.d**2)
+    ca = to_coords(a.matrix, a.theory.d**2)
+    cb = to_coords(b.matrix, b.theory.d**2)
     return float(ca @ split.gram_abs @ cb)
 
 
 def state_sigma(split, omega, tol=1e-9):
     """Involution on states, omega^sigma(A) = omega(sigma(A))."""
-    out = split.flip(omega.matrix)
+    d = omega.theory.d
+    out = from_coords(split.sigma_matrix @ to_coords(omega.matrix, d * d), d)
     if ch.min_eig(out) < -tol:
         raise ConeViolation("involution left the state cone")
     return State(omega.theory, out / np.real(np.trace(out)))
@@ -365,6 +369,39 @@ def closed_form_witness(target):
     p = 1.0 / (d * float(np.linalg.eigvalsh(target.matrix)[-1]))
     x = np.sqrt(d * p) * ch.herm_sqrt(target.matrix.T)
     return kraus_to_choi(quantum(d), [x]), p
+
+
+def svd_transpose(phi, t):
+    """The transpose of t, or of each map of a stack, by a complex SVD
+    of the realigned state R of its own, the oracle of the calibrated
+    transpose: A'~^T = R^+ A~ R with R^+ cut at PINV_RCOND sigma_max(R),
+    and NotFaithful where the part of A~ R outside R's range exceeds
+    TRANSPOSE_RESID max(|A~ R|, 1)."""
+    d = part_dim(phi)
+    realigned = ch.realign(phi.matrix)
+    u, s, vh = np.linalg.svd(realigned)
+    r = int(np.sum(s > PINV_RCOND * s[0]))
+    pinv = (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
+    action = (ch.choi_to_super(t.choi).reshape(-1, d * d) @ realigned).reshape(-1, d * d, d * d)
+    resid = np.linalg.norm(u[:, r:].conj().T @ action, axis=(-2, -1))
+    if np.any(resid > TRANSPOSE_RESID * np.maximum(np.linalg.norm(action, axis=(-2, -1)), 1.0)):
+        raise NotFaithful("transpose system residual")
+    return Transformation(quantum(d), ch.realign(pinv @ action).reshape(t.choi.shape), generalized=True)
+
+
+def eigh_split(phi):
+    """(signature, sigma, |F|) by eigh of the symmetrized form of phi
+    (einsum_form), the oracle of faithful.spectral_split: NotFaithful
+    for a phi that is not symmetric and DegenerateSplit for an
+    eigenvalue at the zero cutoff, as the split raises."""
+    if not is_symmetric(phi):
+        raise NotFaithful("spectral split needs a symmetric joint state")
+    form = einsum_form(phi)
+    w, v = np.linalg.eigh((form + form.T) / 2.0)
+    if np.min(np.abs(w)) <= ZERO_CUTOFF:
+        raise DegenerateSplit("bilinear-form eigenvalue at the zero cutoff")
+    pos, neg = v[:, w > 0], v[:, w < 0]
+    return (pos.shape[1], neg.shape[1]), pos @ pos.T - neg @ neg.T, (v * np.abs(w)) @ v.T
 
 
 def is_dynamically_faithful(phi):

@@ -60,14 +60,14 @@ def test_criterion_3_faithfulness(capsys):
         phi = qm.max_entangled(d)
         ok = ok and faithful.is_symmetric(phi)
         rank = basis.matrix_rank(local_action_oracle(phi, 1))
-        ok = ok and gns.TransposeSolver(phi).rank == rank == d**4
+        calibration = faithful.Calibration(phi)
+        ok = ok and calibration.rank == rank == d**4
         ok = ok and is_dynamically_faithful(phi)
         ok = ok and is_preparationally_faithful(phi)
         rng = np.random.default_rng(300 + d)
-        form = gns.TransposeSolver(phi).form
         for _ in range(10):
             target = qm.random_state(d, rng)
-            witness, p = faithful.prepare_witness(form, target)
+            witness, p = faithful.prepare_witness(calibration, target)
             _, cond = qm.condition_local(phi, witness, 1)
             resid = np.max(np.abs(qm.local_state(cond, 2).matrix - target.matrix))
             ok = ok and resid < 1e-9 and p > 0
@@ -79,15 +79,15 @@ def test_criterion_3_faithfulness(capsys):
 
 
 def test_criterion_4_spectral_split(capsys):
-    split2 = faithful.spectral_split(qm.max_entangled(2))
+    split2 = faithful.spectral_split(faithful.Calibration(qm.max_entangled(2)))
     ok = split2.signature == (3, 1)
     basis = core.quantum(2).basis()
     idx = [i for i, b in enumerate(basis) if np.allclose(b, SY / np.sqrt(2))]
     e = np.zeros(4)
     e[idx[0]] = 1.0
-    ok = ok and np.max(np.abs(split2.p_minus - np.outer(e, e))) < 1e-12
+    ok = ok and np.max(np.abs((np.eye(4) - split2.sigma_matrix) / 2.0 - np.outer(e, e))) < 1e-12
     for d in (2, 3):
-        split = faithful.spectral_split(qm.max_entangled(d))
+        split = faithful.spectral_split(faithful.Calibration(qm.max_entangled(d)))
         low = np.linalg.eigvalsh(split.gram_abs)[0]
         ok = ok and abs(low - 1.0 / d) <= 1e-12
         s = split.sigma_matrix
@@ -97,7 +97,7 @@ def test_criterion_4_spectral_split(capsys):
 
 def test_criterion_5_transpose(capsys):
     phi = qm.max_entangled(2)
-    solver = gns.TransposeSolver(phi)
+    solver = gns.TransposeSolver(faithful.Calibration(phi))
     rng = np.random.default_rng(500)
     worst = 0.0
     for _ in range(100):

@@ -354,52 +354,105 @@ def _counting(counts, name, fn):
     return wrapper
 
 
+FACTORIZATIONS = ("svd", "eigh", "pinv")
+
+
+def _opcal_calls(run):
+    """What run() returns, and how many times it called each function
+    of src/opcal ("module.qualified_name"), read by a profile hook, so
+    constructors and methods count wherever they are bound; a call of
+    np.linalg's svd, eigh or pinv from src/opcal counts as
+    "module.qualified_name->svd" of its caller."""
+    calls, src = Counter(), os.path.dirname(opcal.__file__)
+
+    def name(code):
+        return f"{pathlib.Path(code.co_filename).stem}.{code.co_qualname}"
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event != "call":
+            return
+        if code.co_filename.startswith(src):
+            calls[name(code)] += 1
+        elif code.co_name in FACTORIZATIONS and frame.f_back.f_code.co_filename.startswith(src):
+            calls[f"{name(frame.f_back.f_code)}->{code.co_name}"] += 1
+
+    sys.setprofile(hook)
+    try:
+        return run(), calls
+    finally:
+        sys.setprofile(None)
+
+
+# The functions that build a run's shared objects, and the witnesses
+BUILDS = (
+    "faithful.local_action_matrix",
+    "faithful.Calibration.__init__",
+    "faithful.spectral_split",
+    "faithful.prepare_witness",
+    "gns.TransposeSolver.__init__",
+    "gns.gns_space",
+    "infodim.dim_identities",
+)
+
+
+def _builds(spec, suite):
+    """The counts of BUILDS in one run, and of the factorizations that
+    faithful and gns take."""
+    report, calls = _opcal_calls(lambda: cli.run_suite(spec, suite))
+    assert report.all_pass()
+    factors = [name for name in calls if name.startswith(("faithful.", "gns.")) and "->" in name]
+    return {name: calls[name] for name in (*BUILDS, *factors) if calls[name]}
+
+
 def test_run_builds_shared_objects_once(monkeypatch):
-    counts = Counter()
-    monkeypatch.setattr(gns, "gns_space", _counting(counts, "gns_space", gns.gns_space))
-    split = _counting(counts, "spectral_split", faithful.spectral_split)
-    monkeypatch.setattr(faithful, "spectral_split", split)
-    init = _counting(counts, "TransposeSolver", gns.TransposeSolver.__init__)
-    monkeypatch.setattr(gns.TransposeSolver, "__init__", init)
-    action = _counting(counts, "local_action_matrix", gns.local_action_matrix)
-    for module in (faithful, gns):
-        monkeypatch.setattr(module, "local_action_matrix", action)
-    # one factorization of the realigned state serves the dynamical
-    # rank, the transpose solver and the bilinear form that the
-    # preparation witnesses read; the spectral split realigns phi once
-    # more for its own form (a copy of d^4 entries, with no
-    # factorization), so a run with a split realigns twice
+    # one calibration per run realigns phi and factors its form once;
+    # the dynamical rank, the witnesses' F^+, the spectral split and the
+    # transpose solver are all read off it, so no pseudo-inverse is
+    # taken, and the only other factorizations are the GNS Gram's and
+    # the GNS operator norm's.  Three checks take a preparation
+    # witness: faithful.preparational, born.pair and born.triple
     iso3 = 0.8 * qm.max_entangled(3).matrix + 0.2 * np.eye(9) / 9
     for d, phi in ((2, None), (3, iso3)):
-        counts.clear()
         spec = cli.validate_spec(cli.TheorySpec(d=d, phi_override=phi))
-        assert cli.run_suite(spec, "all").all_pass()
-        assert counts == {
-            "gns_space": 1,
-            "spectral_split": 1,
-            "TransposeSolver": 1,
-            "local_action_matrix": 2,
+        assert _builds(spec, "all") == {
+            "faithful.local_action_matrix": 1,
+            "faithful.Calibration.__init__": 1,
+            "faithful.spectral_split": 1,
+            "faithful.prepare_witness": 3,
+            "gns.TransposeSolver.__init__": 1,
+            "gns.gns_space": 1,
+            "infodim.dim_identities": 1,
+            "faithful.Calibration.__init__->svd": 1,
+            "gns.gns_space->eigh": 1,
+            "gns.gns_norm->svd": 1,
         }
     # the GNS space is built on the solver alone, with no spectral split
-    counts.clear()
-    assert cli.run_suite(cli.TheorySpec(d=2), "gns").all_pass()
-    assert counts == {
-        "gns_space": 1,
-        "TransposeSolver": 1,
-        "local_action_matrix": 1,
+    assert _builds(cli.TheorySpec(d=2), "gns") == {
+        "faithful.local_action_matrix": 1,
+        "faithful.Calibration.__init__": 1,
+        "gns.TransposeSolver.__init__": 1,
+        "gns.gns_space": 1,
+        "faithful.Calibration.__init__->svd": 1,
+        "gns.gns_space->eigh": 1,
+        "gns.gns_norm->svd": 1,
     }
-    # the faithful suite reads the dynamical rank and the form off the
-    # solver, also on a state that is not the maximally entangled one
+    # the faithful suite reads the dynamical rank, the witnesses and the
+    # split off the calibration, with no transpose solver, also on a
+    # state that is not the maximally entangled one
     iso = 0.8 * qm.max_entangled(2).matrix + 0.2 * np.eye(4) / 4
     for phi in (None, iso):
-        counts.clear()
         spec = cli.validate_spec(cli.TheorySpec(d=2, phi_override=phi))
-        assert cli.run_suite(spec, "faithful").all_pass()
-        assert counts == {
-            "spectral_split": 1,
-            "TransposeSolver": 1,
-            "local_action_matrix": 2,
+        assert _builds(spec, "faithful") == {
+            "faithful.local_action_matrix": 1,
+            "faithful.Calibration.__init__": 1,
+            "faithful.spectral_split": 1,
+            "faithful.prepare_witness": 1,
+            "faithful.Calibration.__init__->svd": 1,
         }
+    # a classical run calls nothing of faithful or gns
+    _, calls = _opcal_calls(lambda: cli.run_suite(cli.TheorySpec(backend="classical", d=3), "all"))
+    assert calls and not [name for name in calls if name.startswith(("faithful.", "gns."))]
     # one IC observable and one dimension table, of the spec's backend;
     # the table reads the witnesses that infodim.idim and
     # infodim.bell_ic measured, and table1.classical_violation measures
@@ -524,9 +577,9 @@ def test_each_check_draws_in_the_fewest_generator_calls(monkeypatch):
 
 def test_no_rank_reaches_an_svd(monkeypatch):
     # every rank of an `all` run is full, so the Cholesky certificate
-    # decides it; the only SVDs left are the transpose solver's factors
-    # of R, the GNS operator norm and the branch split of the sampled
-    # experiments, none of them a rank
+    # decides it; the only SVDs left are the calibration's one
+    # factorization of the form F, the GNS operator norm and the branch
+    # split of the sampled experiments
     calls, svd = Counter(), np.linalg.svd
 
     def counting_svd(*args, **kwargs):
@@ -535,9 +588,9 @@ def test_no_rank_reaches_an_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     for spec, want in (
-        (cli.TheorySpec(d=2), {"TransposeSolver._maps": 1, "gns_norm": 1, "random_experiment": 1}),
-        (cli.TheorySpec(d=3), {"TransposeSolver._maps": 1, "gns_norm": 1, "random_experiment": 1}),
-        (cli.TheorySpec(d=4), {"TransposeSolver._maps": 1, "gns_norm": 1, "random_experiment": 1}),
+        (cli.TheorySpec(d=2), {"Calibration.__init__": 1, "gns_norm": 1, "random_experiment": 1}),
+        (cli.TheorySpec(d=3), {"Calibration.__init__": 1, "gns_norm": 1, "random_experiment": 1}),
+        (cli.TheorySpec(d=4), {"Calibration.__init__": 1, "gns_norm": 1, "random_experiment": 1}),
         (cli.TheorySpec(backend="classical", d=3), {}),
     ):
         calls.clear()

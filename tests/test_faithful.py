@@ -11,11 +11,13 @@ from opcal import core, faithful, gns
 from opcal import quantum as qm
 from opcal.basis import hermitian_basis, matrix_rank, to_coords
 from opcal.errors import DegenerateSplit, NotFaithful
+from opcal.tolerances import WITNESS_RESID
 from reference import (
     abs_form,
     bilinear_form,
     choi_basis_witness_matrix,
     closed_form_witness,
+    eigh_split,
     einsum_form,
     is_dynamically_faithful,
     is_physical_map,
@@ -24,6 +26,8 @@ from reference import (
     lstsq_witness,
     product_state,
     state_sigma,
+    svd_rank,
+    svd_transpose,
 )
 
 SY = np.array([[0, -1j], [1j, 0]])
@@ -87,7 +91,7 @@ def _form(phi):
 def test_prepare_witness_pure_oracle(phi2):
     # steering the canonical state to |0><0| succeeds with p = 1/2
     target = core.State(core.quantum(2), np.diag([1.0, 0.0]).astype(complex))
-    witness, p = faithful.prepare_witness(_form(phi2), target)
+    witness, p = faithful.prepare_witness(faithful.Calibration(phi2), target)
     assert p == pytest.approx(0.5, abs=1e-12)
     assert is_physical_map(witness)
     prob, cond = qm.condition_local(phi2, witness, 1)
@@ -98,10 +102,10 @@ def test_prepare_witness_pure_oracle(phi2):
 @pytest.mark.parametrize("d", [2, 3])
 def test_prepare_witness_random_targets(d, phi2, phi3, rng):
     phi = phi2 if d == 2 else phi3
-    form = _form(phi)
+    calibration = faithful.Calibration(phi)
     for _ in range(10):
         target = qm.random_state(d, rng)
-        witness, p = faithful.prepare_witness(form, target)
+        witness, p = faithful.prepare_witness(calibration, target)
         assert 0 < p <= 1 + 1e-12
         prob, cond = qm.condition_local(phi, witness, 1)
         assert prob == pytest.approx(p, abs=1e-9)
@@ -111,7 +115,7 @@ def test_prepare_witness_random_targets(d, phi2, phi3, rng):
 def test_prepare_witness_unfaithful_raises():
     target = qm.random_state(2, 0)
     with pytest.raises(NotFaithful):
-        faithful.prepare_witness(_form(_product_phi(2)), target)
+        faithful.prepare_witness(faithful.Calibration(_product_phi(2)), target)
 
 
 def _isotropic(d, p):
@@ -169,10 +173,10 @@ def test_witness_system_matches_the_choi_basis_build(make):
 @pytest.mark.parametrize("d, p", ISOTROPIC)
 def test_witness_matches_lstsq(d, p, rng):
     phi = _isotropic(d, p)
-    form = _form(phi)
+    calibration = faithful.Calibration(phi)
     for _ in range(5):
         target = qm.random_state(d, rng)
-        witness, prob = faithful.prepare_witness(form, target)
+        witness, prob = faithful.prepare_witness(calibration, target)
         choi, want = lstsq_witness(phi, target)
         assert_allclose(witness.choi, choi, rtol=0, atol=1e-10)
         assert prob == pytest.approx(want, abs=1e-10)
@@ -216,7 +220,7 @@ def test_witness_is_the_least_squares_witness(state, seed):
     kind, phi = state
     d = qm.part_dim(phi)
     target = qm.random_state(d, seed)
-    witness, prob = faithful.prepare_witness(_form(phi), target)
+    witness, prob = faithful.prepare_witness(faithful.Calibration(phi), target)
     choi, want = lstsq_witness(phi, target)
     assert_allclose(witness.choi, choi, rtol=0, atol=1e-12)
     assert prob == pytest.approx(want, abs=1e-12)
@@ -245,9 +249,77 @@ def test_form_is_the_realigned_state_in_the_basis(d):
         assert_allclose(
             np.linalg.svd(form, compute_uv=False), np.linalg.svd(realigned, compute_uv=False), rtol=0, atol=1e-14
         )
-        solver = gns.TransposeSolver(phi)
-        assert_allclose(solver.form, form, rtol=0, atol=0)
-        assert d * d * matrix_rank(form) == solver.rank
+        calibration = faithful.Calibration(phi)
+        assert_allclose(calibration.form, form, rtol=0, atol=0)
+        assert d * d * matrix_rank(form) == calibration.rank
+
+
+@st.composite
+def _calibrated_states(draw):
+    """(kind, phi): the canonical state, an isotropic one, a
+    rank-deficient product state (symmetric when both parts are one
+    state) or a random joint state, which is not symmetric, at d = 2-4."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    kind = draw(st.sampled_from(["canonical", "isotropic", "product", "random"]))
+    seed = draw(st.integers(0, 2**31))
+    if kind == "canonical":
+        return kind, qm.max_entangled(d)
+    if kind == "isotropic":
+        return kind, _isotropic(d, draw(st.floats(0.0, 0.99)))
+    if kind == "product":
+        part = qm.random_state(d, seed)
+        return kind, product_state(part, part if draw(st.booleans()) else qm.random_state(d, seed + 1))
+    return kind, qm.random_state(d * d, seed)
+
+
+def _same_raise(expected, got):
+    """expected() and got() both raise the same class of
+    (NotFaithful, DegenerateSplit), or neither raises: (want, have)."""
+    try:
+        want = expected()
+    except (NotFaithful, DegenerateSplit) as exc:
+        with pytest.raises(type(exc)):
+            got()
+        return None, None
+    return want, got()
+
+
+@given(state=_calibrated_states(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_calibration_matches_the_separate_factorizations(state, seed):
+    # the one SVD of F against a complex SVD of R for the rank and the
+    # transpose, eigh of the symmetrized F for the split and the Choi-basis
+    # least squares for the witness: the same rank, signature and
+    # raises, and values that agree to rounding scaled by cond(F)
+    kind, phi = state
+    d = qm.part_dim(phi)
+    calibration = faithful.Calibration(phi)
+    s = np.linalg.svd(einsum_form(phi), compute_uv=False)
+    cond = s[0] / s[-1] if s[-1] > 0 else np.inf
+    assert calibration.rank == d * d * svd_rank(ch.realign(phi.matrix))
+    want, split = _same_raise(lambda: eigh_split(phi), lambda: faithful.spectral_split(calibration))
+    if want is not None:
+        signature, sigma_matrix, gram_abs = want
+        assert split.signature == signature
+        assert np.max(np.abs(split.sigma_matrix - sigma_matrix)) <= 1e-14 * cond
+        assert np.max(np.abs(split.gram_abs - gram_abs)) <= 1e-14 * s[0]
+    rng = np.random.default_rng(seed)
+    maps = qm.random_cp(d, rng, n=3)
+    solver = gns.TransposeSolver(calibration)
+    want, got = _same_raise(lambda: svd_transpose(phi, maps), lambda: solver.transpose(maps))
+    if want is not None:
+        assert np.max(np.abs(got.choi - want.choi)) <= 1e-14 * cond * np.max(np.abs(want.choi))
+    target = qm.random_state(d, rng)
+    m, t = choi_basis_witness_matrix(phi), to_coords(target.matrix, d * d)
+    x, *_ = np.linalg.lstsq(m, t, rcond=None)
+    if np.linalg.norm(m @ x - t) > WITNESS_RESID:
+        with pytest.raises(NotFaithful):
+            faithful.prepare_witness(calibration, target)
+        return
+    witness, prob = faithful.prepare_witness(calibration, target)
+    choi, want_prob = lstsq_witness(phi, target)
+    assert np.max(np.abs(witness.choi - choi)) <= 1e-13 * cond
+    assert abs(prob - want_prob) <= 1e-13 * cond
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +327,7 @@ def test_form_is_the_realigned_state_in_the_basis(d):
 
 
 def test_spectral_split_qubit_oracle(phi2):
-    split = faithful.spectral_split(phi2)
+    split = faithful.spectral_split(faithful.Calibration(phi2))
     assert split.signature == (3, 1)
     # the negative principal axis is the antisymmetric Pauli direction
     basis = core.quantum(2).basis()
@@ -263,7 +335,7 @@ def test_spectral_split_qubit_oracle(phi2):
     assert len(idx) == 1
     e = np.zeros(4)
     e[idx[0]] = 1.0
-    assert_allclose(split.p_minus, np.outer(e, e), atol=1e-12)
+    assert_allclose((np.eye(4) - split.sigma_matrix) / 2.0, np.outer(e, e), atol=1e-12)
     # the symmetrized form has eigenvalues +-1/d
     form = _form(phi2)
     assert_allclose(np.sort(np.linalg.eigvalsh((form + form.T) / 2.0)), [-0.5, 0.5, 0.5, 0.5])
@@ -271,14 +343,14 @@ def test_spectral_split_qubit_oracle(phi2):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_abs_gram_floor(d, phi2, phi3):
-    split = faithful.spectral_split(phi2 if d == 2 else phi3)
+    split = faithful.spectral_split(faithful.Calibration(phi2 if d == 2 else phi3))
     low = np.linalg.eigvalsh(split.gram_abs)[0]
     assert low == pytest.approx(1.0 / d, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_involution_is_transpose_for_maxent(d, phi2, phi3, rng):
-    split = faithful.spectral_split(phi2 if d == 2 else phi3)
+    split = faithful.spectral_split(faithful.Calibration(phi2 if d == 2 else phi3))
     s = split.sigma_matrix
     assert_allclose(s @ s, np.eye(d * d), atol=1e-12)
     for _ in range(10):
@@ -287,7 +359,7 @@ def test_involution_is_transpose_for_maxent(d, phi2, phi3, rng):
 
 
 def test_sigma_preserves_physical_cone(phi2, rng):
-    split = faithful.spectral_split(phi2)
+    split = faithful.spectral_split(faithful.Calibration(phi2))
     for _ in range(10):
         e = qm.random_effect(2, rng)
         assert faithful.sigma(split, e).is_physical(1e-12)
@@ -297,7 +369,7 @@ def test_sigma_preserves_physical_cone(phi2, rng):
 
 
 def test_abs_form_oracle(phi2, rng):
-    split = faithful.spectral_split(phi2)
+    split = faithful.spectral_split(faithful.Calibration(phi2))
     for _ in range(10):
         e = qm.random_generalized_effect(2, rng)
         want = float(np.real(np.trace(e.matrix @ e.matrix))) / 2.0
@@ -307,7 +379,7 @@ def test_abs_form_oracle(phi2, rng):
 
 def test_spectral_split_rejects_unfaithful():
     with pytest.raises((DegenerateSplit, NotFaithful)):
-        faithful.spectral_split(_product_phi(2))
+        faithful.spectral_split(faithful.Calibration(_product_phi(2)))
 
 
 def test_conjugate_transformation_involutive(rng):
@@ -325,7 +397,7 @@ def test_conjugate_transformation_involutive(rng):
 
 def test_state_involution_consistency(phi2, rng):
     # omega^sigma(A) = omega(sigma(A)) for physical inputs
-    split = faithful.spectral_split(phi2)
+    split = faithful.spectral_split(faithful.Calibration(phi2))
     for _ in range(10):
         w = qm.random_state(2, rng)
         e = qm.random_effect(2, rng)

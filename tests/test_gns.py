@@ -23,13 +23,13 @@ def test_transpose_is_kraus_transpose(phi2, rng):
         k = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         k /= np.linalg.norm(k, 2) * 1.1
         t = qm.kraus_to_choi(th, [k])
-        got = gns.TransposeSolver(phi2).transpose(t)
+        got = gns.TransposeSolver(faithful.Calibration(phi2)).transpose(t)
         want = qm.kraus_to_choi(th, [k.T])
         assert_allclose(got.choi, want.choi, atol=1e-12)
 
 
 def test_transpose_reproduces_local_action(phi2, rng):
-    solver = gns.TransposeSolver(phi2)
+    solver = gns.TransposeSolver(faithful.Calibration(phi2))
     for _ in range(20):
         t = qm.random_cp(2, rng)
         tp = solver.transpose(t)
@@ -39,7 +39,7 @@ def test_transpose_reproduces_local_action(phi2, rng):
 
 
 def test_transpose_axioms(phi2, rng):
-    solver = gns.TransposeSolver(phi2)
+    solver = gns.TransposeSolver(faithful.Calibration(phi2))
     th = core.quantum(2)
     ident = core.identity(th)
     assert_allclose(solver.transpose(ident).choi, ident.choi, atol=1e-12)
@@ -137,7 +137,7 @@ def test_solver_local_actions_are_the_slot_builds(make):
     got2 = to_coords(_realign(r @ sup.swapaxes(-1, -2), d), d**4).T
     assert np.max(np.abs(got1 - want1)) <= 1e-15
     assert np.max(np.abs(got2 - local_action_oracle(phi, 2))) <= 1e-15
-    assert gns.TransposeSolver(phi).rank == matrix_rank(want1) == d * d * matrix_rank(r)
+    assert faithful.Calibration(phi).rank == matrix_rank(want1) == d * d * matrix_rank(r)
 
 
 def _oracle_transposes(phi, maps):
@@ -170,7 +170,7 @@ def test_folded_transpose_is_the_coordinate_solve(make, rng):
     # similarity solves the defining equation no worse (pure-complex-d4,
     # cond(R) = 449)
     phi = make()
-    solver = gns.TransposeSolver(phi)
+    solver = gns.TransposeSolver(faithful.Calibration(phi))
     maps = [qm.random_cp(qm.part_dim(phi), rng) for _ in range(10)]
     for t, want in zip(maps, _oracle_transposes(phi, maps)):
         if want is None:
@@ -212,9 +212,9 @@ def _schmidt_rank_state(d, k, seed):
 def test_local_action_rank_is_d2_times_the_schmidt_rank(case):
     d, k, seed = case
     phi = _schmidt_rank_state(d, k, seed)
-    solver = gns.TransposeSolver(phi)
+    solver = gns.TransposeSolver(faithful.Calibration(phi))
     assert matrix_rank(faithful.local_action_matrix(phi)) == k
-    assert solver.rank == matrix_rank(local_action_oracle(phi, 1)) == d * d * k
+    assert solver.calibration.rank == matrix_rank(local_action_oracle(phi, 1)) == d * d * k
     g = np.random.default_rng(seed).standard_normal((2, d * d, d * d))
     t = core.Transformation(core.quantum(d), g[0] + g[0].T + 1j * (g[1] - g[1].T), generalized=True)
     if k < d * d:
@@ -230,7 +230,7 @@ def test_transpose_requires_faithful():
     mixed = core.State(core.quantum(2), np.eye(2) / 2)
     phi = product_state(mixed, mixed)
     with pytest.raises(NotFaithful):
-        gns.TransposeSolver(phi).transpose(qm.random_cp(2, 0))
+        gns.TransposeSolver(faithful.Calibration(phi)).transpose(qm.random_cp(2, 0))
 
 
 def test_adjoint_is_heisenberg_dual(phi2, rng):
@@ -240,7 +240,7 @@ def test_adjoint_is_heisenberg_dual(phi2, rng):
         k = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         k /= np.linalg.norm(k, 2) * 1.1
         t = qm.kraus_to_choi(th, [k])
-        got = gns.adjoint_map(gns.TransposeSolver(phi2), t)
+        got = gns.adjoint_map(gns.TransposeSolver(faithful.Calibration(phi2)), t)
         want = qm.kraus_to_choi(th, [k.conj().T])
         assert_allclose(got.choi, want.choi, atol=1e-12)
 
@@ -347,7 +347,7 @@ def test_cstar_identity_isotropic(d, p, rng):
     # multiple of the identity, so the norm must use the Gram metric
     omega = qm.max_entangled(d).matrix
     phi = joint_state(d, (1.0 - p) * omega + p * np.eye(d * d) / d**2)
-    space = gns.gns_space(gns.TransposeSolver(phi))
+    space = gns.gns_space(gns.TransposeSolver(faithful.Calibration(phi)))
     for _ in range(20):
         t = qm.random_cp(d, rng)
         lhs, rhs = gns.cstar_check(space, t)
@@ -444,9 +444,9 @@ def test_factored_maps_match_the_folded_operator(make, monkeypatch):
     d = qm.part_dim(phi)
     if not faithful.is_symmetric(phi):
         with pytest.raises(NotFaithful, match="symmetric"):
-            gns.gns_space(gns.TransposeSolver(phi))
+            gns.gns_space(gns.TransposeSolver(faithful.Calibration(phi)))
         monkeypatch.setattr(gns, "is_symmetric", lambda phi: True)
-    solver = gns.TransposeSolver(phi)
+    solver = gns.TransposeSolver(faithful.Calibration(phi))
     space = gns.gns_space(solver)
     folded = reference.folded_gns(solver)
     assert np.max(np.abs(space.gram - folded[0])) <= 1e-13
@@ -466,17 +466,28 @@ def test_factored_maps_match_the_folded_operator(make, monkeypatch):
         assert np.max(np.abs(rep - reference.folded_gns_rep(folded, t))) <= 1e-13
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_two_scalar_products_meet_on_the_canonical_state(d):
+    # |F|, which faithful.abs_gram checks, and the GNS Gram matrix, which
+    # the other gns.* and born.* checks read, are one matrix on
+    # |Omega><Omega| and differ by about half of |F| at isotropic p = 0.2
+    for p, low, high in ((0.0, 0.0, 1e-14), (0.2, 0.4, 0.6)):
+        calibration = faithful.Calibration(_isotropic(d, p))
+        gram_abs = faithful.spectral_split(calibration).gram_abs
+        gram = gns.gns_space(gns.TransposeSolver(calibration)).gram
+        assert low <= np.linalg.norm(gram - gram_abs) / np.linalg.norm(gram_abs) <= high
+
+
 def test_gns_space_rejects_unfaithful():
     mixed = core.State(core.quantum(2), np.eye(2) / 2)
     with pytest.raises(Exception):
-        gns.gns_space(gns.TransposeSolver(product_state(mixed, mixed)))
+        gns.gns_space(gns.TransposeSolver(faithful.Calibration(product_state(mixed, mixed))))
 
 
 def test_calibrated_maps_convert_no_coordinates(monkeypatch):
     # transpose, gns_rep and transformation_coords act on Choi matrices
-    # or their superoperators, the first transpose's factorization of R
-    # included: a d=2 `all` run makes no coordinate conversion inside
-    # them, though it converts elsewhere
+    # or their superoperators: a d=2 `all` run makes no coordinate
+    # conversion inside them, though it converts elsewhere
     import opcal
 
     inside = [0]

@@ -3,8 +3,9 @@ and every private module-level helper has a caller outside the tests,
 every function runs in some report, every defaulted parameter of a
 function that runs is set to another value in some report, every
 function the benchmark traces by name still exists,
-every check hands its seed to one draw, every rank, every positivity
-test and the coordinate layout are decided in one place, only core
+every check hands its seed to one draw, every rank and pseudo-inverse,
+every positivity test and the coordinate layout are decided in one
+place, only core
 defines objects that carry a matrix, and the checks take each
 theory-level dimension through the run's context."""
 
@@ -65,7 +66,6 @@ NO_LIBRARY_CALLER = {
 # what only they call.
 NOT_RUN = {
     **NO_LIBRARY_CALLER,
-    "faithful.SpectralSplit.flip": "the sign flip of faithful.sigma, its only caller",
     "core.Effect.is_physical": "the cone test of faithful.sigma, its only caller",
 }
 
@@ -365,42 +365,56 @@ def _all_sites(kind_of):
 
 
 def _rank_kind(node):
-    """Where a module decides a rank itself: a rank call or a read of
-    the rank cutoff.  Any call named svd counts, however it was
-    imported."""
+    """Where a module decides a rank or cuts a pseudo-inverse itself: a
+    rank call, a pseudo-inverse or least-squares call (kind "pinv"), or
+    a read of the rank or the pseudo-inverse cutoff.  Any call named
+    svd, pinv or lstsq counts, however it was imported."""
     if isinstance(node, ast.Call):
-        callee = _dotted(node.func)
-        if callee.rpartition(".")[2] in ("svd", "singular_value_rank"):
-            return callee.rpartition(".")[2]
-        if callee.endswith("linalg.matrix_rank"):
+        callee = _dotted(node.func).rpartition(".")[2]
+        if callee in ("svd", "singular_value_rank"):
+            return callee
+        if callee in ("pinv", "lstsq"):
+            return "pinv"
+        if _dotted(node.func).endswith("linalg.matrix_rank"):
             return "linalg.matrix_rank"
     elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-        return "RANK_RCOND" if node.id == "RANK_RCOND" else None
-    elif isinstance(node, ast.alias) and node.name in ("RANK_RCOND", "svd"):
-        return node.name
+        return node.id if node.id in ("RANK_RCOND", "PINV_RCOND") else None
+    elif isinstance(node, ast.alias) and node.name in ("RANK_RCOND", "PINV_RCOND", "svd", "pinv"):
+        return "pinv" if node.name == "pinv" else node.name
     return None
 
 
 def test_one_place_decides_ranks():
     # every rank goes through basis.matrix_rank and its certificate; the
-    # solver's SVD of R also gives factors, the GNS norm needs sigma_max,
-    # and the experiment sampler splits a Choi factor of rank three
+    # calibration's one SVD of the form F also gives the dynamical rank,
+    # every pseudo-inverse of F or R and the spectral split, the GNS
+    # norm needs sigma_max, and the experiment sampler splits a Choi
+    # factor of rank three.  The only other least-squares solve is the
+    # expansion over an informationally complete observable.
     assert _all_sites(_rank_kind) == {
-        "svd": {"basis.matrix_rank", "gns.TransposeSolver._maps", "gns.gns_norm", "quantum.random_experiment"},
-        "singular_value_rank": {"basis.matrix_rank", "gns.TransposeSolver._maps"},
+        "svd": {"basis.matrix_rank", "faithful.Calibration.__init__", "gns.gns_norm", "quantum.random_experiment"},
+        "singular_value_rank": {"basis.matrix_rank", "faithful.Calibration.__init__"},
         "RANK_RCOND": {"basis", "basis.singular_value_rank"},
+        "pinv": {"faithful.Calibration.__init__", "infodim.ic_expand"},
+        "PINV_RCOND": {"faithful", "faithful.Calibration.__init__"},
     }
     source = (
-        "from numpy.linalg import svd\n"
-        "from .tolerances import RANK_RCOND\n"
+        "from numpy.linalg import svd, pinv\n"
+        "from .tolerances import PINV_RCOND, RANK_RCOND\n"
         "class A:\n"
         "    def f(self, m):\n"
         "        return np.linalg.matrix_rank(m, RANK_RCOND), svd(m), la.svd(m)\n"
+        "    def g(self, m):\n"
+        "        return np.linalg.pinv(m, rcond=PINV_RCOND), la.lstsq(m, m), self.pinv(m)\n"
+        "def h(m):\n"
+        "    return pinv(m), np.linalg.solve(m, m), m.pinv\n"
     )
     assert _sites(ast.parse(source), "m", _rank_kind) == {
         "svd": {"m", "m.A.f"},
         "RANK_RCOND": {"m", "m.A.f"},
         "linalg.matrix_rank": {"m.A.f"},
+        "pinv": {"m", "m.A.g", "m.h"},
+        "PINV_RCOND": {"m", "m.A.g"},
     }
 
 

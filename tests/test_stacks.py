@@ -109,13 +109,12 @@ def _contraction_per_sample(ctx, samples, tol):
 def _preparational_per_sample(ctx, samples, tol):
     spec = ctx.spec
     phi = ctx.phi
-    if ctx.solver.rank != spec.d**4:
+    if ctx.calibration.rank != spec.d**4:
         return False, {}
-    form = ctx.solver.form
     worst, pmin = 0.0, np.inf
     for _ in range(5):
         target = next(samples)
-        witness, p = faithful.prepare_witness(form, target)
+        witness, p = faithful.prepare_witness(ctx.calibration, target)
         _, cond = qm.condition_local(phi, witness, 1)
         out = qm.local_state(cond, 2).matrix
         worst = max(worst, float(np.max(np.abs(out - target.matrix))))
@@ -470,7 +469,7 @@ SPACES = {}
 
 def _space(config):
     if config not in SPACES:
-        SPACES[config] = gns.gns_space(gns.TransposeSolver(SPECS[config].phi()))
+        SPACES[config] = gns.gns_space(gns.TransposeSolver(faithful.Calibration(SPECS[config].phi())))
     return SPACES[config]
 
 
@@ -581,7 +580,7 @@ def _residual(err):
 
 def test_stacked_transpose_requires_faithful():
     mixed = core.State(core.quantum(2), np.eye(2) / 2)
-    solver = gns.TransposeSolver(product_state(mixed, mixed))
+    solver = gns.TransposeSolver(faithful.Calibration(product_state(mixed, mixed)))
     first, second = qm.random_cp(2, 0), qm.random_cp(2, 1)
     # the zero map solves the system on any state; the first element in
     # stack order that does not is the one named
@@ -721,8 +720,8 @@ def test_every_observable_and_experiment_of_a_report_is_one_stack():
 def test_prepare_witness_on_stacks_matches_per_element(config):
     solver = _space(config).solver
     states = _samples(solver.d, 12)["states"]
-    witness, probs = faithful.prepare_witness(solver.form, core.stack(states))
-    singles = [faithful.prepare_witness(solver.form, w) for w in states]
+    witness, probs = faithful.prepare_witness(solver.calibration, core.stack(states))
+    singles = [faithful.prepare_witness(solver.calibration, w) for w in states]
     assert all(type(p) is float for _, p in singles)
     _close(witness.choi, [t.choi for t, _ in singles])
     _close(probs, [p for _, p in singles])
@@ -731,16 +730,16 @@ def test_prepare_witness_on_stacks_matches_per_element(config):
 
 def test_stacked_witness_requires_faithful():
     mixed = core.State(core.quantum(2), np.eye(2) / 2)
-    form = faithful.form_matrix(faithful.local_action_matrix(product_state(mixed, mixed)))
+    calibration = faithful.Calibration(product_state(mixed, mixed))
     first, second = qm.random_state(2, 0), qm.random_state(2, 1)
     # the maximally mixed target is reachable on the product state; the
     # first element in stack order that is not is the one named
     with pytest.raises(NotFaithful) as stacked:
-        faithful.prepare_witness(form, core.stack([mixed, first, second]))
+        faithful.prepare_witness(calibration, core.stack([mixed, first, second]))
     with pytest.raises(NotFaithful) as single:
-        faithful.prepare_witness(form, first)
+        faithful.prepare_witness(calibration, first)
     assert _residual(stacked) == pytest.approx(_residual(single), rel=1e-12)
-    faithful.prepare_witness(form, mixed)
+    faithful.prepare_witness(calibration, mixed)
 
 
 # ---------------------------------------------------------------------------
