@@ -8,6 +8,11 @@ scalar product between generalized effects turns the effect space into
 a complex Hilbert space on which left composition acts as a matrix
 algebra satisfying the C*-identity.
 
+The GNS coordinates are orthonormal for that scalar product: its Gram
+matrix G is whitened once, where `gns_space` builds it, so the adjoint
+is represented by the matrix transpose, the C*-norm is the spectral
+norm and a Born probability is a dot product, and no map solves with G.
+
 Every map here also takes a stack of transformations, effects or states
 (`core.stack`: the matrices carry leading axes) and acts on each
 element, so a sampled check applies each map once to all its samples.
@@ -96,22 +101,20 @@ def _inner_tt(solver, t1, t2):
 
 @dataclass(frozen=True)
 class GnsSpace:
-    """The effect Hilbert space carried by a faithful state: its
-    transpose solver, the Gram matrix of the scalar product in the
-    canonical Hermitian basis with its square root and inverse square
-    root, and the factors of the pairing with the lifted basis.  With
-    S_T the superoperator of a map T, lift j pairs with T as
-    Re(E-bar_j S_T a-bar), where row j of `effects` (E-bar) is
-    vec(conj E_j), E_j the effect of the adjoint of lift j, `state`
-    (a-bar) is vec(conj rho2^T) and column k of `lifted` (Q-bar) is
-    lift k applied to a-bar.  The Gram matrix is Re(E-bar Q-bar), and
-    the pairings of A after each lift, the columns of gns_rep, are
-    Re(E-bar S_A Q-bar)."""
+    """The effect Hilbert space carried by a faithful state, in
+    coordinates orthonormal for its scalar product: its transpose
+    solver, the Gram matrix G of the scalar product in the canonical
+    Hermitian basis, and the factors of the pairing with the lifted
+    basis, whitened by G^-1/2 where they are built.  With S_T the
+    superoperator of a map T, lift j pairs with T as Re(E-bar_j S_T
+    a-bar), where row j of E-bar is vec(conj E_j), E_j the effect of
+    the adjoint of lift j, `state` (a-bar) is vec(conj rho2^T) and
+    column k of Q-bar is lift k applied to a-bar.  G is Re(E-bar
+    Q-bar); `effects` holds G^-1/2 E-bar and `lifted` Q-bar G^-1/2, so
+    Re(effects lifted) is the identity and no later map applies G."""
 
     solver: TransposeSolver
     gram: np.ndarray
-    gram_sqrt: np.ndarray
-    gram_isqrt: np.ndarray
     effects: np.ndarray
     state: np.ndarray
     lifted: np.ndarray
@@ -126,9 +129,9 @@ class GnsSpace:
 
 
 def gns_space(solver):
-    """Build the GNS data of the solver's state; requires a symmetric
-    faithful state with a strictly positive scalar product (positive
-    definite Gram)."""
+    """Build the GNS data of the solver's state, whitened into
+    orthonormal coordinates; requires a symmetric faithful state with a
+    strictly positive scalar product (positive definite Gram)."""
     phi = solver.phi
     if not is_symmetric(phi):
         raise NotFaithful("GNS construction needs a symmetric joint state")
@@ -144,15 +147,8 @@ def gns_space(solver):
     w, v = np.linalg.eigh(gram)
     if w[0] <= GRAM_FLOOR:
         raise NotFaithful("scalar product is not strictly positive")
-    return GnsSpace(
-        solver=solver,
-        gram=gram,
-        gram_sqrt=(v * np.sqrt(w)) @ v.T,
-        gram_isqrt=(v / np.sqrt(w)) @ v.T,
-        effects=effects,
-        state=state,
-        lifted=lifted,
-    )
+    isqrt = (v / np.sqrt(w)) @ v.T
+    return GnsSpace(solver=solver, gram=gram, effects=isqrt @ effects, state=state, lifted=lifted @ isqrt)
 
 
 def scalar_product(space, b, a):
@@ -165,29 +161,27 @@ def scalar_product(space, b, a):
 
 
 def transformation_coords(space, t):
-    """GNS-vector coordinates of a transformation, from its pairings
-    with the canonical lifted basis (two transformations share a vector
-    iff their difference has zero norm).  The leading axes of a stack
-    are flattened: two matrix-vector products and one solve with a
-    right side per element."""
-    lead = t.choi.shape[:-2]
-    pairings = ((ch.choi_to_super(t.choi) @ space.state) @ space.effects.T).real
-    return np.linalg.solve(space.gram, pairings.reshape(-1, space.dim).T).T.reshape(*lead, -1)
+    """Orthonormal GNS-vector coordinates of a transformation, its
+    pairings with the whitened lifted basis (two transformations share
+    a vector iff their difference has zero norm).  The leading axes of
+    a stack are kept: two matrix products for the whole stack."""
+    return ((ch.choi_to_super(t.choi) @ space.state) @ space.effects.T).real
 
 
 def gns_rep(space, t):
-    """Matrix of left composition pi(A)|B> = |A after B| in canonical
-    coordinates; a homomorphism with pi(identity) = identity."""
-    cols = (space.effects @ ch.choi_to_super(t.choi) @ space.lifted).real
-    return np.linalg.solve(space.gram, cols)
+    """Matrix of left composition pi(A)|B> = |A after B| in orthonormal
+    coordinates, Re(effects S_A lifted); a homomorphism with
+    pi(identity) = identity, and pi(A-dagger) is the transpose of
+    pi(A)."""
+    return (space.effects @ ch.choi_to_super(t.choi) @ space.lifted).real
 
 
 def gns_norm(space, t):
     """Operator norm of the GNS matrix with respect to the scalar
-    product, ||G^1/2 pi(t) G^-1/2||_2 (the C*-algebra norm; distinct
-    from the Banach transformation norm of the statistical calculus)."""
-    rep = space.gram_sqrt @ gns_rep(space, t) @ space.gram_isqrt
-    return np.linalg.svd(rep, compute_uv=False)[..., 0]
+    product, which the orthonormal coordinates make its largest
+    singular value (the C*-algebra norm; distinct from the Banach
+    transformation norm of the statistical calculus)."""
+    return np.linalg.svd(gns_rep(space, t), compute_uv=False)[..., 0]
 
 
 def cstar_check(space, t):
@@ -224,15 +218,11 @@ def effect_rep(space, e):
     return transformation_coords(space, space.solver.transpose(jordan_lift(e)))
 
 
-def _probability(space, u, v):
-    """Re <u|v> in the scalar product, elementwise over stacks."""
-    return np.real(np.sum((np.conj(u) @ space.gram) * v, axis=-1))
-
-
 def born_pair(space, omega, a):
     """Probability of effect a in state omega, computed purely from the
-    scalar-product representation."""
-    return _probability(space, effect_rep(space, a), state_rep(space, omega))
+    scalar-product representation: the dot product of the two
+    orthonormal vectors."""
+    return np.sum(effect_rep(space, a) * state_rep(space, omega), axis=-1)
 
 
 def born_triple(space, omega, b, t):
@@ -240,4 +230,4 @@ def born_triple(space, omega, b, t):
     vec_b = effect_rep(space, b)
     op = gns_rep(space, conjugate_transformation(t))
     vec_w = state_rep(space, omega)
-    return _probability(space, vec_b, (op @ vec_w[..., None])[..., 0])
+    return np.sum(vec_b * (op @ vec_w[..., None])[..., 0], axis=-1)

@@ -435,11 +435,14 @@ FACTORED_STATES = [
 @pytest.mark.parametrize("make", [m for _, m in FACTORED_STATES], ids=[n for n, _ in FACTORED_STATES])
 def test_factored_maps_match_the_folded_operator(make, monkeypatch):
     # the Gram matrix, transformation_coords and gns_rep from the
-    # superoperator factors against the folded operator on real views,
-    # for one map, a stack of CP maps and a stack of arbitrary complex
-    # Choi matrices with two leading axes.  The pairing identities hold
-    # on any faithful state, so the non-symmetric one, which gns_space
-    # rejects, is compared with the symmetry test bypassed.
+    # whitened superoperator factors against the folded operator on
+    # real views, for one map, a stack of CP maps and a stack of
+    # arbitrary complex Choi matrices with two leading axes.  The
+    # oracle's coordinates c and matrices rep are in the canonical
+    # basis, so they are compared as G^1/2 c and G^1/2 rep G^-1/2.  The
+    # pairing identities hold on any faithful state, so the
+    # non-symmetric one, which gns_space rejects, is compared with the
+    # symmetry test bypassed.
     phi = make()
     d = qm.part_dim(phi)
     if not faithful.is_symmetric(phi):
@@ -450,6 +453,8 @@ def test_factored_maps_match_the_folded_operator(make, monkeypatch):
     space = gns.gns_space(solver)
     folded = reference.folded_gns(solver)
     assert np.max(np.abs(space.gram - folded[0])) <= 1e-13
+    w, v = np.linalg.eigh(folded[0])
+    sqrt, isqrt = (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
     rng = np.random.default_rng(d)
     cp = qm.random_cp(d, d, n=4)
     complex_ = rng.standard_normal((2, 3, d * d, d * d)) + 1j * rng.standard_normal((2, 3, d * d, d * d))
@@ -462,8 +467,35 @@ def test_factored_maps_match_the_folded_operator(make, monkeypatch):
         rep = gns.gns_rep(space, t)
         assert coords.shape == (*t.choi.shape[:-2], d * d)
         assert rep.shape == (*t.choi.shape[:-2], d * d, d * d)
-        assert np.max(np.abs(coords - reference.folded_transformation_coords(folded, t))) <= 1e-13
-        assert np.max(np.abs(rep - reference.folded_gns_rep(folded, t))) <= 1e-13
+        assert np.max(np.abs(coords - reference.folded_transformation_coords(folded, t) @ sqrt)) <= 1e-13
+        assert np.max(np.abs(rep - sqrt @ reference.folded_gns_rep(folded, t) @ isqrt)) <= 1e-13
+
+
+ORTHONORMAL_STATES = [
+    *((f"canonical-d{d}", lambda d=d: qm.max_entangled(d)) for d in (2, 3, 4)),
+    ("isotropic-d2-p0.6", lambda: _isotropic(2, 0.6)),
+    ("isotropic-d3-p0.2", lambda: _isotropic(3, 0.2)),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORTHONORMAL_STATES], ids=[n for n, _ in ORTHONORMAL_STATES])
+def test_gns_coordinates_are_orthonormal(make):
+    # the coordinates of the lifted basis have the Gram matrix G as
+    # their dot products, so every vector and matrix is written in a
+    # basis orthonormal for the scalar product: pi keeps the identity
+    # and represents the adjoint by the matrix transpose, also where G
+    # is not a multiple of the identity
+    phi = make()
+    d = qm.part_dim(phi)
+    th = core.quantum(d)
+    space = gns.gns_space(gns.TransposeSolver(faithful.Calibration(phi)))
+    lifts = gns.jordan_lift(core.Effect(th, hermitian_basis(d), generalized=True))
+    coords = gns.transformation_coords(space, lifts)
+    assert np.max(np.abs(coords @ coords.T - space.gram)) <= 1e-12
+    assert np.max(np.abs(gns.gns_rep(space, core.identity(th)) - np.eye(d * d))) <= 1e-12
+    a = qm.random_cp(d, d, n=5)
+    rep, adj = gns.gns_rep(space, core.stack([a, gns.adjoint_map(space.solver, a)]))
+    assert np.max(np.abs(adj - np.swapaxes(rep, -1, -2))) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

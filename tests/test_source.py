@@ -5,7 +5,7 @@ function that runs is set to another value in some report, every
 function the benchmark traces by name still exists,
 every check hands its seed to one draw, every rank and pseudo-inverse,
 every positivity test and the coordinate layout are decided in one
-place, only core
+place, only the scalar product reads the GNS Gram matrix, only core
 defines objects that carry a matrix, and the checks take each
 theory-level dimension through the run's context."""
 
@@ -416,6 +416,32 @@ def test_one_place_decides_ranks():
         "pinv": {"m", "m.A.g", "m.h"},
         "PINV_RCOND": {"m", "m.A.g"},
     }
+
+
+def _metric_kind(node):
+    """A call named solve, however it was imported, or a read of an
+    attribute named gram (the GNS Gram matrix)."""
+    if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] == "solve":
+        return "solve"
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr == "gram":
+        return "gram"
+    return None
+
+
+def test_one_place_reads_the_gns_metric():
+    # gns_space whitens the Gram matrix where it builds it, so the GNS
+    # maps work in orthonormal coordinates: no solve is left, and only
+    # the scalar product between effects reads the Gram matrix again
+    assert _all_sites(_metric_kind) == {"gram": {"gns.scalar_product"}}
+    source = (
+        "from numpy.linalg import solve\n"
+        "def f(space, m):\n"
+        "    return np.linalg.solve(space.gram, m), solve(m, m)\n"
+        "def g(space, gram):\n"
+        "    space.gram = gram\n"
+        "    return space.gram_abs, la.solve(m, m), solve\n"
+    )
+    assert _sites(ast.parse(source), "m", _metric_kind) == {"solve": {"m.f", "m.g"}, "gram": {"m.f"}}
 
 
 def _positivity_kind(node):
