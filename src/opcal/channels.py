@@ -9,6 +9,13 @@ Conventions (row-major / C-order vec throughout):
   for Kraus {K}: ``C = sum_k vec(K^T) vec(K^T)^dag``.  The map is
   completely positive iff C is positive semidefinite, and the dual of
   the unit effect is ``T^*(I) = Tr_out C``.
+* realignment ``R[(p, q), (r, s)] = M[(p, r), (q, s)]`` of a joint
+  d^2 x d^2 matrix M (`realign`): the local actions of a map with
+  superoperator S realign to products, ``(S kron I) M -> S R`` on
+  slot 1 and ``(I kron S) M -> R S^T`` on slot 2.  `apply_local_super`
+  is this identity, and the faithful state's calibration and transpose
+  rest on it.  This module alone splits a joint matrix into its four
+  d-indices.
 """
 
 import math
@@ -25,18 +32,12 @@ def kraus_to_choi_matrix(kraus):
     return w.swapaxes(-1, -2) @ w.conj()
 
 
-def _last_four(t, perm):
-    """Permute the last four axes of t."""
-    k = t.ndim - 4
-    return t.transpose(*range(k), *(k + p for p in perm))
-
-
 def _reindex(m, perm):
     """Permute the four d-indices of a d^2 x d^2 matrix, or of each
     matrix in a stack (..., d^2, d^2)."""
     *lead, n, _ = m.shape
-    d = math.isqrt(n)
-    return _last_four(m.reshape(*lead, d, d, d, d), perm).reshape(*lead, n, n)
+    d, k = math.isqrt(n), len(lead)
+    return m.reshape(*lead, d, d, d, d).transpose(*range(k), *(k + p for p in perm)).reshape(*lead, n, n)
 
 
 def choi_to_super(choi):
@@ -75,8 +76,7 @@ def effect_of_choi(choi):
     bra side), so it is transposed back: Tr[effect_of_choi(C) @ rho]
     equals the trace of the map applied to rho.
     """
-    d = math.isqrt(choi.shape[-1])
-    return np.swapaxes(partial_trace(choi, (d, d), 0), -1, -2)
+    return np.swapaxes(partial_trace(choi, 1), -1, -2)
 
 
 def identity_choi(d):
@@ -130,16 +130,22 @@ def is_psd(m, tol):
     return certified if certified.all() else min_eig(m) >= -tol
 
 
-def partial_trace(matrix, dims, keep):
-    """Partial trace of a matrix on a tensor product of subsystems.
+def partial_trace(matrix, slot):
+    """The part on slot 1 or 2 of a d^2 x d^2 matrix, or of each matrix
+    of a stack, with the other slot traced out."""
+    if slot not in (1, 2):
+        raise ValueError("slot must be 1 or 2")
+    *lead, n, _ = matrix.shape
+    d = math.isqrt(n)
+    return np.einsum("...iaja->...ij" if slot == 1 else "...aiaj->...ij", matrix.reshape(*lead, d, d, d, d))
 
-    dims: tuple of subsystem dimensions; keep: index of the subsystem
-    that survives.  A stack of matrices gives a stack of partial traces.
-    """
-    d1, d2 = dims
-    t = np.asarray(matrix)
-    t = t.reshape(*t.shape[:-2], d1, d2, d1, d2)
-    return np.einsum("...iaja->...ij" if keep == 0 else "...aiaj->...ij", t)
+
+def kron(a, b):
+    """a kron b, or that of each pair of two stacks (leading axes
+    broadcast): K[(i, k), (j, l)] = a[i, j] b[k, l]."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    *lead, m, p, n, q = out.shape
+    return out.reshape(*lead, m * p, n * q)
 
 
 def swap(m):
@@ -149,26 +155,16 @@ def swap(m):
     return _reindex(m, (1, 0, 3, 2))
 
 
-def apply_local_super(sup, joint, slot, d):
+def apply_local_super(sup, joint, slot):
     """Apply a single-system superoperator to one slot of a joint
-    d^2 x d^2 matrix (the other slot untouched).  Either may be a stack
-    (..., d^2, d^2); leading axes broadcast.  One matrix product: the
-    superoperator rows (a, b) against the joint matrix regrouped as rows
-    (i, j) of the acted-on slot and columns (x, y) of the other."""
-    joint = np.asarray(joint)
+    d^2 x d^2 matrix (the other slot untouched), as one product in the
+    realigned frame.  Either may be a stack (..., d^2, d^2); leading
+    axes broadcast."""
     if slot == 1:
-        # out[a, x, b, y] = sum_ij S[(a, b), (i, j)] t[i, x, j, y]
-        into, back = (0, 2, 1, 3), (0, 2, 1, 3)
-    elif slot == 2:
-        # out[x, a, y, b] = sum_ij S[(a, b), (i, j)] t[x, i, y, j]
-        into, back = (1, 3, 0, 2), (2, 0, 3, 1)
-    else:
-        raise ValueError("slot must be 1 or 2")
-    t = joint.reshape(*joint.shape[:-2], d, d, d, d)  # [..., i1, i2, j1, j2]
-    regrouped = _last_four(t, into).reshape(*joint.shape[:-2], d * d, d * d)
-    out = sup @ regrouped
-    lead = out.shape[:-2]
-    return _last_four(out.reshape(*lead, d, d, d, d), back).reshape(*lead, d * d, d * d)
+        return realign(sup @ realign(joint))
+    if slot == 2:
+        return realign(realign(joint) @ np.swapaxes(sup, -1, -2))
+    raise ValueError("slot must be 1 or 2")
 
 
 def trace_distance(a, b):

@@ -233,7 +233,7 @@ def _check_classical_violation(ctx, rng, tol):
 
 
 def _check_symmetric(ctx, rng, tol):
-    return faithful.is_symmetric(ctx.phi), {}
+    return ctx.calibration.symmetric, {}
 
 
 def _check_dynamical(ctx, rng, tol):

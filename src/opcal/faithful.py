@@ -13,9 +13,12 @@ involution used downstream as complex conjugation.
 
 The absolute value |F| of the form is a strictly positive scalar
 product, the one `faithful.abs_gram` checks.  Every `gns.*` and
-`born.*` check reads another, the GNS Gram matrix of `gns.gns_space`.
-The two coincide on the maximally entangled state and differ away from
-it: at isotropic p = 0.2 by 46-54% of |F| in Frobenius norm (d = 2-4).
+`born.*` check reads another, the GNS Gram matrix G of
+`gns.gns_space`.  On the isotropic states (1 - p)|Omega><Omega| + p I/d^2
+the two are inverse up to d^2, G = (d^2 |F|)^-1 to 1e-14 for p <= 0.99
+(d = 2-4), so they coincide at p = 0 alone; a symmetrized mixture
+0.7|Omega><Omega| + 0.3 (rho + S rho S)/2 misses that relation by 5e-2
+to 0.2.
 """
 
 from dataclasses import dataclass
@@ -38,11 +41,10 @@ def is_symmetric(phi):
 
 
 def local_action_matrix(phi):
-    """R[(p, q), (r, s)] = Phi[(p, r), (q, s)], the realignment of Phi,
-    which is the matrix of the slot-1 local action on realigned Choi
-    matrices.  Write A~[(a, b), (i, j)] = C[(i, a), (j, b)] for the Choi
-    matrix C of A (its superoperator, `channels.choi_to_super`); then
-    (A, I) Phi realigns to A~ R and (I, A) Phi to R A~^T.  The action
+    """R[(p, q), (r, s)] = Phi[(p, r), (q, s)], the realignment of Phi
+    (`channels.realign`), in whose frame the local actions of a map with
+    superoperator A~ (`channels.choi_to_super`) are A~ R on slot 1 and
+    R A~^T on slot 2 (the `channels` module docstring).  The action
     A~ -> A~ R has R's singular values, each d^2 times, so its rank is
     d^2 rank(R), and nothing of size d^8 is formed."""
     return ch.realign(phi.matrix)
@@ -72,10 +74,13 @@ class Calibration:
     cuts; and, at PINV_RCOND, the transpose solver's R^+ = Bt^T F^+ Bt
     and `cokernel`, the rows U[:, r:]^T Bt spanning the complement of
     R's range (none for a faithful state).  `spectral_split` reads the
-    polar factors of F."""
+    polar factors of F.  Whether Phi is symmetric (`is_symmetric`) is
+    decided here once, for the symmetry check, the split and the GNS
+    space."""
 
     def __init__(self, phi):
         self.phi, self.d = phi, part_dim(phi)
+        self.symmetric = is_symmetric(phi)
         self.realigned = local_action_matrix(phi)
         self.form = form_matrix(self.realigned)
         self.u, self.s, self.vt = np.linalg.svd(self.form)
@@ -125,8 +130,7 @@ def prepare_witness(calibration, target):
     top = np.where(cp, np.linalg.eigvalsh(effect)[..., -1], 1.0)
     lam = np.minimum(np.where(cp, 1.0 / top, 1.0), 1.0)
     # C[(i, a), (j, b)] = lam E[j, i] delta_ab / d
-    scaled = (lam / d)[..., None, None] * effect.swapaxes(-1, -2)
-    choi = (scaled[..., :, None, :, None] * np.eye(d)[:, None, :]).reshape(*e.shape[:-1], d * d, d * d)
+    choi = ch.kron((lam / d)[..., None, None] * effect.swapaxes(-1, -2), np.eye(d))
     witness = Transformation(quantum(d), choi, generalized=not cp.all())
     return witness, _per_element(lam * prob)
 
@@ -152,7 +156,7 @@ def spectral_split(calibration):
     (p+- = (I +- sigma) / 2), and |F| = V S V^T; both are made exactly
     symmetric.  A singular value at the zero cutoff raises rather than
     being assigned a sign (the input is not faithful)."""
-    if not is_symmetric(calibration.phi):
+    if not calibration.symmetric:
         raise NotFaithful("spectral split needs a symmetric joint state")
     u, s, vt = calibration.u, calibration.s, calibration.vt
     if s[-1] <= ZERO_CUTOFF:

@@ -26,7 +26,7 @@ from . import channels as ch
 from .basis import hermitian_basis, to_coords
 from .core import Effect, Transformation, compose, pair, quantum, stack
 from .errors import NotFaithful
-from .faithful import conjugate_transformation, is_symmetric, prepare_witness
+from .faithful import conjugate_transformation, prepare_witness
 from .quantum import local_state
 from .tolerances import GRAM_FLOOR, TRANSPOSE_RESID
 
@@ -39,8 +39,8 @@ class TransposeSolver:
 
     Realigned, the equation is one d^2 x d^2 matrix identity.  With R
     the realignment of Phi (`faithful.local_action_matrix`) and A~ the
-    superoperator of A (`channels.choi_to_super`), (A, I) Phi realigns
-    to A~ R and (I, A') Phi to R A'~^T, so A'~^T = R^+ A~ R: a
+    superoperator of A, the realigned-frame identity of `channels`
+    reads A~ R = R A'~^T, so A'~^T = R^+ A~ R: a
     similarity by R where R is invertible (R = I/d on the maximally
     entangled state).  The part of A~ R outside the range of R is the
     residual.  R, R^+ and the complement of R's range are read off the
@@ -82,12 +82,8 @@ def jordan_lift(e):
     """Canonical generalized transformation with a given effect:
     rho -> (E rho + rho E) / 2.  Linear in E, Hermiticity-preserving,
     and its action on the identity also equals E."""
-    d = e.theory.d
-    eye = np.eye(d)
-    m = e.matrix
-    # kron(E, I) + kron(I, conj E), for each E of a stack
-    sup = np.einsum("...ac,bd->...abcd", m, eye) + np.einsum("ac,...bd->...abcd", eye, m.conj())
-    sup = 0.5 * sup.reshape(*m.shape[:-2], d * d, d * d)
+    eye, m = np.eye(e.theory.d), e.matrix
+    sup = 0.5 * (ch.kron(m, eye) + ch.kron(eye, m.conj()))
     return Transformation(e.theory, ch.super_to_choi(sup), generalized=True)
 
 
@@ -133,7 +129,7 @@ def gns_space(solver):
     orthonormal coordinates; requires a symmetric faithful state with a
     strictly positive scalar product (positive definite Gram)."""
     phi = solver.phi
-    if not is_symmetric(phi):
+    if not solver.calibration.symmetric:
         raise NotFaithful("GNS construction needs a symmetric joint state")
     d, n = solver.d, solver.d**2
     lifts = jordan_lift(Effect(quantum(d), hermitian_basis(d), generalized=True))

@@ -221,7 +221,7 @@ def check_bell_ic(d):
     """A joint discriminating observable plus the generic ancilla
     preparation induces a minimal IC observable on the system."""
     joint = bell_basis_observable(d).effects.matrix
-    margs = ch.partial_trace(np.kron(np.eye(d), generic_ancilla_state(d)) @ joint, (d, d), 0)
+    margs = ch.partial_trace(np.kron(np.eye(d), generic_ancilla_state(d)) @ joint, 1)
     return is_minimal_ic(Observable(Effect(quantum(d), margs)))
 
 

@@ -45,11 +45,8 @@ def max_entangled(d):
 def local_state(joint, n):
     """Local state of slot n: the joint paired with a transformation on
     that slot and identity elsewhere (partial trace over the other)."""
-    if n not in (1, 2):
-        raise ValueError("slot must be 1 or 2")
     d = part_dim(joint)
-    rho = ch.partial_trace(joint.matrix, (d, d), n - 1)
-    return Weight(quantum(d), rho).normalize()
+    return Weight(quantum(d), ch.partial_trace(joint.matrix, n)).normalize()
 
 
 def apply_local(joint, t, slot):
@@ -57,7 +54,7 @@ def apply_local(joint, t, slot):
     d = part_dim(joint)
     if t.theory.d != d:
         raise DimensionMismatch(f"transformation dimension {t.theory.d} != joint slot {d}")
-    out = ch.apply_local_super(t.super, joint.matrix, slot, d)
+    out = ch.apply_local_super(t.super, joint.matrix, slot)
     return Weight(joint.theory, out, t.generalized or joint.generalized)
 
 
@@ -75,8 +72,7 @@ def signaling_residual(joint, experiment):
     experiment, which would report a spurious violation, cannot reach
     it: an Experiment is complete (to COMPLETENESS_TOL) once built."""
     after = apply_local(joint, experiment.deterministic_sum(), 1)
-    d = part_dim(joint)
-    lhs = ch.partial_trace(after.matrix, (d, d), 1)
+    lhs = ch.partial_trace(after.matrix, 2)
     return float(np.max(np.abs(lhs - local_state(joint, 2).matrix)))
 
 

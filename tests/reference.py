@@ -9,7 +9,7 @@ Kraus superoperator, the joint bilinear form and its absolute value,
 the involution on states, the positivity decision by the spectrum
 alone, the rank by singular values alone, the real view of a complex
 matrix and the coordinates of every whole family a rank reads, the
-local action of either slot built through superoperators and the
+local action of either slot built index by index and the
 faithfulness predicates on its rank,
 the Choi-basis construction of the witness equations, the einsum of
 the bilinear form, the least-squares and closed-form preparation
@@ -20,7 +20,7 @@ measurement that a dimension table takes and the pass predicates of
 the table, the spanning family as
 separate states and the two equivalences decided on it one state at a
 time, product states, the
-samplers: pure states, unitaries, and one-sample-at-a-time formulas
+samplers: unitaries, and one-sample-at-a-time formulas
 that the stack-aware samplers must reproduce from the same draws, and
 the GNS maps folded onto the real views of Choi matrices."""
 
@@ -310,13 +310,15 @@ def coordinate_rank_inputs(d, backend):
 
 def local_action_oracle(phi, slot):
     """Matrix of A -> (A, I) Phi (slot 1) or (I, A) Phi (slot 2) on
-    Choi coordinates, built as the superoperator of every Choi basis
-    element applied to that slot of Phi, then converted to
-    coordinates."""
+    Choi coordinates, built as every Choi basis element C_k contracted
+    with that slot of Phi index by index,
+    (A, I) Phi[(a, x), (b, y)] = sum_ij C[(i, a), (j, b)] Phi[(i, x), (j, y)],
+    then converted to coordinates."""
     d = part_dim(phi)
-    cb = hermitian_basis(d * d)
-    out = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, slot, d)
-    return to_coords(out, d**4).T
+    cb = hermitian_basis(d * d).reshape(-1, d, d, d, d)
+    spec = "kiajb,ixjy->kaxby" if slot == 1 else "kiajb,xiyj->kxayb"
+    out = np.einsum(spec, cb, phi.matrix.reshape(d, d, d, d))
+    return to_coords(out.reshape(-1, d * d, d * d), d**4).T
 
 
 def choi_basis_witness_matrix(phi):
@@ -447,13 +449,6 @@ def product_state(w1, w2):
     m1 = w1.matrix if hasattr(w1, "matrix") else np.asarray(w1)
     m2 = w2.matrix if hasattr(w2, "matrix") else np.asarray(w2)
     return joint_state(m1.shape[0], np.kron(m1, m2))
-
-
-def random_pure(d, seed):
-    """Haar-random unit vector (normalized complex Gaussian)."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
 
 
 def random_unitary(d, seed):

@@ -348,12 +348,27 @@ def test_effect_of_choi_is_kraus_sum():
 
 
 def test_partial_trace_of_product():
-    rng = np.random.default_rng(3)
-    a = _random_hermitian(2, 1)
-    b = _random_hermitian(3, 2)
-    joint = np.kron(a, b)
-    assert_allclose(ch.partial_trace(joint, (2, 3), 0), a * np.trace(b), atol=1e-12)
-    assert_allclose(ch.partial_trace(joint, (2, 3), 1), b * np.trace(a), atol=1e-12)
+    # the part on each slot of a kron(a, b), and of each matrix of a stack
+    for d in (2, 3):
+        a = _random_hermitian(d, 1)
+        b = _random_hermitian(d, 2)
+        joint = np.kron(a, b)
+        assert_allclose(ch.partial_trace(joint, 1), a * np.trace(b), atol=1e-12)
+        assert_allclose(ch.partial_trace(joint, 2), b * np.trace(a), atol=1e-12)
+        assert_allclose(ch.partial_trace(np.array([joint, 2 * joint]), 2)[1], 2 * b * np.trace(a), atol=1e-12)
+    with pytest.raises(ValueError):
+        ch.partial_trace(joint, 0)
+
+
+def test_kron_matches_numpy_on_stacks():
+    # bit for bit against np.kron: two stacks pairwise, and a stack
+    # against one matrix on either side
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    b = rng.standard_normal((2, 2, 2))
+    assert np.array_equal(ch.kron(a, b), [np.kron(x, y) for x, y in zip(a, b)])
+    assert np.array_equal(ch.kron(a, b[0]), [np.kron(x, b[0]) for x in a])
+    assert np.array_equal(ch.kron(b[0], a), [np.kron(b[0], x) for x in a])
 
 
 def test_swap():
@@ -391,9 +406,9 @@ def test_apply_local_super_on_products():
     a = _random_hermitian(2, 1)
     b = _random_hermitian(2, 2)
     joint = np.kron(a, b)
-    out1 = ch.apply_local_super(sup, joint, 1, 2)
+    out1 = ch.apply_local_super(sup, joint, 1)
     assert_allclose(out1, np.kron(ch.apply_super(sup, a), b), atol=1e-12)
-    out2 = ch.apply_local_super(sup, joint, 2, 2)
+    out2 = ch.apply_local_super(sup, joint, 2)
     assert_allclose(out2, np.kron(a, ch.apply_super(sup, b)), atol=1e-12)
 
 
@@ -408,11 +423,11 @@ def test_apply_local_super_matches_kraus_on_stacks(d):
     joint = g @ g.conj().T
     eye = np.eye(d)
     for slot in (1, 2):
-        got = ch.apply_local_super(sups, joint, slot, d)
+        got = ch.apply_local_super(sups, joint, slot)
         assert got.shape == (3, d * d, d * d)
         for ks, out in zip(kraus, got):
             lifted = [np.kron(k, eye) if slot == 1 else np.kron(eye, k) for k in ks]
             want = sum(k @ joint @ k.conj().T for k in lifted)
             assert_allclose(out, want, atol=1e-12)
         # one superoperator without a stack axis
-        assert_allclose(ch.apply_local_super(sups[0], joint, slot, d), got[0], atol=1e-14)
+        assert_allclose(ch.apply_local_super(sups[0], joint, slot), got[0], atol=1e-14)

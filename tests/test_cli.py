@@ -386,6 +386,7 @@ def _opcal_calls(run):
 
 # The functions that build a run's shared objects, and the witnesses
 BUILDS = (
+    "faithful.is_symmetric",
     "faithful.local_action_matrix",
     "faithful.Calibration.__init__",
     "faithful.spectral_split",
@@ -406,7 +407,8 @@ def _builds(spec, suite):
 
 
 def test_run_builds_shared_objects_once(monkeypatch):
-    # one calibration per run realigns phi and factors its form once;
+    # one calibration per run decides symmetry, realigns phi and
+    # factors its form once;
     # the dynamical rank, the witnesses' F^+, the spectral split and the
     # transpose solver are all read off it, so no pseudo-inverse is
     # taken, and the only other factorizations are the GNS Gram's and
@@ -416,6 +418,7 @@ def test_run_builds_shared_objects_once(monkeypatch):
     for d, phi in ((2, None), (3, iso3)):
         spec = cli.validate_spec(cli.TheorySpec(d=d, phi_override=phi))
         assert _builds(spec, "all") == {
+            "faithful.is_symmetric": 1,
             "faithful.local_action_matrix": 1,
             "faithful.Calibration.__init__": 1,
             "faithful.spectral_split": 1,
@@ -429,6 +432,7 @@ def test_run_builds_shared_objects_once(monkeypatch):
         }
     # the GNS space is built on the solver alone, with no spectral split
     assert _builds(cli.TheorySpec(d=2), "gns") == {
+        "faithful.is_symmetric": 1,
         "faithful.local_action_matrix": 1,
         "faithful.Calibration.__init__": 1,
         "gns.TransposeSolver.__init__": 1,
@@ -444,6 +448,7 @@ def test_run_builds_shared_objects_once(monkeypatch):
     for phi in (None, iso):
         spec = cli.validate_spec(cli.TheorySpec(d=2, phi_override=phi))
         assert _builds(spec, "faithful") == {
+            "faithful.is_symmetric": 1,
             "faithful.local_action_matrix": 1,
             "faithful.Calibration.__init__": 1,
             "faithful.spectral_split": 1,

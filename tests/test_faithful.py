@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -127,8 +127,8 @@ def _marginal_matrix_by_action(phi):
     # reference: apply each Choi basis element to slot 1, then trace it out
     d = qm.part_dim(phi)
     cb = hermitian_basis(d * d)
-    outs = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, 1, d)
-    return to_coords(ch.partial_trace(outs, (d, d), 1), d * d).T
+    outs = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, 1)
+    return to_coords(ch.partial_trace(outs, 2), d * d).T
 
 
 def _marginal_matrix_by_form(phi):
@@ -286,11 +286,13 @@ def _same_raise(expected, got):
 
 @given(state=_calibrated_states(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
+@example(state=("random", qm.random_state(16, 23015)), seed=3)  # witness entries up to 930 at cond 2e4
 def test_calibration_matches_the_separate_factorizations(state, seed):
     # the one SVD of F against a complex SVD of R for the rank and the
     # transpose, eigh of the symmetrized F for the split and the Choi-basis
     # least squares for the witness: the same rank, signature and
-    # raises, and values that agree to rounding scaled by cond(F)
+    # raises, and values that agree to rounding scaled by cond(F) and,
+    # for the matrices, by their largest entry
     kind, phi = state
     d = qm.part_dim(phi)
     calibration = faithful.Calibration(phi)
@@ -318,7 +320,7 @@ def test_calibration_matches_the_separate_factorizations(state, seed):
         return
     witness, prob = faithful.prepare_witness(calibration, target)
     choi, want_prob = lstsq_witness(phi, target)
-    assert np.max(np.abs(witness.choi - choi)) <= 1e-13 * cond
+    assert np.max(np.abs(witness.choi - choi)) <= 1e-14 * cond * np.max(np.abs(choi))
     assert abs(prob - want_prob) <= 1e-13 * cond
 
 

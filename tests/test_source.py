@@ -4,10 +4,11 @@ every function runs in some report, every defaulted parameter of a
 function that runs is set to another value in some report, every
 function the benchmark traces by name still exists,
 every check hands its seed to one draw, every rank and pseudo-inverse,
-every positivity test and the coordinate layout are decided in one
-place, only the scalar product reads the GNS Gram matrix, only core
-defines objects that carry a matrix, and the checks take each
-theory-level dimension through the run's context."""
+every positivity test, the coordinate layout and the four-index layout
+of joint matrices are decided in one place, only the scalar product
+reads the GNS Gram matrix, only core defines objects that carry a
+matrix, and the checks take each theory-level dimension through the
+run's context."""
 
 import ast
 import importlib
@@ -498,6 +499,58 @@ def test_one_place_lays_out_coordinates():
         "    return view(m), m.real, m.copy()\n"
     )
     assert _sites(ast.parse(source), "m", _view_kind) == {"view": {"m.f", "m.g"}}
+
+
+def _joint_layout_kind(node):
+    """Where a module splits a matrix into four indices itself: a
+    reshape whose last four sizes (as arguments or in one tuple) are one
+    expression, an interleaved
+    [..., :, None, :, None] broadcast, or an einsum with a four-index
+    output (explicit or implicit)."""
+    if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] == "reshape":
+        args = node.args[-1].elts if node.args and isinstance(node.args[-1], ast.Tuple) else node.args
+        sizes = [ast.dump(a) for a in args[-4:] if not isinstance(a, ast.Starred)]
+        return "reshape" if len(sizes) == 4 and len(set(sizes)) == 1 else None
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+        marks = "".join(
+            ":" if isinstance(e, ast.Slice) and e.lower is e.upper is e.step is None
+            else "n" if isinstance(e, ast.Constant) and e.value is None
+            else "."
+            for e in node.slice.elts
+        )
+        return "broadcast" if ":n:n" in marks or "n:n:" in marks else None
+    if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] == "einsum":
+        spec = node.args[0].value.replace("...", "") if isinstance(node.args[0], ast.Constant) else ""
+        inputs, arrow, out = spec.partition("->")
+        if not arrow:
+            out = [c for c in inputs if c.isalpha() and inputs.count(c) == 1]
+        return "einsum" if len(out) >= 4 else None
+    return None
+
+
+def test_one_place_lays_out_joint_matrices():
+    # channels alone splits a d^2 x d^2 matrix into its four d-indices:
+    # its reindexings (realign, the Choi-superoperator exchange, swap),
+    # partial_trace and kron; every other module goes through those
+    assert _all_sites(_joint_layout_kind) == {
+        "reshape": {"channels._reindex", "channels.partial_trace"},
+        "broadcast": {"channels.kron"},
+    }
+    source = (
+        "def f(m, d):\n"
+        "    return m.reshape(*m.shape[:-2], d, d, d, d), m.reshape(-1, 1, d, d), m.reshape(n, d * d)\n"
+        "def k(m, d):\n"
+        "    return np.reshape(m, (d, d, d, d)), m.reshape((-1, d, d))\n"
+        "def g(a, b, d):\n"
+        "    return a[..., :, None, :, None] * b, np.eye(d)[:, None, :], a[..., None, None]\n"
+        "def h(m, e):\n"
+        "    return np.einsum('...ac,bd->...abcd', m, e), np.einsum('ac,bd', m, e), np.einsum('kij->kji', m)\n"
+    )
+    assert _sites(ast.parse(source), "m", _joint_layout_kind) == {
+        "reshape": {"m.f", "m.k"},
+        "broadcast": {"m.g"},
+        "einsum": {"m.h"},
+    }
 
 
 MEASUREMENTS = ("informational_dimension", "affine_state_dimension", "dim_identities")

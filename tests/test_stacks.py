@@ -129,7 +129,7 @@ def _no_signaling_per_sample(ctx, samples, tol):
     for _ in range(checks.SAMPLES):
         joint, exp = next(samples), next(samples)
         after = qm.apply_local(joint, exp.deterministic_sum(), 1)
-        lhs = ch.partial_trace(after.matrix, (qm.part_dim(joint), qm.part_dim(joint)), 1)
+        lhs = ch.partial_trace(after.matrix, 2)
         worst = max(worst, float(np.max(np.abs(lhs - qm.local_state(joint, 2).matrix))))
     phi = qm.max_entangled(spec.d)
     p0 = np.zeros((spec.d, spec.d))
@@ -644,12 +644,12 @@ def test_local_action_on_joint_stacks_matches_per_element(d):
     for slot in (1, 2):
         # one map on every joint, and map i on joint i
         _close(
-            ch.apply_local_super(sups[0], stacked, slot, d),
-            [ch.apply_local_super(sups[0], j.matrix, slot, d) for j in joints],
+            ch.apply_local_super(sups[0], stacked, slot),
+            [ch.apply_local_super(sups[0], j.matrix, slot) for j in joints],
         )
         _close(
-            ch.apply_local_super(sups, stacked, slot, d),
-            [ch.apply_local_super(s, j.matrix, slot, d) for s, j in zip(sups, joints)],
+            ch.apply_local_super(sups, stacked, slot),
+            [ch.apply_local_super(s, j.matrix, slot) for s, j in zip(sups, joints)],
         )
     _close(
         qm.local_state(core.stack(joints), 2).matrix,
