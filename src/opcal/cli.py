@@ -114,6 +114,8 @@ def validate_spec(spec):
         errors.append("seed must fit in 64 bits")
     if not (np.isfinite(spec.tol) and spec.tol > 0):
         errors.append(f"tol must be finite and positive, got {spec.tol}")
+    if spec.phi_override is not None and spec.backend == "classical":
+        errors.append("phi applies to the quantum backend only")
     if spec.phi_override is not None and not errors:
         m = spec.phi_override
         n = spec.d * spec.d
@@ -145,8 +147,12 @@ def validate_spec(spec):
 def load_theory(path):
     """Read and validate a theory file; unknown and repeated keys are
     rejected so typos fail loudly."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not valid UTF-8") from exc
     fields = {}
     for lineno, key, value in parse_kv(text):
         try:
@@ -198,30 +204,39 @@ def _fmt_float(x):
     return f"{float(x):.17e}"
 
 
+def _fmt_values(values):
+    return ";".join(f"{k}:{_fmt_float(v)}" for k, v in sorted(values.items()))
+
+
+def _parse_values(text):
+    return {k: float(v) for k, v in (item.split(":", 1) for item in text.split(";"))} if text else {}
+
+
+# The structured format: each line's key with its to-text and from-text
+# conversions, in emit order.  A check's `error` line follows its values
+# for an error status only.  parse_kv reads `#` and line breaks as syntax,
+# the values codec `:` and `;`: no field holds the first two, no value key
+# any of the four.
+REPORT_FIELDS = (("suite", str, str), ("backend", str, str), ("d", str, int), ("seed", str, int),
+                 ("version", str, str), ("checks", len, int))
+CHECK_FIELDS = (("name", str, str), ("status", str, str), ("tolerance", _fmt_float, float),
+                ("detail", str, str), ("values", _fmt_values, _parse_values))
+ERROR_FIELDS = CHECK_FIELDS + (("error", str, str),)
+
+
+def _check_fields(status):
+    return ERROR_FIELDS if status == "error" else CHECK_FIELDS
+
+
 def emit_report(report, fmt="text"):
     """Render a report: `text` is an aligned human-readable table,
-    `structured` is the key/value syntax accepted by parse_kv (stable
-    field order, floats in full-precision scientific notation)."""
+    `structured` the lines of REPORT_FIELDS and, per check, of
+    CHECK_FIELDS in the key/value syntax accepted by parse_kv."""
     if fmt == "structured":
-        lines = [
-            f"suite = {report.suite}",
-            f"backend = {report.backend}",
-            f"d = {report.d}",
-            f"seed = {report.seed}",
-            f"version = {report.version}",
-            f"checks = {len(report.checks)}",
-        ]
+        lines = [f"{key} = {write(getattr(report, key))}" for key, write, _ in REPORT_FIELDS]
         for i, c in enumerate(report.checks):
-            lines.append(f"check.{i}.name = {c.name}")
-            lines.append(f"check.{i}.status = {c.status}")
-            lines.append(f"check.{i}.tolerance = {_fmt_float(c.tolerance)}")
-            lines.append(f"check.{i}.detail = {c.detail}")
-            values = ";".join(
-                f"{k}:{_fmt_float(v)}" for k, v in sorted(c.values.items())
-            )
-            lines.append(f"check.{i}.values = {values}")
-            if c.status == "error":
-                lines.append(f"check.{i}.error = {c.error}")
+            for key, write, _ in _check_fields(c.status):
+                lines.append(f"check.{i}.{key} = {write(getattr(c, key))}")
         return "\n".join(lines) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
@@ -248,33 +263,13 @@ def parse_report(text):
     """Inverse of emit_report(..., "structured"); shares parse_kv with
     the theory loader."""
     kv = {k: v for _, k, v in parse_kv(text)}
-    n = int(kv["checks"])
+    fields = {key: read(kv[key]) for key, _, read in REPORT_FIELDS}
     checks = []
-    for i in range(n):
-        values = {}
-        raw = kv[f"check.{i}.values"]
-        if raw:
-            for item in raw.split(";"):
-                key, val = item.split(":", 1)
-                values[key] = float(val)
-        checks.append(
-            CheckResult(
-                name=kv[f"check.{i}.name"],
-                detail=kv[f"check.{i}.detail"],
-                status=kv[f"check.{i}.status"],
-                tolerance=float(kv[f"check.{i}.tolerance"]),
-                values=values,
-                error=kv.get(f"check.{i}.error", ""),
-            )
-        )
-    return Report(
-        suite=kv["suite"],
-        backend=kv["backend"],
-        d=int(kv["d"]),
-        seed=int(kv["seed"]),
-        version=kv["version"],
-        checks=checks,
-    )
+    for i in range(fields["checks"]):
+        p = f"check.{i}."
+        checks.append(CheckResult(**{key: read(kv[p + key]) for key, _, read in _check_fields(kv[p + "status"])}))
+    fields["checks"] = checks
+    return Report(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ class TransposeSolver:
         cal = self.calibration
         n = cal.realigned.shape[0]
         # A~ R, one product for a whole stack
-        action = (ch.choi_to_super(t.choi).reshape(-1, n) @ cal.realigned).reshape(-1, n, n)
+        action = (t.super.reshape(-1, n) @ cal.realigned).reshape(-1, n, n)
         if cal.cokernel.size:  # an R of full rank leaves no residual
             resid = np.linalg.norm(cal.cokernel @ action, axis=(-2, -1))
             bound = TRANSPOSE_RESID * np.maximum(np.linalg.norm(action, axis=(-2, -1)), 1.0)
@@ -137,7 +137,7 @@ def gns_space(solver):
     # = Tr[X^dag Y], so the pairing is Re(vec(conj E_j) . S_T vec(conj rho2^T))
     effects = adjoint_map(solver, lifts).effect().matrix.conj().reshape(n, n)
     state = local_state(phi, 2).matrix.T.conj().reshape(n)
-    lifted = (ch.choi_to_super(lifts.choi) @ state).T
+    lifted = (lifts.super @ state).T
     gram = (effects @ lifted).real
     gram = (gram + gram.T) / 2.0
     w, v = np.linalg.eigh(gram)
@@ -161,7 +161,7 @@ def transformation_coords(space, t):
     pairings with the whitened lifted basis (two transformations share
     a vector iff their difference has zero norm).  The leading axes of
     a stack are kept: two matrix products for the whole stack."""
-    return ((ch.choi_to_super(t.choi) @ space.state) @ space.effects.T).real
+    return ((t.super @ space.state) @ space.effects.T).real
 
 
 def gns_rep(space, t):
@@ -169,7 +169,7 @@ def gns_rep(space, t):
     coordinates, Re(effects S_A lifted); a homomorphism with
     pi(identity) = identity, and pi(A-dagger) is the transpose of
     pi(A)."""
-    return (space.effects @ ch.choi_to_super(t.choi) @ space.lifted).real
+    return (space.effects @ t.super @ space.lifted).real
 
 
 def gns_norm(space, t):

@@ -1,5 +1,6 @@
 """Theory files, suite execution, report formats, and exit codes."""
 
+import math
 import os
 import pathlib
 import subprocess
@@ -9,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import opcal
 from opcal import channels as ch
@@ -77,6 +80,30 @@ def test_load_theory_repeated_key(tmp_path, capsys):
 def test_load_theory_bad_value(tmp_path):
     with pytest.raises(ParseError, match="line 2"):
         cli.load_theory(_write(tmp_path, "backend = quantum\nd = two\n"))
+
+
+def test_load_theory_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    # a decoding failure is a parse error (exit 2), not a traceback with
+    # the exit code of a failed check
+    path = tmp_path / "t.theory"
+    path.write_bytes(b"d = 2\n# caf\xe9\nseed = 1\n")
+    with pytest.raises(ParseError, match="byte 11 is not valid UTF-8$"):
+        cli.load_theory(str(path))
+    assert cli.main(["--theory", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: byte 11 is not valid UTF-8\n"
+
+
+def test_phi_applies_to_the_quantum_backend_only(tmp_path, capsys):
+    # no classical check reads phi, so an override there would go unread
+    phi = "phi = " + " ".join(f"{x!r}" for x in qm.max_entangled(2).matrix.real.reshape(-1).tolist())
+    with pytest.raises(ValidationError, match="phi applies to the quantum backend only"):
+        cli.load_theory(_write(tmp_path, f"backend = classical\nd = 2\n{phi}\n"))
+    quantum = _write(tmp_path, f"backend = quantum\nd = 2\n{phi}\n", name="q.theory")
+    assert cli.load_theory(quantum).phi_override is not None
+    rc = cli.main(["--theory", quantum, "--backend", "classical"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "error: phi applies to the quantum backend only\n"
 
 
 def test_load_theory_complex_matrix(tmp_path):
@@ -214,6 +241,81 @@ def test_parse_report_repeated_key():
         cli.parse_report(text + "check.0.status = fail\nd = 3\n")
     with pytest.raises(ParseError, match=f"line {n + 1}: field 'd' repeats line 3$"):
         cli.parse_report(text + "d = 3\n")
+
+
+# what parse_kv and the values codec read as syntax: no report field
+# holds "#" or a line break, no value key ":" or ";" either, and
+# parse_kv strips each value of its surrounding whitespace
+def _text(reserved):
+    chars = st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters=reserved)
+    return st.text(chars).map(str.strip)
+
+
+_FIELD_TEXT = _text("#")
+_VALUE_KEY = _text("#:;").filter(bool)
+_FLOATS = st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308]) | st.floats()
+
+
+@st.composite
+def _reports(draw):
+    checks = []
+    for _ in range(draw(st.integers(0, 4))):
+        status = draw(st.sampled_from(["pass", "fail", "error"]))
+        checks.append(cli.CheckResult(
+            name=draw(_FIELD_TEXT),
+            detail=draw(_FIELD_TEXT),
+            status=status,
+            tolerance=draw(_FLOATS),
+            values=draw(st.dictionaries(_VALUE_KEY, _FLOATS, max_size=4)),
+            error=draw(_FIELD_TEXT) if status == "error" else "",
+        ))
+    return cli.Report(
+        suite=draw(_FIELD_TEXT),
+        backend=draw(_FIELD_TEXT),
+        d=draw(st.integers(0, 10**6)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        version=draw(_FIELD_TEXT),
+        checks=checks,
+    )
+
+
+def _same_float(a, b):
+    """Equal as floats, NaN equal to NaN and -0.0 told from 0.0."""
+    return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+
+
+_SPECIAL = {"neg_zero": -0.0, "inf": math.inf, "neg_inf": -math.inf, "nan": math.nan, "tiny": 5e-324, "huge": 1e308}
+
+
+@given(report=_reports())
+@example(report=cli.Report("all", "quantum", 2, 0, "0.1.0", [
+    cli.CheckResult("a.pass", "no values", "pass", 1e-9, {}),
+    cli.CheckResult("a.fail", "special values", "fail", math.nan, _SPECIAL),
+    cli.CheckResult("a.error", "an error", "error", -0.0, {}, "LinAlgError: SVD did not converge"),
+]))
+@settings(max_examples=100, deadline=None)
+def test_structured_round_trip_carries_every_field(report):
+    text = cli.emit_report(report, "structured")
+    back = cli.parse_report(text)
+    assert cli.emit_report(back, "structured") == text
+    header = ("suite", "backend", "d", "seed", "version")
+    assert [getattr(back, k) for k in header] == [getattr(report, k) for k in header]
+    assert len(back.checks) == len(report.checks)
+    for got, want in zip(back.checks, report.checks):
+        assert (got.name, got.detail, got.status, got.error) == (want.name, want.detail, want.status, want.error)
+        assert _same_float(got.tolerance, want.tolerance)
+        assert got.values.keys() == want.values.keys()
+        assert all(_same_float(got.values[k], v) for k, v in want.values.items())
+
+
+@pytest.mark.parametrize("backend", core.BACKENDS)
+def test_reports_hold_no_structured_syntax(backend):
+    # the field table writes names, details and value keys as they are
+    for name, detail, *_ in checks.CHECKS:
+        assert not set(name + detail) & {"#", "\n"}, name
+    report = cli.run_suite(cli.TheorySpec(backend=backend, d=2), "all")
+    keys = {key for c in report.checks for key in c.values}
+    assert keys and not {key for key in keys if set(key) & {":", ";", "#", "\n"}}
 
 
 def test_text_report_flags_failures():

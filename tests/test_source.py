@@ -553,6 +553,31 @@ def test_one_place_lays_out_joint_matrices():
     }
 
 
+def _superoperator_kind(node):
+    """A call named choi_to_super, however it was imported."""
+    if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] == "choi_to_super":
+        return "choi_to_super"
+    return None
+
+
+def test_one_place_converts_choi_to_super():
+    # a map's superoperator is Transformation.super; every other module
+    # reads it there, so core alone converts an encoding into the other
+    assert _all_sites(_superoperator_kind) == {"choi_to_super": {"core.Transformation.super"}}
+    source = (
+        "from .channels import choi_to_super\n"
+        "class T:\n"
+        "    @property\n"
+        "    def super(self):\n"
+        "        return ch.choi_to_super(self.choi)\n"
+        "def f(t):\n"
+        "    return choi_to_super(t.choi) @ t.super, ch.super_to_choi(t.super)\n"
+        "def g(t):\n"
+        "    return t.super, ch.choi_to_super\n"
+    )
+    assert _sites(ast.parse(source), "m", _superoperator_kind) == {"choi_to_super": {"m.T.super", "m.f"}}
+
+
 MEASUREMENTS = ("informational_dimension", "affine_state_dimension", "dim_identities")
 
 
