@@ -79,10 +79,6 @@ def effect_of_choi(choi):
     return np.swapaxes(partial_trace(choi, 1), -1, -2)
 
 
-def identity_choi(d):
-    return kraus_to_choi_matrix([np.eye(d)])
-
-
 def _twice_hermitian_part(m):
     """m^dag + m (of each matrix of a stack) in one new buffer."""
     h = np.swapaxes(m, -1, -2).copy()

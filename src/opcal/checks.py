@@ -154,14 +154,8 @@ def _check_contraction(ctx, rng, tol):
 
 
 def _check_coexistence(ctx, rng, tol):
-    spec = ctx.spec
-    th = spec.theory()
-    if spec.backend == "classical":
-        half = qm.classical_map(np.eye(spec.d) * 0.5)
-        big = qm.classical_map(np.eye(spec.d) * 0.7)
-    else:
-        half = core.scale(0.5, core.identity(th))
-        big = core.scale(0.7, core.identity(th))
+    ident = core.identity(ctx.spec.theory())
+    half, big = core.scale(0.5, ident), core.scale(0.7, ident)
     # add raises NotCoexistent unless half and half are coexistent
     sum_norm = core.trans_norm(core.add(half, half))
     ok = not core.coexistent(big, big) and abs(sum_norm - 1.0) <= tol

@@ -13,6 +13,7 @@ check its sub-seed; a check that draws builds one Generator from it.
 """
 
 import argparse
+import codecs
 import hashlib
 import sys
 import time
@@ -33,8 +34,8 @@ SCALAR_FIELDS = {"backend": str, "d": int, "seed": int, "tol": float}
 # Largest accepted dimension: memory grows as d^8, the size of the d^4
 # spanning states of C^(d^2) and of the d^4 Choi matrices of `table1.T`,
 # each d^2 x d^2 (1.6 GB apiece at d=10).  A process running two d=5
-# `all` reports with one BLAS thread peaks at 60.6-60.7 MB resident, and
-# a warm d=5 `all` report takes 0.10-0.14 s (numpy 2.4, 2 shared vCPUs).
+# `all` reports with one BLAS thread peaks at 60.3-60.7 MB resident, and
+# a warm d=5 `all` report takes 0.09-0.13 s (numpy 2.4, 2 shared vCPUs).
 MAX_D = 5
 
 
@@ -111,7 +112,7 @@ def validate_spec(spec):
     elif spec.d > MAX_D:
         errors.append(f"d must be <= {MAX_D}, got {spec.d} (memory grows as d^8)")
     if not 0 <= spec.seed < 2**64:
-        errors.append("seed must fit in 64 bits")
+        errors.append(f"seed must be in [0, 2**64), got {spec.seed}")
     if not (np.isfinite(spec.tol) and spec.tol > 0):
         errors.append(f"tol must be finite and positive, got {spec.tol}")
     if spec.phi_override is not None and spec.backend == "classical":
@@ -146,13 +147,16 @@ def validate_spec(spec):
 
 def load_theory(path):
     """Read and validate a theory file; unknown and repeated keys are
-    rejected so typos fail loudly."""
+    rejected so typos fail loudly.  A leading UTF-8 byte-order mark is
+    dropped; a byte that is not UTF-8 is named by its offset in the file."""
     with open(path, "rb") as fh:
         data = fh.read()
+    body = data.removeprefix(codecs.BOM_UTF8)
     try:
-        text = data.decode("utf-8")
+        text = body.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: byte {exc.start} is not valid UTF-8") from exc
+        offset = len(data) - len(body) + exc.start
+        raise ParseError(f"{path}: byte {offset} is not valid UTF-8") from exc
     fields = {}
     for lineno, key, value in parse_kv(text):
         try:

@@ -168,7 +168,11 @@ class Transformation:
 
 
 def identity(theory):
-    return Transformation(theory, ch.identity_choi(theory.d))
+    """The identity map in its backend's encoding: the Kraus operator I,
+    or on the classical backend the vertex maps |i><i| (`Theory.basis`),
+    whose Choi matrix is diagonal."""
+    kraus = [np.eye(theory.d)] if theory.backend == "quantum" else theory.basis()
+    return Transformation(theory, ch.kraus_to_choi_matrix(kraus))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import channels as ch
 from .basis import diagonal_basis, hermitian_basis, matrix_rank, packed_product_coords, to_coords
-from .core import Effect, Observable, State, Theory, quantum, spanning_states, spanning_vectors
+from .core import Effect, Observable, Theory, quantum, spanning_states, spanning_vectors
 from .errors import NotIC, WitnessFailed
 from .quantum import kraus_to_choi
 from .tolerances import DISCRIMINATION_RESID, EXPAND_RESID, RESOLVED_EIG
@@ -99,41 +99,29 @@ def ic_observable(theory):
 # informational dimension
 
 
-def discrimination_witness(theory):
-    """Maximal perfectly discriminable family: the states and the
-    effects of a predictable and resolved discriminating observable,
-    one stack each (the effects pass an Observable's completeness
-    test), and the delta pairing matrix, plus the trace certificate
-    that one more state is impossible (each discriminating effect needs
-    unit norm so unit trace at least, and the traces must sum to the
-    trace of the unit effect)."""
-    d = theory.d
-    basis = diagonal_basis(d)
-    # on both backends the basis projectors |i><i| come first
-    states = State(theory, spanning_states(theory).matrix[:d])
-    effects = Observable(Effect(theory, basis)).effects
-    # Tr[w l] for every (state, effect) at once, and every Tr[l]
-    gram = np.tensordot(states.matrix, basis, axes=([1, 2], [2, 1])).real
-    traces = basis.trace(axis1=-2, axis2=-1).real
-    cert = {
-        "pairing_residual": float(np.max(np.abs(gram - np.eye(d)))),
-        "effect_trace_sum": float(np.sum(traces)),
-        "min_effect_trace": float(np.min(traces)),
-        "upper_bound": d,
-    }
-    return states, effects, cert
-
-
 def informational_dimension(theory):
     """Maximal cardinality of a perfectly discriminable set of states,
-    verified constructively by the witness above, and the witness's
-    pairing residual."""
-    states, effects, cert = discrimination_witness(theory)
-    if cert["pairing_residual"] > DISCRIMINATION_RESID:
+    verified constructively, and the witness's pairing residual.
+
+    The witness is the d basis states |i><i|, which come first in
+    spanning_states on both backends, and the effects of a predictable
+    and resolved discriminating observable, the basis projectors (one
+    stack, which passes an Observable's completeness test): their
+    pairing must be the delta matrix.  One more state is impossible:
+    each discriminating effect needs unit norm so unit trace at least,
+    and the traces must sum to the trace d of the unit effect."""
+    d = theory.d
+    basis = diagonal_basis(d)
+    states = spanning_states(theory).matrix[:d]
+    effects = Observable(Effect(theory, basis)).effects
+    # Tr[w l] for every (state, effect) at once
+    gram = np.tensordot(states, basis, axes=([1, 2], [2, 1])).real
+    resid = float(np.max(np.abs(gram - np.eye(d))))
+    if resid > DISCRIMINATION_RESID:
         raise WitnessFailed("discrimination witness failed the delta check")
     if not np.all(is_resolved(effects)):
         raise WitnessFailed("discriminating effects are not predictable and resolved")
-    return len(states.matrix), cert["pairing_residual"]
+    return len(states), resid
 
 
 def affine_state_dimension(theory):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from opcal import channels as ch
-from opcal import infodim
+from opcal import core, infodim
 from opcal import quantum as qm
 from opcal.basis import (
     diagonal_basis,
@@ -287,7 +287,7 @@ def test_is_psd_matches_the_spectrum(n, lead, low, zeros, hermitian, seed):
 
 def test_is_psd_of_a_stack_with_one_map_that_is_not_cp():
     choi = qm.random_cp(3, 4, n=5).choi
-    choi[2] = ch.identity_choi(3) - 1e-3 * np.eye(9)
+    choi[2] = core.identity(core.quantum(3)).choi - 1e-3 * np.eye(9)
     want = [True, True, False, True, True]
     assert ch.is_psd(choi, CP_TOL).tolist() == spectrum_psd(choi, CP_TOL).tolist() == want
     assert not ch.is_psd(choi[2], CP_TOL) and not spectrum_psd(choi[2], CP_TOL)

@@ -1,8 +1,10 @@
 """Theory files, suite execution, report formats, and exit codes."""
 
+import codecs
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -93,6 +95,20 @@ def test_load_theory_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: byte 11 is not valid UTF-8\n"
 
 
+def test_load_theory_drops_a_byte_order_mark(tmp_path):
+    text = b"backend = classical\nd = 3\nseed = 7\ntol = 1e-8\n"
+    plain, marked = tmp_path / "plain.theory", tmp_path / "marked.theory"
+    plain.write_bytes(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    want = cli.TheorySpec(backend="classical", d=3, seed=7, tol=1e-8)
+    assert cli.load_theory(str(marked)) == cli.load_theory(str(plain)) == want
+    # a byte that is not UTF-8 is named by its offset in the file, the
+    # three bytes of the mark included
+    marked.write_bytes(codecs.BOM_UTF8 + b"d = 2\n# caf\xe9\n")
+    with pytest.raises(ParseError, match="byte 14 is not valid UTF-8$"):
+        cli.load_theory(str(marked))
+
+
 def test_phi_applies_to_the_quantum_backend_only(tmp_path, capsys):
     # no classical check reads phi, so an override there would go unread
     phi = "phi = " + " ".join(f"{x!r}" for x in qm.max_entangled(2).matrix.real.reshape(-1).tolist())
@@ -136,6 +152,22 @@ def test_validate_spec_caps_d(d):
     with pytest.raises(ValidationError, match=f"d must be <= 5, got {d}"):
         cli.validate_spec(cli.TheorySpec(d=d))
     assert cli.validate_spec(cli.TheorySpec(d=5)).d == 5
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_validate_spec_rejects_a_seed_out_of_range(seed, capsys):
+    message = rf"seed must be in \[0, 2\*\*64\), got {seed}"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        cli.validate_spec(cli.TheorySpec(seed=seed))
+    assert cli.main(["--suite", "core", "--seed", str(seed)]) == 2
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_a_seed_at_either_end_of_the_range_runs(seed, capsys):
+    # the run hashes the seed into every check's sub-seed (check_seed)
+    assert cli.main(["--suite", "core", "--seed", str(seed)]) == 0
+    assert f"(seed {seed}, " in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -561,23 +593,23 @@ def test_run_builds_shared_objects_once(monkeypatch):
     _, calls = _opcal_calls(lambda: cli.run_suite(cli.TheorySpec(backend="classical", d=3), "all"))
     assert calls and not [name for name in calls if name.startswith(("faithful.", "gns."))]
     # one IC observable and one dimension table, of the spec's backend;
-    # the table reads the witnesses that infodim.idim and
+    # the table reads the informational dimensions that infodim.idim and
     # infodim.bell_ic measured, and table1.classical_violation measures
-    # the classical system alone, so a quantum run builds the witnesses
-    # of d, d*d and classical d, and a classical run those of d and d*d
+    # the classical system alone, so a quantum run measures those of d,
+    # d*d and classical d, and a classical run those of d and d*d
     builds = Counter()
-    for name in ("ic_observable", "minimal_ic_povm", "discrimination_witness", "dim_identities"):
+    for name in ("ic_observable", "minimal_ic_povm", "informational_dimension", "dim_identities"):
         monkeypatch.setattr(infodim, name, _counting(builds, name, getattr(infodim, name)))
     assert cli.run_suite(cli.TheorySpec(d=2), "all").all_pass()
     assert builds == {
         "ic_observable": 1,
         "minimal_ic_povm": 1,
-        "discrimination_witness": 3,
+        "informational_dimension": 3,
         "dim_identities": 1,
     }
     builds.clear()
     cli.run_suite(cli.TheorySpec(backend="classical", d=3), "all")
-    assert builds == {"ic_observable": 1, "discrimination_witness": 2, "dim_identities": 1}
+    assert builds == {"ic_observable": 1, "informational_dimension": 2, "dim_identities": 1}
 
 
 def _recording(seen, name, fn):
@@ -857,9 +889,31 @@ def test_crashing_check_is_an_error_not_an_abort(monkeypatch):
     assert cli.main(["--suite", "faithful", "--seed", "5"]) == 1
 
 
-def test_failed_witness_is_a_check_error(monkeypatch):
+def _unresolved(monkeypatch):
     monkeypatch.setattr(infodim, "is_resolved", lambda e: False)
-    with pytest.raises(WitnessFailed):
+
+
+def _permuted_basis_states(monkeypatch):
+    """spanning_states with its first d states, the basis states, rolled
+    by one, so the witness pairs each with the wrong projector."""
+
+    def permuted(theory):
+        m = core.spanning_states(theory).matrix.copy()
+        m[: theory.d] = np.roll(m[: theory.d], 1, axis=0)
+        return core.State(theory, m)
+
+    monkeypatch.setattr(infodim, "spanning_states", permuted)
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [(_unresolved, "not predictable and resolved"), (_permuted_basis_states, "failed the delta check")],
+    ids=["resolvedness", "delta"],
+)
+def test_failed_witness_is_a_check_error(monkeypatch, patch, message):
+    patch(monkeypatch)
+    with pytest.raises(WitnessFailed, match=message):
         infodim.informational_dimension(core.quantum(2))
     report = cli.run_suite(cli.TheorySpec(d=2), "infodim")
-    assert {c.name: c.status for c in report.checks}["infodim.idim"] == "error"
+    idim = {c.name: c for c in report.checks}["infodim.idim"]
+    assert idim.status == "error" and message in idim.error

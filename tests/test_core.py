@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from opcal import core
+from opcal import cli, core
 from opcal import quantum as qm
 from opcal.basis import to_coords
 from opcal.errors import BackendMismatch, CompletenessError, NoClosedForm, NotCoexistent, ZeroProbability
@@ -71,6 +71,35 @@ def test_unitary_informationally_but_not_dynamically_trivial():
     assert core.informational_equiv(t, core.identity(th))
     assert not core.dynamical_equiv(t, core.identity(th))
     assert core.dynamical_equiv(t, t)
+
+
+@pytest.mark.parametrize("backend", core.BACKENDS)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_identity_fixes_the_spanning_states(backend, d):
+    th = core.Theory(backend, d)
+    states = core.spanning_states(th)
+    assert np.array_equal(core.act(core.identity(th), states).matrix, states.matrix)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_a_classical_run_builds_only_diagonal_objects(monkeypatch, d):
+    # the classical backend is the diagonal restriction of the quantum
+    # one, so every state, weight, effect and transformation that a
+    # classical run builds, constructors hooked, is classical and diagonal
+    built = []
+    for cls in (core.Weight, core.Effect, core.Transformation):
+
+        def post_init(self, init=cls.__post_init__):
+            init(self)
+            built.append(self)
+
+        monkeypatch.setattr(cls, "__post_init__", post_init)
+    cli.run_suite(cli.TheorySpec(backend="classical", d=d), "all")
+    assert {type(x) for x in built} == {core.State, core.Weight, core.Effect, core.Transformation}
+    for x in built:
+        m = x.choi if isinstance(x, core.Transformation) else x.matrix
+        off = m[..., ~np.eye(m.shape[-1], dtype=bool)]
+        assert x.theory.backend == "classical" and not off.any(), (type(x).__name__, x.theory)
 
 
 def test_experiment_completeness():

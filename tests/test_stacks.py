@@ -797,7 +797,7 @@ def _equivalence_pairs(backend, d):
     for factor, holds in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
         eps = factor * PROB_TOL
         # every probability moves by eps
-        shifted = core.Transformation(th, ident.choi + eps * ch.identity_choi(d), generalized=True)
+        shifted = core.Transformation(th, (1 + eps) * ident.choi, generalized=True)
         pairs.append((ident, shifted, holds, True))
         # every conditional state moves by eps, no probability does
         moved = core.Transformation(th, ident.choi + _hermitian_shift(th, eps), generalized=True)
