@@ -13,12 +13,13 @@ sqrt(1/2) Re(M[j, k] + M[k, j]) and sqrt(1/2) Im(M[k, j] - M[j, k]) for
 each j < k: two real gathers from the matrix's interleaved real and
 imaginary parts, one of the diagonal and upper entries, scaled by
 (1, sqrt(1/2), -sqrt(1/2)), and one of the lower entries added to it.
-from_coords is the matching scatter, and packed_product_coords gives
+from_coords is the matching scatter, packed_product_coords gives
 the coordinates of a stack of Hermitian kron products from the
-factors, without forming the products.  The maps read only sizes:
-to_coords and packed_product_coords take the number k of coordinates
-(n * n, or n on the diagonal basis), from_coords the matrix size n, and
-none of them builds a basis.
+factors, without forming the products, and projector_coords those of
+the projectors v v^dag from the vectors.  The maps read only sizes:
+to_coords, packed_product_coords and projector_coords take the number
+k of coordinates (n * n, or n on the diagonal basis), from_coords the
+matrix size n, and none of them builds a basis.
 """
 
 from functools import lru_cache
@@ -138,6 +139,29 @@ def packed_product_coords(a, b, k):
     np.multiply(left[..., n:].conj(), right[..., n:].conj(), out=out[..., n:].view(complex))
     out[..., n:] *= np.sqrt(2.0)
     return out.reshape(k1 * k2, -1)
+
+
+def projector_coords(v, k):
+    """to_coords(..., k) of every projector v v^dag, for the rows v of
+    an (m, n) array, with k the number of coordinates of an n x n
+    matrix.  The diagonal entries are |v_i|^2, and each upper entry
+    j < l is v_j conj(v_l); each row j of the triangle is written
+    straight into its columns, and the projectors are never formed."""
+    v = np.asarray(v, dtype=complex)
+    m, n = v.shape
+    out = np.empty((m, k))
+    out[:, :n] = (v * v.conj()).real
+    if k > n:  # the diagonal basis reads the diagonal alone
+        # sqrt2 conj(v_j conj(v_l)) = sqrt2 (Re, -Im) of each upper
+        # entry, written as one complex number over its two columns
+        upper = out[:, n:].view(complex)
+        start = 0
+        for j in range(n - 1):
+            stop = start + n - 1 - j
+            np.multiply(v[:, j, None].conj(), v[:, j + 1 :], out=upper[:, start:stop])
+            start = stop
+        out[:, n:] *= np.sqrt(2.0)
+    return out
 
 
 def singular_value_rank(sv):

@@ -31,11 +31,14 @@ from .errors import ParseError, UnknownSuite, ValidationError
 from .tolerances import DEFAULT_TOL, OVERRIDE_HERMITIAN, OVERRIDE_PSD, OVERRIDE_TRACE
 
 SCALAR_FIELDS = {"backend": str, "d": int, "seed": int, "tol": float}
-# Largest accepted dimension: memory grows as d^8, the size of the d^4
-# spanning states of C^(d^2) and of the d^4 Choi matrices of `table1.T`,
-# each d^2 x d^2 (1.6 GB apiece at d=10).  A process running two d=5
-# `all` reports with one BLAS thread peaks at 60.3-60.7 MB resident, and
-# a warm d=5 `all` report takes 0.09-0.13 s (numpy 2.4, 2 shared vCPUs).
+# Largest accepted dimension: memory grows as d^8.  The d^4 Choi
+# matrices of `table1.T`, each d^2 x d^2, take 16 d^8 bytes (1.6 GB at
+# d=10), and the rank certificate's Gram matrix and Cholesky factor of
+# a d^4 x d^4 coordinate matrix take 8 d^8 bytes each; the spanning
+# states of C^(d^2) are ranked from their vectors and never formed.  A
+# process running two d=5 `all` reports with one BLAS thread peaks at
+# 54.2-54.4 MB resident, and a warm d=5 `all` report takes 0.06-0.08 s
+# (numpy 2.4, 2 shared vCPUs).
 MAX_D = 5
 
 
@@ -125,16 +128,20 @@ def validate_spec(spec):
         elif not np.isfinite(m).all():
             errors.append("override matrix has a non-finite entry")
         else:
-            if np.max(np.abs(m - m.conj().T)) > OVERRIDE_HERMITIAN:
-                errors.append("override matrix is not Hermitian")
-            else:
-                low = float(np.linalg.eigvalsh(m)[0])
-                if low < -OVERRIDE_PSD:
-                    errors.append(
-                        f"override matrix is not PSD: eigenvalue {low:.6e}"
-                    )
-            tr = complex(np.trace(m))
-            if abs(tr - 1.0) > OVERRIDE_TRACE:
+            # finite entries near the float64 limit can overflow a
+            # difference or the trace to inf, or the trace to NaN (inf
+            # minus inf): the error names it, with no warning besides
+            with np.errstate(over="ignore", invalid="ignore"):
+                if np.max(np.abs(m - m.conj().T)) > OVERRIDE_HERMITIAN:
+                    errors.append("override matrix is not Hermitian")
+                else:
+                    low = float(np.linalg.eigvalsh(m)[0])
+                    if low < -OVERRIDE_PSD:
+                        errors.append(
+                            f"override matrix is not PSD: eigenvalue {low:.6e}"
+                        )
+                tr = complex(np.trace(m))
+            if not abs(tr - 1.0) <= OVERRIDE_TRACE:
                 errors.append(f"override matrix trace {tr} is not 1")
     if errors:
         raise ValidationError("; ".join(errors))

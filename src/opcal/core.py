@@ -351,10 +351,11 @@ def trans_norm(t):
 # equivalences
 
 
+@lru_cache(maxsize=None)
 def spanning_vectors(n):
     """The n^2 unit vectors |i>, (|i>+|j>)/sqrt2, (|i>+i|j>)/sqrt2 of
-    C^n (i < j, row-major), in that order, as the rows of one array:
-    their projectors span the n x n Hermitian matrices."""
+    C^n (i < j, row-major), in that order, as the rows of one read-only
+    array: their projectors span the n x n Hermitian matrices."""
     out = np.zeros((n * n, n), dtype=complex)
     out[:n] = np.eye(n)
     i, j = np.triu_indices(n, 1)
@@ -362,6 +363,7 @@ def spanning_vectors(n):
     s = 1 / np.sqrt(2)
     out[rows, i] = out[rows, j] = out[rows + 1, i] = s
     out[rows + 1, j] = 1j * s
+    out.flags.writeable = False  # every caller shares this one array
     return out
 
 

@@ -2,7 +2,8 @@
 identities relating affine, informational and effect-space dimensions.
 
 Every rank is of a Hermitian family's coordinates, from
-basis.to_coords (or packed_product_coords for kron products), which
+basis.to_coords (or packed_product_coords for kron products, and
+projector_coords for the projectors of a family of vectors), which
 have the inner products of its matrices, so the rank is that of the
 family.  Ranks are decided by basis.matrix_rank, scale-free: a full
 rank is certified by one Cholesky factor of the Gram matrix shifted
@@ -23,8 +24,15 @@ keeps a result between calls.
 import numpy as np
 
 from . import channels as ch
-from .basis import diagonal_basis, hermitian_basis, matrix_rank, packed_product_coords, to_coords
-from .core import Effect, Observable, Theory, quantum, spanning_states, spanning_vectors
+from .basis import (
+    diagonal_basis,
+    hermitian_basis,
+    matrix_rank,
+    packed_product_coords,
+    projector_coords,
+    to_coords,
+)
+from .core import Effect, Observable, Theory, quantum, spanning_vectors
 from .errors import NotIC, WitnessFailed
 from .quantum import kraus_to_choi
 from .tolerances import DISCRIMINATION_RESID, EXPAND_RESID, RESOLVED_EIG
@@ -103,8 +111,9 @@ def informational_dimension(theory):
     """Maximal cardinality of a perfectly discriminable set of states,
     verified constructively, and the witness's pairing residual.
 
-    The witness is the d basis states |i><i|, which come first in
-    spanning_states on both backends, and the effects of a predictable
+    The witness is the d basis states |i><i|, the projectors of the
+    first d spanning vectors (the first d spanning states on both
+    backends, built alone), and the effects of a predictable
     and resolved discriminating observable, the basis projectors (one
     stack, which passes an Observable's completeness test): their
     pairing must be the delta matrix.  One more state is impossible:
@@ -112,7 +121,8 @@ def informational_dimension(theory):
     and the traces must sum to the trace d of the unit effect."""
     d = theory.d
     basis = diagonal_basis(d)
-    states = spanning_states(theory).matrix[:d]
+    v = spanning_vectors(d)[:d]
+    states = np.einsum("ai,aj->aij", v, v.conj())
     effects = Observable(Effect(theory, basis)).effects
     # Tr[w l] for every (state, effect) at once
     gram = np.tensordot(states, basis, axes=([1, 2], [2, 1])).real
@@ -126,8 +136,10 @@ def informational_dimension(theory):
 
 def affine_state_dimension(theory):
     """Affine dimension of the state set, measured as the rank of the
-    differences of a spanning family."""
-    rows = to_coords(spanning_states(theory).matrix, theory.effect_dim)
+    differences of a spanning family: the coordinates of the spanning
+    states, read off their vectors, without forming the states."""
+    k = theory.effect_dim
+    rows = projector_coords(spanning_vectors(theory.d)[:k], k)
     rows[1:] -= rows[0]
     return matrix_rank(rows[1:])
 

@@ -18,6 +18,7 @@ from opcal.basis import (
     hermitian_basis,
     matrix_rank,
     packed_product_coords,
+    projector_coords,
     to_coords,
 )
 from opcal.core import Theory
@@ -145,6 +146,42 @@ def test_packed_product_coords_are_the_packed_coords_of_the_krons(d1, d2, k1, k2
     got = packed_product_coords(a, b, k)
     assert got.shape == (k1 * k2, k) and got.dtype == np.float64
     assert_allclose(got, to_coords(krons, k), rtol=0, atol=1e-14 * np.abs(krons).max())
+
+
+def _projectors(v):
+    return np.einsum("ai,aj->aij", v, v.conj())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 16, 25])
+@pytest.mark.parametrize("diagonal", [False, True], ids=["hermitian", "diagonal"])
+def test_projector_coords_are_the_coords_of_the_spanning_states(n, diagonal):
+    # the spanning states of both backends at n and, read as Kraus
+    # operators of the d-level maps at n = d^2, the projectors of every
+    # spanning vector: the same bits as the coordinates of the formed
+    # projectors
+    k = n if diagonal else n * n
+    v = core.spanning_vectors(n)[:k]
+    got = projector_coords(v, k)
+    assert got.shape == (k, k) and got.dtype == np.float64
+    assert np.array_equal(got, to_coords(_projectors(v), k))
+
+
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 7),
+    diagonal=st.booleans(),
+    scale=st.sampled_from([1.0, 1e-100, 1e100]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_projector_coords_are_the_coords_of_the_projectors(m, n, diagonal, scale, seed):
+    rng = np.random.default_rng(seed)
+    v = scale * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    k = n if diagonal else n * n
+    got = projector_coords(v, k)
+    assert got.shape == (m, k) and got.dtype == np.float64
+    want = to_coords(_projectors(v), k)
+    assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(v)) ** 2)
 
 
 def test_diagonal_basis():

@@ -141,6 +141,27 @@ def test_load_theory_non_psd_override_names_eigenvalue(tmp_path):
         cli.load_theory(_write(tmp_path, text))
 
 
+def test_override_near_the_float64_limit_is_one_error_line(tmp_path):
+    # phi = 1e308 at the four |ii><jj| entries: finite, but its trace and
+    # top eigenvalue overflow; the file is rejected with one line and no
+    # numpy warning on stderr
+    entries = np.zeros((4, 4))
+    entries[np.ix_([0, 3], [0, 3])] = 1e308
+    phi = " ".join(map(repr, entries.ravel().tolist()))
+    path = _write(tmp_path, f"backend = quantum\nd = 2\nphi = {phi}\n")
+    src = str(pathlib.Path(opcal.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "opcal.cli", "--theory", path, "--suite", "all"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: override matrix trace (inf+0j) is not 1\n"
+    assert "Warning" not in done.stderr
+
+
 def test_validate_spec_bad_backend():
     with pytest.raises(ValidationError):
         cli.validate_spec(cli.TheorySpec(backend="foo"))
@@ -894,15 +915,16 @@ def _unresolved(monkeypatch):
 
 
 def _permuted_basis_states(monkeypatch):
-    """spanning_states with its first d states, the basis states, rolled
-    by one, so the witness pairs each with the wrong projector."""
+    """spanning_vectors with its first n vectors, those of the basis
+    states, rolled by one, so the witness pairs each with the wrong
+    projector."""
 
-    def permuted(theory):
-        m = core.spanning_states(theory).matrix.copy()
-        m[: theory.d] = np.roll(m[: theory.d], 1, axis=0)
-        return core.State(theory, m)
+    def permuted(n):
+        v = core.spanning_vectors(n).copy()
+        v[:n] = np.roll(v[:n], 1, axis=0)
+        return v
 
-    monkeypatch.setattr(infodim, "spanning_states", permuted)
+    monkeypatch.setattr(infodim, "spanning_vectors", permuted)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Informational completeness, discriminability, and the dimension
 identity table."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from opcal import channels as ch
-from opcal import core, infodim
+from opcal import cli, core, infodim
 from opcal import quantum as qm
 from opcal.basis import matrix_rank
 from opcal.errors import NotIC
@@ -89,16 +90,54 @@ def test_informational_dimension_classical(d):
     assert infodim.informational_dimension(core.classical(d)) == (d, 0.0)
 
 
-def test_informational_dimension_memory():
-    # the witness needs d basis states and the d diagonal projector
-    # effects, not d Choi matrices of size d^2 x d^2 (18 MB at d = 16)
+def _traced_peak(measurement, theory):
+    """The measurement's value and the peak of the memory it traced,
+    with the spanning families uncached, so the peak counts them."""
+    core.spanning_vectors.cache_clear()
+    core.spanning_states.cache_clear()
     tracemalloc.start()
     try:
-        assert infodim.informational_dimension(core.quantum(16)) == (16, 0.0)
+        value = measurement(theory)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    return value, peak
+
+
+def test_informational_dimension_memory():
+    # the witness needs d basis states and the d diagonal projector
+    # effects, not the d^2 spanning states (1 MB at d = 16) nor d Choi
+    # matrices of size d^2 x d^2 (18 MB)
+    value, peak = _traced_peak(infodim.informational_dimension, core.quantum(16))
+    assert value == (16, 0.0)
+    assert peak < 5e5
+
+
+def test_affine_state_dimension_memory():
+    # the coordinates of the d^2 spanning states are read off their
+    # vectors: the rows (0.5 MB at d = 16) and the rank's Gram matrix and
+    # Cholesky factor, not the stack of states as well (1 MB)
+    value, peak = _traced_peak(infodim.affine_state_dimension, core.quantum(16))
+    assert value == 255
+    assert peak < 2.0e6
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_all_run_forms_no_joint_spanning_states(monkeypatch, d):
+    # the composite system's state dimensions come from its spanning
+    # vectors: no module asks for the d^4 spanning states of C^(d^2)
+    theories, build = [], core.spanning_states
+
+    def recorded(theory):
+        theories.append(theory)
+        return build(theory)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "opcal" and hasattr(module, "spanning_states"):
+            monkeypatch.setattr(module, "spanning_states", recorded)
+    report = cli.run_suite(cli.TheorySpec(d=d), "all")
+    assert all(c.status == "pass" for c in report.checks)
+    assert theories and {th.d for th in theories} == {d}
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -123,6 +162,30 @@ def test_transformation_affine_dimension_oracle():
     assert infodim.transformation_affine_dimension(core.quantum(3)) == 81
     assert infodim.transformation_affine_dimension(core.classical(2)) == 4
     assert infodim.transformation_affine_dimension(core.classical(3)) == 9
+
+
+def test_table_state_rows_measure_the_projector_coordinates(monkeypatch):
+    # coordinates that drop the antisymmetric (imaginary) parts leave the
+    # spanning states of C^n n (n + 1) / 2 dimensions, so adm(d) reads
+    # 2 and adm(d^2) 9 at d = 2: every row that reads either moves
+    encode = infodim.projector_coords
+
+    def symmetric_only(v, k):
+        c = encode(v, k)
+        c[:, v.shape[1] + 1 :: 2] = 0.0
+        return c
+
+    monkeypatch.setattr(infodim, "projector_coords", symmetric_only)
+    assert infodim.dim_identities(2, "quantum", measured) == {
+        "D2": (4, 3),
+        "D3": (9, 8),
+        "D4": (2, 3),
+        "D34": (9, 15),
+        "D34'": (2, 3),
+        "tensor": (4, 4),
+        "T": (16, 10),
+        "P": (4, 4),
+    }
 
 
 def test_table_T_measures_the_choi_encoding(monkeypatch):
