@@ -2,7 +2,6 @@
 pass/fail line.  Tolerances are pinned here and must not be loosened."""
 
 import numpy as np
-import pytest
 
 from opcal import basis
 from opcal import channels as ch

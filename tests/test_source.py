@@ -1,14 +1,11 @@
-"""Checks on the source tree: no unused imports, every public function
-and every private module-level helper has a caller outside the tests,
-every function runs in some report, every defaulted parameter of a
-function that runs is set to another value in some report, every
-function the benchmark traces by name still exists,
-every check hands its seed to one draw, every rank and pseudo-inverse,
-every positivity test, the coordinate layout and the four-index layout
-of joint matrices are decided in one place, only the scalar product
-reads the GNS Gram matrix, only core defines objects that carry a
-matrix, and the checks take each theory-level dimension through the
-run's context."""
+"""Checks on the source tree: no unused imports in the package, the
+tests or the scripts, every public function and every private
+module-level helper has a caller outside the tests, every function runs
+in some report, every defaulted parameter of a function that runs is
+set to another value in some report, every function the benchmark
+traces by name still exists, every check hands its seed to one draw,
+and each decision that one place owns is made only there: the table
+ONE_PLACE holds one row per such rule."""
 
 import ast
 import importlib
@@ -23,6 +20,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "opcal").glob("*.py"))
+# __init__.py is left out: its imports are the package's re-exports
+LIBRARY = [p for p in MODULES if p.name != "__init__.py"]
 
 
 def _unused_imports(tree):
@@ -37,25 +36,12 @@ def _unused_imports(tree):
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+    "path",
+    LIBRARY + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda p: p.name,
 )
 def test_no_unused_imports(path):
-    # __init__.py is exempt: its imports are the package's re-exports
     assert _unused_imports(ast.parse(path.read_text())) == []
-
-
-def test_every_cutoff_is_named_once():
-    # a small literal outside tolerances.py is a cutoff with no name
-    literals = [
-        (path.name, node.lineno, node.value)
-        for path in MODULES
-        if path.name != "tolerances.py"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Constant)
-        and type(node.value) in (float, complex)
-        and 0 < abs(node.value) <= 1e-6
-    ]
-    assert literals == []
 
 
 # Public names with no caller in the library, one reason each.
@@ -109,13 +95,10 @@ def _uncalled(defs):
     """Qualified names of the definitions defs(tree) yields in
     src/opcal that no library, perfbench or script module reads; the
     tests do not count, so an API only they call is test-only."""
-    callers = [p for p in MODULES if p.name != "__init__.py"]
-    callers += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    callers = LIBRARY + sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     trees = {p: ast.parse(p.read_text()) for p in callers}
     uncalled = set()
-    for path in MODULES:
-        if path.name == "__init__.py":
-            continue
+    for path in LIBRARY:
         for qualname, node in defs(trees[path]):
             if not any(node.name in _referenced_names(t, node) for t in trees.values()):
                 uncalled.add(f"{path.stem}.{qualname}")
@@ -265,31 +248,6 @@ def test_benchmarked_functions_exist():
         assert callable(obj), name
 
 
-def _matrix_classes(tree):
-    """Names of the classes that declare a `matrix` or `choi` field or
-    set one on an instance."""
-    found = set()
-    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
-        for node in ast.walk(cls):
-            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                name = node.target.id
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-                name = node.attr
-            else:
-                continue
-            if name in ("matrix", "choi"):
-                found.add(cls.name)
-    return found
-
-
-def test_only_core_defines_matrix_objects():
-    # a joint state is a State of quantum(d^2): a second class carrying
-    # a matrix would repeat the totals, normalization and shape checks
-    # of core's Weight, and could not go through pair or Observable
-    found = {f"{p.stem}.{c}" for p in MODULES for c in _matrix_classes(ast.parse(p.read_text()))}
-    assert found == {"core.Effect", "core.Weight", "core.Transformation"}
-
-
 def _rng_misuses(tree):
     """Names of the `_check_*` functions in which `rng` appears other
     than as an argument of one `_draw(...)` or `_sample_*(...)` call:
@@ -356,13 +314,22 @@ def _sites(tree, module, kind_of):
     return sites
 
 
-def _all_sites(kind_of):
-    """_sites over every module of src/opcal, merged."""
-    merged = {}
-    for path in MODULES:
-        for kind, where in _sites(ast.parse(path.read_text()), path.stem, kind_of).items():
-            merged.setdefault(kind, set()).update(where)
-    return merged
+def _named(calls=(), loads=(), attrs=()):
+    """A predicate whose kind is the name it finds: a callee's last name
+    in calls, however it was imported, a loaded name in loads, or a
+    loaded attribute in attrs."""
+
+    def kind_of(node):
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func).rpartition(".")[2]
+            return name if name in calls else None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            return node.id if node.id in loads else None
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            return node.attr if node.attr in attrs else None
+        return None
+
+    return kind_of
 
 
 def _rank_kind(node):
@@ -385,120 +352,12 @@ def _rank_kind(node):
     return None
 
 
-def test_one_place_decides_ranks():
-    # every rank goes through basis.matrix_rank and its certificate; the
-    # calibration's one SVD of the form F also gives the dynamical rank,
-    # every pseudo-inverse of F or R and the spectral split, the GNS
-    # norm needs sigma_max, and the experiment sampler splits a Choi
-    # factor of rank three.  The only other least-squares solve is the
-    # expansion over an informationally complete observable.
-    assert _all_sites(_rank_kind) == {
-        "svd": {"basis.matrix_rank", "faithful.Calibration.__init__", "gns.gns_norm", "quantum.random_experiment"},
-        "singular_value_rank": {"basis.matrix_rank", "faithful.Calibration.__init__"},
-        "RANK_RCOND": {"basis", "basis.singular_value_rank"},
-        "pinv": {"faithful.Calibration.__init__", "infodim.ic_expand"},
-        "PINV_RCOND": {"faithful", "faithful.Calibration.__init__"},
-    }
-    source = (
-        "from numpy.linalg import svd, pinv\n"
-        "from .tolerances import PINV_RCOND, RANK_RCOND\n"
-        "class A:\n"
-        "    def f(self, m):\n"
-        "        return np.linalg.matrix_rank(m, RANK_RCOND), svd(m), la.svd(m)\n"
-        "    def g(self, m):\n"
-        "        return np.linalg.pinv(m, rcond=PINV_RCOND), la.lstsq(m, m), self.pinv(m)\n"
-        "def h(m):\n"
-        "    return pinv(m), np.linalg.solve(m, m), m.pinv\n"
-    )
-    assert _sites(ast.parse(source), "m", _rank_kind) == {
-        "svd": {"m", "m.A.f"},
-        "RANK_RCOND": {"m", "m.A.f"},
-        "linalg.matrix_rank": {"m.A.f"},
-        "pinv": {"m", "m.A.g", "m.h"},
-        "PINV_RCOND": {"m", "m.A.g"},
-    }
-
-
-def _metric_kind(node):
-    """A call named solve, however it was imported, or a read of an
-    attribute named gram (the GNS Gram matrix)."""
-    if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] == "solve":
-        return "solve"
-    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr == "gram":
-        return "gram"
-    return None
-
-
-def test_one_place_reads_the_gns_metric():
-    # gns_space whitens the Gram matrix where it builds it, so the GNS
-    # maps work in orthonormal coordinates: no solve is left, and only
-    # the scalar product between effects reads the Gram matrix again
-    assert _all_sites(_metric_kind) == {"gram": {"gns.scalar_product"}}
-    source = (
-        "from numpy.linalg import solve\n"
-        "def f(space, m):\n"
-        "    return np.linalg.solve(space.gram, m), solve(m, m)\n"
-        "def g(space, gram):\n"
-        "    space.gram = gram\n"
-        "    return space.gram_abs, la.solve(m, m), solve\n"
-    )
-    assert _sites(ast.parse(source), "m", _metric_kind) == {"solve": {"m.f", "m.g"}, "gram": {"m.f"}}
-
-
-def _positivity_kind(node):
-    """A Cholesky factorization, a positivity test or a read of its
-    cutoff."""
-    if isinstance(node, ast.Call):
-        name = _dotted(node.func).rpartition(".")[2]
-        return name if name in ("cholesky", "is_psd") else None
-    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == "CP_TOL":
-        return "CP_TOL"
-    return None
-
-
-def test_one_place_decides_positivity():
-    # the rank certificate and the CP certificate are the only Cholesky
-    # factorizations, and CP_TOL is read only where is_psd is called
-    sites = _all_sites(_positivity_kind)
-    assert sites["cholesky"] == {"basis._certifies_full_rank", "channels.is_psd"}
-    assert sites["CP_TOL"] == {"core.trans_norm", "faithful.prepare_witness"}
-    assert sites["CP_TOL"] <= sites["is_psd"]
-    source = (
-        "from .tolerances import CP_TOL\n"
-        "def f(m):\n"
-        "    return np.linalg.cholesky(m), CP_TOL\n"
-        "def g(m):\n"
-        "    return ch.is_psd(m, CP_TOL), la.cholesky(m)\n"
-    )
-    assert _sites(ast.parse(source), "m", _positivity_kind) == {
-        "cholesky": {"m.f", "m.g"},
-        "CP_TOL": {"m.f", "m.g"},
-        "is_psd": {"m.g"},
-    }
-
-
 def _view_kind(node):
     """A reinterpretation of array memory as another dtype: a `.view`
     call given a dtype."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "view":
         return "view" if node.args or node.keywords else None
     return None
-
-
-def test_one_place_lays_out_coordinates():
-    # reading a complex matrix's memory as real numbers, or real rows as
-    # complex ones, fixes the coordinate layout, which is basis.py's alone
-    sites = _all_sites(_view_kind)
-    assert {site.partition(".")[0] for site in sites["view"]} == {"basis"}
-    source = (
-        "def f(m):\n"
-        "    return m.reshape(-1).view(np.float64), m.view()\n"
-        "def g(m, out):\n"
-        "    np.multiply(m, m, out=out.view(dtype=complex))\n"
-        "def h(m, view):\n"
-        "    return view(m), m.real, m.copy()\n"
-    )
-    assert _sites(ast.parse(source), "m", _view_kind) == {"view": {"m.f", "m.g"}}
 
 
 def _joint_layout_kind(node):
@@ -528,56 +387,6 @@ def _joint_layout_kind(node):
     return None
 
 
-def test_one_place_lays_out_joint_matrices():
-    # channels alone splits a d^2 x d^2 matrix into its four d-indices:
-    # its reindexings (realign, the Choi-superoperator exchange, swap),
-    # partial_trace and kron; every other module goes through those
-    assert _all_sites(_joint_layout_kind) == {
-        "reshape": {"channels._reindex", "channels.partial_trace"},
-        "broadcast": {"channels.kron"},
-    }
-    source = (
-        "def f(m, d):\n"
-        "    return m.reshape(*m.shape[:-2], d, d, d, d), m.reshape(-1, 1, d, d), m.reshape(n, d * d)\n"
-        "def k(m, d):\n"
-        "    return np.reshape(m, (d, d, d, d)), m.reshape((-1, d, d))\n"
-        "def g(a, b, d):\n"
-        "    return a[..., :, None, :, None] * b, np.eye(d)[:, None, :], a[..., None, None]\n"
-        "def h(m, e):\n"
-        "    return np.einsum('...ac,bd->...abcd', m, e), np.einsum('ac,bd', m, e), np.einsum('kij->kji', m)\n"
-    )
-    assert _sites(ast.parse(source), "m", _joint_layout_kind) == {
-        "reshape": {"m.f", "m.k"},
-        "broadcast": {"m.g"},
-        "einsum": {"m.h"},
-    }
-
-
-def _superoperator_kind(node):
-    """A call named choi_to_super, however it was imported."""
-    if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] == "choi_to_super":
-        return "choi_to_super"
-    return None
-
-
-def test_one_place_converts_choi_to_super():
-    # a map's superoperator is Transformation.super; every other module
-    # reads it there, so core alone converts an encoding into the other
-    assert _all_sites(_superoperator_kind) == {"choi_to_super": {"core.Transformation.super"}}
-    source = (
-        "from .channels import choi_to_super\n"
-        "class T:\n"
-        "    @property\n"
-        "    def super(self):\n"
-        "        return ch.choi_to_super(self.choi)\n"
-        "def f(t):\n"
-        "    return choi_to_super(t.choi) @ t.super, ch.super_to_choi(t.super)\n"
-        "def g(t):\n"
-        "    return t.super, ch.choi_to_super\n"
-    )
-    assert _sites(ast.parse(source), "m", _superoperator_kind) == {"choi_to_super": {"m.T.super", "m.f"}}
-
-
 MEASUREMENTS = ("informational_dimension", "affine_state_dimension", "dim_identities")
 
 
@@ -593,24 +402,184 @@ def _measurement_kind(node):
     return None
 
 
-def test_checks_measure_only_through_the_run_context():
-    # the context takes each (measurement, theory) once per run; a check
-    # that called a measurement itself would take it again
-    src = ROOT / "src" / "opcal"
-    assert _sites(ast.parse((src / "checks.py").read_text()), "checks", _measurement_kind) == {
-        "ctx.measure": {"checks._check_idim", "checks._check_bell_ic", "checks._check_classical_violation"},
-    }
-    assert _sites(ast.parse((src / "cli.py").read_text()), "cli", _measurement_kind) == {
-        "dim_identities": {"cli.RunContext.dims"},
-    }
-    source = (
+def _matrix_field_kind(node):
+    """A `matrix` or `choi` field: declared with an annotation, or set
+    on an instance."""
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        name = node.target.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+        name = node.attr
+    else:
+        return None
+    return name if name in ("matrix", "choi") else None
+
+
+def _cutoff_kind(node):
+    """A float or complex literal in (0, 1e-6]: a cutoff."""
+    if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+        return "cutoff" if 0 < abs(node.value) <= 1e-6 else None
+    return None
+
+
+# The decisions that one place makes, one row each: rule -> (kind_of,
+# the exact _sites of kind_of over src/opcal, a synthetic module m, the
+# exact _sites of kind_of in m).  A new rule is one more row.
+ONE_PLACE = {
+    # every rank goes through basis.matrix_rank and its certificate; the
+    # calibration's one SVD of the form F also gives the dynamical rank,
+    # every pseudo-inverse of F or R and the spectral split, the GNS
+    # norm needs sigma_max, and the experiment sampler splits a Choi
+    # factor of rank three.  The only other least-squares solve is the
+    # expansion over an informationally complete observable.
+    "ranks": (
+        _rank_kind,
+        {
+            "svd": {"basis.matrix_rank", "faithful.Calibration.__init__", "gns.gns_norm", "quantum.random_experiment"},
+            "singular_value_rank": {"basis.matrix_rank", "faithful.Calibration.__init__"},
+            "RANK_RCOND": {"basis", "basis.singular_value_rank"},
+            "pinv": {"faithful.Calibration.__init__", "infodim.ic_expand"},
+            "PINV_RCOND": {"faithful", "faithful.Calibration.__init__"},
+        },
+        "from numpy.linalg import svd, pinv\n"
+        "from .tolerances import PINV_RCOND, RANK_RCOND\n"
+        "class A:\n"
+        "    def f(self, m):\n"
+        "        return np.linalg.matrix_rank(m, RANK_RCOND), svd(m), la.svd(m)\n"
+        "    def g(self, m):\n"
+        "        return np.linalg.pinv(m, rcond=PINV_RCOND), la.lstsq(m, m), self.pinv(m)\n"
+        "def h(m):\n"
+        "    return pinv(m), np.linalg.solve(m, m), m.pinv\n",
+        {
+            "svd": {"m", "m.A.f"},
+            "RANK_RCOND": {"m", "m.A.f"},
+            "linalg.matrix_rank": {"m.A.f"},
+            "pinv": {"m", "m.A.g", "m.h"},
+            "PINV_RCOND": {"m", "m.A.g"},
+        },
+    ),
+    # gns_space whitens the Gram matrix where it builds it, so the GNS
+    # maps work in orthonormal coordinates: no solve is left, and only
+    # the scalar product between effects reads the Gram matrix again
+    "gns_metric": (
+        _named(calls=("solve",), attrs=("gram",)),
+        {"gram": {"gns.scalar_product"}},
+        "from numpy.linalg import solve\n"
+        "def f(space, m):\n"
+        "    return np.linalg.solve(space.gram, m), solve(m, m)\n"
+        "def g(space, gram):\n"
+        "    space.gram = gram\n"
+        "    return space.gram_abs, la.solve(m, m), solve\n",
+        {"solve": {"m.f", "m.g"}, "gram": {"m.f"}},
+    ),
+    # the rank certificate and the CP certificate are the only Cholesky
+    # factorizations, and CP_TOL is read only where is_psd is called
+    "positivity": (
+        _named(calls=("cholesky", "is_psd"), loads=("CP_TOL",)),
+        {
+            "cholesky": {"basis._certifies_full_rank", "channels.is_psd"},
+            "is_psd": {"core.trans_norm", "faithful.prepare_witness"},
+            "CP_TOL": {"core.trans_norm", "faithful.prepare_witness"},
+        },
+        "from .tolerances import CP_TOL\n"
+        "def f(m):\n"
+        "    return np.linalg.cholesky(m), CP_TOL\n"
+        "def g(m):\n"
+        "    return ch.is_psd(m, CP_TOL), la.cholesky(m)\n",
+        {"cholesky": {"m.f", "m.g"}, "CP_TOL": {"m.f", "m.g"}, "is_psd": {"m.g"}},
+    ),
+    # reading a complex matrix's memory as real numbers, or real rows as
+    # complex ones, fixes the coordinate layout, which is basis.py's alone
+    "coordinates": (
+        _view_kind,
+        {"view": {"basis._units", "basis.from_coords", "basis.packed_product_coords", "basis.projector_coords", "basis.to_coords"}},
+        "def f(m):\n"
+        "    return m.reshape(-1).view(np.float64), m.view()\n"
+        "def g(m, out):\n"
+        "    np.multiply(m, m, out=out.view(dtype=complex))\n"
+        "def h(m, view):\n"
+        "    return view(m), m.real, m.copy()\n",
+        {"view": {"m.f", "m.g"}},
+    ),
+    # channels alone splits a d^2 x d^2 matrix into its four d-indices:
+    # its reindexings (realign, the Choi-superoperator exchange, swap),
+    # partial_trace and kron; every other module goes through those
+    "joint_layout": (
+        _joint_layout_kind,
+        {"reshape": {"channels._reindex", "channels.partial_trace"}, "broadcast": {"channels.kron"}},
+        "def f(m, d):\n"
+        "    return m.reshape(*m.shape[:-2], d, d, d, d), m.reshape(-1, 1, d, d), m.reshape(n, d * d)\n"
+        "def k(m, d):\n"
+        "    return np.reshape(m, (d, d, d, d)), m.reshape((-1, d, d))\n"
+        "def g(a, b, d):\n"
+        "    return a[..., :, None, :, None] * b, np.eye(d)[:, None, :], a[..., None, None]\n"
+        "def h(m, e):\n"
+        "    return np.einsum('...ac,bd->...abcd', m, e), np.einsum('ac,bd', m, e), np.einsum('kij->kji', m)\n",
+        {"reshape": {"m.f", "m.k"}, "broadcast": {"m.g"}, "einsum": {"m.h"}},
+    ),
+    # a map's superoperator is Transformation.super; every other module
+    # reads it there, so core alone converts an encoding into the other
+    "choi_to_super": (
+        _named(calls=("choi_to_super",)),
+        {"choi_to_super": {"core.Transformation.super"}},
+        "from .channels import choi_to_super\n"
+        "class T:\n"
+        "    @property\n"
+        "    def super(self):\n"
+        "        return ch.choi_to_super(self.choi)\n"
+        "def f(t):\n"
+        "    return choi_to_super(t.choi) @ t.super, ch.super_to_choi(t.super)\n"
+        "def g(t):\n"
+        "    return t.super, ch.choi_to_super\n",
+        {"choi_to_super": {"m.T.super", "m.f"}},
+    ),
+    # the run's context takes each (measurement, theory) once per run; a
+    # check that called a measurement itself would take it again
+    "measurements": (
+        _measurement_kind,
+        {
+            "ctx.measure": {"checks._check_idim", "checks._check_bell_ic", "checks._check_classical_violation"},
+            "dim_identities": {"cli.RunContext.dims"},
+        },
         "def f(ctx, th):\n"
         "    return infodim.informational_dimension(th), ctx.measure(infodim.affine_state_dimension, th)\n"
         "def g(d):\n"
-        "    return dim_identities(d), affine_state_dimension\n"
-    )
-    assert _sites(ast.parse(source), "m", _measurement_kind) == {
-        "informational_dimension": {"m.f"},
-        "ctx.measure": {"m.f"},
-        "dim_identities": {"m.g"},
-    }
+        "    return dim_identities(d), affine_state_dimension\n",
+        {"informational_dimension": {"m.f"}, "ctx.measure": {"m.f"}, "dim_identities": {"m.g"}},
+    ),
+    # a joint state is a State of quantum(d^2): a second class carrying
+    # a matrix would repeat the totals, normalization and shape checks
+    # of core's Weight, and could not go through pair or Observable
+    "matrix_objects": (
+        _matrix_field_kind,
+        {"matrix": {"core.Effect", "core.Weight"}, "choi": {"core.Transformation"}},
+        "class W:\n"
+        "    matrix: np.ndarray\n"
+        "class T:\n"
+        "    def __init__(self, choi):\n"
+        "        self.choi = choi\n"
+        "def f(w):\n"
+        "    return w.matrix\n",
+        {"matrix": {"m.W"}, "choi": {"m.T.__init__"}},
+    ),
+    # every cutoff a construction makes is a named constant of
+    # tolerances.py, so a small literal anywhere else has no name
+    "cutoffs": (
+        _cutoff_kind,
+        {"cutoff": {"tolerances"}},
+        "TOL = 1e-9\n"
+        "def f(x):\n"
+        "    return abs(x) < 1e-12, 2.0 * x, x + 1e-3j, 0.0\n",
+        {"cutoff": {"m", "m.f"}},
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", ONE_PLACE)
+def test_one_place(rule):
+    kind_of, expected, source, found = ONE_PLACE[rule]
+    sites = {}
+    for path in MODULES:
+        for kind, where in _sites(ast.parse(path.read_text()), path.stem, kind_of).items():
+            sites.setdefault(kind, set()).update(where)
+    assert sites == expected
+    assert _sites(ast.parse(source), "m", kind_of) == found
