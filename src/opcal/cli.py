@@ -5,11 +5,12 @@ human-readable and machine-readable reports.
 Theory files and structured reports share one line-oriented key/value
 syntax: `key = value`, one pair per line, `#` comments, complex numbers
 as "re+imj", matrices as whitespace-separated entries in row-major
-order.  Every check draws its randomness from a sub-seed derived as the
+order.  The runner draws a check's samples, as its row of `CHECKS`
+declares them, from one Generator seeded by a sub-seed derived as the
 first eight bytes (big-endian) of sha256("{seed}:{check name}"), so
 check order and concurrency cannot alter results and reports are
-byte-identical for a fixed (spec, seed, version).  The runner hands a
-check its sub-seed; a check that draws builds one Generator from it.
+byte-identical for a fixed (spec, seed, version).  A check that draws
+nothing gets no Generator.
 """
 
 import argparse
@@ -358,12 +359,19 @@ def _error_text(exc):
     return f"{type(exc).__name__}: {message}" if message else type(exc).__name__
 
 
-def _run_check(ctx, name, detail, tolerance, fn):
-    """Run one check; any exception it raises becomes an `error` status
-    that names the exception, so one check cannot abort the run."""
+def _run_check(ctx, name, detail, tolerance, fn, draws):
+    """Draw the samples of one check's row, if any, from one Generator
+    seeded by its sub-seed, and run the check on them; any exception the
+    draw or the check raises becomes an `error` status that names the
+    exception, so one check cannot abort the run."""
     values, error = {}, ""
     try:
-        ok, values = fn(ctx, check_seed(ctx.spec.seed, name), tolerance)
+        samples = ()
+        if draws:
+            n, *samplers = draws
+            rng = np.random.default_rng(check_seed(ctx.spec.seed, name))
+            samples = [sampler(ctx.spec, rng, n) for sampler in samplers]
+        ok, values = fn(ctx, tolerance, *samples)
         status = "pass" if ok else "fail"
     except Exception as exc:
         status, error = "error", _error_text(exc)
@@ -387,10 +395,10 @@ def run_suite(spec, suite):
         suite=suite, backend=spec.backend, d=spec.d, seed=spec.seed, version=__version__
     )
     ctx = RunContext(spec)
-    for name, detail, tolerance, backends, fn in CHECKS:
+    for name, detail, tolerance, backends, fn, draws in CHECKS:
         if suite in ("all", name.split(".")[0]) and spec.backend in backends:
             tolerance = spec.tol if tolerance is None else tolerance
-            report.checks.append(_run_check(ctx, name, detail, tolerance, fn))
+            report.checks.append(_run_check(ctx, name, detail, tolerance, fn, draws))
     return report
 
 

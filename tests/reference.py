@@ -212,6 +212,12 @@ def max_entangled(d):
     return joint_state(d, np.outer(v, v.conj()))
 
 
+def isotropic(d, p):
+    """(1 - p)|Omega><Omega| + p I/d^2, the state of scripts/verify_all's
+    isotropic specs."""
+    return joint_state(d, (1.0 - p) * max_entangled(d).matrix + p * np.eye(d * d) / d**2)
+
+
 # ---------------------------------------------------------------------------
 # maps and forms
 

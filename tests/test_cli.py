@@ -27,6 +27,7 @@ from opcal.errors import (
     WitnessFailed,
 )
 from reference import measured
+from verify_all import isotropic
 
 
 def _write(tmp_path, text, name="t.theory"):
@@ -228,8 +229,9 @@ def test_check_names_are_unique():
 def test_every_check_function_is_registered_once():
     fns = [getattr(checks, n) for n in dir(checks) if n.startswith("_check_")]
     assert fns
+    registered = [fn for _, _, _, _, fn, _ in checks.CHECKS]
     for fn in fns:
-        assert sum(row[4] is fn for row in checks.CHECKS) == 1, fn.__name__
+        assert registered.count(fn) == 1, fn.__name__
 
 
 def test_suites_follow_the_table():
@@ -243,14 +245,9 @@ def test_all_report_size(backend, count):
     assert len(cli.run_suite(cli.TheorySpec(backend=backend, d=2), "all").checks) == count
 
 
-def _isotropic_d2():
-    phi = 0.4 * qm.max_entangled(2).matrix + 0.6 * np.eye(4) / 4
-    return cli.validate_spec(cli.TheorySpec(d=2, phi_override=phi))
-
-
 @pytest.mark.parametrize(
     "spec",
-    [cli.TheorySpec(d=2), _isotropic_d2(), cli.TheorySpec(backend="classical", d=3)],
+    [cli.TheorySpec(d=2), isotropic(2, 0.6), cli.TheorySpec(backend="classical", d=3)],
     ids=["quantum-d2", "isotropic-d2-p0.6", "classical-d3"],
 )
 def test_single_suite_is_its_slice_of_all(spec):
@@ -883,12 +880,12 @@ def test_runs_share_nothing(tmp_path):
 
 
 def test_crashing_check_is_an_error_not_an_abort(monkeypatch):
-    def crash(ctx, rng, tol):
+    def crash(ctx, tol):
         raise np.linalg.LinAlgError("SVD did not converge #3\n in pinv")
 
     rows = tuple(
-        row[:4] + (crash,) if row[0] == "faithful.dynamical" else row
-        for row in checks.CHECKS
+        (name, detail, tol, backends, crash if name == "faithful.dynamical" else fn, draws)
+        for name, detail, tol, backends, fn, draws in checks.CHECKS
     )
     monkeypatch.setattr(cli, "CHECKS", rows)
     report = cli.run_suite(cli.TheorySpec(d=2, seed=5), "faithful")
@@ -908,6 +905,23 @@ def test_crashing_check_is_an_error_not_an_abort(monkeypatch):
     assert "error: LinAlgError: SVD did not converge 3 in pinv" in shown
     # the command line reports the failed check and goes on
     assert cli.main(["--suite", "faithful", "--seed", "5"]) == 1
+
+
+def test_a_failing_sampler_is_an_error_of_the_checks_it_feeds(monkeypatch):
+    # the runner draws inside the check's guard: a sampler that raises
+    # is an error of each check that draws from it, and of no other
+    def broken(d, rng, n):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(qm, "random_cp", broken)
+    fed = {name for name, *_, draws in checks.CHECKS if checks._sample_map in draws}
+    assert len(fed) == 10
+    report = cli.run_suite(cli.TheorySpec(d=2), "all")
+    for c in report.checks:
+        if c.name in fed:
+            assert (c.status, c.error, c.values) == ("error", "LinAlgError: Eigenvalues did not converge", {})
+        else:
+            assert c.status == "pass", c.name
 
 
 def _unresolved(monkeypatch):

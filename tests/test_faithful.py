@@ -22,6 +22,7 @@ from reference import (
     is_dynamically_faithful,
     is_physical_map,
     is_preparationally_faithful,
+    isotropic,
     joint_state,
     lstsq_witness,
     product_state,
@@ -118,11 +119,6 @@ def test_prepare_witness_unfaithful_raises():
         faithful.prepare_witness(faithful.Calibration(_product_phi(2)), target)
 
 
-def _isotropic(d, p):
-    omega = qm.max_entangled(d).matrix
-    return joint_state(d, (1.0 - p) * omega + p * np.eye(d * d) / d**2)
-
-
 def _marginal_matrix_by_action(phi):
     # reference: apply each Choi basis element to slot 1, then trace it out
     d = qm.part_dim(phi)
@@ -144,7 +140,7 @@ ISOTROPIC = [(2, 0.6), (3, 0.2), (4, 0.3)]
 
 @pytest.mark.parametrize("d, p", ISOTROPIC)
 def test_witness_system_matches_local_action(d, p):
-    phi = _isotropic(d, p)
+    phi = isotropic(d, p)
     m = _marginal_matrix_by_form(phi)
     assert m.shape == (d * d, d**4)
     assert_allclose(m, _marginal_matrix_by_action(phi), rtol=0, atol=1e-12)
@@ -157,7 +153,7 @@ def _symmetric_mixture(d, seed):
 
 @pytest.mark.parametrize(
     "make",
-    [lambda d=d, p=p: _isotropic(d, p) for d in (2, 3) for p in (0.2, 0.6)]
+    [lambda d=d, p=p: isotropic(d, p) for d in (2, 3) for p in (0.2, 0.6)]
     + [lambda d=d, seed=seed: _symmetric_mixture(d, seed) for d in (2, 3, 4) for seed in (0, 1)],
     ids=[f"isotropic-d{d}-p{p}" for d in (2, 3) for p in (0.2, 0.6)]
     + [f"mixture-d{d}-seed{seed}" for d in (2, 3, 4) for seed in (0, 1)],
@@ -172,7 +168,7 @@ def test_witness_system_matches_the_choi_basis_build(make):
 
 @pytest.mark.parametrize("d, p", ISOTROPIC)
 def test_witness_matches_lstsq(d, p, rng):
-    phi = _isotropic(d, p)
+    phi = isotropic(d, p)
     calibration = faithful.Calibration(phi)
     for _ in range(5):
         target = qm.random_state(d, rng)
@@ -203,7 +199,7 @@ def _faithful_states(draw):
     if kind == "canonical":
         return kind, qm.max_entangled(d)
     if kind == "isotropic":
-        return kind, _isotropic(d, draw(st.floats(0.0, 0.9)))
+        return kind, isotropic(d, draw(st.floats(0.0, 0.9)))
     if kind == "mixture":
         # a symmetric mixture with at least half of |Omega><Omega|: the two
         # solves agree to about cond(F) eps, and cond(F) reaches 4e3 at
@@ -236,7 +232,7 @@ def test_form_is_the_realigned_state_in_the_basis(d):
     mixed = np.eye(d) / d
     states = [
         qm.max_entangled(d),
-        _isotropic(d, 0.3),
+        isotropic(d, 0.3),
         joint_state(d, qm.random_state(d * d, d).matrix),
         _product_phi(d),
         product_state(qm.random_state(d, 1), qm.random_state(d, 2)),
@@ -265,7 +261,7 @@ def _calibrated_states(draw):
     if kind == "canonical":
         return kind, qm.max_entangled(d)
     if kind == "isotropic":
-        return kind, _isotropic(d, draw(st.floats(0.0, 0.99)))
+        return kind, isotropic(d, draw(st.floats(0.0, 0.99)))
     if kind == "product":
         part = qm.random_state(d, seed)
         return kind, product_state(part, part if draw(st.booleans()) else qm.random_state(d, seed + 1))

@@ -14,7 +14,7 @@ from opcal import quantum as qm
 from opcal.errors import NotFaithful
 from opcal.tolerances import ACTION_TOL, PINV_RCOND, TRANSPOSE_RESID
 import reference
-from reference import joint_state, local_action_oracle, product_state, random_unitary
+from reference import isotropic, joint_state, local_action_oracle, product_state, random_unitary
 
 
 def test_transpose_is_kraus_transpose(phi2, rng):
@@ -58,11 +58,6 @@ def test_transpose_axioms(phi2, rng):
         )
 
 
-def _isotropic(d, p):
-    omega = qm.max_entangled(d).matrix
-    return joint_state(d, (1.0 - p) * omega + p * np.eye(d * d) / d**2)
-
-
 def _pure_symmetric(d, seed):
     """|F>><<F| with F = W diag(sqrt p) W^T, W complex unitary: a
     faithful state that is symmetric but not real."""
@@ -98,7 +93,7 @@ def _pure_product(d):
 
 LOCAL_ACTION_STATES = [
     *((f"canonical-d{d}", lambda d=d: qm.max_entangled(d)) for d in (2, 3, 4, 5)),
-    ("isotropic-d3", lambda: _isotropic(3, 0.2)),
+    ("isotropic-d3", lambda: isotropic(3, 0.2)),
     ("mixture-d2", lambda: _symmetrized_mixture(2, 5)),
     ("mixture-d3", lambda: _symmetrized_mixture(3, 6)),
     ("pure-complex-d3", lambda: _pure_symmetric(3, 7)),
@@ -331,9 +326,7 @@ def test_cstar_identity_random(space2, rng):
 def test_cstar_identity_isotropic(d, p, rng):
     # (1 - p)|Omega><Omega| + p I/d^2 has a Gram matrix that is not a
     # multiple of the identity, so the norm must use the Gram metric
-    omega = qm.max_entangled(d).matrix
-    phi = joint_state(d, (1.0 - p) * omega + p * np.eye(d * d) / d**2)
-    space = gns.gns_space(gns.TransposeSolver(faithful.Calibration(phi)))
+    space = gns.gns_space(gns.TransposeSolver(faithful.Calibration(isotropic(d, p))))
     for _ in range(20):
         t = qm.random_cp(d, rng)
         lhs, rhs = gns.cstar_check(space, t)
@@ -407,12 +400,12 @@ def _swap_perturbed_isotropic():
     """The swap-perturbed isotropic override of the golden matrix:
     symmetric to is_symmetric's 1e-12, but not bit for bit."""
     a = np.kron(np.diag([1.0, 0.0, -1.0]), np.eye(3))
-    return joint_state(3, _isotropic(3, 0.2).matrix + 1e-13 * (a - ch.swap(a)))
+    return joint_state(3, isotropic(3, 0.2).matrix + 1e-13 * (a - ch.swap(a)))
 
 
 FACTORED_STATES = [
     *((f"canonical-d{d}", lambda d=d: qm.max_entangled(d)) for d in (2, 3, 4, 5)),
-    *((f"isotropic-d{d}", lambda d=d: _isotropic(d, 0.2)) for d in (2, 3, 4, 5)),
+    *((f"isotropic-d{d}", lambda d=d: isotropic(d, 0.2)) for d in (2, 3, 4, 5)),
     ("nonsymmetric-d2", _nonsymmetric_golden),
     ("swap-perturbed-isotropic-d3", _swap_perturbed_isotropic),
 ]
@@ -460,8 +453,8 @@ def test_factored_maps_match_the_folded_operator(make):
 
 ORTHONORMAL_STATES = [
     *((f"canonical-d{d}", lambda d=d: qm.max_entangled(d)) for d in (2, 3, 4)),
-    ("isotropic-d2-p0.6", lambda: _isotropic(2, 0.6)),
-    ("isotropic-d3-p0.2", lambda: _isotropic(3, 0.2)),
+    ("isotropic-d2-p0.6", lambda: isotropic(2, 0.6)),
+    ("isotropic-d3-p0.2", lambda: isotropic(3, 0.2)),
 ]
 
 
@@ -501,7 +494,7 @@ def test_two_scalar_products_meet_on_the_canonical_state(d):
         return np.max(np.abs(gram @ (d * d * gram_abs) - np.eye(d * d)))
 
     for p in (0.0, 0.2, 0.5, 0.9, 0.99):
-        gram, gram_abs = grams(_isotropic(d, p))
+        gram, gram_abs = grams(isotropic(d, p))
         assert miss(gram, gram_abs) <= 1e-13
         apart = np.linalg.norm(gram - gram_abs) / np.linalg.norm(gram_abs)
         assert apart <= 1e-14 if p == 0.0 else apart >= 0.4

@@ -7,7 +7,6 @@ implementation may move a value within its check's tolerance, but it
 must never change a status, a detail or the class of an error."""
 
 import pathlib
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -16,10 +15,9 @@ import pytest
 from opcal import channels as ch
 from opcal import cli
 from opcal import quantum as qm
+from verify_all import CONFIGS, SEEDS, isotropic
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "scripts"))
-from verify_all import CONFIGS, SEEDS, isotropic  # noqa: E402
 
 
 def _error_class(check):

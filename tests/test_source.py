@@ -3,9 +3,8 @@ tests or the scripts, every public function and every private
 module-level helper has a caller outside the tests, every function runs
 in some report, every defaulted parameter of a function that runs is
 set to another value in some report, every function the benchmark
-traces by name still exists, every check hands its seed to one draw,
-and each decision that one place owns is made only there: the table
-ONE_PLACE holds one row per such rule."""
+traces by name still exists, and each decision that one place owns is
+made only there: the table ONE_PLACE holds one row per such rule."""
 
 import ast
 import importlib
@@ -246,43 +245,6 @@ def test_benchmarked_functions_exist():
         for attr in attrs:
             obj = getattr(obj, attr, None)
         assert callable(obj), name
-
-
-def _rng_misuses(tree):
-    """Names of the `_check_*` functions in which `rng` appears other
-    than as an argument of one `_draw(...)` or `_sample_*(...)` call:
-    a body that calls a generator method itself, or draws twice (each
-    draw would seed its own Generator and replay the stream)."""
-    bad = []
-    for node in tree.body:
-        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")):
-            continue
-        uses = [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "rng"]
-        draws = [
-            call
-            for call in ast.walk(node)
-            if isinstance(call, ast.Call)
-            and isinstance(call.func, ast.Name)
-            and (call.func.id == "_draw" or call.func.id.startswith("_sample_"))
-            and any(arg in uses for arg in call.args)
-        ]
-        if len(uses) > 1 or len(draws) != len(uses):
-            bad.append(node.name)
-    return bad
-
-
-def test_each_check_hands_its_seed_to_one_draw():
-    assert _rng_misuses(ast.parse((ROOT / "src" / "opcal" / "checks.py").read_text())) == []
-    bodies = {
-        "_check_a": "w = rng.standard_normal(3)",
-        "_check_b": "a, = _draw(ctx, rng, 5, _sample_map)\n    b, = _draw(ctx, rng, 5, _sample_map)",
-        "_check_c": "e = _sample_effect(ctx.spec, rng)\n    e = _sample_effect(ctx.spec, rng)",
-        "_check_d": "a, = _draw(ctx, np.random.default_rng(rng), 5, _sample_map)",
-        "_check_e": "a, = _draw(ctx, rng, 5, _sample_map)",
-        "_check_f": "return True, {}",
-    }
-    source = "".join(f"def {name}(ctx, rng, tol):\n    {body}\n" for name, body in bodies.items())
-    assert _rng_misuses(ast.parse(source)) == ["_check_a", "_check_b", "_check_c", "_check_d"]
 
 
 def _dotted(node):
@@ -560,6 +522,26 @@ ONE_PLACE = {
         "def f(w):\n"
         "    return w.matrix\n",
         {"matrix": {"m.W"}, "choi": {"m.T.__init__"}},
+    ),
+    # a check's samples come from the one Generator that the runner
+    # seeds for its row, and each sampler of quantum takes a seed or that
+    # Generator: one built anywhere else would draw outside the row
+    "generators": (
+        _named(calls=("default_rng",)),
+        {
+            "default_rng": {
+                "cli._run_check",
+                "quantum.random_state", "quantum.random_effect", "quantum.random_generalized_effect",
+                "quantum.random_cp", "quantum.random_experiment", "quantum.random_kraus_contraction",
+                "quantum.random_classical_state", "quantum.random_classical_effect", "quantum.random_classical_map",
+            }
+        },
+        "from numpy.random import default_rng\n"
+        "def _check_a(ctx, tol, t):\n"
+        "    return np.random.default_rng(0).standard_normal(3), t\n"
+        "def f(seed):\n"
+        "    return default_rng(seed), np.random.Generator, rng.uniform()\n",
+        {"default_rng": {"m._check_a", "m.f"}},
     ),
     # every cutoff a construction makes is a named constant of
     # tolerances.py, so a small literal anywhere else has no name

@@ -17,18 +17,12 @@ from opcal.errors import NoClosedForm, NotFaithful, ZeroProbability
 from opcal.tolerances import PROB_TOL
 import reference
 from reference import product_state
-
-
-def _isotropic(d, p):
-    omega = qm.max_entangled(d).matrix
-    phi = (1.0 - p) * omega + p * np.eye(d * d) / d**2
-    return cli.validate_spec(cli.TheorySpec(d=d, phi_override=phi))
-
+from verify_all import isotropic
 
 SPECS = {
     "quantum-d2": cli.TheorySpec(d=2),
     "quantum-d3": cli.TheorySpec(d=3),
-    "isotropic-d3-p0.2": _isotropic(3, 0.2),
+    "isotropic-d3-p0.2": isotropic(3, 0.2),
 }
 CLASSICAL = {
     "classical-d3": cli.TheorySpec(backend="classical", d=3),
@@ -182,56 +176,57 @@ def _elements(stack):
     return core.unstack(stack)
 
 
-def _run_stacked(monkeypatch, ctx, name, fn):
-    """Run a stacked check body on its check seed; return its result and
-    the objects it drew, sample by sample and, within a sample, in the
+ROWS = {row[0]: row for row in checks.CHECKS}
+
+
+def _run_stacked(ctx, name):
+    """Run a check's row as the runner does; return its result and the
+    objects drawn for it, sample by sample and, within a sample, in the
     order of its samplers."""
+    _, detail, _, _, fn, draws = ROWS[name]
     drawn = []
-    draw = checks._draw
 
-    def recording(*args):
-        stacks = draw(*args)
+    def recording(ctx, tol, *stacks):
         drawn.extend(x for sample in zip(*map(_elements, stacks)) for x in sample)
-        return stacks
+        return fn(ctx, tol, *stacks)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(checks, "_draw", recording)
-        ok, values = fn(ctx, cli.check_seed(ctx.spec.seed, name), ctx.spec.tol)
-    return ok, values, drawn
+    result = cli._run_check(ctx, name, detail, ctx.spec.tol, recording, draws)
+    assert result.status != "error", result.error
+    return result.status == "pass", result.values, drawn
 
 
-# (id, check, stacked body, per-sample body, configurations, draws per
-# run)
+# (id, check, per-sample body, configurations)
 ORACLES = (
-    ("adjoint_pairing", "gns.adjoint_pairing", checks._check_adjoint_pairing, _adjoint_pairing_per_sample, SPECS, 3 * checks.SAMPLES),
-    ("born_triple", "born.triple", checks._check_born_triple, _born_triple_per_sample, SPECS, 3 * checks.SAMPLES),
-    ("effect_bound", "norms.effect_bound", checks._check_effect_norm, _effect_norm_per_sample, {**SPECS, **CLASSICAL}, 2 * checks.SAMPLES),
-    ("weight_bound", "norms.weight_bound", checks._check_weight_norm, _weight_norm_per_sample, {**SPECS, **CLASSICAL}, 2 * checks.SAMPLES),
-    ("submultiplicative", "norms.submultiplicative", checks._check_submultiplicative, _submultiplicative_per_sample, {**SPECS, **CLASSICAL}, 2 * checks.SAMPLES),
-    ("contraction", "norms.contraction", checks._check_contraction, _contraction_per_sample, {**SPECS, **CLASSICAL}, checks.SAMPLES),
-    ("preparational", "faithful.preparational", checks._check_preparational, _preparational_per_sample, SPECS, 5),
-    ("no_signaling", "born.no_signaling", checks._check_no_signaling, _no_signaling_per_sample, SPECS, 2 * checks.SAMPLES),
-    ("transpose_residual", "gns.transpose_residual", checks._check_transpose_residual, _transpose_residual_per_sample, SPECS, checks.SAMPLES),
-    ("kraus_transpose", "gns.kraus_transpose", checks._check_kraus_transpose, _kraus_transpose_per_sample, CANONICAL, 5),
-    ("cstar", "gns.cstar", checks._check_cstar, _cstar_per_sample, SPECS, checks.SAMPLES),
+    ("adjoint_pairing", "gns.adjoint_pairing", _adjoint_pairing_per_sample, SPECS),
+    ("born_triple", "born.triple", _born_triple_per_sample, SPECS),
+    ("effect_bound", "norms.effect_bound", _effect_norm_per_sample, {**SPECS, **CLASSICAL}),
+    ("weight_bound", "norms.weight_bound", _weight_norm_per_sample, {**SPECS, **CLASSICAL}),
+    ("submultiplicative", "norms.submultiplicative", _submultiplicative_per_sample, {**SPECS, **CLASSICAL}),
+    ("contraction", "norms.contraction", _contraction_per_sample, {**SPECS, **CLASSICAL}),
+    ("preparational", "faithful.preparational", _preparational_per_sample, SPECS),
+    ("no_signaling", "born.no_signaling", _no_signaling_per_sample, SPECS),
+    ("transpose_residual", "gns.transpose_residual", _transpose_residual_per_sample, SPECS),
+    ("kraus_transpose", "gns.kraus_transpose", _kraus_transpose_per_sample, CANONICAL),
+    ("cstar", "gns.cstar", _cstar_per_sample, SPECS),
 )
 
 
 @pytest.mark.parametrize(
-    "name, stacked, per_sample, spec, n_draws",
+    "name, per_sample, spec",
     [
-        pytest.param(name, stacked, per_sample, specs[config], n, id=f"{short}-{config}")
-        for short, name, stacked, per_sample, specs, n in ORACLES
+        pytest.param(name, per_sample, specs[config], id=f"{short}-{config}")
+        for short, name, per_sample, specs in ORACLES
         for config in specs
     ],
 )
-def test_stacked_check_matches_per_sample_oracle(monkeypatch, name, stacked, per_sample, spec, n_draws):
+def test_stacked_check_matches_per_sample_oracle(name, per_sample, spec):
     # the per-sample loop on the samples the stacked check drew, one at a
     # time, reports what the stacked check reports, and takes them all
+    *_, (n, *samplers) = ROWS[name]
     for seed in (1, 2, 3):
         ctx = cli.RunContext(replace(spec, seed=seed))
-        ok, values, drawn = _run_stacked(monkeypatch, ctx, name, stacked)
-        assert len(drawn) == n_draws
+        ok, values, drawn = _run_stacked(ctx, name)
+        assert len(drawn) == n * len(samplers)
         samples = iter(drawn)
         want_ok, want = per_sample(ctx, samples, ctx.spec.tol)
         assert next(samples, None) is None
@@ -333,7 +328,7 @@ def test_samplers_match_one_sample_oracles(fake_generators, config):
                 # sample i's slices of the same draws build the same
                 # object, through the sampler and through its oracle
                 one, ref = _Slice(rng.calls, i), _Slice(rng.calls, i)
-                assert np.array_equal(_drawn(got), _drawn(sampler(spec, one))), kind
+                assert np.array_equal(_drawn(got), _drawn(sampler(spec, one, None))), kind
                 want = oracle(spec.d, ref)
                 assert one.exhausted() and ref.exhausted()
                 assert type(got) is type(want), kind
@@ -344,38 +339,24 @@ def test_samplers_match_one_sample_oracles(fake_generators, config):
                     assert np.array_equal(_drawn(got), want), kind
 
 
-def _draw_calls(monkeypatch, spec):
-    """The distinct (samplers, n) that the checks of one `all` run pass
-    to checks._draw, in run order."""
-    seen = {}
-    draw = checks._draw
-
-    def recording(ctx, rng, n, *samplers):
-        seen[samplers, n] = None
-        return draw(ctx, rng, n, *samplers)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(checks, "_draw", recording)
-        cli.run_suite(spec, "all")
-    return list(seen)
-
-
 @pytest.mark.parametrize(
     "config", ["quantum-d2", "quantum-d3", "quantum-d4", "classical-d3", "classical-d4"]
 )
-def test_every_draw_of_a_run_is_one_call_per_array(monkeypatch, fake_generators, config):
-    # every sampler tuple an `all` run draws makes one generator call per
-    # array, each of them drawing all n samples, in the order given
+def test_every_draw_of_a_run_is_one_call_per_array(fake_generators, config):
+    # every draw of the rows that an `all` run runs makes one generator
+    # call per array, each of them drawing all n samples (one sample's
+    # arrays when n is None), in the order given
     spec = SAMPLER_SPECS[config]
-    calls = _draw_calls(monkeypatch, spec)
-    assert len(calls) == (4 if spec.backend == "classical" else 11)
-    for samplers, n in calls:
+    calls = dict.fromkeys(draws for *_, backends, _, draws in checks.CHECKS if draws and spec.backend in backends)
+    assert len(calls) == (5 if spec.backend == "classical" else 12)
+    for n, *samplers in calls:
         rng = _Recording(1)
-        stacks = checks._draw(cli.RunContext(spec), rng, n, *samplers)
+        stacks = [sampler(spec, rng, n) for sampler in samplers]
         kinds = [sampler.__name__.removeprefix("_sample_") for sampler in samplers]
         assert len(rng.calls) == sum(SAMPLE_ORACLES[k][spec.backend][1] for k in kinds)
-        assert all(len(out) == n for _, out in rng.calls)
-        assert [len(_elements(s)) for s in stacks] == [n] * len(samplers)
+        if n is not None:
+            assert all(len(out) == n for _, out in rng.calls)
+            assert [len(_elements(s)) for s in stacks] == [n] * len(samplers)
         want_rng = np.random.default_rng(1)
         for sampler, stack in zip(samplers, stacks):
             assert np.array_equal(_drawn(stack), _drawn(sampler(spec, want_rng, n)))
@@ -630,7 +611,7 @@ def test_norms_on_stacks_match_per_element(d):
     assert type(core.weight_norm(weights[0])) is float
     _close(core.effect_norm(core.stack(effects)), [core.effect_norm(e) for e in effects])
     _close(core.weight_norm(core.stack(weights)), [core.weight_norm(w) for w in weights])
-    cs = [checks._sample_effect(CLASSICAL["classical-d3"], np.random.default_rng(i)) for i in range(3)]
+    cs = [checks._sample_effect(CLASSICAL["classical-d3"], np.random.default_rng(i), None) for i in range(3)]
     _close(core.effect_norm(core.stack(cs)), [core.effect_norm(e) for e in cs])
 
 
