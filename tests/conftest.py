@@ -4,6 +4,9 @@ import pytest
 from opcal import faithful, gns
 from opcal.quantum import max_entangled
 
+# the fixtures of reference.py, such as fake_generators
+pytest_plugins = ("reference",)
+
 
 @pytest.fixture(scope="session")
 def phi2():

@@ -21,13 +21,21 @@ the table, the spanning family as
 separate states and the two equivalences decided on it one state at a
 time, product states, the
 samplers: unitaries, and one-sample-at-a-time formulas
-that the stack-aware samplers must reproduce from the same draws, and
-the GNS maps folded onto the real views of Choi matrices."""
+that the stack-aware samplers must reproduce from the same draws, the
+GNS maps folded onto the real views of Choi matrices, and the watchers
+of a run: the functions a module defines, a recorder of what a run
+calls, and a Generator that records what it draws."""
+
+import os
+import sys
+from collections import Counter
 
 import numpy as np
+import pytest
 
+import opcal
 from opcal import channels as ch
-from opcal import core, gns, infodim
+from opcal import basis, core, gns, infodim
 from opcal.basis import from_coords, hermitian_basis, matrix_rank, singular_value_rank, to_coords
 from opcal.core import (
     Effect,
@@ -594,3 +602,102 @@ def folded_gns_rep(folded, t):
     n = len(gram)
     cols = real_view(t.choi) @ composed_pairing.T
     return np.linalg.solve(gram, cols.reshape(*cols.shape[:-1], n, n))
+
+
+# ---------------------------------------------------------------------------
+# what a run calls, and what it draws
+
+
+_SRC = os.path.dirname(opcal.__file__) + os.sep
+_LINALG = os.path.dirname(np.linalg.__file__) + os.sep
+
+
+def defined_functions(path):
+    """(file, qualified name) of every function and method of a module,
+    nested ones included, as its code objects name them."""
+    todo, found = [compile(path.read_text(), str(path), "exec")], set()
+    while todo:
+        code = todo.pop()
+        if not code.co_name.startswith("<"):  # the module, lambdas, comprehensions
+            found.add((code.co_filename, code.co_qualname))
+        todo.extend(c for c in code.co_consts if hasattr(c, "co_code"))
+    return found
+
+
+def _name(code):
+    """module.qualname of a function of src/opcal."""
+    return f"{os.path.basename(code.co_filename).removesuffix('.py')}.{code.co_qualname}"
+
+
+def record(run, args=()):
+    """(run(), Counter) of what run called, read by one profile hook, so
+    constructors and methods count wherever they are bound: each call of
+    a function of src/opcal as "module.qualname"; each numpy.linalg
+    function that one calls as "module.qualname->function"; and each
+    call of a name in args also as "module.qualname(<repr of its first
+    parameter>)".  The caches of basis and core are cleared first, so a
+    cached build counts once per distinct argument."""
+    for module in (basis, core):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    calls = Counter()
+
+    def hook(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code.co_filename.startswith(_SRC):
+            name = _name(code)
+            calls[name] += 1
+            if name in args:
+                calls[f"{name}({frame.f_locals[code.co_varnames[0]]!r})"] += 1
+        elif (
+            code.co_filename.startswith(_LINALG)
+            and hasattr(np.linalg, code.co_name)
+            and frame.f_back.f_code.co_filename.startswith(_SRC)
+        ):
+            calls[f"{_name(frame.f_back.f_code)}->{code.co_name}"] += 1
+
+    sys.setprofile(hook)
+    try:
+        return run(), calls
+    finally:
+        sys.setprofile(None)
+
+
+_default_rng = np.random.default_rng
+
+
+class Recording:
+    """A Generator that keeps each call's method name and output."""
+
+    def __init__(self, seed):
+        self._rng, self.calls = _default_rng(seed), []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, out))
+            return out
+
+        return call
+
+
+@pytest.fixture
+def fake_generators(monkeypatch):
+    """np.random.default_rng makes a Recording of an int seed, and
+    returns any other argument unaltered, as it returns a Generator; the
+    fixture's value lists the Recordings made, in order."""
+    made = []
+
+    def default_rng(seed):
+        if not isinstance(seed, int):
+            return seed
+        made.append(Recording(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return made

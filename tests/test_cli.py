@@ -1,6 +1,8 @@
-"""Theory files, suite execution, report formats, and exit codes."""
+"""Theory files, suite execution, report formats, exit codes, and what
+a run calls and draws."""
 
 import codecs
+import fnmatch
 import math
 import os
 import pathlib
@@ -9,6 +11,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,8 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import opcal
-from opcal import channels as ch
-from opcal import basis, checks, cli, core, faithful, gns, infodim
+from opcal import checks, cli, core, gns, infodim
 from opcal import quantum as qm
 from opcal.errors import (
     NotFaithful,
@@ -26,8 +28,8 @@ from opcal.errors import (
     ValidationError,
     WitnessFailed,
 )
-from reference import measured
-from verify_all import isotropic
+from reference import all_pass, defined_functions, measured, record
+from verify_all import CLASSICAL_EXPECT_FAIL, isotropic
 
 
 def _write(tmp_path, text, name="t.theory"):
@@ -495,219 +497,214 @@ def test_main_theory_file(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the per-run context
+# what a run calls, and what it draws
+
+# One row per run: its id, the run (a spec and a suite, which must pass
+# but for the classical negative controls, or a callable that returns
+# whether it passed) and the exact count of each name it watches.  A
+# name is "module.qualname" of a function of src/opcal,
+# "caller->function" of a numpy.linalg function that one calls, or
+# "module.qualname(<repr of its first parameter>)"; a "*" matches any
+# text, and such a name counts the calls of every name it matches.
 
 
-def _counting(counts, name, fn):
-    def wrapper(*args, **kwargs):
-        counts[name] += 1
-        return fn(*args, **kwargs)
-
-    return wrapper
+def _once(name, *args):
+    """name called once on each of args, and on no other."""
+    return {name: len(args), **{f"{name}({arg!r})": 1 for arg in args}}
 
 
-FACTORIZATIONS = ("svd", "eigh", "pinv")
-
-
-def _opcal_calls(run):
-    """What run() returns, and how many times it called each function
-    of src/opcal ("module.qualified_name"), read by a profile hook, so
-    constructors and methods count wherever they are bound; a call of
-    np.linalg's svd, eigh or pinv from src/opcal counts as
-    "module.qualified_name->svd" of its caller."""
-    calls, src = Counter(), os.path.dirname(opcal.__file__)
-
-    def name(code):
-        return f"{pathlib.Path(code.co_filename).stem}.{code.co_qualname}"
-
-    def hook(frame, event, arg):
-        code = frame.f_code
-        if event != "call":
-            return
-        if code.co_filename.startswith(src):
-            calls[name(code)] += 1
-        elif code.co_name in FACTORIZATIONS and frame.f_back.f_code.co_filename.startswith(src):
-            calls[f"{name(frame.f_back.f_code)}->{code.co_name}"] += 1
-
-    sys.setprofile(hook)
-    try:
-        return run(), calls
-    finally:
-        sys.setprofile(None)
-
-
-# The functions that build a run's shared objects, and the witnesses
-BUILDS = (
-    "faithful.is_symmetric",
-    "faithful.local_action_matrix",
-    "faithful.Calibration.__init__",
-    "faithful.spectral_split",
-    "faithful.prepare_witness",
-    "gns.TransposeSolver.__init__",
-    "gns.gns_space",
-    "infodim.dim_identities",
-)
-
-
-def _builds(spec, suite):
-    """The counts of BUILDS in one run, and of the factorizations that
-    faithful and gns take."""
-    report, calls = _opcal_calls(lambda: cli.run_suite(spec, suite))
-    assert report.all_pass()
-    factors = [name for name in calls if name.startswith(("faithful.", "gns.")) and "->" in name]
-    return {name: calls[name] for name in (*BUILDS, *factors) if calls[name]}
-
-
-def test_run_builds_shared_objects_once(monkeypatch):
-    # one calibration per run decides symmetry, realigns phi and
-    # factors its form once;
-    # the dynamical rank, the witnesses' F^+, the spectral split and the
-    # transpose solver are all read off it, so no pseudo-inverse is
-    # taken, and the only other factorizations are the GNS Gram's and
-    # the GNS operator norm's.  Three checks take a preparation
-    # witness: faithful.preparational, born.pair and born.triple
-    iso3 = 0.8 * qm.max_entangled(3).matrix + 0.2 * np.eye(9) / 9
-    for d, phi in ((2, None), (3, iso3)):
-        spec = cli.validate_spec(cli.TheorySpec(d=d, phi_override=phi))
-        assert _builds(spec, "all") == {
-            "faithful.is_symmetric": 1,
-            "faithful.local_action_matrix": 1,
-            "faithful.Calibration.__init__": 1,
-            "faithful.spectral_split": 1,
-            "faithful.prepare_witness": 3,
-            "gns.TransposeSolver.__init__": 1,
-            "gns.gns_space": 1,
-            "infodim.dim_identities": 1,
-            "faithful.Calibration.__init__->svd": 1,
-            "gns.gns_space->eigh": 1,
-            "gns.gns_norm->svd": 1,
-        }
-    # the GNS space is built on the solver alone, with no spectral split
-    assert _builds(cli.TheorySpec(d=2), "gns") == {
-        "faithful.is_symmetric": 1,
-        "faithful.local_action_matrix": 1,
-        "faithful.Calibration.__init__": 1,
-        "gns.TransposeSolver.__init__": 1,
-        "gns.gns_space": 1,
-        "faithful.Calibration.__init__->svd": 1,
-        "gns.gns_space->eigh": 1,
-        "gns.gns_norm->svd": 1,
+def _measures(affine, idim, effect=(), maps=()):
+    """Each measurement taken once on each of its theories, and on no other."""
+    return {
+        **_once("infodim.affine_state_dimension", *affine),
+        **_once("infodim.informational_dimension", *idim),
+        **_once("infodim.effect_space_dimension", *effect),
+        **_once("infodim.transformation_affine_dimension", *maps),
     }
-    # the faithful suite reads the dynamical rank, the witnesses and the
-    # split off the calibration, with no transpose solver, also on a
-    # state that is not the maximally entangled one
-    iso = 0.8 * qm.max_entangled(2).matrix + 0.2 * np.eye(4) / 4
-    for phi in (None, iso):
-        spec = cli.validate_spec(cli.TheorySpec(d=2, phi_override=phi))
-        assert _builds(spec, "faithful") == {
-            "faithful.is_symmetric": 1,
-            "faithful.local_action_matrix": 1,
-            "faithful.Calibration.__init__": 1,
-            "faithful.spectral_split": 1,
-            "faithful.prepare_witness": 1,
-            "faithful.Calibration.__init__->svd": 1,
-        }
+
+
+def _systems(spec):
+    """An `all` run measures each system once: d and d*d, and on the
+    quantum backend the classical d of table1.classical_violation.  It
+    builds the spanning states of C^d and the basis of the d x d
+    matrices once each, never those of C^(d^2) or of the d^2 x d^2
+    matrices, on the canonical state or on an override."""
+    one, joint = core.Theory(spec.backend, spec.d), core.Theory(spec.backend, spec.d**2)
+    quantum = spec.backend == "quantum"
+    systems = (one, joint, *(core.classical(spec.d),) * quantum)
+    return {
+        **_measures(systems, systems, (one,), (one,)),
+        **_once("core.spanning_states", one),
+        **_once("basis.hermitian_basis", *(spec.d,) * quantum),
+    }
+
+
+def _table_calls(d):
+    """A table measures its second system and its joint one as the
+    first and the squared one, and takes no SVD, up to d = 5."""
+    systems = (core.quantum(d), core.quantum(d * d))
+    return {**_measures(systems, systems, systems[:1], systems[:1]), "*->svd": 0}
+
+
+def _table_holds(d):
+    """Whether every identity of the quantum table at d holds, and two
+    IC observables are locally observable at full rank."""
+    obs = infodim.ic_observable(core.quantum(d))
+    table = infodim.dim_identities(d, "quantum", measured)
+    return all_pass(table) and infodim.check_local_observability(obs, obs) == (True, d**4)
+
+
+# One calibration per run decides symmetry, realigns phi and factors its
+# form F by one SVD; the dynamical rank, the witnesses' F^+, the split
+# and the transpose solver are read off it, so no pseudo-inverse is taken.
+CALIBRATED = {
+    "faithful.is_symmetric": 1, "faithful.local_action_matrix": 1, "faithful.Calibration.__init__": 1,
+    "faithful.Calibration.__init__->svd": 1, "faithful.*->svd": 1, "faithful.*->eigh": 0, "*->pinv": 0,
+}
+# The GNS space is built on the transpose solver alone; its other
+# factorizations are its Gram matrix's and the GNS operator norm's.
+SOLVED = {
+    "gns.TransposeSolver.__init__": 1, "gns.gns_space": 1,
+    "gns.gns_space->eigh": 1, "gns.gns_norm->svd": 1, "gns.*->svd": 1, "gns.*->eigh": 1,
+}
+# Every quantum `all` run: three checks take a preparation witness
+# (faithful.preparational, born.pair, born.triple); one IC observable
+# and one table; one resolution test per discrimination witness, as one
+# stack; ten Choi stacks tested for complete positivity.  Every rank is
+# full, so its certificate decides it: the only SVDs are the
+# calibration's, the GNS norm's and the sampled experiments' branch split.
+QUANTUM_ALL = {
+    **CALIBRATED, **SOLVED, "faithful.spectral_split": 1, "faithful.prepare_witness": 3,
+    "infodim.ic_observable": 1, "infodim.minimal_ic_povm": 1, "infodim.dim_identities": 1,
+    "infodim.is_resolved": 3, "channels.is_psd": 10, "quantum.random_experiment->svd": 1, "*->svd": 3,
+}
+FAITHFUL = {
+    **CALIBRATED, "faithful.spectral_split": 1, "faithful.prepare_witness": 1, "gns.*": 0,
+    "infodim.dim_identities": 0,
+}
+Q2, Q3, Q4 = (cli.TheorySpec(d=d) for d in (2, 3, 4))
+ISO2, ISO3, ISO4 = (isotropic(d, 0.2) for d in (2, 3, 4))
+C3 = cli.TheorySpec(backend="classical", d=3)
+
+RUN_CALLS = [
+    # on the canonical state one Cholesky factor certifies each CP
+    # stack, with no spectrum; on the isotropic state the witness stacks
+    # are not CP, and each of their three tests reaches the spectrum
+    ("quantum-d2-all", (Q2, "all"), {**QUANTUM_ALL, **_systems(Q2), "channels.min_eig": 0}),
+    ("quantum-d3-all", (Q3, "all"), {**QUANTUM_ALL, **_systems(Q3), "channels.min_eig": 0}),
+    ("quantum-d4-all", (Q4, "all"), {**QUANTUM_ALL, **_systems(Q4), "channels.min_eig": 0}),
+    ("isotropic-d2-p0.2-all", (ISO2, "all"), {**QUANTUM_ALL, **_systems(ISO2), "channels.min_eig": 3}),
+    ("isotropic-d3-p0.2-all", (ISO3, "all"), {**QUANTUM_ALL, **_systems(ISO3), "channels.min_eig": 3}),
+    ("isotropic-d4-p0.2-all", (ISO4, "all"), {**QUANTUM_ALL, **_systems(ISO4), "channels.min_eig": 3}),
     # a classical run calls nothing of faithful or gns
-    _, calls = _opcal_calls(lambda: cli.run_suite(cli.TheorySpec(backend="classical", d=3), "all"))
-    assert calls and not [name for name in calls if name.startswith(("faithful.", "gns."))]
-    # one IC observable and one dimension table, of the spec's backend;
-    # the table reads the informational dimensions that infodim.idim and
-    # infodim.bell_ic measured, and table1.classical_violation measures
-    # the classical system alone, so a quantum run measures those of d,
-    # d*d and classical d, and a classical run those of d and d*d
-    builds = Counter()
-    for name in ("ic_observable", "minimal_ic_povm", "informational_dimension", "dim_identities"):
-        monkeypatch.setattr(infodim, name, _counting(builds, name, getattr(infodim, name)))
-    assert cli.run_suite(cli.TheorySpec(d=2), "all").all_pass()
-    assert builds == {
-        "ic_observable": 1,
-        "minimal_ic_povm": 1,
-        "informational_dimension": 3,
-        "dim_identities": 1,
-    }
-    builds.clear()
-    cli.run_suite(cli.TheorySpec(backend="classical", d=3), "all")
-    assert builds == {"ic_observable": 1, "informational_dimension": 2, "dim_identities": 1}
-
-
-def _recording(seen, name, fn):
-    def wrapper(theory):
-        seen.append((name, theory))
-        return fn(theory)
-
-    return wrapper
-
-
-MEASUREMENTS = (
-    "affine_state_dimension",
-    "informational_dimension",
-    "effect_space_dimension",
-    "transformation_affine_dimension",
-)
-
-
-def test_each_measurement_runs_once_per_run(monkeypatch):
-    seen = []
-    for name in MEASUREMENTS:
-        monkeypatch.setattr(infodim, name, _recording(seen, name, getattr(infodim, name)))
-    affine, idim, effect, maps = MEASUREMENTS
-    for backend, d in (("quantum", 2), ("quantum", 3), ("classical", 3)):
-        seen.clear()
-        cli.run_suite(cli.TheorySpec(backend=backend, d=d), "all")
-        th1, th2 = core.Theory(backend, d), core.Theory(backend, d * d)
-        want = {(affine, th1), (idim, th1), (effect, th1), (affine, th2), (idim, th2), (maps, th1)}
-        if backend == "quantum":
-            # table1.classical_violation reads the classical system only
-            want |= {(affine, core.classical(d)), (idim, core.classical(d))}
-        assert len(seen) == len(set(seen)) == len(want)
-        assert set(seen) == want, (backend, d)
+    ("classical-d3-all", (C3, "all"), {
+        **_systems(C3), "faithful.*": 0, "gns.*": 0, "infodim.ic_observable": 1,
+        "infodim.minimal_ic_povm": 0, "infodim.dim_identities": 1, "infodim.is_resolved": 2, "*->svd": 0,
+    }),
+    ("quantum-d2-gns", (Q2, "gns"), {
+        **CALIBRATED, **SOLVED, "faithful.spectral_split": 0, "faithful.prepare_witness": 0,
+        "infodim.dim_identities": 0,
+    }),
+    # the faithful suite reads the rank, the witness and the split off
+    # the calibration, with no transpose solver, on any state
+    ("quantum-d2-faithful", (Q2, "faithful"), FAITHFUL),
+    ("isotropic-d2-p0.2-faithful", (ISO2, "faithful"), FAITHFUL),
     # the infodim suite measures no table: no d^4 x d^4 rank, and no map
-    builds = Counter()
-    monkeypatch.setattr(
-        infodim, "dim_identities", _counting(builds, "dim_identities", infodim.dim_identities)
+    ("quantum-d2-infodim", (Q2, "infodim"), {
+        **_measures((core.quantum(2),), (core.quantum(2), core.quantum(4))), "infodim.dim_identities": 0,
+    }),
+    *((f"quantum-d{d}-table", partial(_table_holds, d), _table_calls(d)) for d in (2, 3, 5)),
+]
+# every function of src/opcal, as "module.qualname"
+OPCAL_FUNCTIONS = {
+    f"{pathlib.Path(path).stem}.{name}"
+    for module in pathlib.Path(opcal.__file__).parent.glob("*.py")
+    for path, name in defined_functions(module)
+}
+
+
+def _assert_calls(run, want):
+    """Record run and assert the exact count of each name in want."""
+    # no row passes on a stale name: each watched function is defined in
+    # src/opcal, and each "->function" is one of numpy.linalg
+    for key in want:
+        caller, arrow, function = key.partition("(")[0].partition("->")
+        assert fnmatch.filter(OPCAL_FUNCTIONS, caller), key
+        assert not arrow or fnmatch.filter(dir(np.linalg), function), key
+    if not callable(run):
+        spec, suite = run
+        expect = CLASSICAL_EXPECT_FAIL if spec.backend == "classical" else ()
+        run = lambda: cli.run_suite(spec, suite).all_pass(expect_fail=expect)  # noqa: E731
+    passed, calls = record(run, args={key.partition("(")[0] for key in want if "(" in key})
+    assert passed is True
+    assert {key: sum(n for name, n in calls.items() if fnmatch.fnmatchcase(name, key)) for key in want} == want
+
+
+@pytest.mark.parametrize("run, want", [row[1:] for row in RUN_CALLS], ids=[row[0] for row in RUN_CALLS])
+def test_run_calls(run, want):
+    _assert_calls(run, want)
+
+
+def _assert_slice(ids, *patterns):
+    """Assert, on each row of RUN_CALLS named in ids, the counts of the
+    names that match one of patterns, and that the row has some."""
+    rows = {row[0]: row[1:] for row in RUN_CALLS}
+    for row_id in ids:
+        run, want = rows[row_id]
+        part = {key: n for key, n in want.items() if any(fnmatch.fnmatchcase(key, p) for p in patterns)}
+        assert part, row_id
+        _assert_calls(run, part)
+
+
+def test_run_builds_shared_objects_once():
+    # the calibration, the transpose solver, the GNS space, the spectral
+    # split, the witnesses, the IC observable and the table, and the
+    # factorizations that faithful and gns take
+    _assert_slice(
+        ("quantum-d2-all", "isotropic-d3-p0.2-all", "quantum-d2-gns", "quantum-d2-faithful",
+         "isotropic-d2-p0.2-faithful", "classical-d3-all"),
+        "faithful.*", "gns.*", "infodim.ic_observable", "infodim.minimal_ic_povm", "infodim.dim_identities",
     )
-    seen.clear()
-    assert cli.run_suite(cli.TheorySpec(d=2), "infodim").all_pass()
-    assert builds == Counter()
-    assert set(seen) == {(idim, core.quantum(2)), (idim, core.quantum(4)), (affine, core.quantum(2))}
 
 
-class _CountingGenerator:
-    """A Generator that counts its method calls under one check's name."""
-
-    def __init__(self, rng, calls, check):
-        self._rng, self._calls, self._check = rng, calls, check
-
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def call(*args, **kwargs):
-            self._calls[self._check] += 1
-            return method(*args, **kwargs)
-
-        return call
+def test_each_measurement_runs_once_per_run():
+    # each dimension measured once on each theory it reads, and on no other
+    _assert_slice(
+        ("quantum-d2-all", "quantum-d3-all", "classical-d3-all", "quantum-d2-infodim"),
+        "infodim.*_dimension*",
+    )
 
 
-def test_each_check_draws_in_the_fewest_generator_calls(monkeypatch):
+def test_no_rank_reaches_an_svd():
+    # every rank is full, so its certificate decides it; the only SVDs
+    # are the calibration's, the GNS norm's and the branch split's
+    _assert_slice(
+        ("quantum-d2-all", "quantum-d3-all", "quantum-d4-all", "classical-d3-all", "quantum-d5-table"),
+        "*->svd",
+    )
+
+
+def test_cp_stacks_take_no_spectrum():
+    # one Cholesky factor certifies each CP stack: no test reaches the
+    # spectrum of a Choi matrix
+    _assert_slice(("quantum-d2-all", "quantum-d4-all"), "channels.*")
+
+
+def test_each_check_draws_in_the_fewest_generator_calls(fake_generators, monkeypatch):
     # a Generator only for a check that draws, at most one per check (a
     # second would replay its stream), and one call per array that a
     # sampler draws, whatever the number of samples: a complex Gaussian
     # is two calls, a uniform scale or a classical sample one
-    generators, calls, running = Counter(), Counter(), [None]
-    default_rng, run_check = np.random.default_rng, cli._run_check
+    owners, run_check = [], cli._run_check
 
-    def counting_rng(seed):
-        if isinstance(seed, _CountingGenerator):
-            return seed  # as default_rng returns a Generator unaltered
-        generators[running[0]] += 1
-        return _CountingGenerator(default_rng(seed), calls, running[0])
+    def owning_run_check(ctx, name, *args):
+        made = len(fake_generators)
+        try:
+            return run_check(ctx, name, *args)
+        finally:
+            owners.extend([name] * (len(fake_generators) - made))
 
-    def counting_run_check(ctx, name, *args):
-        running[0] = name
-        return run_check(ctx, name, *args)
-
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    monkeypatch.setattr(cli, "_run_check", counting_run_check)
+    monkeypatch.setattr(cli, "_run_check", owning_run_check)
     per_check = {
         "born.no_signaling": 4,
         "faithful.preparational": 2,
@@ -722,9 +719,13 @@ def test_each_check_draws_in_the_fewest_generator_calls(monkeypatch):
         (cli.TheorySpec(d=4), 15, 66),
         (cli.TheorySpec(backend="classical", d=3), 5, 12),
     ):
-        generators.clear()
-        calls.clear()
+        owners.clear()
+        fake_generators.clear()
         cli.run_suite(spec, "all")
+        # each Generator, made by the check that ran, with its calls
+        generators, calls = Counter(owners), Counter()
+        for name, rng in zip(owners, fake_generators, strict=True):
+            calls[name] += len(rng.calls)
         assert sum(generators.values()) == want_generators, spec
         assert max(generators.values()) == 1, spec
         assert sum(calls.values()) == want_calls, spec
@@ -732,96 +733,8 @@ def test_each_check_draws_in_the_fewest_generator_calls(monkeypatch):
             assert {name: calls[name] for name in per_check} == per_check
 
 
-def test_no_rank_reaches_an_svd(monkeypatch):
-    # every rank of an `all` run is full, so the Cholesky certificate
-    # decides it; the only SVDs left are the calibration's one
-    # factorization of the form F, the GNS operator norm and the branch
-    # split of the sampled experiments
-    calls, svd = Counter(), np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls[sys._getframe(1).f_code.co_qualname] += 1
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    for spec, want in (
-        (cli.TheorySpec(d=2), {"Calibration.__init__": 1, "gns_norm": 1, "random_experiment": 1}),
-        (cli.TheorySpec(d=3), {"Calibration.__init__": 1, "gns_norm": 1, "random_experiment": 1}),
-        (cli.TheorySpec(d=4), {"Calibration.__init__": 1, "gns_norm": 1, "random_experiment": 1}),
-        (cli.TheorySpec(backend="classical", d=3), {}),
-    ):
-        calls.clear()
-        cli.run_suite(spec, "all")
-        assert dict(calls) == want, spec
-    # the d=5 dimension table and local observability, every rank full
-    calls.clear()
-    assert all(lhs == rhs for lhs, rhs in infodim.dim_identities(5, "quantum", measured).values())
-    obs = infodim.ic_observable(core.quantum(5))
-    assert infodim.check_local_observability(obs, obs) == (True, 625)
-    assert dict(calls) == {}
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_no_run_builds_the_choi_basis(monkeypatch, d):
-    # the coordinate maps take sizes, so no `all` run asks for the
-    # d^4-element basis of the d^2 x d^2 matrices, on the canonical
-    # state or on an override
-    sizes, build = [], basis.hermitian_basis
-
-    def recording(n):
-        sizes.append(n)
-        return build(n)
-
-    for mod in (basis, core, faithful, gns, infodim):
-        if getattr(mod, "hermitian_basis", None) is build:
-            monkeypatch.setattr(mod, "hermitian_basis", recording)
-    phi = 0.8 * qm.max_entangled(d).matrix + 0.2 * np.eye(d * d) / d**2
-    for spec in (cli.TheorySpec(d=d), cli.validate_spec(cli.TheorySpec(d=d, phi_override=phi))):
-        report = cli.run_suite(spec, "all")
-        assert all(c.status == "pass" for c in report.checks)
-    assert sizes and set(sizes) == {d}
-
-
-def test_cp_stacks_take_no_spectrum(monkeypatch):
-    # every Choi stack an `all` run tests for complete positivity is
-    # CP, and one Cholesky factor decides each: no test reaches the
-    # spectrum of a Choi matrix
-    tests, spectra = [], Counter()
-    is_psd, eigvalsh = ch.is_psd, np.linalg.eigvalsh
-
-    def recording_is_psd(m, tol):
-        before = spectra["min_eig"]
-        out = is_psd(m, tol)
-        tests.append((bool(np.all(out)), spectra["min_eig"] - before))
-        return out
-
-    def counting_eigvalsh(*args, **kwargs):
-        spectra[sys._getframe(1).f_code.co_name] += 1
-        return eigvalsh(*args, **kwargs)
-
-    monkeypatch.setattr(ch, "is_psd", recording_is_psd)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    for spec in (cli.TheorySpec(d=2), cli.TheorySpec(d=4)):
-        tests.clear()
-        cli.run_suite(spec, "all")
-        assert tests and set(tests) == {(True, 0)}, spec
-
-
-def test_one_resolution_test_per_witness(monkeypatch):
-    # each discrimination witness resolves its effects as one stack, and
-    # a run builds one witness per system: d and d*d, and on the
-    # quantum backend the classical d of table1.classical_violation
-    calls = Counter()
-    resolved = _counting(calls, "is_resolved", infodim.is_resolved)
-    monkeypatch.setattr(infodim, "is_resolved", resolved)
-    for spec, want in (
-        (cli.TheorySpec(d=2), 3),
-        (cli.TheorySpec(backend="classical", d=3), 2),
-        (cli.TheorySpec(d=4), 3),
-    ):
-        calls.clear()
-        cli.run_suite(spec, "all")
-        assert calls["is_resolved"] == want, spec
+# ---------------------------------------------------------------------------
+# the per-run context
 
 
 def test_context_does_not_store_a_failed_build(monkeypatch):

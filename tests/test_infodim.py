@@ -1,7 +1,6 @@
 """Informational completeness, discriminability, and the dimension
 identity table."""
 
-import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +20,7 @@ from reference import (
     measured,
     passes,
     pauli_povm_qubit,
+    record,
     sic_povm_qubit,
     weyl,
 )
@@ -123,21 +123,13 @@ def test_affine_state_dimension_memory():
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_all_run_forms_no_joint_spanning_states(monkeypatch, d):
+def test_all_run_forms_no_joint_spanning_states(d):
     # the composite system's state dimensions come from its spanning
     # vectors: no module asks for the d^4 spanning states of C^(d^2)
-    theories, build = [], core.spanning_states
-
-    def recorded(theory):
-        theories.append(theory)
-        return build(theory)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "opcal" and hasattr(module, "spanning_states"):
-            monkeypatch.setattr(module, "spanning_states", recorded)
-    report = cli.run_suite(cli.TheorySpec(d=d), "all")
-    assert all(c.status == "pass" for c in report.checks)
-    assert theories and {th.d for th in theories} == {d}
+    name = "core.spanning_states"
+    passed, calls = record(lambda: cli.run_suite(cli.TheorySpec(d=d), "all").all_pass(), args={name})
+    assert passed is True
+    assert calls[name] == calls[f"{name}({core.quantum(d)!r})"] == 1
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -317,25 +309,3 @@ def test_classical_violates_squared_identity(d):
     assert passes(report, "D2")
     assert passes(report, "D3")
     assert passes(report, "tensor")
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_dim_identities_measures_each_system_once(monkeypatch, d):
-    # the second system and the joint one are the first and the squared
-    # one: they are not measured again
-    seen = []
-
-    def counting(name):
-        fn = getattr(infodim, name)
-
-        def wrapped(theory, *args):
-            seen.append((name, theory))
-            return fn(theory, *args)
-
-        return wrapped
-
-    for name in ("affine_state_dimension", "informational_dimension"):
-        monkeypatch.setattr(infodim, name, counting(name))
-    infodim.dim_identities(d, "quantum", measured)
-    # d and d*d, each once
-    assert len(seen) == len(set(seen)) == 4

@@ -17,6 +17,8 @@ import sys
 import numpy as np
 import pytest
 
+from reference import defined_functions
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "opcal").glob("*.py"))
 # __init__.py is left out: its imports are the package's re-exports
@@ -173,18 +175,6 @@ with open(out, "w") as fh:
 """
 
 
-def _defined_functions(path):
-    """(file, qualified name) of every function and method of a module,
-    nested ones included, as its code objects name them."""
-    todo, found = [compile(path.read_text(), str(path), "exec")], set()
-    while todo:
-        code = todo.pop()
-        if not code.co_name.startswith("<"):  # the module, lambdas, comprehensions
-            found.add((code.co_filename, code.co_qualname))
-        todo.extend(c for c in code.co_consts if hasattr(c, "co_code"))
-    return found
-
-
 @pytest.fixture(scope="module")
 def report_calls(tmp_path_factory):
     """What _RECORD_CALLS records over the verify_all configurations at
@@ -216,7 +206,7 @@ def _qualified(rows):
 def test_every_function_runs_in_some_report(report_calls):
     # this catches a method whose name another definition shares, which
     # the name match of the library-caller test counts as called
-    defined = set().union(*(_defined_functions(p) for p in MODULES))
+    defined = set().union(*(defined_functions(p) for p in MODULES))
     assert _qualified(defined - report_calls["called"]) == set(NOT_RUN)
 
 

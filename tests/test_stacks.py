@@ -16,7 +16,7 @@ from opcal import quantum as qm
 from opcal.errors import NoClosedForm, NotFaithful, ZeroProbability
 from opcal.tolerances import PROB_TOL
 import reference
-from reference import product_state
+from reference import Recording, product_state
 from verify_all import isotropic
 
 SPECS = {
@@ -240,23 +240,6 @@ def test_stacked_check_matches_per_sample_oracle(name, per_sample, spec):
 # the samplers: one generator call per array, built per stack
 
 
-class _Recording:
-    """A Generator that keeps each call's method name and output."""
-
-    def __init__(self, seed):
-        self._rng, self.calls = np.random.default_rng(seed), []
-
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def call(*args, **kwargs):
-            out = method(*args, **kwargs)
-            self.calls.append((name, out))
-            return out
-
-        return call
-
-
 class _Slice:
     """Replays sample i of recorded calls: call k must name the method
     of recorded call k, and returns element i of its output."""
@@ -274,16 +257,6 @@ class _Slice:
 
     def exhausted(self):
         return next(self._calls, None) is None
-
-
-@pytest.fixture
-def fake_generators(monkeypatch):
-    """np.random.default_rng returns a _Recording or a _Slice unaltered,
-    as it returns a Generator."""
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(
-        np.random, "default_rng", lambda seed: seed if isinstance(seed, (_Recording, _Slice)) else default_rng(seed)
-    )
 
 
 SAMPLER_SPECS = {
@@ -318,7 +291,7 @@ def test_samplers_match_one_sample_oracles(fake_generators, config):
                 continue
             oracle, arrays = oracles[spec.backend]
             sampler = getattr(checks, f"_sample_{kind}")
-            rng = _Recording(seed)
+            rng = Recording(seed)
             stack = _elements(sampler(spec, rng, checks.SAMPLES))
             # one call per array, each drawing every sample
             assert len(rng.calls) == arrays, kind
@@ -350,7 +323,7 @@ def test_every_draw_of_a_run_is_one_call_per_array(fake_generators, config):
     calls = dict.fromkeys(draws for *_, backends, _, draws in checks.CHECKS if draws and spec.backend in backends)
     assert len(calls) == (5 if spec.backend == "classical" else 12)
     for n, *samplers in calls:
-        rng = _Recording(1)
+        rng = Recording(1)
         stacks = [sampler(spec, rng, n) for sampler in samplers]
         kinds = [sampler.__name__.removeprefix("_sample_") for sampler in samplers]
         assert len(rng.calls) == sum(SAMPLE_ORACLES[k][spec.backend][1] for k in kinds)
@@ -655,7 +628,7 @@ def test_experiments_stack_branchwise(fake_generators):
     # a stack of experiments is one experiment whose branch k is the
     # stack of every sample's branch k, each as the sample's own slices
     # of the draws build it
-    rng = _Recording(0)
+    rng = Recording(0)
     stacked = qm.random_experiment(2, rng, 3)
     exps = [qm.random_experiment(2, _Slice(rng.calls, i)) for i in range(3)]
     assert len(stacked.branches.choi) == len(exps[0].branches.choi) == 3
