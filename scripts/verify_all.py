@@ -24,12 +24,15 @@ from opcal import cli
 from opcal import quantum as qm
 
 
+def isotropic_phi(d, p):
+    """(1 - p)|Omega><Omega| + p I/d^2: faithful for p < 1, but not the
+    maximally entangled state."""
+    return (1.0 - p) * qm.max_entangled(d).matrix + p * np.eye(d * d) / d**2
+
+
 def isotropic(d, p):
-    """(1 - p)|Omega><Omega| + p I/d^2: faithful, but not the maximally
-    entangled state."""
-    omega = qm.max_entangled(d).matrix
-    phi = (1.0 - p) * omega + p * np.eye(d * d) / d**2
-    return cli.validate_spec(cli.TheorySpec(backend="quantum", d=d, phi_override=phi))
+    """The quantum spec of d whose joint state is isotropic_phi(d, p)."""
+    return cli.validate_spec(cli.TheorySpec(backend="quantum", d=d, phi_override=isotropic_phi(d, p)))
 
 
 CONFIGS = [

@@ -102,12 +102,18 @@ class TheorySpec:
         return core.Theory(self.backend, self.d)
 
     def phi(self):
+        """The override made Hermitian and of unit trace, here alone, so a
+        spec validated twice keeps its bytes; else |Omega><Omega|."""
         if self.phi_override is not None:
-            return core.State(core.quantum(self.d**2), self.phi_override)
+            m = self.phi_override
+            m = (m + m.conj().T) / 2.0
+            return core.State(core.quantum(self.d**2), m / np.real(np.trace(m)))
         return qm.max_entangled(self.d)
 
 
 def validate_spec(spec):
+    """The spec itself, unchanged, or ValidationError naming each field
+    that is out of range."""
     errors = []
     if spec.backend not in BACKENDS:
         errors.append(f"backend must be quantum or classical, got {spec.backend!r}")
@@ -146,10 +152,6 @@ def validate_spec(spec):
                 errors.append(f"override matrix trace {tr} is not 1")
     if errors:
         raise ValidationError("; ".join(errors))
-    if spec.phi_override is not None:
-        m = spec.phi_override
-        m = (m + m.conj().T) / 2.0
-        spec = replace(spec, phi_override=m / np.real(np.trace(m)))
     return spec
 
 

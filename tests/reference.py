@@ -1,41 +1,41 @@
 """Reference objects and predicates that only the tests use: the qubit
 reference observables, the predictability test of an effect, the
-physicality test of a map, the
-loop-built oracles of the fixed families (spanning vectors,
-Weyl displacements, generic ancilla, Bell projectors, the minimal IC
-observable, the projective experiment, the maximally entangled
-state), the
-Kraus superoperator, the joint bilinear form and its absolute value,
-the involution on states, the positivity decision by the spectrum
-alone, the rank by singular values alone, the real view of a complex
-matrix and the coordinates of every whole family a rank reads, the
-local action of either slot built index by index and the
-faithfulness predicates on its rank,
-the Choi-basis construction of the witness equations, the einsum of
-the bilinear form, the least-squares and closed-form preparation
-witnesses, the transpose by a complex SVD of the realigned state and
-the spectral split by eigh of the form (the oracles of the one
-calibration), the direct
-measurement that a dimension table takes and the pass predicates of
-the table, the spanning family as
+physicality test of a map, the loop-built oracles of the fixed families
+(spanning vectors, Weyl displacements, generic ancilla, Bell projectors,
+the minimal IC observable, the projective experiment, the maximally
+entangled state), the Kraus superoperator, the joint bilinear form and
+its absolute value, the involution on states, the positivity decision by
+the spectrum alone, the rank by singular values alone, the real view of
+a complex matrix and the coordinates of every whole family a rank reads,
+the local action of either slot built index by index and the
+faithfulness predicates on its rank, the Choi-basis construction of the
+witness equations, the einsum of the bilinear form, the least-squares
+and closed-form preparation witnesses, the transpose by a complex SVD of
+the realigned state and the spectral split by eigh of the form (the
+oracles of the one calibration), the direct measurement that a dimension
+table takes and the pass predicates of the table, the spanning family as
 separate states and the two equivalences decided on it one state at a
-time, product states, the
-samplers: unitaries, and one-sample-at-a-time formulas
-that the stack-aware samplers must reproduce from the same draws, the
+time, product states, the samplers: unitaries, and one-sample-at-a-time
+formulas that the stack-aware samplers must reproduce from the same
+draws, the catalogue of joint states (every family of joint states the
+tests build, one row each, picked by name as a State or as a spec), the
 GNS maps folded onto the real views of Choi matrices, and the watchers
 of a run: the functions a module defines, a recorder of what a run
 calls, and a Generator that records what it draws."""
 
+import math
 import os
 import sys
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
 import opcal
 from opcal import channels as ch
-from opcal import basis, core, gns, infodim
+from opcal import quantum as qm
+from opcal import basis, cli, core, gns, infodim
 from opcal.basis import from_coords, hermitian_basis, matrix_rank, singular_value_rank, to_coords
 from opcal.core import (
     Effect,
@@ -53,6 +53,7 @@ from opcal.errors import ConeViolation, DegenerateSplit, NotFaithful
 from opcal.faithful import is_symmetric
 from opcal.quantum import apply_local, kraus_to_choi, local_state, part_dim, projector_map
 from opcal.tolerances import PINV_RCOND, PROB_TOL, TRANSPOSE_RESID, ZERO_CUTOFF
+from verify_all import isotropic_phi
 
 # ---------------------------------------------------------------------------
 # reference observables
@@ -206,24 +207,12 @@ def projective_experiment(theory):
     return Experiment(core.stack(branches))
 
 
-def joint_state(d, m):
-    """The joint state of two d-dimensional systems with matrix m: a
-    State of quantum(d^2)."""
-    return State(quantum(d * d), m)
-
-
 def max_entangled(d):
     """quantum.max_entangled with |Omega> written one entry |ii> at a time."""
     v = np.zeros(d * d, dtype=complex)
     for i in range(d):
         v[i * d + i] = 1.0 / np.sqrt(d)
-    return joint_state(d, np.outer(v, v.conj()))
-
-
-def isotropic(d, p):
-    """(1 - p)|Omega><Omega| + p I/d^2, the state of scripts/verify_all's
-    isotropic specs."""
-    return joint_state(d, (1.0 - p) * max_entangled(d).matrix + p * np.eye(d * d) / d**2)
+    return State(quantum(d * d), np.outer(v, v.conj()))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +451,7 @@ def all_pass(table):
 def product_state(w1, w2):
     m1 = w1.matrix if hasattr(w1, "matrix") else np.asarray(w1)
     m2 = w2.matrix if hasattr(w2, "matrix") else np.asarray(w2)
-    return joint_state(m1.shape[0], np.kron(m1, m2))
+    return State(quantum(m1.shape[0] ** 2), np.kron(m1, m2))
 
 
 def random_unitary(d, seed):
@@ -470,6 +459,106 @@ def random_unitary(d, seed):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# ---------------------------------------------------------------------------
+# the catalogue of joint states: each family the tests build is one row,
+# the function of its parameters that builds its d^2 x d^2 matrix
+
+
+def _pure_product(d):
+    plus = np.full(d, 1.0 / np.sqrt(d))
+    return np.kron(np.diag(np.eye(d)[0]), np.outer(plus, plus))
+
+
+def _symmetrized_mixture(d, seed):
+    rho = qm.random_state(d * d, seed).matrix
+    return (rho + ch.swap(rho)) / 2.0
+
+
+def _pure_complex(d, seed):
+    w = random_unitary(d, seed)
+    p = np.random.default_rng(seed).dirichlet(np.ones(d))
+    f = (w * np.sqrt(p)) @ w.T
+    v = ((f + f.T) / 2.0).reshape(-1)
+    return np.outer(v, v.conj()) / np.vdot(v, v).real
+
+
+def _schmidt_rank(d, k, seed):
+    rng = np.random.default_rng(seed)
+    n = d * d
+    # the Helmert rows as diagonal matrices, then the off-diagonal
+    # elements of the basis: n - 1 orthonormal traceless matrices
+    m, col = np.arange(1, d)[:, None], np.arange(d)
+    helmert = np.where(col < m, 1.0, np.where(col == m, -m, 0.0)) / np.sqrt(m * (m + 1))
+    traceless = np.concatenate([helmert[:, None, :] * np.eye(d), hermitian_basis(d)[d:]])
+    x, y = (
+        np.einsum("am,aij->mij", np.linalg.qr(rng.standard_normal((n - 1, k - 1)))[0], traceless)
+        for _ in range(2)
+    )
+    terms = np.einsum("m,mab,mcd->acbd", rng.uniform(1.0, 2.0, k - 1), x, y).reshape(n, n)
+    scale = np.linalg.norm(terms, 2) if k > 1 else 1.0
+    return np.eye(n) / n + rng.uniform(0.5, 1.0) / (n * scale) * terms
+
+
+def _nonsymmetric(d):
+    rho = np.kron(np.diag(np.arange(1.0, d + 1)), np.diag(np.arange(d, 0.0, -1)))
+    return 0.8 * qm.max_entangled(d).matrix + 0.2 * rho / np.trace(rho)
+
+
+def _swap_perturbed_isotropic():
+    a = np.kron(np.diag([1.0, 0.0, -1.0]), np.eye(3))
+    return isotropic_phi(3, 0.2) + 1e-13 * (a - ch.swap(a))
+
+
+JOINT_STATES = {
+    # (d): |Omega><Omega|, the state a run calibrates on by default
+    "canonical": lambda d: qm.max_entangled(d).matrix,
+    # (d, p): (1 - p)|Omega><Omega| + p I/d^2
+    "isotropic": isotropic_phi,
+    # (d): I/d^2, as the product of the two maximally mixed parts
+    "maximally-mixed": lambda d: np.kron(np.eye(d) / d, np.eye(d) / d),
+    # (d): |0><0| (x) |+><+|, operator-Schmidt rank 1, local action rank d^2
+    "pure-product": _pure_product,
+    # (d, seed): (rho + S rho S) / 2 for a random joint state rho
+    "mixture": _symmetrized_mixture,
+    # (d, seed): |F>><<F| with F = W diag(sqrt p) W^T, W a complex
+    # unitary: faithful, symmetric, not real
+    "pure-complex": _pure_complex,
+    # (d, k, seed): I/d^2 + c sum_m s_m X_m (x) Y_m over k - 1 pairs of orthonormal
+    # traceless Hermitian X_m, Y_m, s_m in [1, 2], c small enough to keep it
+    # PSD: operator-Schmidt rank k, R has the singular values 1/d and c s_m
+    "schmidt-rank": _schmidt_rank,
+    # (d): 0.8 |Omega><Omega| + 0.2 diag(1..d) (x) diag(d..1) / trace:
+    # faithful, not symmetric
+    "nonsymmetric": _nonsymmetric,
+    # (): 0.8 |Omega><Omega| + 0.2 diag(0.7, 0.3) (x) diag(0.4, 0.6) at
+    # d = 2: faithful, not symmetric
+    "nonsymmetric-golden": lambda: 0.8 * qm.max_entangled(2).matrix + 0.2 * np.kron(np.diag([0.7, 0.3]), np.diag([0.4, 0.6])),
+    # (): isotropic d = 3, p = 0.2 plus 1e-13 (A - S A S), A = diag(1, 0,
+    # -1) (x) I: symmetric to is_symmetric's 1e-12, not bit for bit
+    "swap-perturbed-isotropic": _swap_perturbed_isotropic,
+    # (d, seed): quantum.random_state of C^(d^2), not symmetric
+    "random-joint": lambda d, seed: qm.random_state(d * d, seed).matrix,
+}
+
+
+def joint(name, *args):
+    """The row name at args as a State of quantum(d^2)."""
+    m = JOINT_STATES[name](*args)
+    return State(quantum(len(m)), m)
+
+
+def joint_spec(name, *args):
+    """The row name at args as a validated spec: phi its matrix, or no
+    override for the canonical row."""
+    m = JOINT_STATES[name](*args)
+    return cli.validate_spec(cli.TheorySpec(d=math.isqrt(len(m)), phi_override=None if name == "canonical" else m))
+
+
+def joint_params(selection):
+    """pytest params of {id: (row name, *args)}, each the build of its State."""
+    return [pytest.param(partial(joint, *row), id=id) for id, row in selection.items()]
 
 
 # The samplers one sample at a time, each drawing from its rng and

@@ -28,8 +28,8 @@ from opcal.errors import (
     ValidationError,
     WitnessFailed,
 )
-from reference import all_pass, defined_functions, measured, record
-from verify_all import CLASSICAL_EXPECT_FAIL, isotropic
+from reference import all_pass, defined_functions, joint, joint_spec, measured, record
+from verify_all import CLASSICAL_EXPECT_FAIL
 
 
 def _write(tmp_path, text, name="t.theory"):
@@ -212,9 +212,7 @@ def test_run_suite_unknown():
 
 
 def test_run_suite_product_override_fails_faithful():
-    phi = np.eye(4, dtype=complex) / 4
-    spec = cli.validate_spec(cli.TheorySpec(d=2, phi_override=phi))
-    report = cli.run_suite(spec, "faithful")
+    report = cli.run_suite(joint_spec("maximally-mixed", 2), "faithful")
     named = {c.name: c for c in report.checks}
     assert named["faithful.dynamical"].status == "fail"
     assert not report.all_pass()
@@ -249,7 +247,7 @@ def test_all_report_size(backend, count):
 
 @pytest.mark.parametrize(
     "spec",
-    [cli.TheorySpec(d=2), isotropic(2, 0.6), cli.TheorySpec(backend="classical", d=3)],
+    [cli.TheorySpec(d=2), joint_spec("isotropic", 2, 0.6), cli.TheorySpec(backend="classical", d=3)],
     ids=["quantum-d2", "isotropic-d2-p0.6", "classical-d3"],
 )
 def test_single_suite_is_its_slice_of_all(spec):
@@ -272,6 +270,18 @@ def test_report_determinism():
     a = cli.emit_report(cli.run_suite(spec, "all"), "structured")
     b = cli.emit_report(cli.run_suite(spec, "all"), "structured")
     assert a == b
+
+
+def test_a_field_set_on_the_command_line_keeps_the_file_phi(tmp_path, capsys):
+    # --seed validates the loaded spec again, which must not normalize phi
+    # a second time: on isotropic d=2 p=0.15 that moves the report's bytes
+    phi = joint("isotropic", 2, 0.15).matrix.real.reshape(-1).tolist()
+    text = "backend = quantum\nd = 2\nphi = " + " ".join(f"{x!r}+0j" for x in phi)
+    reports = []
+    for body, argv in ((text, ["--seed", "5"]), (text + "\nseed = 5", [])):
+        cli.main(["--theory", _write(tmp_path, body + "\n"), "--format", "structured", *argv])
+        reports.append(capsys.readouterr().out)
+    assert "seed = 5" in reports[0] and reports[0] == reports[1]
 
 
 def test_structured_round_trip():
@@ -583,7 +593,7 @@ FAITHFUL = {
     "infodim.dim_identities": 0,
 }
 Q2, Q3, Q4 = (cli.TheorySpec(d=d) for d in (2, 3, 4))
-ISO2, ISO3, ISO4 = (isotropic(d, 0.2) for d in (2, 3, 4))
+ISO2, ISO3, ISO4 = (joint_spec("isotropic", d, 0.2) for d in (2, 3, 4))
 C3 = cli.TheorySpec(backend="classical", d=3)
 
 RUN_CALLS = [
@@ -757,11 +767,10 @@ def test_context_does_not_store_a_failed_build(monkeypatch):
 def test_runs_share_nothing(tmp_path):
     # each report of a sequence in one process equals the report of the
     # same theory file run alone in a fresh interpreter
-    omega = qm.max_entangled(2).matrix
     phis = {
         "canonical": None,
-        "isotropic": 0.4 * omega + 0.6 * np.eye(4) / 4,
-        "product": np.eye(4) / 4,
+        "isotropic": joint("isotropic", 2, 0.6).matrix,
+        "product": joint("maximally-mixed", 2).matrix,
     }
     paths = {}
     for name, phi in phis.items():

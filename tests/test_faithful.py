@@ -22,8 +22,8 @@ from reference import (
     is_dynamically_faithful,
     is_physical_map,
     is_preparationally_faithful,
-    isotropic,
-    joint_state,
+    joint,
+    joint_params,
     lstsq_witness,
     product_state,
     state_sigma,
@@ -32,13 +32,6 @@ from reference import (
 )
 
 SY = np.array([[0, -1j], [1j, 0]])
-
-
-def _product_phi(d):
-    mixed = np.eye(d) / d
-    return product_state(
-        core.State(core.quantum(d), mixed), core.State(core.quantum(d), mixed)
-    )
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -51,7 +44,7 @@ def test_max_entangled_is_faithful(d, phi2, phi3):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_product_state_not_faithful(d):
-    phi = _product_phi(d)
+    phi = joint("maximally-mixed", d)
     assert faithful.is_symmetric(phi)
     assert not is_dynamically_faithful(phi)
     assert not is_preparationally_faithful(phi)
@@ -116,7 +109,7 @@ def test_prepare_witness_random_targets(d, phi2, phi3, rng):
 def test_prepare_witness_unfaithful_raises():
     target = qm.random_state(2, 0)
     with pytest.raises(NotFaithful):
-        faithful.prepare_witness(faithful.Calibration(_product_phi(2)), target)
+        faithful.prepare_witness(faithful.Calibration(joint("maximally-mixed", 2)), target)
 
 
 def _marginal_matrix_by_action(phi):
@@ -135,29 +128,22 @@ def _marginal_matrix_by_form(phi):
     return _form(phi).T @ to_coords(effects, d * d).T
 
 
-ISOTROPIC = [(2, 0.6), (3, 0.2), (4, 0.3)]
+ISOTROPIC = joint_params({f"{d}-{p}": ("isotropic", d, p) for d, p in ((2, 0.6), (3, 0.2), (4, 0.3))})
 
 
-@pytest.mark.parametrize("d, p", ISOTROPIC)
-def test_witness_system_matches_local_action(d, p):
-    phi = isotropic(d, p)
+@pytest.mark.parametrize("make", ISOTROPIC)
+def test_witness_system_matches_local_action(make):
+    phi = make()
+    d = qm.part_dim(phi)
     m = _marginal_matrix_by_form(phi)
     assert m.shape == (d * d, d**4)
     assert_allclose(m, _marginal_matrix_by_action(phi), rtol=0, atol=1e-12)
 
 
-def _symmetric_mixture(d, seed):
-    rho = qm.random_state(d * d, seed).matrix
-    return joint_state(d, (rho + ch.swap(rho)) / 2.0)
-
-
-@pytest.mark.parametrize(
-    "make",
-    [lambda d=d, p=p: isotropic(d, p) for d in (2, 3) for p in (0.2, 0.6)]
-    + [lambda d=d, seed=seed: _symmetric_mixture(d, seed) for d in (2, 3, 4) for seed in (0, 1)],
-    ids=[f"isotropic-d{d}-p{p}" for d in (2, 3) for p in (0.2, 0.6)]
-    + [f"mixture-d{d}-seed{seed}" for d in (2, 3, 4) for seed in (0, 1)],
-)
+@pytest.mark.parametrize("make", joint_params({
+    **{f"isotropic-d{d}-p{p}": ("isotropic", d, p) for d in (2, 3) for p in (0.2, 0.6)},
+    **{f"mixture-d{d}-seed{seed}": ("mixture", d, seed) for d in (2, 3, 4) for seed in (0, 1)},
+}))
 def test_witness_system_matches_the_choi_basis_build(make):
     # the equations through the form against the columns from the
     # output traces of the whole Choi basis
@@ -166,9 +152,10 @@ def test_witness_system_matches_the_choi_basis_build(make):
     assert_allclose(_marginal_matrix_by_form(phi), choi_basis_witness_matrix(phi), rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("d, p", ISOTROPIC)
-def test_witness_matches_lstsq(d, p, rng):
-    phi = isotropic(d, p)
+@pytest.mark.parametrize("make", ISOTROPIC)
+def test_witness_matches_lstsq(make, rng):
+    phi = make()
+    d = qm.part_dim(phi)
     calibration = faithful.Calibration(phi)
     for _ in range(5):
         target = qm.random_state(d, rng)
@@ -187,27 +174,22 @@ def test_canonical_form_is_the_transpose_over_d(phi2, phi3):
         assert_allclose(_form(phi), np.diag(signs) / d, rtol=0, atol=1e-15)
 
 
-def _nonsymmetric(d):
-    rho = np.kron(np.diag(np.arange(1.0, d + 1)), np.diag(np.arange(d, 0.0, -1)))
-    return joint_state(d, 0.8 * qm.max_entangled(d).matrix + 0.2 * rho / np.trace(rho))
-
-
 @st.composite
 def _faithful_states(draw):
     d = draw(st.sampled_from([2, 3]))
     kind = draw(st.sampled_from(["canonical", "isotropic", "mixture", "nonsymmetric"]))
     if kind == "canonical":
-        return kind, qm.max_entangled(d)
+        return kind, joint("canonical", d)
     if kind == "isotropic":
-        return kind, isotropic(d, draw(st.floats(0.0, 0.9)))
+        return kind, joint("isotropic", d, draw(st.floats(0.0, 0.9)))
     if kind == "mixture":
         # a symmetric mixture with at least half of |Omega><Omega|: the two
         # solves agree to about cond(F) eps, and cond(F) reaches 4e3 at
         # weights near 0.2, where they differ by 5e-10
         w = draw(st.floats(0.5, 1.0))
-        rho = _symmetric_mixture(d, draw(st.integers(0, 2**32 - 1))).matrix
-        return kind, joint_state(d, w * qm.max_entangled(d).matrix + (1.0 - w) * rho)
-    return kind, _nonsymmetric(d)
+        rho = joint("mixture", d, draw(st.integers(0, 2**32 - 1))).matrix
+        return kind, core.State(core.quantum(d * d), w * joint("canonical", d).matrix + (1.0 - w) * rho)
+    return kind, joint("nonsymmetric", d)
 
 
 @given(state=_faithful_states(), seed=st.integers(0, 2**32 - 1))
@@ -229,14 +211,15 @@ def test_witness_is_the_least_squares_witness(state, seed):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_form_is_the_realigned_state_in_the_basis(d):
-    mixed = np.eye(d) / d
+    omega, mixed = joint("canonical", d), joint("maximally-mixed", d)
     states = [
-        qm.max_entangled(d),
-        isotropic(d, 0.3),
-        joint_state(d, qm.random_state(d * d, d).matrix),
-        _product_phi(d),
+        omega,
+        joint("isotropic", d, 0.3),
+        joint("random-joint", d, d),
+        mixed,
         product_state(qm.random_state(d, 1), qm.random_state(d, 2)),
-        joint_state(d, 0.5 * qm.max_entangled(d).matrix + 0.5 * np.kron(mixed, mixed)),
+        # isotropic at p = 0.5 through the I/d^2 row, which differs from eye/d^2 at d = 5
+        core.State(omega.theory, 0.5 * omega.matrix + 0.5 * mixed.matrix),
     ]
     for phi in states:
         realigned = faithful.local_action_matrix(phi)
@@ -259,13 +242,13 @@ def _calibrated_states(draw):
     kind = draw(st.sampled_from(["canonical", "isotropic", "product", "random"]))
     seed = draw(st.integers(0, 2**31))
     if kind == "canonical":
-        return kind, qm.max_entangled(d)
+        return kind, joint("canonical", d)
     if kind == "isotropic":
-        return kind, isotropic(d, draw(st.floats(0.0, 0.99)))
+        return kind, joint("isotropic", d, draw(st.floats(0.0, 0.99)))
     if kind == "product":
         part = qm.random_state(d, seed)
         return kind, product_state(part, part if draw(st.booleans()) else qm.random_state(d, seed + 1))
-    return kind, qm.random_state(d * d, seed)
+    return kind, joint("random-joint", d, seed)
 
 
 def _same_raise(expected, got):
@@ -282,7 +265,7 @@ def _same_raise(expected, got):
 
 @given(state=_calibrated_states(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-@example(state=("random", qm.random_state(16, 23015)), seed=3)  # witness entries up to 930 at cond 2e4
+@example(state=("random", joint("random-joint", 4, 23015)), seed=3)  # witness entries up to 930 at cond 2e4
 def test_calibration_matches_the_separate_factorizations(state, seed):
     # the one SVD of F against a complex SVD of R for the rank and the
     # transpose, eigh of the symmetrized F for the split and the Choi-basis
@@ -377,7 +360,7 @@ def test_abs_form_oracle(phi2, rng):
 
 def test_spectral_split_rejects_unfaithful():
     with pytest.raises((DegenerateSplit, NotFaithful)):
-        faithful.spectral_split(faithful.Calibration(_product_phi(2)))
+        faithful.spectral_split(faithful.Calibration(joint("maximally-mixed", 2)))
 
 
 def test_conjugate_transformation_involutive(rng):

@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import opcal
 from opcal import channels as ch
-from opcal import cli, core, faithful, gns
+from opcal import cli, core, faithful, gns, infodim
 from opcal.basis import from_coords, hermitian_basis, matrix_rank, to_coords
 from opcal import quantum as qm
 from opcal.errors import NotFaithful
 from opcal.tolerances import ACTION_TOL, PINV_RCOND, TRANSPOSE_RESID
 import reference
-from reference import isotropic, joint_state, local_action_oracle, product_state, random_unitary
+from reference import joint, local_action_oracle
 
 
 def test_transpose_is_kraus_transpose(phi2, rng):
@@ -58,56 +59,21 @@ def test_transpose_axioms(phi2, rng):
         )
 
 
-def _pure_symmetric(d, seed):
-    """|F>><<F| with F = W diag(sqrt p) W^T, W complex unitary: a
-    faithful state that is symmetric but not real."""
-    w = random_unitary(d, seed)
-    p = np.random.default_rng(seed).dirichlet(np.ones(d))
-    f = (w * np.sqrt(p)) @ w.T
-    v = ((f + f.T) / 2.0).reshape(-1)
-    return joint_state(d, np.outer(v, v.conj()) / np.vdot(v, v).real)
-
-
-def _symmetrized_mixture(d, seed):
-    """(rho + S rho S) / 2 for a random joint state rho."""
-    rho = qm.random_state(d * d, seed).matrix
-    return joint_state(d, (rho + ch.swap(rho)) / 2.0)
-
-
-def _nonsymmetric(d):
-    rho = np.kron(np.diag(np.arange(1.0, d + 1)), np.diag(np.arange(d, 0.0, -1)))
-    return joint_state(d, 0.8 * qm.max_entangled(d).matrix + 0.2 * rho / np.trace(rho))
-
-
-def _nonsymmetric_golden():
-    """The non-symmetric override of the golden matrix."""
-    rho = np.kron(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
-    return joint_state(2, 0.8 * qm.max_entangled(2).matrix + 0.2 * rho)
-
-
-def _pure_product(d):
-    """|0><0| (x) |+><+|: operator-Schmidt rank 1, local action rank d^2."""
-    plus = np.full(d, 1.0 / np.sqrt(d))
-    return joint_state(d, np.kron(np.diag(np.eye(d)[0]), np.outer(plus, plus)))
-
-
-LOCAL_ACTION_STATES = [
-    *((f"canonical-d{d}", lambda d=d: qm.max_entangled(d)) for d in (2, 3, 4, 5)),
-    ("isotropic-d3", lambda: isotropic(3, 0.2)),
-    ("mixture-d2", lambda: _symmetrized_mixture(2, 5)),
-    ("mixture-d3", lambda: _symmetrized_mixture(3, 6)),
-    ("pure-complex-d3", lambda: _pure_symmetric(3, 7)),
-    ("pure-complex-d4", lambda: _pure_symmetric(4, 0)),
-    ("product-d2", lambda: joint_state(2, np.eye(4) / 4)),
-    ("pure-product-d3", lambda: _pure_product(3)),
-    ("nonsymmetric-d2", lambda: _nonsymmetric(2)),
-    ("nonsymmetric-d3", lambda: _nonsymmetric(3)),
-    ("nonsymmetric-golden-d2", _nonsymmetric_golden),
-    *((f"random-joint-d{d}", lambda d=d: qm.random_state(d * d, 8)) for d in (2, 3)),
-]
-STATE_PARAMS = pytest.mark.parametrize(
-    "make", [m for _, m in LOCAL_ACTION_STATES], ids=[n for n, _ in LOCAL_ACTION_STATES]
-)
+LOCAL_ACTION_STATES = reference.joint_params({
+    **{f"canonical-d{d}": ("canonical", d) for d in (2, 3, 4, 5)},
+    "isotropic-d3": ("isotropic", 3, 0.2),
+    "mixture-d2": ("mixture", 2, 5),
+    "mixture-d3": ("mixture", 3, 6),
+    "pure-complex-d3": ("pure-complex", 3, 7),
+    "pure-complex-d4": ("pure-complex", 4, 0),
+    "product-d2": ("maximally-mixed", 2),
+    "pure-product-d3": ("pure-product", 3),
+    "nonsymmetric-d2": ("nonsymmetric", 2),
+    "nonsymmetric-d3": ("nonsymmetric", 3),
+    "nonsymmetric-golden-d2": ("nonsymmetric-golden",),
+    **{f"random-joint-d{d}": ("random-joint", d, 8) for d in (2, 3)},
+})
+STATE_PARAMS = pytest.mark.parametrize("make", LOCAL_ACTION_STATES)
 
 
 def _realign(m, d):
@@ -177,27 +143,6 @@ def test_folded_transpose_is_the_coordinate_solve(make, rng):
             assert _defining_residual(phi, t, got) <= _defining_residual(phi, t, want)
 
 
-def _schmidt_rank_state(d, k, seed):
-    """I/d^2 + c sum_m s_m X_m (x) Y_m over k - 1 pairs of orthonormal
-    traceless Hermitian X_m, Y_m, s_m in [1, 2]: a state of
-    operator-Schmidt rank k, c small enough to keep it positive
-    semidefinite.  R has the singular values 1/d and c s_m."""
-    rng = np.random.default_rng(seed)
-    n = d * d
-    # the Helmert rows as diagonal matrices, then the off-diagonal
-    # elements of the basis: n - 1 orthonormal traceless matrices
-    m, col = np.arange(1, d)[:, None], np.arange(d)
-    helmert = np.where(col < m, 1.0, np.where(col == m, -m, 0.0)) / np.sqrt(m * (m + 1))
-    traceless = np.concatenate([helmert[:, None, :] * np.eye(d), hermitian_basis(d)[d:]])
-    x, y = (
-        np.einsum("am,aij->mij", np.linalg.qr(rng.standard_normal((n - 1, k - 1)))[0], traceless)
-        for _ in range(2)
-    )
-    terms = np.einsum("m,mab,mcd->acbd", rng.uniform(1.0, 2.0, k - 1), x, y).reshape(n, n)
-    scale = np.linalg.norm(terms, 2) if k > 1 else 1.0
-    return joint_state(d, np.eye(n) / n + rng.uniform(0.5, 1.0) / (n * scale) * terms)
-
-
 @given(
     case=st.sampled_from([2, 3]).flatmap(
         lambda d: st.tuples(st.just(d), st.integers(1, d * d), st.integers(0, 2**32 - 1))
@@ -206,7 +151,7 @@ def _schmidt_rank_state(d, k, seed):
 @settings(max_examples=40, deadline=None)
 def test_local_action_rank_is_d2_times_the_schmidt_rank(case):
     d, k, seed = case
-    phi = _schmidt_rank_state(d, k, seed)
+    phi = joint("schmidt-rank", d, k, seed)
     solver = gns.TransposeSolver(faithful.Calibration(phi))
     assert matrix_rank(faithful.local_action_matrix(phi)) == k
     assert solver.calibration.rank == matrix_rank(local_action_oracle(phi, 1)) == d * d * k
@@ -222,8 +167,7 @@ def test_local_action_rank_is_d2_times_the_schmidt_rank(case):
 
 
 def test_transpose_requires_faithful():
-    mixed = core.State(core.quantum(2), np.eye(2) / 2)
-    phi = product_state(mixed, mixed)
+    phi = joint("maximally-mixed", 2)
     with pytest.raises(NotFaithful):
         gns.TransposeSolver(faithful.Calibration(phi)).transpose(qm.random_cp(2, 0))
 
@@ -326,7 +270,7 @@ def test_cstar_identity_random(space2, rng):
 def test_cstar_identity_isotropic(d, p, rng):
     # (1 - p)|Omega><Omega| + p I/d^2 has a Gram matrix that is not a
     # multiple of the identity, so the norm must use the Gram metric
-    space = gns.gns_space(gns.TransposeSolver(faithful.Calibration(isotropic(d, p))))
+    space = gns.gns_space(gns.TransposeSolver(faithful.Calibration(joint("isotropic", d, p))))
     for _ in range(20):
         t = qm.random_cp(d, rng)
         lhs, rhs = gns.cstar_check(space, t)
@@ -339,8 +283,6 @@ def test_zero_norm_ideal(space2):
     z = np.diag([1.0, -1.0]).astype(complex)
     eye = np.eye(2)
     sup = 1j * (np.kron(z, eye) - np.kron(eye, z.conj()))
-    from opcal import channels as ch
-
     t = core.Transformation(
         core.quantum(2), ch.super_to_choi(sup), generalized=True
     )
@@ -356,8 +298,6 @@ def test_zero_norm_ideal(space2):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_born_pair_on_spanning_set(d, space2, space3):
-    from opcal import infodim
-
     space = space2 if d == 2 else space3
     th = core.quantum(d)
     worst = 0.0
@@ -396,22 +336,15 @@ def test_state_rep_normalization(space2, rng):
         assert gns.born_pair(space2, w, unit) == pytest.approx(1.0, abs=1e-10)
 
 
-def _swap_perturbed_isotropic():
-    """The swap-perturbed isotropic override of the golden matrix:
-    symmetric to is_symmetric's 1e-12, but not bit for bit."""
-    a = np.kron(np.diag([1.0, 0.0, -1.0]), np.eye(3))
-    return joint_state(3, isotropic(3, 0.2).matrix + 1e-13 * (a - ch.swap(a)))
+FACTORED_STATES = reference.joint_params({
+    **{f"canonical-d{d}": ("canonical", d) for d in (2, 3, 4, 5)},
+    **{f"isotropic-d{d}": ("isotropic", d, 0.2) for d in (2, 3, 4, 5)},
+    "nonsymmetric-d2": ("nonsymmetric-golden",),
+    "swap-perturbed-isotropic-d3": ("swap-perturbed-isotropic",),
+})
 
 
-FACTORED_STATES = [
-    *((f"canonical-d{d}", lambda d=d: qm.max_entangled(d)) for d in (2, 3, 4, 5)),
-    *((f"isotropic-d{d}", lambda d=d: isotropic(d, 0.2)) for d in (2, 3, 4, 5)),
-    ("nonsymmetric-d2", _nonsymmetric_golden),
-    ("swap-perturbed-isotropic-d3", _swap_perturbed_isotropic),
-]
-
-
-@pytest.mark.parametrize("make", [m for _, m in FACTORED_STATES], ids=[n for n, _ in FACTORED_STATES])
+@pytest.mark.parametrize("make", FACTORED_STATES)
 def test_factored_maps_match_the_folded_operator(make):
     # the Gram matrix, transformation_coords and gns_rep from the
     # whitened superoperator factors against the folded operator on
@@ -451,14 +384,14 @@ def test_factored_maps_match_the_folded_operator(make):
         assert np.max(np.abs(rep - sqrt @ reference.folded_gns_rep(folded, t) @ isqrt)) <= 1e-13
 
 
-ORTHONORMAL_STATES = [
-    *((f"canonical-d{d}", lambda d=d: qm.max_entangled(d)) for d in (2, 3, 4)),
-    ("isotropic-d2-p0.6", lambda: isotropic(2, 0.6)),
-    ("isotropic-d3-p0.2", lambda: isotropic(3, 0.2)),
-]
+ORTHONORMAL_STATES = reference.joint_params({
+    **{f"canonical-d{d}": ("canonical", d) for d in (2, 3, 4)},
+    "isotropic-d2-p0.6": ("isotropic", 2, 0.6),
+    "isotropic-d3-p0.2": ("isotropic", 3, 0.2),
+})
 
 
-@pytest.mark.parametrize("make", [m for _, m in ORTHONORMAL_STATES], ids=[n for n, _ in ORTHONORMAL_STATES])
+@pytest.mark.parametrize("make", ORTHONORMAL_STATES)
 def test_gns_coordinates_are_orthonormal(make):
     # the coordinates of the lifted basis have the Gram matrix G as
     # their dot products, so every vector and matrix is written in a
@@ -494,26 +427,23 @@ def test_two_scalar_products_meet_on_the_canonical_state(d):
         return np.max(np.abs(gram @ (d * d * gram_abs) - np.eye(d * d)))
 
     for p in (0.0, 0.2, 0.5, 0.9, 0.99):
-        gram, gram_abs = grams(isotropic(d, p))
+        gram, gram_abs = grams(joint("isotropic", d, p))
         assert miss(gram, gram_abs) <= 1e-13
         apart = np.linalg.norm(gram - gram_abs) / np.linalg.norm(gram_abs)
         assert apart <= 1e-14 if p == 0.0 else apart >= 0.4
-    mixture = 0.7 * qm.max_entangled(d).matrix + 0.3 * _symmetrized_mixture(d, 0).matrix
-    assert miss(*grams(joint_state(d, mixture))) > 1e-2
+    mixture = 0.7 * joint("canonical", d).matrix + 0.3 * joint("mixture", d, 0).matrix
+    assert miss(*grams(core.State(core.quantum(d * d), mixture))) > 1e-2
 
 
 def test_gns_space_rejects_unfaithful():
-    mixed = core.State(core.quantum(2), np.eye(2) / 2)
-    with pytest.raises(Exception):
-        gns.gns_space(gns.TransposeSolver(faithful.Calibration(product_state(mixed, mixed))))
+    with pytest.raises(NotFaithful, match="transpose system residual"):
+        gns.gns_space(gns.TransposeSolver(faithful.Calibration(joint("maximally-mixed", 2))))
 
 
 def test_calibrated_maps_convert_no_coordinates(monkeypatch):
     # transpose, gns_rep and transformation_coords act on Choi matrices
     # or their superoperators: a d=2 `all` run makes no coordinate
     # conversion inside them, though it converts elsewhere
-    import opcal
-
     inside = [0]
     calls = {"outside": 0, "inside": 0, "maps": 0}
 

@@ -1,10 +1,13 @@
 """Reports of the standard configurations against reports generated by
 an earlier version of the toolkit (tests/golden/, written by
 `scripts/verify_all.py --out tests/golden`: every configuration at
-seeds 1-3, plus seed-42 reports of some, plus seed-1 reports of
-the two overrides of `OVERRIDES`).  A faster or restructured
-implementation may move a value within its check's tolerance, but it
-must never change a status, a detail or the class of an error."""
+seeds 1-3, plus seed-42 reports of some, plus seed-1 reports of the
+two overrides of `OVERRIDES`, the catalogue rows
+`swap-perturbed-isotropic` and `nonsymmetric-golden` of
+`tests/reference.py` as `joint_spec` reads them).  A faster or
+restructured implementation may move a value within its check's
+tolerance, but it must never change a status, a detail or the class of
+an error."""
 
 import pathlib
 from dataclasses import replace
@@ -14,8 +17,8 @@ import pytest
 
 from opcal import channels as ch
 from opcal import cli
-from opcal import quantum as qm
-from verify_all import CONFIGS, SEEDS, isotropic
+from reference import joint_spec
+from verify_all import CONFIGS, SEEDS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -54,34 +57,18 @@ def test_matches_golden_report(name, spec):
         assert_matches_golden(report, golden)
 
 
-def _swap_perturbed_isotropic():
-    """Isotropic d=3 p=0.2 plus 1e-13 (A - S A S), A = diag(1, 0, -1)
-    kron I: symmetric to is_symmetric's 1e-12, but not bit for bit."""
-    a = np.kron(np.diag([1.0, 0.0, -1.0]), np.eye(3))
-    phi = isotropic(3, 0.2).phi_override + 1e-13 * (a - ch.swap(a))
-    return cli.validate_spec(cli.TheorySpec(d=3, phi_override=phi))
+# golden report -> catalogue row of the overrides that differ from their
+# swap, one symmetric only to is_symmetric's 1e-12 and one not at all, so
+# the slot-2 local action is built from a state other than phi
+OVERRIDES = {
+    "swap-perturbed-isotropic-d3": "swap-perturbed-isotropic",
+    "nonsymmetric-d2": "nonsymmetric-golden",
+}
 
 
-def _nonsymmetric():
-    """0.8 |Omega><Omega| + 0.2 diag(0.7, 0.3) kron diag(0.4, 0.6):
-    faithful, not symmetric."""
-    rho = np.kron(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]))
-    phi = 0.8 * qm.max_entangled(2).matrix + 0.2 * rho
-    return cli.validate_spec(cli.TheorySpec(d=2, phi_override=phi))
-
-
-# Overrides that differ from their swap, one symmetric only to
-# is_symmetric's 1e-12 and one not symmetric at all, so the slot-2
-# local action is built from a state other than phi.
-OVERRIDES = [
-    ("swap-perturbed-isotropic-d3", _swap_perturbed_isotropic),
-    ("nonsymmetric-d2", _nonsymmetric),
-]
-
-
-@pytest.mark.parametrize("name, make", OVERRIDES, ids=[name for name, _ in OVERRIDES])
-def test_override_matches_golden_report(name, make):
-    spec = make()
+@pytest.mark.parametrize("name", OVERRIDES)
+def test_override_matches_golden_report(name):
+    spec = joint_spec(OVERRIDES[name])
     phi = spec.phi().matrix
     assert not np.array_equal(phi, ch.swap(phi))
     golden = _golden(f"{name}-seed1")

@@ -11,6 +11,7 @@ from opcal import core, infodim
 from opcal import quantum as qm
 from opcal.errors import CompletenessError, DimensionMismatch
 from opcal.tolerances import PROB_TOL
+import reference
 from reference import is_physical_map, product_state, random_unitary
 
 
@@ -36,18 +37,15 @@ def test_product_state_local_action():
     assert_allclose(out2.matrix, np.kron(a.matrix, t(b.matrix)), atol=1e-12)
 
 
-def _joint_states(d):
-    """The maximally entangled state, the isotropic state at p = 0.2 and
-    a random joint state, each a State of quantum(d^2)."""
-    omega = qm.max_entangled(d)
-    iso = core.State(core.quantum(d * d), 0.8 * omega.matrix + 0.2 * np.eye(d * d) / d**2)
-    return {"max_entangled": omega, "isotropic": iso, "random": qm.random_state(d * d, 10 + d)}
-
-
 @pytest.mark.parametrize("which", ["max_entangled", "isotropic", "random"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_a_joint_state_is_a_state(d, which):
-    phi = _joint_states(d)[which]
+    rows = {
+        "max_entangled": ("canonical", d),
+        "isotropic": ("isotropic", d, 0.2),
+        "random": ("random-joint", d, 10 + d),
+    }
+    phi = reference.joint(*rows[which])
     joint = core.quantum(d * d)
     assert phi.theory == joint and qm.part_dim(phi) == d
     # a local effect paired with the joint state is the effect paired

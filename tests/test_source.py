@@ -26,14 +26,17 @@ LIBRARY = [p for p in MODULES if p.name != "__init__.py"]
 
 
 def _unused_imports(tree):
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
+    """(line, name) of each import of a name that no code reads, and of
+    each import of a name that an earlier import of the file binds."""
+    imports = sorted(
+        (node.lineno, alias.asname or alias.name.split(".")[0])
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    )
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+    first = {name: line for line, name in reversed(imports)}
+    return [(line, name) for line, name in imports if name not in used or line != first[name]]
 
 
 @pytest.mark.parametrize(
@@ -43,6 +46,11 @@ def _unused_imports(tree):
 )
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_a_second_import_of_a_name_is_reported():
+    source = "import numpy as np\nfrom os import sep\n\n\ndef f():\n    import numpy as np\n    return np, sep\n"
+    assert _unused_imports(ast.parse(source)) == [(6, "np")]
 
 
 # Public names with no caller in the library, one reason each.

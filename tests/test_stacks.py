@@ -16,20 +16,15 @@ from opcal import quantum as qm
 from opcal.errors import NoClosedForm, NotFaithful, ZeroProbability
 from opcal.tolerances import PROB_TOL
 import reference
-from reference import Recording, product_state
-from verify_all import isotropic
+from reference import Recording, joint, joint_spec
 
-SPECS = {
-    "quantum-d2": cli.TheorySpec(d=2),
-    "quantum-d3": cli.TheorySpec(d=3),
-    "isotropic-d3-p0.2": isotropic(3, 0.2),
-}
+# the specs on which gns.kraus_transpose applies, and then the others
+CANONICAL = {f"quantum-d{d}": joint_spec("canonical", d) for d in (2, 3)}
+SPECS = {**CANONICAL, "isotropic-d3-p0.2": joint_spec("isotropic", 3, 0.2)}
 CLASSICAL = {
     "classical-d3": cli.TheorySpec(backend="classical", d=3),
     "classical-d4": cli.TheorySpec(backend="classical", d=4),
 }
-# the specs on which gns.kraus_transpose applies
-CANONICAL = {name: spec for name, spec in SPECS.items() if spec.phi_override is None}
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +528,7 @@ def _residual(err):
 
 
 def test_stacked_transpose_requires_faithful():
-    mixed = core.State(core.quantum(2), np.eye(2) / 2)
-    solver = gns.TransposeSolver(faithful.Calibration(product_state(mixed, mixed)))
+    solver = gns.TransposeSolver(faithful.Calibration(joint("maximally-mixed", 2)))
     first, second = qm.random_cp(2, 0), qm.random_cp(2, 1)
     # the zero map solves the system on any state; the first element in
     # stack order that does not is the one named
@@ -684,7 +678,7 @@ def test_prepare_witness_on_stacks_matches_per_element(config):
 
 def test_stacked_witness_requires_faithful():
     mixed = core.State(core.quantum(2), np.eye(2) / 2)
-    calibration = faithful.Calibration(product_state(mixed, mixed))
+    calibration = faithful.Calibration(joint("maximally-mixed", 2))
     first, second = qm.random_state(2, 0), qm.random_state(2, 1)
     # the maximally mixed target is reachable on the product state; the
     # first element in stack order that is not is the one named
