@@ -23,7 +23,7 @@ from .errors import ZeroProbability
 from .tolerances import ACTION_TOL, EXACT_TOL, PROB_TOL
 
 QUANTUM = ("quantum",)
-SAMPLES = 25  # per sampled check; the test suite runs the 100-sample versions
+SAMPLES = 25  # per sampled check, in tests too; the acceptance gate draws 100 in its own loops
 
 
 # Each sampler is sampler(spec, rng, n): n samples as one stack, or

@@ -243,26 +243,6 @@ def test_coexistence_and_add():
 
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
-def test_weight_norm_dominates_total(seed):
-    rng = np.random.default_rng(seed)
-    w = core.act(qm.random_cp(2, rng), qm.random_state(2, rng))
-    assert core.weight_norm(w) >= w.total - 1e-12
-    assert core.weight_norm(w) <= 1.0 + 1e-9
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=20, deadline=None)
-def test_trans_norm_submultiplicative(seed):
-    rng = np.random.default_rng(seed)
-    a = qm.random_cp(2, rng)
-    b = qm.random_cp(2, rng)
-    assert core.trans_norm(core.compose(b, a)) <= (
-        core.trans_norm(b) * core.trans_norm(a) + 1e-9
-    )
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
 def test_probabilities_in_range(seed):
     rng = np.random.default_rng(seed)
     w = qm.random_state(3, rng)

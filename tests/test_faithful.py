@@ -323,13 +323,6 @@ def test_spectral_split_qubit_oracle(phi2):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_abs_gram_floor(d, phi2, phi3):
-    split = faithful.spectral_split(faithful.Calibration(phi2 if d == 2 else phi3))
-    low = np.linalg.eigvalsh(split.gram_abs)[0]
-    assert low == pytest.approx(1.0 / d, abs=1e-12)
-
-
-@pytest.mark.parametrize("d", [2, 3])
 def test_involution_is_transpose_for_maxent(d, phi2, phi3, rng):
     split = faithful.spectral_split(faithful.Calibration(phi2 if d == 2 else phi3))
     s = split.sigma_matrix

@@ -13,7 +13,6 @@ from opcal import quantum as qm
 from opcal.basis import matrix_rank
 from opcal.errors import NotIC
 from reference import (
-    all_pass,
     bell_projectors,
     generic_ancilla_state,
     is_predictable,
@@ -80,14 +79,10 @@ def test_predictable_and_resolved():
     assert not infodim.is_resolved(p01)
 
 
+@pytest.mark.parametrize("backend", core.BACKENDS)
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_informational_dimension_quantum(d):
-    assert infodim.informational_dimension(core.quantum(d)) == (d, 0.0)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_informational_dimension_classical(d):
-    assert infodim.informational_dimension(core.classical(d)) == (d, 0.0)
+def test_informational_dimension(backend, d):
+    assert infodim.informational_dimension(core.Theory(backend, d)) == (d, 0.0)
 
 
 def _traced_peak(measurement, theory):
@@ -230,11 +225,6 @@ def test_stacked_coordinates_keep_ranks_and_expansions(backend, d):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_bell_ic(d):
-    assert infodim.check_bell_ic(d)
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_weyl_families_match_the_loop_builds(d):
     want = np.array([weyl(d, m, n) for m in range(d) for n in range(d)])
@@ -274,29 +264,6 @@ def test_bell_basis_observable_complete():
 
 # ---------------------------------------------------------------------------
 # identity table
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_dim_identities_quantum(d):
-    rows = infodim.dim_identities(d, "quantum", measured)
-    assert all_pass(rows), rows
-    assert rows["D34'"][0] == d * d - 1
-    assert rows["tensor"] == (d * d, d * d)
-    assert rows["P"][0] == d * d
-
-
-def test_dim_identities_quantum_oracle_values():
-    expected = {
-        "D2": (4, 4),
-        "D3": (15, 15),
-        "D4": (3, 3),
-        "D34": (15, 15),
-        "D34'": (3, 3),
-        "tensor": (4, 4),
-        "T": (16, 16),
-        "P": (4, 4),
-    }
-    assert infodim.dim_identities(2, "quantum", measured) == expected
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -10,7 +10,6 @@ from opcal import channels as ch
 from opcal import core, infodim
 from opcal import quantum as qm
 from opcal.errors import CompletenessError, DimensionMismatch
-from opcal.tolerances import PROB_TOL
 import reference
 from reference import is_physical_map, product_state, random_unitary
 
@@ -116,15 +115,6 @@ def test_condition_local_steering():
     far = qm.local_state(cond, 2).matrix
     assert_allclose(far, p0, atol=1e-12)
     assert ch.trace_distance(far, qm.local_state(phi, 2).matrix) == pytest.approx(0.5)
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_no_signaling_random(seed):
-    rng = np.random.default_rng(seed)
-    joint = qm.random_state(4, rng)
-    exp = qm.random_experiment(2, rng)
-    assert qm.signaling_residual(joint, exp) <= PROB_TOL
 
 
 def test_no_signaling_rejects_incomplete():

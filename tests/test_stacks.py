@@ -1,8 +1,8 @@
 """Stacks of samples: each sampler draws its stack in one generator
 call per array and builds, from each sample's slice of those draws,
 the same matrices as the one-sample formulas; every stack-aware map
-equals its per-element calls; and each stacked check reports what its
-per-sample loop reports on the same samples."""
+equals its per-element calls; and each sampled check holds, and reports
+what its per-sample loop reports on the same samples."""
 
 import re
 from dataclasses import replace
@@ -174,10 +174,10 @@ def _elements(stack):
 ROWS = {row[0]: row for row in checks.CHECKS}
 
 
-def _run_stacked(ctx, name):
-    """Run a check's row as the runner does; return its result and the
-    objects drawn for it, sample by sample and, within a sample, in the
-    order of its samplers."""
+def _run_stacked(ctx, name, tol):
+    """Run a check's row as the runner does, at tolerance tol; return its
+    result and the objects drawn for it, sample by sample and, within a
+    sample, in the order of its samplers."""
     _, detail, _, _, fn, draws = ROWS[name]
     drawn = []
 
@@ -185,45 +185,51 @@ def _run_stacked(ctx, name):
         drawn.extend(x for sample in zip(*map(_elements, stacks)) for x in sample)
         return fn(ctx, tol, *stacks)
 
-    result = cli._run_check(ctx, name, detail, ctx.spec.tol, recording, draws)
+    result = cli._run_check(ctx, name, detail, tol, recording, draws)
     assert result.status != "error", result.error
     return result.status == "pass", result.values, drawn
 
 
-# (id, check, per-sample body, configurations)
+# (id, check, per-sample body, configurations, bound): the check runs at
+# its row's tolerance, as cli.run_suite runs it, or at the tighter bound
+# given here
 ORACLES = (
-    ("adjoint_pairing", "gns.adjoint_pairing", _adjoint_pairing_per_sample, SPECS),
-    ("born_triple", "born.triple", _born_triple_per_sample, SPECS),
-    ("effect_bound", "norms.effect_bound", _effect_norm_per_sample, {**SPECS, **CLASSICAL}),
-    ("weight_bound", "norms.weight_bound", _weight_norm_per_sample, {**SPECS, **CLASSICAL}),
-    ("submultiplicative", "norms.submultiplicative", _submultiplicative_per_sample, {**SPECS, **CLASSICAL}),
-    ("contraction", "norms.contraction", _contraction_per_sample, {**SPECS, **CLASSICAL}),
-    ("preparational", "faithful.preparational", _preparational_per_sample, SPECS),
-    ("no_signaling", "born.no_signaling", _no_signaling_per_sample, SPECS),
-    ("transpose_residual", "gns.transpose_residual", _transpose_residual_per_sample, SPECS),
-    ("kraus_transpose", "gns.kraus_transpose", _kraus_transpose_per_sample, CANONICAL),
-    ("cstar", "gns.cstar", _cstar_per_sample, SPECS),
+    ("adjoint_pairing", "gns.adjoint_pairing", _adjoint_pairing_per_sample, SPECS, 1e-12),
+    ("born_triple", "born.triple", _born_triple_per_sample, SPECS, 1e-10),
+    ("effect_bound", "norms.effect_bound", _effect_norm_per_sample, {**SPECS, **CLASSICAL}, None),
+    ("weight_bound", "norms.weight_bound", _weight_norm_per_sample, {**SPECS, **CLASSICAL}, 1e-12),
+    ("submultiplicative", "norms.submultiplicative", _submultiplicative_per_sample, {**SPECS, **CLASSICAL}, None),
+    ("contraction", "norms.contraction", _contraction_per_sample, {**SPECS, **CLASSICAL}, None),
+    ("preparational", "faithful.preparational", _preparational_per_sample, SPECS, None),
+    ("no_signaling", "born.no_signaling", _no_signaling_per_sample, SPECS, None),
+    ("transpose_residual", "gns.transpose_residual", _transpose_residual_per_sample, SPECS, None),
+    ("kraus_transpose", "gns.kraus_transpose", _kraus_transpose_per_sample, CANONICAL, None),
+    ("cstar", "gns.cstar", _cstar_per_sample, SPECS, None),
 )
 
 
 @pytest.mark.parametrize(
-    "name, per_sample, spec",
+    "name, per_sample, spec, bound",
     [
-        pytest.param(name, per_sample, specs[config], id=f"{short}-{config}")
-        for short, name, per_sample, specs in ORACLES
+        pytest.param(name, per_sample, specs[config], bound, id=f"{short}-{config}")
+        for short, name, per_sample, specs, bound in ORACLES
         for config in specs
     ],
 )
-def test_stacked_check_matches_per_sample_oracle(name, per_sample, spec):
-    # the per-sample loop on the samples the stacked check drew, one at a
-    # time, reports what the stacked check reports, and takes them all
-    *_, (n, *samplers) = ROWS[name]
+def test_stacked_check_matches_per_sample_oracle(name, per_sample, spec, bound):
+    # the claim holds at seeds 1-3; and the per-sample loop on the
+    # samples the stacked check drew, one at a time, reports what the
+    # stacked check reports, and takes them all
+    _, _, row_tol, _, _, (n, *samplers) = ROWS[name]
+    tol = spec.tol if row_tol is None else row_tol
+    tol = tol if bound is None else min(bound, tol)
     for seed in (1, 2, 3):
         ctx = cli.RunContext(replace(spec, seed=seed))
-        ok, values, drawn = _run_stacked(ctx, name)
+        ok, values, drawn = _run_stacked(ctx, name, tol)
+        assert ok, values
         assert len(drawn) == n * len(samplers)
         samples = iter(drawn)
-        want_ok, want = per_sample(ctx, samples, ctx.spec.tol)
+        want_ok, want = per_sample(ctx, samples, tol)
         assert next(samples, None) is None
         assert ok == want_ok
         assert values.keys() == want.keys()
