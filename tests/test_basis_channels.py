@@ -47,9 +47,9 @@ def test_hermitian_basis_orthonormal(d):
     basis = hermitian_basis(d)
     assert basis.shape == (d * d, d, d)
     gram = np.einsum("aij,bji->ab", basis, basis)
-    assert_allclose(gram, np.eye(d * d), atol=1e-12)
+    assert_allclose(gram, np.eye(d * d), atol=1e-12, rtol=0)
     for b in basis:
-        assert_allclose(b, b.conj().T, atol=1e-14)
+        assert_allclose(b, b.conj().T, atol=1e-14, rtol=0)
     # the projectors |i><i| come first, so the classical basis is a
     # prefix; then, for each j < k row-major, the symmetric and the
     # antisymmetric element of (j, k)
@@ -69,7 +69,7 @@ def test_coords_round_trip(d, seed):
     m = _random_hermitian(d, seed)
     c = to_coords(m, d * d)
     assert c.dtype == np.float64
-    assert_allclose(from_coords(c, d), m, atol=1e-12)
+    assert_allclose(from_coords(c, d), m, atol=1e-12, rtol=0)
 
 
 def _dense_coords(m, basis):
@@ -95,7 +95,7 @@ def test_closed_form_coords_match_dense_oracle(n, lead, diagonal, transposed, se
     got = to_coords(m, k)
     assert got.shape == (*lead, k) and got.dtype == np.float64
     assert_allclose(got, _dense_coords(m, basis), rtol=0, atol=1e-12)
-    assert_allclose(to_coords(m.real, k), _dense_coords(m.real, basis), atol=1e-12)
+    assert_allclose(to_coords(m.real, k), _dense_coords(m.real, basis), atol=1e-12, rtol=0)
     c = rng.standard_normal((*lead, k))
     back = from_coords(c, n)
     assert back.shape == (*lead, n, n)
@@ -116,9 +116,9 @@ def test_real_view_is_the_coordinate_map():
     for n in (1, 2, 4, 9):
         for basis in (hermitian_basis(n), diagonal_basis(n)):
             v = real_view(basis)
-            assert_allclose(v @ v.T, np.eye(len(basis)), atol=1e-14)
+            assert_allclose(v @ v.T, np.eye(len(basis)), atol=1e-14, rtol=0)
             m = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
-            assert_allclose(real_view(m) @ v.T, to_coords(m, len(basis)), atol=1e-12)
+            assert_allclose(real_view(m) @ v.T, to_coords(m, len(basis)), atol=1e-12, rtol=0)
     b = hermitian_basis(4)
     assert np.shares_memory(real_view(b), b)  # no copy of the basis
 
@@ -187,7 +187,7 @@ def test_projector_coords_are_the_coords_of_the_projectors(m, n, diagonal, scale
 def test_diagonal_basis():
     basis = diagonal_basis(3)
     assert basis.shape == (3, 3, 3)
-    assert_allclose(sum(basis), np.eye(3), atol=1e-14)
+    assert_allclose(sum(basis), np.eye(3), atol=1e-14, rtol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +358,11 @@ def test_kraus_super_choi_consistency(d, n, seed):
     ks = _random_kraus(d, n, seed)
     sup = kraus_to_super(ks)
     choi = ch.kraus_to_choi_matrix(ks)
-    assert_allclose(ch.choi_to_super(choi), sup, atol=1e-12)
-    assert_allclose(ch.super_to_choi(sup), choi, atol=1e-12)
+    assert_allclose(ch.choi_to_super(choi), sup, atol=1e-12, rtol=0)
+    assert_allclose(ch.super_to_choi(sup), choi, atol=1e-12, rtol=0)
     rho = _random_hermitian(d, seed + 1)
     direct = sum(k @ rho @ k.conj().T for k in ks)
-    assert_allclose(ch.apply_super(sup, rho), direct, atol=1e-12)
+    assert_allclose(ch.apply_super(sup, rho), direct, atol=1e-12, rtol=0)
 
 
 @given(d=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
@@ -374,14 +374,14 @@ def test_dual_super_is_heisenberg(d, seed):
     e = _random_hermitian(d, seed + 2)
     lhs = np.trace(e @ ch.apply_super(sup, rho))
     rhs = np.trace(ch.apply_super(ch.dual_super(sup), e) @ rho)
-    assert_allclose(lhs, rhs, atol=1e-12)
+    assert_allclose(lhs, rhs, atol=1e-12, rtol=0)
 
 
 def test_effect_of_choi_is_kraus_sum():
     ks = _random_kraus(3, 2, 7)
     choi = ch.kraus_to_choi_matrix(ks)
     expected = sum(k.conj().T @ k for k in ks)
-    assert_allclose(ch.effect_of_choi(choi), expected, atol=1e-12)
+    assert_allclose(ch.effect_of_choi(choi), expected, atol=1e-12, rtol=0)
 
 
 def test_partial_trace_of_product():
@@ -390,9 +390,9 @@ def test_partial_trace_of_product():
         a = _random_hermitian(d, 1)
         b = _random_hermitian(d, 2)
         joint = np.kron(a, b)
-        assert_allclose(ch.partial_trace(joint, 1), a * np.trace(b), atol=1e-12)
-        assert_allclose(ch.partial_trace(joint, 2), b * np.trace(a), atol=1e-12)
-        assert_allclose(ch.partial_trace(np.array([joint, 2 * joint]), 2)[1], 2 * b * np.trace(a), atol=1e-12)
+        assert_allclose(ch.partial_trace(joint, 1), a * np.trace(b), atol=1e-12, rtol=0)
+        assert_allclose(ch.partial_trace(joint, 2), b * np.trace(a), atol=1e-12, rtol=0)
+        assert_allclose(ch.partial_trace(np.array([joint, 2 * joint]), 2)[1], 2 * b * np.trace(a), atol=1e-12, rtol=0)
     with pytest.raises(ValueError):
         ch.partial_trace(joint, 0)
 
@@ -420,7 +420,7 @@ def test_swap():
         assert np.array_equal(ch.swap(m), s @ m @ s)
         a = _random_hermitian(d, 1)
         b = _random_hermitian(d, 2)
-        assert_allclose(ch.swap(np.kron(a, b)), np.kron(b, a), atol=1e-13)
+        assert_allclose(ch.swap(np.kron(a, b)), np.kron(b, a), atol=1e-13, rtol=0)
 
 
 def test_trace_distance():
@@ -434,7 +434,7 @@ def test_herm_sqrt():
     m = _random_hermitian(3, 5)
     m = m @ m  # PSD
     r = ch.herm_sqrt(m)
-    assert_allclose(r @ r, m, atol=1e-10)
+    assert_allclose(r @ r, m, atol=1e-10, rtol=0)
 
 
 def test_apply_local_super_on_products():
@@ -444,9 +444,9 @@ def test_apply_local_super_on_products():
     b = _random_hermitian(2, 2)
     joint = np.kron(a, b)
     out1 = ch.apply_local_super(sup, joint, 1)
-    assert_allclose(out1, np.kron(ch.apply_super(sup, a), b), atol=1e-12)
+    assert_allclose(out1, np.kron(ch.apply_super(sup, a), b), atol=1e-12, rtol=0)
     out2 = ch.apply_local_super(sup, joint, 2)
-    assert_allclose(out2, np.kron(a, ch.apply_super(sup, b)), atol=1e-12)
+    assert_allclose(out2, np.kron(a, ch.apply_super(sup, b)), atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -465,6 +465,6 @@ def test_apply_local_super_matches_kraus_on_stacks(d):
         for ks, out in zip(kraus, got):
             lifted = [np.kron(k, eye) if slot == 1 else np.kron(eye, k) for k in ks]
             want = sum(k @ joint @ k.conj().T for k in lifted)
-            assert_allclose(out, want, atol=1e-12)
+            assert_allclose(out, want, atol=1e-12, rtol=0)
         # one superoperator without a stack axis
-        assert_allclose(ch.apply_local_super(sups[0], joint, slot), got[0], atol=1e-14)
+        assert_allclose(ch.apply_local_super(sups[0], joint, slot), got[0], atol=1e-14, rtol=0)

@@ -133,7 +133,7 @@ def test_load_theory_complex_matrix(tmp_path):
             "0+0j 0+0j 0.25+0j 0+0j", "0+0j 0+0j 0+0j 0.25+0j"]
     text = f"backend = quantum\nd = 2\nphi = {' '.join(rows)}\n"
     spec = cli.load_theory(_write(tmp_path, text))
-    np.testing.assert_allclose(spec.phi_override, np.eye(4) / 4, atol=1e-12)
+    np.testing.assert_allclose(spec.phi_override, np.eye(4) / 4, atol=1e-12, rtol=0)
 
 
 def test_load_theory_non_psd_override_names_eigenvalue(tmp_path):
@@ -585,12 +585,13 @@ SOLVED = {
     "gns.TransposeSolver.__init__": 1, "gns.gns_space": 1,
     "gns.gns_space->eigh": 1, "gns.gns_norm->svd": 1, "gns.*->svd": 1, "gns.*->eigh": 1,
 }
-# Every quantum `all` run: three checks take a preparation witness
-# (faithful.preparational, born.pair, born.triple); one IC observable
-# and one table; one resolution test per discrimination witness, as one
-# stack; ten Choi stacks tested for complete positivity.  Every rank is
-# full, so its certificate decides it: the only SVDs are the
-# calibration's, the GNS norm's and the sampled experiments' branch split.
+# Every quantum `all` run builds its shared objects once: three checks
+# take a preparation witness (faithful.preparational, born.pair,
+# born.triple); one IC observable and one table; one resolution test per
+# discrimination witness, as one stack; ten Choi stacks tested for
+# complete positivity.  Every rank is full, so its certificate decides
+# it: the only SVDs are the calibration's, the GNS norm's and the
+# sampled experiments' branch split.
 QUANTUM_ALL = {
     **CALIBRATED, **SOLVED, "faithful.spectral_split": 1, "faithful.prepare_witness": 3,
     "infodim.ic_observable": 1, "infodim.minimal_ic_povm": 1, "infodim.dim_identities": 1,
@@ -606,8 +607,9 @@ C3 = cli.TheorySpec(backend="classical", d=3)
 
 RUN_CALLS = [
     # on the canonical state one Cholesky factor certifies each CP
-    # stack, with no spectrum; on the isotropic state the witness stacks
-    # are not CP, and each of their three tests reaches the spectrum
+    # stack: no test reaches the spectrum of a Choi matrix; on the
+    # isotropic state the witness stacks are not CP, and each of their
+    # three tests reaches the spectrum
     ("quantum-d2-all", (Q2, "all"), {**QUANTUM_ALL, **_systems(Q2), "channels.min_eig": 0}),
     ("quantum-d3-all", (Q3, "all"), {**QUANTUM_ALL, **_systems(Q3), "channels.min_eig": 0}),
     ("quantum-d4-all", (Q4, "all"), {**QUANTUM_ALL, **_systems(Q4), "channels.min_eig": 0}),
@@ -641,8 +643,8 @@ OPCAL_FUNCTIONS = {
 }
 
 
-def _assert_calls(run, want):
-    """Record run and assert the exact count of each name in want."""
+@pytest.mark.parametrize("run, want", [row[1:] for row in RUN_CALLS], ids=[row[0] for row in RUN_CALLS])
+def test_run_calls(run, want):
     # no row passes on a stale name: each watched function is defined in
     # src/opcal, and each "->function" is one of numpy.linalg
     for key in want:
@@ -656,56 +658,6 @@ def _assert_calls(run, want):
     passed, calls = record(run, args={key.partition("(")[0] for key in want if "(" in key})
     assert passed is True
     assert {key: sum(n for name, n in calls.items() if fnmatch.fnmatchcase(name, key)) for key in want} == want
-
-
-@pytest.mark.parametrize("run, want", [row[1:] for row in RUN_CALLS], ids=[row[0] for row in RUN_CALLS])
-def test_run_calls(run, want):
-    _assert_calls(run, want)
-
-
-def _assert_slice(ids, *patterns):
-    """Assert, on each row of RUN_CALLS named in ids, the counts of the
-    names that match one of patterns, and that the row has some."""
-    rows = {row[0]: row[1:] for row in RUN_CALLS}
-    for row_id in ids:
-        run, want = rows[row_id]
-        part = {key: n for key, n in want.items() if any(fnmatch.fnmatchcase(key, p) for p in patterns)}
-        assert part, row_id
-        _assert_calls(run, part)
-
-
-def test_run_builds_shared_objects_once():
-    # the calibration, the transpose solver, the GNS space, the spectral
-    # split, the witnesses, the IC observable and the table, and the
-    # factorizations that faithful and gns take
-    _assert_slice(
-        ("quantum-d2-all", "isotropic-d3-p0.2-all", "quantum-d2-gns", "quantum-d2-faithful",
-         "isotropic-d2-p0.2-faithful", "classical-d3-all"),
-        "faithful.*", "gns.*", "infodim.ic_observable", "infodim.minimal_ic_povm", "infodim.dim_identities",
-    )
-
-
-def test_each_measurement_runs_once_per_run():
-    # each dimension measured once on each theory it reads, and on no other
-    _assert_slice(
-        ("quantum-d2-all", "quantum-d3-all", "classical-d3-all", "quantum-d2-infodim"),
-        "infodim.*_dimension*",
-    )
-
-
-def test_no_rank_reaches_an_svd():
-    # every rank is full, so its certificate decides it; the only SVDs
-    # are the calibration's, the GNS norm's and the branch split's
-    _assert_slice(
-        ("quantum-d2-all", "quantum-d3-all", "quantum-d4-all", "classical-d3-all", "quantum-d5-table"),
-        "*->svd",
-    )
-
-
-def test_cp_stacks_take_no_spectrum():
-    # one Cholesky factor certifies each CP stack: no test reaches the
-    # spectrum of a Choi matrix
-    _assert_slice(("quantum-d2-all", "quantum-d4-all"), "channels.*")
 
 
 def test_each_check_draws_in_the_fewest_generator_calls(fake_generators, monkeypatch):

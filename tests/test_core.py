@@ -38,7 +38,7 @@ def test_condition_projector_oracle():
     mixed = core.State(th, np.eye(2) / 2)
     p, cond = core.condition(mixed, qm.projector_map(th, P0))
     assert p == pytest.approx(0.5, abs=1e-12)
-    assert_allclose(cond.matrix, P0, atol=1e-12)
+    assert_allclose(cond.matrix, P0, atol=1e-12, rtol=0)
 
 
 def test_zero_probability_raises():

@@ -90,7 +90,7 @@ def test_prepare_witness_pure_oracle(phi2):
     assert is_physical_map(witness)
     prob, cond = qm.condition_local(phi2, witness, 1)
     assert prob == pytest.approx(p, abs=1e-12)
-    assert_allclose(qm.local_state(cond, 2).matrix, target.matrix, atol=1e-12)
+    assert_allclose(qm.local_state(cond, 2).matrix, target.matrix, atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -103,7 +103,7 @@ def test_prepare_witness_random_targets(d, phi2, phi3, rng):
         assert 0 < p <= 1 + 1e-12
         prob, cond = qm.condition_local(phi, witness, 1)
         assert prob == pytest.approx(p, abs=1e-9)
-        assert_allclose(qm.local_state(cond, 2).matrix, target.matrix, atol=1e-9)
+        assert_allclose(qm.local_state(cond, 2).matrix, target.matrix, atol=1e-9, rtol=0)
 
 
 def test_prepare_witness_unfaithful_raises():
@@ -316,7 +316,7 @@ def test_spectral_split_qubit_oracle(phi2):
     assert len(idx) == 1
     e = np.zeros(4)
     e[idx[0]] = 1.0
-    assert_allclose((np.eye(4) - split.sigma_matrix) / 2.0, np.outer(e, e), atol=1e-12)
+    assert_allclose((np.eye(4) - split.sigma_matrix) / 2.0, np.outer(e, e), atol=1e-12, rtol=0)
     # the symmetrized form has eigenvalues +-1/d
     form = _form(phi2)
     assert_allclose(np.sort(np.linalg.eigvalsh((form + form.T) / 2.0)), [-0.5, 0.5, 0.5, 0.5])
@@ -326,10 +326,10 @@ def test_spectral_split_qubit_oracle(phi2):
 def test_involution_is_transpose_for_maxent(d, phi2, phi3, rng):
     split = faithful.spectral_split(faithful.Calibration(phi2 if d == 2 else phi3))
     s = split.sigma_matrix
-    assert_allclose(s @ s, np.eye(d * d), atol=1e-12)
+    assert_allclose(s @ s, np.eye(d * d), atol=1e-12, rtol=0)
     for _ in range(10):
         e = qm.random_generalized_effect(d, rng)
-        assert_allclose(faithful.sigma(split, e).matrix, e.matrix.T, atol=1e-12)
+        assert_allclose(faithful.sigma(split, e).matrix, e.matrix.T, atol=1e-12, rtol=0)
 
 
 def test_sigma_preserves_physical_cone(phi2, rng):
@@ -359,14 +359,14 @@ def test_spectral_split_rejects_unfaithful():
 def test_conjugate_transformation_involutive(rng):
     t = qm.random_cp(2, rng)
     back = faithful.conjugate_transformation(faithful.conjugate_transformation(t))
-    assert_allclose(back.choi, t.choi, atol=1e-14)
+    assert_allclose(back.choi, t.choi, atol=1e-14, rtol=0)
     # conjugation preserves composition
     s = qm.random_cp(2, rng)
     lhs = faithful.conjugate_transformation(core.compose(t, s)).choi
     rhs = core.compose(
         faithful.conjugate_transformation(t), faithful.conjugate_transformation(s)
     ).choi
-    assert_allclose(lhs, rhs, atol=1e-13)
+    assert_allclose(lhs, rhs, atol=1e-13, rtol=0)
 
 
 def test_state_involution_consistency(phi2, rng):

@@ -26,7 +26,7 @@ def test_transpose_is_kraus_transpose(phi2, rng):
         t = qm.kraus_to_choi(th, [k])
         got = gns.TransposeSolver(faithful.Calibration(phi2)).transpose(t)
         want = qm.kraus_to_choi(th, [k.T])
-        assert_allclose(got.choi, want.choi, atol=1e-12)
+        assert_allclose(got.choi, want.choi, atol=1e-12, rtol=0)
 
 
 LOCAL_ACTION_STATES = reference.joint_params({
@@ -151,18 +151,18 @@ def test_adjoint_is_heisenberg_dual(phi2, rng):
         t = qm.kraus_to_choi(th, [k])
         got = gns.adjoint_map(gns.TransposeSolver(faithful.Calibration(phi2)), t)
         want = qm.kraus_to_choi(th, [k.conj().T])
-        assert_allclose(got.choi, want.choi, atol=1e-12)
+        assert_allclose(got.choi, want.choi, atol=1e-12, rtol=0)
 
 
 def test_jordan_lift_effect():
     rng = np.random.default_rng(1)
     e = qm.random_effect(2, rng)
     lifted = gns.jordan_lift(e)
-    assert_allclose(lifted.effect().matrix, e.matrix, atol=1e-12)
+    assert_allclose(lifted.effect().matrix, e.matrix, atol=1e-12, rtol=0)
     # linear in the effect
     f = qm.random_effect(2, rng)
     both = gns.jordan_lift(core.Effect(e.theory, e.matrix + f.matrix, generalized=True))
-    assert_allclose(both.choi, gns.jordan_lift(e).choi + gns.jordan_lift(f).choi, atol=1e-12)
+    assert_allclose(both.choi, gns.jordan_lift(e).choi + gns.jordan_lift(f).choi, atol=1e-12, rtol=0)
 
 
 # ---------------------------------------------------------------------------

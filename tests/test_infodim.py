@@ -38,7 +38,7 @@ def test_sic_expand_identity_oracle():
     obs = sic_povm_qubit()
     e = core.Effect(core.quantum(2), np.eye(2))
     c, _ = infodim.ic_expand(e, obs)
-    assert_allclose(c, np.ones(4), atol=1e-12)
+    assert_allclose(c, np.ones(4), atol=1e-12, rtol=0)
 
 
 def test_pauli_povm_ic_not_minimal():
@@ -259,7 +259,7 @@ def test_generic_ancilla_is_state():
 def test_bell_basis_observable_complete():
     obs = infodim.bell_basis_observable(2)
     total = sum(e.matrix for e in core.unstack(obs.effects))
-    assert_allclose(total, np.eye(4), atol=1e-12)
+    assert_allclose(total, np.eye(4), atol=1e-12, rtol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ def test_max_entangled_marginals(d):
     phi = qm.max_entangled(d)
     assert phi.total == pytest.approx(1.0)
     for slot in (1, 2):
-        assert_allclose(qm.local_state(phi, slot).matrix, np.eye(d) / d, atol=1e-12)
+        assert_allclose(qm.local_state(phi, slot).matrix, np.eye(d) / d, atol=1e-12, rtol=0)
     # purity
     assert np.real(np.trace(phi.matrix @ phi.matrix)) == pytest.approx(1.0)
 
@@ -31,9 +31,9 @@ def test_product_state_local_action():
     joint = product_state(a, b)
     t = qm.random_cp(2, rng)
     out = qm.apply_local(joint, t, 1)
-    assert_allclose(out.matrix, np.kron(t(a.matrix), b.matrix), atol=1e-12)
+    assert_allclose(out.matrix, np.kron(t(a.matrix), b.matrix), atol=1e-12, rtol=0)
     out2 = qm.apply_local(joint, t, 2)
-    assert_allclose(out2.matrix, np.kron(a.matrix, t(b.matrix)), atol=1e-12)
+    assert_allclose(out2.matrix, np.kron(a.matrix, t(b.matrix)), atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("which", ["max_entangled", "isotropic", "random"])
@@ -113,7 +113,7 @@ def test_condition_local_steering():
     p, cond = qm.condition_local(phi, qm.projector_map(core.quantum(2), p0), 1)
     assert p == pytest.approx(0.5, abs=1e-12)
     far = qm.local_state(cond, 2).matrix
-    assert_allclose(far, p0, atol=1e-12)
+    assert_allclose(far, p0, atol=1e-12, rtol=0)
     assert ch.trace_distance(far, qm.local_state(phi, 2).matrix) == pytest.approx(0.5)
 
 
@@ -151,7 +151,7 @@ def test_sampled_maps_physical(seed, d):
     t = qm.random_cp(d, seed)
     assert is_physical_map(t)
     tp = qm.random_experiment(d, seed).deterministic_sum()
-    assert_allclose(tp.effect().matrix, np.eye(d), atol=1e-9)
+    assert_allclose(tp.effect().matrix, np.eye(d), atol=1e-9, rtol=0)
 
 
 def test_samplers_deterministic():
@@ -162,7 +162,7 @@ def test_samplers_deterministic():
 
 def test_random_unitary_is_unitary():
     u = random_unitary(3, 5)
-    assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
+    assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-12, rtol=0)
 
 
 def test_random_experiment_complete():
@@ -179,7 +179,7 @@ def test_classical_map_action():
     t = qm.classical_map(m)
     w = qm.classical_state([1.0, 0.0])
     out = core.act(t, w)
-    assert_allclose(np.real(np.diag(out.matrix)), [0.5, 0.5], atol=1e-12)
+    assert_allclose(np.real(np.diag(out.matrix)), [0.5, 0.5], atol=1e-12, rtol=0)
     assert is_physical_map(t)
 
 

@@ -1,10 +1,9 @@
 """Checks on the source tree: no unused imports in the package, the
-tests or the scripts, every public function and every private
-module-level helper has a caller outside the tests, every function runs
-in some report, every defaulted parameter of a function that runs is
-set to another value in some report, every function the benchmark
-traces by name still exists, and each decision that one place owns is
-made only there: the table ONE_PLACE holds one row per such rule."""
+tests or the scripts, every function runs in some report, every
+defaulted parameter of a function that runs is set to another value in
+some report, every function the benchmark traces by name still exists,
+and each decision that one place owns is made only there: the table
+ONE_PLACE holds one row per such rule."""
 
 import ast
 import importlib
@@ -14,10 +13,10 @@ import pathlib
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from reference import defined_functions
+from verify_all import isotropic_phi
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "opcal").glob("*.py"))
@@ -53,73 +52,12 @@ def test_a_second_import_of_a_name_is_reported():
     assert _unused_imports(ast.parse(source)) == [(6, "np")]
 
 
-# Public names with no caller in the library, one reason each.
-NO_LIBRARY_CALLER = {
+# Functions that run in no report, one reason each.
+NOT_RUN = {
     "faithful.sigma": "the involution on effects, which ROADMAP item 2 puts to use",
     "gns.scalar_product": "the paper's scalar product; a check for it waits until perfbench's 39/22 check counts move (ROADMAP item 1)",
-}
-# Functions that run in no report, one reason each: the names above and
-# what only they call.
-NOT_RUN = {
-    **NO_LIBRARY_CALLER,
     "core.Effect.is_physical": "the cone test of faithful.sigma, its only caller",
 }
-
-
-def _public_defs(tree):
-    """(qualified name, node) of each public function and method."""
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node.name, node
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    yield f"{node.name}.{sub.name}", sub
-
-
-def _referenced_names(tree, skip):
-    """Every name and attribute read in tree, outside the node skip."""
-    names, todo = set(), [tree]
-    while todo:
-        node = todo.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        todo.extend(ast.iter_child_nodes(node))
-    return names
-
-
-def _private_helpers(tree):
-    """(name, node) of each private module-level function."""
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
-            if not node.name.startswith("__"):  # dunders are called by Python
-                yield node.name, node
-
-
-def _uncalled(defs):
-    """Qualified names of the definitions defs(tree) yields in
-    src/opcal that no library, perfbench or script module reads; the
-    tests do not count, so an API only they call is test-only."""
-    callers = LIBRARY + sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-    trees = {p: ast.parse(p.read_text()) for p in callers}
-    uncalled = set()
-    for path in LIBRARY:
-        for qualname, node in defs(trees[path]):
-            if not any(node.name in _referenced_names(t, node) for t in trees.values()):
-                uncalled.add(f"{path.stem}.{qualname}")
-    return uncalled
-
-
-def test_public_functions_have_a_library_caller():
-    assert _uncalled(_public_defs) == set(NO_LIBRARY_CALLER)
-
-
-def test_private_helpers_have_a_library_caller():
-    assert _uncalled(_private_helpers) == set()
 
 
 # Runs in a fresh interpreter with a profile hook installed before opcal
@@ -191,7 +129,7 @@ def report_calls(tmp_path_factory):
     classical with the negative controls of verify_all as --expect-fail."""
     src = ROOT / "src" / "opcal"
     tmp = tmp_path_factory.mktemp("report_calls")
-    phi = 0.4 * np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2 + 0.6 * np.eye(4) / 4
+    phi = isotropic_phi(2, 0.6)
     theory = tmp / "iso.theory"
     theory.write_text("backend = quantum\nd = 2\nphi = " + " ".join(map(str, phi.ravel())) + "\n")
     out = tmp / "called.json"
@@ -212,8 +150,8 @@ def _qualified(rows):
 
 
 def test_every_function_runs_in_some_report(report_calls):
-    # this catches a method whose name another definition shares, which
-    # the name match of the library-caller test counts as called
+    # public, private and nested functions alike: a function that no
+    # report runs is dead code or an API that only the tests reach
     defined = set().union(*(defined_functions(p) for p in MODULES))
     assert _qualified(defined - report_calls["called"]) == set(NOT_RUN)
 
