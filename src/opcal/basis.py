@@ -53,33 +53,25 @@ def _layout(n):
     return entries, upper, lower, scale
 
 
-def _units(n, k):
-    """The first k elements of the matrix-unit basis of n x n matrices,
-    read-only: element a holds, at each entry that coordinate a reads,
-    the factor it reads that entry by."""
-    _, upper, lower, scale = _layout(n)
-    out = np.zeros((k, 2 * n * n))
-    out[np.arange(k), upper[:k]] = scale[:k]
-    out[np.arange(n, k), lower[: k - n]] = np.sqrt(0.5)
-    out = out.view(complex).reshape(k, n, n)
+@lru_cache(maxsize=None)
+def hermitian_basis(n):
+    """Orthonormal Hermitian basis of n x n matrices, shape (n*n, n, n),
+    read-only: |i><i|, then for each upper entry j < k, row-major, the
+    symmetric (|j><k| + |k><j|)/sqrt2 and the antisymmetric (imaginary;
+    it picks up a sign under transposition) -i(|j><k| - |k><j|)/sqrt2."""
+    out = from_coords(np.eye(n * n), n)
     out.setflags(write=False)
     return out
 
 
 @lru_cache(maxsize=None)
-def hermitian_basis(n):
-    """Orthonormal Hermitian basis of n x n matrices, shape (n*n, n, n):
-    |i><i|, then for each upper entry j < k, row-major, the symmetric
-    (|j><k| + |k><j|)/sqrt2 and the antisymmetric (imaginary; it picks
-    up a sign under transposition) -i(|j><k| - |k><j|)/sqrt2."""
-    return _units(n, n * n)
-
-
-@lru_cache(maxsize=None)
 def diagonal_basis(d):
     """Classical effect basis: the projectors |i><i| (shape (d, d, d)),
-    the first d elements of hermitian_basis(d), built without it."""
-    return _units(d, d)
+    read-only, the first d elements of hermitian_basis(d), built without
+    it."""
+    out = from_coords(np.eye(d), d)
+    out.setflags(write=False)
+    return out
 
 
 def to_coords(matrix, k):

@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 
+from .tolerances import CP_TOL
+
 
 def kraus_to_choi_matrix(kraus):
     """Choi matrix of the Kraus operators along the axis before the last
@@ -100,30 +102,31 @@ def min_eig(m):
     return np.linalg.eigvalsh(h)[..., 0]
 
 
-def is_psd(m, tol):
-    """min_eig(m) >= -tol, with no spectrum where one Cholesky factor
-    certifies it.  For H the Hermitian part, u the unit roundoff and n x n
-    matrices, forming A = 2H + tol I and factoring it (L L^dag = A + dA,
-    |dA| <= gamma_(n+1) |L| |L^dag|, Higham, Thm 10.3) err by at most
-    (n + 3) u |tr A| in 2-norm.  A stack whose factors have finite
-    diagonals and (n + 3) u |tr A| <= tol/2 thus has lambda_min(H) >=
-    -3 tol/4, where eigvalsh, whose error is of order n u ||H||, reads
-    above -tol too; any other stack goes to min_eig.  numpy's cholesky
-    reads only the lower triangle and the real part of the diagonal, and
-    factors NaN without raising; a NaN or inf in m reaches the lower
-    triangle of A or the imaginary part of tr A, which is 0 for finite m."""
+def is_psd(m):
+    """min_eig(m) >= -CP_TOL, with no spectrum where one Cholesky factor
+    certifies it.  For H the Hermitian part, u the unit roundoff, n x n
+    matrices and t = CP_TOL, forming A = 2H + t I and factoring it
+    (L L^dag = A + dA, |dA| <= gamma_(n+1) |L| |L^dag|, Higham, Thm 10.3)
+    err by at most (n + 3) u |tr A| in 2-norm.  A stack whose factors
+    have finite diagonals and (n + 3) u |tr A| <= t/2 thus has
+    lambda_min(H) >= -3 t/4, where eigvalsh, whose error is of order
+    n u ||H||, reads above -t too; any other stack goes to min_eig.
+    numpy's cholesky reads only the lower triangle and the real part of
+    the diagonal, and factors NaN without raising; a NaN or inf in m
+    reaches the lower triangle of A or the imaginary part of tr A, which
+    is 0 for finite m."""
     a = _twice_hermitian_part(m)
     n = a.shape[-1]
     diag = a.reshape(*a.shape[:-2], n * n)[..., :: n + 1]  # a view
-    diag += tol
+    diag += CP_TOL
     with np.errstate(over="ignore", invalid="ignore"):
         bound = (n + 3) * (np.finfo(a.dtype).eps / 2) * np.abs(diag.sum(axis=-1))
         try:
             finite = np.isfinite(np.diagonal(np.linalg.cholesky(a), axis1=-2, axis2=-1)).all(axis=-1)
         except np.linalg.LinAlgError:
             finite = False
-    certified = finite & (bound <= tol / 2)
-    return certified if certified.all() else min_eig(m) >= -tol
+    certified = finite & (bound <= CP_TOL / 2)
+    return certified if certified.all() else min_eig(m) >= -CP_TOL
 
 
 def partial_trace(matrix, slot):

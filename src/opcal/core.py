@@ -29,7 +29,7 @@ from .errors import (
     NotCoexistent,
     ZeroProbability,
 )
-from .tolerances import COMPLETENESS_TOL, CP_TOL, PROB_TOL, UNIT_TRACE
+from .tolerances import COMPLETENESS_TOL, PROB_TOL, UNIT_TRACE
 
 BACKENDS = ("quantum", "classical")
 
@@ -341,7 +341,7 @@ def trans_norm(t):
     stack with any map that is not CP raises.
     """
     choi = t.choi.reshape(-1, *t.choi.shape[-2:])
-    if not ch.is_psd(choi, CP_TOL).all():
+    if not ch.is_psd(choi).all():
         raise NoClosedForm("trans_norm of a map that is not CP")
     norms = np.linalg.eigvalsh(ch.effect_of_choi(choi))[:, -1]
     return _per_element(norms.reshape(t.choi.shape[:-2]))

@@ -31,7 +31,7 @@ from .basis import from_coords, hermitian_basis, singular_value_rank, to_coords
 from .core import Effect, Transformation, _per_element, quantum
 from .errors import ConeViolation, DegenerateSplit, NotFaithful
 from .quantum import part_dim
-from .tolerances import CP_TOL, PINV_RCOND, SYMMETRY_TOL, WITNESS_RESID, ZERO_CUTOFF
+from .tolerances import PINV_RCOND, SYMMETRY_TOL, WITNESS_RESID, ZERO_CUTOFF
 
 
 def is_symmetric(phi):
@@ -125,7 +125,7 @@ def prepare_witness(calibration, target):
     # the trace of the marginal: of the basis, only the d projectors |i><i| have one
     prob = fitted[..., :d].sum(axis=-1)
     effect = from_coords(e, d)
-    cp = ch.is_psd(effect / d, CP_TOL)
+    cp = ch.is_psd(effect / d)
     # rescale each CP witness to a physical (trace-nonincreasing) map
     top = np.where(cp, np.linalg.eigvalsh(effect)[..., -1], 1.0)
     lam = np.minimum(np.where(cp, 1.0 / top, 1.0), 1.0)

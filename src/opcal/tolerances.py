@@ -25,7 +25,7 @@ EXPAND_RESID = 1e-9  # residual above which an effect does not expand over an ob
 DISCRIMINATION_RESID = 1e-9  # largest entry of pairing - identity of a perfectly discriminating witness
 
 # positivity, symmetry and the faithful state
-CP_TOL = 1e-10  # a Choi matrix with no eigenvalue below -CP_TOL is completely positive (trans_norm, prepare_witness)
+CP_TOL = 1e-10  # a Choi matrix with no eigenvalue below -CP_TOL is completely positive; read by channels.is_psd alone, for trans_norm and prepare_witness
 SYMMETRY_TOL = 1e-12  # largest entry of S phi S - phi of a symmetric joint state
 ZERO_CUTOFF = 1e-12  # a bilinear-form eigenvalue of this magnitude or less has no sign
 GRAM_FLOOR = 1e-12  # smallest eigenvalue of the GNS Gram matrix of a strictly positive scalar product

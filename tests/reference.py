@@ -3,25 +3,25 @@ reference observables, the predictability test of an effect, the
 physicality test of a map, the loop-built oracles of the fixed families
 (spanning vectors, Weyl displacements, generic ancilla, Bell projectors,
 the minimal IC observable, the projective experiment, the maximally
-entangled state), the Kraus superoperator, the joint bilinear form and
-its absolute value, the involution on states, the positivity decision by
-the spectrum alone, the rank by singular values alone, the real view of
-a complex matrix and the coordinates of every whole family a rank reads,
-the local action of either slot built index by index and the
-faithfulness predicates on its rank, the Choi-basis construction of the
-witness equations, the einsum of the bilinear form, the least-squares
-and closed-form preparation witnesses, the transpose by a complex SVD of
-the realigned state and the spectral split by eigh of the form (the
-oracles of the one calibration), the direct measurement that a dimension
-table takes and the pass predicates of the table, the spanning family as
-separate states and the two equivalences decided on it one state at a
-time, product states, the samplers: unitaries, and one-sample-at-a-time
-formulas that the stack-aware samplers must reproduce from the same
-draws, the catalogue of joint states (every family of joint states the
-tests build, one row each, picked by name as a State or as a spec), the
-GNS maps folded onto the real views of Choi matrices, and the watchers
-of a run: the functions a module defines, a recorder of what a run
-calls, and a Generator that records what it draws."""
+entangled state), the Kraus superoperator, the involution on states, the
+positivity decision by the spectrum alone, the rank by singular values
+alone, the real view of a complex matrix and the coordinates of every
+whole family a rank reads, the local action of either slot built index
+by index and the faithfulness predicates on its rank, the Choi-basis
+construction of the witness equations, the einsum of the bilinear form,
+the least-squares and closed-form preparation witnesses, the transpose
+by a complex SVD of the realigned state and the spectral split by eigh
+of the form (the oracles of the one calibration), the direct measurement
+that a dimension table takes and the pass predicates of the table, the
+spanning family as separate states and the two equivalences decided on
+it one state at a time, product states, the samplers: unitaries, and
+one-sample-at-a-time formulas that the stack-aware samplers must
+reproduce from the same draws, the catalogue of joint states (every
+family of joint states the tests build, one row each, picked by name as
+a State or as a spec), the GNS maps folded onto the real views of Choi
+matrices, and the watchers of a run: the functions a module defines, a
+recorder of what a run calls, and a Generator that records what it
+draws."""
 
 import math
 import os
@@ -100,9 +100,9 @@ def is_predictable(e, tol=1e-9):
 
 
 def is_physical_map(t, tol=1e-9):
-    """Completely positive (`channels.is_psd` of the Choi matrix) and
+    """Completely positive (`spectrum_psd` of the Choi matrix) and
     trace-nonincreasing (its effect at most I), each to tol."""
-    return ch.is_psd(t.choi, tol) and bool(np.linalg.eigvalsh(t.effect().matrix)[-1] <= 1.0 + tol)
+    return spectrum_psd(t.choi, tol) and bool(np.linalg.eigvalsh(t.effect().matrix)[-1] <= 1.0 + tol)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def max_entangled(d):
 
 
 # ---------------------------------------------------------------------------
-# maps and forms
+# maps and states
 
 
 def kraus_to_super(kraus):
@@ -227,19 +227,6 @@ def kraus_to_super(kraus):
     for k in ks:
         s += np.kron(k, k.conj())
     return s
-
-
-def bilinear_form(phi, a, b):
-    """Joint pairing Phi(A, B) with effect A on slot 1 and B on slot 2."""
-    m = np.kron(a.matrix, b.matrix)
-    return float(np.real(np.trace(phi.matrix @ m)))
-
-
-def abs_form(split, a, b):
-    """|Phi|(A, B), the strictly positive scalar product on effects."""
-    ca = to_coords(a.matrix, a.theory.d**2)
-    cb = to_coords(b.matrix, b.theory.d**2)
-    return float(ca @ split.gram_abs @ cb)
 
 
 def state_sigma(split, omega, tol=1e-9):
@@ -359,7 +346,7 @@ def lstsq_witness(phi, target):
     x, *_ = np.linalg.lstsq(choi_basis_witness_matrix(phi), to_coords(target.matrix, d * d), rcond=None)
     choi = from_coords(x, d * d)
     prob = apply_local(phi, Transformation(quantum(d), choi, generalized=True), 1).total
-    if ch.is_psd(choi, 1e-10):
+    if spectrum_psd(choi, 1e-10):
         lam = min(1.0 / float(np.linalg.eigvalsh(ch.effect_of_choi(choi))[-1]), 1.0)
         return lam * choi, lam * prob
     return choi, prob

@@ -292,15 +292,6 @@ def test_a_field_set_on_the_command_line_keeps_the_file_phi(tmp_path, capsys):
     assert "seed = 5" in reports[0] and reports[0] == reports[1]
 
 
-def test_structured_round_trip():
-    report = cli.run_suite(cli.TheorySpec(d=2, seed=7), "core")
-    text = cli.emit_report(report, "structured")
-    back = cli.parse_report(text)
-    assert back == report
-    # and emitting the parsed report reproduces the bytes
-    assert cli.emit_report(back, "structured") == text
-
-
 def test_parse_report_repeated_key():
     # appended lines cannot turn a passing d=2 report into a failed d=3 one
     report = cli.run_suite(cli.TheorySpec(d=2, seed=7), "core")

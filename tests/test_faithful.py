@@ -13,8 +13,6 @@ from opcal.basis import hermitian_basis, matrix_rank, to_coords
 from opcal.errors import DegenerateSplit, NotFaithful
 from opcal.tolerances import WITNESS_RESID
 from reference import (
-    abs_form,
-    bilinear_form,
     choi_basis_witness_matrix,
     closed_form_witness,
     eigh_split,
@@ -31,16 +29,6 @@ from reference import (
     svd_transpose,
 )
 
-SY = np.array([[0, -1j], [1j, 0]])
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_max_entangled_is_faithful(d, phi2, phi3):
-    phi = phi2 if d == 2 else phi3
-    assert faithful.is_symmetric(phi)
-    assert is_dynamically_faithful(phi)
-    assert is_preparationally_faithful(phi)
-
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_product_state_not_faithful(d):
@@ -48,30 +36,6 @@ def test_product_state_not_faithful(d):
     assert faithful.is_symmetric(phi)
     assert not is_dynamically_faithful(phi)
     assert not is_preparationally_faithful(phi)
-
-
-def test_bilinear_form_maxent_oracle(phi2):
-    # Phi(A, B) = Tr[E_A E_B^T] / d on the canonical state
-    rng = np.random.default_rng(3)
-    th = core.quantum(2)
-    for _ in range(10):
-        a = qm.random_generalized_effect(2, rng)
-        b = qm.random_generalized_effect(2, rng)
-        got = bilinear_form(phi2, a, b)
-        want = float(np.real(np.trace(a.matrix @ b.matrix.T))) / 2.0
-        assert got == pytest.approx(want, abs=1e-12)
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=20, deadline=None)
-def test_bilinear_form_symmetric(seed):
-    phi = qm.max_entangled(2)
-    rng = np.random.default_rng(seed)
-    a = qm.random_generalized_effect(2, rng)
-    b = qm.random_generalized_effect(2, rng)
-    assert bilinear_form(phi, a, b) == pytest.approx(
-        bilinear_form(phi, b, a), abs=1e-12
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -106,20 +70,6 @@ def test_prepare_witness_random_targets(d, phi2, phi3, rng):
         assert_allclose(qm.local_state(cond, 2).matrix, target.matrix, atol=1e-9, rtol=0)
 
 
-def test_prepare_witness_unfaithful_raises():
-    target = qm.random_state(2, 0)
-    with pytest.raises(NotFaithful):
-        faithful.prepare_witness(faithful.Calibration(joint("maximally-mixed", 2)), target)
-
-
-def _marginal_matrix_by_action(phi):
-    # reference: apply each Choi basis element to slot 1, then trace it out
-    d = qm.part_dim(phi)
-    cb = hermitian_basis(d * d)
-    outs = ch.apply_local_super(ch.choi_to_super(cb), phi.matrix, 1)
-    return to_coords(ch.partial_trace(outs, 2), d * d).T
-
-
 def _marginal_matrix_by_form(phi):
     # the witness equations read off the form: the marginal of a map
     # with effect E has coordinates F^T e, for each Choi basis element
@@ -128,20 +78,9 @@ def _marginal_matrix_by_form(phi):
     return _form(phi).T @ to_coords(effects, d * d).T
 
 
-ISOTROPIC = joint_params({f"{d}-{p}": ("isotropic", d, p) for d, p in ((2, 0.6), (3, 0.2), (4, 0.3))})
-
-
-@pytest.mark.parametrize("make", ISOTROPIC)
-def test_witness_system_matches_local_action(make):
-    phi = make()
-    d = qm.part_dim(phi)
-    m = _marginal_matrix_by_form(phi)
-    assert m.shape == (d * d, d**4)
-    assert_allclose(m, _marginal_matrix_by_action(phi), rtol=0, atol=1e-12)
-
-
 @pytest.mark.parametrize("make", joint_params({
     **{f"isotropic-d{d}-p{p}": ("isotropic", d, p) for d in (2, 3) for p in (0.2, 0.6)},
+    "isotropic-d4-p0.3": ("isotropic", 4, 0.3),
     **{f"mixture-d{d}-seed{seed}": ("mixture", d, seed) for d in (2, 3, 4) for seed in (0, 1)},
 }))
 def test_witness_system_matches_the_choi_basis_build(make):
@@ -150,19 +89,6 @@ def test_witness_system_matches_the_choi_basis_build(make):
     phi = make()
     assert is_dynamically_faithful(phi)
     assert_allclose(_marginal_matrix_by_form(phi), choi_basis_witness_matrix(phi), rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("make", ISOTROPIC)
-def test_witness_matches_lstsq(make, rng):
-    phi = make()
-    d = qm.part_dim(phi)
-    calibration = faithful.Calibration(phi)
-    for _ in range(5):
-        target = qm.random_state(d, rng)
-        witness, prob = faithful.prepare_witness(calibration, target)
-        choi, want = lstsq_witness(phi, target)
-        assert_allclose(witness.choi, choi, rtol=0, atol=1e-10)
-        assert prob == pytest.approx(want, abs=1e-10)
 
 
 def test_canonical_form_is_the_transpose_over_d(phi2, phi3):
@@ -266,6 +192,9 @@ def _same_raise(expected, got):
 @given(state=_calibrated_states(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 @example(state=("random", joint("random-joint", 4, 23015)), seed=3)  # witness entries up to 930 at cond 2e4
+@example(state=("isotropic", joint("isotropic", 2, 0.6)), seed=0)
+@example(state=("isotropic", joint("isotropic", 3, 0.2)), seed=0)
+@example(state=("isotropic", joint("isotropic", 4, 0.3)), seed=0)
 def test_calibration_matches_the_separate_factorizations(state, seed):
     # the one SVD of F against a complex SVD of R for the rank and the
     # transpose, eigh of the symmetrized F for the split and the Choi-basis
@@ -307,26 +236,9 @@ def test_calibration_matches_the_separate_factorizations(state, seed):
 # spectral split and involution
 
 
-def test_spectral_split_qubit_oracle(phi2):
-    split = faithful.spectral_split(faithful.Calibration(phi2))
-    assert split.signature == (3, 1)
-    # the negative principal axis is the antisymmetric Pauli direction
-    basis = core.quantum(2).basis()
-    idx = [i for i, b in enumerate(basis) if np.allclose(b, SY / np.sqrt(2))]
-    assert len(idx) == 1
-    e = np.zeros(4)
-    e[idx[0]] = 1.0
-    assert_allclose((np.eye(4) - split.sigma_matrix) / 2.0, np.outer(e, e), atol=1e-12, rtol=0)
-    # the symmetrized form has eigenvalues +-1/d
-    form = _form(phi2)
-    assert_allclose(np.sort(np.linalg.eigvalsh((form + form.T) / 2.0)), [-0.5, 0.5, 0.5, 0.5])
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_involution_is_transpose_for_maxent(d, phi2, phi3, rng):
     split = faithful.spectral_split(faithful.Calibration(phi2 if d == 2 else phi3))
-    s = split.sigma_matrix
-    assert_allclose(s @ s, np.eye(d * d), atol=1e-12, rtol=0)
     for _ in range(10):
         e = qm.random_generalized_effect(d, rng)
         assert_allclose(faithful.sigma(split, e).matrix, e.matrix.T, atol=1e-12, rtol=0)
@@ -340,20 +252,6 @@ def test_sigma_preserves_physical_cone(phi2, rng):
         w = qm.random_state(2, rng)
         out = state_sigma(split, w)
         assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-12
-
-
-def test_abs_form_oracle(phi2, rng):
-    split = faithful.spectral_split(faithful.Calibration(phi2))
-    for _ in range(10):
-        e = qm.random_generalized_effect(2, rng)
-        want = float(np.real(np.trace(e.matrix @ e.matrix))) / 2.0
-        assert abs_form(split, e, e) == pytest.approx(want, abs=1e-12)
-        assert abs_form(split, e, e) > 0 or np.allclose(e.matrix, 0)
-
-
-def test_spectral_split_rejects_unfaithful():
-    with pytest.raises((DegenerateSplit, NotFaithful)):
-        faithful.spectral_split(faithful.Calibration(joint("maximally-mixed", 2)))
 
 
 def test_conjugate_transformation_involutive(rng):

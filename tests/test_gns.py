@@ -136,12 +136,6 @@ def test_local_action_rank_is_d2_times_the_schmidt_rank(case):
     assert np.linalg.norm(lhs - rhs) <= ACTION_TOL * np.linalg.norm(lhs)
 
 
-def test_transpose_requires_faithful():
-    phi = joint("maximally-mixed", 2)
-    with pytest.raises(NotFaithful):
-        gns.TransposeSolver(faithful.Calibration(phi)).transpose(qm.random_cp(2, 0))
-
-
 def test_adjoint_is_heisenberg_dual(phi2, rng):
     # on the canonical state, Kraus {K} maps to Kraus {K^dag}
     th = core.quantum(2)

@@ -131,8 +131,6 @@ def test_all_run_forms_no_joint_spanning_states(d):
 def test_affine_dimensions(d):
     assert infodim.affine_state_dimension(core.quantum(d)) == d * d - 1
     assert infodim.affine_state_dimension(core.classical(d)) == d - 1
-    assert infodim.effect_space_dimension(core.quantum(d)) == d * d
-    assert infodim.effect_space_dimension(core.classical(d)) == d
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

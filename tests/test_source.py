@@ -285,21 +285,6 @@ def _joint_layout_kind(node):
     return None
 
 
-MEASUREMENTS = ("informational_dimension", "affine_state_dimension", "dim_identities")
-
-
-def _measurement_kind(node):
-    """A direct call of a theory-level measurement or of the dimension
-    table, or a read of one through the run's store (`ctx.measure`)."""
-    if isinstance(node, ast.Call):
-        callee = _dotted(node.func)
-        if callee.rpartition(".")[2] in MEASUREMENTS:
-            return callee.rpartition(".")[2]
-        if callee == "ctx.measure":
-            return "ctx.measure"
-    return None
-
-
 def _matrix_field_kind(node):
     """A `matrix` or `choi` field: declared with an annotation, or set
     on an instance."""
@@ -370,26 +355,26 @@ ONE_PLACE = {
         {"solve": {"m.f", "m.g"}, "gram": {"m.f"}},
     ),
     # the rank certificate and the CP certificate are the only Cholesky
-    # factorizations, and CP_TOL is read only where is_psd is called
+    # factorizations, and CP_TOL is read only by is_psd
     "positivity": (
         _named(calls=("cholesky", "is_psd"), loads=("CP_TOL",)),
         {
             "cholesky": {"basis._certifies_full_rank", "channels.is_psd"},
             "is_psd": {"core.trans_norm", "faithful.prepare_witness"},
-            "CP_TOL": {"core.trans_norm", "faithful.prepare_witness"},
+            "CP_TOL": {"channels.is_psd"},
         },
         "from .tolerances import CP_TOL\n"
         "def f(m):\n"
         "    return np.linalg.cholesky(m), CP_TOL\n"
         "def g(m):\n"
-        "    return ch.is_psd(m, CP_TOL), la.cholesky(m)\n",
-        {"cholesky": {"m.f", "m.g"}, "CP_TOL": {"m.f", "m.g"}, "is_psd": {"m.g"}},
+        "    return ch.is_psd(m), la.cholesky(m)\n",
+        {"cholesky": {"m.f", "m.g"}, "CP_TOL": {"m.f"}, "is_psd": {"m.g"}},
     ),
     # reading a complex matrix's memory as real numbers, or real rows as
     # complex ones, fixes the coordinate layout, which is basis.py's alone
     "coordinates": (
         _view_kind,
-        {"view": {"basis._units", "basis.from_coords", "basis.packed_product_coords", "basis.projector_coords", "basis.to_coords"}},
+        {"view": {"basis.from_coords", "basis.packed_product_coords", "basis.projector_coords", "basis.to_coords"}},
         "def f(m):\n"
         "    return m.reshape(-1).view(np.float64), m.view()\n"
         "def g(m, out):\n"
@@ -429,20 +414,6 @@ ONE_PLACE = {
         "def g(t):\n"
         "    return t.super, ch.choi_to_super\n",
         {"choi_to_super": {"m.T.super", "m.f"}},
-    ),
-    # the run's context takes each (measurement, theory) once per run; a
-    # check that called a measurement itself would take it again
-    "measurements": (
-        _measurement_kind,
-        {
-            "ctx.measure": {"checks._check_idim", "checks._check_bell_ic", "checks._check_classical_violation"},
-            "dim_identities": {"cli.RunContext.dims"},
-        },
-        "def f(ctx, th):\n"
-        "    return infodim.informational_dimension(th), ctx.measure(infodim.affine_state_dimension, th)\n"
-        "def g(d):\n"
-        "    return dim_identities(d), affine_state_dimension\n",
-        {"informational_dimension": {"m.f"}, "ctx.measure": {"m.f"}, "dim_identities": {"m.g"}},
     ),
     # a joint state is a State of quantum(d^2): a second class carrying
     # a matrix would repeat the totals, normalization and shape checks

@@ -567,7 +567,7 @@ def test_trans_norm_on_a_mixed_stack_matches_per_element():
     # signed classical map, and a quantum difference of CP maps
     signed = np.diag(np.random.default_rng(5).uniform(-1.0, 1.0, 9))
     signed = core.Transformation(a.theory, signed, generalized=True)
-    assert not ch.is_psd(signed.choi, 0.0)
+    assert not ch.is_psd(signed.choi)
     p, q = qm.random_cp(2, 3), qm.random_cp(2, 4)
     non_cp = core.Transformation(p.theory, p.choi - q.choi, generalized=True)
     for t in (signed, core.stack([a, signed, b]), non_cp, core.stack([p, non_cp, q])):
