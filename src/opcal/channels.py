@@ -169,11 +169,3 @@ def apply_local_super(sup, joint, slot):
 def trace_distance(a, b):
     ev = np.linalg.eigvalsh(np.asarray(a) - np.asarray(b))
     return 0.5 * float(np.sum(np.abs(ev)))
-
-
-def herm_sqrt(m):
-    """Square root of a PSD Hermitian matrix, or of each of a stack
-    (eigenvalues clipped at 0)."""
-    w, v = np.linalg.eigh(np.asarray(m))
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)

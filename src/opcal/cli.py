@@ -69,10 +69,9 @@ def parse_kv(text):
 
 
 def _parse_complex_matrix(value, lineno, key):
-    try:
-        entries = [complex(tok) for tok in value.split()]
-    except ValueError as exc:
-        raise ParseError(f"line {lineno}: field {key}: {exc}") from exc
+    """The square matrix of the entries of value; an entry that is not a
+    complex number raises ValueError, which load_theory names."""
+    entries = [complex(tok) for tok in value.split()]
     n = int(round(np.sqrt(len(entries))))
     if n * n != len(entries):
         raise ParseError(

@@ -156,8 +156,9 @@ def _trace_preserving(d, g):
     *lead, _, r = g.shape
     rows = g.reshape(*lead, d, d * r)
     # rows rows^dag is the output trace of g g^dag, the transpose of
-    # sum K^dag K, so its inverse square root is R^T
-    rt = np.linalg.inv(ch.herm_sqrt(rows @ _dagger(rows)))
+    # sum K^dag K, so its inverse square root v w^{-1/2} v^dag is R^T
+    w, v = np.linalg.eigh(rows @ _dagger(rows))
+    rt = (v / np.sqrt(w)[..., None, :]) @ _dagger(v)
     return (rt @ rows).reshape(*lead, d * d, r)
 
 

@@ -9,7 +9,8 @@ alone, the real view of a complex matrix and the coordinates of every
 whole family a rank reads, the local action of either slot built index
 by index and the faithfulness predicates on its rank, the Choi-basis
 construction of the witness equations, the einsum of the bilinear form,
-the least-squares and closed-form preparation witnesses, the transpose
+the least-squares and closed-form preparation witnesses, the PSD square
+root (of the closed form and the trace-preserving sampler), the transpose
 by a complex SVD of the realigned state and the spectral split by eigh
 of the form (the oracles of the one calibration), the direct measurement
 that a dimension table takes and the pass predicates of the table, the
@@ -352,6 +353,12 @@ def lstsq_witness(phi, target):
     return choi, prob
 
 
+def herm_sqrt(m):
+    """The square root of a PSD Hermitian matrix (eigenvalues clipped at 0)."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
 def closed_form_witness(target):
     """The pure witness on the maximally entangled state: rho -> X rho
     X^dag with X = sqrt(d p) (target^T)^(1/2), which steers slot 2 to the
@@ -359,7 +366,7 @@ def closed_form_witness(target):
     lambda_max(target)): (Transformation, p)."""
     d = target.theory.d
     p = 1.0 / (d * float(np.linalg.eigvalsh(target.matrix)[-1]))
-    x = np.sqrt(d * p) * ch.herm_sqrt(target.matrix.T)
+    x = np.sqrt(d * p) * herm_sqrt(target.matrix.T)
     return kraus_to_choi(quantum(d), [x]), p
 
 
@@ -588,7 +595,7 @@ def sample_cp(d, rng, trace_preserving=False, rank=None):
     c = g @ g.conj().T
     e = ch.effect_of_choi(c)
     if trace_preserving:
-        rt = np.linalg.inv(ch.herm_sqrt(e)).T
+        rt = np.linalg.inv(herm_sqrt(e)).T
         c = np.einsum("ik,kalb,jl->iajb", rt, c.reshape(d, d, d, d), rt.conj())
         return Transformation(quantum(d), c.reshape(d * d, d * d))
     c = c / (np.linalg.eigvalsh(e)[-1] * float(rng.uniform(1.0, 2.0)))

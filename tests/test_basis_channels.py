@@ -416,13 +416,6 @@ def test_trace_distance():
     assert ch.trace_distance(p0, np.eye(2) / 2) == pytest.approx(0.5)
 
 
-def test_herm_sqrt():
-    m = _random_hermitian(3, 5)
-    m = m @ m  # PSD
-    r = ch.herm_sqrt(m)
-    assert_allclose(r @ r, m, atol=1e-10, rtol=0)
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_apply_local_super_matches_kraus_on_stacks(d):
     # a stack of superoperators applied to an entangled and to a product

@@ -10,6 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -40,7 +41,7 @@ def _write(tmp_path, text, name="t.theory"):
 
 
 # ---------------------------------------------------------------------------
-# parsing and validation
+# the boundary: what a theory file and the command line answer
 
 
 def test_parse_kv_basics():
@@ -48,163 +49,187 @@ def test_parse_kv_basics():
     assert kv == [(1, "a", "1"), (4, "b", "two words")]
 
 
-def test_parse_kv_errors():
-    with pytest.raises(ParseError, match="line 2"):
-        cli.parse_kv("a = 1\nnot a pair\n")
-    with pytest.raises(ParseError, match="empty key"):
-        cli.parse_kv("= 1\n")
+THEORY = "<theory>"  # the theory file's path, in argv, in messages and on stderr
+ON_FILE, CORE = ["--theory", THEORY], ["--suite", "core"]
+RAN = "elapsed: _s\n"  # the stderr of a run that printed its report, its wall time blanked
+QUANTUM_D2 = ("backend = quantum", "d = 2")
+CLASSICAL_D3 = b"backend = classical\nd = 3\nseed = 7\ntol = 1e-8\n"
+OMEGA = qm.max_entangled(2).matrix.real  # |Omega><Omega| at d = 2
+SUITE_CHOICES = "('core', 'norms', 'infodim', 'table1', 'faithful', 'gns', 'born', 'all')"
+TABLE1 = ["--suite", "table1", "--backend", "classical"]
+CONTROLS = [arg for name in CLASSICAL_EXPECT_FAIL for arg in ("--expect-fail", name)]
 
 
-def test_load_theory_defaults(tmp_path):
-    spec = cli.load_theory(_write(tmp_path, "backend = quantum\nd = 2\n"))
-    assert spec.backend == "quantum"
-    assert spec.d == 2
-    assert spec.seed == 0
-    assert spec.tol == 1e-9
-    assert spec.phi_override is None
+def _file(*lines):
+    """Theory-file bytes, one line each."""
+    return "".join(f"{line}\n" for line in lines).encode()
 
 
-def test_load_theory_rejects_d1(tmp_path):
-    with pytest.raises(ValidationError, match="d must be >= 2"):
-        cli.load_theory(_write(tmp_path, "backend = quantum\nd = 1\n"))
+def _phi(m, backend="quantum"):
+    """The theory file whose phi is the real matrix m, each entry written "re+0j"."""
+    return _file(f"backend = {backend}", f"d = {math.isqrt(len(m))}", "phi = " + " ".join(f"{x!r}+0j" for x in np.ravel(m).tolist()))
 
 
-def test_load_theory_unknown_key(tmp_path):
-    with pytest.raises(ParseError, match="unknown field"):
-        cli.load_theory(_write(tmp_path, "backend = quantum\nd = 2\nfoo = 1\n"))
+def _refused(error, message):
+    """The cells of an input refused with error(message): exit 2, no report, one stderr line."""
+    return 2, "", f"error: {message}\n", error(message)
 
 
-def test_load_theory_repeated_key(tmp_path, capsys):
+# One row per input: its id, the theory file's bytes (None: there is no
+# file at THEORY), argv, the exit code, stdout (empty, or a text that it
+# holds), the exact stderr, and what the library answers for the same
+# input: the exception that load_theory, validate_spec or run_suite
+# raises, or the spec (the report, where it holds no check).
+BOUNDARY = [
+    # the key/value syntax of a theory file
+    ("defaults", _file(*QUANTUM_D2), [*ON_FILE, *CORE], 0, "(seed 0, ", RAN, cli.TheorySpec()),
+    ("not-a-pair", _file("a = 1", "not a pair"), ON_FILE, *_refused(ParseError, "line 2: expected 'key = value', got 'not a pair'")),
+    ("nonsense", _file("nonsense"), ON_FILE, *_refused(ParseError, "line 1: expected 'key = value', got 'nonsense'")),
+    ("empty-key", _file("= 1"), ON_FILE, *_refused(ParseError, "line 1: empty key")),
+    ("unknown-field", _file(*QUANTUM_D2, "foo = 1"), ON_FILE, *_refused(ParseError, "line 3: unknown field 'foo'")),
     # a repeated key is an error, not a silent override by the last line
-    path = _write(tmp_path, "backend = quantum\nd = 2\n# d again\nd = 3\n")
-    with pytest.raises(ParseError, match="line 4: field 'd' repeats line 2"):
-        cli.load_theory(path)
-    assert cli.main(["--theory", path]) == 2
-    assert "error: line 4: field 'd' repeats line 2" in capsys.readouterr().err
-
-
-def test_load_theory_bad_value(tmp_path):
-    with pytest.raises(ParseError, match="line 2"):
-        cli.load_theory(_write(tmp_path, "backend = quantum\nd = two\n"))
-
-
-def test_load_theory_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
-    # a decoding failure is a parse error (exit 2), not a traceback with
-    # the exit code of a failed check
-    path = tmp_path / "t.theory"
-    path.write_bytes(b"d = 2\n# caf\xe9\nseed = 1\n")
-    with pytest.raises(ParseError, match="byte 11 is not valid UTF-8$"):
-        cli.load_theory(str(path))
-    assert cli.main(["--theory", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {path}: byte 11 is not valid UTF-8\n"
-
-
-def test_load_theory_drops_a_byte_order_mark(tmp_path):
-    text = b"backend = classical\nd = 3\nseed = 7\ntol = 1e-8\n"
-    plain, marked = tmp_path / "plain.theory", tmp_path / "marked.theory"
-    plain.write_bytes(text)
-    marked.write_bytes(codecs.BOM_UTF8 + text)
-    want = cli.TheorySpec(backend="classical", d=3, seed=7, tol=1e-8)
-    assert cli.load_theory(str(marked)) == cli.load_theory(str(plain)) == want
-    # a byte that is not UTF-8 is named by its offset in the file, the
-    # three bytes of the mark included
-    marked.write_bytes(codecs.BOM_UTF8 + b"d = 2\n# caf\xe9\n")
-    with pytest.raises(ParseError, match="byte 14 is not valid UTF-8$"):
-        cli.load_theory(str(marked))
-
-
-def test_phi_applies_to_the_quantum_backend_only(tmp_path, capsys):
-    # no classical check reads phi, so an override there would go unread
-    phi = "phi = " + " ".join(f"{x!r}" for x in qm.max_entangled(2).matrix.real.reshape(-1).tolist())
-    with pytest.raises(ValidationError, match="phi applies to the quantum backend only"):
-        cli.load_theory(_write(tmp_path, f"backend = classical\nd = 2\n{phi}\n"))
-    quantum = _write(tmp_path, f"backend = quantum\nd = 2\n{phi}\n", name="q.theory")
-    assert cli.load_theory(quantum).phi_override is not None
-    rc = cli.main(["--theory", quantum, "--backend", "classical"])
-    out, err = capsys.readouterr()
-    assert (rc, out) == (2, "")
-    assert err == "error: phi applies to the quantum backend only\n"
-
-
-def test_load_theory_complex_matrix(tmp_path):
-    entries = " ".join(["0.25+0j"] * 4 + ["0+0j"] * 12)
-    # diagonal 1/4 on a 4x4 joint matrix, row-major
-    rows = ["0.25+0j 0+0j 0+0j 0+0j", "0+0j 0.25+0j 0+0j 0+0j",
-            "0+0j 0+0j 0.25+0j 0+0j", "0+0j 0+0j 0+0j 0.25+0j"]
-    text = f"backend = quantum\nd = 2\nphi = {' '.join(rows)}\n"
-    spec = cli.load_theory(_write(tmp_path, text))
-    np.testing.assert_allclose(spec.phi_override, np.eye(4) / 4, atol=1e-12, rtol=0)
-
-
-def test_load_theory_non_psd_override_names_eigenvalue(tmp_path):
-    vals = np.diag([0.6, 0.6, 0.3, -0.5]).reshape(-1)
-    text = "backend = quantum\nd = 2\nphi = " + " ".join(
-        f"{v}+0j" for v in vals
-    )
-    with pytest.raises(ValidationError, match=r"eigenvalue -5\.0"):
-        cli.load_theory(_write(tmp_path, text))
-
-
-def test_override_near_the_float64_limit_is_one_error_line(tmp_path):
-    # phi = 1e308 at the four |ii><jj| entries: finite, but its trace and
-    # top eigenvalue overflow; the file is rejected with one line and no
-    # numpy warning on stderr
-    entries = np.zeros((4, 4))
-    entries[np.ix_([0, 3], [0, 3])] = 1e308
-    phi = " ".join(map(repr, entries.ravel().tolist()))
-    path = _write(tmp_path, f"backend = quantum\nd = 2\nphi = {phi}\n")
-    src = str(pathlib.Path(opcal.__file__).parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-m", "opcal.cli", "--theory", path, "--suite", "all"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=120,
-    )
-    assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == "error: override matrix trace (inf+0j) is not 1\n"
-    assert "Warning" not in done.stderr
-
-
-def test_validate_spec_bad_backend():
-    with pytest.raises(ValidationError):
-        cli.validate_spec(cli.TheorySpec(backend="foo"))
-
-
-@pytest.mark.parametrize("d", [6, 10])
-def test_validate_spec_caps_d(d):
-    # validation only: the cap keeps the d^8-sized arrays of cli.MAX_D
-    # (1.6 GB at d=10) out of a run.  A d=6 `all` report would fit: with
-    # the cap raised it passes 39/39 in 0.55 s at 96 MB peak resident
-    # (one BLAS thread).  Lifting the cap is ROADMAP item 19.
-    with pytest.raises(ValidationError, match=f"d must be <= 5, got {d}"):
-        cli.validate_spec(cli.TheorySpec(d=d))
-    assert cli.validate_spec(cli.TheorySpec(d=5)).d == 5
-
-
-@pytest.mark.parametrize("seed", [-1, 2**64])
-def test_validate_spec_rejects_a_seed_out_of_range(seed, capsys):
-    message = rf"seed must be in \[0, 2\*\*64\), got {seed}"
-    with pytest.raises(ValidationError, match=f"^{message}$"):
-        cli.validate_spec(cli.TheorySpec(seed=seed))
-    assert cli.main(["--suite", "core", "--seed", str(seed)]) == 2
-    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
-
-
-@pytest.mark.parametrize("seed", [0, 2**64 - 1])
-def test_a_seed_at_either_end_of_the_range_runs(seed, capsys):
+    ("repeated-key", _file(*QUANTUM_D2, "# d again", "d = 3"), ON_FILE, *_refused(ParseError, "line 4: field 'd' repeats line 2")),
+    ("bad-value", _file("backend = quantum", "d = two"), ON_FILE,
+     *_refused(ParseError, "line 2: field d: invalid literal for int() with base 10: 'two'")),
+    ("missing-file", None, ON_FILE, *_refused(FileNotFoundError, f"[Errno 2] No such file or directory: '{THEORY}'")),
+    # a leading byte-order mark is dropped; a byte that is not UTF-8 is
+    # named by its offset in the file, the mark's three bytes included
+    *((f"{mark}classical-d3", bom + CLASSICAL_D3, [*ON_FILE, *CORE], 0, "(seed 7, ", RAN, cli.TheorySpec("classical", 3, 7, 1e-8))
+      for mark, bom in (("", b""), ("marked-", codecs.BOM_UTF8))),
+    ("not-utf8", b"d = 2\n# caf\xe9\nseed = 1\n", ON_FILE, *_refused(ParseError, f"{THEORY}: byte 11 is not valid UTF-8")),
+    ("marked-not-utf8", codecs.BOM_UTF8 + b"d = 2\n# caf\xe9\n", ON_FILE, *_refused(ParseError, f"{THEORY}: byte 14 is not valid UTF-8")),
+    # the override phi: d^2 x d^2 complex entries, Hermitian, PSD and of
+    # unit trace, on the quantum backend only (no classical check reads it)
+    ("phi", _phi(OMEGA), [*ON_FILE, *CORE], 0, "result: 4/4", RAN, cli.TheorySpec(phi_override=OMEGA)),
+    ("phi-product", _phi(np.eye(4) / 4), [*ON_FILE, *CORE], 0, "result: 4/4", RAN, cli.TheorySpec(phi_override=np.eye(4) / 4)),
+    ("phi-classical", _phi(OMEGA, "classical"), ON_FILE, *_refused(ValidationError, "phi applies to the quantum backend only")),
+    ("phi-then-classical", _phi(OMEGA), [*ON_FILE, "--backend", "classical"],
+     *_refused(ValidationError, "phi applies to the quantum backend only")),
+    ("phi-malformed", _file("phi = 1 x"), ON_FILE, *_refused(ParseError, "line 1: field phi: complex() arg is a malformed string")),
+    ("phi-not-square", _file("phi = 1 0 0"), ON_FILE, *_refused(ParseError, "line 1: field phi: 3 entries do not form a square matrix")),
+    ("phi-3x3", _file("phi = 1 0 0  0 0 0  0 0 0"), ON_FILE, *_refused(ValidationError, "override matrix must be 4 x 4, got (3, 3)")),
+    *((f"phi-{x}", _phi(OMEGA + np.diag([0, x, 0, 0])), ON_FILE, *_refused(ValidationError, "override matrix has a non-finite entry"))
+      for x in (np.nan, np.inf)),
+    ("phi-not-hermitian", _phi(OMEGA + 0.1 * np.eye(4, k=1)), ON_FILE, *_refused(ValidationError, "override matrix is not Hermitian")),
+    ("phi-not-psd", _phi(np.diag([0.6, 0.6, 0.3, -0.5])), ON_FILE,
+     *_refused(ValidationError, "override matrix is not PSD: eigenvalue -5.000000e-01")),
+    ("phi-trace-2", _phi(np.eye(4) / 2), ON_FILE, *_refused(ValidationError, "override matrix trace (2+0j) is not 1")),
+    # finite, but its trace and top eigenvalue overflow: one error line,
+    # and no numpy warning
+    ("phi-float64-limit", _phi(1e308 * np.outer([1, 0, 0, 1], [1, 0, 0, 1])), ON_FILE,
+     *_refused(ValidationError, "override matrix trace (inf+0j) is not 1")),
+    # or to NaN, inf minus inf in numpy's pairwise sum of the diagonal; validate_spec names every error
+    ("phi-trace-nan", _phi(np.diag([1e308, 1e308, -1e308, -1e308, 0, 0, 0, 0, 0])), ON_FILE, *_refused(
+        ValidationError, "override matrix is not PSD: eigenvalue -1.000000e+308; override matrix trace (nan+0j) is not 1")),
+    # the scalar fields; argparse refuses a backend that it does not list
+    # before validate_spec sees it
+    ("backend-foo", _file("backend = foo"), ON_FILE, *_refused(ValidationError, "backend must be quantum or classical, got 'foo'")),
+    ("backend-foo-argv", None, ["--backend", "foo"], 2, "", cli.build_parser().format_usage()
+     + "opcal: error: argument --backend: invalid choice: 'foo' (choose from 'quantum', 'classical')\n",
+     ValidationError("backend must be quantum or classical, got 'foo'")),
+    ("d1", _file("backend = quantum", "d = 1"), ON_FILE, *_refused(ValidationError, "d must be >= 2, got 1")),
+    # the cap keeps the d^8-sized arrays of cli.MAX_D (1.6 GB at d=10)
+    # out of a run.  A d=6 `all` report would fit: with the cap raised it
+    # passes 39/39 in 0.55 s at 96 MB peak resident (one BLAS thread).
+    # Lifting the cap is ROADMAP item 19.
+    *((f"caps_d-{d}", None, ["--d", str(d)], *_refused(ValidationError, f"d must be <= 5, got {d} (memory grows as d^8)"))
+      for d in (6, 10)),
+    ("caps_d-5-runs", None, ["--d", "5", *CORE], 0, "on quantum d=5 ", RAN, cli.TheorySpec(d=5)),
     # the run hashes the seed into every check's sub-seed (check_seed)
-    assert cli.main(["--suite", "core", "--seed", str(seed)]) == 0
-    assert f"(seed {seed}, " in capsys.readouterr().out
+    *((f"seed-{seed}", None, [*CORE, "--seed", str(seed)], *_refused(ValidationError, f"seed must be in [0, 2**64), got {seed}"))
+      for seed in (-1, 2**64)),
+    *((f"seed-{seed}", None, [*CORE, "--seed", str(seed)], 0, f"(seed {seed}, ", RAN, cli.TheorySpec(seed=seed))
+      for seed in (0, 2**64 - 1)),
+    *((f"tol-{tol}", None, ["--tol", tol], *_refused(ValidationError, f"tol must be finite and positive, got {tol}"))
+      for tol in ("inf", "nan")),
+    # suites, negative controls and exit codes
+    ("all-pass", None, [*CORE, "--seed", "1"], 0, "PASS", RAN, cli.TheorySpec(seed=1)),
+    ("structured", _file("backend = classical", "d = 3", "seed = 5"), [*CORE, *ON_FILE, "--format", "structured"], 0,
+     "backend = classical\nd = 3\nseed = 5\n", RAN, cli.TheorySpec("classical", 3, 5)),
+    ("failing-suite", None, TABLE1, 1, "FAIL  table1.D34'", RAN, cli.TheorySpec("classical")),
+    ("expect-fail", None, [*TABLE1, *CONTROLS], 0, "result: 4/8", RAN, cli.TheorySpec("classical")),
+    ("unknown-expect-fail", None, [*CORE, "--expect-fail", "core.conditionin"], 2, "",
+     "error: unknown check 'core.conditionin'\n", cli.TheorySpec()),
+    # a check outside the selected suite or backend is accepted
+    ("expect-fail-elsewhere", None, [*CORE, "--backend", "classical", "--expect-fail", "gns.cstar"], 0, "result: 4/4", RAN,
+     cli.TheorySpec("classical")),
+    ("unknown-suite", None, ["--suite", "nope"], *_refused(UnknownSuite, f"unknown suite 'nope'; choose from {SUITE_CHOICES}")),
+    # a report that holds no check passes vacuously, so main refuses it
+    *((f"empty-suite-d{d}", None, ["--suite", "gns", "--backend", "classical", *argv], 2, "",
+       "error: suite gns has no check for the classical backend\n", cli.Report("gns", "classical", d, 0, opcal.__version__))
+      for d, argv in ((2, []), (3, ["--d", "3"]))),
+]
+
+
+def _library(argv):
+    """What the library answers for argv: load_theory on the file, then
+    validate_spec with the fields set on the command line, then run_suite;
+    the spec, or the report where it holds no check."""
+    opts = dict(zip(argv[::2], argv[1::2]))
+    spec = cli.load_theory(opts["--theory"]) if "--theory" in opts else cli.TheorySpec()
+    fields = {key: kind(opts[f"--{key}"]) for key, kind in cli.SCALAR_FIELDS.items() if f"--{key}" in opts}
+    spec = cli.validate_spec(replace(spec, **fields))
+    report = cli.run_suite(spec, opts.get("--suite", "all"))
+    return spec if report.checks else report
+
+
+def _answer(outcome, path=THEORY):
+    """One comparable value: an exception's class and message, a spec with phi as a list, a passing report."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome).replace(path, THEORY)
+    if isinstance(outcome, cli.TheorySpec):
+        return replace(outcome, phi_override=None), np.asarray(outcome.phi_override).tolist()
+    assert outcome.all_pass()
+    return outcome
+
+
+@pytest.mark.parametrize("theory, argv, code, out, err, answer", [row[1:] for row in BOUNDARY], ids=[row[0] for row in BOUNDARY])
+def test_boundary(tmp_path, capsys, theory, argv, code, out, err, answer):
+    # the library first, then main on the same input; neither may warn
+    path = tmp_path / "t.theory"
+    if theory is not None:
+        path.write_bytes(theory)
+    argv = [str(path) if arg == THEORY else arg for arg in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = _library(argv)
+        except Exception as exc:
+            got = exc
+        assert _answer(got, str(path)) == _answer(answer)
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse's refusal
+            rc = exc.code
+    stdout, stderr = capsys.readouterr()
+    assert rc == code
+    assert out in stdout if out else stdout == ""
+    assert re.sub(r"^elapsed: \d+\.\d{3}s$", "elapsed: _s", stderr.replace(str(path), THEORY), flags=re.M) == err
+
+
+def test_tol_bounds_only_what_a_check_reports(capsys):
+    def _main_report(*argv):
+        rc = cli.main([*argv, "--format", "structured"])
+        return rc, {c.name: c for c in cli.parse_report(capsys.readouterr().out).checks}
+
+    # a loose tol cannot blur the checks that tell objects apart
+    rc, by_name = _main_report("--tol", "1")
+    assert rc == 0
+    for name in ("core.equivalence", "norms.coexistence"):
+        assert (by_name[name].status, by_name[name].tolerance) == ("pass", 1e-9)
+    # a tol below rounding fails only checks held to the spec's tol, each
+    # on a residual of rounding size; no construction raises
+    rc, by_name = _main_report("--tol", "1e-300")
+    spec_tol = {name for name, _, tol, *_ in checks.CHECKS if tol is None}
+    failed = [c for c in by_name.values() if c.status == "fail"]
+    assert rc == 1 and failed
+    assert [c.name for c in by_name.values() if c.status == "error"] == []
+    for c in failed:
+        assert c.name in spec_tol and any(1e-300 < v <= 1e-12 for v in c.values.values()), c.name
 
 
 # ---------------------------------------------------------------------------
 # suites and reports
-
-
-def test_run_suite_unknown():
-    with pytest.raises(UnknownSuite):
-        cli.run_suite(cli.TheorySpec(), "nope")
 
 
 def test_run_suite_product_override_fails_faithful():
@@ -272,12 +297,6 @@ def test_single_suite_is_its_slice_of_all(spec):
         part = [c for c in full.checks if c.name.split(".")[0] == suite]
         want = replace(full, suite=suite, checks=part)
         assert cli.emit_report(alone, "structured") == cli.emit_report(want, "structured")
-
-
-def test_empty_suite_for_classical():
-    report = cli.run_suite(cli.TheorySpec(backend="classical", d=3), "gns")
-    assert report.checks == []
-    assert report.all_pass()
 
 
 def test_a_field_set_on_the_command_line_keeps_the_file_phi(tmp_path, capsys):
@@ -379,130 +398,12 @@ def test_reports_hold_no_structured_syntax(backend):
     assert keys and not {key for key in keys if set(key) & {":", ";", "#", "\n"}}
 
 
-def test_text_report_flags_failures():
-    report = cli.run_suite(cli.TheorySpec(backend="classical", d=2), "table1")
-    text = cli.emit_report(report, "text")
-    assert "FAIL" in text
-    assert "table1.D34'" in text
-
-
 def test_check_seed_derivation():
     a = cli.check_seed(42, "x")
     assert a == cli.check_seed(42, "x")
     assert a != cli.check_seed(42, "y")
     assert a != cli.check_seed(43, "x")
     assert 0 <= a < 2**64
-
-
-# ---------------------------------------------------------------------------
-# entry point
-
-
-def test_main_all_pass(capsys):
-    rc = cli.main(["--suite", "core", "--seed", "1"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out
-
-
-def test_main_failing_suite(capsys):
-    rc = cli.main(["--suite", "table1", "--backend", "classical"])
-    assert rc == 1
-
-
-def test_main_expect_fail(capsys):
-    rc = cli.main(
-        [
-            "--suite",
-            "table1",
-            "--backend",
-            "classical",
-            "--expect-fail",
-            "table1.D4",
-            "--expect-fail",
-            "table1.D34",
-            "--expect-fail",
-            "table1.D34'",
-            "--expect-fail",
-            "table1.P",
-        ]
-    )
-    assert rc == 0
-
-
-def test_main_rejects_an_unknown_expect_fail_name(capsys):
-    rc = cli.main(["--suite", "core", "--expect-fail", "core.conditionin"])
-    out, err = capsys.readouterr()
-    assert (rc, out) == (2, "")
-    assert err == "error: unknown check 'core.conditionin'\n"
-    # a check outside the selected suite or backend is accepted
-    assert cli.main(["--suite", "core", "--backend", "classical", "--expect-fail", "gns.cstar"]) == 0
-
-
-def test_main_parse_error(tmp_path, capsys):
-    p = tmp_path / "bad.theory"
-    p.write_text("nonsense\n")
-    rc = cli.main(["--theory", str(p)])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("entry", ["nan+0j", "inf+0j"])
-def test_main_rejects_a_non_finite_override_entry(tmp_path, capsys, entry):
-    entries = [f"{x!r}+0j" for x in qm.max_entangled(2).matrix.real.reshape(-1).tolist()]
-    entries[5] = entry
-    p = _write(tmp_path, "backend = quantum\nd = 2\nphi = " + " ".join(entries) + "\n")
-    rc = cli.main(["--theory", p])
-    out, err = capsys.readouterr()
-    assert (rc, out) == (2, "")
-    assert "error: override matrix has a non-finite entry" in err
-
-
-@pytest.mark.parametrize("tol", ["inf", "nan"])
-def test_main_rejects_a_non_finite_tol(capsys, tol):
-    rc = cli.main(["--tol", tol])
-    out, err = capsys.readouterr()
-    assert (rc, out) == (2, "")
-    assert f"error: tol must be finite and positive, got {tol}" in err
-
-
-def _main_report(capsys, *argv):
-    rc = cli.main([*argv, "--format", "structured"])
-    report = cli.parse_report(capsys.readouterr().out)
-    return rc, {c.name: c for c in report.checks}
-
-
-def test_tol_bounds_only_what_a_check_reports(capsys):
-    # a loose tol cannot blur the checks that tell objects apart
-    rc, by_name = _main_report(capsys, "--tol", "1")
-    assert rc == 0
-    for name in ("core.equivalence", "norms.coexistence"):
-        assert (by_name[name].status, by_name[name].tolerance) == ("pass", 1e-9)
-    # a tight tol fails a reported residual; no construction raises
-    rc, by_name = _main_report(capsys, "--tol", "1e-15")
-    assert rc == 1
-    assert [c.name for c in by_name.values() if c.status == "error"] == []
-    signaling = by_name["born.no_signaling"]
-    assert signaling.status == "fail"
-    assert 1e-15 < signaling.values["max_violation"] < 1e-12
-
-
-def test_main_empty_suite_exits_2(capsys):
-    rc = cli.main(["--suite", "gns", "--backend", "classical"])
-    assert rc == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "error: suite gns has no check for the classical backend" in err
-
-
-def test_main_theory_file(tmp_path, capsys):
-    p = tmp_path / "c.theory"
-    p.write_text("backend = classical\nd = 3\nseed = 5\n")
-    rc = cli.main(["--suite", "core", "--theory", str(p), "--format", "structured"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "backend = classical" in out
-    assert "seed = 5" in out
 
 
 # ---------------------------------------------------------------------------

@@ -500,8 +500,6 @@ def test_lower_layers_on_stacks_match_per_element(d):
     _close(ch.effect_of_choi(stack.choi), [ch.effect_of_choi(t.choi) for t in maps])
     _close(ch.dual_super(stack.super), [ch.dual_super(t.super) for t in maps])
     _close(ch.apply_super(stack.super, ws.matrix), [t(w.matrix) for t, w in zip(maps, states)])
-    psd = [w.matrix for w in states]
-    _close(ch.herm_sqrt(np.array(psd)), [ch.herm_sqrt(m) for m in psd])
     _close(core.pair(ws, es), [core.pair(w, e) for w, e in zip(states, effects)])
     _close(ws.total, [w.total for w in states])
     _close(core.compose(stack, stack).choi, [core.compose(t, t).choi for t in maps])
