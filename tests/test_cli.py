@@ -207,6 +207,18 @@ def test_boundary(tmp_path, capsys, theory, argv, code, out, err, answer):
     assert re.sub(r"^elapsed: \d+\.\d{3}s$", "elapsed: _s", stderr.replace(str(path), THEORY), flags=re.M) == err
 
 
+def test_text_report_flags_failures():
+    report = cli.run_suite(cli.TheorySpec(backend="classical", d=2), "table1")
+    text = cli.emit_report(report, "text")
+    assert "FAIL" in text
+    assert "table1.D34'" in text
+
+
+def test_main_failing_suite(capsys):
+    rc = cli.main(["--suite", "table1", "--backend", "classical"])
+    assert rc == 1
+
+
 def test_tol_bounds_only_what_a_check_reports(capsys):
     def _main_report(*argv):
         rc = cli.main([*argv, "--format", "structured"])
