@@ -20,7 +20,7 @@ from . import core, faithful, gns, infodim
 from . import quantum as qm
 from .core import BACKENDS
 from .errors import ZeroProbability
-from .tolerances import ACTION_TOL, EXACT_TOL, PROB_TOL
+from .tolerances import ACTION_TOL, DEFAULT_TOL, EXACT_TOL, PROB_TOL
 
 QUANTUM = ("quantum",)
 SAMPLES = 25  # per sampled check, in tests too; the acceptance gate draws 100 in its own loops
@@ -371,27 +371,27 @@ def _check_no_signaling(ctx, tol, joint, exp):
 # check registry
 
 # One row per check: (name, detail, tolerance, backends, fn, draws).
-# The suite is the name's prefix, run order is table order, and a
-# tolerance of None means the spec's tol, which bounds only what a check
+# The suite is the name's prefix, run order is table order, and the
+# tolerance, the same for every spec, bounds only what the check
 # reports: the checks that tell objects apart by a cutoff take PROB_TOL.
 # draws is () or (n, sampler, ...): the runner calls fn(ctx, tol, *stacks)
 # on n samples of each sampler, drawn in that order from one Generator
 # (one sample of each when n is None).
 CHECKS = (
-    ("core.conditioning", "Bayes conditioning on a projector branch", None, BACKENDS, _check_conditioning, ()),
+    ("core.conditioning", "Bayes conditioning on a projector branch", DEFAULT_TOL, BACKENDS, _check_conditioning, ()),
     ("core.equivalence", "deterministic rotation shares effects with identity but not dynamics", PROB_TOL, BACKENDS, _check_equivalence, ()),
-    ("core.completeness", "experiment branch probabilities sum to one", None, BACKENDS, _check_completeness, ()),
-    ("core.zero_probability", "conditioning on an impossible outcome is rejected", None, BACKENDS, _check_zero_probability, ()),
-    ("norms.effect_bound", "probabilities are bounded by the effect norm", None, BACKENDS, _check_effect_norm, (SAMPLES, _sample_state, _sample_effect)),
-    ("norms.weight_bound", "weights of physical branches stay in the unit ball", None, BACKENDS, _check_weight_norm, (SAMPLES, _sample_map, _sample_state)),
-    ("norms.submultiplicative", "transformation norm is submultiplicative", None, BACKENDS, _check_submultiplicative, (SAMPLES, _sample_map, _sample_map)),
-    ("norms.contraction", "physical transformations are contractions", None, BACKENDS, _check_contraction, (SAMPLES, _sample_map)),
+    ("core.completeness", "experiment branch probabilities sum to one", DEFAULT_TOL, BACKENDS, _check_completeness, ()),
+    ("core.zero_probability", "conditioning on an impossible outcome is rejected", DEFAULT_TOL, BACKENDS, _check_zero_probability, ()),
+    ("norms.effect_bound", "probabilities are bounded by the effect norm", DEFAULT_TOL, BACKENDS, _check_effect_norm, (SAMPLES, _sample_state, _sample_effect)),
+    ("norms.weight_bound", "weights of physical branches stay in the unit ball", DEFAULT_TOL, BACKENDS, _check_weight_norm, (SAMPLES, _sample_map, _sample_state)),
+    ("norms.submultiplicative", "transformation norm is submultiplicative", DEFAULT_TOL, BACKENDS, _check_submultiplicative, (SAMPLES, _sample_map, _sample_map)),
+    ("norms.contraction", "physical transformations are contractions", DEFAULT_TOL, BACKENDS, _check_contraction, (SAMPLES, _sample_map)),
     ("norms.coexistence", "coexistence is contraction of the sum", PROB_TOL, BACKENDS, _check_coexistence, ()),
-    ("infodim.minimal_ic", "a minimal informationally complete observable exists", None, BACKENDS, _check_minimal_ic, ()),
-    ("infodim.expand", "effects expand over an informationally complete observable", None, BACKENDS, _check_ic_expand, (None, _sample_effect)),
-    ("infodim.idim", "maximal perfectly discriminable set has the expected size", None, BACKENDS, _check_idim, ()),
-    ("infodim.local_observability", "products of local observables span the joint effects", None, BACKENDS, _check_local_observability, ()),
-    ("infodim.bell_ic", "a joint discriminating observable induces a minimal IC one", None, BACKENDS, _check_bell_ic, ()),
+    ("infodim.minimal_ic", "a minimal informationally complete observable exists", DEFAULT_TOL, BACKENDS, _check_minimal_ic, ()),
+    ("infodim.expand", "effects expand over an informationally complete observable", DEFAULT_TOL, BACKENDS, _check_ic_expand, (None, _sample_effect)),
+    ("infodim.idim", "maximal perfectly discriminable set has the expected size", DEFAULT_TOL, BACKENDS, _check_idim, ()),
+    ("infodim.local_observability", "products of local observables span the joint effects", DEFAULT_TOL, BACKENDS, _check_local_observability, ()),
+    ("infodim.bell_ic", "a joint discriminating observable induces a minimal IC one", DEFAULT_TOL, BACKENDS, _check_bell_ic, ()),
     ("table1.D2", "effect-space dimension equals affine state dimension plus one", 0.0, BACKENDS, _table_check("D2"), ()),
     ("table1.D3", "affine dimension of a composite from the parts", 0.0, BACKENDS, _table_check("D3"), ()),
     ("table1.D4", "affine dimension from the doubled informational dimension", 0.0, BACKENDS, _table_check("D4"), ()),
@@ -401,21 +401,21 @@ CHECKS = (
     ("table1.T", "transformation affine dimension from the doubled system", 0.0, BACKENDS, _table_check("T"), ()),
     ("table1.P", "effect-space dimension equals squared informational dimension", 0.0, BACKENDS, _table_check("P"), ()),
     ("table1.classical_violation", "the diagonal restriction violates the squared-dimension identity", 0.0, QUANTUM, _check_classical_violation, ()),
-    ("faithful.symmetric", "joint state is invariant under swapping the parts", None, QUANTUM, _check_symmetric, ()),
-    ("faithful.dynamical", "local action determines the transformation uniquely", None, QUANTUM, _check_dynamical, ()),
-    ("faithful.preparational", "every state is reachable by a local witness", None, QUANTUM, _check_preparational, (5, _sample_state)),
-    ("faithful.signature", "bilinear form has the expected sign signature", None, QUANTUM, _check_signature, ()),
+    ("faithful.symmetric", "joint state is invariant under swapping the parts", DEFAULT_TOL, QUANTUM, _check_symmetric, ()),
+    ("faithful.dynamical", "local action determines the transformation uniquely", DEFAULT_TOL, QUANTUM, _check_dynamical, ()),
+    ("faithful.preparational", "every state is reachable by a local witness", DEFAULT_TOL, QUANTUM, _check_preparational, (5, _sample_state)),
+    ("faithful.signature", "bilinear form has the expected sign signature", DEFAULT_TOL, QUANTUM, _check_signature, ()),
     ("faithful.abs_gram", "absolute form is strictly positive with the expected floor", EXACT_TOL, QUANTUM, _check_abs_gram, ()),
     ("faithful.involution", "the sign-flip involution squares to the identity", EXACT_TOL, QUANTUM, _check_involution, ()),
     ("gns.transpose_residual", "local action of a map equals its transpose on the other part", ACTION_TOL, QUANTUM, _check_transpose_residual, (SAMPLES, _sample_map)),
     ("gns.transpose_axioms", "transposition is linear, reverses composition, and squares to one", EXACT_TOL, QUANTUM, _check_transpose_axioms, (5, _sample_map, _sample_map)),
     ("gns.kraus_transpose", "transposition acts entrywise on Kraus operators", ACTION_TOL, QUANTUM, _check_kraus_transpose, (5, _sample_kraus_contraction)),
-    ("gns.adjoint_pairing", "the adjoint moves across the scalar product", None, QUANTUM, _check_adjoint_pairing, (SAMPLES, _sample_map, _sample_generalized_effect, _sample_generalized_effect)),
+    ("gns.adjoint_pairing", "the adjoint moves across the scalar product", DEFAULT_TOL, QUANTUM, _check_adjoint_pairing, (SAMPLES, _sample_map, _sample_generalized_effect, _sample_generalized_effect)),
     ("gns.homomorphism", "the representation preserves composition and the identity", EXACT_TOL, QUANTUM, _check_homomorphism, (5, _sample_map, _sample_map)),
     ("gns.adjoint_rep", "the adjoint map is represented by the matrix adjoint", EXACT_TOL, QUANTUM, _check_adjoint_rep, (5, _sample_map)),
-    ("gns.cstar", "norm of the adjoint composite equals the squared norm", None, QUANTUM, _check_cstar, (SAMPLES, _sample_map)),
-    ("born.pair", "scalar-product pairing reproduces all probabilities", None, QUANTUM, _check_born_pair, ()),
-    ("born.triple", "three-term form reproduces transformed probabilities", None, QUANTUM, _check_born_triple, (SAMPLES, _sample_state, _sample_effect, _sample_map)),
-    ("born.no_signaling", "deterministic far experiments leave the local state fixed", None, QUANTUM, _check_no_signaling, (SAMPLES, _sample_joint_state, _sample_experiment)),
+    ("gns.cstar", "norm of the adjoint composite equals the squared norm", DEFAULT_TOL, QUANTUM, _check_cstar, (SAMPLES, _sample_map)),
+    ("born.pair", "scalar-product pairing reproduces all probabilities", DEFAULT_TOL, QUANTUM, _check_born_pair, ()),
+    ("born.triple", "three-term form reproduces transformed probabilities", DEFAULT_TOL, QUANTUM, _check_born_triple, (SAMPLES, _sample_state, _sample_effect, _sample_map)),
+    ("born.no_signaling", "deterministic far experiments leave the local state fixed", DEFAULT_TOL, QUANTUM, _check_no_signaling, (SAMPLES, _sample_joint_state, _sample_experiment)),
 )
 SUITES = tuple(dict.fromkeys(name.split(".")[0] for name, *_ in CHECKS))

@@ -29,9 +29,9 @@ from . import quantum as qm
 from .checks import CHECKS, SUITES
 from .core import BACKENDS
 from .errors import ParseError, UnknownSuite, ValidationError
-from .tolerances import DEFAULT_TOL, OVERRIDE_HERMITIAN, OVERRIDE_PSD, OVERRIDE_TRACE
+from .tolerances import OVERRIDE_HERMITIAN, OVERRIDE_PSD, OVERRIDE_TRACE
 
-SCALAR_FIELDS = {"backend": str, "d": int, "seed": int, "tol": float}
+SCALAR_FIELDS = {"backend": str, "d": int, "seed": int}
 # Largest accepted dimension: memory grows as d^8.  The d^4 Choi
 # matrices of `table1.T`, each d^2 x d^2, take 16 d^8 bytes (1.6 GB at
 # d=10), and the rank certificate's Gram matrix and Cholesky factor of
@@ -87,14 +87,14 @@ def _parse_complex_matrix(value, lineno, key):
 
 @dataclass(frozen=True)
 class TheorySpec:
-    """Validated run configuration: backend, dimension, master seed,
-    tolerance, and an optional joint-state override for the faithful
-    and representation suites."""
+    """Validated run configuration: backend, dimension, master seed and
+    an optional joint-state override for the faithful and representation
+    suites.  It sets no tolerance: each check's is its row of
+    `checks.CHECKS`."""
 
     backend: str = "quantum"
     d: int = 2
     seed: int = 0
-    tol: float = DEFAULT_TOL
     phi_override: np.ndarray = None
 
     def theory(self):
@@ -122,8 +122,6 @@ def validate_spec(spec):
         errors.append(f"d must be <= {MAX_D}, got {spec.d} (memory grows as d^8)")
     if not 0 <= spec.seed < 2**64:
         errors.append(f"seed must be in [0, 2**64), got {spec.seed}")
-    if not (np.isfinite(spec.tol) and spec.tol > 0):
-        errors.append(f"tol must be finite and positive, got {spec.tol}")
     if spec.phi_override is not None and spec.backend == "classical":
         errors.append("phi applies to the quantum backend only")
     if spec.phi_override is not None and not errors:
@@ -398,7 +396,6 @@ def run_suite(spec, suite):
     ctx = RunContext(spec)
     for name, detail, tolerance, backends, fn, draws in CHECKS:
         if suite in ("all", name.split(".")[0]) and spec.backend in backends:
-            tolerance = spec.tol if tolerance is None else tolerance
             report.checks.append(_run_check(ctx, name, detail, tolerance, fn, draws))
     return report
 
@@ -415,7 +412,6 @@ def build_parser():
     parser.add_argument("--theory", help="path to a theory specification file")
     parser.add_argument("--suite", default="all", help="suite name or 'all'")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
     parser.add_argument("--backend", default=None, choices=BACKENDS)
     parser.add_argument("--d", type=int, default=None, help="dimension override")
     parser.add_argument(

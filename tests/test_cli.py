@@ -53,7 +53,7 @@ THEORY = "<theory>"  # the theory file's path, in argv, in messages and on stder
 ON_FILE, CORE = ["--theory", THEORY], ["--suite", "core"]
 RAN = "elapsed: _s\n"  # the stderr of a run that printed its report, its wall time blanked
 QUANTUM_D2 = ("backend = quantum", "d = 2")
-CLASSICAL_D3 = b"backend = classical\nd = 3\nseed = 7\ntol = 1e-8\n"
+CLASSICAL_D3 = b"backend = classical\nd = 3\nseed = 7\n"
 OMEGA = qm.max_entangled(2).matrix.real  # |Omega><Omega| at d = 2
 SUITE_CHOICES = "('core', 'norms', 'infodim', 'table1', 'faithful', 'gns', 'born', 'all')"
 TABLE1 = ["--suite", "table1", "--backend", "classical"]
@@ -86,7 +86,9 @@ BOUNDARY = [
     ("not-a-pair", _file("a = 1", "not a pair"), ON_FILE, *_refused(ParseError, "line 2: expected 'key = value', got 'not a pair'")),
     ("nonsense", _file("nonsense"), ON_FILE, *_refused(ParseError, "line 1: expected 'key = value', got 'nonsense'")),
     ("empty-key", _file("= 1"), ON_FILE, *_refused(ParseError, "line 1: empty key")),
-    ("unknown-field", _file(*QUANTUM_D2, "foo = 1"), ON_FILE, *_refused(ParseError, "line 3: unknown field 'foo'")),
+    # a spec sets no tolerance (a check's is its row of checks.CHECKS),
+    # so tol is an unknown field, as --tol is an unrecognized argument
+    ("unknown-field", _file(*QUANTUM_D2, "tol = 1"), ON_FILE, *_refused(ParseError, "line 3: unknown field 'tol'")),
     # a repeated key is an error, not a silent override by the last line
     ("repeated-key", _file(*QUANTUM_D2, "# d again", "d = 3"), ON_FILE, *_refused(ParseError, "line 4: field 'd' repeats line 2")),
     ("bad-value", _file("backend = quantum", "d = two"), ON_FILE,
@@ -94,7 +96,7 @@ BOUNDARY = [
     ("missing-file", None, ON_FILE, *_refused(FileNotFoundError, f"[Errno 2] No such file or directory: '{THEORY}'")),
     # a leading byte-order mark is dropped; a byte that is not UTF-8 is
     # named by its offset in the file, the mark's three bytes included
-    *((f"{mark}classical-d3", bom + CLASSICAL_D3, [*ON_FILE, *CORE], 0, "(seed 7, ", RAN, cli.TheorySpec("classical", 3, 7, 1e-8))
+    *((f"{mark}classical-d3", bom + CLASSICAL_D3, [*ON_FILE, *CORE], 0, "(seed 7, ", RAN, cli.TheorySpec("classical", 3, 7))
       for mark, bom in (("", b""), ("marked-", codecs.BOM_UTF8))),
     ("not-utf8", b"d = 2\n# caf\xe9\nseed = 1\n", ON_FILE, *_refused(ParseError, f"{THEORY}: byte 11 is not valid UTF-8")),
     ("marked-not-utf8", codecs.BOM_UTF8 + b"d = 2\n# caf\xe9\n", ON_FILE, *_refused(ParseError, f"{THEORY}: byte 14 is not valid UTF-8")),
@@ -140,8 +142,8 @@ BOUNDARY = [
       for seed in (-1, 2**64)),
     *((f"seed-{seed}", None, [*CORE, "--seed", str(seed)], 0, f"(seed {seed}, ", RAN, cli.TheorySpec(seed=seed))
       for seed in (0, 2**64 - 1)),
-    *((f"tol-{tol}", None, ["--tol", tol], *_refused(ValidationError, f"tol must be finite and positive, got {tol}"))
-      for tol in ("inf", "nan")),
+    ("tol-argv", None, ["--tol", "1", *CORE], 2, "", cli.build_parser().format_usage()
+     + "opcal: error: unrecognized arguments: --tol 1\n", cli.TheorySpec()),
     # suites, negative controls and exit codes
     ("all-pass", None, [*CORE, "--seed", "1"], 0, "PASS", RAN, cli.TheorySpec(seed=1)),
     ("structured", _file("backend = classical", "d = 3", "seed = 5"), [*CORE, *ON_FILE, "--format", "structured"], 0,
@@ -217,27 +219,6 @@ def test_text_report_flags_failures():
 def test_main_failing_suite(capsys):
     rc = cli.main(["--suite", "table1", "--backend", "classical"])
     assert rc == 1
-
-
-def test_tol_bounds_only_what_a_check_reports(capsys):
-    def _main_report(*argv):
-        rc = cli.main([*argv, "--format", "structured"])
-        return rc, {c.name: c for c in cli.parse_report(capsys.readouterr().out).checks}
-
-    # a loose tol cannot blur the checks that tell objects apart
-    rc, by_name = _main_report("--tol", "1")
-    assert rc == 0
-    for name in ("core.equivalence", "norms.coexistence"):
-        assert (by_name[name].status, by_name[name].tolerance) == ("pass", 1e-9)
-    # a tol below rounding fails only checks held to the spec's tol, each
-    # on a residual of rounding size; no construction raises
-    rc, by_name = _main_report("--tol", "1e-300")
-    spec_tol = {name for name, _, tol, *_ in checks.CHECKS if tol is None}
-    failed = [c for c in by_name.values() if c.status == "fail"]
-    assert rc == 1 and failed
-    assert [c.name for c in by_name.values() if c.status == "error"] == []
-    for c in failed:
-        assert c.name in spec_tol and any(1e-300 < v <= 1e-12 for v in c.values.values()), c.name
 
 
 # ---------------------------------------------------------------------------

@@ -154,12 +154,6 @@ def test_sampled_maps_physical(seed, d):
     assert_allclose(tp.effect().matrix, np.eye(d), atol=1e-9, rtol=0)
 
 
-def test_samplers_deterministic():
-    a = qm.random_cp(2, 123).choi
-    b = qm.random_cp(2, 123).choi
-    assert_allclose(a, b)
-
-
 def test_random_unitary_is_unitary():
     u = random_unitary(3, 5)
     assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-12, rtol=0)

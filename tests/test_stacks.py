@@ -220,8 +220,7 @@ def test_stacked_check_matches_per_sample_oracle(name, per_sample, spec, bound):
     # the claim holds at seeds 1-3; and the per-sample loop on the
     # samples the stacked check drew, one at a time, reports what the
     # stacked check reports, and takes them all
-    _, _, row_tol, _, _, (n, *samplers) = ROWS[name]
-    tol = spec.tol if row_tol is None else row_tol
+    _, _, tol, _, _, (n, *samplers) = ROWS[name]
     tol = tol if bound is None else min(bound, tol)
     for seed in (1, 2, 3):
         ctx = cli.RunContext(replace(spec, seed=seed))
@@ -516,13 +515,6 @@ def test_lower_layers_on_stacks_match_per_element(d):
     _close([t.choi for t in core.unstack(stack)], [t.choi for t in maps], atol=0.0)
 
 
-def test_stacked_state_checks_every_element():
-    th = core.quantum(2)
-    ok = np.eye(2) / 2
-    with pytest.raises(ValueError):
-        core.State(th, np.array([ok, 2 * ok]))
-
-
 # ---------------------------------------------------------------------------
 # a state that is not faithful
 
@@ -620,18 +612,6 @@ def test_joint_stacks_reject_any_bad_element():
         core.State(core.quantum(4), np.array([ok, 2 * ok]))
     with pytest.raises(ZeroProbability):
         core.Weight(core.quantum(4), np.array([ok, 0 * ok])).normalize()
-
-
-def test_experiments_stack_branchwise(fake_generators):
-    # a stack of experiments is one experiment whose branch k is the
-    # stack of every sample's branch k, each as the sample's own slices
-    # of the draws build it
-    rng = Recording(0)
-    stacked = qm.random_experiment(2, rng, 3)
-    exps = [qm.random_experiment(2, _Slice(rng.calls, i)) for i in range(3)]
-    assert len(stacked.branches.choi) == len(exps[0].branches.choi) == 3
-    for k, branch in enumerate(core.unstack(stacked.branches)):
-        _close(branch.choi, [e.branches.choi[k] for e in exps], atol=0.0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
